@@ -1,27 +1,24 @@
 //! The Engine: one front door for every synthesis workload.
 //!
-//! An [`Engine`] owns the solver back-end and a parsed-program cache keyed
-//! by source hash, consumes [`SynthesisRequest`]s and produces
-//! [`SynthesisReport`]s. It is `Sync`, so one Engine instance can serve many
-//! threads; [`Engine::run_batch`] fans a slice of requests out over scoped
-//! worker threads and returns the results in request order, making batch
-//! output deterministic.
+//! An [`Engine`] owns a parsed-program cache keyed by source hash,
+//! consumes [`SynthesisRequest`]s and produces [`SynthesisReport`]s. It is
+//! `Sync`, so one Engine instance can serve many threads;
+//! [`Engine::run_batch`] fans a slice of requests out over scoped worker
+//! threads and returns the results in request order, making batch output
+//! deterministic.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use polyinv::pipeline::{stage_names, Pipeline, StageTimings};
-use polyinv::{check_inductive, CheckOptions};
+use polyinv::{check_inductive, CheckOptions, SolvePlan, TargetAssertion};
 use polyinv_lang::{InvariantMap, Label, Postcondition, Precondition, Program};
 use polyinv_poly::Polynomial;
 use polyinv_qcqp::par::parallel_indexed;
-use polyinv_qcqp::{backend_by_name, default_backend, QcqpBackend};
 
 #[allow(deprecated)]
 use polyinv::strong::{StrongOptions, StrongSynthesis};
-#[allow(deprecated)]
-use polyinv::weak::TargetAssertion;
 
 use crate::cache::source_hash;
 use crate::error::ApiError;
@@ -30,11 +27,6 @@ use crate::request::{Mode, SynthesisRequest};
 
 /// Default capacity of the parse cache (distinct programs).
 const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-/// Upper bound on parse-cache lock shards. Shards hold ≥ 8 entries each so
-/// small caches keep exact global LRU order (one shard), while service-sized
-/// caches spread unrelated sources over independent locks.
-const MAX_CACHE_SHARDS: usize = 16;
 
 /// One cached parse: the full source (to rule out hash collisions), the
 /// parsed program and the recency stamp the LRU eviction uses.
@@ -121,47 +113,6 @@ impl ProgramCache {
     }
 }
 
-/// The parse cache behind interior mutability that does not serialize
-/// unrelated requests: the key space is split over independent lock shards
-/// (source hash modulo shard count), so concurrent server workers parsing
-/// *different* programs never contend on one mutex. Small capacities
-/// collapse to a single shard, preserving exact global LRU order where the
-/// capacity itself is the interesting constraint.
-#[derive(Debug)]
-struct ShardedProgramCache {
-    shards: Vec<Mutex<ProgramCache>>,
-}
-
-impl ShardedProgramCache {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = capacity.div_ceil(8).clamp(1, MAX_CACHE_SHARDS);
-        // Distribute the capacity across shards; the remainder goes to the
-        // leading shards so the per-shard caps sum to the requested total.
-        let base = capacity / shards;
-        let remainder = capacity % shards;
-        ShardedProgramCache {
-            shards: (0..shards)
-                .map(|index| {
-                    let extra = usize::from(index < remainder);
-                    Mutex::new(ProgramCache::new(base + extra))
-                })
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<ProgramCache> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().expect("cache lock").len())
-            .sum()
-    }
-}
-
 /// The stable front door: parses (and caches) programs, dispatches the four
 /// modes, and serializes everything that comes back.
 ///
@@ -178,8 +129,9 @@ impl ShardedProgramCache {
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    backend: Arc<dyn QcqpBackend>,
-    cache: ShardedProgramCache,
+    /// One lock serves the whole cache: a parse costs microseconds next to
+    /// solves of seconds, and parsing itself runs outside the lock.
+    cache: Mutex<ProgramCache>,
 }
 
 impl Default for Engine {
@@ -189,42 +141,24 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An Engine with the default solver back-end (multi-start LM).
+    /// An Engine with an empty parse cache.
     pub fn new() -> Self {
-        Engine::with_backend(default_backend())
-    }
-
-    /// An Engine with a caller-supplied back-end implementation.
-    pub fn with_backend(backend: Arc<dyn QcqpBackend>) -> Self {
         Engine {
-            backend,
-            cache: ShardedProgramCache::new(DEFAULT_CACHE_CAPACITY),
+            cache: Mutex::new(ProgramCache::new(DEFAULT_CACHE_CAPACITY)),
         }
     }
 
     /// Caps the parse cache at `capacity` distinct programs (LRU eviction;
     /// the default is 64). A capacity of zero is treated as one.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ShardedProgramCache::new(capacity);
+        self.cache = Mutex::new(ProgramCache::new(capacity));
         self
     }
 
-    /// An Engine with a back-end selected by stable name (`"lm"`,
-    /// `"penalty"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApiError::UnknownBackend`] for unrecognized names.
-    pub fn with_backend_name(name: &str) -> Result<Self, ApiError> {
-        let backend = backend_by_name(name).ok_or_else(|| ApiError::UnknownBackend {
-            name: name.to_string(),
-        })?;
-        Ok(Engine::with_backend(backend))
-    }
-
-    /// The stable name of the Engine's default back-end.
+    /// The stable name of the lane a request without a back-end preference
+    /// reports first (`"lm"`).
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        "lm"
     }
 
     /// Parses a program, consulting the source-hash cache first.
@@ -235,15 +169,11 @@ impl Engine {
     /// the source does not lex, parse or resolve.
     pub fn parse_program(&self, source: &str) -> Result<Arc<Program>, ApiError> {
         let key = source_hash(source);
-        let shard = self.cache.shard(key);
-        {
-            let mut cache = shard.lock().expect("cache lock");
-            if let Some(program) = cache.get(key, source) {
-                return Ok(program);
-            }
+        if let Some(program) = self.cache.lock().expect("cache lock").get(key, source) {
+            return Ok(program);
         }
         let program = Arc::new(polyinv_lang::parse_program(source)?);
-        let mut cache = shard.lock().expect("cache lock");
+        let mut cache = self.cache.lock().expect("cache lock");
         // Re-check under the lock: a concurrent batch worker may have parsed
         // the same source while this thread was parsing (check-then-act).
         if let Some(cached) = cache.get(key, source) {
@@ -255,7 +185,7 @@ impl Engine {
 
     /// Number of distinct programs currently cached.
     pub fn cached_programs(&self) -> usize {
-        self.cache.len()
+        self.cache.lock().expect("cache lock").len()
     }
 
     /// Serves one request.
@@ -268,29 +198,25 @@ impl Engine {
     /// wanted (the CLI does this for its exit codes).
     pub fn run(&self, request: &SynthesisRequest) -> Result<SynthesisReport, ApiError> {
         let program = self.parse_program(&request.source)?;
-        let backend = match &request.backend {
-            Some(name) => {
-                // Strong enumeration and certificate checking are built on
-                // the seeded LM multi-start substrate and cannot honor an
-                // arbitrary back-end; rejecting beats silently ignoring.
-                if matches!(request.mode, Mode::Strong | Mode::Check) {
-                    return Err(ApiError::InvalidRequest {
-                        message: format!(
-                            "back-end selection applies to weak and generate-only requests; \
-                             {} requests use the built-in LM substrate",
-                            request.mode.as_str()
-                        ),
-                    });
-                }
-                backend_by_name(name)
-                    .ok_or_else(|| ApiError::UnknownBackend { name: name.clone() })?
+        if let Some(name) = &request.backend {
+            // Strong enumeration and certificate checking are built on the
+            // seeded LM multi-start substrate and cannot honor an arbitrary
+            // back-end; rejecting beats silently ignoring.
+            if matches!(request.mode, Mode::Strong | Mode::Check) {
+                return Err(ApiError::InvalidRequest {
+                    message: format!(
+                        "back-end selection applies to weak and generate-only requests; \
+                         {} requests use the built-in LM substrate",
+                        request.mode.as_str()
+                    ),
+                });
             }
-            None => Arc::clone(&self.backend),
-        };
+            check_backend(name)?;
+        }
         let pre = Precondition::from_program(&program);
         match request.mode {
-            Mode::GenerateOnly => self.run_generate(request, &program, &pre, backend),
-            Mode::Weak => self.run_weak(request, &program, &pre, backend),
+            Mode::GenerateOnly => self.run_generate(request, &program, &pre),
+            Mode::Weak => self.run_weak(request, &program, &pre),
             Mode::Strong => self.run_strong(request, &program, &pre),
             Mode::Check => self.run_check(request, &program, &pre),
         }
@@ -314,14 +240,13 @@ impl Engine {
         request: &SynthesisRequest,
         program: &Program,
         pre: &Precondition,
-        backend: Arc<dyn QcqpBackend>,
     ) -> Result<SynthesisReport, ApiError> {
         if !request.assertions.is_empty() {
             return Err(ApiError::InvalidRequest {
                 message: "generate-only requests take no assertions".to_string(),
             });
         }
-        let pipeline = Pipeline::new(request.options.clone()).with_backend(backend);
+        let pipeline = Pipeline::new(request.options.clone());
         let mut ctx = pipeline.context(program, pre);
         let generated = pipeline.generate(&mut ctx)?;
         let mut report =
@@ -338,20 +263,13 @@ impl Engine {
         request: &SynthesisRequest,
         program: &Program,
         pre: &Precondition,
-        backend: Arc<dyn QcqpBackend>,
     ) -> Result<SynthesisReport, ApiError> {
         let targets = resolve_weak_targets(program, request)?;
         let (options, escalation) = escalate_degree(&request.options, &targets);
-        // The orchestrator builds its own portfolio; an explicit back-end
-        // choice (request-level, or an Engine constructed around a
-        // non-default back-end) narrows the portfolio to that lane.
-        let preference = request
-            .backend
-            .as_deref()
-            .or_else(|| (backend.name() != default_backend().name()).then(|| backend.name()));
-        let mut plan =
-            polyinv::SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
-        if let Some(name) = preference {
+        // The orchestrator builds its own portfolio; a request-level back-end
+        // choice narrows the portfolio to that lane.
+        let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
+        if let Some(name) = &request.backend {
             plan = plan.with_backend_preference(name);
         }
         let outcome = polyinv::Orchestrator::new(plan).solve(program, pre, &targets)?;
@@ -499,6 +417,24 @@ impl Engine {
             report.diagnostics.push(format!("uncertified: {failure}"));
         }
         Ok(report)
+    }
+}
+
+/// Rejects a request-level back-end name the solve plan does not act on
+/// ([`SolvePlan::knows_backend`]). Shared between [`Engine`] runs and
+/// external drivers (the validation subsystem), so both entry points accept
+/// exactly the same names.
+///
+/// # Errors
+///
+/// Returns [`ApiError::UnknownBackend`] for any other name.
+pub fn check_backend(name: &str) -> Result<(), ApiError> {
+    if SolvePlan::knows_backend(name) {
+        Ok(())
+    } else {
+        Err(ApiError::UnknownBackend {
+            name: name.to_string(),
+        })
     }
 }
 
@@ -676,29 +612,6 @@ mod tests {
         assert!(Arc::ptr_eq(&hit_b, &program_b));
         // An unseen source under the colliding key is a miss, not a hit.
         assert!(cache.get(key, "f(x) { return x + 3 }").is_none());
-    }
-
-    #[test]
-    fn shard_capacities_sum_to_the_requested_total() {
-        for capacity in [1, 2, 7, 8, 9, 64, 100, 1000] {
-            let cache = ShardedProgramCache::new(capacity);
-            let total: usize = cache
-                .shards
-                .iter()
-                .map(|shard| shard.lock().unwrap().capacity)
-                .sum();
-            assert_eq!(total, capacity, "capacity {capacity}");
-            assert!(cache.shards.len() <= MAX_CACHE_SHARDS);
-        }
-        // Small caches stay single-sharded so global LRU order is exact.
-        assert_eq!(ShardedProgramCache::new(8).shards.len(), 1);
-        // The default service-sized cache spreads over independent locks.
-        assert!(
-            ShardedProgramCache::new(DEFAULT_CACHE_CAPACITY)
-                .shards
-                .len()
-                > 1
-        );
     }
 
     #[test]

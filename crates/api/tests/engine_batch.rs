@@ -217,7 +217,7 @@ fn strong_and_check_requests_reject_backend_overrides() {
 #[test]
 fn one_shared_engine_serves_eight_threads_deterministically() {
     // The serving layer drives one `Arc<Engine>` from a worker pool; the
-    // sharded parse cache must neither corrupt programs nor perturb output.
+    // shared parse cache must neither corrupt programs nor perturb output.
     // Eight threads race a mixed request set and every canonical report must
     // be byte-identical to a sequential run of the same request.
     use std::sync::Arc;
@@ -254,8 +254,8 @@ fn one_shared_engine_serves_eight_threads_deterministically() {
             let requests = requests.clone();
             std::thread::spawn(move || {
                 // Each thread walks the request list from a different
-                // offset, so distinct sources hit distinct cache shards at
-                // the same time.
+                // offset, so distinct sources hit the parse cache at the
+                // same time.
                 (0..requests.len())
                     .map(|step| {
                         let index = (step + thread * 5) % requests.len();

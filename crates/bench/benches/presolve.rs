@@ -2,7 +2,7 @@
 //!
 //! Two groups: `presolve_pass` times the presolve fixpoint itself on the
 //! pinned ϒ = 0 systems of representative Table 2 rows (the exact input the
-//! pipeline's presolve stage sees), and `presolve_end_to_end` compares a
+//! orchestrator's presolve sees), and `presolve_end_to_end` compares a
 //! full weak synthesis with and without presolve on a small program, so a
 //! regression in either the pass itself or its downstream payoff shows up
 //! in the same report.

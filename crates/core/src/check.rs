@@ -21,7 +21,7 @@ use polyinv_lang::interp::{Interpreter, SeededOracle};
 use polyinv_lang::{Cfg, InvariantMap, Label, Postcondition, Precondition, Program};
 use polyinv_poly::{MonomialTable, TemplatePoly};
 use polyinv_qcqp::par::parallel_indexed;
-use polyinv_qcqp::{LmOptions, LmSolver, QcqpBackend, SolveStatus};
+use polyinv_qcqp::{LmOptions, LmSolver, SolveStatus};
 
 use crate::bridge::system_to_problem;
 
@@ -179,15 +179,12 @@ pub fn check_inductive(
         &mut mono_table,
     )?;
 
-    // The certificate search goes through the same back-end abstraction as
-    // the synthesis pipeline's solve stage. Restarts stay sequential here
-    // regardless of the caller's options — the pair loop below is the
-    // parallel level.
+    // Restarts stay sequential here regardless of the caller's options — the
+    // pair loop below is the parallel level.
     let solver = LmSolver::new(LmOptions {
         parallel_restarts: false,
         ..options.solver.clone()
     });
-    let backend: &dyn QcqpBackend = &solver;
     // Degree ladder: constant multipliers (Handelman-style certificates,
     // cheap and very robust) first, then the full degree-ϒ multipliers.
     let mut ladder = vec![0];
@@ -232,7 +229,7 @@ pub fn check_inductive(
             // A slightly positive warm start keeps the Cholesky diagonals and
             // the witness in the interior of their bounds.
             let warm = vec![0.05; problem.num_vars];
-            if backend.solve(&problem, Some(&warm)).status == SolveStatus::Feasible {
+            if solver.solve(&problem, Some(&warm)).status == SolveStatus::Feasible {
                 certified = true;
                 break;
             }

@@ -9,26 +9,27 @@
 //!
 //! The crate re-exports the front-end (`polyinv-lang`), the reduction
 //! (`polyinv-constraints`) and the solving substrate (`polyinv-qcqp`), and
-//! adds the paper's four algorithms on top of an explicit staged
-//! [`pipeline`]:
+//! adds the paper's algorithms on top of an explicit staged [`pipeline`]:
 //!
-//! * [`pipeline::Pipeline`] — the paper's Steps 1–4 as named stages with
+//! * [`pipeline::Pipeline`] — the paper's Steps 1–3 as named stages with
 //!   typed artifacts (`TemplateArtifact → ConstraintPairs →
-//!   GeneratedSystem → Solution`), a shared [`pipeline::SynthesisContext`]
-//!   carrying options/diagnostics/timings, and a pluggable
-//!   [`QcqpBackend`](polyinv_qcqp::QcqpBackend) solve stage;
+//!   GeneratedSystem`) and a shared [`pipeline::SynthesisContext`] carrying
+//!   options/diagnostics/timings;
+//! * [`Orchestrator`] — Step 4, the one path from a generated system to a
+//!   solution: a ϒ ladder of rungs, each presolved, solved by the LM and
+//!   penalty lanes, polished and certified in exact rationals
+//!   (`WeakInvSynth`/`RecWeakInvSynth`, with the targets pinned by
+//!   [`fix_targets`]);
 //! * [`check::check_inductive`] — a sound certificate checker: given a
 //!   concrete invariant map (and post-conditions for recursive programs) it
 //!   searches for the sum-of-squares certificates of every constraint pair,
 //!   which proves inductiveness;
 //! * [`check::falsify`] — a falsifier based on the concrete interpreter;
-//! * [`WeakSynthesis`] / [`StrongSynthesis`] — the per-algorithm drivers
-//!   (`WeakInvSynth`/`RecWeakInvSynth` and `StrongInvSynth`/
-//!   `RecStrongInvSynth`). **Deprecated as public entry points**: the
-//!   stable surface is the `Engine` of the `polyinv-api` crate, which wraps
-//!   these drivers with program caching, request validation, batch
-//!   execution and serializable reports. They remain the Engine's internal
-//!   implementation.
+//! * [`StrongSynthesis`] — the multi-start enumeration driver
+//!   (`StrongInvSynth`/`RecStrongInvSynth`). **Deprecated as a public entry
+//!   point**: the stable surface is the `Engine` of the `polyinv-api`
+//!   crate, which adds program caching, request validation, batch
+//!   execution and serializable reports.
 //!
 //! # Quick start
 //!
@@ -73,27 +74,24 @@ pub mod weak;
 pub use bridge::{system_to_problem, system_to_problem_with_fixed};
 pub use check::{check_inductive, falsify, CheckOptions, CheckReport, PairCertificate};
 pub use pipeline::{
-    Orchestrator, OrchestratorOutcome, OrchestratorStats, Pipeline, Solution, SolveAttempt,
-    SolvePlan, StageTimings, SynthesisContext,
+    Orchestrator, OrchestratorOutcome, OrchestratorStats, Pipeline, SolveAttempt, SolvePlan,
+    StageTimings, SynthesisContext,
 };
 #[allow(deprecated)]
 pub use strong::{StrongOptions, StrongSynthesis};
-#[allow(deprecated)]
-pub use weak::{fix_targets, SynthesisOutcome, SynthesisStatus, TargetAssertion, WeakSynthesis};
+pub use weak::{fix_targets, TargetAssertion};
 
 /// Convenient glob-import for downstream users and examples.
 pub mod prelude {
     pub use crate::check::{check_inductive, falsify, CheckOptions};
-    pub use crate::pipeline::{Pipeline, StageTimings, SynthesisContext};
+    pub use crate::pipeline::{Orchestrator, Pipeline, SolvePlan, StageTimings, SynthesisContext};
     #[allow(deprecated)]
     pub use crate::strong::{StrongOptions, StrongSynthesis};
-    #[allow(deprecated)]
-    pub use crate::weak::{SynthesisStatus, TargetAssertion, WeakSynthesis};
+    pub use crate::weak::TargetAssertion;
     pub use polyinv_constraints::{SosEncoding, SynthesisOptions};
     pub use polyinv_lang::{
         parse_assertion, parse_program, InvariantMap, Postcondition, Precondition,
     };
-    pub use polyinv_qcqp::{backend_by_name, default_backend, QcqpBackend};
 }
 
 // Re-export the component crates so that downstream users only need one

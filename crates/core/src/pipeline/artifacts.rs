@@ -7,14 +7,15 @@
 //! 3. reduction   → [`GeneratedSystem`] (re-exported from
 //!    `polyinv-constraints`; it owns the quadratic system plus everything
 //!    needed to interpret its solutions)
-//! 4. solve       → [`Solution`]
+//!
+//! Step 4 is the solve orchestrator ([`super::Orchestrator`]); it returns an
+//! [`super::OrchestratorOutcome`] built with [`instantiate_solution`].
 
 use polyinv_constraints::pairs::PairKind;
 use polyinv_constraints::template::TemplateSet;
-use polyinv_constraints::{ConstraintPair, PresolveStats, UnknownRegistry};
+use polyinv_constraints::{ConstraintPair, UnknownRegistry};
 use polyinv_lang::{InvariantMap, Postcondition, Program};
 use polyinv_poly::UnknownId;
-use polyinv_qcqp::SolverStats;
 
 pub use polyinv_constraints::GeneratedSystem;
 
@@ -72,32 +73,6 @@ impl ConstraintPairs {
     pub fn count_kind(&self, kind: PairKind) -> usize {
         self.pairs.iter().filter(|p| p.kind == kind).count()
     }
-}
-
-/// Step 4 output: the solver's best point, interpreted back into an
-/// invariant map and post-conditions.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    /// Whether the quadratic system was solved within tolerance.
-    pub feasible: bool,
-    /// The instantiated invariant map (trustworthy only when `feasible`).
-    pub invariant: InvariantMap,
-    /// The instantiated post-conditions (recursive programs only).
-    pub postconditions: Postcondition,
-    /// The full numeric assignment over *all* unknowns of the system
-    /// (fixed unknowns included).
-    pub assignment: Vec<f64>,
-    /// The worst constraint violation at the assignment.
-    pub violation: f64,
-    /// The stable name of the back-end that produced the point.
-    pub backend: &'static str,
-    /// Solver execution statistics: iterations and restarts, final
-    /// residual, sparsity of the Jacobian/normal matrix/factor, and the
-    /// factor/solve wall-clock split.
-    pub stats: SolverStats,
-    /// Statistics of the affine presolve that shrank the system before the
-    /// solve (`None` when presolve was disabled).
-    pub presolve: Option<PresolveStats>,
 }
 
 /// Instantiates the templates of a generated system under a numeric

@@ -1,88 +1,55 @@
 //! The staged synthesis pipeline (DESIGN.md §2).
 //!
-//! The paper's algorithms are four sequential steps; this module makes each
-//! one an explicit, named [`Stage`] with a typed artifact:
+//! The paper's algorithms are four sequential steps. Steps 1–3 are explicit,
+//! named [`Stage`]s with typed artifacts:
 //!
 //! ```text
 //! TemplateStage   ()                          → TemplateArtifact   (Step 1)
 //! PairStage       &TemplateArtifact           → ConstraintPairs    (Step 2)
 //! ReductionStage  (TemplateArtifact, Pairs)   → GeneratedSystem    (Step 3)
-//! PresolveStage   &GeneratedSystem            → PresolvedSystem    (affine presolve)
-//! SolveStage      (&GeneratedSystem,
-//!                  Option<&PresolvedSystem>)  → Solution           (Step 4)
 //! ```
 //!
-//! The presolve stage runs between the reduction and the solve whenever
-//! `SynthesisOptions::presolve` is set (the default); `--no-presolve`
-//! disables it and the solve stage consumes the raw Step-3 system.
+//! Step 4 has one path: the [`Orchestrator`], which runs the affine presolve
+//! (unless `SynthesisOptions::presolve` is off), the LM/penalty portfolio,
+//! the polish rounds and the exact certificate on every rung of the ϒ
+//! ladder.
 //!
 //! A [`SynthesisContext`] threads the options, diagnostics and per-stage
-//! wall-clock timings through the run; [`Pipeline`] wires the stages
-//! together and carries the pluggable [`QcqpBackend`]. `WeakSynthesis`,
-//! `StrongSynthesis`, the certificate checker and the whole benchmark
-//! harness are thin layers over this module.
+//! wall-clock timings through the run; [`Pipeline`] wires the generation
+//! stages together. The orchestrator, `StrongSynthesis`, the Engine's
+//! generate-only mode and the benchmark harness all generate through it.
 
 pub mod artifacts;
 pub mod context;
 pub mod orchestrator;
 pub mod stages;
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use polyinv_arith::Rational;
 use polyinv_constraints::{ConstraintError, GeneratedSystem, SynthesisOptions};
 use polyinv_lang::{Precondition, Program};
-use polyinv_poly::UnknownId;
-use polyinv_qcqp::{default_backend, QcqpBackend};
 
-pub use artifacts::{instantiate_solution, ConstraintPairs, Solution, TemplateArtifact};
+pub use artifacts::{instantiate_solution, ConstraintPairs, TemplateArtifact};
 pub use context::{stage_names, StageTimings, SynthesisContext};
 pub use orchestrator::{
     Orchestrator, OrchestratorOutcome, OrchestratorStats, SolveAttempt, SolvePlan,
 };
-pub use stages::{
-    run_stage, PairStage, PresolveStage, ReductionStage, SolveStage, Stage, TemplateStage,
-};
+pub use stages::{run_stage, PairStage, ReductionStage, Stage, TemplateStage};
 
-/// The staged synthesis pipeline: reduction options plus a pluggable solver
-/// back-end.
-#[derive(Debug, Clone)]
+/// The staged generation pipeline (Steps 1–3) under fixed reduction
+/// options.
+#[derive(Debug, Clone, Default)]
 pub struct Pipeline {
     options: SynthesisOptions,
-    backend: Arc<dyn QcqpBackend>,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline::new(SynthesisOptions::default())
-    }
 }
 
 impl Pipeline {
-    /// A pipeline with the given reduction options and the default LM
-    /// back-end.
+    /// A pipeline with the given reduction options.
     pub fn new(options: SynthesisOptions) -> Self {
-        Pipeline {
-            options,
-            backend: default_backend(),
-        }
-    }
-
-    /// Replaces the solver back-end (any [`QcqpBackend`] implementation).
-    pub fn with_backend(mut self, backend: Arc<dyn QcqpBackend>) -> Self {
-        self.backend = backend;
-        self
+        Pipeline { options }
     }
 
     /// The reduction options in use.
     pub fn options(&self) -> &SynthesisOptions {
         &self.options
-    }
-
-    /// The solver back-end in use.
-    pub fn backend(&self) -> &Arc<dyn QcqpBackend> {
-        &self.backend
     }
 
     /// Builds the per-run context for `program` under `pre`.
@@ -107,54 +74,6 @@ impl Pipeline {
         let templates = run_stage(ctx, &TemplateStage, ());
         let pairs = run_stage(ctx, &PairStage, &templates)?;
         Ok(run_stage(ctx, &ReductionStage, (templates, pairs)))
-    }
-
-    /// Runs Step 4 on a generated system with some unknowns pinned to exact
-    /// values (pass an empty map to leave all unknowns free).
-    ///
-    /// When `options.presolve` is set (the default), the affine presolve
-    /// fixpoint runs first — seeded with the pins — and the back-end solves
-    /// the shrunk system; the returned [`Solution`] is back-substituted onto
-    /// the full unknown space and carries the presolve statistics.
-    pub fn solve(
-        &self,
-        ctx: &mut SynthesisContext<'_>,
-        generated: &GeneratedSystem,
-        fixed: HashMap<UnknownId, Rational>,
-        warm_start: Option<Vec<f64>>,
-    ) -> Solution {
-        let presolved = if self.options.presolve {
-            let stage = PresolveStage {
-                pins: fixed.clone(),
-            };
-            Some(run_stage(ctx, &stage, generated))
-        } else {
-            None
-        };
-        let stage = SolveStage {
-            backend: Arc::clone(&self.backend),
-            fixed,
-            warm_start,
-        };
-        run_stage(ctx, &stage, (generated, presolved.as_ref()))
-    }
-
-    /// Convenience: full Steps 1–4 run with nothing pinned.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConstraintError`] when the generation stages reject the
-    /// program.
-    pub fn run(
-        &self,
-        program: &Program,
-        pre: &Precondition,
-    ) -> Result<(GeneratedSystem, Solution, StageTimings), ConstraintError> {
-        let mut ctx = self.context(program, pre);
-        let generated = self.generate(&mut ctx)?;
-        let solution = self.solve(&mut ctx, &generated, HashMap::new(), None);
-        let timings = ctx.timings().clone();
-        Ok((generated, solution, timings))
     }
 }
 
@@ -203,30 +122,5 @@ mod tests {
         );
         assert_eq!(ctx.diagnostics().len(), 3);
         assert!(ctx.timings().generation() > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn backends_are_pluggable_without_touching_the_pipeline() {
-        let program = parse_program(
-            r#"
-            tiny(x) {
-                @pre(x >= 0);
-                while x <= 2 do
-                    x := x + 1
-                od;
-                return x
-            }
-        "#,
-        )
-        .unwrap();
-        let pre = Precondition::from_program(&program);
-        let options = SynthesisOptions::default().with_degree(1).with_upsilon(0);
-        for name in ["lm", "penalty"] {
-            let backend = polyinv_qcqp::backend_by_name(name).unwrap();
-            let pipeline = Pipeline::new(options.clone()).with_backend(backend);
-            let (_, solution, timings) = pipeline.run(&program, &pre).unwrap();
-            assert_eq!(solution.backend, name);
-            assert!(timings.solve() > std::time::Duration::ZERO);
-        }
     }
 }

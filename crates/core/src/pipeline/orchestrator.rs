@@ -23,7 +23,7 @@
 //! joint solve stalls on.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use polyinv_arith::Rational;
 use polyinv_constraints::exact::{exact_recheck_ladder, ExactCheckConfig, ExactReport};
@@ -34,8 +34,7 @@ use polyinv_constraints::{
 use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::UnknownId;
 use polyinv_qcqp::{
-    AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QcqpBackend, SolveOutcome,
-    SolverStats,
+    AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, SolveOutcome, SolverStats,
 };
 
 use crate::bridge::system_to_problem_with_fixed;
@@ -67,10 +66,11 @@ pub struct SolvePlan {
     /// the exact-rational tolerance a certificate must meet.
     pub certificate: ExactCheckConfig,
     /// Wall-clock budget in seconds for the whole orchestrated solve (all
-    /// rungs, lanes and polish rounds together). When the deadline passes,
-    /// no further rung starts and per-lane budgets are clamped to the time
-    /// remaining — so arbitrarily large systems get a bounded, best-effort
-    /// attempt instead of being skipped outright. `0` disables the budget.
+    /// rungs, lanes and polish rounds together). Per-lane and per-polish
+    /// budgets are clamped to the time remaining; when the deadline passes,
+    /// polish stops and no further rung starts — so arbitrarily large
+    /// systems get a bounded, best-effort attempt instead of being skipped
+    /// outright. `0` disables the budget.
     pub solve_budget_seconds: f64,
 }
 
@@ -125,6 +125,13 @@ impl SolvePlan {
             0.0
         };
         self
+    }
+
+    /// Whether `name` is a back-end [`SolvePlan::with_backend_preference`]
+    /// acts on (`"lm"`, `"penalty"` or `"alm"`). Request front doors reject
+    /// every other name.
+    pub fn knows_backend(name: &str) -> bool {
+        matches!(name, "lm" | "penalty" | "alm")
     }
 
     /// Restricts the portfolio to the named back-end (`"lm"` keeps only the
@@ -338,11 +345,7 @@ impl SolveCache {
 
     /// Records a rung's best full-space assignment as the next rung's warm
     /// start.
-    fn record_rung(
-        &mut self,
-        registry: &polyinv_constraints::UnknownRegistry,
-        assignment: &[f64],
-    ) {
+    fn record_rung(&mut self, registry: &polyinv_constraints::UnknownRegistry, assignment: &[f64]) {
         self.warm = registry
             .iter()
             .map(|(id, kind)| (kind.clone(), assignment[id.index()]))
@@ -385,8 +388,14 @@ impl Orchestrator {
         targets: &[TargetAssertion],
     ) -> Result<OrchestratorOutcome, ConstraintError> {
         let ladder = self.plan.options.upsilon_ladder();
-        let started = Instant::now();
         let budget = self.plan.solve_budget_seconds;
+        let deadline = if budget > 0.0 {
+            Duration::try_from_secs_f64(budget)
+                .ok()
+                .and_then(|budget| Instant::now().checked_add(budget))
+        } else {
+            None
+        };
         let mut timings = StageTimings::new();
         let mut history: Vec<SolveAttempt> = Vec::new();
         let mut cache = SolveCache::default();
@@ -398,15 +407,9 @@ impl Orchestrator {
             // The whole-solve deadline: the first rung always runs (a
             // best-effort attempt is the point of the budget), later rungs
             // only start while time remains.
-            let remaining = if budget > 0.0 {
-                let left = budget - started.elapsed().as_secs_f64();
-                if left <= 0.0 && best.is_some() {
-                    break;
-                }
-                Some(left.max(1.0))
-            } else {
-                None
-            };
+            if best.is_some() && deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                break;
+            }
             rungs_tried += 1;
             rung_reached = upsilon;
             let options = self.plan.options.clone().with_upsilon(upsilon);
@@ -416,7 +419,7 @@ impl Orchestrator {
                 targets,
                 &options,
                 upsilon,
-                remaining,
+                deadline,
                 &mut cache,
                 &mut timings,
                 &mut history,
@@ -480,7 +483,7 @@ impl Orchestrator {
         targets: &[TargetAssertion],
         options: &SynthesisOptions,
         upsilon: u32,
-        remaining_seconds: Option<f64>,
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
         timings: &mut StageTimings,
         history: &mut Vec<SolveAttempt>,
@@ -500,9 +503,9 @@ impl Orchestrator {
         let mut presolve_timing = StageTimings::new();
         presolve_timing.record(stage_names::PRESOLVE, presolve_start.elapsed());
 
-        // The back-ends see the presolved system; eliminated unknowns are
-        // pinned out of the variable space exactly like the solve stage
-        // does (placeholders are overwritten by back-substitution).
+        // The lanes see the presolved system; eliminated unknowns are pinned
+        // out of the variable space (placeholders are overwritten by
+        // back-substitution).
         let (sub_system, solver_fixed) = match &presolved {
             Some(result) => {
                 let mut solver_fixed = fixed.clone();
@@ -524,18 +527,19 @@ impl Orchestrator {
         // budgets; the winner is picked deterministically afterwards, so
         // the outcome does not depend on which lane finishes first. Under a
         // whole-solve budget each lane's wall-clock cap is clamped to the
-        // time remaining.
+        // time remaining, but never below one best-effort second.
         let solve_start = Instant::now();
         let mut lm_options = self.plan.lm.clone();
         let mut penalty_options = self.plan.penalty.clone();
-        if let Some(remaining) = remaining_seconds {
+        if let Some(deadline) = deadline {
+            let remaining = seconds_left(deadline).unwrap_or(0.0).max(1.0);
             lm_options.max_seconds = clamp_budget(lm_options.max_seconds, remaining);
             if let Some(alm) = penalty_options.as_mut() {
                 alm.max_seconds = clamp_budget(alm.max_seconds, remaining);
             }
         }
-        let lm_backend = LmSolver::new(lm_options);
-        let penalty_backend = penalty_options.map(AlmSolver::new);
+        let lm_solver = LmSolver::new(lm_options);
+        let penalty_solver = penalty_options.map(AlmSolver::new);
 
         // Both lanes share one problem build and one warm start: the
         // previous rung's best point, carried across the re-indexed unknown
@@ -543,19 +547,19 @@ impl Orchestrator {
         let (problem, mapping) = system_to_problem_with_fixed(sub_system, &solver_fixed);
         let warm = cache.warm_vector(&generated.system.registry, &mapping);
         let (lm_lane, penalty_lane) = std::thread::scope(|scope| {
-            let penalty_handle = penalty_backend.as_ref().map(|backend| {
+            let penalty_handle = penalty_solver.as_ref().map(|solver| {
                 let problem = &problem;
                 let warm = &warm;
                 scope.spawn(move || {
                     let start = Instant::now();
-                    let outcome = backend.solve(problem, Some(warm));
+                    let outcome = solver.solve(problem, Some(warm));
                     (outcome, start.elapsed().as_secs_f64())
                 })
             });
             let start = Instant::now();
-            let outcome = cache.solve_lm(&lm_backend, &problem, Some(&warm));
+            let outcome = cache.solve_lm(&lm_solver, &problem, Some(&warm));
             let lm_lane = RawLane {
-                backend: lm_backend.name(),
+                backend: "lm",
                 outcome,
                 seconds: start.elapsed().as_secs_f64(),
             };
@@ -609,7 +613,7 @@ impl Orchestrator {
         let mut violation = winner.violation;
         if self.plan.polish_rounds > 0 && violation > self.plan.lm.tolerance {
             let polish_start = Instant::now();
-            let polished = self.polish(&generated, &fixed, assignment, violation, cache);
+            let polished = self.polish(&generated, &fixed, assignment, violation, deadline, cache);
             assignment = polished.0;
             violation = polished.1;
             history.push(SolveAttempt {
@@ -661,67 +665,63 @@ impl Orchestrator {
     /// a final pass over the *linear* tail (multiplier + witness unknowns
     /// with both the template and Cholesky blocks pinned — a least-squares
     /// problem whose optimum is the best residual compatible with the
-    /// snapped coefficients). Keeps the best point seen.
+    /// snapped coefficients). Keeps the best point seen, and stops early
+    /// once the whole-solve `deadline` has passed.
     fn polish(
         &self,
         generated: &GeneratedSystem,
         fixed: &HashMap<UnknownId, Rational>,
         start: Vec<f64>,
         start_violation: f64,
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
     ) -> (Vec<f64>, f64) {
         let registry = &generated.system.registry;
-        let is_template = |kind: &UnknownKind| {
+        let block = |wanted: fn(&UnknownKind) -> bool| -> Vec<UnknownId> {
+            registry
+                .iter()
+                .filter(|(_, kind)| wanted(kind))
+                .map(|(id, _)| id)
+                .collect()
+        };
+        let template_block = block(|kind| {
             matches!(
                 kind,
                 UnknownKind::Template { .. } | UnknownKind::PostTemplate { .. }
             )
-        };
-        let is_sos = |kind: &UnknownKind| {
+        });
+        let sos_block = block(|kind| {
             matches!(
                 kind,
                 UnknownKind::Cholesky { .. } | UnknownKind::Gram { .. }
             )
-        };
-        let template_block: Vec<UnknownId> = registry
+        });
+        let both_blocks: Vec<UnknownId> = template_block
             .iter()
-            .filter(|(_, kind)| is_template(kind))
-            .map(|(id, _)| id)
-            .collect();
-        let sos_block: Vec<UnknownId> = registry
-            .iter()
-            .filter(|(_, kind)| is_sos(kind))
-            .map(|(id, _)| id)
+            .chain(sos_block.iter())
+            .copied()
             .collect();
 
         let mut best = start;
         let mut best_violation = start_violation;
         for round in 0..self.plan.polish_rounds {
-            // Pass 1: pin the template block, free {t, l, ε}.
-            let (candidate, candidate_violation) =
-                self.polish_pass(&generated.system, fixed, &best, &template_block, cache);
-            if candidate_violation < best_violation {
-                best = candidate;
-                best_violation = candidate_violation;
-            }
-            // Pass 2: pin the Cholesky/Gram block, free {s, t, ε} (the
-            // remaining system is bilinear in s·t, LM's sweet spot).
-            let (candidate, candidate_violation) =
-                self.polish_pass(&generated.system, fixed, &best, &sos_block, cache);
-            if candidate_violation < best_violation {
-                best = candidate;
-                best_violation = candidate_violation;
-            }
-            // Final pass: pin both blocks; the tail {t, ε} is linear, so
-            // one LM sub-solve reaches the least-squares optimum.
-            if round + 1 == self.plan.polish_rounds {
-                let both: Vec<UnknownId> = template_block
-                    .iter()
-                    .chain(sos_block.iter())
-                    .copied()
-                    .collect();
-                let (candidate, candidate_violation) =
-                    self.polish_pass(&generated.system, fixed, &best, &both, cache);
+            // Pass 1 pins the template block and frees {t, l, ε}. Pass 2
+            // pins the Cholesky/Gram block and frees {s, t, ε} (the remaining
+            // system is bilinear in s·t, LM's sweet spot). The final round
+            // adds a pass pinning both: the tail {t, ε} is linear, so one LM
+            // sub-solve reaches the least-squares optimum.
+            let last = round + 1 == self.plan.polish_rounds;
+            let passes = [
+                Some(&template_block),
+                Some(&sos_block),
+                last.then_some(&both_blocks),
+            ];
+            for pinned in passes.into_iter().flatten() {
+                let Some((candidate, candidate_violation)) =
+                    self.polish_pass(&generated.system, fixed, &best, pinned, deadline, cache)
+                else {
+                    return (best, best_violation);
+                };
                 if candidate_violation < best_violation {
                     best = candidate;
                     best_violation = candidate_violation;
@@ -736,15 +736,22 @@ impl Orchestrator {
 
     /// One polish sub-solve: pin `block` at (dyadic roundings of) the
     /// current values, solve the rest warm-started from the current point,
-    /// and score the merged assignment on the full system.
+    /// and score the merged assignment on the full system. The sub-solve's
+    /// wall-clock cap is clamped to the time left before `deadline`;
+    /// returns `None` without solving once the deadline has passed.
     fn polish_pass(
         &self,
         system: &QuadraticSystem,
         fixed: &HashMap<UnknownId, Rational>,
         current: &[f64],
         block: &[UnknownId],
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
-    ) -> (Vec<f64>, f64) {
+    ) -> Option<(Vec<f64>, f64)> {
+        let mut options = self.plan.polish_lm.clone();
+        if let Some(deadline) = deadline {
+            options.max_seconds = clamp_budget(options.max_seconds, seconds_left(deadline)?);
+        }
         let mut pins = fixed.clone();
         for &id in block {
             pins.entry(id)
@@ -752,12 +759,12 @@ impl Orchestrator {
         }
         let (problem, mapping) = system_to_problem_with_fixed(system, &pins);
         if mapping.is_empty() {
-            return (current.to_vec(), system.max_violation(current));
+            return Some((current.to_vec(), system.max_violation(current)));
         }
         let warm: Vec<f64> = mapping.iter().map(|id| current[id.index()]).collect();
         // The polish alternation re-solves the same three structures round
         // after round; the cache skips the repeated symbolic analysis.
-        let solver = LmSolver::new(self.plan.polish_lm.clone());
+        let solver = LmSolver::new(options);
         let outcome = cache.solve_lm(&solver, &problem, Some(&warm));
         let mut assignment = current.to_vec();
         for (id, value) in &pins {
@@ -767,7 +774,7 @@ impl Orchestrator {
             assignment[id.index()] = outcome.assignment[slot];
         }
         let violation = system.max_violation(&assignment);
-        (assignment, violation)
+        Some((assignment, violation))
     }
 }
 
@@ -777,6 +784,14 @@ struct RawLane {
     backend: &'static str,
     outcome: SolveOutcome,
     seconds: f64,
+}
+
+/// Seconds left before `deadline`, or `None` once it has passed.
+fn seconds_left(deadline: Instant) -> Option<f64> {
+    let left = deadline
+        .saturating_duration_since(Instant::now())
+        .as_secs_f64();
+    (left > 0.0).then_some(left)
 }
 
 /// Clamps a per-lane wall-clock cap to the whole-solve time remaining
@@ -871,6 +886,15 @@ mod tests {
     }
 
     #[test]
+    fn unknown_backend_names_are_rejected() {
+        // Front doors reject every name the preference does not act on.
+        assert!(["lm", "penalty", "alm"]
+            .into_iter()
+            .all(SolvePlan::knows_backend));
+        assert!(!SolvePlan::knows_backend("loqo"));
+    }
+
+    #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "slow without optimizations; run with `cargo test --release`"
@@ -953,5 +977,41 @@ mod tests {
         // Both rungs left their attempts in the history.
         assert!(outcome.stats.history.iter().any(|a| a.upsilon == 0));
         assert!(outcome.stats.history.iter().any(|a| a.upsilon == 2));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn polish_stops_at_the_whole_solve_deadline() {
+        // The running example with an unprovable target, stall detection
+        // off and a large polish iteration cap: every polish sub-solve runs
+        // to its cap, about 15 s of polish on the ϒ = 2 rung on a 2-core
+        // x86-64 box. Under a 2 s whole-solve budget the polish rounds must
+        // stop at the deadline instead.
+        let program = parse_program(polyinv_lang::program::RUNNING_EXAMPLE_SOURCE).unwrap();
+        let pre = Precondition::from_program(&program);
+        let exit = program.main().exit_label();
+        let (target, _) = polyinv_lang::parse_assertion(&program, "sum", "-1 - s > 0").unwrap();
+        let budget = 2.0;
+        let mut plan = SolvePlan::new(SynthesisOptions::default()).with_solve_budget(budget);
+        plan.penalty = None;
+        plan.lm.max_iterations = 5;
+        plan.polish_lm.stall_iterations = 0;
+        plan.polish_lm.max_iterations = 1000;
+        let started = Instant::now();
+        let outcome = Orchestrator::new(plan)
+            .solve(&program, &pre, &[TargetAssertion::new(exit, target)])
+            .unwrap();
+        let elapsed = started.elapsed().as_secs_f64();
+        // The margin covers one LM iteration past the deadline, the
+        // certificate and generation; it is far below one polish pass.
+        assert!(
+            elapsed < budget + 1.0,
+            "solve took {elapsed:.2} s against a {budget} s budget: {:?}",
+            outcome.stats.history
+        );
+        assert!(outcome.stats.history.iter().any(|a| a.backend == "polish"));
     }
 }

@@ -6,23 +6,14 @@
 //! stage's name, which is how per-stage breakdowns reach the benchmark
 //! tables.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
-use polyinv_arith::Rational;
 use polyinv_constraints::pairs::{generate_pairs, PairOptions};
 use polyinv_constraints::template::TemplateSet;
-use polyinv_constraints::{
-    ConstraintError, Elimination, GeneratedSystem, PresolveOptions, PresolvedSystem,
-    UnknownRegistry,
-};
-use polyinv_poly::UnknownId;
-use polyinv_qcqp::{QcqpBackend, SolveStatus};
+use polyinv_constraints::{ConstraintError, GeneratedSystem, UnknownRegistry};
 
-use super::artifacts::{instantiate_solution, ConstraintPairs, Solution, TemplateArtifact};
+use super::artifacts::{ConstraintPairs, TemplateArtifact};
 use super::context::{stage_names, SynthesisContext};
-use crate::bridge::system_to_problem_with_fixed;
 
 /// A named pipeline stage transforming `Input` into `Self::Output`.
 pub trait Stage<Input> {
@@ -151,157 +142,5 @@ impl Stage<(TemplateArtifact, ConstraintPairs)> for ReductionStage {
             generated.system.num_unknowns(),
         ));
         generated
-    }
-}
-
-/// The affine presolve fixpoint between Steps 3 and 4: eliminates unknowns
-/// pinned by affine equalities, drops trivial and duplicate rows, and
-/// records every elimination so solver assignments back-substitute exactly
-/// onto the original registry ([`polyinv_constraints::presolve`]).
-#[derive(Debug, Clone, Default)]
-pub struct PresolveStage {
-    /// Unknowns pinned to exact values before the fixpoint runs (the same
-    /// pins the solve stage would fix); they seed the substitution map so
-    /// their consequences propagate through the whole system.
-    pub pins: HashMap<UnknownId, Rational>,
-}
-
-impl<'a> Stage<&'a GeneratedSystem> for PresolveStage {
-    type Output = PresolvedSystem;
-
-    fn name(&self) -> &'static str {
-        stage_names::PRESOLVE
-    }
-
-    fn run(
-        &self,
-        ctx: &mut SynthesisContext<'_>,
-        generated: &'a GeneratedSystem,
-    ) -> PresolvedSystem {
-        let result = polyinv_constraints::presolve(
-            &generated.system,
-            &self.pins,
-            &PresolveOptions::default(),
-        );
-        ctx.note(format!(
-            "presolve: |S| {} -> {}, unknowns {} -> {}, {} round(s)",
-            result.stats.size_before,
-            result.stats.size_after,
-            result.stats.unknowns_before,
-            result.stats.unknowns_after,
-            result.stats.rounds,
-        ));
-        result
-    }
-}
-
-/// Step 4: hand the quadratic system (with some unknowns optionally pinned)
-/// to the configured [`QcqpBackend`] and interpret the best point found.
-#[derive(Debug, Clone)]
-pub struct SolveStage {
-    /// The back-end to solve with.
-    pub backend: Arc<dyn QcqpBackend>,
-    /// Unknowns pinned to exact values before solving (weak synthesis pins
-    /// the template rows of the target assertions; the certificate checker
-    /// pins all template coefficients).
-    pub fixed: HashMap<UnknownId, Rational>,
-    /// Optional warm start over the *free* problem variables; when absent a
-    /// slightly-positive default keeps Cholesky diagonals in the interior.
-    pub warm_start: Option<Vec<f64>>,
-}
-
-impl SolveStage {
-    /// A solve stage with no pinned unknowns and the default warm start.
-    pub fn new(backend: Arc<dyn QcqpBackend>) -> Self {
-        SolveStage {
-            backend,
-            fixed: HashMap::new(),
-            warm_start: None,
-        }
-    }
-}
-
-impl<'a> Stage<(&'a GeneratedSystem, Option<&'a PresolvedSystem>)> for SolveStage {
-    type Output = Solution;
-
-    fn name(&self) -> &'static str {
-        stage_names::SOLVE
-    }
-
-    fn run(
-        &self,
-        ctx: &mut SynthesisContext<'_>,
-        (generated, presolved): (&'a GeneratedSystem, Option<&'a PresolvedSystem>),
-    ) -> Solution {
-        // The back-end sees the presolved system when the presolve stage
-        // ran. Eliminated unknowns are excluded from the variable space by
-        // fixing them (any placeholder works — the presolved rows no longer
-        // mention them and back-substitution overwrites the slot); pins that
-        // presolve rolled back stay fixed to their exact values.
-        let (system, solver_fixed) = match presolved {
-            Some(result) => {
-                let mut fixed = self.fixed.clone();
-                for elim in result.map.iter() {
-                    if elim.eliminates() {
-                        let value = match elim {
-                            Elimination::Fixed { value, .. } => *value,
-                            _ => Rational::zero(),
-                        };
-                        fixed.insert(elim.unknown(), value);
-                    }
-                }
-                (&result.system, fixed)
-            }
-            None => (&generated.system, self.fixed.clone()),
-        };
-        let (problem, mapping) = system_to_problem_with_fixed(system, &solver_fixed);
-        let warm: Vec<f64> = match &self.warm_start {
-            Some(start) if start.len() == problem.num_vars => start.clone(),
-            _ => vec![0.05; problem.num_vars],
-        };
-        let outcome = self.backend.solve(&problem, Some(&warm));
-
-        // Reassemble the full assignment over all unknowns, then rewrite the
-        // eliminated entries from the surviving ones.
-        let mut assignment = vec![0.0; generated.system.num_unknowns()];
-        for (id, value) in &solver_fixed {
-            assignment[id.index()] = value.to_f64();
-        }
-        for (problem_index, id) in mapping.iter().enumerate() {
-            assignment[id.index()] = outcome.assignment[problem_index];
-        }
-        let violation = match presolved {
-            Some(result) => {
-                result.map.back_substitute(&mut assignment);
-                // Report the violation of the *original* system at the
-                // back-substituted point, so the metric means the same thing
-                // with and without presolve.
-                generated.system.max_violation(&assignment)
-            }
-            None => outcome.violation,
-        };
-        let (invariant, postconditions) = instantiate_solution(ctx.program, generated, &assignment);
-        let feasible = outcome.status == SolveStatus::Feasible;
-        ctx.note(format!(
-            "solve[{}]: {} (violation {:.2e}, {} iteration(s), {} restart(s), \
-             nnz(J) = {}, nnz(L) = {})",
-            self.backend.name(),
-            if feasible { "feasible" } else { "infeasible" },
-            violation,
-            outcome.stats.iterations,
-            outcome.stats.restarts,
-            outcome.stats.nnz_jacobian,
-            outcome.stats.nnz_factor,
-        ));
-        Solution {
-            feasible,
-            invariant,
-            postconditions,
-            assignment,
-            violation,
-            backend: self.backend.name(),
-            stats: outcome.stats,
-            presolve: presolved.map(|result| result.stats.clone()),
-        }
     }
 }

@@ -90,7 +90,7 @@ impl StrongSynthesis {
     /// Enumerates a representative set of inductive invariants of the
     /// requested shape.
     ///
-    /// Like the weak driver, enumeration climbs the multiplier-degree
+    /// Like the solve orchestrator, enumeration climbs the multiplier-degree
     /// ladder: the much smaller ϒ = 0 system (constant multipliers) is
     /// attempted first, and the full-ϒ reduction only when the cheap rung
     /// finds nothing. Soundness is unaffected — every accepted solution
@@ -131,13 +131,13 @@ impl StrongSynthesis {
         // Independent diversified attempts, fanned out over worker threads.
         // Each attempt starts from its own slightly-positive warm start:
         // centered near 0.05 (keeping the Cholesky diagonals in the interior
-        // of their bounds, like the pipeline's solve stage) but jittered
+        // of their bounds, like the orchestrator's cold start) but jittered
         // deterministically per attempt, so the attempts explore different
         // basins even when the solver runs a single restart.
         let attempts = self.options.attempts.max(1);
         let outcomes = parallel_indexed(attempts, |attempt| {
-            // Attempt 0 keeps the uniform interior point the solve stage
-            // uses (the most reliable start); later attempts jitter it with
+            // Attempt 0 keeps the uniform interior point the orchestrator
+            // cold-starts from (the most reliable start); later attempts jitter it with
             // a per-attempt seeded generator, staying in `[0.01, 0.09)` so
             // Cholesky diagonals and witnesses start inside their bounds.
             let warm: Vec<f64> = if attempt == 0 {

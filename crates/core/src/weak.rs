@@ -1,4 +1,5 @@
-//! Weak invariant synthesis (`WeakInvSynth` / `RecWeakInvSynth`).
+//! Target assertions of weak invariant synthesis (`WeakInvSynth` /
+//! `RecWeakInvSynth`).
 //!
 //! The weak variant of the synthesis problem fixes an objective over the
 //! template coefficients and asks for one invariant optimizing it. As in the
@@ -6,24 +7,15 @@
 //! assertion(s)": the template coefficients at the target labels are pinned
 //! to the target's coefficients (the optimum of the paper's distance
 //! objective), and the remaining quadratic system — whose solutions are the
-//! inductive strengthenings — is handed to the QCQP back-end.
-//!
-//! The driver is a thin layer over the staged [`Pipeline`]: Steps 1–3 run as
-//! the template/pair/reduction stages, target pinning happens between the
-//! reduction and solve stages, and Step 4 is the pluggable
-//! [`QcqpBackend`](polyinv_qcqp::QcqpBackend) solve stage.
+//! inductive strengthenings — is handed to Step 4, the
+//! [`Orchestrator`](crate::Orchestrator).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
 
 use polyinv_arith::Rational;
-use polyinv_constraints::{ConstraintError, GeneratedSystem, PresolveStats, SynthesisOptions};
-use polyinv_lang::{InvariantMap, Label, Postcondition, Precondition, Program};
+use polyinv_constraints::GeneratedSystem;
+use polyinv_lang::Label;
 use polyinv_poly::{Polynomial, UnknownId};
-use polyinv_qcqp::{default_backend, QcqpBackend, SolverStats};
-
-use crate::pipeline::{Pipeline, StageTimings};
 
 /// A target assertion `poly > 0` that the synthesized invariant must contain
 /// at `label`.
@@ -42,229 +34,12 @@ impl TargetAssertion {
     }
 }
 
-/// The overall result of a synthesis attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SynthesisStatus {
-    /// A solution of the quadratic system was found within tolerance; the
-    /// instantiated templates form an inductive invariant containing the
-    /// targets.
-    Synthesized,
-    /// The solver did not reach feasibility; the returned invariant is the
-    /// best (infeasible) attempt and must not be trusted.
-    Failed,
-}
-
-/// The outcome of [`WeakSynthesis::synthesize`].
-#[derive(Debug, Clone)]
-pub struct SynthesisOutcome {
-    /// Whether the quadratic system was solved.
-    pub status: SynthesisStatus,
-    /// The synthesized invariant map (templates instantiated with the
-    /// solver's assignment).
-    pub invariant: InvariantMap,
-    /// The synthesized post-conditions (recursive programs only).
-    pub postconditions: Postcondition,
-    /// `|S|`: the number of quadratic equalities and inequalities generated
-    /// (the quantity reported in Tables 2 and 3 of the paper).
-    pub system_size: usize,
-    /// The number of unknowns of the quadratic system.
-    pub num_unknowns: usize,
-    /// The worst constraint violation of the returned assignment.
-    pub violation: f64,
-    /// Time spent generating the system (Steps 1–3), summed over the
-    /// ϒ-ladder attempts.
-    pub generation_time: Duration,
-    /// Time spent solving (Step 4), summed over the ϒ-ladder attempts.
-    pub solve_time: Duration,
-    /// Per-stage wall-clock breakdown (accumulated over ladder attempts).
-    pub timings: StageTimings,
-    /// The stable name of the back-end that produced the solution.
-    pub backend: &'static str,
-    /// Solver statistics of the final (accepted or last) ladder attempt:
-    /// iterations/restarts, final residual, nnz(J)/nnz(L) and the
-    /// factor/solve wall-clock split.
-    pub solver: SolverStats,
-    /// Statistics of the affine presolve of the final (accepted or last)
-    /// ladder attempt (`None` when presolve was disabled).
-    pub presolve: Option<PresolveStats>,
-}
-
-/// The weak-synthesis driver.
-///
-/// Deprecated as a public entry point: the stable surface is
-/// `polyinv_api::Engine` with `Mode::Weak`, which adds program caching,
-/// request validation and serializable reports on top of this driver. The
-/// driver remains as the Engine's internal implementation.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `polyinv_api::Engine` with a weak-mode `SynthesisRequest`"
-)]
-#[derive(Debug, Clone)]
-pub struct WeakSynthesis {
-    options: SynthesisOptions,
-    backend: Arc<dyn QcqpBackend>,
-}
-
-#[allow(deprecated)]
-impl Default for WeakSynthesis {
-    fn default() -> Self {
-        WeakSynthesis {
-            options: SynthesisOptions::default(),
-            backend: default_backend(),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl WeakSynthesis {
-    /// Creates a driver with default reduction options (degree 2, one
-    /// conjunct, ϒ = 2, Cholesky encoding) and the default LM back-end.
-    pub fn new() -> Self {
-        WeakSynthesis::default()
-    }
-
-    /// Creates a driver with the given reduction options.
-    pub fn with_options(options: SynthesisOptions) -> Self {
-        WeakSynthesis {
-            options,
-            ..WeakSynthesis::default()
-        }
-    }
-
-    /// Sets the solver back-end (any [`QcqpBackend`] implementation).
-    pub fn backend(mut self, backend: Arc<dyn QcqpBackend>) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The reduction options in use.
-    pub fn options(&self) -> &SynthesisOptions {
-        &self.options
-    }
-
-    /// The pipeline this driver runs (stages 1–4 with the configured
-    /// back-end).
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline::new(self.options.clone()).with_backend(Arc::clone(&self.backend))
-    }
-
-    /// Runs Steps 1–3 only, returning the generated system (used by the
-    /// benchmark harness to report `|V|` and `|S|` without solving).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConstraintError`] when the generation stages reject the
-    /// program.
-    pub fn generate_only(
-        &self,
-        program: &Program,
-        pre: &Precondition,
-    ) -> Result<GeneratedSystem, ConstraintError> {
-        Ok(self.generate_staged(program, pre)?.0)
-    }
-
-    /// Runs Steps 1–3 only, returning the generated system together with
-    /// the per-stage timings.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConstraintError`] when the generation stages reject the
-    /// program.
-    pub fn generate_staged(
-        &self,
-        program: &Program,
-        pre: &Precondition,
-    ) -> Result<(GeneratedSystem, StageTimings), ConstraintError> {
-        let pipeline = self.pipeline();
-        let mut ctx = pipeline.context(program, pre);
-        let generated = pipeline.generate(&mut ctx)?;
-        let timings = ctx.timings().clone();
-        Ok((generated, timings))
-    }
-
-    /// Synthesizes an inductive invariant containing the target assertions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConstraintError`] when the generation stages reject the
-    /// program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a target mentions a monomial outside the template basis at
-    /// its label (e.g. a cubic target with a quadratic template).
-    pub fn synthesize(
-        &self,
-        program: &Program,
-        pre: &Precondition,
-        targets: &[TargetAssertion],
-    ) -> Result<SynthesisOutcome, ConstraintError> {
-        // Multiplier-degree ladder: cheaper constant multipliers often
-        // suffice and produce a much smaller quadratic system; the requested
-        // ϒ is attempted only when the cheap attempt fails. Soundness is
-        // unaffected (every accepted solution satisfies its own system).
-        let ladder = self.options.upsilon_ladder();
-        let mut total = StageTimings::new();
-        let mut last: Option<SynthesisOutcome> = None;
-        for (step, &upsilon) in ladder.iter().enumerate() {
-            let options = self.options.clone().with_upsilon(upsilon);
-            let mut outcome = self.synthesize_with(program, pre, targets, &options)?;
-            total.absorb(&outcome.timings);
-            outcome.timings = total.clone();
-            outcome.generation_time = total.generation();
-            outcome.solve_time = total.solve();
-            let done = outcome.status == SynthesisStatus::Synthesized || step + 1 == ladder.len();
-            last = Some(outcome);
-            if done {
-                break;
-            }
-        }
-        Ok(last.expect("the ladder is never empty"))
-    }
-
-    fn synthesize_with(
-        &self,
-        program: &Program,
-        pre: &Precondition,
-        targets: &[TargetAssertion],
-        options: &SynthesisOptions,
-    ) -> Result<SynthesisOutcome, ConstraintError> {
-        let pipeline = Pipeline::new(options.clone()).with_backend(Arc::clone(&self.backend));
-        let mut ctx = pipeline.context(program, pre);
-        let generated = pipeline.generate(&mut ctx)?;
-
-        // Pin the template coefficients at the target labels.
-        let fixed = fix_targets(&generated, targets);
-        let solution = pipeline.solve(&mut ctx, &generated, fixed, None);
-
-        Ok(SynthesisOutcome {
-            status: if solution.feasible {
-                SynthesisStatus::Synthesized
-            } else {
-                SynthesisStatus::Failed
-            },
-            invariant: solution.invariant,
-            postconditions: solution.postconditions,
-            system_size: generated.size(),
-            num_unknowns: generated.system.num_unknowns(),
-            violation: solution.violation,
-            generation_time: ctx.timings().generation(),
-            solve_time: ctx.timings().solve(),
-            timings: ctx.timings().clone(),
-            backend: solution.backend,
-            solver: solution.stats,
-            presolve: solution.presolve,
-        })
-    }
-}
-
 /// Builds the map of s-variables pinned by the target assertions: for every
 /// target, conjunct 0 (or the next free conjunct) of the template at the
 /// target label is forced to equal the target polynomial coefficient-wise.
 ///
-/// Public so that external drivers (the validation subsystem's
-/// synthesize-and-validate loop) can pin targets exactly like
-/// [`WeakSynthesis`] does before calling [`Pipeline::solve`].
+/// The orchestrator pins every rung this way; the map is public so that
+/// other drivers (the presolve benches and tests) pin targets identically.
 ///
 /// # Panics
 ///
@@ -307,20 +82,21 @@ pub fn fix_targets(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::pipeline::stage_names;
-    use polyinv_constraints::{generate, SosEncoding};
+    use crate::pipeline::Pipeline;
+    use polyinv_constraints::{generate, SynthesisOptions};
     use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
-    use polyinv_lang::{parse_assertion, parse_program};
+    use polyinv_lang::{parse_assertion, parse_program, Precondition};
 
     #[test]
     fn generate_only_reports_paper_scale_metrics() {
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
         let pre = Precondition::from_program(&program);
-        let synth = WeakSynthesis::new();
-        let generated = synth.generate_only(&program, &pre).unwrap();
+        let pipeline = Pipeline::default();
+        let generated = pipeline
+            .generate(&mut pipeline.context(&program, &pre))
+            .unwrap();
         // |V^sum| = 5, matching the running example.
         assert_eq!(program.main().vars().len(), 5);
         assert!(generated.size() > 500);
@@ -352,49 +128,5 @@ mod tests {
         let exit = program.main().exit_label();
         let (poly, _) = parse_assertion(&program, "sum", "n*n*n + 1 > 0").unwrap();
         fix_targets(&generated, &[TargetAssertion::new(exit, poly)]);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow without optimizations; run with `cargo test --release`"
-    )]
-    fn synthesis_on_a_tiny_loop_finds_a_feasible_invariant() {
-        // A minimal program whose target is easy to strengthen: x only
-        // increases, prove x + 1 > 0 at the end.
-        let source = r#"
-            inc(x) {
-                @pre(x >= 0);
-                while x <= 10 do
-                    x := x + 1
-                od;
-                return x
-            }
-        "#;
-        let program = parse_program(source).unwrap();
-        let pre = Precondition::from_program(&program);
-        let exit = program.main().exit_label();
-        let (target, _) = parse_assertion(&program, "inc", "x + 1 > 0").unwrap();
-        let options = SynthesisOptions::with_degree_and_size(1, 1)
-            .with_upsilon(2)
-            .with_encoding(SosEncoding::Cholesky);
-        let synth = WeakSynthesis::with_options(options);
-        let outcome = synth
-            .synthesize(&program, &pre, &[TargetAssertion::new(exit, target)])
-            .unwrap();
-        assert_eq!(
-            outcome.status,
-            SynthesisStatus::Synthesized,
-            "violation {}",
-            outcome.violation
-        );
-        // The synthesized invariant contains the target at the exit label.
-        assert!(!outcome.invariant.get(exit).is_empty());
-        // The pipeline recorded every stage, and the reported aggregates are
-        // consistent with the per-stage table.
-        assert_eq!(outcome.backend, "lm");
-        assert!(outcome.timings.get(stage_names::TEMPLATES) > Duration::ZERO);
-        assert_eq!(outcome.generation_time, outcome.timings.generation());
-        assert_eq!(outcome.solve_time, outcome.timings.solve());
     }
 }

@@ -4,33 +4,25 @@
 //! (quadratically-constrained linear program) to the commercial interior
 //! point solver LOQO. This crate is the open substitute used by the
 //! reproduction (see DESIGN.md §4): the reduction that produces the systems
-//! is identical to the paper's, only the numerical back-end differs.
+//! is identical to the paper's, only the numerical solver differs.
 //!
-//! Solvers are exposed through the [`QcqpBackend`] trait (see
-//! [`backend`]), so the synthesis pipeline in the `polyinv` crate is
-//! back-end agnostic. Three solvers are provided:
+//! Two solvers are provided, both called directly by the solve orchestrator
+//! of the `polyinv` crate (its only Step-4 path):
 //!
 //! * [`LmSolver`] (`"lm"`) — projected Levenberg–Marquardt on the equality
-//!   residuals with **parallel multi-start restarts**; the default for the
-//!   Cholesky-encoded systems of the benchmark suite.
+//!   residuals with **parallel multi-start restarts**; the main lane, the
+//!   polish sub-solver and the certificate checker's pair solver.
 //! * [`AlmSolver`] (`"penalty"`) — an augmented-Lagrangian method with an
 //!   Adam-style first-order inner loop for general (non-convex) quadratic
-//!   systems, with optional projection onto PSD blocks after every step.
-//! * [`FeasibilitySolver`] — alternating projections (POCS) between an
-//!   affine subspace (the linear equalities), the PSD cones of the Gram
-//!   blocks and box bounds. It solves the *verification* problems obtained
-//!   by fixing the template coefficients, which are convex.
+//!   systems, with optional projection onto PSD blocks after every step;
+//!   the orchestrator's second portfolio lane.
 
-pub mod backend;
-pub mod feasibility;
 pub mod lm;
 pub mod par;
 pub mod penalty;
 pub mod problem;
 pub mod stats;
 
-pub use backend::{backend_by_name, default_backend, QcqpBackend};
-pub use feasibility::{FeasibilityOptions, FeasibilitySolver};
 pub use lm::{Evaluator as LmEvaluator, LmOptions, LmSolver, LmWorkspace};
 pub use par::{configured_threads, ThreadBudget, PAR_ROW_THRESHOLD};
 pub use penalty::{AlmOptions, AlmSolver, SolveOutcome, SolveStatus};

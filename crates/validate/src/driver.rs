@@ -8,10 +8,9 @@
 //! text means exactly the same thing as in a plain `synth` request.
 
 use polyinv::SolvePlan;
-use polyinv_api::engine::{escalate_degree, resolve_weak_targets};
+use polyinv_api::engine::{check_backend, escalate_degree, resolve_weak_targets};
 use polyinv_api::{ApiError, Mode, ReportStatus, SynthesisReport, SynthesisRequest};
 use polyinv_lang::Precondition;
-use polyinv_qcqp::backend_by_name;
 
 use crate::{synthesize_and_validate, ValidationConfig};
 
@@ -36,7 +35,7 @@ pub fn run_validated(
     if let Some(name) = &request.backend {
         // Same rejection the Engine applies: an unknown back-end name is a
         // request error, not a silently ignored preference.
-        backend_by_name(name).ok_or_else(|| ApiError::UnknownBackend { name: name.clone() })?;
+        check_backend(name)?;
     }
     run_validated_with_plan(request, config, |options| {
         let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);

@@ -185,33 +185,6 @@ impl ValidationReport {
     }
 }
 
-/// Validates a solved pipeline run: trace-falsifies the instantiated
-/// invariant (and post-conditions) and exactly re-checks the quadratic
-/// system at the solution's assignment.
-///
-/// `pre` should be the plain program pre-condition
-/// ([`Precondition::from_program`]) — it defines run validity for the
-/// interpreter, independent of any bounded-reals augmentation the reduction
-/// may have used.
-pub fn validate_solution(
-    program: &Program,
-    pre: &Precondition,
-    generated: &polyinv_constraints::GeneratedSystem,
-    solution: &polyinv::pipeline::Solution,
-    config: &ValidationConfig,
-) -> ValidationReport {
-    // Both checks attack the same object: the templates instantiated at the
-    // exact-rational rounding of the solver's assignment.
-    let values = exact_assignment(&generated.system, &solution.assignment, &config.exact);
-    let (invariant, postconditions) = instantiate_exact(program, generated, &values);
-    let trace = falsify_traces(program, pre, &invariant, &postconditions, &config.trace);
-    let exact = exact_recheck(&generated.system, &solution.assignment, &config.exact);
-    ValidationReport {
-        trace,
-        exact: Some(exact),
-    }
-}
-
 /// Validates a candidate invariant that did not come out of the pipeline
 /// (no quadratic system to re-check): trace falsification only.
 pub fn validate_candidate(
@@ -278,7 +251,7 @@ pub struct ValidatedOutcome {
 /// # Panics
 ///
 /// Panics if a target mentions a monomial outside the template basis at its
-/// label (same contract as the weak driver).
+/// label (same contract as [`polyinv::fix_targets`]).
 pub fn synthesize_and_validate(
     program: &Program,
     pre: &Precondition,

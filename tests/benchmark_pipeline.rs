@@ -2,7 +2,7 @@
 //! baseline, checking the "shape" properties reported in the paper's tables.
 
 use polyinv::prelude::*;
-use polyinv::weak::{fix_targets, SynthesisStatus, TargetAssertion};
+use polyinv::{fix_targets, TargetAssertion};
 use polyinv_benchmarks::{by_name, table2, table3, Benchmark, Category};
 use polyinv_constraints::{presolve, PresolveOptions, PresolvedSystem};
 use polyinv_farkas::{FarkasBaseline, Inapplicability};
@@ -86,7 +86,6 @@ fn every_benchmark_has_consistent_metadata() {
     debug_assertions,
     ignore = "slow without optimizations; run with `cargo test --release`"
 )]
-#[allow(deprecated)] // exercises the driver layer beneath the Engine
 fn weak_synthesis_closes_a_small_linear_benchmark() {
     // End-to-end Steps 1-4 on a small bounded-counter program: the local
     // solver reliably closes lower-bound style targets of this size.
@@ -104,15 +103,14 @@ fn weak_synthesis_closes_a_small_linear_benchmark() {
     let pre = Precondition::from_program(&program);
     let exit = program.main().exit_label();
     let (target, _) = parse_assertion(&program, "clamp", "y + 1 - ret > 0").unwrap();
-    let synth = WeakSynthesis::with_options(SynthesisOptions::default().with_degree(1));
-    let outcome = synth
-        .synthesize(&program, &pre, &[TargetAssertion::new(exit, target)])
+    let plan = SolvePlan::new(SynthesisOptions::default().with_degree(1));
+    let outcome = Orchestrator::new(plan)
+        .solve(&program, &pre, &[TargetAssertion::new(exit, target)])
         .unwrap();
-    assert_eq!(
-        outcome.status,
-        SynthesisStatus::Synthesized,
-        "violation {:.3e}",
-        outcome.violation
+    assert!(
+        outcome.certified,
+        "violation {:.3e}, exact {:.3e}",
+        outcome.violation, outcome.stats.certificate_violation
     );
     // Any synthesized invariant must survive falsification.
     assert!(falsify(&program, &pre, &outcome.invariant, 200, 23).is_none());
@@ -187,7 +185,7 @@ fn farkas_baseline_rejects_polynomial_benchmarks_but_handles_linear_ones() {
 
 /// Generates a benchmark's ϒ = 0 system (the ladder rung Step 4 attempts
 /// first), pins its exit target when it has one, and presolves it — the
-/// exact input the pipeline's presolve stage sees.
+/// exact input the orchestrator's presolve sees.
 fn presolve_first_rung(benchmark: &Benchmark) -> PresolvedSystem {
     let program = benchmark.program().unwrap();
     let pre = benchmark.precondition().unwrap();
