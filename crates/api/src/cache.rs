@@ -13,7 +13,8 @@
 //!   back-end, attempts), and the canonical text itself so lookups verify
 //!   true equality instead of trusting 64-bit hashes;
 //! * [`ResultCache`] — a capacity-capped LRU map from fingerprints to
-//!   [`SynthesisReport`]s with hit/miss/eviction counters.
+//!   [`SynthesisReport`]s with hit/miss/eviction counters, built on the
+//!   same bucketed LRU as the Engine's parse cache.
 //!
 //! The cache is deliberately single-threaded (`&mut self`); callers that
 //! share it across workers wrap it in their own lock. Lookups are a hash
@@ -21,6 +22,7 @@
 //! save.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::report::SynthesisReport;
 use crate::request::SynthesisRequest;
@@ -95,26 +97,94 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cached result: the canonical request text (collision guard), the
-/// report, and the recency stamp LRU eviction uses.
+/// A capacity-capped LRU map, shared by the Engine's parse cache and
+/// [`ResultCache`]. Entries sit in buckets keyed by a hash `K`, and each
+/// keeps the full key text it was stored under: a lookup only hits on a
+/// byte-equal text, so hash collisions degrade to misses, never to wrong
+/// values.
 #[derive(Debug)]
-struct ResultEntry {
-    canonical: String,
-    report: SynthesisReport,
-    last_used: u64,
+pub(crate) struct BucketedLru<K, V> {
+    /// `(key text, value, last-used stamp)` per entry.
+    buckets: HashMap<K, Vec<(String, V, u64)>>,
+    capacity: usize,
+    clock: u64,
+}
+
+impl<K: Hash + Eq + Copy, V: Clone> BucketedLru<K, V> {
+    /// A map holding at most `capacity` entries (zero is treated as one).
+    pub(crate) fn new(capacity: usize) -> Self {
+        BucketedLru {
+            buckets: HashMap::new(),
+            capacity: capacity.max(1),
+            clock: 0,
+        }
+    }
+
+    /// Number of resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.values().map(Vec::len).sum()
+    }
+
+    /// The value stored under `key` and `text`, refreshing its recency.
+    pub(crate) fn get(&mut self, key: K, text: &str) -> Option<V> {
+        self.clock += 1;
+        let entry = self
+            .buckets
+            .get_mut(&key)?
+            .iter_mut()
+            .find(|entry| entry.0 == text)?;
+        entry.2 = self.clock;
+        Some(entry.1.clone())
+    }
+
+    /// Stores (or replaces) a copy of `value` under `key` and `text`,
+    /// evicting least-recently-used entries to stay under the capacity.
+    /// Returns the number of entries evicted.
+    pub(crate) fn insert(&mut self, key: K, text: &str, value: &V) -> u64 {
+        self.clock += 1;
+        let bucket = self.buckets.entry(key).or_default();
+        match bucket.iter_mut().find(|entry| entry.0 == text) {
+            Some(entry) => (entry.1, entry.2) = (value.clone(), self.clock),
+            None => bucket.push((text.to_string(), value.clone(), self.clock)),
+        }
+        let mut evicted = 0;
+        while self.len() > self.capacity {
+            self.evict_lru();
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Drops the entry with the oldest stamp (stamps are unique).
+    fn evict_lru(&mut self) {
+        let oldest = self
+            .buckets
+            .iter()
+            .flat_map(|(&key, bucket)| {
+                bucket
+                    .iter()
+                    .enumerate()
+                    .map(move |(pos, e)| (e.2, key, pos))
+            })
+            .min_by_key(|&(stamp, _, _)| stamp);
+        if let Some((_, key, pos)) = oldest {
+            let bucket = self.buckets.get_mut(&key).expect("bucket exists");
+            bucket.remove(pos);
+            if bucket.is_empty() {
+                self.buckets.remove(&key);
+            }
+        }
+    }
 }
 
 /// A capacity-capped LRU map from request fingerprints to reports.
 ///
-/// Entries are keyed by `(source_hash, config_hash)`; each bucket holds the
-/// canonical request text and a lookup only hits when the text matches
-/// byte-for-byte, so hash collisions degrade to misses, never to wrong
-/// results.
+/// Entries are keyed by `(source_hash, config_hash)` and verified by the
+/// canonical request text (see [`BucketedLru`]), so hash collisions
+/// degrade to misses, never to wrong results.
 #[derive(Debug)]
 pub struct ResultCache {
-    buckets: HashMap<(u64, u64), Vec<ResultEntry>>,
-    capacity: usize,
-    clock: u64,
+    entries: BucketedLru<(u64, u64), SynthesisReport>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -124,9 +194,7 @@ impl ResultCache {
     /// A cache holding at most `capacity` results (zero is treated as one).
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            buckets: HashMap::new(),
-            capacity: capacity.max(1),
-            clock: 0,
+            entries: BucketedLru::new(capacity),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -135,12 +203,12 @@ impl ResultCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// `true` when no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.len() == 0
     }
 
     /// The lifetime counters plus the current entry count.
@@ -156,74 +224,20 @@ impl ResultCache {
     /// Looks a fingerprint up, counting a hit or miss and refreshing the
     /// entry's recency on a hit.
     pub fn get(&mut self, fingerprint: &RequestFingerprint) -> Option<SynthesisReport> {
-        self.clock += 1;
-        let stamp = self.clock;
-        let entry = self.buckets.get_mut(&fingerprint.key()).and_then(|bucket| {
-            bucket
-                .iter_mut()
-                .find(|entry| entry.canonical == fingerprint.canonical)
-        });
-        match entry {
-            Some(entry) => {
-                entry.last_used = stamp;
-                self.hits += 1;
-                Some(entry.report.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let report = self.entries.get(fingerprint.key(), &fingerprint.canonical);
+        match report {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        report
     }
 
     /// Inserts (or refreshes) a result, evicting least-recently-used
     /// entries to stay under the capacity cap.
     pub fn insert(&mut self, fingerprint: &RequestFingerprint, report: SynthesisReport) {
-        self.clock += 1;
-        let stamp = self.clock;
-        let bucket = self.buckets.entry(fingerprint.key()).or_default();
-        match bucket
-            .iter_mut()
-            .find(|entry| entry.canonical == fingerprint.canonical)
-        {
-            Some(entry) => {
-                entry.report = report;
-                entry.last_used = stamp;
-            }
-            None => bucket.push(ResultEntry {
-                canonical: fingerprint.canonical.clone(),
-                report,
-                last_used: stamp,
-            }),
-        }
-        while self.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    fn evict_lru(&mut self) {
-        let Some((&key, _)) = self.buckets.iter().min_by_key(|(_, bucket)| {
-            bucket
-                .iter()
-                .map(|entry| entry.last_used)
-                .min()
-                .unwrap_or(u64::MAX)
-        }) else {
-            return;
-        };
-        let bucket = self.buckets.get_mut(&key).expect("bucket exists");
-        if let Some(pos) = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, entry)| entry.last_used)
-            .map(|(pos, _)| pos)
-        {
-            bucket.remove(pos);
-            self.evictions += 1;
-        }
-        if bucket.is_empty() {
-            self.buckets.remove(&key);
-        }
+        self.evictions += self
+            .entries
+            .insert(fingerprint.key(), &fingerprint.canonical, &report);
     }
 }
 

@@ -12,106 +12,29 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use polyinv::pipeline::{stage_names, Pipeline, StageTimings};
-use polyinv::{check_inductive, CheckOptions, SolvePlan, TargetAssertion};
+use polyinv::{check_inductive, CheckOptions, OrchestratorOutcome, SolvePlan, TargetAssertion};
 use polyinv_lang::{InvariantMap, Label, Postcondition, Precondition, Program};
 use polyinv_poly::Polynomial;
 use polyinv_qcqp::par::parallel_indexed;
 
-#[allow(deprecated)]
-use polyinv::strong::{StrongOptions, StrongSynthesis};
-
-use crate::cache::source_hash;
+use crate::cache::{source_hash, BucketedLru};
 use crate::error::ApiError;
-use crate::report::{ReportStatus, SynthesisReport};
+use crate::report::{
+    OrchestratorRecord, PresolveRecord, ReportStatus, SolverRecord, SynthesisReport,
+};
 use crate::request::{Mode, SynthesisRequest};
 
 /// Default capacity of the parse cache (distinct programs).
 const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// One cached parse: the full source (to rule out hash collisions), the
-/// parsed program and the recency stamp the LRU eviction uses.
-#[derive(Debug)]
-struct CacheEntry {
-    source: String,
-    program: Arc<Program>,
-    last_used: u64,
-}
+/// Multi-start attempts of a strong request that names no attempt count.
+const DEFAULT_STRONG_ATTEMPTS: usize = 8;
 
-/// Parsed programs keyed by FNV-1a hash of their source, capacity-capped
-/// with least-recently-used eviction so a long-running service does not
-/// accumulate every source it ever saw.
-#[derive(Debug)]
-struct ProgramCache {
-    buckets: HashMap<u64, Vec<CacheEntry>>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl ProgramCache {
-    fn new(capacity: usize) -> Self {
-        ProgramCache {
-            buckets: HashMap::new(),
-            capacity: capacity.max(1),
-            clock: 0,
-        }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn get(&mut self, key: u64, source: &str) -> Option<Arc<Program>> {
-        let stamp = self.tick();
-        let entry = self
-            .buckets
-            .get_mut(&key)?
-            .iter_mut()
-            .find(|entry| entry.source == source)?;
-        entry.last_used = stamp;
-        Some(Arc::clone(&entry.program))
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
-    }
-
-    fn insert(&mut self, key: u64, source: &str, program: &Arc<Program>) {
-        let stamp = self.tick();
-        self.buckets.entry(key).or_default().push(CacheEntry {
-            source: source.to_string(),
-            program: Arc::clone(program),
-            last_used: stamp,
-        });
-        while self.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    fn evict_lru(&mut self) {
-        let Some((&key, _)) = self.buckets.iter().min_by_key(|(_, bucket)| {
-            bucket
-                .iter()
-                .map(|entry| entry.last_used)
-                .min()
-                .unwrap_or(u64::MAX)
-        }) else {
-            return;
-        };
-        let bucket = self.buckets.get_mut(&key).expect("bucket exists");
-        if let Some(pos) = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, entry)| entry.last_used)
-            .map(|(pos, _)| pos)
-        {
-            bucket.remove(pos);
-        }
-        if bucket.is_empty() {
-            self.buckets.remove(&key);
-        }
-    }
-}
+/// Parsed programs keyed by FNV-1a hash of their source (the full source
+/// rules out hash collisions), capacity-capped with least-recently-used
+/// eviction so a long-running service does not accumulate every source it
+/// ever saw.
+type ProgramCache = BucketedLru<u64, Arc<Program>>;
 
 /// The stable front door: parses (and caches) programs, dispatches the four
 /// modes, and serializes everything that comes back.
@@ -199,9 +122,9 @@ impl Engine {
     pub fn run(&self, request: &SynthesisRequest) -> Result<SynthesisReport, ApiError> {
         let program = self.parse_program(&request.source)?;
         if let Some(name) = &request.backend {
-            // Strong enumeration and certificate checking are built on the
-            // seeded LM multi-start substrate and cannot honor an arbitrary
-            // back-end; rejecting beats silently ignoring.
+            // Strong enumeration runs fixed LM attempts and certificate
+            // checking its own LM searches; neither can honor an arbitrary
+            // back-end, and rejecting beats silently ignoring.
             if matches!(request.mode, Mode::Strong | Mode::Check) {
                 return Err(ApiError::InvalidRequest {
                     message: format!(
@@ -273,50 +196,9 @@ impl Engine {
             plan = plan.with_backend_preference(name);
         }
         let outcome = polyinv::Orchestrator::new(plan).solve(program, pre, &targets)?;
-        let status = if outcome.certified {
-            ReportStatus::Synthesized
-        } else {
-            ReportStatus::Failed
-        };
-        let mut report = SynthesisReport::skeleton(&request.id, request.mode, status);
-        report.backend = outcome.backend.to_string();
-        report.system_size = outcome.system_size;
-        report.num_unknowns = outcome.num_unknowns;
-        report.violation = outcome.violation;
-        report.timings = timings_to_seconds(&outcome.timings);
-        report.solver = Some(crate::report::SolverRecord::from(&outcome.solver));
-        report.presolve = outcome
-            .presolve
-            .as_ref()
-            .map(crate::report::PresolveRecord::from);
-        report.orchestrator = Some(crate::report::OrchestratorRecord::from(&outcome.stats));
-        if let Some(note) = escalation {
-            report.diagnostics.push(note);
-        }
-        if status == ReportStatus::Synthesized {
-            report.invariants = render_lines(&outcome.invariant.render(program));
-            report.postconditions = render_postconditions(program, &outcome.postconditions);
-            report.diagnostics.push(format!(
-                "certified at ϒ = {} after {} attempt(s); exact worst violation {:.3e}",
-                outcome.stats.rung_reached,
-                outcome.stats.attempts,
-                outcome.stats.certificate_violation
-            ));
-        } else {
-            report.diagnostics.push(format!(
-                "uncertified after {} attempt(s) over {} rung(s); solver `{}` stopped at \
-                 violation {:.3e}, exact re-check at {:.3e}",
-                outcome.stats.attempts,
-                outcome.stats.rungs_tried,
-                outcome.backend,
-                outcome.violation,
-                outcome.stats.certificate_violation
-            ));
-        }
-        Ok(report)
+        Ok(weak_report(request, program, &outcome, escalation))
     }
 
-    #[allow(deprecated)]
     fn run_strong(
         &self,
         request: &SynthesisRequest,
@@ -329,43 +211,32 @@ impl Engine {
                     .to_string(),
             });
         }
-        let mut options = StrongOptions {
-            synthesis: request.options.clone(),
-            ..StrongOptions::default()
-        };
-        if let Some(attempts) = request.attempts {
-            options.attempts = attempts;
-        }
-        // A staged generation pass supplies the report's |S|/unknown metrics
-        // and per-stage generation timings. (The enumeration re-generates
-        // internally; generation is milliseconds next to the solve attempts.)
-        let pipeline = Pipeline::new(request.options.clone());
-        let mut ctx = pipeline.context(program, pre);
-        let generated = pipeline.generate(&mut ctx)?;
-        let start = Instant::now();
-        let solutions = StrongSynthesis::new(options).enumerate(program, pre)?;
-        let elapsed = start.elapsed().as_secs_f64();
-        let status = if solutions.is_empty() {
+        let plan =
+            SolvePlan::new(request.options.clone()).with_solve_budget(request.solve_budget_seconds);
+        let attempts = request.attempts.unwrap_or(DEFAULT_STRONG_ATTEMPTS);
+        let enumeration = polyinv::Orchestrator::new(plan).enumerate(program, pre, attempts)?;
+        let status = if enumeration.members.is_empty() {
             ReportStatus::Failed
         } else {
             ReportStatus::Synthesized
         };
         let mut report = SynthesisReport::skeleton(&request.id, request.mode, status);
         report.backend = "lm".to_string();
-        report.system_size = generated.size();
-        report.num_unknowns = generated.system.num_unknowns();
-        report.timings = timings_to_seconds(ctx.timings());
-        report
-            .timings
-            .push((stage_names::SOLVE.to_string(), elapsed));
-        report
-            .diagnostics
-            .push(format!("{} distinct invariant(s) found", solutions.len()));
-        for (index, solution) in solutions.iter().enumerate() {
-            for line in render_lines(&solution.invariant.render(program)) {
+        report.system_size = enumeration.generated.size();
+        report.num_unknowns = enumeration.generated.system.num_unknowns();
+        report.timings = timings_to_seconds(&enumeration.timings);
+        report.diagnostics.push(format!(
+            "{} distinct certified invariant(s) at ϒ = {} after {} attempt(s) over {} rung(s)",
+            enumeration.members.len(),
+            enumeration.stats.rung_reached,
+            enumeration.stats.attempts,
+            enumeration.stats.rungs_tried
+        ));
+        for (index, member) in enumeration.members.iter().enumerate() {
+            for line in render_lines(&member.invariant.render(program)) {
                 report.invariants.push(format!("[{index}] {line}"));
             }
-            for line in render_postconditions(program, &solution.postconditions) {
+            for line in render_postconditions(program, &member.postconditions) {
                 report.postconditions.push(format!("[{index}] {line}"));
             }
         }
@@ -418,6 +289,54 @@ impl Engine {
         }
         Ok(report)
     }
+}
+
+/// The report of a weak request from its orchestrated outcome: status
+/// `synthesized` exactly when the outcome is certified, the accepted (or
+/// last) rung's metrics and solver, presolve and orchestrator blocks, the
+/// degree-escalation note when there is one, and a verdict diagnostic.
+/// Shared between [`Engine`] weak runs and external drivers (the
+/// validation subsystem adds its own diagnostics and record on top).
+pub fn weak_report(
+    request: &SynthesisRequest,
+    program: &Program,
+    outcome: &OrchestratorOutcome,
+    escalation: Option<String>,
+) -> SynthesisReport {
+    let status = if outcome.certified {
+        ReportStatus::Synthesized
+    } else {
+        ReportStatus::Failed
+    };
+    let mut report = SynthesisReport::skeleton(&request.id, request.mode, status);
+    report.backend = outcome.backend.to_string();
+    report.system_size = outcome.system_size;
+    report.num_unknowns = outcome.num_unknowns;
+    report.violation = outcome.violation;
+    report.timings = timings_to_seconds(&outcome.timings);
+    report.solver = Some(SolverRecord::from(&outcome.solver));
+    report.presolve = outcome.presolve.as_ref().map(PresolveRecord::from);
+    report.orchestrator = Some(OrchestratorRecord::from(&outcome.stats));
+    report.diagnostics.extend(escalation);
+    if outcome.certified {
+        report.invariants = render_lines(&outcome.invariant.render(program));
+        report.postconditions = render_postconditions(program, &outcome.postconditions);
+        report.diagnostics.push(format!(
+            "certified at ϒ = {} after {} attempt(s); exact worst violation {:.3e}",
+            outcome.stats.rung_reached, outcome.stats.attempts, outcome.stats.certificate_violation
+        ));
+    } else {
+        report.diagnostics.push(format!(
+            "uncertified after {} attempt(s) over {} rung(s); solver `{}` stopped at \
+             violation {:.3e}, exact re-check at {:.3e}",
+            outcome.stats.attempts,
+            outcome.stats.rungs_tried,
+            outcome.backend,
+            outcome.violation,
+            outcome.stats.certificate_violation
+        ));
+    }
+    report
 }
 
 /// Rejects a request-level back-end name the solve plan does not act on
@@ -803,5 +722,68 @@ mod tests {
         assert!(report.stage_seconds(stage_names::TEMPLATES) > 0.0);
         assert!(report.stage_seconds(stage_names::SOLVE) > 0.0);
         assert!(report.invariants.iter().all(|line| line.starts_with('[')));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn strong_reports_describe_the_rung_that_produced_the_members() {
+        let source = r#"
+            counter(x) {
+                @pre(x >= 0);
+                while x <= 5 do
+                    x := x + 1
+                od;
+                return x
+            }
+        "#;
+        let request = SynthesisRequest::strong(source)
+            .with_degree(1)
+            .with_attempts(4);
+        let report = Engine::new().run(&request).unwrap();
+        assert_eq!(report.status, ReportStatus::Synthesized);
+        // The ϒ = 0 rung produced the members, so the report describes its
+        // system, not the larger full-ϒ reduction.
+        let program = polyinv_lang::parse_program(source).unwrap();
+        let pre = Precondition::from_program(&program);
+        let rung_options = request.options.clone().with_upsilon(0);
+        let rung = polyinv_constraints::generate(&program, &pre, &rung_options).unwrap();
+        assert_eq!(report.system_size, rung.size());
+        assert_eq!(report.num_unknowns, rung.system.num_unknowns());
+        let full = polyinv_constraints::generate(&program, &pre, &request.options).unwrap();
+        assert!(report.system_size < full.size());
+        assert!(
+            report.diagnostics[0].contains("at ϒ = 0"),
+            "{:?}",
+            report.diagnostics
+        );
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn strong_requests_honour_the_solve_budget() {
+        // Two uncapped LM attempts on cohendiv take about 20 s on a 2-core
+        // x86-64 box; under a 2 s budget every attempt is clamped to the
+        // deadline.
+        let benchmark = polyinv_benchmarks::by_name("cohendiv").unwrap();
+        let budget = 2.0;
+        let request = SynthesisRequest::strong(benchmark.source)
+            .with_attempts(2)
+            .with_solve_budget(budget);
+        let started = Instant::now();
+        let report = Engine::new().run(&request).unwrap();
+        let elapsed = started.elapsed().as_secs_f64();
+        // The margin covers generation, presolve, one LM iteration past the
+        // deadline and the certificate checks.
+        assert!(
+            elapsed < budget + 2.0,
+            "strong request took {elapsed:.2} s against a {budget} s budget: {:?}",
+            report.diagnostics
+        );
     }
 }

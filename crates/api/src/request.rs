@@ -166,10 +166,10 @@ pub struct SynthesisRequest {
     /// Engine's default.
     pub backend: Option<String>,
     /// Number of multi-start attempts for [`Mode::Strong`]; `None` uses the
-    /// enumeration default.
+    /// enumeration default (8).
     pub attempts: Option<usize>,
-    /// Wall-clock budget for the whole solve ([`Mode::Weak`] only), in
-    /// seconds. `0.0` (the default) means unbudgeted: the orchestrator runs
+    /// Wall-clock budget for the whole solve ([`Mode::Weak`] and
+    /// [`Mode::Strong`]), in seconds. `0.0` (the default) means unbudgeted: the orchestrator runs
     /// its full ladder. A positive budget still always attempts the first
     /// rung, so every request produces a real verdict.
     pub solve_budget_seconds: f64,

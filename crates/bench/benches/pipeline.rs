@@ -1,20 +1,24 @@
 //! Criterion benchmarks for the stages of the invariant-generation pipeline.
 //!
 //! Each group corresponds to an experiment listed in DESIGN.md §5:
-//! the individual pipeline stages (Steps 1–3) on the running example,
-//! generation for representative Table 2 / Table 3 rows, the ϒ and encoding
-//! ablations, the Farkas baseline, certificate checking and end-to-end weak
-//! synthesis on a small program.
+//! the three constraint-generation steps (Steps 1–3) on the running
+//! example, generation for representative Table 2 / Table 3 rows, the ϒ
+//! and encoding ablations, the Farkas baseline, certificate checking and
+//! end-to-end weak synthesis on a small program.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use polyinv::pipeline::{run_stage, PairStage, ReductionStage, TemplateStage};
 use polyinv::prelude::*;
 use polyinv_api::{Engine, ReportStatus, SynthesisRequest};
 use polyinv_bench::options_for;
+use polyinv_constraints::pairs::{generate_pairs, PairOptions};
+use polyinv_constraints::template::TemplateSet;
+use polyinv_constraints::{prepare, reduce_pairs, UnknownRegistry};
 use polyinv_farkas::FarkasBaseline;
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
+use polyinv_lang::Cfg;
+use polyinv_poly::MonomialTable;
 
 fn pipeline_stage_breakdown(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_stages");
@@ -23,39 +27,60 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(8));
     let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
     let pre = Precondition::from_program(&program);
-    let pipeline = Pipeline::default();
-    group.bench_function("templates", |b| {
-        b.iter(|| {
-            let mut ctx = pipeline.context(&program, &pre);
-            run_stage(&mut ctx, &TemplateStage, ()).num_unknowns()
-        })
-    });
+    let options = SynthesisOptions::default();
+    // The bounded-reals-augmented pre-condition Steps 2 and 3 see.
+    let (augmented, recursive) = prepare(&program, &pre, &options);
+    let cfg = Cfg::build(&program);
+    // Step 1, Step 2 and their inputs; per-iteration setup stays untimed.
+    let (degree, size) = (options.degree, options.size);
+    let templates = || {
+        let mut registry = UnknownRegistry::new();
+        let set = TemplateSet::build(&program, &mut registry, degree, size, recursive);
+        (set, registry)
+    };
+    let pairs = |templates: &TemplateSet, table: &mut MonomialTable| {
+        generate_pairs(
+            &program,
+            &cfg,
+            &augmented,
+            templates,
+            PairOptions { recursive },
+            table,
+        )
+        .unwrap()
+    };
+    group.bench_function("templates", |b| b.iter(|| templates().1.len()));
     group.bench_function("pairs", |b| {
-        // Per-iteration setup (fresh context + templates) stays untimed.
         b.iter_batched(
-            || {
-                let mut ctx = pipeline.context(&program, &pre);
-                let templates = run_stage(&mut ctx, &TemplateStage, ());
-                (ctx, templates)
-            },
-            |(mut ctx, templates)| run_stage(&mut ctx, &PairStage, &templates).unwrap().len(),
+            || (templates().0, MonomialTable::new()),
+            |(templates, mut table)| pairs(&templates, &mut table).len(),
             BatchSize::SmallInput,
         )
     });
     group.bench_function("reduction", |b| {
         b.iter_batched(
             || {
-                let mut ctx = pipeline.context(&program, &pre);
-                let templates = run_stage(&mut ctx, &TemplateStage, ());
-                let pairs = run_stage(&mut ctx, &PairStage, &templates).unwrap();
-                (ctx, templates, pairs)
+                let (templates, registry) = templates();
+                let mut table = MonomialTable::new();
+                let pairs = pairs(&templates, &mut table);
+                (templates, registry, pairs, table)
             },
-            |(mut ctx, templates, pairs)| {
-                run_stage(&mut ctx, &ReductionStage, (templates, pairs)).size()
+            |(templates, registry, pairs, table)| {
+                reduce_pairs(
+                    templates,
+                    registry,
+                    pairs,
+                    &options,
+                    recursive,
+                    augmented.clone(),
+                    table,
+                )
+                .size()
             },
             BatchSize::SmallInput,
         )
     });
+    let pipeline = Pipeline::new(options.clone());
     group.bench_function("full_generation", |b| {
         b.iter(|| {
             let mut ctx = pipeline.context(&program, &pre);
@@ -65,12 +90,8 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
     group.finish();
 }
 
-fn table2_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2_system_generation");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(8));
-    for name in [
+fn table_generation(c: &mut Criterion) {
+    let table2: &[&str] = &[
         "sqrt",
         "freire1",
         "petter",
@@ -79,41 +100,31 @@ fn table2_generation(c: &mut Criterion) {
         "cohencu",
         "hard",
         "euclidex1",
+    ];
+    let table3: &[&str] = &["recursive-sum", "recursive-square-sum", "pw2"];
+    for (group_name, rows) in [
+        ("table2_system_generation", table2),
+        ("table3_system_generation", table3),
     ] {
-        let benchmark = polyinv_benchmarks::by_name(name).unwrap();
-        let program = benchmark.program().unwrap();
-        let pre = benchmark.precondition().unwrap();
-        let options = options_for(&benchmark);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                polyinv_constraints::generate(&program, &pre, &options)
-                    .unwrap()
-                    .size()
-            })
-        });
+        let mut group = c.benchmark_group(group_name);
+        group
+            .sample_size(10)
+            .measurement_time(Duration::from_secs(8));
+        for &name in rows {
+            let benchmark = polyinv_benchmarks::by_name(name).unwrap();
+            let program = benchmark.program().unwrap();
+            let pre = benchmark.precondition().unwrap();
+            let options = options_for(&benchmark);
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    polyinv_constraints::generate(&program, &pre, &options)
+                        .unwrap()
+                        .size()
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
-}
-
-fn table3_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table3_system_generation");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(8));
-    for name in ["recursive-sum", "recursive-square-sum", "pw2"] {
-        let benchmark = polyinv_benchmarks::by_name(name).unwrap();
-        let program = benchmark.program().unwrap();
-        let pre = benchmark.precondition().unwrap();
-        let options = options_for(&benchmark);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                polyinv_constraints::generate(&program, &pre, &options)
-                    .unwrap()
-                    .size()
-            })
-        });
-    }
-    group.finish();
 }
 
 fn ablation_upsilon(c: &mut Criterion) {
@@ -267,8 +278,7 @@ fn weak_synthesis_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     pipeline_stage_breakdown,
-    table2_generation,
-    table3_generation,
+    table_generation,
     ablation_upsilon,
     ablation_encoding,
     baseline_comparison,

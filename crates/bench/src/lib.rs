@@ -14,7 +14,6 @@ pub mod probe;
 use std::time::Duration;
 
 use polyinv::pipeline::stage_names;
-use polyinv::SolvePlan;
 use polyinv_api::{
     ApiError, Engine, Json, OrchestratorRecord, PresolveRecord, ReportStatus, SolverRecord,
     SynthesisRequest, ValidationRecord,
@@ -310,7 +309,6 @@ pub fn validation_for_tables() -> ValidationConfig {
             max_attempts: 200_000,
             ..TraceCheckConfig::default()
         },
-        ..ValidationConfig::default()
     }
 }
 
@@ -402,15 +400,13 @@ pub fn run_row_full(
             // The weak request runs the full orchestrator ladder with its own
             // per-rung systems: the ϒ-ladder deliberately attempts the much
             // smaller ϒ = 0 reduction before the full one above, so the
-            // staged system cannot simply be reused here. With `--validate`
-            // the same plan is served by the validation driver so the
-            // solution's assignment goes through trace falsification on top
-            // of the orchestrator's certificate.
+            // generated system cannot simply be reused here. With `--validate`
+            // the validation driver serves the request under the same plan,
+            // so the solution's assignment goes through trace falsification
+            // on top of the orchestrator's certificate.
             let request = solve_request(benchmark).with_solve_budget(budget_seconds);
             let outcome = if validate {
-                polyinv_validate::run_validated_with_plan(&request, &config, |options| {
-                    SolvePlan::new(options).with_solve_budget(budget_seconds)
-                })
+                polyinv_validate::run_validated(&request, &config)
             } else {
                 engine.run(&request)
             };

@@ -9,27 +9,25 @@
 //!
 //! The crate re-exports the front-end (`polyinv-lang`), the reduction
 //! (`polyinv-constraints`) and the solving substrate (`polyinv-qcqp`), and
-//! adds the paper's algorithms on top of an explicit staged [`pipeline`]:
+//! adds the paper's algorithms on top of the [`pipeline`]:
 //!
-//! * [`pipeline::Pipeline`] — the paper's Steps 1–3 as named stages with
-//!   typed artifacts (`TemplateArtifact → ConstraintPairs →
-//!   GeneratedSystem`) and a shared [`pipeline::SynthesisContext`] carrying
-//!   options/diagnostics/timings;
+//! * [`pipeline::Pipeline`] — the paper's Steps 1–3 run in sequence
+//!   (templates, constraint pairs, Putinar reduction), with a
+//!   [`pipeline::SynthesisContext`] carrying options, diagnostics and
+//!   per-step timings;
 //! * [`Orchestrator`] — Step 4, the one path from a generated system to a
-//!   solution: a ϒ ladder of rungs, each presolved, solved by the LM and
-//!   penalty lanes, polished and certified in exact rationals
-//!   (`WeakInvSynth`/`RecWeakInvSynth`, with the targets pinned by
-//!   [`fix_targets`]);
+//!   solution. It climbs a ϒ ladder of rungs, each presolved; weak
+//!   synthesis ([`Orchestrator::solve`], `WeakInvSynth`/`RecWeakInvSynth`,
+//!   targets pinned by [`fix_targets`]) races the LM and penalty lanes,
+//!   polishes and certifies in exact rationals, and strong synthesis
+//!   ([`Orchestrator::enumerate`], `StrongInvSynth`/`RecStrongInvSynth`)
+//!   runs diversified multi-start LM attempts and keeps the distinct
+//!   certified points;
 //! * [`check::check_inductive`] — a sound certificate checker: given a
 //!   concrete invariant map (and post-conditions for recursive programs) it
 //!   searches for the sum-of-squares certificates of every constraint pair,
 //!   which proves inductiveness;
-//! * [`check::falsify`] — a falsifier based on the concrete interpreter;
-//! * [`StrongSynthesis`] — the multi-start enumeration driver
-//!   (`StrongInvSynth`/`RecStrongInvSynth`). **Deprecated as a public entry
-//!   point**: the stable surface is the `Engine` of the `polyinv-api`
-//!   crate, which adds program caching, request validation, batch
-//!   execution and serializable reports.
+//! * [`check::falsify`] — a falsifier based on the concrete interpreter.
 //!
 //! # Quick start
 //!
@@ -61,32 +59,27 @@
 //! # Ok::<(), polyinv_api::ApiError>(())
 //! ```
 //!
-//! The staged pipeline remains available for callers that need the raw
-//! artifacts (see [`pipeline`]), and `polyinv-cli` ships the same surface
+//! The pipeline remains available for callers that need the generated
+//! system itself (see [`pipeline`]), and `polyinv-cli` ships the same surface
 //! as the `polyinv` binary (`polyinv synth <file> --target "..." --json`).
 
 pub mod bridge;
 pub mod check;
 pub mod pipeline;
-pub mod strong;
 pub mod weak;
 
 pub use bridge::{system_to_problem, system_to_problem_with_fixed};
 pub use check::{check_inductive, falsify, CheckOptions, CheckReport, PairCertificate};
 pub use pipeline::{
-    Orchestrator, OrchestratorOutcome, OrchestratorStats, Pipeline, SolveAttempt, SolvePlan,
-    StageTimings, SynthesisContext,
+    EnumeratedInvariant, Enumeration, Orchestrator, OrchestratorOutcome, OrchestratorStats,
+    Pipeline, SolveAttempt, SolvePlan, StageTimings, SynthesisContext,
 };
-#[allow(deprecated)]
-pub use strong::{StrongOptions, StrongSynthesis};
 pub use weak::{fix_targets, TargetAssertion};
 
 /// Convenient glob-import for downstream users and examples.
 pub mod prelude {
     pub use crate::check::{check_inductive, falsify, CheckOptions};
     pub use crate::pipeline::{Orchestrator, Pipeline, SolvePlan, StageTimings, SynthesisContext};
-    #[allow(deprecated)]
-    pub use crate::strong::{StrongOptions, StrongSynthesis};
     pub use crate::weak::TargetAssertion;
     pub use polyinv_constraints::{SosEncoding, SynthesisOptions};
     pub use polyinv_lang::{

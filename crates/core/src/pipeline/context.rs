@@ -1,4 +1,5 @@
-//! The shared state threaded through the pipeline stages.
+//! The per-run state [`Pipeline::generate`](super::Pipeline::generate)
+//! threads through Steps 1–3, and the stage timing table.
 
 use std::time::Duration;
 
@@ -22,9 +23,9 @@ pub mod stage_names {
 
 /// Wall-clock time spent in each pipeline stage, in execution order.
 ///
-/// Stage names repeat across attempts (the ϒ-ladder of weak synthesis runs
-/// the generation stages once per rung), so recording accumulates into the
-/// existing entry.
+/// Stage names repeat across attempts (the orchestrator's ϒ ladder runs
+/// Steps 1–3 once per rung), so recording accumulates into the existing
+/// entry.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
     entries: Vec<(&'static str, Duration)>,
@@ -90,9 +91,9 @@ impl StageTimings {
     }
 }
 
-/// Per-run state shared by every stage: the program under analysis, the
+/// Per-run state shared by Steps 1–3: the program under analysis, the
 /// (augmented) pre-condition, the reduction options, and the diagnostics and
-/// timings accumulated as stages run.
+/// timings accumulated as the steps run.
 #[derive(Debug, Clone)]
 pub struct SynthesisContext<'p> {
     /// The program being analyzed.
@@ -106,9 +107,9 @@ pub struct SynthesisContext<'p> {
     pub recursive: bool,
     /// The control-flow graph of the program.
     pub cfg: Cfg,
-    /// The monomial arena of this run: one table serves every stage, so
+    /// The monomial arena of this run: one table serves every step, so
     /// interned ids stay meaningful from pair generation through reduction.
-    /// The reduction stage moves it into the `GeneratedSystem` it produces.
+    /// The reduction moves it into the `GeneratedSystem` it produces.
     pub mono_table: MonomialTable,
     timings: StageTimings,
     diagnostics: Vec<String>,
@@ -133,13 +134,6 @@ impl<'p> SynthesisContext<'p> {
         }
     }
 
-    /// Moves the monomial table out of the context (used by the reduction
-    /// stage to hand the arena to the `GeneratedSystem`; a fresh table takes
-    /// its place, so a re-used context starts a new arena).
-    pub fn take_mono_table(&mut self) -> MonomialTable {
-        std::mem::replace(&mut self.mono_table, MonomialTable::new())
-    }
-
     /// Appends a human-readable diagnostic line.
     pub fn note(&mut self, message: impl Into<String>) {
         self.diagnostics.push(message.into());
@@ -155,7 +149,7 @@ impl<'p> SynthesisContext<'p> {
         &self.timings
     }
 
-    /// Records time spent in a stage (used by the pipeline driver).
+    /// Records time spent in a stage (used by `Pipeline::generate`).
     pub(crate) fn record(&mut self, stage: &'static str, elapsed: Duration) {
         self.timings.record(stage, elapsed);
     }

@@ -1,41 +1,33 @@
-//! The staged synthesis pipeline (DESIGN.md §2).
+//! The synthesis pipeline (DESIGN.md §2).
 //!
-//! The paper's algorithms are four sequential steps. Steps 1–3 are explicit,
-//! named [`Stage`]s with typed artifacts:
-//!
-//! ```text
-//! TemplateStage   ()                          → TemplateArtifact   (Step 1)
-//! PairStage       &TemplateArtifact           → ConstraintPairs    (Step 2)
-//! ReductionStage  (TemplateArtifact, Pairs)   → GeneratedSystem    (Step 3)
-//! ```
-//!
-//! Step 4 has one path: the [`Orchestrator`], which runs the affine presolve
-//! (unless `SynthesisOptions::presolve` is off), the LM/penalty portfolio,
-//! the polish rounds and the exact certificate on every rung of the ϒ
-//! ladder.
-//!
-//! A [`SynthesisContext`] threads the options, diagnostics and per-stage
-//! wall-clock timings through the run; [`Pipeline`] wires the generation
-//! stages together. The orchestrator, `StrongSynthesis`, the Engine's
-//! generate-only mode and the benchmark harness all generate through it.
+//! The paper's algorithms are four sequential steps. [`Pipeline::generate`]
+//! runs Steps 1–3 (templates, constraint pairs, Putinar reduction) and
+//! records one timing entry and one diagnostic line per step in a
+//! [`SynthesisContext`]. Step 4 has one path, the [`Orchestrator`]: on
+//! every rung of the ϒ ladder it presolves, then runs weak synthesis
+//! ([`Orchestrator::solve`]) or strong enumeration
+//! ([`Orchestrator::enumerate`]).
 
-pub mod artifacts;
 pub mod context;
 pub mod orchestrator;
-pub mod stages;
 
-use polyinv_constraints::{ConstraintError, GeneratedSystem, SynthesisOptions};
-use polyinv_lang::{Precondition, Program};
+use std::time::Instant;
 
-pub use artifacts::{instantiate_solution, ConstraintPairs, TemplateArtifact};
+use polyinv_constraints::pairs::{generate_pairs, PairOptions};
+use polyinv_constraints::template::TemplateSet;
+use polyinv_constraints::{ConstraintError, GeneratedSystem, SynthesisOptions, UnknownRegistry};
+use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
+use polyinv_poly::{MonomialTable, UnknownId};
+
+use crate::bridge::round_assignment;
+
 pub use context::{stage_names, StageTimings, SynthesisContext};
 pub use orchestrator::{
-    Orchestrator, OrchestratorOutcome, OrchestratorStats, SolveAttempt, SolvePlan,
+    EnumeratedInvariant, Enumeration, Orchestrator, OrchestratorOutcome, OrchestratorStats,
+    SolveAttempt, SolvePlan,
 };
-pub use stages::{run_stage, PairStage, ReductionStage, Stage, TemplateStage};
 
-/// The staged generation pipeline (Steps 1–3) under fixed reduction
-/// options.
+/// The generation pipeline (Steps 1–3) under fixed reduction options.
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
     options: SynthesisOptions,
@@ -58,10 +50,10 @@ impl Pipeline {
     }
 
     /// Runs Steps 1–3, producing the quadratic system and recording one
-    /// timing entry per stage in `ctx`.
+    /// timing entry and one diagnostic line per step in `ctx`.
     ///
     /// The output is identical to `polyinv_constraints::generate` (the
-    /// single-call form used by code that does not need staging).
+    /// single-call form used by code that does not need the timings).
     ///
     /// # Errors
     ///
@@ -71,10 +63,97 @@ impl Pipeline {
         &self,
         ctx: &mut SynthesisContext<'_>,
     ) -> Result<GeneratedSystem, ConstraintError> {
-        let templates = run_stage(ctx, &TemplateStage, ());
-        let pairs = run_stage(ctx, &PairStage, &templates)?;
-        Ok(run_stage(ctx, &ReductionStage, (templates, pairs)))
+        // Step 1: one template per label (and, for recursive programs, one
+        // post-condition template per function).
+        let start = Instant::now();
+        let mut registry = UnknownRegistry::new();
+        let templates = TemplateSet::build(
+            ctx.program,
+            &mut registry,
+            ctx.options.degree,
+            ctx.options.size,
+            ctx.recursive,
+        );
+        ctx.note(format!(
+            "templates: {} label template(s), {} post-condition template(s), {} unknown(s)",
+            templates.invariants.len(),
+            templates.postconditions.len(),
+            registry.len(),
+        ));
+        ctx.record(stage_names::TEMPLATES, start.elapsed());
+
+        // Step 2: the constraint pairs `(Γ, g)` of every transition,
+        // initiation point, call and return.
+        let start = Instant::now();
+        let pairs = generate_pairs(
+            ctx.program,
+            &ctx.cfg,
+            &ctx.precondition,
+            &templates,
+            PairOptions {
+                recursive: ctx.recursive,
+            },
+            &mut ctx.mono_table,
+        )?;
+        ctx.note(format!("pairs: {} constraint pair(s)", pairs.len()));
+        ctx.record(stage_names::PAIRS, start.elapsed());
+
+        // Step 3: the Putinar translation, shared with
+        // `polyinv_constraints::generate` so the two entry points cannot
+        // diverge. The run's monomial arena moves into the system here (a
+        // re-used context starts a new arena).
+        let start = Instant::now();
+        let mono_table = std::mem::replace(&mut ctx.mono_table, MonomialTable::new());
+        let generated = polyinv_constraints::reduce_pairs(
+            templates,
+            registry,
+            pairs,
+            &ctx.options,
+            ctx.recursive,
+            ctx.precondition.clone(),
+            mono_table,
+        );
+        ctx.note(format!(
+            "reduction: |S| = {}, {} unknown(s)",
+            generated.size(),
+            generated.system.num_unknowns(),
+        ));
+        ctx.record(stage_names::REDUCTION, start.elapsed());
+        Ok(generated)
     }
+}
+
+/// Instantiates the templates of a generated system under a numeric
+/// assignment of the unknowns, returning the invariant map and
+/// post-conditions. Conjuncts that instantiate to the zero polynomial are
+/// dropped.
+pub fn instantiate_solution(
+    program: &Program,
+    generated: &GeneratedSystem,
+    assignment: &[f64],
+) -> (InvariantMap, Postcondition) {
+    let rounded = round_assignment(assignment);
+    let lookup = |u: UnknownId| rounded[u.index()];
+    let mut invariant = InvariantMap::new();
+    for function in program.functions() {
+        for &label in function.labels() {
+            let template = generated.templates.invariant(label);
+            for poly in template.instantiate(lookup) {
+                if !poly.is_zero() {
+                    invariant.add(label, poly);
+                }
+            }
+        }
+    }
+    let mut postconditions = Postcondition::new();
+    for (name, template) in &generated.templates.postconditions {
+        for poly in template.instantiate(lookup) {
+            if !poly.is_zero() {
+                postconditions.add(name, poly);
+            }
+        }
+    }
+    (invariant, postconditions)
 }
 
 #[cfg(test)]

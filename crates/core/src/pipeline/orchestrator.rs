@@ -21,6 +21,12 @@
 //! coefficients. The alternation (free the SOS side, then the template
 //! side, then the linear tail) walks the candidate out of the plateau the
 //! joint solve stalls on.
+//!
+//! Strong synthesis climbs the same rungs ([`Orchestrator::enumerate`]):
+//! rung preparation, the ladder and the deadline are shared, and only
+//! Step 4 differs — diversified multi-start LM attempts instead of the
+//! portfolio, with every distinct feasible point certified before it joins
+//! the representative set.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -28,18 +34,33 @@ use std::time::{Duration, Instant};
 use polyinv_arith::Rational;
 use polyinv_constraints::exact::{exact_recheck_ladder, ExactCheckConfig, ExactReport};
 use polyinv_constraints::{
-    ConstraintError, GeneratedSystem, PresolveOptions, PresolveStats, QuadraticSystem,
-    SynthesisOptions, UnknownKind,
+    ConstraintError, Elimination, GeneratedSystem, PresolveOptions, PresolveStats, PresolvedSystem,
+    QuadraticSystem, SynthesisOptions, UnknownKind,
 };
 use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::UnknownId;
+use polyinv_qcqp::par::parallel_indexed;
 use polyinv_qcqp::{
-    AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, SolveOutcome, SolverStats,
+    AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QuadraticForm, SolveOutcome,
+    SolveStatus, SolverStats,
 };
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::bridge::system_to_problem_with_fixed;
 use crate::pipeline::{instantiate_solution, stage_names, Pipeline, StageTimings};
 use crate::weak::TargetAssertion;
+
+/// Two members of a strong rung whose template-coefficient vectors lie
+/// within this Euclidean distance are the same invariant.
+const DISTINCTNESS_THRESHOLD: f64 = 0.5;
+
+/// LM restarts of one strong attempt: the attempts themselves are the
+/// multi-start.
+const ENUMERATION_RESTARTS: usize = 1;
+
+/// Weight of a strong attempt's diversifying objective.
+const ENUMERATION_OBJECTIVE_WEIGHT: f64 = 0.02;
 
 /// The budgets and acceptance policy of an orchestrated solve: how hard
 /// each rung may try, which back-ends race, and what the certificate must
@@ -66,9 +87,10 @@ pub struct SolvePlan {
     /// the exact-rational tolerance a certificate must meet.
     pub certificate: ExactCheckConfig,
     /// Wall-clock budget in seconds for the whole orchestrated solve (all
-    /// rungs, lanes and polish rounds together). Per-lane and per-polish
-    /// budgets are clamped to the time remaining; when the deadline passes,
-    /// polish stops and no further rung starts — so arbitrarily large
+    /// rungs, lanes, polish rounds and strong attempts together). Per-lane,
+    /// per-polish and per-attempt budgets are clamped to the time
+    /// remaining; when the deadline passes, polish stops, no further strong
+    /// attempt or rung starts — so arbitrarily large
     /// systems get a bounded, best-effort attempt instead of being skipped
     /// outright. `0` disables the budget.
     pub solve_budget_seconds: f64,
@@ -244,6 +266,74 @@ pub struct OrchestratorOutcome {
     pub stats: OrchestratorStats,
 }
 
+/// A member of a strong enumeration: a distinct invariant whose snapped
+/// coefficients passed the exact certificate.
+#[derive(Debug, Clone)]
+pub struct EnumeratedInvariant {
+    /// The invariant map.
+    pub invariant: InvariantMap,
+    /// The post-conditions (recursive programs only).
+    pub postconditions: Postcondition,
+    /// The member's assignment over its rung's unknown space.
+    pub assignment: Vec<f64>,
+    /// The member's passing certificate.
+    pub exact: ExactReport,
+}
+
+/// The result of [`Orchestrator::enumerate`].
+#[derive(Debug, Clone)]
+pub struct Enumeration {
+    /// The representative set, in attempt order (empty when no rung
+    /// yielded a certified member).
+    pub members: Vec<EnumeratedInvariant>,
+    /// The system of the rung that yielded the members (else the last
+    /// rung tried): the source of a strong report's `|S|`.
+    pub generated: GeneratedSystem,
+    /// Per-stage wall-clock accumulated over all rungs.
+    pub timings: StageTimings,
+    /// The summary; `certificate_violation` is the members' worst exact
+    /// violation (0 without members).
+    pub stats: OrchestratorStats,
+}
+
+/// A rung's system ready for Step 4: generated at the rung's ϒ, targets
+/// pinned, presolved and built into the solver-space problem.
+struct Rung {
+    /// The rung's generated system (pre-presolve).
+    generated: GeneratedSystem,
+    /// The target pins.
+    fixed: HashMap<UnknownId, Rational>,
+    /// The presolve result (`None` when presolve is off).
+    presolved: Option<PresolvedSystem>,
+    /// The target pins plus every unknown presolve eliminated: the
+    /// coordinates outside the solver's variable space.
+    pins: HashMap<UnknownId, Rational>,
+    /// The problem the solvers see.
+    problem: Problem,
+    /// The unknown behind each solver variable.
+    mapping: Vec<UnknownId>,
+}
+
+impl Rung {
+    /// Reassembles a solver-space point onto the full unknown space (pins,
+    /// solver values, then presolve back-substitution) and scores it on the
+    /// *original* system, so scores mean the same with and without presolve.
+    fn reassemble(&self, point: &[f64]) -> (Vec<f64>, f64) {
+        let mut assignment = vec![0.0; self.generated.system.num_unknowns()];
+        for (id, value) in &self.pins {
+            assignment[id.index()] = value.to_f64();
+        }
+        for (slot, id) in self.mapping.iter().enumerate() {
+            assignment[id.index()] = point[slot];
+        }
+        if let Some(result) = &self.presolved {
+            result.map.back_substitute(&mut assignment);
+        }
+        let violation = self.generated.system.max_violation(&assignment);
+        (assignment, violation)
+    }
+}
+
 /// One portfolio lane's raw result on a rung.
 struct LaneResult {
     backend: &'static str,
@@ -387,43 +477,20 @@ impl Orchestrator {
         pre: &Precondition,
         targets: &[TargetAssertion],
     ) -> Result<OrchestratorOutcome, ConstraintError> {
-        let ladder = self.plan.options.upsilon_ladder();
-        let budget = self.plan.solve_budget_seconds;
-        let deadline = if budget > 0.0 {
-            Duration::try_from_secs_f64(budget)
-                .ok()
-                .and_then(|budget| Instant::now().checked_add(budget))
-        } else {
-            None
-        };
         let mut timings = StageTimings::new();
         let mut history: Vec<SolveAttempt> = Vec::new();
         let mut cache = SolveCache::default();
         let mut best: Option<RungResult> = None;
-        let mut rung_reached = 0;
-        let mut rungs_tried = 0;
-
-        for &upsilon in &ladder {
-            // The whole-solve deadline: the first rung always runs (a
-            // best-effort attempt is the point of the budget), later rungs
-            // only start while time remains.
-            if best.is_some() && deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                break;
-            }
-            rungs_tried += 1;
-            rung_reached = upsilon;
-            let options = self.plan.options.clone().with_upsilon(upsilon);
-            let rung = self.run_rung(
-                program,
-                pre,
-                targets,
-                &options,
+        let (rungs_tried, rung_reached) = self.climb(|upsilon, deadline| {
+            let rung = self.prepare_rung(program, pre, targets, upsilon, &mut timings)?;
+            let rung = self.solve_rung(
+                rung,
                 upsilon,
                 deadline,
                 &mut cache,
                 &mut timings,
                 &mut history,
-            )?;
+            );
             let accept = rung.certified;
             let better = match &best {
                 None => true,
@@ -438,10 +505,8 @@ impl Orchestrator {
             if better {
                 best = Some(rung);
             }
-            if accept {
-                break;
-            }
-        }
+            Ok(accept)
+        })?;
 
         let best = best.expect("the ϒ ladder is never empty");
         let (invariant, postconditions) =
@@ -473,56 +538,153 @@ impl Orchestrator {
         })
     }
 
-    /// One rung: generate, presolve, race the portfolio, polish the winner,
-    /// snap and certify.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rung(
+    /// Enumerates a representative set of inductive invariants (strong
+    /// synthesis, `StrongInvSynth`/`RecStrongInvSynth`).
+    ///
+    /// The paper's enumeration (one solution per connected component of the
+    /// solution variety) is impractical, its Remark 8 says, so each rung
+    /// runs `attempts` diversified LM solves instead and keeps the distinct
+    /// certified points ([`Self::enumerate_rung`]). The rungs are those
+    /// [`Orchestrator::solve`] climbs (same generation, presolve and
+    /// whole-solve deadline); the ladder stops at the first rung that
+    /// yields a member.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConstraintError`] when the generation stages reject the
+    /// program.
+    pub fn enumerate(
+        &self,
+        program: &Program,
+        pre: &Precondition,
+        attempts: usize,
+    ) -> Result<Enumeration, ConstraintError> {
+        let mut timings = StageTimings::new();
+        let mut history: Vec<SolveAttempt> = Vec::new();
+        let mut last: Option<(GeneratedSystem, Vec<EnumeratedInvariant>)> = None;
+        let (rungs_tried, rung_reached) = self.climb(|upsilon, deadline| {
+            let rung = self.prepare_rung(program, pre, &[], upsilon, &mut timings)?;
+            let solve_start = Instant::now();
+            let members =
+                self.enumerate_rung(program, &rung, upsilon, attempts, deadline, &mut history);
+            timings.record(stage_names::SOLVE, solve_start.elapsed());
+            let found = !members.is_empty();
+            last = Some((rung.generated, members));
+            Ok(found)
+        })?;
+        let (generated, members) = last.expect("the ϒ ladder is never empty");
+        Ok(Enumeration {
+            stats: OrchestratorStats {
+                attempts: history.len(),
+                rungs_tried,
+                rung_reached,
+                winning_backend: "lm".to_string(),
+                certified: !members.is_empty(),
+                certificate_violation: members
+                    .iter()
+                    .map(|member| member.exact.worst_violation.to_f64())
+                    .fold(0.0, f64::max),
+                history,
+            },
+            members,
+            generated,
+            timings,
+        })
+    }
+
+    /// The ϒ ladder of both modes: runs `run_rung(upsilon, deadline)` per
+    /// rung until it returns `true`. The first rung always runs (a
+    /// best-effort attempt is the point of the budget); later rungs only
+    /// start before the whole-solve deadline. Returns the rungs tried and
+    /// the last ϒ.
+    fn climb(
+        &self,
+        mut run_rung: impl FnMut(u32, Option<Instant>) -> Result<bool, ConstraintError>,
+    ) -> Result<(usize, u32), ConstraintError> {
+        let budget = self.plan.solve_budget_seconds;
+        let deadline = if budget > 0.0 {
+            Duration::try_from_secs_f64(budget)
+                .ok()
+                .and_then(|budget| Instant::now().checked_add(budget))
+        } else {
+            None
+        };
+        let mut rungs_tried = 0;
+        let mut rung_reached = 0;
+        for upsilon in self.plan.options.upsilon_ladder() {
+            if rungs_tried > 0 && deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                break;
+            }
+            rungs_tried += 1;
+            rung_reached = upsilon;
+            if run_rung(upsilon, deadline)? {
+                break;
+            }
+        }
+        Ok((rungs_tried, rung_reached))
+    }
+
+    /// Rung preparation, shared by both modes: Steps 1–3 at ϒ = `upsilon`
+    /// (one timing entry each), the target pins, the affine presolve seeded
+    /// with them, and the solver-space problem with every eliminated unknown
+    /// pinned out (its build counts as solve time).
+    fn prepare_rung(
         &self,
         program: &Program,
         pre: &Precondition,
         targets: &[TargetAssertion],
-        options: &SynthesisOptions,
         upsilon: u32,
-        deadline: Option<Instant>,
-        cache: &mut SolveCache,
         timings: &mut StageTimings,
-        history: &mut Vec<SolveAttempt>,
-    ) -> Result<RungResult, ConstraintError> {
-        // Steps 1–3 through the staged pipeline (one timing entry each).
-        let pipeline = Pipeline::new(options.clone());
+    ) -> Result<Rung, ConstraintError> {
+        let pipeline = Pipeline::new(self.plan.options.clone().with_upsilon(upsilon));
         let mut ctx = pipeline.context(program, pre);
         let generated = pipeline.generate(&mut ctx)?;
         timings.absorb(ctx.timings());
         let fixed = crate::fix_targets(&generated, targets);
 
-        // Affine presolve, seeded with the target pins.
         let presolve_start = Instant::now();
-        let presolved = options.presolve.then(|| {
+        let presolved = pipeline.options().presolve.then(|| {
             polyinv_constraints::presolve(&generated.system, &fixed, &PresolveOptions::default())
         });
-        let mut presolve_timing = StageTimings::new();
-        presolve_timing.record(stage_names::PRESOLVE, presolve_start.elapsed());
+        timings.record(stage_names::PRESOLVE, presolve_start.elapsed());
 
-        // The lanes see the presolved system; eliminated unknowns are pinned
-        // out of the variable space (placeholders are overwritten by
-        // back-substitution).
-        let (sub_system, solver_fixed) = match &presolved {
-            Some(result) => {
-                let mut solver_fixed = fixed.clone();
-                for elim in result.map.iter() {
-                    if elim.eliminates() {
-                        let value = match elim {
-                            polyinv_constraints::Elimination::Fixed { value, .. } => *value,
-                            _ => Rational::zero(),
-                        };
-                        solver_fixed.insert(elim.unknown(), value);
-                    }
-                }
-                (&result.system, solver_fixed)
+        let build_start = Instant::now();
+        let mut pins = fixed.clone();
+        if let Some(result) = &presolved {
+            for elim in result.map.iter().filter(|elim| elim.eliminates()) {
+                let value = match elim {
+                    Elimination::Fixed { value, .. } => *value,
+                    _ => Rational::zero(),
+                };
+                pins.insert(elim.unknown(), value);
             }
-            None => (&generated.system, fixed.clone()),
-        };
+        }
+        let system = presolved
+            .as_ref()
+            .map_or(&generated.system, |result| &result.system);
+        let (problem, mapping) = system_to_problem_with_fixed(system, &pins);
+        timings.record(stage_names::SOLVE, build_start.elapsed());
+        Ok(Rung {
+            generated,
+            fixed,
+            presolved,
+            pins,
+            problem,
+            mapping,
+        })
+    }
 
+    /// Step 4 of a weak rung: race the portfolio, polish the winner, snap
+    /// and certify.
+    fn solve_rung(
+        &self,
+        rung: Rung,
+        upsilon: u32,
+        deadline: Option<Instant>,
+        cache: &mut SolveCache,
+        timings: &mut StageTimings,
+        history: &mut Vec<SolveAttempt>,
+    ) -> RungResult {
         // Portfolio race: both lanes run to completion under their own
         // budgets; the winner is picked deterministically afterwards, so
         // the outcome does not depend on which lane finishes first. Under a
@@ -541,69 +703,46 @@ impl Orchestrator {
         let lm_solver = LmSolver::new(lm_options);
         let penalty_solver = penalty_options.map(AlmSolver::new);
 
-        // Both lanes share one problem build and one warm start: the
+        // Both lanes share the rung's problem and one warm start: the
         // previous rung's best point, carried across the re-indexed unknown
         // space by provenance ([`SolveCache::warm_vector`]).
-        let (problem, mapping) = system_to_problem_with_fixed(sub_system, &solver_fixed);
-        let warm = cache.warm_vector(&generated.system.registry, &mapping);
+        let problem = &rung.problem;
+        let warm = cache.warm_vector(&rung.generated.system.registry, &rung.mapping);
+        // Each lane comes back as `(backend, outcome, seconds)`.
         let (lm_lane, penalty_lane) = std::thread::scope(|scope| {
             let penalty_handle = penalty_solver.as_ref().map(|solver| {
-                let problem = &problem;
                 let warm = &warm;
                 scope.spawn(move || {
                     let start = Instant::now();
                     let outcome = solver.solve(problem, Some(warm));
-                    (outcome, start.elapsed().as_secs_f64())
+                    ("penalty", outcome, start.elapsed().as_secs_f64())
                 })
             });
             let start = Instant::now();
-            let outcome = cache.solve_lm(&lm_solver, &problem, Some(&warm));
-            let lm_lane = RawLane {
-                backend: "lm",
-                outcome,
-                seconds: start.elapsed().as_secs_f64(),
-            };
-            let penalty_lane = penalty_handle.map(|handle| {
-                let (outcome, seconds) = handle.join().expect("penalty lane panicked");
-                RawLane {
-                    backend: "penalty",
-                    outcome,
-                    seconds,
-                }
-            });
+            let outcome = cache.solve_lm(&lm_solver, problem, Some(&warm));
+            let lm_lane = ("lm", outcome, start.elapsed().as_secs_f64());
+            let penalty_lane =
+                penalty_handle.map(|handle| handle.join().expect("penalty lane panicked"));
             (lm_lane, penalty_lane)
         });
 
-        // Reassemble each lane onto the full unknown space and score it on
-        // the *original* system, so the comparison means the same thing
-        // with and without presolve.
         let mut lanes = Vec::new();
-        for lane in [Some(lm_lane), penalty_lane].into_iter().flatten() {
-            let mut assignment = vec![0.0; generated.system.num_unknowns()];
-            for (id, value) in &solver_fixed {
-                assignment[id.index()] = value.to_f64();
-            }
-            for (slot, id) in mapping.iter().enumerate() {
-                assignment[id.index()] = lane.outcome.assignment[slot];
-            }
-            if let Some(result) = &presolved {
-                result.map.back_substitute(&mut assignment);
-            }
-            let violation = generated.system.max_violation(&assignment);
-            let feasible = lane.outcome.status == polyinv_qcqp::SolveStatus::Feasible;
+        for (backend, outcome, seconds) in [Some(lm_lane), penalty_lane].into_iter().flatten() {
+            let (assignment, violation) = rung.reassemble(&outcome.assignment);
+            let feasible = outcome.status == SolveStatus::Feasible;
             history.push(SolveAttempt {
                 upsilon,
-                backend: lane.backend.to_string(),
+                backend: backend.to_string(),
                 feasible,
                 violation,
-                seconds: lane.seconds,
+                seconds,
             });
             lanes.push(LaneResult {
-                backend: lane.backend,
+                backend,
                 assignment,
                 violation,
                 feasible,
-                stats: lane.outcome.stats,
+                stats: outcome.stats,
             });
         }
         let winner = pick_winner(lanes);
@@ -613,7 +752,14 @@ impl Orchestrator {
         let mut violation = winner.violation;
         if self.plan.polish_rounds > 0 && violation > self.plan.lm.tolerance {
             let polish_start = Instant::now();
-            let polished = self.polish(&generated, &fixed, assignment, violation, deadline, cache);
+            let polished = self.polish(
+                &rung.generated,
+                &rung.fixed,
+                assignment,
+                violation,
+                deadline,
+                cache,
+            );
             assignment = polished.0;
             violation = polished.1;
             history.push(SolveAttempt {
@@ -624,15 +770,15 @@ impl Orchestrator {
                 seconds: polish_start.elapsed().as_secs_f64(),
             });
         }
-        presolve_timing.record(stage_names::SOLVE, solve_start.elapsed());
-        timings.absorb(&presolve_timing);
+        timings.record(stage_names::SOLVE, solve_start.elapsed());
 
         // Snap and certify: the exact re-check walks the coarse-to-fine
         // snap ladder (`k/64` → `k/256` → pure dyadic at 2^24 and 2^32),
         // evaluating every constraint in rational arithmetic, and accepts
         // the first rounding whose certificate passes.
         let cert_start = Instant::now();
-        let exact = exact_recheck_ladder(&generated.system, &assignment, &self.plan.certificate);
+        let exact =
+            exact_recheck_ladder(&rung.generated.system, &assignment, &self.plan.certificate);
         let certified = exact.passed();
         history.push(SolveAttempt {
             upsilon,
@@ -644,20 +790,137 @@ impl Orchestrator {
 
         // The rung's polished point becomes the next rung's warm start,
         // carried by unknown provenance across the re-indexed registry.
-        cache.record_rung(&generated.system.registry, &assignment);
+        cache.record_rung(&rung.generated.system.registry, &assignment);
 
         let feasible = violation <= self.plan.lm.tolerance || winner.feasible;
-        Ok(RungResult {
+        RungResult {
             assignment,
             violation,
             feasible,
             certified,
             backend: winner.backend,
             solver: winner.stats,
-            presolve: presolved.map(|result| result.stats),
+            presolve: rung.presolved.map(|result| result.stats),
             exact,
-            generated,
-        })
+            generated: rung.generated,
+        }
+    }
+
+    /// Step 4 of a strong rung: `attempts` parallel LM solves, attempt 0
+    /// from the weak lanes' cold point `0.05`, later ones from a seeded
+    /// jitter of it in `[0.01, 0.09)`, each pulling the template
+    /// coefficients along its own linear objective. Under a deadline each
+    /// attempt's cap is clamped to the time left (at least one second) and
+    /// attempts after it are skipped, attempt 0 excepted. Scanning in
+    /// attempt order (so the members do not depend on the thread count),
+    /// an LM-feasible point farther than [`DISTINCTNESS_THRESHOLD`] from
+    /// every earlier member that passes the exact certificate joins.
+    fn enumerate_rung(
+        &self,
+        program: &Program,
+        rung: &Rung,
+        upsilon: u32,
+        attempts: usize,
+        deadline: Option<Instant>,
+        history: &mut Vec<SolveAttempt>,
+    ) -> Vec<EnumeratedInvariant> {
+        let template_ids = rung.generated.system.registry.template_unknowns();
+        // Template unknowns eliminated by presolve have no solver slot.
+        let slots: HashMap<UnknownId, usize> = rung
+            .mapping
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| (id, slot))
+            .collect();
+        let num_vars = rung.problem.num_vars;
+        let seed = LmOptions::default().seed;
+        let outcomes = parallel_indexed(attempts.max(1), |attempt| {
+            let mut max_seconds = 0.0;
+            if let Some(deadline) = deadline {
+                let left = seconds_left(deadline);
+                if left.is_none() && attempt > 0 {
+                    return None;
+                }
+                max_seconds = left.unwrap_or(0.0).max(1.0);
+            }
+            let warm: Vec<f64> = if attempt == 0 {
+                vec![0.05; num_vars]
+            } else {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(attempt as u64));
+                (0..num_vars)
+                    .map(|_| rng.random_range(0.01..0.09))
+                    .collect()
+            };
+            let mut objective = QuadraticForm::constant(0.0);
+            for (k, id) in template_ids.iter().enumerate() {
+                if let Some(&slot) = slots.get(id) {
+                    let direction = if (attempt + k) % 2 == 0 { 1.0 } else { -1.0 };
+                    let weight = 0.01 * direction * (attempt + 1) as f64;
+                    objective.linear.push((slot, weight));
+                }
+            }
+            let mut problem = rung.problem.clone();
+            problem.objective = Some(objective);
+            let solver = LmSolver::new(LmOptions {
+                restarts: ENUMERATION_RESTARTS,
+                objective_weight: ENUMERATION_OBJECTIVE_WEIGHT,
+                seed: seed.wrapping_add(attempt as u64 * 7919),
+                // The attempt loop is already the parallel level.
+                parallel_restarts: false,
+                max_seconds,
+                ..LmOptions::default()
+            });
+            let start = Instant::now();
+            let outcome = solver.solve(&problem, Some(&warm));
+            Some((outcome, start.elapsed().as_secs_f64()))
+        });
+
+        let distance = |a: &[f64], b: &[f64]| {
+            template_ids
+                .iter()
+                .map(|id| (a[id.index()] - b[id.index()]).powi(2))
+                .sum::<f64>()
+                .sqrt()
+        };
+        let mut members: Vec<EnumeratedInvariant> = Vec::new();
+        for (outcome, seconds) in outcomes.into_iter().flatten() {
+            let (assignment, violation) = rung.reassemble(&outcome.assignment);
+            let feasible = outcome.status == SolveStatus::Feasible;
+            history.push(SolveAttempt {
+                upsilon,
+                backend: "lm".to_string(),
+                feasible,
+                violation,
+                seconds,
+            });
+            let known = members
+                .iter()
+                .any(|member| distance(&member.assignment, &assignment) <= DISTINCTNESS_THRESHOLD);
+            if !feasible || known {
+                continue;
+            }
+            let cert_start = Instant::now();
+            let exact =
+                exact_recheck_ladder(&rung.generated.system, &assignment, &self.plan.certificate);
+            history.push(SolveAttempt {
+                upsilon,
+                backend: "certificate".to_string(),
+                feasible: exact.passed(),
+                violation: exact.worst_violation.to_f64(),
+                seconds: cert_start.elapsed().as_secs_f64(),
+            });
+            if exact.passed() {
+                let (invariant, postconditions) =
+                    instantiate_solution(program, &rung.generated, &assignment);
+                members.push(EnumeratedInvariant {
+                    invariant,
+                    postconditions,
+                    assignment,
+                    exact,
+                });
+            }
+        }
+        members
     }
 
     /// Block-coordinate polish: alternately frees the SOS side (multiplier,
@@ -776,14 +1039,6 @@ impl Orchestrator {
         let violation = system.max_violation(&assignment);
         Some((assignment, violation))
     }
-}
-
-/// A lane's raw solver output (the problem build and unknown mapping are
-/// shared by both lanes of a rung).
-struct RawLane {
-    backend: &'static str,
-    outcome: SolveOutcome,
-    seconds: f64,
 }
 
 /// Seconds left before `deadline`, or `None` once it has passed.
@@ -935,6 +1190,65 @@ mod tests {
             .history
             .iter()
             .any(|a| a.backend == "certificate" && a.feasible));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn enumeration_finds_multiple_distinct_invariants_for_a_tiny_program() {
+        // x := x + 1 in a bounded loop admits many linear invariants.
+        let program = parse_program(
+            r#"
+            inc(x) {
+                @pre(x >= 0);
+                while x <= 5 do
+                    x := x + 1
+                od;
+                return x
+            }
+            "#,
+        )
+        .unwrap();
+        let pre = Precondition::from_program(&program);
+        let options = SynthesisOptions::with_degree_and_size(1, 1)
+            .with_upsilon(2)
+            .with_encoding(polyinv_constraints::SosEncoding::Cholesky);
+        let plan = SolvePlan::new(options);
+        let enumeration = Orchestrator::new(plan.clone())
+            .enumerate(&program, &pre, 4)
+            .unwrap();
+        let members = &enumeration.members;
+        assert!(
+            !members.is_empty(),
+            "at least one inductive invariant should be found: {:?}",
+            enumeration.stats.history
+        );
+        assert!(enumeration.stats.certified);
+        // Every member is certified: its snapped point passes the exact
+        // re-check against the system of the rung that produced it.
+        for member in members {
+            assert!(member.exact.passed());
+            let recheck = exact_recheck_ladder(
+                &enumeration.generated.system,
+                &member.assignment,
+                &plan.certificate,
+            );
+            assert!(recheck.passed(), "{recheck:?}");
+        }
+        // Members are pairwise distinct template-coefficient vectors.
+        let template_ids = enumeration.generated.system.registry.template_unknowns();
+        for (i, a) in members.iter().enumerate() {
+            for b in members.iter().skip(i + 1) {
+                let distance = template_ids
+                    .iter()
+                    .map(|id| (a.assignment[id.index()] - b.assignment[id.index()]).powi(2))
+                    .sum::<f64>()
+                    .sqrt();
+                assert!(distance > DISTINCTNESS_THRESHOLD);
+            }
+        }
     }
 
     #[test]

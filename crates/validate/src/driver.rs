@@ -4,12 +4,13 @@
 //!
 //! This is the engine the `polyinv validate` subcommand and the
 //! `reproduce --validate` harness run on. It deliberately shares the
-//! Engine's label/assertion resolution helpers so a label index or target
-//! text means exactly the same thing as in a plain `synth` request.
+//! Engine's label/assertion resolution helpers and weak report assembly, so
+//! a label index or target text means exactly the same thing, and the
+//! report reads the same, as in a plain `synth` request.
 
 use polyinv::SolvePlan;
-use polyinv_api::engine::{check_backend, escalate_degree, resolve_weak_targets};
-use polyinv_api::{ApiError, Mode, ReportStatus, SynthesisReport, SynthesisRequest};
+use polyinv_api::engine::{check_backend, escalate_degree, resolve_weak_targets, weak_report};
+use polyinv_api::{ApiError, Mode, SynthesisReport, SynthesisRequest};
 use polyinv_lang::Precondition;
 
 use crate::{synthesize_and_validate, ValidationConfig};
@@ -18,9 +19,11 @@ use crate::{synthesize_and_validate, ValidationConfig};
 /// orchestrator, then attack the result with trace falsification and the
 /// exact-rational re-check.
 ///
-/// The returned report is shaped like an Engine weak-mode report, with the
-/// `validate` field filled when the solve produced a candidate. A certified
-/// solve that fails trace validation keeps [`ReportStatus::Synthesized`]
+/// The returned report is the Engine's weak-mode report
+/// ([`weak_report`]) plus the validation's diagnostics and `validate`
+/// record, filled when the solve produced a candidate. A certified solve
+/// that fails trace validation keeps
+/// [`ReportStatus::Synthesized`](polyinv_api::ReportStatus::Synthesized)
 /// (the solver's claim) — callers decide how hard to fail on
 /// `validate.passed == false` (the CLI exits non-zero).
 ///
@@ -32,108 +35,30 @@ pub fn run_validated(
     request: &SynthesisRequest,
     config: &ValidationConfig,
 ) -> Result<SynthesisReport, ApiError> {
-    if let Some(name) = &request.backend {
-        // Same rejection the Engine applies: an unknown back-end name is a
-        // request error, not a silently ignored preference.
-        check_backend(name)?;
-    }
-    run_validated_with_plan(request, config, |options| {
-        let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
-        if let Some(name) = &request.backend {
-            plan = plan.with_backend_preference(name);
-        }
-        plan
-    })
-}
-
-/// [`run_validated`] with a caller-supplied solve plan (the bench harness
-/// passes its budgeted table plan). `make_plan` receives the
-/// degree-escalated options of the request; the request's `backend` field
-/// is ignored in favor of whatever portfolio the plan encodes.
-///
-/// # Errors
-///
-/// Same contract as [`run_validated`].
-pub fn run_validated_with_plan(
-    request: &SynthesisRequest,
-    config: &ValidationConfig,
-    make_plan: impl FnOnce(polyinv_constraints::SynthesisOptions) -> SolvePlan,
-) -> Result<SynthesisReport, ApiError> {
     if request.mode != Mode::Weak {
         return Err(ApiError::InvalidRequest {
             message: "validated synthesis serves weak-mode requests only".to_string(),
         });
     }
+    if let Some(name) = &request.backend {
+        // Same rejection the Engine applies: an unknown back-end name is a
+        // request error, not a silently ignored preference.
+        check_backend(name)?;
+    }
     let program = polyinv_lang::parse_program(&request.source)?;
-    // The exact request validation the Engine's weak mode applies: both
-    // entry points accept and reject the same requests.
+    // The exact request validation and plan the Engine's weak mode uses:
+    // both entry points accept, reject and solve the same requests.
     let targets = resolve_weak_targets(&program, request)?;
     let (options, escalation) = escalate_degree(&request.options, &targets);
-    let plan = make_plan(options);
+    let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
+    if let Some(name) = &request.backend {
+        plan = plan.with_backend_preference(name);
+    }
 
     let pre = Precondition::from_program(&program);
-    let outcome = synthesize_and_validate(&program, &pre, &targets, &plan, config)?;
-
-    let status = if outcome.certified {
-        ReportStatus::Synthesized
-    } else {
-        ReportStatus::Failed
-    };
-    let mut report = SynthesisReport {
-        id: request.id.clone(),
-        mode: Mode::Weak,
-        status,
-        backend: outcome.backend.to_string(),
-        system_size: outcome.system_size,
-        num_unknowns: outcome.num_unknowns,
-        violation: outcome.violation,
-        pairs_total: 0,
-        pairs_certified: 0,
-        invariants: Vec::new(),
-        postconditions: Vec::new(),
-        timings: outcome
-            .timings
-            .iter()
-            .map(|(stage, duration)| (stage.to_string(), duration.as_secs_f64()))
-            .collect(),
-        diagnostics: Vec::new(),
-        validate: None,
-        solver: Some(polyinv_api::SolverRecord::from(&outcome.solver)),
-        presolve: outcome
-            .presolve
-            .as_ref()
-            .map(polyinv_api::PresolveRecord::from),
-        orchestrator: Some(polyinv_api::report::OrchestratorRecord::from(
-            &outcome.stats,
-        )),
-    };
-    if let Some(note) = escalation {
-        report.diagnostics.push(note);
-    }
-    if outcome.certified {
-        report.invariants = outcome
-            .invariant
-            .render(&program)
-            .lines()
-            .map(str::to_string)
-            .collect();
-        for (function, atoms) in outcome.postconditions.iter() {
-            for atom in atoms {
-                report.postconditions.push(format!(
-                    "{function}: {} {} 0",
-                    program.render_poly(&atom.poly),
-                    if atom.strict { ">" } else { ">=" }
-                ));
-            }
-        }
-        report.postconditions.sort();
-    } else {
-        report.diagnostics.push(format!(
-            "solver `{}` stopped at violation {:.3e}",
-            outcome.backend, outcome.violation
-        ));
-    }
-    if let Some(validation) = &outcome.validation {
+    let (outcome, validation) = synthesize_and_validate(&program, &pre, &targets, &plan, config)?;
+    let mut report = weak_report(request, &program, &outcome, escalation);
+    if let Some(validation) = &validation {
         for violation in &validation.trace.violations {
             report.diagnostics.push(format!(
                 "trace violation at {}: `{}` fails on inputs {:?} (seed {})",
@@ -156,6 +81,7 @@ pub fn run_validated_with_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polyinv_api::ReportStatus;
 
     #[test]
     fn non_weak_requests_are_rejected() {

@@ -204,10 +204,11 @@ fn check_case(source: &str, config: &FuzzConfig) -> CaseStatus {
     plan.lm = config.solver.clone();
     plan.penalty = None;
     plan.polish_rounds = 0;
-    let outcome = match synthesize_and_validate(&program, &pre, &[], &plan, &config.validation) {
-        Ok(outcome) => outcome,
-        Err(error) => return CaseStatus::GenerationError(error.to_string()),
-    };
+    let (outcome, validation) =
+        match synthesize_and_validate(&program, &pre, &[], &plan, &config.validation) {
+            Ok(result) => result,
+            Err(error) => return CaseStatus::GenerationError(error.to_string()),
+        };
     if !outcome.feasible {
         return CaseStatus::Unsolved {
             violation: outcome.violation,
@@ -215,7 +216,7 @@ fn check_case(source: &str, config: &FuzzConfig) -> CaseStatus {
     }
 
     // 3. The claim was validated inside synthesize_and_validate.
-    let validation = outcome.validation.expect("feasible outcomes validate");
+    let validation = validation.expect("feasible outcomes validate");
     if validation.sound() {
         CaseStatus::Sound {
             trace_runs: validation.trace.valid_runs,
@@ -348,7 +349,6 @@ mod tests {
                     runs: 200,
                     ..crate::TraceCheckConfig::default()
                 },
-                ..ValidationConfig::default()
             },
             ..FuzzConfig::default()
         };

@@ -28,13 +28,12 @@ pub mod fuzz;
 pub mod generate;
 pub mod trace;
 
-use polyinv::pipeline::StageTimings;
-use polyinv::{Orchestrator, OrchestratorStats, SolvePlan, TargetAssertion};
+use polyinv::{Orchestrator, OrchestratorOutcome, SolvePlan, TargetAssertion};
 use polyinv_api::report::{ExactRecord, ValidationRecord};
 use polyinv_constraints::ConstraintError;
 use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 
-pub use driver::{run_validated, run_validated_with_plan};
+pub use driver::run_validated;
 pub use fuzz::{run_fuzz, CaseStatus, FuzzCase, FuzzConfig, FuzzSummary};
 pub use generate::{generate_program, GenConfig, GeneratedProgram};
 pub use polyinv_constraints::exact::{
@@ -42,13 +41,13 @@ pub use polyinv_constraints::exact::{
 };
 pub use trace::{falsify_traces, TraceCheckConfig, TraceReport, TraceViolation};
 
-/// Configuration of a full validation pass (trace + exact).
+/// Configuration of a validation pass. Only trace falsification is
+/// configurable: the exact block of a validation is the orchestrator's
+/// certificate under the plan's `SolvePlan::certificate`.
 #[derive(Debug, Clone, Default)]
 pub struct ValidationConfig {
     /// Trace-falsification settings (defaults to 1000 valid runs).
     pub trace: TraceCheckConfig,
-    /// Exact re-check settings (defaults to tolerance 1/1000).
-    pub exact: ExactCheckConfig,
 }
 
 /// The outcome of validating one synthesized invariant.
@@ -200,48 +199,14 @@ pub fn validate_candidate(
     }
 }
 
-/// The result of [`synthesize_and_validate`].
-#[derive(Debug, Clone)]
-pub struct ValidatedOutcome {
-    /// Whether the quadratic system was solved within the float tolerance.
-    pub feasible: bool,
-    /// Whether the snapped candidate passed the orchestrator's
-    /// exact-rational certificate (the "synthesized" criterion).
-    pub certified: bool,
-    /// The instantiated invariant map (rounded coefficients).
-    pub invariant: InvariantMap,
-    /// The instantiated post-conditions (recursive programs only).
-    pub postconditions: Postcondition,
-    /// `|S|` of the accepted rung's system.
-    pub system_size: usize,
-    /// Unknown count of the accepted rung's system.
-    pub num_unknowns: usize,
-    /// The solver's worst (float) constraint violation.
-    pub violation: f64,
-    /// The back-end that produced the point.
-    pub backend: &'static str,
-    /// Accumulated per-stage timings across ladder rungs.
-    pub timings: StageTimings,
-    /// Solver statistics of the accepted (or last) rung's solve.
-    pub solver: polyinv_qcqp::SolverStats,
-    /// Affine presolve statistics of the accepted (or last) rung (`None`
-    /// when presolve was disabled).
-    pub presolve: Option<polyinv_constraints::PresolveStats>,
-    /// The orchestration summary (attempts, rung reached, winning lane,
-    /// certificate status).
-    pub stats: OrchestratorStats,
-    /// The validation outcome (present iff the solve produced a candidate
-    /// worth attacking: float-feasible or certified).
-    pub validation: Option<ValidationReport>,
-}
-
 /// Weak synthesis with validation: runs the solve orchestrator (ϒ ladder,
 /// portfolio race, polish, snap-and-certify) and — when a candidate is
 /// float-feasible or certified — trace-falsifies the instantiated invariant.
 /// The exact re-check of the validation report *is* the orchestrator's
 /// certificate: both attack the same snapped assignment under the plan's
 /// acceptance tolerance, so a `certified` outcome and a passing
-/// `validation.exact` cannot disagree.
+/// `validation.exact` cannot disagree. Returns the orchestrated outcome and,
+/// when it was float-feasible or certified, its validation report.
 ///
 /// # Errors
 ///
@@ -258,7 +223,7 @@ pub fn synthesize_and_validate(
     targets: &[TargetAssertion],
     plan: &SolvePlan,
     config: &ValidationConfig,
-) -> Result<ValidatedOutcome, ConstraintError> {
+) -> Result<(OrchestratorOutcome, Option<ValidationReport>), ConstraintError> {
     let outcome = Orchestrator::new(plan.clone()).solve(program, pre, targets)?;
     let validation = (outcome.feasible || outcome.certified).then(|| {
         // Attack the same snapped point the certificate covers.
@@ -274,21 +239,7 @@ pub fn synthesize_and_validate(
             exact: outcome.exact.clone(),
         }
     });
-    Ok(ValidatedOutcome {
-        feasible: outcome.feasible,
-        certified: outcome.certified,
-        invariant: outcome.invariant,
-        postconditions: outcome.postconditions,
-        system_size: outcome.system_size,
-        num_unknowns: outcome.num_unknowns,
-        violation: outcome.violation,
-        backend: outcome.backend,
-        timings: outcome.timings,
-        solver: outcome.solver,
-        presolve: outcome.presolve,
-        stats: outcome.stats,
-        validation,
-    })
+    Ok((outcome, validation))
 }
 
 #[cfg(test)]
@@ -340,7 +291,7 @@ mod tests {
         let (target, _) = parse_assertion(&program, "inc", "x + 1 > 0").unwrap();
         let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(2);
         let plan = SolvePlan::new(options);
-        let outcome = synthesize_and_validate(
+        let (outcome, validation) = synthesize_and_validate(
             &program,
             &pre,
             &[TargetAssertion::new(program.main().exit_label(), target)],
@@ -350,7 +301,7 @@ mod tests {
         .unwrap();
         assert!(outcome.feasible, "violation {}", outcome.violation);
         assert!(outcome.certified, "exact {:?}", outcome.stats);
-        let validation = outcome.validation.expect("feasible runs validate");
+        let validation = validation.expect("feasible runs validate");
         assert!(
             validation.sound(),
             "trace: {:?}, exact: {:?}",

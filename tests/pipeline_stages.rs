@@ -1,10 +1,10 @@
-//! End-to-end integration test of the staged pipeline: every paper step
-//! runs as a named stage on the running example (Figure 2), the per-stage
-//! artifacts are non-trivial, and the recorded timings cover every stage.
+//! End-to-end integration test of the generation pipeline: Steps 1–3 run
+//! on the running example (Figure 2), the generated system is non-trivial,
+//! and the recorded timings cover every step.
 
 use std::time::Duration;
 
-use polyinv::pipeline::{run_stage, stage_names, PairStage, ReductionStage, TemplateStage};
+use polyinv::pipeline::stage_names;
 use polyinv::prelude::*;
 use polyinv_api::{Engine, SynthesisRequest};
 use polyinv_bench::options_for;
@@ -16,23 +16,21 @@ fn staged_artifacts_on_the_running_example_are_non_trivial() {
     let pre = Precondition::from_program(&program);
     let pipeline = Pipeline::default();
     let mut ctx = pipeline.context(&program, &pre);
+    let generated = pipeline.generate(&mut ctx).unwrap();
 
     // Step 1: one template per label, 21 monomials each (Example 6).
-    let templates = run_stage(&mut ctx, &TemplateStage, ());
-    assert!(templates.num_invariant_templates() > 0);
-    assert_eq!(templates.num_invariant_templates(), 9);
-    assert!(templates.num_unknowns() >= 9 * 21);
+    assert!(!generated.templates.invariants.is_empty());
+    assert_eq!(generated.templates.invariants.len(), 9);
+    assert!(generated.system.registry.template_unknowns().len() >= 9 * 21);
 
     // Step 2: 11 constraint pairs (10 transitions + initiation).
-    let pairs = run_stage(&mut ctx, &PairStage, &templates).unwrap();
-    assert_eq!(pairs.len(), 11);
+    assert_eq!(generated.pairs.len(), 11);
 
     // Step 3: a quadratic system of the paper's order of magnitude.
-    let generated = run_stage(&mut ctx, &ReductionStage, (templates, pairs));
     assert!(generated.size() > 1_000);
     assert!(generated.size() < 50_000);
 
-    // Every stage left a timing entry, in execution order.
+    // Every step left a timing entry, in execution order.
     let stages: Vec<&str> = ctx.timings().iter().map(|(name, _)| name).collect();
     assert_eq!(
         stages,
@@ -43,7 +41,7 @@ fn staged_artifacts_on_the_running_example_are_non_trivial() {
         ]
     );
     assert!(ctx.timings().generation() > Duration::ZERO);
-    // And a diagnostic line per stage.
+    // And a diagnostic line per step.
     assert_eq!(ctx.diagnostics().len(), 3);
 }
 
