@@ -37,10 +37,7 @@ fn canonical_reports_are_byte_identical_across_polyinv_threads() {
         std::env::set_var("POLYINV_THREADS", threads);
         let report = Engine::new().run(&request).unwrap();
         assert_eq!(report.status, ReportStatus::Synthesized);
-        snapshots.push((
-            threads.to_string(),
-            report.canonical().to_json().pretty(),
-        ));
+        snapshots.push((threads.to_string(), report.canonical().to_json().pretty()));
     }
     std::env::remove_var("POLYINV_THREADS");
     let (_, reference) = &snapshots[0];

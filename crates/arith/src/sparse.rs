@@ -1132,7 +1132,12 @@ mod tests {
         for i in 0..40 {
             // Outer product [1, 1]: singular, so the second pivot of each
             // block is exactly zero without damping.
-            jtj.accumulate_row(i, &[(2 * i, 1.0), (2 * i + 1, 1.0)], &mut values, &mut scratch);
+            jtj.accumulate_row(
+                i,
+                &[(2 * i, 1.0), (2 * i + 1, 1.0)],
+                &mut values,
+                &mut scratch,
+            );
         }
         let (row_ptr, col_idx) = jtj.pattern();
         let symbolic = SymbolicLdl::analyze(80, row_ptr, col_idx);

@@ -10,9 +10,8 @@
 //! instantiation, constraint pairs, Putinar reduction) next to the paper's
 //! numbers. With `--solve`, a weak-synthesis attempt (Step 4) is made for
 //! **every** row under a per-row wall-clock budget (default 120 s, override
-//! with `--solve-cap SECONDS`, `0` = unbudgeted); the old hard paper-size
-//! skip is gone — rows the budget cannot certify report `failed` with real
-//! solver statistics (see EXPERIMENTS.md for the recorded outcomes).
+//! with `--solve-cap SECONDS`, `0` = unbudgeted); rows the budget cannot
+//! certify report `failed` with real solver statistics.
 //!
 //! With `--validate`, every row's paper target assertion is checked against
 //! ≥ 1000 seeded interpreter traces (the fast, always-on soundness gate on
@@ -25,9 +24,8 @@
 //! machine-readable snapshot (default `BENCH_3.json`, override with
 //! `--json PATH`): per benchmark `|S|`, unknowns, the per-stage timing
 //! breakdown, and — under `--solve` — an explicit `solve` block on every
-//! row: status `synthesized`/`failed`/`skipped`, a machine-readable reason
-//! for skips and failures, the orchestrator ladder history, and the solver
-//! statistics of attempted rows (iterations, restarts, nnz(J), nnz(L),
+//! row: status `synthesized`/`failed`, a machine-readable reason for
+//! failures, the orchestrator ladder history, and the solver statistics (iterations, restarts, nnz(J), nnz(L),
 //! factor/solve wall-clock split). This is the file the perf trajectory
 //! tracks across PRs; CI regenerates it for Table 2 with `--solve` and
 //! gates on the synthesized-row count.
@@ -154,12 +152,11 @@ fn table2(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
     let rows: Vec<_> = polyinv_benchmarks::table2()
         .iter()
         .map(|b| {
-            // Every row is attempted under the per-row wall-clock budget;
-            // there is no default size skip any more.
+            // Every row is attempted under the per-row wall-clock budget.
             run_row_full(
                 &engine,
                 b,
-                solve_policy_with_budget(b, solve, budget, None),
+                solve_policy_with_budget(solve, budget),
                 validate,
             )
         })
@@ -185,7 +182,7 @@ fn table3(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
             run_row_full(
                 &engine,
                 b,
-                solve_policy_with_budget(b, solve, budget, None),
+                solve_policy_with_budget(solve, budget),
                 validate,
             )
         })

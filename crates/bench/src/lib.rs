@@ -144,17 +144,14 @@ pub enum SolveStatus {
     /// A solve was attempted (or errored) but no certified candidate came
     /// out; `reason` says why in machine-readable form.
     Failed,
-    /// The solve was deliberately not attempted; `reason` says why.
-    Skipped,
 }
 
 impl SolveStatus {
-    /// Stable snapshot label (`"synthesized"` / `"failed"` / `"skipped"`).
+    /// Stable snapshot label (`"synthesized"` / `"failed"`).
     pub fn label(self) -> &'static str {
         match self {
             SolveStatus::Synthesized => "synthesized",
             SolveStatus::Failed => "failed",
-            SolveStatus::Skipped => "skipped",
         }
     }
 }
@@ -171,55 +168,27 @@ pub enum SolvePolicy {
         /// runs, so even a tight budget yields a real verdict.
         budget_seconds: f64,
     },
-    /// Emit an explicit skipped solve block. Only produced when the caller
-    /// asked for an explicit size cap — the default policy attempts every
-    /// row under the wall-clock budget instead.
-    Skip {
-        /// The paper system-size cap the row exceeded.
-        cap: usize,
-    },
 }
 
 /// Default per-row wall-clock solve budget of `reproduce --solve`, in
-/// seconds. Replaces the old hard paper-size cap (6000): every row is now
-/// attempted, and rows the budget cannot certify come back as `failed`
-/// with real solver statistics instead of `skipped`. Override per run with
+/// seconds: every row is attempted, and rows the budget cannot certify come
+/// back as `failed` with real solver statistics. Override per run with
 /// `--solve-cap SECONDS`.
 pub const DEFAULT_SOLVE_BUDGET_SECONDS: f64 = 120.0;
 
-/// The solve policy `reproduce` applies to one row: attempt every row
-/// under the default wall-clock budget
-/// ([`DEFAULT_SOLVE_BUDGET_SECONDS`]).
-pub fn solve_policy_for(benchmark: &Benchmark, solve: bool) -> SolvePolicy {
-    solve_policy_with_budget(benchmark, solve, DEFAULT_SOLVE_BUDGET_SECONDS, None)
+/// The solve policy `reproduce` applies to every row: attempt it under the
+/// default wall-clock budget ([`DEFAULT_SOLVE_BUDGET_SECONDS`]).
+pub fn solve_policy_for(solve: bool) -> SolvePolicy {
+    solve_policy_with_budget(solve, DEFAULT_SOLVE_BUDGET_SECONDS)
 }
 
-/// [`solve_policy_for`] with an explicit wall-clock budget and an optional
-/// paper system-size cap. The cap is opt-in (there is no default size cap
-/// any more): rows above it skip with a machine-readable reason naming
-/// both the paper and generated sizes.
-pub fn solve_policy_with_budget(
-    benchmark: &Benchmark,
-    solve: bool,
-    budget_seconds: f64,
-    size_cap: Option<usize>,
-) -> SolvePolicy {
-    if !solve {
-        SolvePolicy::None
-    } else if let Some(cap) = size_cap.filter(|cap| benchmark.paper.system_size > *cap) {
-        SolvePolicy::Skip { cap }
-    } else {
+/// [`solve_policy_for`] with an explicit wall-clock budget.
+pub fn solve_policy_with_budget(solve: bool, budget_seconds: f64) -> SolvePolicy {
+    if solve {
         SolvePolicy::Attempt { budget_seconds }
+    } else {
+        SolvePolicy::None
     }
-}
-
-/// The machine-readable reason of a size-capped skip. Names the paper's
-/// reported system size (what the cap compares against) *and* the size of
-/// our generated system explicitly — the row's `size` field prints the
-/// generated size, so a reason naming only one of them reads as a
-/// mismatch.
-pub fn size_cap_reason(paper_size: usize, generated_size: usize, cap: usize) -> String {
-    format!("size-cap:paper={paper_size},generated={generated_size},cap={cap}")
 }
 
 /// The solve part of a row.
@@ -231,10 +200,10 @@ pub struct SolveRow {
     pub solve_time: Duration,
     /// Final constraint violation of the best assignment.
     pub violation: f64,
-    /// The back-end that produced the attempt (empty for skipped rows).
+    /// The back-end that produced the attempt (empty when the request
+    /// errored).
     pub backend: String,
-    /// Machine-readable reason for skipped and failed rows (`None` on
-    /// success).
+    /// Machine-readable reason for failed rows (`None` on success).
     pub reason: Option<String>,
     /// Solver statistics of the attempt (iterations/restarts, nnz(J),
     /// nnz(L), factor/solve split), when the report carried them.
@@ -249,19 +218,6 @@ impl SolveRow {
     /// `true` when the row's solve produced a certified invariant.
     pub fn synthesized(&self) -> bool {
         self.status == SolveStatus::Synthesized
-    }
-
-    /// An explicit skipped block (no attempt made).
-    pub fn skipped(reason: String) -> SolveRow {
-        SolveRow {
-            status: SolveStatus::Skipped,
-            solve_time: Duration::ZERO,
-            violation: f64::NAN,
-            backend: String::new(),
-            reason: Some(reason),
-            stats: None,
-            orchestrator: None,
-        }
     }
 }
 
@@ -320,7 +276,7 @@ pub fn validation_for_tables() -> ValidationConfig {
 /// Panics if the embedded benchmark program fails to parse (guarded by the
 /// benchmark crate's tests).
 pub fn run_row_on(engine: &Engine, benchmark: &Benchmark, solve: bool) -> RowResult {
-    let policy = solve_policy_for(benchmark, solve);
+    let policy = solve_policy_for(solve);
     run_row_full(engine, benchmark, policy, false)
 }
 
@@ -391,11 +347,6 @@ pub fn run_row_full(
     let mut presolve = None;
     let solve_row = match solve {
         SolvePolicy::None => None,
-        SolvePolicy::Skip { cap } => Some(SolveRow::skipped(size_cap_reason(
-            benchmark.paper.system_size,
-            our_size,
-            cap,
-        ))),
         SolvePolicy::Attempt { budget_seconds } => {
             // The weak request runs the full orchestrator ladder with its own
             // per-rung systems: the ϒ-ladder deliberately attempts the much
@@ -486,7 +437,6 @@ pub fn format_validation(title: &str, rows: &[RowResult]) -> String {
             Some(s) => match s.status {
                 SolveStatus::Synthesized => "yes".to_string(),
                 SolveStatus::Failed => "no".to_string(),
-                SolveStatus::Skipped => "skip".to_string(),
             },
         };
         out.push_str(&format!(
@@ -562,7 +512,7 @@ pub fn rows_to_json(tables: &[(&str, &[RowResult])]) -> Json {
 
 /// The `solve` block of one snapshot row (`null` only for generation-only
 /// rows; every `--solve` row serializes an explicit block with its
-/// `status` and, for skipped/failed rows, a machine-readable `reason`).
+/// `status` and, for failed rows, a machine-readable `reason`).
 fn solve_row_json(solve: Option<&SolveRow>) -> Json {
     let Some(solve) = solve else {
         return Json::Null;
@@ -578,13 +528,6 @@ fn solve_row_json(solve: Option<&SolveRow>) -> Json {
             },
         ),
     ];
-    if solve.status == SolveStatus::Skipped {
-        // Skipped rows have no attempt to describe: the status/reason pair
-        // is the whole story, and the solver fields stay explicit nulls.
-        fields.push(("backend", Json::Null));
-        fields.push(("orchestrator", Json::Null));
-        return Json::object(fields);
-    }
     fields.extend([
         ("backend", Json::string(solve.backend.clone())),
         (
@@ -692,7 +635,6 @@ pub fn format_table(title: &str, rows: &[RowResult]) -> String {
                     format!("{}({:.1}s)", s.backend, s.solve_time.as_secs_f64())
                 }
                 SolveStatus::Failed => format!("fail({:.0e})", s.violation),
-                SolveStatus::Skipped => "skip".to_string(),
             },
         };
         let stage = |name: &str| format!("{:.3}s", row.stage_seconds(name));
@@ -900,86 +842,22 @@ mod tests {
     }
 
     #[test]
-    fn skipped_rows_emit_explicit_solve_blocks() {
-        // Satellite of the "silent solve: null" bugfix: a row the harness
-        // declines to solve still serializes a full solve block with a
-        // skipped status and a machine-readable reason. Size caps are
-        // opt-in now; the reason names the paper *and* generated sizes so
-        // it cannot be misread against the row's `size` field.
-        let benchmark = polyinv_benchmarks::by_name("merge-sort").unwrap();
-        let policy = solve_policy_with_budget(&benchmark, true, 60.0, Some(6000));
-        let SolvePolicy::Skip { cap } = policy else {
-            panic!("merge-sort (paper |S| 33002) must exceed the requested cap");
-        };
-        let reason = size_cap_reason(benchmark.paper.system_size, 30778, cap);
-        assert_eq!(reason, "size-cap:paper=33002,generated=30778,cap=6000");
-
-        let row = RowResult {
-            name: benchmark.name.to_string(),
-            n: 2,
-            d: 2,
-            paper_vars: 6,
-            our_vars: 6,
-            paper_size: 33002,
-            our_size: 30778,
-            unknowns: 1000,
-            paper_runtime: 10.0,
-            timings: vec![],
-            solve: Some(SolveRow::skipped(reason)),
-            presolve: None,
-            validate: None,
-        };
-        let json = rows_to_json(&[("table3", std::slice::from_ref(&row))]);
-        let entry = &json.get("rows").unwrap().as_array().unwrap()[0];
-        let solve = entry.get("solve").unwrap();
-        assert_ne!(solve, &Json::Null, "skipped rows keep an explicit block");
-        assert_eq!(solve.get("status").unwrap().as_str(), Some("skipped"));
-        assert_eq!(solve.get("synthesized"), Some(&Json::Bool(false)));
-        assert_eq!(
-            solve.get("reason").unwrap().as_str(),
-            Some("size-cap:paper=33002,generated=30778,cap=6000")
-        );
-        // No attempt happened, so the solver fields are explicit nulls.
-        assert_eq!(solve.get("backend"), Some(&Json::Null));
-        assert_eq!(solve.get("orchestrator"), Some(&Json::Null));
-        // And the whole document still round-trips.
-        let reparsed = Json::parse(&json.pretty()).unwrap();
-        assert_eq!(reparsed, json);
-    }
-
-    #[test]
     fn solve_policies_attempt_every_row_under_a_wall_clock_budget() {
-        // The hard 6000 paper-size cap is gone: the default policy attempts
-        // every row (including the formerly-skipped large ones) under the
-        // default wall-clock budget. An explicit size cap stays available
-        // as an opt-in.
+        // There is no size cap: every `--solve` row is attempted under the
+        // default wall-clock budget, or under an explicit one.
         fn attempt_budget(policy: SolvePolicy) -> Option<f64> {
             match policy {
                 SolvePolicy::Attempt { budget_seconds } => Some(budget_seconds),
-                _ => None,
+                SolvePolicy::None => None,
             }
         }
-        let small = polyinv_benchmarks::by_name("pw2").unwrap();
         assert_eq!(
-            attempt_budget(solve_policy_for(&small, true)),
+            attempt_budget(solve_policy_for(true)),
             Some(DEFAULT_SOLVE_BUDGET_SECONDS)
         );
-        assert!(matches!(solve_policy_for(&small, false), SolvePolicy::None));
-        let large = polyinv_benchmarks::by_name("euclidex3").unwrap();
+        assert!(matches!(solve_policy_for(false), SolvePolicy::None));
         assert_eq!(
-            attempt_budget(solve_policy_for(&large, true)),
-            Some(DEFAULT_SOLVE_BUDGET_SECONDS)
-        );
-        assert_eq!(
-            attempt_budget(solve_policy_with_budget(&large, true, 30.0, None)),
-            Some(30.0)
-        );
-        assert!(matches!(
-            solve_policy_with_budget(&large, true, 30.0, Some(6000)),
-            SolvePolicy::Skip { cap: 6000 }
-        ));
-        assert_eq!(
-            attempt_budget(solve_policy_with_budget(&small, true, 30.0, Some(6000))),
+            attempt_budget(solve_policy_with_budget(true, 30.0)),
             Some(30.0)
         );
     }
@@ -1006,7 +884,6 @@ mod tests {
             false,
         );
         let solve = row.solve.as_ref().expect("the solve was attempted");
-        assert_ne!(solve.status, SolveStatus::Skipped);
         let orchestrator = solve
             .orchestrator
             .as_ref()

@@ -122,7 +122,10 @@ impl SparseProbe {
         let diag_add: Vec<f64> = (0..self.problem.num_vars)
             .map(|i| lambda * (1.0 + values[diag[i]]))
             .collect();
-        assert!(self.ws.symbolic().factor(values, &diag_add, &mut self.numeric));
+        assert!(self
+            .ws
+            .symbolic()
+            .factor(values, &diag_add, &mut self.numeric));
         let mut step = eval.jtr().to_vec();
         self.ws.symbolic().solve(&mut self.numeric, &mut step);
         step.iter().sum()

@@ -51,7 +51,7 @@ REDUCTION OPTIONS:
     --size <n>                Conjuncts per label n      (default 1)
     --upsilon <n>             Multiplier degree bound ϒ  (default 2)
     --encoding <name>         cholesky | gram            (default cholesky)
-    --backend <name>          lm | penalty               (default lm)
+    --backend <name>          lm | penalty | alm         (default: lm and penalty race)
     --no-presolve             Skip the affine presolve pass before Step 4
     --strong                  Enumerate a representative set instead (synth)
     --attempts <n>            Multi-start attempts for --strong

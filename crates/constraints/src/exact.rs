@@ -1,29 +1,37 @@
 //! Exact-rational re-check of a solved quadratic system.
 //!
-//! The LM back-end works in floating point; the reported invariants are the
-//! templates instantiated at *rounded* coefficients. This module closes the
-//! loop: the rounded coefficients are substituted back into the Step-3
-//! constraints (the quadratic (in)equalities the Putinar translation derived
-//! from the Step-2 pairs) and every constraint is evaluated with [`Rational`]
-//! arithmetic — no floats, no solver, and therefore independent of the path
-//! that produced the solution.
+//! The LM back-end works in floating point. This module closes the loop:
+//! the solver's assignment is rounded to rationals, substituted back into
+//! the Step-3 constraints (the quadratic (in)equalities the Putinar
+//! translation derived from the Step-2 pairs), and every constraint is
+//! evaluated with [`Rational`] arithmetic — no floats, no solver, and
+//! therefore independent of the path that produced the solution.
 //!
-//! Rounding policy (DESIGN.md §8): template (s-) unknowns snap to the same
-//! `k/64` grid the presentation rounding uses when the solver's value is
-//! within `snap_threshold` of a grid point; every other value (including
-//! multiplier, Cholesky and witness variables) is rounded to a dyadic
-//! rational with denominator `2^dyadic_bits`. All denominators are powers
-//! of two bounded by `2^24`, so exact evaluation over `i128` rationals
-//! cannot blow up; arithmetic overflow (only reachable through extreme
-//! program coefficients) is still reported as a failure, never ignored.
-//! [`instantiate_exact`] instantiates the invariant templates at the same
-//! assignment, so trace falsification and the exact re-check attack one
-//! consistent object.
+//! Rounding policy (DESIGN.md §8): [`exact_recheck_ladder`] tries the
+//! coarse-to-fine rungs of a fixed snap ladder. On a rung with a snap grid,
+//! template (s-) unknowns within `1e-4` of a `k/grid` point snap to it;
+//! every other value (including multiplier, Cholesky and witness
+//! variables) is rounded to a dyadic rational ([`dyadic`]). All
+//! denominators are powers of two bounded by `2^32`, so exact evaluation
+//! over `i128` rationals cannot blow up; arithmetic overflow (only
+//! reachable through extreme program coefficients) is still reported as a
+//! failure, never ignored. The report keeps the rational point it checked
+//! ([`ExactReport::values`]), and [`instantiate_exact`] instantiates the
+//! invariant templates at that point, so the reported invariant, trace
+//! falsification and the certificate attack one object.
 
 use crate::{GeneratedSystem, QuadraticSystem, UnknownKind};
 use polyinv_arith::Rational;
 use polyinv_lang::{InvariantMap, Postcondition, Program};
 use polyinv_poly::QuadExpr;
+
+/// Denominator exponent of the certificate's default dyadic rounding
+/// (`2^24`); polish pins use the same grid.
+pub const DYADIC_BITS: u32 = 24;
+
+/// Template coefficients within this distance of a snap-grid point snap to
+/// it; farther values round dyadically.
+const SNAP_THRESHOLD: f64 = 1e-4;
 
 /// Configuration of the exact re-check.
 #[derive(Debug, Clone)]
@@ -31,12 +39,6 @@ pub struct ExactCheckConfig {
     /// Maximum exact violation accepted (equalities: `|residual|`;
     /// inequalities: `max(0, -value)`).
     pub tolerance: Rational,
-    /// Denominator exponent of the dyadic rounding (`2^bits`).
-    pub dyadic_bits: u32,
-    /// Template coefficients within this distance of a `k/64` grid point
-    /// snap to it (matching the presentation rounding of reported
-    /// invariants); farther values round dyadically.
-    pub snap_threshold: f64,
 }
 
 impl Default for ExactCheckConfig {
@@ -45,8 +47,6 @@ impl Default for ExactCheckConfig {
             // The LM tolerance is 1e-7 and snapping moves coefficients by up
             // to 1e-4; 1/1000 absorbs both with margin.
             tolerance: Rational::new(1, 1000),
-            dyadic_bits: 24,
-            snap_threshold: 1e-4,
         }
     }
 }
@@ -58,24 +58,22 @@ impl Default for ExactCheckConfig {
 /// A float candidate sits *near* an exactly-feasible rational point; which
 /// rounding reaches that point depends on the candidate. Coarse `k/64`
 /// coefficients make the prettiest invariants but move each value by up to
-/// `snap_threshold`; when the system's constraints are too tight for that
+/// [`SNAP_THRESHOLD`]; when the system's constraints are too tight for that
 /// perturbation, a finer grid — or no snapping at all, at a higher dyadic
-/// resolution — can still land inside the feasible region. The ladder
-/// ([`snap_ladder`]) tries policies coarse-to-fine and accepts the first
-/// certificate that passes.
+/// resolution — can still land inside the feasible region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapPolicy {
-    /// Template unknowns within `snap_threshold` of a `k/grid` point snap
+struct SnapPolicy {
+    /// Template unknowns within [`SNAP_THRESHOLD`] of a `k/grid` point snap
     /// to it; `None` disables snapping (templates round dyadically too).
-    pub snap_grid: Option<i128>,
+    snap_grid: Option<i128>,
     /// Denominator exponent of the dyadic rounding (`2^bits`).
-    pub dyadic_bits: u32,
+    dyadic_bits: u32,
 }
 
 impl SnapPolicy {
-    /// A stable human-readable name (`"snap/64+dyadic24"`,
-    /// `"dyadic32"`, …) recorded in the report.
-    pub fn describe(&self) -> String {
+    /// A stable human-readable name (`"snap/64+dyadic24"`, `"dyadic32"`, …)
+    /// recorded in the report.
+    fn describe(&self) -> String {
         match self.snap_grid {
             Some(grid) => format!("snap/{grid}+dyadic{}", self.dyadic_bits),
             None => format!("dyadic{}", self.dyadic_bits),
@@ -83,33 +81,27 @@ impl SnapPolicy {
     }
 }
 
-/// The coarse-to-fine rounding ladder of [`exact_recheck_ladder`]: the
-/// config's own policy first (presentation-friendly `k/64` snapping), then
-/// a 4× finer snap grid, then pure dyadic rounding at the configured and at
-/// 32-bit resolution. Deduplicated so a custom config cannot run the same
-/// policy twice.
-pub fn snap_ladder(config: &ExactCheckConfig) -> Vec<SnapPolicy> {
-    let mut ladder = vec![
-        SnapPolicy {
-            snap_grid: Some(64),
-            dyadic_bits: config.dyadic_bits,
-        },
-        SnapPolicy {
-            snap_grid: Some(256),
-            dyadic_bits: config.dyadic_bits,
-        },
-        SnapPolicy {
-            snap_grid: None,
-            dyadic_bits: config.dyadic_bits,
-        },
-        SnapPolicy {
-            snap_grid: None,
-            dyadic_bits: 32,
-        },
-    ];
-    ladder.dedup();
-    ladder
-}
+/// The coarse-to-fine rounding ladder of [`exact_recheck_ladder`]:
+/// presentation-friendly `k/64` snapping first, then a 4× finer snap grid,
+/// then pure dyadic rounding at 24 and at 32 bits.
+const SNAP_LADDER: [SnapPolicy; 4] = [
+    SnapPolicy {
+        snap_grid: Some(64),
+        dyadic_bits: DYADIC_BITS,
+    },
+    SnapPolicy {
+        snap_grid: Some(256),
+        dyadic_bits: DYADIC_BITS,
+    },
+    SnapPolicy {
+        snap_grid: None,
+        dyadic_bits: DYADIC_BITS,
+    },
+    SnapPolicy {
+        snap_grid: None,
+        dyadic_bits: 32,
+    },
+];
 
 /// The outcome of an exact re-check.
 #[derive(Debug, Clone)]
@@ -125,9 +117,13 @@ pub struct ExactReport {
     /// `true` if any evaluation overflowed `i128` rational arithmetic
     /// (reported as a failure: the check could not prove the bound).
     pub overflowed: bool,
-    /// The rounding policy that produced this report
-    /// ([`SnapPolicy::describe`]).
+    /// The rounding policy that produced this report (`"snap/64+dyadic24"`,
+    /// `"dyadic32"`, …).
     pub rounding: String,
+    /// The exact assignment of every unknown the check evaluated: the
+    /// certified point when the check passed. Reported invariants are the
+    /// templates instantiated here ([`instantiate_exact`]).
+    pub values: Vec<Rational>,
 }
 
 impl ExactReport {
@@ -137,8 +133,9 @@ impl ExactReport {
     }
 }
 
-/// Rounds a float to the dyadic rational `round(value · 2^bits) / 2^bits`.
-fn dyadic(value: f64, bits: u32) -> Rational {
+/// Rounds a float to the dyadic rational `round(value · 2^bits) / 2^bits`
+/// (non-finite values round to 0).
+pub fn dyadic(value: f64, bits: u32) -> Rational {
     if !value.is_finite() {
         return Rational::zero();
     }
@@ -152,34 +149,22 @@ fn dyadic(value: f64, bits: u32) -> Rational {
     Rational::new(scaled as i128, scale)
 }
 
-/// The exact-rational assignment the re-check evaluates: `k/64` snapping
-/// for template unknowns near a grid point (matching the presentation
-/// rounding of reported invariants), dyadic rounding for everything else.
-/// Every denominator is a power of two ≤ `2^dyadic_bits`.
+/// The exact-rational assignment of the snap ladder's first rung: `k/64`
+/// snapping for template unknowns near a grid point, dyadic rounding at
+/// `2^`[`DYADIC_BITS`] for everything else. The rounding takes nothing
+/// from `_config`. Certified outcomes carry the point their certificate
+/// actually checked in [`ExactReport::values`], which may come from a
+/// finer rung.
 pub fn exact_assignment(
     system: &QuadraticSystem,
     assignment: &[f64],
-    config: &ExactCheckConfig,
+    _config: &ExactCheckConfig,
 ) -> Vec<Rational> {
-    exact_assignment_with(
-        system,
-        assignment,
-        config,
-        SnapPolicy {
-            snap_grid: Some(64),
-            dyadic_bits: config.dyadic_bits,
-        },
-    )
+    round_with(system, assignment, SNAP_LADDER[0])
 }
 
-/// [`exact_assignment`] under an explicit rounding policy (one rung of the
-/// snap ladder).
-pub fn exact_assignment_with(
-    system: &QuadraticSystem,
-    assignment: &[f64],
-    config: &ExactCheckConfig,
-    policy: SnapPolicy,
-) -> Vec<Rational> {
+/// The exact-rational assignment of one rung of the snap ladder.
+fn round_with(system: &QuadraticSystem, assignment: &[f64], policy: SnapPolicy) -> Vec<Rational> {
     system
         .registry
         .iter()
@@ -193,7 +178,7 @@ pub fn exact_assignment_with(
                 if let Some(grid) = policy.snap_grid {
                     let grid_f = grid as f64;
                     let snapped = Rational::approximate((value * grid_f).round() / grid_f);
-                    if (snapped.to_f64() - value).abs() < config.snap_threshold {
+                    if (snapped.to_f64() - value).abs() < SNAP_THRESHOLD {
                         return snapped;
                     }
                 }
@@ -204,9 +189,8 @@ pub fn exact_assignment_with(
 }
 
 /// Instantiates the invariant (and post-condition) templates of a generated
-/// system at an exact assignment, dropping conjuncts that instantiate to
-/// zero — the exact-rational counterpart of the pipeline's float-side
-/// `instantiate_solution`.
+/// system at an exact assignment (normally a certificate's
+/// [`ExactReport::values`]), dropping conjuncts that instantiate to zero.
 pub fn instantiate_exact(
     program: &Program,
     generated: &GeneratedSystem,
@@ -251,27 +235,9 @@ fn eval_checked(expr: &QuadExpr, values: &[Rational]) -> Option<Rational> {
     Some(acc)
 }
 
-/// Re-checks a solved system exactly: substitutes the rounded assignment
-/// into every equality and inequality and measures the worst violation in
-/// exact rational arithmetic.
-pub fn exact_recheck(
-    system: &QuadraticSystem,
-    assignment: &[f64],
-    config: &ExactCheckConfig,
-) -> ExactReport {
-    exact_recheck_with(
-        system,
-        assignment,
-        config,
-        SnapPolicy {
-            snap_grid: Some(64),
-            dyadic_bits: config.dyadic_bits,
-        },
-    )
-}
-
-/// Runs the re-check down the coarse-to-fine [`snap_ladder`]: the first
-/// policy whose rounded assignment passes wins (its report is returned).
+/// Re-checks a solved system exactly, down the coarse-to-fine snap ladder:
+/// the first rounding whose assignment passes wins (its report, with the
+/// checked point in [`ExactReport::values`], is returned).
 /// When none passes, the report of the policy with the smallest exact
 /// violation is returned — non-overflowing reports always beat overflowing
 /// ones — so "how close was the best rounding" survives into diagnostics.
@@ -281,7 +247,7 @@ pub fn exact_recheck_ladder(
     config: &ExactCheckConfig,
 ) -> ExactReport {
     let mut best: Option<ExactReport> = None;
-    for policy in snap_ladder(config) {
+    for policy in SNAP_LADDER {
         let report = exact_recheck_with(system, assignment, config, policy);
         if report.passed() {
             return report;
@@ -301,28 +267,25 @@ pub fn exact_recheck_ladder(
     best.expect("the snap ladder is never empty")
 }
 
-/// [`exact_recheck`] under an explicit rounding policy.
-pub fn exact_recheck_with(
+/// Substitutes one rung's rounding of `assignment` into every equality and
+/// inequality and measures the worst violation in exact rational
+/// arithmetic.
+fn exact_recheck_with(
     system: &QuadraticSystem,
     assignment: &[f64],
     config: &ExactCheckConfig,
     policy: SnapPolicy,
 ) -> ExactReport {
-    let values = exact_assignment_with(system, assignment, config, policy);
-    let mut report = ExactReport {
-        constraints: system.size(),
-        worst_violation: Rational::zero(),
-        worst_constraint: String::new(),
-        tolerance: config.tolerance,
-        overflowed: false,
-        rounding: policy.describe(),
-    };
+    let values = round_with(system, assignment, policy);
+    let mut worst_violation = Rational::zero();
+    let mut worst_constraint = String::new();
+    let mut overflowed = false;
     let mut consider = |violation: Option<Rational>, description: String| match violation {
-        None => report.overflowed = true,
+        None => overflowed = true,
         Some(violation) => {
-            if violation > report.worst_violation {
-                report.worst_violation = violation;
-                report.worst_constraint = description;
+            if violation > worst_violation {
+                worst_violation = violation;
+                worst_constraint = description;
             }
         }
     };
@@ -340,7 +303,15 @@ pub fn exact_recheck_with(
         });
         consider(violation, format!("inequality #{index}"));
     }
-    report
+    ExactReport {
+        constraints: system.size(),
+        worst_violation,
+        worst_constraint,
+        tolerance: config.tolerance,
+        overflowed,
+        rounding: policy.describe(),
+        values,
+    }
 }
 
 #[cfg(test)]
@@ -368,17 +339,23 @@ mod tests {
     #[test]
     fn exact_satisfaction_passes_with_zero_violation() {
         let system = tiny_system();
-        let report = exact_recheck(&system, &[2.0, 0.5], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(&system, &[2.0, 0.5], &ExactCheckConfig::default());
         assert!(report.passed());
         assert_eq!(report.worst_violation, Rational::zero());
         assert_eq!(report.constraints, 2);
+        // The report carries the point it checked.
+        assert_eq!(
+            report.values,
+            vec![Rational::from_int(2), Rational::new(1, 2)]
+        );
     }
 
     #[test]
     fn near_satisfaction_is_measured_exactly_and_tolerated() {
         let system = tiny_system();
         // u·v = 1 + ~2e-7: within the default tolerance, measured exactly.
-        let report = exact_recheck(&system, &[2.0, 0.5 + 1e-7], &ExactCheckConfig::default());
+        let report =
+            exact_recheck_ladder(&system, &[2.0, 0.5 + 1e-7], &ExactCheckConfig::default());
         assert!(report.passed());
         assert!(report.worst_violation > Rational::zero());
         assert!(report.worst_violation < Rational::new(1, 1_000_000));
@@ -387,17 +364,16 @@ mod tests {
     #[test]
     fn gross_violations_fail_and_name_the_constraint() {
         let system = tiny_system();
-        let report = exact_recheck(&system, &[-1.0, 1.0], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(&system, &[-1.0, 1.0], &ExactCheckConfig::default());
         assert!(!report.passed());
         assert_eq!(report.worst_violation, Rational::from_int(2));
         assert_eq!(report.worst_constraint, "equality #0");
         // The inequality u >= 0 is also violated, by 1.
-        let tight = exact_recheck(
+        let tight = exact_recheck_ladder(
             &system,
             &[-1.0, -1.0],
             &ExactCheckConfig {
                 tolerance: Rational::zero(),
-                ..ExactCheckConfig::default()
             },
         );
         assert!(!tight.passed());
@@ -422,11 +398,17 @@ mod tests {
         system.equalities.push(eq);
         let candidate = [1.0 / 256.0 + 1e-5];
         let config = ExactCheckConfig::default();
-        let coarse = exact_recheck(&system, &candidate, &config);
+        let coarse = exact_recheck_with(&system, &candidate, &config, SNAP_LADDER[0]);
         assert!(!coarse.passed(), "the k/64 policy alone must fail here");
         let report = exact_recheck_ladder(&system, &candidate, &config);
         assert!(report.passed());
         assert_eq!(report.rounding, "snap/256+dyadic24");
+        // The passing rung's point is the one reported, not the first rung's.
+        assert_eq!(report.values, vec![Rational::new(1, 256)]);
+        assert_ne!(
+            report.values,
+            exact_assignment(&system, &candidate, &config)
+        );
     }
 
     #[test]
@@ -437,13 +419,12 @@ mod tests {
         let mut registry = UnknownRegistry::new();
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
         let mut system = QuadraticSystem::new(registry);
-        let mut eq =
-            LinExpr::unknown(u).mul(&LinExpr::constant(Rational::from_int(1i64 << 28)));
+        let mut eq = LinExpr::unknown(u).mul(&LinExpr::constant(Rational::from_int(1i64 << 28)));
         eq.add_constant(Rational::from_int(-1));
         system.equalities.push(eq);
         let candidate = [1.0 / (1u64 << 28) as f64];
         let config = ExactCheckConfig::default();
-        assert!(!exact_recheck(&system, &candidate, &config).passed());
+        assert!(!exact_recheck_with(&system, &candidate, &config, SNAP_LADDER[0]).passed());
         let report = exact_recheck_ladder(&system, &candidate, &config);
         assert!(report.passed());
         assert_eq!(report.rounding, "dyadic32");

@@ -34,8 +34,7 @@ pub mod unknowns;
 
 pub use error::ConstraintError;
 pub use exact::{
-    exact_assignment, exact_recheck, exact_recheck_ladder, instantiate_exact, ExactCheckConfig,
-    ExactReport, SnapPolicy,
+    exact_assignment, exact_recheck_ladder, instantiate_exact, ExactCheckConfig, ExactReport,
 };
 pub use options::{
     generate, prepare, reduce_pairs, GeneratedSystem, SosEncoding, SynthesisOptions,

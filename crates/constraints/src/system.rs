@@ -95,24 +95,6 @@ impl QuadraticSystem {
         }
         worst
     }
-
-    /// Returns `true` if the assignment satisfies every equality and
-    /// inequality up to `tolerance`.
-    pub fn is_satisfied(&self, assignment: &[f64], tolerance: f64) -> bool {
-        self.max_violation(assignment) <= tolerance
-    }
-
-    /// A human-readable summary (used by the benchmark harness).
-    pub fn summary(&self) -> String {
-        format!(
-            "{} unknowns, {} equalities, {} inequalities, {} PSD blocks ({} pairs)",
-            self.num_unknowns(),
-            self.equalities.len(),
-            self.inequalities.len(),
-            self.psd_blocks.len(),
-            self.num_pairs
-        )
-    }
 }
 
 #[cfg(test)]
@@ -162,8 +144,8 @@ mod tests {
         system
             .inequalities
             .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
-        assert!(system.is_satisfied(&[2.0], 1e-9));
-        assert!(!system.is_satisfied(&[0.0], 1e-9));
+        assert_eq!(system.max_violation(&[2.0]), 0.0);
+        assert!((system.max_violation(&[0.0]) - 2.0).abs() < 1e-12);
         assert!((system.max_violation(&[3.0]) - 1.0).abs() < 1e-12);
         assert!((system.max_violation(&[-1.0]) - 3.0).abs() < 1e-12);
         assert_eq!(system.size(), 2);

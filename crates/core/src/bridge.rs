@@ -138,24 +138,6 @@ fn convert_expr(
     form
 }
 
-/// Rounds a numeric assignment of the unknowns to rationals with small
-/// denominators (used to present synthesized invariants exactly).
-pub fn round_assignment(assignment: &[f64]) -> Vec<Rational> {
-    assignment
-        .iter()
-        .map(|&value| {
-            // Snap values that are numerically close to a "nice" rational
-            // with denominator up to 64, otherwise keep a fine approximation.
-            let snapped = Rational::approximate((value * 64.0).round() / 64.0);
-            if (snapped.to_f64() - value).abs() < 1e-4 {
-                snapped
-            } else {
-                Rational::approximate(value)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,14 +191,5 @@ mod tests {
         assert_eq!(mapping.len(), problem.num_vars);
         // No mapped unknown is a template unknown.
         assert!(mapping.iter().all(|id| !template_ids.contains(id)));
-    }
-
-    #[test]
-    fn rounding_recovers_clean_rationals() {
-        let rounded = round_assignment(&[0.5000000001, -0.2499999, 3.0, 0.3333333333]);
-        assert_eq!(rounded[0], Rational::new(1, 2));
-        assert_eq!(rounded[1], Rational::new(-1, 4));
-        assert_eq!(rounded[2], Rational::from_int(3));
-        assert!((rounded[3].to_f64() - 1.0 / 3.0).abs() < 1e-2);
     }
 }

@@ -1,24 +1,19 @@
-//! Certificate-based checking and trace-based falsification of candidate
-//! invariants.
+//! Certificate-based checking of candidate invariants.
 //!
-//! * [`check_inductive`] instantiates the paper's constraint pairs with a
-//!   *given* invariant map (and post-condition) and searches for the
-//!   sum-of-squares certificate of every pair. If every pair is certified,
-//!   the map is an inductive invariant by Lemma 3.6 — this is the sound
-//!   direction, independent of how the candidate was produced.
-//! * [`falsify`] executes the program on sampled inputs and non-deterministic
-//!   choices and reports any reachable state that violates the candidate —
-//!   the complementary (refutation) direction.
-
-use std::collections::HashMap;
+//! [`check_inductive`] instantiates the paper's constraint pairs with a
+//! *given* invariant map (and post-condition) and searches for the
+//! sum-of-squares certificate of every pair in floating point. A pair counts
+//! as certified when LM drives its certificate problem within the solver
+//! tolerance (`1e-7` by default); nothing re-checks the found certificate in
+//! exact arithmetic. The refutation direction is trace falsification
+//! (`polyinv_validate::falsify_traces`).
 
 use polyinv_arith::Rational;
 use polyinv_constraints::pairs::{generate_pairs, PairKind, PairOptions};
 use polyinv_constraints::putinar::{translate_pair, PutinarOptions, SosEncoding};
 use polyinv_constraints::template::{LabelTemplate, TemplateSet};
 use polyinv_constraints::{ConstraintError, QuadraticSystem, UnknownRegistry};
-use polyinv_lang::interp::{Interpreter, SeededOracle};
-use polyinv_lang::{Cfg, InvariantMap, Label, Postcondition, Precondition, Program};
+use polyinv_lang::{Cfg, InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::{MonomialTable, TemplatePoly};
 use polyinv_qcqp::par::parallel_indexed;
 use polyinv_qcqp::{LmOptions, LmSolver, SolveStatus};
@@ -145,10 +140,13 @@ fn concrete_templates(
 /// of `program` under `pre`, by searching for the sum-of-squares
 /// certificates of every constraint pair.
 ///
-/// A report with [`CheckReport::all_certified`] `== true` is a *proof* of
-/// inductiveness (soundness, Lemma 3.6). A failed pair is inconclusive: the
-/// certificate may simply require a larger `ϒ` (semi-completeness,
-/// Lemma 3.7).
+/// A report with [`CheckReport::all_certified`] `== true` means LM found a
+/// float certificate for every pair within its tolerance, with the
+/// positivity witness bounded below by `epsilon_lower`. That is strong
+/// numerical evidence of inductiveness (Lemma 3.6), not an exact proof: the
+/// certificates are not re-checked in rational arithmetic. A failed pair is
+/// inconclusive: the certificate may simply require a larger `ϒ`
+/// (semi-completeness, Lemma 3.7).
 ///
 /// # Errors
 ///
@@ -244,75 +242,29 @@ pub fn check_inductive(
     Ok(CheckReport { certificates })
 }
 
-/// A reachable state violating a candidate invariant.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// The label at which the violation occurred.
-    pub label: Label,
-    /// The variable valuation witnessing the violation.
-    pub valuation: HashMap<polyinv_poly::VarId, Rational>,
-}
-
-/// Tries to falsify a candidate invariant by executing the program on
-/// sampled inputs and non-deterministic choices.
-///
-/// Runs whose states violate the pre-condition are discarded (they are not
-/// valid runs in the paper's sense). Returns the first violating state
-/// found, or `None` if no violation was observed within `runs` executions.
-pub fn falsify(
-    program: &Program,
-    pre: &Precondition,
-    invariant: &InvariantMap,
-    runs: usize,
-    seed: u64,
-) -> Option<Violation> {
-    let interpreter = Interpreter::new(program, 20_000);
-    let arity = program.main().params().len();
-    for run in 0..runs {
-        let mut oracle = SeededOracle::new(seed.wrapping_add(run as u64), 8);
-        // Small non-negative integer inputs exercise the benchmark
-        // pre-conditions well; occasionally include negative values.
-        let inputs: Vec<Rational> = (0..arity)
-            .map(|k| {
-                let raw = ((run as i64) * 7 + k as i64 * 3) % 13;
-                Rational::from_int(if run % 5 == 4 { raw - 6 } else { raw })
-            })
-            .collect();
-        let trace = interpreter.run(&inputs, &mut oracle);
-        // Validity: every visited state satisfies its pre-condition
-        // (overflow-safe: an undecidable state invalidates the run).
-        let valid = trace.states.iter().all(|state| {
-            pre.get(state.label).iter().all(|atom| {
-                atom.checked_eval(|v| state.valuation.get(&v).copied().unwrap_or_default())
-                    == Some(true)
-            })
-        });
-        if !valid {
-            continue;
-        }
-        for state in &trace.states {
-            // `None` (overflow) is not a witnessed violation; skip it.
-            let violated = invariant.get(state.label).iter().any(|atom| {
-                atom.checked_eval(|v| state.valuation.get(&v).copied().unwrap_or_default())
-                    == Some(false)
-            });
-            if violated {
-                return Some(Violation {
-                    label: state.label,
-                    valuation: state.valuation.clone(),
-                });
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
     use polyinv_lang::{parse_assertion, parse_program};
     use polyinv_poly::Polynomial;
+    use polyinv_validate::{falsify_traces, TraceCheckConfig, TraceReport};
+
+    /// Trace-falsifies `invariant` on `runs` valid runs from `seed`.
+    fn falsify(
+        program: &Program,
+        pre: &Precondition,
+        invariant: &InvariantMap,
+        runs: usize,
+        seed: u64,
+    ) -> TraceReport {
+        let config = TraceCheckConfig {
+            runs,
+            seed,
+            ..TraceCheckConfig::default()
+        };
+        falsify_traces(program, pre, invariant, &Postcondition::new(), &config)
+    }
 
     fn running_example() -> (Program, Precondition) {
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
@@ -384,16 +336,16 @@ mod tests {
         )
         .unwrap();
         assert!(!report.all_certified());
-        let violation = falsify(&program, &pre, &invariant, 200, 1);
-        assert!(violation.is_some());
-        assert_eq!(violation.unwrap().label, return_label);
+        let report = falsify(&program, &pre, &invariant, 200, 1);
+        assert!(!report.violations.is_empty());
+        assert_eq!(report.violations[0].label, return_label);
     }
 
     #[test]
     fn falsification_accepts_true_invariants() {
         let (program, pre) = running_example();
         let invariant = margin_aware_invariant(&program);
-        assert!(falsify(&program, &pre, &invariant, 100, 7).is_none());
+        assert!(falsify(&program, &pre, &invariant, 100, 7).passed());
     }
 
     #[test]

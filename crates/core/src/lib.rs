@@ -23,11 +23,10 @@
 //!   ([`Orchestrator::enumerate`], `StrongInvSynth`/`RecStrongInvSynth`)
 //!   runs diversified multi-start LM attempts and keeps the distinct
 //!   certified points;
-//! * [`check::check_inductive`] — a sound certificate checker: given a
+//! * [`check::check_inductive`] — a float certificate search: given a
 //!   concrete invariant map (and post-conditions for recursive programs) it
-//!   searches for the sum-of-squares certificates of every constraint pair,
-//!   which proves inductiveness;
-//! * [`check::falsify`] — a falsifier based on the concrete interpreter.
+//!   looks for the sum-of-squares certificate of every constraint pair with
+//!   LM, without an exact re-check of what it finds.
 //!
 //! # Quick start
 //!
@@ -69,7 +68,7 @@ pub mod pipeline;
 pub mod weak;
 
 pub use bridge::{system_to_problem, system_to_problem_with_fixed};
-pub use check::{check_inductive, falsify, CheckOptions, CheckReport, PairCertificate};
+pub use check::{check_inductive, CheckOptions, CheckReport, PairCertificate};
 pub use pipeline::{
     EnumeratedInvariant, Enumeration, Orchestrator, OrchestratorOutcome, OrchestratorStats,
     Pipeline, SolveAttempt, SolvePlan, StageTimings, SynthesisContext,
@@ -78,7 +77,7 @@ pub use weak::{fix_targets, TargetAssertion};
 
 /// Convenient glob-import for downstream users and examples.
 pub mod prelude {
-    pub use crate::check::{check_inductive, falsify, CheckOptions};
+    pub use crate::check::{check_inductive, CheckOptions};
     pub use crate::pipeline::{Orchestrator, Pipeline, SolvePlan, StageTimings, SynthesisContext};
     pub use crate::weak::TargetAssertion;
     pub use polyinv_constraints::{SosEncoding, SynthesisOptions};

@@ -16,10 +16,8 @@ use std::time::Instant;
 use polyinv_constraints::pairs::{generate_pairs, PairOptions};
 use polyinv_constraints::template::TemplateSet;
 use polyinv_constraints::{ConstraintError, GeneratedSystem, SynthesisOptions, UnknownRegistry};
-use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
-use polyinv_poly::{MonomialTable, UnknownId};
-
-use crate::bridge::round_assignment;
+use polyinv_lang::{Precondition, Program};
+use polyinv_poly::MonomialTable;
 
 pub use context::{stage_names, StageTimings, SynthesisContext};
 pub use orchestrator::{
@@ -121,39 +119,6 @@ impl Pipeline {
         ctx.record(stage_names::REDUCTION, start.elapsed());
         Ok(generated)
     }
-}
-
-/// Instantiates the templates of a generated system under a numeric
-/// assignment of the unknowns, returning the invariant map and
-/// post-conditions. Conjuncts that instantiate to the zero polynomial are
-/// dropped.
-pub fn instantiate_solution(
-    program: &Program,
-    generated: &GeneratedSystem,
-    assignment: &[f64],
-) -> (InvariantMap, Postcondition) {
-    let rounded = round_assignment(assignment);
-    let lookup = |u: UnknownId| rounded[u.index()];
-    let mut invariant = InvariantMap::new();
-    for function in program.functions() {
-        for &label in function.labels() {
-            let template = generated.templates.invariant(label);
-            for poly in template.instantiate(lookup) {
-                if !poly.is_zero() {
-                    invariant.add(label, poly);
-                }
-            }
-        }
-    }
-    let mut postconditions = Postcondition::new();
-    for (name, template) in &generated.templates.postconditions {
-        for poly in template.instantiate(lookup) {
-            if !poly.is_zero() {
-                postconditions.add(name, poly);
-            }
-        }
-    }
-    (invariant, postconditions)
 }
 
 #[cfg(test)]

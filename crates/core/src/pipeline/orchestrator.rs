@@ -8,10 +8,12 @@
 //! (`k/64` for template unknowns, dyadic for the rest) and re-checks the
 //! system in exact [`Rational`](polyinv_arith::Rational) arithmetic. A rung
 //! is accepted — and the ladder stops — only when that exact re-check
-//! passes, so every "synthesized" answer carries a machine-checked
-//! certificate; otherwise the orchestrator escalates to the next rung and,
-//! when the ladder is exhausted, returns the best uncertified attempt with
-//! its full attempt history.
+//! passes; otherwise the orchestrator escalates to the next rung and, when
+//! the ladder is exhausted, returns the best uncertified attempt with its
+//! full attempt history. Either way the returned invariant is the templates
+//! instantiated at the rational point the re-check evaluated
+//! ([`ExactReport::values`]), so a "synthesized" invariant is exactly the
+//! one its certificate covers.
 //!
 //! The polish stage is where most certificates are won. The Step-3 system
 //! is bilinear across the unknown families: with the template (s-) and
@@ -32,7 +34,9 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use polyinv_arith::Rational;
-use polyinv_constraints::exact::{exact_recheck_ladder, ExactCheckConfig, ExactReport};
+use polyinv_constraints::exact::{
+    dyadic, exact_recheck_ladder, instantiate_exact, ExactCheckConfig, ExactReport, DYADIC_BITS,
+};
 use polyinv_constraints::{
     ConstraintError, Elimination, GeneratedSystem, PresolveOptions, PresolveStats, PresolvedSystem,
     QuadraticSystem, SynthesisOptions, UnknownKind,
@@ -48,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::bridge::system_to_problem_with_fixed;
-use crate::pipeline::{instantiate_solution, stage_names, Pipeline, StageTimings};
+use crate::pipeline::{stage_names, Pipeline, StageTimings};
 use crate::weak::TargetAssertion;
 
 /// Two members of a strong rung whose template-coefficient vectors lie
@@ -83,8 +87,7 @@ pub struct SolvePlan {
     pub polish_rounds: usize,
     /// LM budget of one polish sub-solve.
     pub polish_lm: LmOptions,
-    /// Snap-and-recheck policy: dyadic denominator, `k/64` snap window and
-    /// the exact-rational tolerance a certificate must meet.
+    /// The exact-rational tolerance a certificate must meet.
     pub certificate: ExactCheckConfig,
     /// Wall-clock budget in seconds for the whole orchestrated solve (all
     /// rungs, lanes, polish rounds and strong attempts together). Per-lane,
@@ -133,7 +136,6 @@ impl SolvePlan {
             },
             certificate: ExactCheckConfig {
                 tolerance: Rational::new(1, 100),
-                ..ExactCheckConfig::default()
             },
             solve_budget_seconds: 0.0,
         }
@@ -235,9 +237,11 @@ pub struct OrchestratorOutcome {
     /// Whether the float-side solver reached its own tolerance (a weaker
     /// property than `certified`, kept for diagnostics).
     pub feasible: bool,
-    /// The invariant map instantiated at the candidate.
+    /// The invariant map instantiated at the certificate's point
+    /// (`exact.values`).
     pub invariant: InvariantMap,
-    /// The synthesized post-conditions (recursive programs only).
+    /// The synthesized post-conditions (recursive programs only), at the
+    /// same point.
     pub postconditions: Postcondition,
     /// The candidate assignment over the final rung's unknown space.
     pub assignment: Vec<f64>,
@@ -260,8 +264,9 @@ pub struct OrchestratorOutcome {
     pub solver: SolverStats,
     /// Presolve statistics of the accepted (or last) rung.
     pub presolve: Option<PresolveStats>,
-    /// The exact re-check report of the returned candidate.
-    pub exact: Option<ExactReport>,
+    /// The exact re-check report of the returned candidate: the passing
+    /// rounding, else the closest one, with the rational point it checked.
+    pub exact: ExactReport,
     /// The orchestration summary.
     pub stats: OrchestratorStats,
 }
@@ -270,9 +275,10 @@ pub struct OrchestratorOutcome {
 /// coefficients passed the exact certificate.
 #[derive(Debug, Clone)]
 pub struct EnumeratedInvariant {
-    /// The invariant map.
+    /// The invariant map, instantiated at the certificate's point
+    /// (`exact.values`).
     pub invariant: InvariantMap,
-    /// The post-conditions (recursive programs only).
+    /// The post-conditions (recursive programs only), at the same point.
     pub postconditions: Postcondition,
     /// The member's assignment over its rung's unknown space.
     pub assignment: Vec<f64>,
@@ -510,7 +516,7 @@ impl Orchestrator {
 
         let best = best.expect("the ϒ ladder is never empty");
         let (invariant, postconditions) =
-            instantiate_solution(program, &best.generated, &best.assignment);
+            instantiate_exact(program, &best.generated, &best.exact.values);
         Ok(OrchestratorOutcome {
             certified: best.certified,
             feasible: best.feasible,
@@ -532,7 +538,7 @@ impl Orchestrator {
                 certificate_violation: best.exact.worst_violation.to_f64(),
                 history,
             },
-            exact: Some(best.exact),
+            exact: best.exact,
             assignment: best.assignment,
             generated: best.generated,
         })
@@ -911,7 +917,7 @@ impl Orchestrator {
             });
             if exact.passed() {
                 let (invariant, postconditions) =
-                    instantiate_solution(program, &rung.generated, &assignment);
+                    instantiate_exact(program, &rung.generated, &exact.values);
                 members.push(EnumeratedInvariant {
                     invariant,
                     postconditions,
@@ -997,8 +1003,9 @@ impl Orchestrator {
         (best, best_violation)
     }
 
-    /// One polish sub-solve: pin `block` at (dyadic roundings of) the
-    /// current values, solve the rest warm-started from the current point,
+    /// One polish sub-solve: pin `block` at the certificate's dyadic
+    /// roundings of the current values (so the polish optimizes the residual
+    /// at essentially the certified point), solve the rest warm-started from the current point,
     /// and score the merged assignment on the full system. The sub-solve's
     /// wall-clock cap is clamped to the time left before `deadline`;
     /// returns `None` without solving once the deadline has passed.
@@ -1018,7 +1025,7 @@ impl Orchestrator {
         let mut pins = fixed.clone();
         for &id in block {
             pins.entry(id)
-                .or_insert_with(|| dyadic_pin(current[id.index()]));
+                .or_insert_with(|| dyadic(current[id.index()], DYADIC_BITS));
         }
         let (problem, mapping) = system_to_problem_with_fixed(system, &pins);
         if mapping.is_empty() {
@@ -1080,21 +1087,6 @@ fn pick_winner(lanes: Vec<LaneResult>) -> LaneResult {
         }
     }
     best.expect("the portfolio always has at least the LM lane")
-}
-
-/// Rounds a float to the dyadic rational used to pin polish blocks — the
-/// same `2^-24` grid the certificate's dyadic rounding uses, so the polish
-/// optimizes the residual at (essentially) the certified point.
-fn dyadic_pin(value: f64) -> Rational {
-    if !value.is_finite() {
-        return Rational::zero();
-    }
-    let scale = 1i128 << 24;
-    let scaled = (value * scale as f64).round();
-    if scaled.abs() >= 1e27 {
-        return Rational::approximate(value);
-    }
-    Rational::new(scaled as i128, scale)
 }
 
 #[cfg(test)]
@@ -1181,8 +1173,7 @@ mod tests {
         assert_eq!(outcome.stats.rungs_tried, 1);
         assert!(outcome.stats.certified);
         assert!(!outcome.invariant.get(exit).is_empty());
-        let exact = outcome.exact.expect("certificate report present");
-        assert!(exact.passed());
+        assert!(outcome.exact.passed());
         // Every attempt in the history belongs to the single rung tried.
         assert!(outcome.stats.history.iter().all(|a| a.upsilon == 0));
         assert!(outcome
@@ -1227,7 +1218,8 @@ mod tests {
         );
         assert!(enumeration.stats.certified);
         // Every member is certified: its snapped point passes the exact
-        // re-check against the system of the rung that produced it.
+        // re-check against the system of the rung that produced it, and its
+        // invariant is the one instantiated at that certified point.
         for member in members {
             assert!(member.exact.passed());
             let recheck = exact_recheck_ladder(
@@ -1236,6 +1228,13 @@ mod tests {
                 &plan.certificate,
             );
             assert!(recheck.passed(), "{recheck:?}");
+            assert_eq!(recheck.values, member.exact.values);
+            let (invariant, _) =
+                instantiate_exact(&program, &enumeration.generated, &member.exact.values);
+            assert_eq!(
+                member.invariant.render(&program),
+                invariant.render(&program)
+            );
         }
         // Members are pairwise distinct template-coefficient vectors.
         let template_ids = enumeration.generated.system.registry.template_unknowns();

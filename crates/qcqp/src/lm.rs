@@ -268,7 +268,14 @@ impl LmSolver {
             restarts,
             restart_workers,
             |restart| {
-                self.run_restart(problem, workspace, warm_start, restart, started, eval_threads)
+                self.run_restart(
+                    problem,
+                    workspace,
+                    warm_start,
+                    restart,
+                    started,
+                    eval_threads,
+                )
             },
             |outcome| outcome.status == SolveStatus::Feasible,
         );
@@ -758,14 +765,26 @@ impl<'a> Evaluator<'a> {
     /// computed and discarded full Jacobian rows.
     pub fn residuals_only(&self, x: &[f64]) -> (f64, f64) {
         if self.chunk_ranges.is_empty() {
-            return residual_rows(self.problem, self.ws, self.objective_weight, 0..self.rows, x);
+            return residual_rows(
+                self.problem,
+                self.ws,
+                self.objective_weight,
+                0..self.rows,
+                x,
+            );
         }
         let workers = self.eval_threads.min(self.chunk_ranges.len());
         let per_chunk: Vec<(f64, f64)> = if workers <= 1 {
             self.chunk_ranges
                 .iter()
                 .map(|range| {
-                    residual_rows(self.problem, self.ws, self.objective_weight, range.clone(), x)
+                    residual_rows(
+                        self.problem,
+                        self.ws,
+                        self.objective_weight,
+                        range.clone(),
+                        x,
+                    )
                 })
                 .collect()
         } else {

@@ -65,13 +65,12 @@ pub fn run_validated(
                 violation.label, violation.atom, violation.minimized_inputs, violation.run_seed
             ));
         }
-        if let Some(exact) = &validation.exact {
-            if !exact.passed() {
-                report.diagnostics.push(format!(
-                    "exact re-check failed: {} violated by {} (tolerance {})",
-                    exact.worst_constraint, exact.worst_violation, exact.tolerance
-                ));
-            }
+        let exact = &validation.exact;
+        if !exact.passed() {
+            report.diagnostics.push(format!(
+                "exact re-check failed: {} violated by {} (tolerance {})",
+                exact.worst_constraint, exact.worst_violation, exact.tolerance
+            ));
         }
         report.validate = Some(validation.to_record());
     }

@@ -221,11 +221,7 @@ fn check_case(source: &str, config: &FuzzConfig) -> CaseStatus {
         CaseStatus::Sound {
             trace_runs: validation.trace.valid_runs,
             trace_states: validation.trace.states_checked,
-            exact_violation: validation
-                .exact
-                .as_ref()
-                .map(|e| e.worst_violation.to_f64())
-                .unwrap_or(0.0),
+            exact_violation: validation.exact.worst_violation.to_f64(),
         }
     } else {
         CaseStatus::Violation(Box::new(validation))

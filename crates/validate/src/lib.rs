@@ -13,12 +13,9 @@
 //!   invariant against thousands of seeded [`Interpreter`] traces
 //!   (per-label obligations, post-conditions at endpoints, minimized
 //!   counterexamples);
-//! * [`exact`] — an exact-rational inductiveness re-check: the rounded
-//!   coefficients substituted back into the Step-3 constraints and every
-//!   (in)equality evaluated with [`Rational`](polyinv_arith::Rational)
-//!   arithmetic, no floats and no solver;
-//! * [`fuzz`] — the driver combining all three: generate, synthesize,
-//!   validate, and report any soundness violation with its counterexample.
+//! * [`fuzz`] — the driver combining both with the orchestrator's exact
+//!   certificate: generate, synthesize, validate, and report any soundness
+//!   violation with its counterexample.
 //!
 //! [`Interpreter`]: polyinv_lang::interp::Interpreter
 
@@ -31,13 +28,13 @@ pub mod trace;
 use polyinv::{Orchestrator, OrchestratorOutcome, SolvePlan, TargetAssertion};
 use polyinv_api::report::{ExactRecord, ValidationRecord};
 use polyinv_constraints::ConstraintError;
-use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
+use polyinv_lang::{Precondition, Program};
 
 pub use driver::run_validated;
 pub use fuzz::{run_fuzz, CaseStatus, FuzzCase, FuzzConfig, FuzzSummary};
 pub use generate::{generate_program, GenConfig, GeneratedProgram};
 pub use polyinv_constraints::exact::{
-    exact_assignment, exact_recheck, instantiate_exact, ExactCheckConfig, ExactReport,
+    exact_assignment, instantiate_exact, ExactCheckConfig, ExactReport,
 };
 pub use trace::{falsify_traces, TraceCheckConfig, TraceReport, TraceViolation};
 
@@ -55,28 +52,24 @@ pub struct ValidationConfig {
 pub struct ValidationReport {
     /// The trace-falsification outcome.
     pub trace: TraceReport,
-    /// The exact re-check outcome (absent when no solved system was
-    /// available, e.g. the candidate came from outside the pipeline).
-    pub exact: Option<ExactReport>,
+    /// The orchestrator's exact certificate of the attacked invariant.
+    pub exact: ExactReport,
 }
 
 impl ValidationReport {
     /// `true` when the invariant survived both checks.
     pub fn sound(&self) -> bool {
-        let exact_ok = match &self.exact {
-            Some(exact) => exact.passed(),
-            None => true,
-        };
-        self.trace.passed() && exact_ok
+        self.trace.passed() && self.exact.passed()
     }
 
     /// The serializable summary attached to API reports.
     pub fn to_record(&self) -> ValidationRecord {
+        let exact = &self.exact;
         ValidationRecord {
             trace_runs: self.trace.valid_runs,
             trace_states: self.trace.states_checked,
             trace_violations: self.trace.violations.len(),
-            exact: self.exact.as_ref().map(|exact| ExactRecord {
+            exact: Some(ExactRecord {
                 constraints: exact.constraints,
                 worst_violation: format!(
                     "{}/{}",
@@ -96,6 +89,7 @@ impl ValidationReport {
     pub fn to_json(&self) -> polyinv_api::Json {
         use polyinv_api::Json;
         let rational = |value: &polyinv_arith::Rational| Json::string(value.to_string());
+        let exact = &self.exact;
         let violations: Vec<Json> = self
             .trace
             .violations
@@ -145,68 +139,32 @@ impl ValidationReport {
             ),
             (
                 "exact",
-                match &self.exact {
-                    None => Json::Null,
-                    Some(exact) => Json::object(vec![
-                        ("constraints", Json::Number(exact.constraints as f64)),
-                        ("worst_violation", rational(&exact.worst_violation)),
-                        (
-                            "worst_constraint",
-                            Json::string(exact.worst_constraint.clone()),
-                        ),
-                        ("tolerance", rational(&exact.tolerance)),
-                        ("overflowed", Json::Bool(exact.overflowed)),
-                        ("passed", Json::Bool(exact.passed())),
-                    ]),
-                },
+                Json::object(vec![
+                    ("constraints", Json::Number(exact.constraints as f64)),
+                    ("worst_violation", rational(&exact.worst_violation)),
+                    (
+                        "worst_constraint",
+                        Json::string(exact.worst_constraint.clone()),
+                    ),
+                    ("tolerance", rational(&exact.tolerance)),
+                    ("overflowed", Json::Bool(exact.overflowed)),
+                    ("passed", Json::Bool(exact.passed())),
+                ]),
             ),
             ("sound", Json::Bool(self.sound())),
         ])
-    }
-
-    /// A one-cell summary for tables: `ok(1000tr, 2.1e-9)` or the failing
-    /// check.
-    pub fn summary(&self) -> String {
-        if self.sound() {
-            match &self.exact {
-                Some(exact) => format!(
-                    "ok({}tr, {:.1e})",
-                    self.trace.valid_runs,
-                    exact.worst_violation.to_f64()
-                ),
-                None => format!("ok({}tr)", self.trace.valid_runs),
-            }
-        } else if !self.trace.passed() {
-            format!("TRACE-VIOLATION({})", self.trace.violations.len())
-        } else {
-            "EXACT-VIOLATION".to_string()
-        }
-    }
-}
-
-/// Validates a candidate invariant that did not come out of the pipeline
-/// (no quadratic system to re-check): trace falsification only.
-pub fn validate_candidate(
-    program: &Program,
-    pre: &Precondition,
-    invariant: &InvariantMap,
-    post: &Postcondition,
-    config: &ValidationConfig,
-) -> ValidationReport {
-    ValidationReport {
-        trace: falsify_traces(program, pre, invariant, post, &config.trace),
-        exact: None,
     }
 }
 
 /// Weak synthesis with validation: runs the solve orchestrator (ϒ ladder,
 /// portfolio race, polish, snap-and-certify) and — when a candidate is
-/// float-feasible or certified — trace-falsifies the instantiated invariant.
-/// The exact re-check of the validation report *is* the orchestrator's
-/// certificate: both attack the same snapped assignment under the plan's
-/// acceptance tolerance, so a `certified` outcome and a passing
-/// `validation.exact` cannot disagree. Returns the orchestrated outcome and,
-/// when it was float-feasible or certified, its validation report.
+/// float-feasible or certified — trace-falsifies the outcome's invariant
+/// and post-conditions as they are. The exact re-check of the validation
+/// report *is* the orchestrator's certificate, and the outcome's invariant
+/// is instantiated at the point it checked, so trace falsification, the
+/// certificate and the report attack one rational point. Returns the
+/// orchestrated outcome and, when it was float-feasible or certified, its
+/// validation report.
 ///
 /// # Errors
 ///
@@ -225,19 +183,15 @@ pub fn synthesize_and_validate(
     config: &ValidationConfig,
 ) -> Result<(OrchestratorOutcome, Option<ValidationReport>), ConstraintError> {
     let outcome = Orchestrator::new(plan.clone()).solve(program, pre, targets)?;
-    let validation = (outcome.feasible || outcome.certified).then(|| {
-        // Attack the same snapped point the certificate covers.
-        let values = exact_assignment(
-            &outcome.generated.system,
-            &outcome.assignment,
-            &plan.certificate,
-        );
-        let (invariant, postconditions) = instantiate_exact(program, &outcome.generated, &values);
-        let trace = falsify_traces(program, pre, &invariant, &postconditions, &config.trace);
-        ValidationReport {
-            trace,
-            exact: outcome.exact.clone(),
-        }
+    let validation = (outcome.feasible || outcome.certified).then(|| ValidationReport {
+        trace: falsify_traces(
+            program,
+            pre,
+            &outcome.invariant,
+            &outcome.postconditions,
+            &config.trace,
+        ),
+        exact: outcome.exact.clone(),
     });
     Ok((outcome, validation))
 }
@@ -245,8 +199,9 @@ pub fn synthesize_and_validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyinv_constraints::SynthesisOptions;
-    use polyinv_lang::{parse_assertion, parse_program};
+    use polyinv_constraints::exact::exact_recheck_ladder;
+    use polyinv_constraints::{QuadraticSystem, SynthesisOptions, UnknownRegistry};
+    use polyinv_lang::{parse_assertion, parse_program, InvariantMap, Postcondition};
 
     const INC: &str = r#"
         inc(x) {
@@ -260,24 +215,33 @@ mod tests {
 
     #[test]
     fn candidate_validation_refutes_a_wrong_invariant() {
+        // A refuting trace makes the validation unsound even when the exact
+        // certificate (here of an empty system) passes.
         let program = parse_program(INC).unwrap();
         let pre = Precondition::from_program(&program);
         let mut invariant = InvariantMap::new();
         let (poly, _) = parse_assertion(&program, "inc", "5 - x > 0").unwrap();
         invariant.add(program.main().exit_label(), poly);
-        let report = validate_candidate(
-            &program,
-            &pre,
-            &invariant,
-            &Postcondition::new(),
-            &ValidationConfig::default(),
-        );
+        let report = ValidationReport {
+            trace: falsify_traces(
+                &program,
+                &pre,
+                &invariant,
+                &Postcondition::new(),
+                &ValidationConfig::default().trace,
+            ),
+            exact: exact_recheck_ladder(
+                &QuadraticSystem::new(UnknownRegistry::new()),
+                &[],
+                &ExactCheckConfig::default(),
+            ),
+        };
+        assert!(report.exact.passed());
         assert!(!report.sound());
         let record = report.to_record();
         assert!(!record.passed);
         assert!(record.trace_violations > 0);
-        assert!(record.exact.is_none());
-        assert!(report.summary().contains("TRACE-VIOLATION"));
+        assert!(record.exact.expect("the certificate is recorded").passed);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! cargo run --release --example nondet_summation
 //! ```
 
-use polyinv::prelude::{falsify, parse_assertion, InvariantMap, Precondition};
+use polyinv::prelude::{parse_assertion, InvariantMap, Postcondition, Precondition};
 use polyinv_api::{Engine, ReportStatus, SynthesisRequest};
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
+use polyinv_validate::{falsify_traces, TraceCheckConfig};
 
 fn main() -> Result<(), polyinv_api::ApiError> {
     let engine = Engine::new();
@@ -64,7 +65,13 @@ fn main() -> Result<(), polyinv_api::ApiError> {
     let mut invariant = InvariantMap::new();
     let parse = |text: &str| parse_assertion(&program, "sum", text).map(|(p, _)| p);
     invariant.add(labels[0], parse("n > 0")?);
-    assert!(falsify(&program, &pre, &invariant, 200, 7).is_none());
+    let traces = TraceCheckConfig {
+        runs: 200,
+        seed: 7,
+        ..TraceCheckConfig::default()
+    };
+    let post = Postcondition::new();
+    assert!(falsify_traces(&program, &pre, &invariant, &post, &traces).passed());
     println!("falsification: no violation in 200 sampled runs");
 
     // A wrong assertion (s stays below 1) is rejected by both directions.
@@ -72,13 +79,14 @@ fn main() -> Result<(), polyinv_api::ApiError> {
     let report = engine.run(&wrong)?;
     let mut claimed = InvariantMap::new();
     claimed.add(labels[7], parse("1 - s > 0")?);
-    let violation = falsify(&program, &pre, &claimed, 200, 7);
+    let falsified = !falsify_traces(&program, &pre, &claimed, &post, &traces)
+        .violations
+        .is_empty();
     println!(
-        "wrong assertion: certified = {}, falsified = {}",
+        "wrong assertion: certified = {}, falsified = {falsified}",
         report.status == ReportStatus::Certified,
-        violation.is_some()
     );
     assert_eq!(report.status, ReportStatus::NotCertified);
-    assert!(violation.is_some());
+    assert!(falsified);
     Ok(())
 }

@@ -7,9 +7,10 @@
 //! cargo run --release --example recursive_sum -- --solve # full Step-4 attempt (minutes)
 //! ```
 
-use polyinv::prelude::{falsify, parse_assertion, InvariantMap, Precondition};
+use polyinv::prelude::{parse_assertion, InvariantMap, Postcondition, Precondition};
 use polyinv_api::{Engine, ReportStatus, SynthesisRequest};
 use polyinv_lang::program::RECURSIVE_EXAMPLE_SOURCE;
+use polyinv_validate::{falsify_traces, TraceCheckConfig};
 
 const TARGET: &str = "0.5*n_in*n_in + 0.5*n_in + 1 - ret > 0";
 
@@ -61,16 +62,21 @@ fn main() -> Result<(), polyinv_api::ApiError> {
         let mut claimed = InvariantMap::new();
         let (goal, _) = parse_assertion(&program, "rsum", TARGET)?;
         claimed.add(program.main().exit_label(), goal);
-        let counterexample = falsify(&program, &pre, &claimed, 300, 11);
+        let traces = TraceCheckConfig {
+            runs: 300,
+            seed: 11,
+            ..TraceCheckConfig::default()
+        };
+        let report = falsify_traces(&program, &pre, &claimed, &Postcondition::new(), &traces);
         println!(
             "falsification of the target over 300 sampled runs: {}",
-            if counterexample.is_none() {
+            if report.violations.is_empty() {
                 "no counterexample (consistent with the paper's result)"
             } else {
                 "counterexample found"
             }
         );
-        assert!(counterexample.is_none());
+        assert!(report.passed());
     }
     Ok(())
 }

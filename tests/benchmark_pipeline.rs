@@ -3,9 +3,11 @@
 
 use polyinv::prelude::*;
 use polyinv::{fix_targets, TargetAssertion};
+use polyinv_api::engine::{escalate_degree, resolve_weak_targets};
 use polyinv_benchmarks::{by_name, table2, table3, Benchmark, Category};
-use polyinv_constraints::{presolve, PresolveOptions, PresolvedSystem};
+use polyinv_constraints::{instantiate_exact, presolve, PresolveOptions, PresolvedSystem};
 use polyinv_farkas::{FarkasBaseline, Inapplicability};
+use polyinv_validate::{falsify_traces, TraceCheckConfig};
 
 #[test]
 fn small_table2_benchmarks_generate_systems_of_paper_scale() {
@@ -113,7 +115,19 @@ fn weak_synthesis_closes_a_small_linear_benchmark() {
         outcome.violation, outcome.stats.certificate_violation
     );
     // Any synthesized invariant must survive falsification.
-    assert!(falsify(&program, &pre, &outcome.invariant, 200, 23).is_none());
+    let config = TraceCheckConfig {
+        runs: 200,
+        seed: 23,
+        ..TraceCheckConfig::default()
+    };
+    let report = falsify_traces(
+        &program,
+        &pre,
+        &outcome.invariant,
+        &outcome.postconditions,
+        &config,
+    );
+    assert!(report.passed(), "{:?}", report.violations);
 }
 
 #[test]
@@ -157,6 +171,57 @@ fn synthesized_reports_carry_a_passing_exact_certificate() {
         .as_ref()
         .expect("synthesized rows carry the exact re-check");
     assert!(exact.passed, "certificate did not pass: {exact:?}");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow without optimizations; run with `cargo test --release`"
+)]
+fn reported_invariants_are_the_certified_point() {
+    // freire1 certifies at ϒ = 0 with template coefficients no k/64 grid
+    // point is near. The report must print the invariant instantiated at
+    // the rational point the certificate checked, whose denominators are
+    // powers of two.
+    let benchmark = by_name("freire1").unwrap();
+    let request = polyinv_bench::solve_request(&benchmark);
+    let report = polyinv_api::Engine::new().run(&request).unwrap();
+    assert_eq!(
+        report.status,
+        polyinv_api::ReportStatus::Synthesized,
+        "diagnostics: {:?}",
+        report.diagnostics
+    );
+
+    // The same solve the Engine runs, kept for its certificate.
+    let program = benchmark.program().unwrap();
+    let targets = resolve_weak_targets(&program, &request).unwrap();
+    let (options, _) = escalate_degree(&request.options, &targets);
+    let plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
+    let pre = Precondition::from_program(&program);
+    let outcome = Orchestrator::new(plan)
+        .solve(&program, &pre, &targets)
+        .unwrap();
+    assert!(outcome.exact.passed());
+    let (invariant, _) = instantiate_exact(&program, &outcome.generated, &outcome.exact.values);
+    let rendered: Vec<String> = invariant
+        .render(&program)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert!(!rendered.is_empty());
+    assert_eq!(report.invariants, rendered);
+
+    for line in &report.invariants {
+        for part in line.split('/').skip(1) {
+            let digits: String = part.chars().take_while(char::is_ascii_digit).collect();
+            let denominator: u128 = digits.parse().unwrap();
+            assert!(
+                denominator.is_power_of_two(),
+                "non-dyadic coefficient in `{line}`"
+            );
+        }
+    }
 }
 
 #[test]

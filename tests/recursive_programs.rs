@@ -7,6 +7,24 @@ use polyinv_arith::Rational;
 use polyinv_constraints::pairs::PairKind;
 use polyinv_lang::interp::{Interpreter, NondetOracle, SeededOracle};
 use polyinv_lang::program::RECURSIVE_EXAMPLE_SOURCE;
+use polyinv_lang::Program;
+use polyinv_validate::{falsify_traces, TraceCheckConfig, TraceReport};
+
+/// Trace-falsifies `invariant` on `runs` valid seeded runs.
+fn trace_check(
+    program: &Program,
+    pre: &Precondition,
+    invariant: &InvariantMap,
+    runs: usize,
+    seed: u64,
+) -> TraceReport {
+    let config = TraceCheckConfig {
+        runs,
+        seed,
+        ..TraceCheckConfig::default()
+    };
+    falsify_traces(program, pre, invariant, &Postcondition::new(), &config)
+}
 
 struct AlwaysAdd;
 impl NondetOracle for AlwaysAdd {
@@ -71,7 +89,7 @@ fn paper_target_for_recursive_sum_is_never_falsified() {
     let target = benchmark.target_polynomial(&program).unwrap().unwrap();
     let mut claimed = InvariantMap::new();
     claimed.add(program.main().exit_label(), target);
-    assert!(falsify(&program, &pre, &claimed, 300, 29).is_none());
+    assert!(trace_check(&program, &pre, &claimed, 300, 29).passed());
 }
 
 #[test]
@@ -85,7 +103,7 @@ fn merge_sort_inversion_bound_holds_on_sampled_runs() {
     let target = benchmark.target_polynomial(&program).unwrap().unwrap();
     let mut claimed = InvariantMap::new();
     claimed.add(program.main().exit_label(), target);
-    assert!(falsify(&program, &pre, &claimed, 120, 31).is_none());
+    assert!(trace_check(&program, &pre, &claimed, 120, 31).passed());
 }
 
 #[test]

@@ -4,8 +4,26 @@
 use polyinv::prelude::*;
 use polyinv_lang::cfg::Cfg;
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
+use polyinv_lang::Program;
+use polyinv_validate::{falsify_traces, TraceCheckConfig, TraceReport};
 
-fn margin_aware_invariant(program: &polyinv_lang::Program) -> InvariantMap {
+/// Trace-falsifies `invariant` on `runs` valid seeded runs.
+fn trace_check(
+    program: &Program,
+    pre: &Precondition,
+    invariant: &InvariantMap,
+    runs: usize,
+    seed: u64,
+) -> TraceReport {
+    let config = TraceCheckConfig {
+        runs,
+        seed,
+        ..TraceCheckConfig::default()
+    };
+    falsify_traces(program, pre, invariant, &Postcondition::new(), &config)
+}
+
+fn margin_aware_invariant(program: &Program) -> InvariantMap {
     let labels = program.main().labels().to_vec();
     let parse = |text: &str| parse_assertion(program, "sum", text).unwrap().0;
     let mut invariant = InvariantMap::new();
@@ -70,7 +88,7 @@ fn hand_written_strengthening_is_certified_and_not_falsified() {
     )
     .unwrap();
     assert!(report.all_certified(), "failures: {:?}", report.failures());
-    assert!(falsify(&program, &pre, &invariant, 150, 3).is_none());
+    assert!(trace_check(&program, &pre, &invariant, 150, 3).passed());
 }
 
 #[test]
@@ -83,7 +101,7 @@ fn the_papers_endpoint_assertion_survives_extensive_falsification() {
         parse_assertion(&program, "sum", "0.5*n_in*n_in + 0.5*n_in + 1 - ret > 0").unwrap();
     let mut claimed = InvariantMap::new();
     claimed.add(exit, goal);
-    assert!(falsify(&program, &pre, &claimed, 400, 17).is_none());
+    assert!(trace_check(&program, &pre, &claimed, 400, 17).passed());
 }
 
 #[test]
@@ -104,5 +122,7 @@ fn corrupted_strengthenings_are_rejected() {
     )
     .unwrap();
     assert!(!report.all_certified());
-    assert!(falsify(&program, &pre, &invariant, 300, 5).is_some());
+    assert!(!trace_check(&program, &pre, &invariant, 300, 5)
+        .violations
+        .is_empty());
 }
