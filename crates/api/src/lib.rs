@@ -60,4 +60,4 @@ pub use request::{AssertionSpec, Mode, SynthesisRequest};
 
 // Re-export the options type that travels inside requests, so callers of
 // the API need only this crate.
-pub use polyinv_constraints::{SosEncoding, SynthesisOptions};
+pub use polyinv_constraints::SynthesisOptions;

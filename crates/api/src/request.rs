@@ -1,7 +1,7 @@
 //! The serializable request side of the API.
 
 use polyinv_arith::Rational;
-use polyinv_constraints::{SosEncoding, SynthesisOptions};
+use polyinv_constraints::SynthesisOptions;
 
 use crate::error::ApiError;
 use crate::json::Json;
@@ -157,7 +157,7 @@ pub struct SynthesisRequest {
     pub source: String,
     /// What to do.
     pub mode: Mode,
-    /// Reduction options (degree, conjuncts, ϒ, encoding, …).
+    /// Reduction options (degree, conjuncts, ϒ, …).
     pub options: SynthesisOptions,
     /// Target assertions ([`Mode::Weak`]) or candidate invariant atoms
     /// ([`Mode::Check`]).
@@ -379,6 +379,15 @@ fn invalid(field: &str) -> ApiError {
     }
 }
 
+/// A non-negative integer field that must fit in `u32`: a larger value is
+/// rejected instead of being truncated to its low 32 bits.
+fn u32_field(json: &Json, field: &str) -> Result<u32, ApiError> {
+    let value = json.as_usize().ok_or_else(|| invalid(field))?;
+    u32::try_from(value).map_err(|_| ApiError::InvalidRequest {
+        message: format!("field `{field}` is {value}, above the limit {}", u32::MAX),
+    })
+}
+
 fn rational_to_json(value: &Rational) -> Json {
     // i128 numerators/denominators do not fit in a JSON number, so both
     // parts travel as decimal strings.
@@ -405,13 +414,6 @@ pub(crate) fn options_to_json(options: &SynthesisOptions) -> Json {
         ("size", Json::Number(options.size as f64)),
         ("upsilon", Json::Number(options.upsilon as f64)),
         (
-            "encoding",
-            Json::string(match options.encoding {
-                SosEncoding::Cholesky => "cholesky",
-                SosEncoding::Gram => "gram",
-            }),
-        ),
-        (
             "bounded_reals",
             match &options.bounded_reals {
                 Some(bound) => rational_to_json(bound),
@@ -428,24 +430,25 @@ pub(crate) fn options_to_json(options: &SynthesisOptions) -> Json {
 pub(crate) fn options_from_json(json: &Json) -> Result<SynthesisOptions, ApiError> {
     let mut options = SynthesisOptions::default();
     if let Some(degree) = json.get("degree") {
-        options.degree = degree.as_usize().ok_or_else(|| invalid("degree"))? as u32;
+        options.degree = u32_field(degree, "degree")?;
     }
     if let Some(size) = json.get("size") {
         options.size = size.as_usize().ok_or_else(|| invalid("size"))?;
     }
     if let Some(upsilon) = json.get("upsilon") {
-        options.upsilon = upsilon.as_usize().ok_or_else(|| invalid("upsilon"))? as u32;
+        options.upsilon = u32_field(upsilon, "upsilon")?;
     }
-    if let Some(encoding) = json.get("encoding").and_then(Json::as_str) {
-        options.encoding = match encoding {
-            "cholesky" => SosEncoding::Cholesky,
-            "gram" => SosEncoding::Gram,
-            other => {
-                return Err(ApiError::InvalidRequest {
-                    message: format!("unknown encoding `{other}` (expected cholesky|gram)"),
-                })
-            }
-        };
+    // Cholesky is the only sum-of-squares encoding. Older requests always
+    // carry `"encoding": "cholesky"`, which stays accepted as a no-op.
+    if let Some(encoding) = json.get("encoding") {
+        if encoding.as_str() != Some("cholesky") {
+            return Err(ApiError::InvalidRequest {
+                message: format!(
+                    "unsupported encoding {encoding}: the Gram encoding was removed, \
+                     cholesky is the only sum-of-squares encoding"
+                ),
+            });
+        }
     }
     if let Some(bound) = json.get("bounded_reals") {
         if !bound.is_null() {
@@ -528,6 +531,48 @@ mod tests {
                 .options
                 .presolve
         );
+    }
+
+    #[test]
+    fn encoding_other_than_cholesky_is_rejected() {
+        let request = |encoding: &str| {
+            SynthesisRequest::from_json_str(&format!(
+                r#"{{"mode":"weak","source":"f(x) {{ return x }}","options":{{"encoding":{encoding}}}}}"#
+            ))
+        };
+        assert!(request(r#""cholesky""#).is_ok());
+        for encoding in [r#""gram""#, r#""sdp""#, "1"] {
+            match request(encoding) {
+                Err(ApiError::InvalidRequest { message }) => {
+                    assert!(message.contains("Gram encoding was removed"), "{message}")
+                }
+                other => panic!("encoding {encoding} accepted: {other:?}"),
+            }
+        }
+        // Requests no longer write the key at all.
+        let text = SynthesisRequest::weak("f(x) { return x }")
+            .to_json()
+            .to_string();
+        assert!(!text.contains("encoding"), "{text}");
+    }
+
+    #[test]
+    fn degree_and_upsilon_above_u32_are_rejected() {
+        let request = |field: &str, value: u64| {
+            SynthesisRequest::from_json_str(&format!(
+                r#"{{"mode":"weak","source":"f(x) {{ return x }}","options":{{"{field}":{value}}}}}"#
+            ))
+        };
+        for field in ["degree", "upsilon"] {
+            // 2³² + 1 used to be truncated to 1.
+            match request(field, u64::from(u32::MAX) + 2) {
+                Err(ApiError::InvalidRequest { message }) => {
+                    assert!(message.contains(field), "{message}")
+                }
+                other => panic!("{field} accepted: {other:?}"),
+            }
+            assert!(request(field, u64::from(u32::MAX)).is_ok());
+        }
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //!   rationals with checked arithmetic, used for all *symbolic* computation
 //!   (polynomial coefficients, constraint generation) where exactness
 //!   matters.
-//! * [`Matrix`] and [`Vector`] — dense, row-major `f64` linear algebra with
-//!   LU solves, Cholesky and LDLᵀ factorizations, the Jacobi eigenvalue
-//!   algorithm for symmetric matrices, and projection onto the positive
-//!   semidefinite cone. These are the building blocks of the sum-of-squares
-//!   (Gram matrix) machinery in `polyinv-qcqp`, and the oracle the sparse
-//!   routines are property-tested against.
+//! * [`Matrix`] and [`Vector`] — dense, row-major `f64` linear algebra
+//!   (products, transposes and Gaussian-elimination solves): the dense LM
+//!   probe of `polyinv-bench` and the oracle the sparse routines are
+//!   property-tested against.
 //! * [`sparse`] — the sparse substrate of the Step-4 solve path:
 //!   [`CsrMatrix`], the symbolic normal matrix [`JtjPattern`] (JᵀJ
 //!   accumulated directly from sparse Jacobian rows) and the sparse LDLᵀ
@@ -23,15 +21,18 @@
 //! # Example
 //!
 //! ```
-//! use polyinv_arith::{Rational, Matrix};
+//! use polyinv_arith::{Matrix, Rational, Vector};
 //!
 //! let half = Rational::new(1, 2);
 //! assert_eq!(half + half, Rational::one());
 //!
-//! let m = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-//! let chol = m.cholesky().expect("positive definite");
-//! let rebuilt = &chol * &chol.transpose();
-//! assert!((rebuilt.get(0, 0) - 2.0).abs() < 1e-12);
+//! let mut m = Matrix::zeros(2, 2);
+//! m.set(0, 0, 2.0);
+//! m.set(0, 1, 1.0);
+//! m.set(1, 0, 1.0);
+//! m.set(1, 1, 2.0);
+//! let x = m.solve(&Vector::from_slice(&[3.0, 3.0])).expect("non-singular");
+//! assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 //! ```
 
 pub mod linalg;

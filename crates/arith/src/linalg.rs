@@ -1,17 +1,11 @@
-//! Dense `f64` linear algebra used by the SOS / Gram-matrix machinery.
-//!
-//! The quadratic systems produced by the Putinar translation contain
-//! sum-of-squares constraints of the form `h = yᵀ Q y` with `Q ⪰ 0`
-//! (Theorem 3.4 of the paper). The QCQP substrate manipulates those Gram
-//! matrices directly, which requires symmetric eigendecomposition (for
-//! projection onto the PSD cone), Cholesky/LDLᵀ factorizations (for
-//! extracting sum-of-squares certificates, Theorem 3.5) and linear solves.
+//! Dense `f64` linear algebra: products, transposes and a
+//! Gaussian-elimination solve. The dense LM probe uses them, and they are
+//! the oracle the sparse JᵀJ and LDLᵀ routines are tested against.
 //!
 //! Everything here is dense and written for clarity over raw speed; the
 //! matrices involved are small (tens to a few hundreds of rows).
 
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut, Mul};
 
 /// A dense column vector of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,55 +35,6 @@ impl Vector {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Immutable access to the underlying storage.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// The Euclidean norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// The dot product with another vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn dot(&self, other: &Vector) -> f64 {
-        assert_eq!(self.len(), other.len(), "dimension mismatch in dot product");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
-    }
-
-    /// Returns `self + scale * other`.
-    pub fn axpy(&self, scale: f64, other: &Vector) -> Vector {
-        assert_eq!(self.len(), other.len(), "dimension mismatch in axpy");
-        Vector {
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a + scale * b)
-                .collect(),
-        }
-    }
-
-    /// Scales the vector by a constant.
-    pub fn scale(&self, factor: f64) -> Vector {
-        Vector {
-            data: self.data.iter().map(|x| x * factor).collect(),
-        }
-    }
 }
 
 impl Index<usize> for Vector {
@@ -102,19 +47,6 @@ impl Index<usize> for Vector {
 impl IndexMut<usize> for Vector {
     fn index_mut(&mut self, index: usize) -> &mut f64 {
         &mut self.data[index]
-    }
-}
-
-impl fmt::Display for Vector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, v) in self.data.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v:.6}")?;
-        }
-        write!(f, "]")
     }
 }
 
@@ -134,45 +66,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let nrows = rows.len();
-        let ncols = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for row in rows {
-            assert_eq!(row.len(), ncols, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        }
-    }
-
-    /// The number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Reads the entry at `(row, col)`.
@@ -210,11 +103,6 @@ impl Matrix {
                 out.set(j, i, self.get(i, j));
             }
         }
-    }
-
-    /// The Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Matrix–vector product.
@@ -274,103 +162,6 @@ impl Matrix {
         }
     }
 
-    /// Returns `true` if the matrix is (numerically) symmetric.
-    pub fn is_symmetric(&self, tolerance: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tolerance {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Symmetrizes the matrix in place: `A ← (A + Aᵀ)/2`.
-    pub fn symmetrize(&mut self) {
-        assert_eq!(
-            self.rows, self.cols,
-            "only square matrices can be symmetrized"
-        );
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let avg = 0.5 * (self.get(i, j) + self.get(j, i));
-                self.set(i, j, avg);
-                self.set(j, i, avg);
-            }
-        }
-    }
-
-    /// Cholesky factorization `A = L·Lᵀ` for a symmetric positive definite
-    /// matrix. Returns `None` if the matrix is not (numerically) positive
-    /// definite.
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
-        }
-        Some(l)
-    }
-
-    /// LDLᵀ factorization with tolerance for positive *semi*-definite
-    /// matrices: `A ≈ L·diag(d)·Lᵀ` with unit lower-triangular `L`.
-    ///
-    /// Returns `None` if a pivot is more negative than `-tolerance`
-    /// (i.e. the matrix is not PSD up to the tolerance).
-    pub fn ldlt_psd(&self, tolerance: f64) -> Option<(Matrix, Vec<f64>)> {
-        assert_eq!(self.rows, self.cols, "ldlt requires a square matrix");
-        let n = self.rows;
-        let mut l = Matrix::identity(n);
-        let mut d = vec![0.0; n];
-        for j in 0..n {
-            let mut dj = self.get(j, j);
-            for k in 0..j {
-                dj -= l.get(j, k) * l.get(j, k) * d[k];
-            }
-            if dj < -tolerance {
-                return None;
-            }
-            let dj = dj.max(0.0);
-            d[j] = dj;
-            for i in (j + 1)..n {
-                let mut v = self.get(i, j);
-                for k in 0..j {
-                    v -= l.get(i, k) * l.get(j, k) * d[k];
-                }
-                if dj <= tolerance {
-                    // A zero pivot of a PSD matrix forces the whole column of
-                    // the Schur complement to be zero; otherwise the matrix
-                    // has a negative eigenvalue.
-                    if v.abs() > tolerance.sqrt() {
-                        return None;
-                    }
-                    l.set(i, j, 0.0);
-                } else {
-                    l.set(i, j, v / dj);
-                }
-            }
-        }
-        Some((l, d))
-    }
-
     /// Solves `A·x = b` by Gaussian elimination with partial pivoting.
     ///
     /// Returns `None` if the matrix is singular to working precision.
@@ -428,225 +219,6 @@ impl Matrix {
         }
         Some(result)
     }
-
-    /// The inverse of a square matrix computed by Gauss–Jordan elimination
-    /// with partial pivoting, or `None` if the matrix is singular to working
-    /// precision.
-    pub fn inverse(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "inverse requires a square matrix");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = Matrix::identity(n);
-        for col in 0..n {
-            let mut pivot_row = col;
-            let mut pivot_val = a.get(col, col).abs();
-            for row in (col + 1)..n {
-                let v = a.get(row, col).abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = row;
-                }
-            }
-            if pivot_val < 1e-12 {
-                return None;
-            }
-            if pivot_row != col {
-                for j in 0..n {
-                    let tmp = a.get(col, j);
-                    a.set(col, j, a.get(pivot_row, j));
-                    a.set(pivot_row, j, tmp);
-                    let tmp = inv.get(col, j);
-                    inv.set(col, j, inv.get(pivot_row, j));
-                    inv.set(pivot_row, j, tmp);
-                }
-            }
-            let pivot = a.get(col, col);
-            for j in 0..n {
-                a.set(col, j, a.get(col, j) / pivot);
-                inv.set(col, j, inv.get(col, j) / pivot);
-            }
-            for row in 0..n {
-                if row == col {
-                    continue;
-                }
-                let factor = a.get(row, col);
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    a.set(row, j, a.get(row, j) - factor * a.get(col, j));
-                    inv.set(row, j, inv.get(row, j) - factor * inv.get(col, j));
-                }
-            }
-        }
-        Some(inv)
-    }
-
-    /// Solves the least-squares problem `min ‖A·x − b‖₂` via the normal
-    /// equations with Tikhonov damping `λ`.
-    pub fn solve_least_squares(&self, b: &Vector, damping: f64) -> Option<Vector> {
-        assert_eq!(self.rows, b.len(), "dimension mismatch in least squares");
-        let at = self.transpose();
-        let mut ata = &at * self;
-        for i in 0..ata.rows() {
-            ata.add_to(i, i, damping);
-        }
-        let atb = at.mul_vec(b);
-        ata.solve(&atb)
-    }
-
-    /// Symmetric eigendecomposition via the cyclic Jacobi algorithm.
-    ///
-    /// Returns `(eigenvalues, eigenvectors)` where column `k` of the
-    /// eigenvector matrix corresponds to `eigenvalues[k]`. The input must be
-    /// symmetric.
-    pub fn symmetric_eigen(&self) -> (Vec<f64>, Matrix) {
-        assert_eq!(
-            self.rows, self.cols,
-            "eigendecomposition requires a square matrix"
-        );
-        let n = self.rows;
-        let mut a = self.clone();
-        a.symmetrize();
-        let mut v = Matrix::identity(n);
-        let max_sweeps = 100;
-        for _ in 0..max_sweeps {
-            let mut off_diag = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    off_diag += a.get(i, j) * a.get(i, j);
-                }
-            }
-            if off_diag.sqrt() < 1e-14 {
-                break;
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = a.get(p, q);
-                    if apq.abs() < 1e-16 {
-                        continue;
-                    }
-                    let app = a.get(p, p);
-                    let aqq = a.get(q, q);
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    // Apply the rotation to A (both sides) and accumulate in V.
-                    for k in 0..n {
-                        let akp = a.get(k, p);
-                        let akq = a.get(k, q);
-                        a.set(k, p, c * akp - s * akq);
-                        a.set(k, q, s * akp + c * akq);
-                    }
-                    for k in 0..n {
-                        let apk = a.get(p, k);
-                        let aqk = a.get(q, k);
-                        a.set(p, k, c * apk - s * aqk);
-                        a.set(q, k, s * apk + c * aqk);
-                    }
-                    for k in 0..n {
-                        let vkp = v.get(k, p);
-                        let vkq = v.get(k, q);
-                        v.set(k, p, c * vkp - s * vkq);
-                        v.set(k, q, s * vkp + c * vkq);
-                    }
-                }
-            }
-        }
-        let eigenvalues = (0..n).map(|i| a.get(i, i)).collect();
-        (eigenvalues, v)
-    }
-
-    /// Projects a symmetric matrix onto the cone of positive semidefinite
-    /// matrices (in Frobenius norm) by clipping negative eigenvalues.
-    pub fn project_psd(&self) -> Matrix {
-        let (eigenvalues, vectors) = self.symmetric_eigen();
-        let n = self.rows;
-        let mut result = Matrix::zeros(n, n);
-        for k in 0..n {
-            let lambda = eigenvalues[k].max(0.0);
-            if lambda == 0.0 {
-                continue;
-            }
-            for i in 0..n {
-                let vik = vectors.get(i, k);
-                if vik == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    result.add_to(i, j, lambda * vik * vectors.get(j, k));
-                }
-            }
-        }
-        result.symmetrize();
-        result
-    }
-
-    /// The minimum eigenvalue of a symmetric matrix.
-    pub fn min_eigenvalue(&self) -> f64 {
-        let (eigenvalues, _) = self.symmetric_eigen();
-        eigenvalues.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-}
-
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
-    fn index(&self, (row, col): (usize, usize)) -> &f64 {
-        &self.data[row * self.cols + col]
-    }
-}
-
-impl IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut f64 {
-        &mut self.data[row * self.cols + col]
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "dimension mismatch in matrix addition");
-        assert_eq!(self.cols, rhs.cols, "dimension mismatch in matrix addition");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "dimension mismatch in matrix subtraction"
-        );
-        assert_eq!(
-            self.cols, rhs.cols,
-            "dimension mismatch in matrix subtraction"
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
 }
 
 impl Mul for &Matrix {
@@ -659,33 +231,6 @@ impl Mul for &Matrix {
     }
 }
 
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * rhs).collect(),
-        }
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            write!(f, "[")?;
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{:.6}", self.get(i, j))?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,21 +239,30 @@ mod tests {
         (a - b).abs() < 1e-9
     }
 
+    fn matrix<const C: usize>(rows: &[[f64; C]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), C);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
+                m.set(i, j, value);
+            }
+        }
+        m
+    }
+
     #[test]
     fn vector_basics() {
-        let v = Vector::from_slice(&[3.0, 4.0]);
+        let mut v = Vector::from_slice(&[3.0, 4.0]);
         assert_eq!(v.len(), 2);
-        assert!(approx_eq(v.norm(), 5.0));
-        let w = Vector::from_slice(&[1.0, 2.0]);
-        assert!(approx_eq(v.dot(&w), 11.0));
-        let sum = v.axpy(2.0, &w);
-        assert_eq!(sum.as_slice(), &[5.0, 8.0]);
+        assert!(!v.is_empty());
+        assert!(Vector::zeros(0).is_empty());
+        v[1] += 1.0;
+        assert_eq!(v, Vector::from_slice(&[3.0, 5.0]));
     }
 
     #[test]
     fn matrix_multiplication() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = matrix(&[[1.0, 2.0], [3.0, 4.0]]);
+        let b = matrix(&[[5.0, 6.0], [7.0, 8.0]]);
         let c = &a * &b;
         assert_eq!(c.get(0, 0), 19.0);
         assert_eq!(c.get(0, 1), 22.0);
@@ -718,106 +272,24 @@ mod tests {
 
     #[test]
     fn transpose_and_symmetry() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = matrix(&[[1.0, 2.0], [3.0, 4.0]]);
         let at = a.transpose();
         assert_eq!(at.get(0, 1), 3.0);
-        assert!(!a.is_symmetric(1e-12));
-        let mut s = a.clone();
-        s.symmetrize();
-        assert!(s.is_symmetric(1e-12));
-        assert!(approx_eq(s.get(0, 1), 2.5));
-    }
-
-    #[test]
-    fn cholesky_reconstructs_spd_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0, 0.0], &[2.0, 5.0, 1.0], &[0.0, 1.0, 3.0]]);
-        let l = a.cholesky().expect("SPD");
-        let reconstructed = &l * &l.transpose();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(approx_eq(reconstructed.get(i, j), a.get(i, j)));
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite_matrix() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(a.cholesky().is_none());
-    }
-
-    #[test]
-    fn ldlt_handles_semidefinite_matrix() {
-        // Rank-1 PSD matrix.
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        let (l, d) = a.ldlt_psd(1e-9).expect("PSD");
-        assert!(d.iter().all(|&x| x >= 0.0));
-        // Reconstruct.
-        let mut diag = Matrix::zeros(2, 2);
-        for i in 0..2 {
-            diag.set(i, i, d[i]);
-        }
-        let reconstructed = &(&l * &diag) * &l.transpose();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!(approx_eq(reconstructed.get(i, j), a.get(i, j)));
-            }
-        }
-        let indefinite = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!(indefinite.ldlt_psd(1e-9).is_none());
+        assert_eq!(at.transpose(), a);
+        // AᵀA is symmetric.
+        let gram = &at * &a;
+        assert_eq!(gram.get(0, 1), gram.get(1, 0));
+        assert!(approx_eq(gram.get(0, 1), 14.0));
     }
 
     #[test]
     fn solve_linear_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let a = matrix(&[[2.0, 1.0], [1.0, 3.0]]);
         let b = Vector::from_slice(&[3.0, 5.0]);
         let x = a.solve(&b).expect("non-singular");
         assert!(approx_eq(x[0], 0.8));
         assert!(approx_eq(x[1], 1.4));
-        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let singular = matrix(&[[1.0, 2.0], [2.0, 4.0]]);
         assert!(singular.solve(&b).is_none());
-    }
-
-    #[test]
-    fn least_squares_solves_overdetermined_system() {
-        // Fit y = 2x over three points with no noise.
-        let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let b = Vector::from_slice(&[2.0, 4.0, 6.0]);
-        let x = a.solve_least_squares(&b, 0.0).expect("solvable");
-        assert!(approx_eq(x[0], 2.0));
-    }
-
-    #[test]
-    fn jacobi_eigendecomposition() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let (mut eigenvalues, vectors) = a.symmetric_eigen();
-        eigenvalues.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert!(approx_eq(eigenvalues[0], 1.0));
-        assert!(approx_eq(eigenvalues[1], 3.0));
-        // Eigenvectors should be orthonormal.
-        let vtv = &vectors.transpose() * &vectors;
-        for i in 0..2 {
-            for j in 0..2 {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!(approx_eq(vtv.get(i, j), expected));
-            }
-        }
-    }
-
-    #[test]
-    fn psd_projection_clips_negative_eigenvalues() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let p = a.project_psd();
-        assert!(p.min_eigenvalue() >= -1e-9);
-        // Projection of a PSD matrix is (numerically) itself.
-        let spd = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]);
-        let projected = spd.project_psd();
-        assert!((&projected - &spd).frobenius_norm() < 1e-9);
-    }
-
-    #[test]
-    fn min_eigenvalue_of_identity_is_one() {
-        let eye = Matrix::identity(4);
-        assert!(approx_eq(eye.min_eigenvalue(), 1.0));
     }
 }

@@ -3,7 +3,7 @@
 //! Each group corresponds to an experiment listed in DESIGN.md §5:
 //! the three constraint-generation steps (Steps 1–3) on the running
 //! example, generation for representative Table 2 / Table 3 rows, the ϒ
-//! and encoding ablations, the Farkas baseline, certificate checking and
+//! ablation, the Farkas baseline, certificate checking and
 //! end-to-end weak synthesis on a small program.
 
 use std::time::Duration;
@@ -150,32 +150,6 @@ fn ablation_upsilon(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_encoding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_encoding");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(8));
-    let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
-    let pre = Precondition::from_program(&program);
-    for (name, encoding) in [
-        ("cholesky", SosEncoding::Cholesky),
-        ("gram", SosEncoding::Gram),
-    ] {
-        let options = SynthesisOptions {
-            encoding,
-            ..SynthesisOptions::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                polyinv_constraints::generate(&program, &pre, &options)
-                    .unwrap()
-                    .size()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn baseline_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("baseline_comparison");
     group
@@ -280,7 +254,6 @@ criterion_group!(
     pipeline_stage_breakdown,
     table_generation,
     ablation_upsilon,
-    ablation_encoding,
     baseline_comparison,
     certificate_checking,
     weak_synthesis_end_to_end

@@ -201,7 +201,7 @@ fn table3(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
 }
 
 /// Ablations called out in the paper: the technical parameter ϒ (Remark 3),
-/// the SOS encoding, and the bounded-reals augmentation (Remark 5),
+/// the bounded-reals augmentation (Remark 5) and the template degree,
 /// measured on the running example.
 fn ablations() {
     println!("## Ablations (running example, Figure 2)");
@@ -229,10 +229,6 @@ fn ablations() {
             SynthesisOptions::default().with_upsilon(upsilon),
         );
     }
-    report(
-        "Gram, d=2, upsilon=2",
-        SynthesisOptions::default().with_encoding(SosEncoding::Gram),
-    );
     report(
         "Cholesky + bounded reals (c=1000)",
         SynthesisOptions::default().with_bounded_reals(polyinv_arith::Rational::from_int(1000)),

@@ -19,7 +19,7 @@ use polyinv_api::{
     SynthesisRequest, ValidationRecord,
 };
 use polyinv_benchmarks::Benchmark;
-use polyinv_constraints::{SosEncoding, SynthesisOptions};
+use polyinv_constraints::SynthesisOptions;
 use polyinv_lang::{InvariantMap, Postcondition, Precondition};
 use polyinv_validate::{falsify_traces, TraceCheckConfig, ValidationConfig};
 
@@ -223,9 +223,7 @@ impl SolveRow {
 
 /// The reduction options matching a benchmark's paper configuration.
 pub fn options_for(benchmark: &Benchmark) -> SynthesisOptions {
-    SynthesisOptions::with_degree_and_size(benchmark.paper.d, benchmark.paper.n)
-        .with_upsilon(2)
-        .with_encoding(SosEncoding::Cholesky)
+    SynthesisOptions::with_degree_and_size(benchmark.paper.d, benchmark.paper.n).with_upsilon(2)
 }
 
 /// An Engine configured like the paper's evaluation runs (shared across

@@ -50,7 +50,6 @@ REDUCTION OPTIONS:
     --degree <n>              Template degree d          (default 2)
     --size <n>                Conjuncts per label n      (default 1)
     --upsilon <n>             Multiplier degree bound ϒ  (default 2)
-    --encoding <name>         cholesky | gram            (default cholesky)
     --backend <name>          lm | penalty | alm         (default: lm and penalty race)
     --no-presolve             Skip the affine presolve pass before Step 4
     --strong                  Enumerate a representative set instead (synth)
@@ -144,7 +143,6 @@ struct CommonArgs {
     degree: Option<u32>,
     size: Option<usize>,
     upsilon: Option<u32>,
-    encoding: Option<String>,
     backend: Option<String>,
     strong: bool,
     attempts: Option<usize>,
@@ -166,7 +164,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
         degree: None,
         size: None,
         upsilon: None,
-        encoding: None,
         backend: None,
         strong: false,
         attempts: None,
@@ -210,7 +207,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
             "--degree" => parsed.degree = Some(parse_number(arg, &value(arg)?)?),
             "--size" => parsed.size = Some(parse_number(arg, &value(arg)?)?),
             "--upsilon" => parsed.upsilon = Some(parse_number(arg, &value(arg)?)?),
-            "--encoding" => parsed.encoding = Some(value(arg)?),
             "--backend" => parsed.backend = Some(value(arg)?),
             "--attempts" => parsed.attempts = Some(parse_number(arg, &value(arg)?)?),
             "--seed" => parsed.seed = Some(parse_number(arg, &value(arg)?)?),
@@ -244,11 +240,7 @@ fn read_file(path: &str) -> Result<String, CliError> {
     })
 }
 
-fn build_request(
-    parsed: &CommonArgs,
-    mode: Mode,
-    source: String,
-) -> Result<SynthesisRequest, CliError> {
+fn build_request(parsed: &CommonArgs, mode: Mode, source: String) -> SynthesisRequest {
     let mut request = SynthesisRequest::new(mode, source);
     request.assertions = parsed.assertions.clone();
     request.backend = parsed.backend.clone();
@@ -268,18 +260,7 @@ fn build_request(
     if parsed.no_presolve {
         request.options.presolve = false;
     }
-    if let Some(encoding) = &parsed.encoding {
-        request.options.encoding = match encoding.as_str() {
-            "cholesky" => polyinv_api::SosEncoding::Cholesky,
-            "gram" => polyinv_api::SosEncoding::Gram,
-            other => {
-                return Err(usage(format!(
-                    "--encoding: unknown encoding `{other}` (expected cholesky|gram)"
-                )))
-            }
-        };
-    }
-    Ok(request)
+    request
 }
 
 fn cmd_parse(args: &[String]) -> Result<ExitCode, CliError> {
@@ -342,7 +323,7 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, CliError> {
     } else {
         Mode::Weak
     };
-    let request = build_request(&parsed, mode, source)?.with_id(path);
+    let request = build_request(&parsed, mode, source).with_id(path);
     let engine = Engine::new();
     let report = engine.run(&request)?;
     emit_report(&report, parsed.json, parsed.canonical);
@@ -356,7 +337,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
         .clone()
         .ok_or_else(|| usage("check needs a file"))?;
     let source = read_file(&path)?;
-    let request = build_request(&parsed, Mode::Check, source)?.with_id(path);
+    let request = build_request(&parsed, Mode::Check, source).with_id(path);
     let engine = Engine::new();
     let report = engine.run(&request)?;
     emit_report(&report, parsed.json, parsed.canonical);
@@ -382,7 +363,7 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
         .clone()
         .ok_or_else(|| usage("validate needs a file"))?;
     let source = read_file(&path)?;
-    let request = build_request(&parsed, Mode::Weak, source)?.with_id(path);
+    let request = build_request(&parsed, Mode::Weak, source).with_id(path);
     let config = validation_config(&parsed);
     let report = polyinv_validate::run_validated(&request, &config)?;
     emit_report(&report, parsed.json, parsed.canonical);

@@ -17,7 +17,7 @@
 //!    sum-of-squares multipliers `hᵢ` of degree at most `ϒ`, turning the
 //!    pair into quadratic equations over the template coefficients
 //!    (s-variables), multiplier coefficients (t-variables), SOS certificate
-//!    entries (l-variables / Gram entries) and positivity witnesses (ε).
+//!    entries (l-variables) and positivity witnesses (ε).
 //!
 //! The output is a [`QuadraticSystem`], which the `polyinv-qcqp` crate can
 //! solve and the `polyinv` crate interprets back into invariants.
@@ -36,13 +36,11 @@ pub use error::ConstraintError;
 pub use exact::{
     exact_assignment, exact_recheck_ladder, instantiate_exact, ExactCheckConfig, ExactReport,
 };
-pub use options::{
-    generate, prepare, reduce_pairs, GeneratedSystem, SosEncoding, SynthesisOptions,
-};
+pub use options::{generate, prepare, reduce_pairs, GeneratedSystem, SynthesisOptions};
 pub use pairs::{ConstraintPair, PairKind};
 pub use presolve::{
     presolve, Elimination, PresolveMap, PresolveOptions, PresolveStats, PresolvedSystem,
 };
-pub use system::{PsdBlock, QuadraticSystem};
+pub use system::QuadraticSystem;
 pub use template::{LabelTemplate, TemplateSet};
 pub use unknowns::{UnknownKind, UnknownRegistry};

@@ -7,7 +7,6 @@ use polyinv_poly::MonomialTable;
 
 use crate::error::ConstraintError;
 use crate::pairs::{generate_pairs, ConstraintPair, PairOptions};
-pub use crate::putinar::SosEncoding;
 use crate::putinar::{translate_pair, PutinarOptions};
 use crate::system::QuadraticSystem;
 use crate::template::TemplateSet;
@@ -23,9 +22,6 @@ pub struct SynthesisOptions {
     /// The technical parameter `ϒ` bounding the multiplier degrees (Step 3,
     /// Remark 3).
     pub upsilon: u32,
-    /// Sum-of-squares encoding (Cholesky as in the paper, or Gram for the
-    /// projection-based solver).
-    pub encoding: SosEncoding,
     /// When set, adds the bounded-reals pre-condition of Remark 5 with this
     /// bound `c` at every label, which guarantees the compactness condition
     /// of Putinar's positivstellensatz.
@@ -48,7 +44,6 @@ impl Default for SynthesisOptions {
             degree: 2,
             size: 1,
             upsilon: 2,
-            encoding: SosEncoding::Cholesky,
             bounded_reals: None,
             epsilon_lower: Rational::new(1, 100),
             force_recursive: false,
@@ -80,12 +75,6 @@ impl SynthesisOptions {
     /// Sets the technical parameter `ϒ` (builder style).
     pub fn with_upsilon(mut self, upsilon: u32) -> Self {
         self.upsilon = upsilon;
-        self
-    }
-
-    /// Sets the sum-of-squares encoding (builder style).
-    pub fn with_encoding(mut self, encoding: SosEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -195,7 +184,6 @@ pub fn reduce_pairs(
     let mut system = QuadraticSystem::new(registry);
     let putinar_options = PutinarOptions {
         upsilon: options.upsilon,
-        encoding: options.encoding,
         epsilon_lower: options.epsilon_lower,
     };
     for (index, pair) in pairs.iter().enumerate() {
@@ -296,22 +284,6 @@ mod tests {
         )
         .unwrap();
         assert!(bounded.size() > plain.size());
-    }
-
-    #[test]
-    fn gram_encoding_is_smaller_than_cholesky() {
-        let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
-        let pre = Precondition::from_program(&program);
-        let cholesky = generate(&program, &pre, &SynthesisOptions::default()).unwrap();
-        let gram = generate(
-            &program,
-            &pre,
-            &SynthesisOptions::default().with_encoding(SosEncoding::Gram),
-        )
-        .unwrap();
-        assert!(gram.size() < cholesky.size());
-        assert!(!gram.system.psd_blocks.is_empty());
-        assert!(cholesky.system.psd_blocks.is_empty());
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!    quadratic term anywhere (so substitution keeps every row quadratic)
 //!    and that `rest` stays under a fill-in cap. A zero sum of squares
 //!    (`Σ cᵢ·uᵢ² = 0`, all `cᵢ` of one sign) fixes each `uᵢ := 0`.
-//!    Unknowns appearing in PSD blocks are never eliminated by rows (the
-//!    block bookkeeping must keep addressing them).
 //! 3. **Simplification** — substituted rows that become `0 = 0` or `c ≥ 0`
 //!    (with `c ≥ 0`) are dropped; rows that become constant *false* are
 //!    kept, so an infeasible system stays visibly infeasible. Remaining
@@ -384,14 +382,9 @@ pub fn presolve(
         ..PresolveStats::default()
     };
 
-    // Unknowns addressed by PSD blocks must survive: the block constraints
-    // reference them positionally and cannot express substituted
-    // combinations. The set also absorbs unknowns whose elimination was
-    // rolled back (overflow / degree guard).
+    // Unknowns whose elimination was rolled back (overflow / degree guard)
+    // must survive.
     let mut blocked: HashSet<UnknownId> = HashSet::new();
-    for block in &system.psd_blocks {
-        blocked.extend(block.entries.iter().copied());
-    }
 
     let mut eqs = system.equalities.clone();
     let mut ineqs = system.inequalities.clone();
@@ -531,7 +524,6 @@ pub fn presolve(
     let mut reduced = QuadraticSystem::new(system.registry.clone());
     reduced.equalities = eqs;
     reduced.inequalities = ineqs;
-    reduced.psd_blocks = system.psd_blocks.clone();
     reduced.num_pairs = system.num_pairs;
 
     stats.size_after = reduced.size();
@@ -1071,7 +1063,6 @@ fn checked_unscale(expr: &QuadExpr, factor: Rational) -> Option<QuadExpr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::PsdBlock;
     use crate::unknowns::{UnknownKind, UnknownRegistry};
 
     fn affine(terms: &[(UnknownId, i64)], constant: i64) -> QuadExpr {
@@ -1253,36 +1244,6 @@ mod tests {
         assert_eq!(result.system.equalities.len(), 1);
         assert_eq!(result.system.inequalities.len(), 2);
         assert_eq!(result.stats.duplicates, 2);
-    }
-
-    #[test]
-    fn psd_entries_are_protected_from_row_eliminations() {
-        let (mut system, ids) = fresh_system(2);
-        let [g, x] = [ids[0], ids[1]];
-        system.psd_blocks.push(PsdBlock {
-            pair: 0,
-            multiplier: 0,
-            dim: 1,
-            entries: vec![g],
-        });
-        // g - x = 0 may only eliminate x (g is a PSD entry).
-        system.equalities.push(affine(&[(g, 1), (x, -1)], 0));
-        let result = presolve(&system, &HashMap::new(), &PresolveOptions::default());
-        assert_eq!(result.map.len(), 1);
-        assert_eq!(result.map.iter().next().unwrap().unknown(), x);
-
-        // A single-unknown row pinning a PSD entry is left alone.
-        let (mut system2, ids2) = fresh_system(1);
-        system2.psd_blocks.push(PsdBlock {
-            pair: 0,
-            multiplier: 0,
-            dim: 1,
-            entries: vec![ids2[0]],
-        });
-        system2.equalities.push(affine(&[(ids2[0], 1)], -1));
-        let result2 = presolve(&system2, &HashMap::new(), &PresolveOptions::default());
-        assert!(result2.map.is_empty());
-        assert_eq!(result2.system.equalities.len(), 1);
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! sum-of-squares polynomial of degree at most `ϒ` over the pair's program
 //! variables. Matching the coefficients of the two sides monomial by
 //! monomial yields quadratic *equalities* over the unknowns; the
-//! sum-of-squares side conditions become either
-//!
-//! * quadratic equalities and diagonal inequalities via the Cholesky
-//!   factorization `Q = L·Lᵀ` (Theorem 3.5 — the paper's QCLP encoding), or
-//! * an explicit PSD constraint on the Gram matrix `Q` (Theorem 3.4 — the
-//!   encoding our alternating-projection solver consumes natively).
+//! sum-of-squares side conditions become quadratic equalities and diagonal
+//! inequalities via the Cholesky factorization `Q = L·Lᵀ` (Theorem 3.5 —
+//! the paper's QCLP encoding): `hᵢ = yᵀ·L·Lᵀ·y` with a fresh
+//! lower-triangular matrix of l-variables and a non-negative diagonal.
 //!
 //! The translation runs entirely on the interned representation: monomial
 //! products are memoized [`MonoId`] lookups, the multiplier bases come from
@@ -31,22 +29,8 @@ use polyinv_poly::interned::QuadAccumulator;
 use polyinv_poly::{IntTemplate, LinExpr, MonoId, MonomialTable, QuadExpr, UnknownId};
 
 use crate::pairs::ConstraintPair;
-use crate::system::{PsdBlock, QuadraticSystem};
+use crate::system::QuadraticSystem;
 use crate::unknowns::UnknownKind;
-
-/// How sum-of-squares side conditions are encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SosEncoding {
-    /// `hᵢ = yᵀ·L·Lᵀ·y` with a fresh lower-triangular matrix of l-variables,
-    /// non-negative diagonal, and one quadratic equality per coefficient of
-    /// `hᵢ`. This is the encoding described in Section 3.1 of the paper and
-    /// the one whose constraint count matches the reported `|S|`.
-    Cholesky,
-    /// `hᵢ = yᵀ·Q·y` with a symmetric Gram matrix `Q ⪰ 0` whose entries are
-    /// the unknowns. No t-variables or SOS equalities are needed; the PSD
-    /// requirement is recorded as a [`PsdBlock`].
-    Gram,
-}
 
 /// Tuning knobs of the translation.
 #[derive(Debug, Clone, Copy)]
@@ -55,8 +39,6 @@ pub struct PutinarOptions {
     /// `hᵢ` (Remark 3). Must be even to admit a sum-of-squares
     /// decomposition; odd values are rounded down.
     pub upsilon: u32,
-    /// The sum-of-squares encoding.
-    pub encoding: SosEncoding,
     /// Lower bound enforced on every positivity witness `ε` (the paper's
     /// `ε` is strictly positive; a concrete lower bound keeps the numeric
     /// solver away from the degenerate `ε = 0` solutions).
@@ -67,7 +49,6 @@ impl Default for PutinarOptions {
     fn default() -> Self {
         PutinarOptions {
             upsilon: 2,
-            encoding: SosEncoding::Cholesky,
             epsilon_lower: Rational::new(1, 100),
         }
     }
@@ -113,51 +94,36 @@ pub fn translate_pair(
     let context_polys: Vec<&IntTemplate> =
         std::iter::once(&one).chain(pair.context.iter()).collect();
     for (multiplier_index, g_i) in context_polys.iter().enumerate() {
-        match options.encoding {
-            SosEncoding::Cholesky => {
-                let expansion = build_cholesky_expansion(
-                    pair_index,
-                    multiplier_index,
-                    &gram_basis,
-                    system,
-                    table,
-                );
-                if g_i.is_concrete() {
-                    // `gᵢ` has no template unknowns (the constant 1, guard
-                    // atoms, pre-condition polynomials), so `hᵢ·gᵢ` stays
-                    // quadratic even with hᵢ's coefficients expressed
-                    // directly as the `(L·Lᵀ)` entries. Skipping the
-                    // t-variable aliases removes one unknown and one
-                    // equality per multiplier monomial — a significant
-                    // reduction of `|S|` (DESIGN.md §3).
-                    for &(mono_h, ref contribution) in expansion.terms() {
-                        for &(mono_g, ref coeff) in g_i.terms() {
-                            rhs.add_scaled_term(
-                                table.mul(mono_h, mono_g),
-                                contribution,
-                                coeff.constant_part(),
-                            );
-                        }
-                    }
-                } else {
-                    // `gᵢ` mentions template unknowns (source-label template
-                    // conjuncts): alias hᵢ's coefficients through fresh
-                    // t-variables so the product stays quadratic.
-                    let h_i = alias_through_multiplier_unknowns(
-                        pair_index,
-                        multiplier_index,
-                        &multiplier_basis,
-                        &expansion,
-                        system,
+        let expansion =
+            build_cholesky_expansion(pair_index, multiplier_index, &gram_basis, system, table);
+        if g_i.is_concrete() {
+            // `gᵢ` has no template unknowns (the constant 1, guard atoms,
+            // pre-condition polynomials), so `hᵢ·gᵢ` stays quadratic even
+            // with hᵢ's coefficients expressed directly as the `(L·Lᵀ)`
+            // entries. Skipping the t-variable aliases removes one unknown
+            // and one equality per multiplier monomial — a significant
+            // reduction of `|S|` (DESIGN.md §3).
+            for &(mono_h, ref contribution) in expansion.terms() {
+                for &(mono_g, ref coeff) in g_i.terms() {
+                    rhs.add_scaled_term(
+                        table.mul(mono_h, mono_g),
+                        contribution,
+                        coeff.constant_part(),
                     );
-                    rhs.add_mul_template(&h_i, g_i, table);
                 }
             }
-            SosEncoding::Gram => {
-                let h_i =
-                    build_gram_multiplier(pair_index, multiplier_index, &gram_basis, system, table);
-                rhs.add_mul_template(&h_i, g_i, table);
-            }
+        } else {
+            // `gᵢ` mentions template unknowns (source-label template
+            // conjuncts): alias hᵢ's coefficients through fresh t-variables
+            // so the product stays quadratic.
+            let h_i = alias_through_multiplier_unknowns(
+                pair_index,
+                multiplier_index,
+                &multiplier_basis,
+                &expansion,
+                system,
+            );
+            rhs.add_mul_template(&h_i, g_i, table);
         }
     }
 
@@ -279,56 +245,6 @@ fn alias_through_multiplier_unknowns(
     h
 }
 
-/// Builds a multiplier `hᵢ` in the Gram encoding: its coefficients are
-/// linear expressions in the Gram-matrix entries, and a [`PsdBlock`] records
-/// the `Q ⪰ 0` requirement.
-fn build_gram_multiplier(
-    pair: usize,
-    multiplier: usize,
-    gram_basis: &[MonoId],
-    system: &mut QuadraticSystem,
-    table: &mut MonomialTable,
-) -> IntTemplate {
-    let dim = gram_basis.len();
-    let mut entries = Vec::with_capacity(dim * (dim + 1) / 2);
-    let mut matrix = vec![vec![None::<UnknownId>; dim]; dim];
-    for row in 0..dim {
-        for col in row..dim {
-            let id = system.registry.fresh(UnknownKind::Gram {
-                pair,
-                multiplier,
-                row,
-                col,
-            });
-            entries.push(id);
-            matrix[row][col] = Some(id);
-            matrix[col][row] = Some(id);
-        }
-    }
-    system.psd_blocks.push(PsdBlock {
-        pair,
-        multiplier,
-        dim,
-        entries,
-    });
-
-    // h = yᵀ·Q·y: coefficient of y_j·y_k is Q[j,k] (doubled off-diagonal).
-    let mut h = IntTemplate::zero();
-    for j in 0..dim {
-        for k in j..dim {
-            let monomial = table.mul(gram_basis[j], gram_basis[k]);
-            let factor = if j == k {
-                Rational::one()
-            } else {
-                Rational::from_int(2)
-            };
-            let q = matrix[j][k].expect("entry allocated above");
-            h.add_term(monomial, LinExpr::unknown(q).scale(factor));
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +290,6 @@ mod tests {
         // Equalities: coefficient matching over monomials of degree ≤ 3
         // (1, x, x², x³) = 4.
         assert_eq!(system.equalities.len(), 4);
-        assert!(system.psd_blocks.is_empty());
     }
 
     #[test]
@@ -414,25 +329,6 @@ mod tests {
         assert_eq!(system.equalities.len(), 7);
     }
 
-    #[test]
-    fn gram_translation_produces_psd_blocks_instead_of_t_variables() {
-        let mut table = MonomialTable::new();
-        let pair = simple_pair(&mut table);
-        let mut system = QuadraticSystem::new(UnknownRegistry::new());
-        let options = PutinarOptions {
-            encoding: SosEncoding::Gram,
-            ..PutinarOptions::default()
-        };
-        translate_pair(&pair, 0, &options, &mut system, &mut table);
-        // Unknowns: ε + 2 multipliers × 3 Gram entries = 7.
-        assert_eq!(system.num_unknowns(), 7);
-        assert_eq!(system.psd_blocks.len(), 2);
-        // Equalities: coefficient matching only (degree ≤ 3 → 4 monomials).
-        assert_eq!(system.equalities.len(), 4);
-        // Inequalities: only the ε bound.
-        assert_eq!(system.inequalities.len(), 1);
-    }
-
     /// The Putinar identity must hold *symbolically*: for any assignment of
     /// the unknowns that satisfies the generated equalities, the polynomial
     /// identity (†) holds. We check the contrapositive numerically: evaluate
@@ -444,21 +340,33 @@ mod tests {
         let mut table = MonomialTable::new();
         let pair = simple_pair(&mut table);
         let mut system = QuadraticSystem::new(UnknownRegistry::new());
-        let options = PutinarOptions {
-            encoding: SosEncoding::Gram,
-            ..PutinarOptions::default()
-        };
-        translate_pair(&pair, 0, &options, &mut system, &mut table);
-        // Assignment: ε = 1, Q₀ = identity-ish, Q₁ = 0. Then
-        // rhs = 1 + (1 + x²) and lhs = x + 1, so the difference has
-        // coefficients {1: -1, x: 1, x²: -1} and the equalities must have
-        // residuals with exactly these magnitudes.
+        translate_pair(
+            &pair,
+            0,
+            &PutinarOptions::default(),
+            &mut system,
+            &mut table,
+        );
+        // Assignment: ε = 1, L₀ = identity (so h₀ = yᵀ·L₀·L₀ᵀ·y = 1 + x²
+        // over y = {1, x}), L₁ = 0. Then rhs = 1 + (1 + x²) and
+        // lhs = x + 1, so the difference has coefficients
+        // {1: -1, x: 1, x²: -1} and the equalities must have residuals with
+        // exactly these magnitudes.
         let mut assignment = vec![0.0; system.num_unknowns()];
-        // ε is unknown 0 (allocated first).
-        assignment[0] = 1.0;
-        // The first Gram block's entries are (0,0), (0,1), (1,1) = unknowns 1, 2, 3.
-        assignment[1] = 1.0; // Q[0,0] = 1 → constant 1
-        assignment[3] = 1.0; // Q[1,1] = 1 → x²
+        for (id, kind) in system.registry.iter() {
+            let value = match *kind {
+                UnknownKind::Witness { .. } => 1.0,
+                UnknownKind::Cholesky {
+                    multiplier: 0,
+                    row,
+                    col,
+                    ..
+                } if row == col => 1.0,
+                _ => 0.0,
+            };
+            assignment[id.index()] = value;
+        }
+        assert_eq!(assignment.iter().filter(|&&v| v == 1.0).count(), 3);
         let residuals: Vec<f64> = system
             .equalities
             .iter()

@@ -7,8 +7,8 @@
 //! * **t-variables** — coefficients of the Putinar multipliers `hᵢ`
 //!   (Step 3);
 //! * **l-variables** — entries of the lower-triangular Cholesky factor
-//!   certifying that each `hᵢ` is a sum of squares (Section 3.1), or,
-//!   in the Gram encoding, entries of the Gram matrix `Qᵢ`;
+//!   certifying that each `hᵢ` is a sum of squares (Section 3.1), so
+//!   that `hᵢ = yᵀ·L·Lᵀ·y` is PSD by construction;
 //! * **ε-variables** — the positivity witnesses of Corollary 3.2.
 //!
 //! The registry assigns a dense index space to all of them, keeps their
@@ -63,18 +63,6 @@ pub enum UnknownKind {
         /// Row of the entry.
         row: usize,
         /// Column of the entry (`col ≤ row`).
-        col: usize,
-    },
-    /// An entry `Q_{r,c}` (row ≤ col) of the Gram matrix of multiplier
-    /// `multiplier` of constraint pair `pair` (Gram encoding only).
-    Gram {
-        /// The constraint-pair index.
-        pair: usize,
-        /// The multiplier index.
-        multiplier: usize,
-        /// Row of the entry.
-        row: usize,
-        /// Column of the entry (`row ≤ col`).
         col: usize,
     },
     /// The positivity witness `ε` of constraint pair `pair`.
@@ -164,12 +152,6 @@ impl UnknownRegistry {
                 row,
                 col,
             } => format!("l[{pair},{multiplier},{row},{col}]"),
-            UnknownKind::Gram {
-                pair,
-                multiplier,
-                row,
-                col,
-            } => format!("q[{pair},{multiplier},{row},{col}]"),
             UnknownKind::Witness { pair } => format!("eps[{pair}]"),
         }
     }

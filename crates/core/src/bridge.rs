@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use polyinv_arith::Rational;
 use polyinv_constraints::QuadraticSystem;
 use polyinv_poly::{QuadExpr, UnknownId};
-use polyinv_qcqp::{Problem, PsdConstraint, QuadraticForm};
+use polyinv_qcqp::{Problem, QuadraticForm};
 
 /// Converts a quadratic system into a numeric [`Problem`] over all of its
 /// unknowns (unknown `i` becomes problem variable `i`).
@@ -22,8 +22,10 @@ pub fn system_to_problem(system: &QuadraticSystem) -> Problem {
 /// to the original [`UnknownId`]. Fixed unknowns do not appear as problem
 /// variables; constraints that become trivially satisfied are dropped.
 ///
-/// Fixing all template (s-) variables turns the Gram-encoded system into the
-/// convex certificate-search problem used by the invariant checker.
+/// Fixing all template (s-) variables turns the Cholesky-encoded system into
+/// the certificate-search problem used by the invariant checker: quadratic
+/// in the l-variables (through the `L·Lᵀ` entries) and linear in ε, but not
+/// convex.
 pub fn system_to_problem_with_fixed(
     system: &QuadraticSystem,
     fixed: &HashMap<UnknownId, Rational>,
@@ -63,25 +65,6 @@ pub fn system_to_problem_with_fixed(
             continue;
         }
         problem.inequalities.push(form);
-    }
-    for block in &system.psd_blocks {
-        // PSD blocks never contain fixed unknowns (only Gram entries), but
-        // guard anyway.
-        if block
-            .entries
-            .iter()
-            .any(|id| to_problem_index[id.index()].is_none())
-        {
-            continue;
-        }
-        problem.psd.push(PsdConstraint {
-            dim: block.dim,
-            indices: block
-                .entries
-                .iter()
-                .map(|id| to_problem_index[id.index()].expect("checked above"))
-                .collect(),
-        });
     }
     (problem, mapping)
 }

@@ -10,7 +10,7 @@
 
 use polyinv_arith::Rational;
 use polyinv_constraints::pairs::{generate_pairs, PairKind, PairOptions};
-use polyinv_constraints::putinar::{translate_pair, PutinarOptions, SosEncoding};
+use polyinv_constraints::putinar::{translate_pair, PutinarOptions};
 use polyinv_constraints::template::{LabelTemplate, TemplateSet};
 use polyinv_constraints::{ConstraintError, QuadraticSystem, UnknownRegistry};
 use polyinv_lang::{Cfg, InvariantMap, Postcondition, Precondition, Program};
@@ -217,7 +217,6 @@ pub fn check_inductive(
         for &upsilon in &ladder {
             let putinar_options = PutinarOptions {
                 upsilon,
-                encoding: SosEncoding::Cholesky,
                 epsilon_lower: options.epsilon_lower,
             };
             let mut system = QuadraticSystem::new(UnknownRegistry::new());

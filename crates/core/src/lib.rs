@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::check::{check_inductive, CheckOptions};
     pub use crate::pipeline::{Orchestrator, Pipeline, SolvePlan, StageTimings, SynthesisContext};
     pub use crate::weak::TargetAssertion;
-    pub use polyinv_constraints::{SosEncoding, SynthesisOptions};
+    pub use polyinv_constraints::SynthesisOptions;
     pub use polyinv_lang::{
         parse_assertion, parse_program, InvariantMap, Postcondition, Precondition,
     };

@@ -121,11 +121,7 @@ impl SolvePlan {
                 max_seconds: 60.0,
                 ..LmOptions::default()
             },
-            penalty: Some(AlmOptions {
-                restarts: 2,
-                max_seconds: 20.0,
-                ..AlmOptions::default()
-            }),
+            penalty: Some(default_penalty_lane()),
             polish_rounds: 3,
             polish_lm: LmOptions {
                 max_iterations: 150,
@@ -165,13 +161,7 @@ impl SolvePlan {
         match name {
             "lm" => self.penalty = None,
             "penalty" | "alm" => {
-                if self.penalty.is_none() {
-                    self.penalty = Some(AlmOptions {
-                        restarts: 2,
-                        max_seconds: 20.0,
-                        ..AlmOptions::default()
-                    });
-                }
+                self.penalty.get_or_insert_with(default_penalty_lane);
                 // The LM lane is demoted to a token budget so the penalty
                 // lane's candidate wins unless LM stumbles on feasibility.
                 self.lm.max_iterations = 1;
@@ -180,6 +170,16 @@ impl SolvePlan {
             _ => {}
         }
         self
+    }
+}
+
+/// The penalty lane of the default portfolio: two restarts under a 20 s
+/// cap.
+fn default_penalty_lane() -> AlmOptions {
+    AlmOptions {
+        restarts: 2,
+        max_seconds: 20.0,
+        ..AlmOptions::default()
     }
 }
 
@@ -930,7 +930,7 @@ impl Orchestrator {
     }
 
     /// Block-coordinate polish: alternately frees the SOS side (multiplier,
-    /// Cholesky/Gram and witness unknowns) and the template side, then runs
+    /// Cholesky and witness unknowns) and the template side, then runs
     /// a final pass over the *linear* tail (multiplier + witness unknowns
     /// with both the template and Cholesky blocks pinned — a least-squares
     /// problem whose optimum is the best residual compatible with the
@@ -959,12 +959,7 @@ impl Orchestrator {
                 UnknownKind::Template { .. } | UnknownKind::PostTemplate { .. }
             )
         });
-        let sos_block = block(|kind| {
-            matches!(
-                kind,
-                UnknownKind::Cholesky { .. } | UnknownKind::Gram { .. }
-            )
-        });
+        let sos_block = block(|kind| matches!(kind, UnknownKind::Cholesky { .. }));
         let both_blocks: Vec<UnknownId> = template_block
             .iter()
             .chain(sos_block.iter())
@@ -975,7 +970,7 @@ impl Orchestrator {
         let mut best_violation = start_violation;
         for round in 0..self.plan.polish_rounds {
             // Pass 1 pins the template block and frees {t, l, ε}. Pass 2
-            // pins the Cholesky/Gram block and frees {s, t, ε} (the remaining
+            // pins the Cholesky block and frees {s, t, ε} (the remaining
             // system is bilinear in s·t, LM's sweet spot). The final round
             // adds a pass pinning both: the tail {t, ε} is linear, so one LM
             // sub-solve reaches the least-squares optimum.
@@ -1203,9 +1198,7 @@ mod tests {
         )
         .unwrap();
         let pre = Precondition::from_program(&program);
-        let options = SynthesisOptions::with_degree_and_size(1, 1)
-            .with_upsilon(2)
-            .with_encoding(polyinv_constraints::SosEncoding::Cholesky);
+        let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(2);
         let plan = SolvePlan::new(options);
         let enumeration = Orchestrator::new(plan.clone())
             .enumerate(&program, &pre, 4)

@@ -17,7 +17,7 @@
 //! the comparison the paper draws (Remark 11).
 
 use polyinv_arith::Rational;
-use polyinv_constraints::{generate, GeneratedSystem, SosEncoding, SynthesisOptions};
+use polyinv_constraints::{generate, GeneratedSystem, SynthesisOptions};
 use polyinv_lang::cfg::TransitionKind;
 use polyinv_lang::{Cfg, Precondition, Program};
 
@@ -146,7 +146,6 @@ impl FarkasBaseline {
             degree: 1,
             size: self.size,
             upsilon: 0,
-            encoding: SosEncoding::Cholesky,
             bounded_reals: None,
             epsilon_lower: self.epsilon_lower,
             force_recursive: false,

@@ -14,8 +14,7 @@
 //!   polish sub-solver and the certificate checker's pair solver.
 //! * [`AlmSolver`] (`"penalty"`) — an augmented-Lagrangian method with an
 //!   Adam-style first-order inner loop for general (non-convex) quadratic
-//!   systems, with optional projection onto PSD blocks after every step;
-//!   the orchestrator's second portfolio lane.
+//!   systems; the orchestrator's second portfolio lane.
 
 pub mod lm;
 pub mod par;
@@ -26,5 +25,5 @@ pub mod stats;
 pub use lm::{Evaluator as LmEvaluator, LmOptions, LmSolver, LmWorkspace};
 pub use par::{configured_threads, ThreadBudget, PAR_ROW_THRESHOLD};
 pub use penalty::{AlmOptions, AlmSolver, SolveOutcome, SolveStatus};
-pub use problem::{Problem, ProblemStructure, PsdConstraint, QuadraticForm};
+pub use problem::{Problem, ProblemStructure, QuadraticForm};
 pub use stats::SolverStats;

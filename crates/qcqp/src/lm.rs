@@ -217,10 +217,6 @@ impl LmSolver {
     /// first-feasible-wins policy. The sparse workspace (pattern, ordering,
     /// symbolic factorization) is computed once here and shared by all
     /// restarts.
-    ///
-    /// PSD blocks are handled by projection after every accepted step (they
-    /// are absent from Cholesky-encoded systems, which are the intended
-    /// input).
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
         let workspace = LmWorkspace::build(problem, self.options.objective_weight);
         self.solve_with_workspace(problem, &workspace, warm_start)
@@ -443,9 +439,6 @@ impl LmSolver {
                     candidate[i] -= step[i];
                 }
                 problem.clamp(&mut candidate);
-                for block in &problem.psd {
-                    block.project(&mut candidate);
-                }
                 // Residuals-only evaluation: the Jacobian is not needed to
                 // score a candidate, and its constraint violation falls out
                 // of the same pass (no separate `max_violation` sweep).
@@ -522,16 +515,13 @@ impl LmSolver {
     }
 }
 
-/// The worst violation over *all* constraint classes, given the worst
-/// equality/inequality violation already measured by a residual pass.
+/// The worst violation over the constraints and the box bounds, given the
+/// worst equality/inequality violation already measured by a residual pass.
 /// Matches [`Problem::max_violation`] without re-evaluating every form.
 fn full_violation(problem: &Problem, x: &[f64], constraint_violation: f64) -> f64 {
     let mut worst = constraint_violation.max(0.0);
     for (i, &(lo, hi)) in problem.bounds.iter().enumerate() {
         worst = worst.max(lo - x[i]).max(x[i] - hi);
-    }
-    for block in &problem.psd {
-        worst = worst.max((-block.min_eigenvalue(x)).max(0.0));
     }
     worst
 }

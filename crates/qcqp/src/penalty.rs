@@ -228,10 +228,6 @@ impl AlmSolver {
                 }
                 problem.clamp(x);
             }
-            // Project PSD blocks after each inner phase.
-            for block in &problem.psd {
-                block.project(x);
-            }
             // Multiplier updates.
             for (eq, lambda) in problem.equalities.iter().zip(lambda_eq.iter_mut()) {
                 *lambda += rho * eq.eval(x);
@@ -305,7 +301,7 @@ impl AlmSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{PsdConstraint, QuadraticForm};
+    use crate::problem::QuadraticForm;
 
     fn options_fast() -> AlmOptions {
         AlmOptions {
@@ -391,27 +387,6 @@ mod tests {
         .solve(&problem, Some(&[10.0]));
         assert_eq!(outcome.status, SolveStatus::Feasible);
         assert!((outcome.assignment[0] - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn psd_blocks_are_respected() {
-        // 2×2 symmetric matrix with fixed off-diagonal 1 must be PSD:
-        // entries (q00, q01, q11); equality q01 = 1; PSD → q00·q11 ≥ 1.
-        let mut problem = Problem::new(3);
-        problem.equalities.push(QuadraticForm {
-            constant: -1.0,
-            linear: vec![(1, 1.0)],
-            quadratic: Vec::new(),
-        });
-        problem.psd.push(PsdConstraint {
-            dim: 2,
-            indices: vec![0, 1, 2],
-        });
-        let outcome = AlmSolver::new(options_fast()).solve(&problem, None);
-        assert_eq!(outcome.status, SolveStatus::Feasible);
-        let q00 = outcome.assignment[0];
-        let q11 = outcome.assignment[2];
-        assert!(q00 * q11 >= 1.0 - 1e-3);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use polyinv_arith::Matrix;
-
 /// A sparse quadratic form `c + Σ aᵢ·xᵢ + Σ bᵢⱼ·xᵢ·xⱼ`.
 #[derive(Debug, Clone, Default)]
 pub struct QuadraticForm {
@@ -94,60 +92,6 @@ impl QuadraticForm {
     }
 }
 
-/// A positive-semidefiniteness constraint: the symmetric matrix whose upper
-/// triangle (row-major) is given by the listed variables must be PSD.
-#[derive(Debug, Clone)]
-pub struct PsdConstraint {
-    /// The dimension of the matrix.
-    pub dim: usize,
-    /// Indices of the upper-triangle entries, row-major:
-    /// `(0,0), (0,1), …, (0,dim−1), (1,1), …`.
-    pub indices: Vec<usize>,
-}
-
-impl PsdConstraint {
-    /// Extracts the symmetric matrix from an assignment.
-    pub fn extract(&self, x: &[f64]) -> Matrix {
-        let mut m = Matrix::zeros(self.dim, self.dim);
-        let mut k = 0;
-        for row in 0..self.dim {
-            for col in row..self.dim {
-                let value = x[self.indices[k]];
-                m.set(row, col, value);
-                m.set(col, row, value);
-                k += 1;
-            }
-        }
-        m
-    }
-
-    /// Writes a symmetric matrix back into an assignment.
-    pub fn store(&self, m: &Matrix, x: &mut [f64]) {
-        let mut k = 0;
-        for row in 0..self.dim {
-            for col in row..self.dim {
-                x[self.indices[k]] = 0.5 * (m.get(row, col) + m.get(col, row));
-                k += 1;
-            }
-        }
-    }
-
-    /// Projects the block of `x` onto the PSD cone in place and returns the
-    /// Frobenius distance moved.
-    pub fn project(&self, x: &mut [f64]) -> f64 {
-        let matrix = self.extract(x);
-        let projected = matrix.project_psd();
-        let distance = (&projected - &matrix).frobenius_norm();
-        self.store(&projected, x);
-        distance
-    }
-
-    /// The minimum eigenvalue of the block under the assignment.
-    pub fn min_eigenvalue(&self, x: &[f64]) -> f64 {
-        self.extract(x).min_eigenvalue()
-    }
-}
-
 /// Precomputed per-constraint sparsity metadata of a [`Problem`]: the
 /// touched-variable set of every constraint (and the objective), the total
 /// Jacobian nnz and the union of active variables. Both solver back-ends
@@ -202,12 +146,6 @@ impl ProblemStructure {
             .flatten()
             .copied()
             .chain(objective_vars.iter().copied())
-            .chain(
-                problem
-                    .psd
-                    .iter()
-                    .flat_map(|block| block.indices.iter().copied()),
-            )
             .collect();
         active_vars.sort_unstable();
         active_vars.dedup();
@@ -231,8 +169,7 @@ impl ProblemStructure {
 }
 
 /// A quadratically-constrained program
-/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  Q_k(x) ⪰ 0,
-///  lo ≤ x ≤ hi`.
+/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  lo ≤ x ≤ hi`.
 #[derive(Debug, Clone)]
 pub struct Problem {
     /// The number of variables.
@@ -241,8 +178,6 @@ pub struct Problem {
     pub equalities: Vec<QuadraticForm>,
     /// Inequality constraints `form ≥ 0`.
     pub inequalities: Vec<QuadraticForm>,
-    /// PSD block constraints.
-    pub psd: Vec<PsdConstraint>,
     /// The objective to *minimize* (`None` for pure feasibility problems).
     pub objective: Option<QuadraticForm>,
     /// Per-variable box bounds (defaults to `(-BOUND, BOUND)`).
@@ -262,7 +197,6 @@ impl Problem {
             num_vars,
             equalities: Vec::new(),
             inequalities: Vec::new(),
-            psd: Vec::new(),
             objective: None,
             bounds: vec![(-DEFAULT_BOUND, DEFAULT_BOUND); num_vars],
             structure: OnceLock::new(),
@@ -291,8 +225,8 @@ impl Problem {
         self.bounds[var] = (lower, upper);
     }
 
-    /// The worst constraint violation at `x` (equalities, inequalities, PSD
-    /// blocks and box bounds).
+    /// The worst constraint violation at `x` (equalities, inequalities and
+    /// box bounds).
     pub fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst: f64 = 0.0;
         for eq in &self.equalities {
@@ -300,9 +234,6 @@ impl Problem {
         }
         for ineq in &self.inequalities {
             worst = worst.max((-ineq.eval(x)).max(0.0));
-        }
-        for block in &self.psd {
-            worst = worst.max((-block.min_eigenvalue(x)).max(0.0));
         }
         for (i, &(lo, hi)) in self.bounds.iter().enumerate() {
             worst = worst.max(lo - x[i]).max(x[i] - hi);
@@ -352,24 +283,6 @@ mod tests {
         form.add_gradient(&[0.0; 3], &mut grad, 2.5);
         form.add_gradient(&[0.0; 3], &mut grad, -0.5);
         assert_eq!(grad, vec![0.0, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn psd_constraint_round_trip_and_projection() {
-        let block = PsdConstraint {
-            dim: 2,
-            indices: vec![0, 1, 2],
-        };
-        // Indefinite matrix [[0, 1], [1, 0]].
-        let mut x = vec![0.0, 1.0, 0.0];
-        assert!(block.min_eigenvalue(&x) < -0.5);
-        let moved = block.project(&mut x);
-        assert!(moved > 0.0);
-        assert!(block.min_eigenvalue(&x) >= -1e-9);
-        // The projection of [[0,1],[1,0]] is [[0.5,0.5],[0.5,0.5]].
-        assert!((x[0] - 0.5).abs() < 1e-9);
-        assert!((x[1] - 0.5).abs() < 1e-9);
-        assert!((x[2] - 0.5).abs() < 1e-9);
     }
 
     #[test]
