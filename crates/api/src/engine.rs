@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use polyinv::pipeline::{stage_names, Pipeline, StageTimings};
-use polyinv::{check_inductive, CheckOptions, OrchestratorOutcome, SolvePlan, TargetAssertion};
+use polyinv::{check_inductive, OrchestratorOutcome, SolvePlan, TargetAssertion};
 use polyinv_lang::{InvariantMap, Label, Postcondition, Precondition, Program};
 use polyinv_poly::Polynomial;
 use polyinv_qcqp::par::parallel_indexed;
@@ -264,7 +264,7 @@ impl Engine {
             }
         }
         let start = Instant::now();
-        let check = check_inductive(program, pre, &invariant, &post, &CheckOptions::default())?;
+        let check = check_inductive(program, pre, &invariant, &post, &request.options)?;
         let elapsed = start.elapsed().as_secs_f64();
         let status = if check.all_certified() {
             ReportStatus::Certified
@@ -665,6 +665,40 @@ mod tests {
             report.into_result(),
             Err(ApiError::Uncertified { .. })
         ));
+    }
+
+    /// `y := x * x` under `x ≥ 0`: `y + 1 > 0` at l1 needs `x²` from a
+    /// degree-2 multiplier, so ϒ = 0 cannot certify the update into l1.
+    const SQ: &str = "sq(x) { @pre(x >= 0); y := x * x; return y }";
+
+    fn sq_check(at_exit: &str) -> SynthesisRequest {
+        SynthesisRequest::check(SQ)
+            .with_target_at(1, "y + 1 > 0")
+            .with_target(at_exit)
+    }
+
+    #[test]
+    fn check_mode_runs_on_the_requests_upsilon() {
+        let engine = Engine::new();
+        let report = engine.run(&sq_check("y + 2 > 0")).unwrap();
+        assert_eq!(report.status, ReportStatus::Certified);
+        assert_eq!((report.pairs_certified, report.pairs_total), (2, 2));
+
+        let report = engine.run(&sq_check("y + 2 > 0").with_upsilon(0)).unwrap();
+        assert_eq!(report.status, ReportStatus::NotCertified);
+        assert_eq!((report.pairs_certified, report.pairs_total), (1, 2));
+        assert_eq!(report.diagnostics, vec!["uncertified: update l0 -> l1"]);
+    }
+
+    #[test]
+    fn check_mode_does_not_certify_a_pair_that_needs_a_zero_witness() {
+        // `y + 1 > 0` at l1 and at the exit: the update l1 -> l2 holds only
+        // with ε = 0, below the request's ε bound. LM gets within a few
+        // 1e-7 of it, so this pins check mode to LM's float tolerance.
+        let engine = Engine::new();
+        let report = engine.run(&sq_check("y + 1 > 0")).unwrap();
+        assert_eq!(report.status, ReportStatus::NotCertified);
+        assert_eq!(report.diagnostics, vec!["uncertified: update l1 -> l2"]);
     }
 
     #[test]

@@ -157,7 +157,8 @@ pub struct SynthesisRequest {
     pub source: String,
     /// What to do.
     pub mode: Mode,
-    /// Reduction options (degree, conjuncts, ϒ, …).
+    /// Reduction options (degree, conjuncts, ϒ, …). [`Mode::Check`] reads
+    /// `upsilon`, `epsilon_lower`, `bounded_reals` and `force_recursive`.
     pub options: SynthesisOptions,
     /// Target assertions ([`Mode::Weak`]) or candidate invariant atoms
     /// ([`Mode::Check`]).

@@ -210,7 +210,7 @@ fn certificate_checking(c: &mut Criterion) {
                 &pre,
                 &invariant,
                 &Postcondition::new(),
-                &CheckOptions::default(),
+                &SynthesisOptions::default(),
             )
             .unwrap();
             assert!(report.all_certified());

@@ -18,8 +18,24 @@
 //! assert_eq!(program.main().name(), "sqrt");
 //! # Ok::<(), polyinv_lang::Error>(())
 //! ```
-
-pub mod programs;
+//!
+//! # The programs
+//!
+//! Each source is the repository's `programs/<name>.poly` file (hyphens in
+//! the row name become underscores), embedded at compile time, so the CLI,
+//! the fuzzer seeds and the harness read one copy. They are written in the
+//! mini-language of Figure 5:
+//!
+//! * Table 2: the non-recursive programs of the Rodríguez-Carbonell
+//!   collection ("some programs that need polynomial invariants in order to
+//!   be verified"). The loop structure and variable counts follow the
+//!   published descriptions of these classical algorithms; branching on data
+//!   we cannot express (e.g. array contents) is replaced by non-determinism,
+//!   exactly as the paper does for merge-sort.
+//! * Table 3: the recursive benchmarks of Appendix B.2 plus synthetic
+//!   stand-ins for the three reinforcement-learning controllers of Zhu et
+//!   al. 2019 (see DESIGN.md §4 — the relevant behaviour is a polynomial
+//!   plant of degree ≤ 4 with a linear safety envelope).
 
 use polyinv_lang::{parse_assertion, parse_program, Error, Precondition, Program};
 use polyinv_poly::Polynomial;
@@ -59,7 +75,7 @@ pub struct Benchmark {
     pub name: &'static str,
     /// Which table/block the benchmark belongs to.
     pub category: Category,
-    /// The program source in the mini-language.
+    /// The program source in the mini-language (`programs/<name>.poly`).
     pub source: &'static str,
     /// The numbers reported in the paper.
     pub paper: PaperRow,
@@ -109,7 +125,6 @@ impl Benchmark {
 
 /// The 19 non-recursive benchmarks of Table 2.
 pub fn table2() -> Vec<Benchmark> {
-    use programs::*;
     let row = |n, d, vars, system_size, runtime_secs| PaperRow {
         n,
         d,
@@ -121,133 +136,133 @@ pub fn table2() -> Vec<Benchmark> {
         Benchmark {
             name: "cohendiv",
             category: Category::NonRecursive,
-            source: COHENDIV,
+            source: include_str!("../../../programs/cohendiv.poly"),
             paper: row(1, 1, 6, 622, 15.236),
             target: Some("x_in + 1 - ret * y_in > 0"),
         },
         Benchmark {
             name: "divbin",
             category: Category::NonRecursive,
-            source: DIVBIN,
+            source: include_str!("../../../programs/divbin.poly"),
             paper: row(1, 1, 5, 738, 5.399),
             target: Some("x_in + 1 - ret * y_in > 0"),
         },
         Benchmark {
             name: "hard",
             category: Category::NonRecursive,
-            source: HARD,
+            source: include_str!("../../../programs/hard.poly"),
             paper: row(1, 2, 6, 8324, 27.952),
             target: Some("x_in + 1 - ret * d_in > 0"),
         },
         Benchmark {
             name: "mannadiv",
             category: Category::NonRecursive,
-            source: MANNADIV,
+            source: include_str!("../../../programs/mannadiv.poly"),
             paper: row(1, 2, 5, 2561, 18.222),
             target: Some("x1_in + 1 - ret * x2_in > 0"),
         },
         Benchmark {
             name: "wensely",
             category: Category::NonRecursive,
-            source: WENSLEY,
+            source: include_str!("../../../programs/wensely.poly"),
             paper: row(1, 2, 7, 9422, 20.051),
             target: Some("q_in + 1 - ret * q_in > 0"),
         },
         Benchmark {
             name: "sqrt",
             category: Category::NonRecursive,
-            source: SQRT,
+            source: include_str!("../../../programs/sqrt.poly"),
             paper: row(1, 2, 4, 2030, 5.808),
             target: Some("n_in + 1 - ret * ret > 0"),
         },
         Benchmark {
             name: "dijkstra",
             category: Category::NonRecursive,
-            source: DIJKSTRA,
+            source: include_str!("../../../programs/dijkstra.poly"),
             paper: row(1, 2, 5, 5072, 12.776),
             target: Some("n_in + 1 - ret * ret > 0"),
         },
         Benchmark {
             name: "z3sqrt",
             category: Category::NonRecursive,
-            source: Z3SQRT,
+            source: include_str!("../../../programs/z3sqrt.poly"),
             paper: row(1, 2, 6, 4692, 12.944),
             target: Some("x_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "freire1",
             category: Category::NonRecursive,
-            source: FREIRE1,
+            source: include_str!("../../../programs/freire1.poly"),
             paper: row(1, 2, 3, 1210, 26.474),
             target: Some("a_in + 2 - ret > 0"),
         },
         Benchmark {
             name: "freire2",
             category: Category::NonRecursive,
-            source: FREIRE2,
+            source: include_str!("../../../programs/freire2.poly"),
             paper: row(1, 2, 4, 1016, 10.670),
             target: Some("a_in + 4 - ret > 0"),
         },
         Benchmark {
             name: "euclidex1",
             category: Category::NonRecursive,
-            source: EUCLIDEX1,
+            source: include_str!("../../../programs/euclidex1.poly"),
             paper: row(1, 2, 11, 11191, 97.493),
             target: Some("x_in + y_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "euclidex2",
             category: Category::NonRecursive,
-            source: EUCLIDEX2,
+            source: include_str!("../../../programs/euclidex2.poly"),
             paper: row(1, 2, 8, 11156, 39.323),
             target: Some("x_in + y_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "euclidex3",
             category: Category::NonRecursive,
-            source: EUCLIDEX3,
+            source: include_str!("../../../programs/euclidex3.poly"),
             paper: row(1, 2, 13, 36228, 203.110),
             target: Some("x_in + y_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "lcm1",
             category: Category::NonRecursive,
-            source: LCM1,
+            source: include_str!("../../../programs/lcm1.poly"),
             paper: row(1, 2, 6, 6589, 17.851),
             target: Some("a_in * b_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "lcm2",
             category: Category::NonRecursive,
-            source: LCM2,
+            source: include_str!("../../../programs/lcm2.poly"),
             paper: row(1, 2, 6, 6176, 18.714),
             target: Some("a_in * b_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "prodbin",
             category: Category::NonRecursive,
-            source: PRODBIN,
+            source: include_str!("../../../programs/prodbin.poly"),
             paper: row(1, 2, 5, 5038, 12.125),
             target: Some("a_in * b_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "prod4br",
             category: Category::NonRecursive,
-            source: PROD4BR,
+            source: include_str!("../../../programs/prod4br.poly"),
             paper: row(1, 2, 6, 10522, 43.205),
             target: Some("x_in * y_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "cohencu",
             category: Category::NonRecursive,
-            source: COHENCU,
+            source: include_str!("../../../programs/cohencu.poly"),
             paper: row(1, 2, 5, 3424, 11.778),
             target: Some("ret + 1 > 0"),
         },
         Benchmark {
             name: "petter",
             category: Category::NonRecursive,
-            source: PETTER,
+            source: include_str!("../../../programs/petter.poly"),
             paper: row(1, 2, 3, 1080, 20.390),
             target: Some("ret + 1 > 0"),
         },
@@ -256,7 +271,6 @@ pub fn table2() -> Vec<Benchmark> {
 
 /// The 8 recursive / reinforcement-learning benchmarks of Table 3.
 pub fn table3() -> Vec<Benchmark> {
-    use programs::*;
     let row = |n, d, vars, system_size, runtime_secs| PaperRow {
         n,
         d,
@@ -268,35 +282,35 @@ pub fn table3() -> Vec<Benchmark> {
         Benchmark {
             name: "inverted-pendulum",
             category: Category::ReinforcementLearning,
-            source: INVERTED_PENDULUM,
+            source: include_str!("../../../programs/inverted_pendulum.poly"),
             paper: row(1, 3, 7, 9951, 496.093),
             target: Some("2 - ret > 0"),
         },
         Benchmark {
             name: "strict-inverted-pendulum",
             category: Category::ReinforcementLearning,
-            source: STRICT_INVERTED_PENDULUM,
+            source: include_str!("../../../programs/strict_inverted_pendulum.poly"),
             paper: row(4, 2, 7, 14390, 587.783),
             target: Some("2 - ret > 0"),
         },
         Benchmark {
             name: "oscillator",
             category: Category::ReinforcementLearning,
-            source: OSCILLATOR,
+            source: include_str!("../../../programs/oscillator.poly"),
             paper: row(1, 2, 7, 3552, 39.749),
             target: Some("2 - ret > 0"),
         },
         Benchmark {
             name: "recursive-sum",
             category: Category::Recursive,
-            source: RECURSIVE_SUM,
+            source: include_str!("../../../programs/recursive_sum.poly"),
             paper: row(1, 2, 3, 1700, 10.919),
             target: Some("0.5 * n_in * n_in + 0.5 * n_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "recursive-square-sum",
             category: Category::Recursive,
-            source: RECURSIVE_SQUARE_SUM,
+            source: include_str!("../../../programs/recursive_square_sum.poly"),
             paper: row(1, 3, 3, 1121, 17.438),
             target: Some(
                 "0.34 * n_in * n_in * n_in + 0.5 * n_in * n_in + 0.17 * n_in + 1 - ret > 0",
@@ -305,21 +319,21 @@ pub fn table3() -> Vec<Benchmark> {
         Benchmark {
             name: "recursive-cube-sum",
             category: Category::Recursive,
-            source: RECURSIVE_CUBE_SUM,
+            source: include_str!("../../../programs/recursive_cube_sum.poly"),
             paper: row(1, 4, 3, 15840, 221.211),
             target: Some("0.25 * n_in * n_in * (n_in + 1) * (n_in + 1) + 1 - ret > 0"),
         },
         Benchmark {
             name: "pw2",
             category: Category::Recursive,
-            source: PW2,
+            source: include_str!("../../../programs/pw2.poly"),
             paper: row(2, 1, 3, 430, 5.438),
             target: Some("x_in + 1 - ret > 0"),
         },
         Benchmark {
             name: "merge-sort",
             category: Category::Recursive,
-            source: MERGE_SORT,
+            source: include_str!("../../../programs/merge_sort.poly"),
             paper: row(1, 2, 13, 33002, 78.093),
             target: Some("0.5 * (e_in - s_in) * (e_in - s_in + 1) + 1 - ret > 0"),
         },

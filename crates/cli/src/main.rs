@@ -3,7 +3,7 @@
 //! ```text
 //! polyinv parse <file> [--json]
 //! polyinv synth <file> [assertion options] [reduction options] [--json]
-//! polyinv check <file> --invariant <text> ... [--json]
+//! polyinv check <file> --invariant <text> ... [--upsilon N] [--json]
 //! polyinv validate <file> [assertion options] [--trace-runs N] [--json]
 //! polyinv fuzz [--seed N] [--count N] [--artifacts DIR] [--json]
 //! polyinv batch <requests.json> [--json]
@@ -46,7 +46,7 @@ ASSERTION OPTIONS (synth: targets; check: candidate conjuncts):
     --target-at <idx> <text>  Assertion at label index <idx> of the main function
     --post <func> <text>      Post-condition conjunct for <func> (check, recursive)
 
-REDUCTION OPTIONS:
+REDUCTION OPTIONS (check reads only --upsilon):
     --degree <n>              Template degree d          (default 2)
     --size <n>                Conjuncts per label n      (default 1)
     --upsilon <n>             Multiplier degree bound ϒ  (default 2)

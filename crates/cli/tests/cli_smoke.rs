@@ -95,6 +95,34 @@ fn check_certifies_the_trivial_invariant() {
 }
 
 #[test]
+fn check_honours_upsilon() {
+    // `y + 1 > 0` at l1 needs a degree-2 multiplier for `x²`.
+    let dir = std::env::temp_dir().join("polyinv-cli-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sq.poly");
+    std::fs::write(
+        &path,
+        "sq(x) {\n    @pre(x >= 0);\n    y := x * x;\n    return y\n}\n",
+    )
+    .unwrap();
+    let check = |extra: &[&str]| {
+        let mut args = vec![
+            "check",
+            path.to_str().unwrap(),
+            "--invariant-at",
+            "1",
+            "y + 1 > 0",
+            "--invariant",
+            "y + 2 > 0",
+        ];
+        args.extend_from_slice(extra);
+        polyinv(&args).status.code()
+    };
+    assert_eq!(check(&[]), Some(0));
+    assert_eq!(check(&["--upsilon", "0"]), Some(1));
+}
+
+#[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "drives a full weak synthesis; run with `cargo test --release`"

@@ -7,8 +7,10 @@
 //! evaluated with [`Rational`] arithmetic — no floats, no solver, and
 //! therefore independent of the path that produced the solution.
 //!
-//! Rounding policy (DESIGN.md §8): [`exact_recheck_ladder`] tries the
-//! coarse-to-fine rungs of a fixed snap ladder. On a rung with a snap grid,
+//! Rounding policy (DESIGN.md §8): [`exact_recheck_ladder`] takes the
+//! exact values of pinned unknowns (weak synthesis's target coefficients)
+//! as given and tries the coarse-to-fine rungs of a fixed snap ladder for
+//! the rest. On a rung with a snap grid,
 //! template (s-) unknowns within `1e-4` of a `k/grid` point snap to it;
 //! every other value (including multiplier, Cholesky and witness
 //! variables) is rounded to a dyadic rational ([`dyadic`]). All
@@ -20,10 +22,12 @@
 //! invariant templates at that point, so the reported invariant, trace
 //! falsification and the certificate attack one object.
 
+use std::collections::HashMap;
+
 use crate::{GeneratedSystem, QuadraticSystem, UnknownKind};
 use polyinv_arith::Rational;
 use polyinv_lang::{InvariantMap, Postcondition, Program};
-use polyinv_poly::QuadExpr;
+use polyinv_poly::{QuadExpr, UnknownId};
 
 /// Denominator exponent of the certificate's default dyadic rounding
 /// (`2^24`); polish pins use the same grid.
@@ -160,15 +164,24 @@ pub fn exact_assignment(
     assignment: &[f64],
     _config: &ExactCheckConfig,
 ) -> Vec<Rational> {
-    round_with(system, assignment, SNAP_LADDER[0])
+    round_with(system, assignment, &HashMap::new(), SNAP_LADDER[0])
 }
 
-/// The exact-rational assignment of one rung of the snap ladder.
-fn round_with(system: &QuadraticSystem, assignment: &[f64], policy: SnapPolicy) -> Vec<Rational> {
+/// The exact-rational assignment of one rung of the snap ladder: pinned
+/// unknowns keep their exact value, the rest round from `assignment`.
+fn round_with(
+    system: &QuadraticSystem,
+    assignment: &[f64],
+    pins: &HashMap<UnknownId, Rational>,
+    policy: SnapPolicy,
+) -> Vec<Rational> {
     system
         .registry
         .iter()
         .map(|(id, kind)| {
+            if let Some(&pinned) = pins.get(&id) {
+                return pinned;
+            }
             let value = assignment.get(id.index()).copied().unwrap_or(0.0);
             let is_template = matches!(
                 kind,
@@ -196,7 +209,7 @@ pub fn instantiate_exact(
     generated: &GeneratedSystem,
     values: &[Rational],
 ) -> (InvariantMap, Postcondition) {
-    let lookup = |u: polyinv_poly::UnknownId| values.get(u.index()).copied().unwrap_or_default();
+    let lookup = |u: UnknownId| values.get(u.index()).copied().unwrap_or_default();
     let mut invariant = InvariantMap::new();
     for function in program.functions() {
         for &label in function.labels() {
@@ -237,18 +250,20 @@ fn eval_checked(expr: &QuadExpr, values: &[Rational]) -> Option<Rational> {
 
 /// Re-checks a solved system exactly, down the coarse-to-fine snap ladder:
 /// the first rounding whose assignment passes wins (its report, with the
-/// checked point in [`ExactReport::values`], is returned).
+/// checked point in [`ExactReport::values`], is returned). Unknowns in
+/// `pins` enter that point with their exact pinned value, unrounded.
 /// When none passes, the report of the policy with the smallest exact
 /// violation is returned — non-overflowing reports always beat overflowing
 /// ones — so "how close was the best rounding" survives into diagnostics.
 pub fn exact_recheck_ladder(
     system: &QuadraticSystem,
     assignment: &[f64],
+    pins: &HashMap<UnknownId, Rational>,
     config: &ExactCheckConfig,
 ) -> ExactReport {
     let mut best: Option<ExactReport> = None;
     for policy in SNAP_LADDER {
-        let report = exact_recheck_with(system, assignment, config, policy);
+        let report = exact_recheck_with(system, assignment, pins, config, policy);
         if report.passed() {
             return report;
         }
@@ -273,10 +288,11 @@ pub fn exact_recheck_ladder(
 fn exact_recheck_with(
     system: &QuadraticSystem,
     assignment: &[f64],
+    pins: &HashMap<UnknownId, Rational>,
     config: &ExactCheckConfig,
     policy: SnapPolicy,
 ) -> ExactReport {
-    let values = round_with(system, assignment, policy);
+    let values = round_with(system, assignment, pins, policy);
     let mut worst_violation = Rational::zero();
     let mut worst_constraint = String::new();
     let mut overflowed = false;
@@ -318,7 +334,11 @@ fn exact_recheck_with(
 mod tests {
     use super::*;
     use crate::UnknownRegistry;
-    use polyinv_poly::{LinExpr, UnknownId};
+    use polyinv_poly::LinExpr;
+
+    fn no_pins() -> HashMap<UnknownId, Rational> {
+        HashMap::new()
+    }
 
     fn tiny_system() -> QuadraticSystem {
         let mut registry = UnknownRegistry::new();
@@ -332,14 +352,18 @@ mod tests {
         system
             .inequalities
             .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
-        let _ = UnknownId::new(0);
         system
     }
 
     #[test]
     fn exact_satisfaction_passes_with_zero_violation() {
         let system = tiny_system();
-        let report = exact_recheck_ladder(&system, &[2.0, 0.5], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(
+            &system,
+            &[2.0, 0.5],
+            &no_pins(),
+            &ExactCheckConfig::default(),
+        );
         assert!(report.passed());
         assert_eq!(report.worst_violation, Rational::zero());
         assert_eq!(report.constraints, 2);
@@ -354,8 +378,12 @@ mod tests {
     fn near_satisfaction_is_measured_exactly_and_tolerated() {
         let system = tiny_system();
         // u·v = 1 + ~2e-7: within the default tolerance, measured exactly.
-        let report =
-            exact_recheck_ladder(&system, &[2.0, 0.5 + 1e-7], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(
+            &system,
+            &[2.0, 0.5 + 1e-7],
+            &no_pins(),
+            &ExactCheckConfig::default(),
+        );
         assert!(report.passed());
         assert!(report.worst_violation > Rational::zero());
         assert!(report.worst_violation < Rational::new(1, 1_000_000));
@@ -364,7 +392,12 @@ mod tests {
     #[test]
     fn gross_violations_fail_and_name_the_constraint() {
         let system = tiny_system();
-        let report = exact_recheck_ladder(&system, &[-1.0, 1.0], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(
+            &system,
+            &[-1.0, 1.0],
+            &no_pins(),
+            &ExactCheckConfig::default(),
+        );
         assert!(!report.passed());
         assert_eq!(report.worst_violation, Rational::from_int(2));
         assert_eq!(report.worst_constraint, "equality #0");
@@ -372,6 +405,7 @@ mod tests {
         let tight = exact_recheck_ladder(
             &system,
             &[-1.0, -1.0],
+            &no_pins(),
             &ExactCheckConfig {
                 tolerance: Rational::zero(),
             },
@@ -398,9 +432,9 @@ mod tests {
         system.equalities.push(eq);
         let candidate = [1.0 / 256.0 + 1e-5];
         let config = ExactCheckConfig::default();
-        let coarse = exact_recheck_with(&system, &candidate, &config, SNAP_LADDER[0]);
+        let coarse = exact_recheck_with(&system, &candidate, &no_pins(), &config, SNAP_LADDER[0]);
         assert!(!coarse.passed(), "the k/64 policy alone must fail here");
-        let report = exact_recheck_ladder(&system, &candidate, &config);
+        let report = exact_recheck_ladder(&system, &candidate, &no_pins(), &config);
         assert!(report.passed());
         assert_eq!(report.rounding, "snap/256+dyadic24");
         // The passing rung's point is the one reported, not the first rung's.
@@ -424,8 +458,10 @@ mod tests {
         system.equalities.push(eq);
         let candidate = [1.0 / (1u64 << 28) as f64];
         let config = ExactCheckConfig::default();
-        assert!(!exact_recheck_with(&system, &candidate, &config, SNAP_LADDER[0]).passed());
-        let report = exact_recheck_ladder(&system, &candidate, &config);
+        assert!(
+            !exact_recheck_with(&system, &candidate, &no_pins(), &config, SNAP_LADDER[0]).passed()
+        );
+        let report = exact_recheck_ladder(&system, &candidate, &no_pins(), &config);
         assert!(report.passed());
         assert_eq!(report.rounding, "dyadic32");
     }
@@ -435,10 +471,38 @@ mod tests {
         // No rounding can fix a gross violation; the ladder returns the
         // rung with the smallest exact violation for diagnostics.
         let system = tiny_system();
-        let report = exact_recheck_ladder(&system, &[-1.0, 1.0], &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(
+            &system,
+            &[-1.0, 1.0],
+            &no_pins(),
+            &ExactCheckConfig::default(),
+        );
         assert!(!report.passed());
         assert_eq!(report.worst_violation, Rational::from_int(2));
         assert!(!report.rounding.is_empty());
+    }
+
+    #[test]
+    fn pinned_unknowns_enter_the_certificate_exactly() {
+        // A target coefficient pinned to 17/50: its float value 0.34 is on
+        // no snap grid, so rounding it would certify a dyadic neighbour
+        // (5704253/2^24, violating 50·t − 17 = 0 by 22/2^24). The pin is
+        // taken as given instead.
+        let mut registry = UnknownRegistry::new();
+        let t = registry.fresh(UnknownKind::Template {
+            label: polyinv_lang::Label::new(0),
+            conjunct: 0,
+            monomial: 0,
+        });
+        let mut system = QuadraticSystem::new(registry);
+        let mut eq = LinExpr::unknown(t).mul(&LinExpr::constant(Rational::from_int(50)));
+        eq.add_constant(Rational::from_int(-17));
+        system.equalities.push(eq);
+        let pins = HashMap::from([(t, Rational::new(17, 50))]);
+        let report = exact_recheck_ladder(&system, &[0.34], &pins, &ExactCheckConfig::default());
+        assert_eq!(report.values[t.index()], Rational::new(17, 50));
+        assert_eq!(report.worst_violation, Rational::zero());
+        assert!(report.passed());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use polyinv_poly::MonomialTable;
 
 use crate::error::ConstraintError;
 use crate::pairs::{generate_pairs, ConstraintPair, PairOptions};
-use crate::putinar::{translate_pair, PutinarOptions};
+use crate::putinar::translate_pair;
 use crate::system::QuadraticSystem;
 use crate::template::TemplateSet;
 use crate::unknowns::UnknownRegistry;
@@ -182,12 +182,8 @@ pub fn reduce_pairs(
     mut mono_table: MonomialTable,
 ) -> GeneratedSystem {
     let mut system = QuadraticSystem::new(registry);
-    let putinar_options = PutinarOptions {
-        upsilon: options.upsilon,
-        epsilon_lower: options.epsilon_lower,
-    };
     for (index, pair) in pairs.iter().enumerate() {
-        translate_pair(pair, index, &putinar_options, &mut system, &mut mono_table);
+        translate_pair(pair, index, options, &mut system, &mut mono_table);
     }
     system.num_pairs = pairs.len();
 

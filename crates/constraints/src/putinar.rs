@@ -28,38 +28,24 @@ use polyinv_arith::Rational;
 use polyinv_poly::interned::QuadAccumulator;
 use polyinv_poly::{IntTemplate, LinExpr, MonoId, MonomialTable, QuadExpr, UnknownId};
 
+use crate::options::SynthesisOptions;
 use crate::pairs::ConstraintPair;
 use crate::system::QuadraticSystem;
 use crate::unknowns::UnknownKind;
 
-/// Tuning knobs of the translation.
-#[derive(Debug, Clone, Copy)]
-pub struct PutinarOptions {
-    /// The technical parameter `ϒ`: the maximum degree of the multipliers
-    /// `hᵢ` (Remark 3). Must be even to admit a sum-of-squares
-    /// decomposition; odd values are rounded down.
-    pub upsilon: u32,
-    /// Lower bound enforced on every positivity witness `ε` (the paper's
-    /// `ε` is strictly positive; a concrete lower bound keeps the numeric
-    /// solver away from the degenerate `ε = 0` solutions).
-    pub epsilon_lower: Rational,
-}
-
-impl Default for PutinarOptions {
-    fn default() -> Self {
-        PutinarOptions {
-            upsilon: 2,
-            epsilon_lower: Rational::new(1, 100),
-        }
-    }
-}
-
 /// Translates one constraint pair and appends the resulting constraints to
 /// `system`. Returns the number of constraints added.
+///
+/// Reads two fields of `options`: `upsilon`, the technical parameter `ϒ`
+/// bounding the degree of the multipliers `hᵢ` (Remark 3), and
+/// `epsilon_lower`, the lower bound enforced on the positivity witness `ε`
+/// (the paper's `ε` is strictly positive; a concrete lower bound keeps the
+/// numeric solver away from the degenerate `ε = 0` solutions). A
+/// sum-of-squares multiplier has even degree, so an odd `ϒ` rounds down.
 pub fn translate_pair(
     pair: &ConstraintPair,
     pair_index: usize,
-    options: &PutinarOptions,
+    options: &SynthesisOptions,
     system: &mut QuadraticSystem,
     table: &mut MonomialTable,
 ) -> usize {
@@ -277,7 +263,7 @@ mod tests {
         let mut table = MonomialTable::new();
         let pair = simple_pair(&mut table);
         let mut system = QuadraticSystem::new(UnknownRegistry::new());
-        let options = PutinarOptions::default();
+        let options = SynthesisOptions::default();
         translate_pair(&pair, 0, &options, &mut system, &mut table);
         // One variable x, ϒ = 2: Gram basis {1, x} (2 monomials). Both
         // context polynomials (1 and x) are concrete, so the t-variable
@@ -319,7 +305,7 @@ mod tests {
         translate_pair(
             &pair,
             0,
-            &PutinarOptions::default(),
+            &SynthesisOptions::default(),
             &mut system,
             &mut table,
         );
@@ -343,7 +329,7 @@ mod tests {
         translate_pair(
             &pair,
             0,
-            &PutinarOptions::default(),
+            &SynthesisOptions::default(),
             &mut system,
             &mut table,
         );
@@ -383,10 +369,7 @@ mod tests {
         let mut table = MonomialTable::new();
         let pair = simple_pair(&mut table);
         let mut system = QuadraticSystem::new(UnknownRegistry::new());
-        let options = PutinarOptions {
-            upsilon: 0,
-            ..PutinarOptions::default()
-        };
+        let options = SynthesisOptions::default().with_upsilon(0);
         let added = translate_pair(&pair, 0, &options, &mut system, &mut table);
         assert!(added > 0);
         // Multiplier basis = {1}: each hᵢ is a single non-negative constant

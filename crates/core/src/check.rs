@@ -2,17 +2,19 @@
 //!
 //! [`check_inductive`] instantiates the paper's constraint pairs with a
 //! *given* invariant map (and post-condition) and searches for the
-//! sum-of-squares certificate of every pair in floating point. A pair counts
-//! as certified when LM drives its certificate problem within the solver
-//! tolerance (`1e-7` by default); nothing re-checks the found certificate in
-//! exact arithmetic. The refutation direction is trace falsification
-//! (`polyinv_validate::falsify_traces`).
+//! sum-of-squares certificate of every pair in floating point, on the same
+//! [`SynthesisOptions`] synthesis runs on. A pair counts as certified when LM
+//! drives its certificate problem within the solver tolerance (`1e-7`);
+//! nothing re-checks the found certificate in exact arithmetic, so
+//! `certified` is float evidence, not a proof. The refutation direction is
+//! trace falsification (`polyinv_validate::falsify_traces`).
 
-use polyinv_arith::Rational;
 use polyinv_constraints::pairs::{generate_pairs, PairKind, PairOptions};
-use polyinv_constraints::putinar::{translate_pair, PutinarOptions};
+use polyinv_constraints::putinar::translate_pair;
 use polyinv_constraints::template::{LabelTemplate, TemplateSet};
-use polyinv_constraints::{ConstraintError, QuadraticSystem, UnknownRegistry};
+use polyinv_constraints::{
+    prepare, ConstraintError, QuadraticSystem, SynthesisOptions, UnknownRegistry,
+};
 use polyinv_lang::{Cfg, InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::{MonomialTable, TemplatePoly};
 use polyinv_qcqp::par::parallel_indexed;
@@ -20,40 +22,9 @@ use polyinv_qcqp::{LmOptions, LmSolver, SolveStatus};
 
 use crate::bridge::system_to_problem;
 
-/// Options of the certificate checker.
-#[derive(Debug, Clone)]
-pub struct CheckOptions {
-    /// The technical parameter `ϒ` (degree bound of the SOS multipliers).
-    pub upsilon: u32,
-    /// Lower bound imposed on the positivity witnesses. A smaller value
-    /// certifies invariants with smaller positivity margins but is more
-    /// sensitive to numerical noise.
-    pub epsilon_lower: Rational,
-    /// When set, adds the bounded-reals pre-condition of Remark 5 with this
-    /// bound, which often makes certificates easier to find (compactness).
-    pub bounded_reals: Option<Rational>,
-    /// Options of the underlying certificate-search solver.
-    pub solver: LmOptions,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            upsilon: 2,
-            epsilon_lower: Rational::new(1, 1_000_000),
-            bounded_reals: None,
-            solver: LmOptions {
-                tolerance: 1e-7,
-                max_iterations: 300,
-                restarts: 3,
-                // The checker parallelizes across pairs; nested parallel
-                // restarts would oversubscribe the CPU.
-                parallel_restarts: false,
-                ..LmOptions::default()
-            },
-        }
-    }
-}
+/// LM iterations per certificate attempt. Tolerance (`1e-7`) and restarts
+/// (3) are the [`LmOptions`] defaults.
+const CERTIFICATE_ITERATIONS: usize = 300;
 
 /// The result of attempting to certify one constraint pair.
 #[derive(Debug, Clone)]
@@ -140,9 +111,12 @@ fn concrete_templates(
 /// of `program` under `pre`, by searching for the sum-of-squares
 /// certificates of every constraint pair.
 ///
+/// `options` are the request's: [`prepare`] applies `bounded_reals` and
+/// `force_recursive` (implied by any post-condition), and each pair climbs
+/// the ϒ ladder with its witness bounded below by `epsilon_lower`.
+///
 /// A report with [`CheckReport::all_certified`] `== true` means LM found a
-/// float certificate for every pair within its tolerance, with the
-/// positivity witness bounded below by `epsilon_lower`. That is strong
+/// float certificate for every pair within its tolerance. That is strong
 /// numerical evidence of inductiveness (Lemma 3.6), not an exact proof: the
 /// certificates are not re-checked in rational arithmetic. A failed pair is
 /// inconclusive: the certificate may simply require a larger `ϒ`
@@ -158,13 +132,12 @@ pub fn check_inductive(
     pre: &Precondition,
     invariant: &InvariantMap,
     post: &Postcondition,
-    options: &CheckOptions,
+    options: &SynthesisOptions,
 ) -> Result<CheckReport, ConstraintError> {
-    let mut pre = pre.clone();
-    if let Some(bound) = options.bounded_reals {
-        pre.add_bounded_reals(program, bound);
-    }
-    let recursive = !program.is_simple() || post.iter().next().is_some();
+    let options = options
+        .clone()
+        .with_force_recursive(options.force_recursive || post.iter().next().is_some());
+    let (pre, recursive) = prepare(program, pre, &options);
     let cfg = Cfg::build(program);
     let templates = concrete_templates(program, invariant, post);
     let mut mono_table = MonomialTable::new();
@@ -177,26 +150,27 @@ pub fn check_inductive(
         &mut mono_table,
     )?;
 
-    // Restarts stay sequential here regardless of the caller's options — the
-    // pair loop below is the parallel level.
+    // Restarts stay sequential: the pair loop below is the parallel level.
     let solver = LmSolver::new(LmOptions {
+        max_iterations: CERTIFICATE_ITERATIONS,
         parallel_restarts: false,
-        ..options.solver.clone()
+        ..LmOptions::default()
     });
     // Degree ladder: constant multipliers (Handelman-style certificates,
     // cheap and very robust) first, then the full degree-ϒ multipliers.
-    let mut ladder = vec![0];
-    if options.upsilon > 0 {
-        ladder.push(options.upsilon);
-    }
+    let rungs: Vec<SynthesisOptions> = options
+        .upsilon_ladder()
+        .into_iter()
+        .map(|upsilon| options.clone().with_upsilon(upsilon))
+        .collect();
 
     // Pre-warm the arena with every pair's multiplier bases so the per-pair
     // clones below are essentially complete and the workers rarely intern
     // (their additions are limited to fresh product monomials).
     for pair in &pairs {
-        for &upsilon in &ladder {
-            mono_table.basis_up_to_degree(&pair.scope_vars, upsilon);
-            mono_table.basis_up_to_degree(&pair.scope_vars, upsilon / 2);
+        for rung in &rungs {
+            mono_table.basis_up_to_degree(&pair.scope_vars, rung.upsilon);
+            mono_table.basis_up_to_degree(&pair.scope_vars, rung.upsilon / 2);
         }
     }
 
@@ -214,13 +188,9 @@ pub fn check_inductive(
         // arena: translation interns new product monomials, and the pair
         // problems are independent.
         let mut table = mono_table.clone();
-        for &upsilon in &ladder {
-            let putinar_options = PutinarOptions {
-                upsilon,
-                epsilon_lower: options.epsilon_lower,
-            };
+        for rung in &rungs {
             let mut system = QuadraticSystem::new(UnknownRegistry::new());
-            translate_pair(pair, index, &putinar_options, &mut system, &mut table);
+            translate_pair(pair, index, rung, &mut system, &mut table);
             let problem = system_to_problem(&system);
             problem_size = problem_size.max(problem.equalities.len() + problem.inequalities.len());
             // A slightly positive warm start keeps the Cholesky diagonals and
@@ -244,6 +214,7 @@ pub fn check_inductive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polyinv_arith::Rational;
     use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
     use polyinv_lang::{parse_assertion, parse_program};
     use polyinv_poly::Polynomial;
@@ -311,7 +282,7 @@ mod tests {
             &pre,
             &invariant,
             &Postcondition::new(),
-            &CheckOptions::default(),
+            &SynthesisOptions::default(),
         )
         .unwrap();
         assert!(report.all_certified(), "failures: {:?}", report.failures());
@@ -331,7 +302,7 @@ mod tests {
             &pre,
             &invariant,
             &Postcondition::new(),
-            &CheckOptions::default(),
+            &SynthesisOptions::default(),
         )
         .unwrap();
         assert!(!report.all_certified());
@@ -360,7 +331,7 @@ mod tests {
             &pre,
             &invariant,
             &Postcondition::new(),
-            &CheckOptions::default(),
+            &SynthesisOptions::default(),
         )
         .unwrap();
         assert!(report.all_certified());

@@ -26,7 +26,9 @@
 //! * [`check::check_inductive`] — a float certificate search: given a
 //!   concrete invariant map (and post-conditions for recursive programs) it
 //!   looks for the sum-of-squares certificate of every constraint pair with
-//!   LM, without an exact re-check of what it finds.
+//!   LM, on the same [`SynthesisOptions`](constraints::SynthesisOptions)
+//!   (ϒ ladder, ε bound, bounded reals, recursion) synthesis runs on, and
+//!   without an exact re-check of what it finds.
 //!
 //! # Quick start
 //!
@@ -68,7 +70,7 @@ pub mod pipeline;
 pub mod weak;
 
 pub use bridge::{system_to_problem, system_to_problem_with_fixed};
-pub use check::{check_inductive, CheckOptions, CheckReport, PairCertificate};
+pub use check::{check_inductive, CheckReport, PairCertificate};
 pub use pipeline::{
     EnumeratedInvariant, Enumeration, Orchestrator, OrchestratorOutcome, OrchestratorStats,
     Pipeline, SolveAttempt, SolvePlan, StageTimings, SynthesisContext,
@@ -77,7 +79,7 @@ pub use weak::{fix_targets, TargetAssertion};
 
 /// Convenient glob-import for downstream users and examples.
 pub mod prelude {
-    pub use crate::check::{check_inductive, CheckOptions};
+    pub use crate::check::check_inductive;
     pub use crate::pipeline::{Orchestrator, Pipeline, SolvePlan, StageTimings, SynthesisContext};
     pub use crate::weak::TargetAssertion;
     pub use polyinv_constraints::SynthesisOptions;

@@ -778,13 +778,17 @@ impl Orchestrator {
         }
         timings.record(stage_names::SOLVE, solve_start.elapsed());
 
-        // Snap and certify: the exact re-check walks the coarse-to-fine
-        // snap ladder (`k/64` → `k/256` → pure dyadic at 2^24 and 2^32),
-        // evaluating every constraint in rational arithmetic, and accepts
-        // the first rounding whose certificate passes.
+        // Snap and certify: the target pins enter exactly, the rest walks
+        // the coarse-to-fine snap ladder (`k/64` → `k/256` → pure dyadic at
+        // 2^24 and 2^32), evaluating every constraint in rational
+        // arithmetic, and the first rounding whose certificate passes wins.
         let cert_start = Instant::now();
-        let exact =
-            exact_recheck_ladder(&rung.generated.system, &assignment, &self.plan.certificate);
+        let exact = exact_recheck_ladder(
+            &rung.generated.system,
+            &assignment,
+            &rung.fixed,
+            &self.plan.certificate,
+        );
         let certified = exact.passed();
         history.push(SolveAttempt {
             upsilon,
@@ -906,8 +910,12 @@ impl Orchestrator {
                 continue;
             }
             let cert_start = Instant::now();
-            let exact =
-                exact_recheck_ladder(&rung.generated.system, &assignment, &self.plan.certificate);
+            let exact = exact_recheck_ladder(
+                &rung.generated.system,
+                &assignment,
+                &HashMap::new(),
+                &self.plan.certificate,
+            );
             history.push(SolveAttempt {
                 upsilon,
                 backend: "certificate".to_string(),
@@ -1218,6 +1226,7 @@ mod tests {
             let recheck = exact_recheck_ladder(
                 &enumeration.generated.system,
                 &member.assignment,
+                &HashMap::new(),
                 &plan.certificate,
             );
             assert!(recheck.passed(), "{recheck:?}");

@@ -202,6 +202,7 @@ mod tests {
     use polyinv_constraints::exact::exact_recheck_ladder;
     use polyinv_constraints::{QuadraticSystem, SynthesisOptions, UnknownRegistry};
     use polyinv_lang::{parse_assertion, parse_program, InvariantMap, Postcondition};
+    use std::collections::HashMap;
 
     const INC: &str = r#"
         inc(x) {
@@ -233,6 +234,7 @@ mod tests {
             exact: exact_recheck_ladder(
                 &QuadraticSystem::new(UnknownRegistry::new()),
                 &[],
+                &HashMap::new(),
                 &ExactCheckConfig::default(),
             ),
         };

@@ -84,7 +84,7 @@ fn hand_written_strengthening_is_certified_and_not_falsified() {
         &pre,
         &invariant,
         &Postcondition::new(),
-        &CheckOptions::default(),
+        &SynthesisOptions::default(),
     )
     .unwrap();
     assert!(report.all_certified(), "failures: {:?}", report.failures());
@@ -118,7 +118,7 @@ fn corrupted_strengthenings_are_rejected() {
         &pre,
         &invariant,
         &Postcondition::new(),
-        &CheckOptions::default(),
+        &SynthesisOptions::default(),
     )
     .unwrap();
     assert!(!report.all_certified());
