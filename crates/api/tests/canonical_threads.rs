@@ -1,7 +1,8 @@
 //! Canonical reports must be byte-identical across worker-thread counts.
 //!
-//! The chunked parallel evaluator and the subtree-parallel LDLᵀ promise
-//! bitwise-identical numerics at any `POLYINV_THREADS`, and
+//! The chunked parallel evaluator promises bitwise-identical numerics at
+//! any `POLYINV_THREADS` (the LDLᵀ factorization and solves are serial, in
+//! an order fixed by the pattern), and
 //! `SynthesisReport::canonical` normalizes the two report fields that
 //! legitimately vary with the environment (wall-clock timings and the
 //! recorded worker count). Together that makes the canonical JSON a stable

@@ -21,12 +21,17 @@
 //!   fill-reducing minimum-degree ordering. The ordering, elimination tree
 //!   and column counts are computed **once** per pattern ([`SymbolicLdl::
 //!   analyze`]); every LM iteration then only runs the numeric factorization
-//!   and the triangular solves on preallocated buffers.
+//!   and the triangular solves on preallocated buffers. The analysis picks
+//!   one of two factor layouts from the fill: sparse factors stay
+//!   *simplicial* (one column per pivot, scalar up-looking kernel), while
+//!   fill-heavy ones go *supernodal* (runs of columns sharing a row
+//!   structure, stored as dense panels and factored with block kernels).
 //!
-//! Everything is deterministic: the ordering breaks ties by index, and the
-//! numeric phases perform the same operations in the same order for a fixed
-//! pattern. The dense [`Matrix`](crate::Matrix) routines remain the oracle
-//! the property tests pin this module against.
+//! Everything is deterministic and serial: the ordering breaks ties by
+//! index, and the numeric phases perform the same operations in the same
+//! order for a fixed pattern, whatever the caller's thread count. The dense
+//! [`Matrix`](crate::Matrix) routines remain the oracle the property tests
+//! pin this module against.
 
 use crate::linalg::Matrix;
 
@@ -439,16 +444,44 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
     perm
 }
 
+/// Multiply-adds per factor entry at and above which [`SymbolicLdl::analyze`]
+/// picks the supernodal layout (after CHOLMOD's simplicial/supernodal
+/// switch). Every system the certified Table 2/3 rows factor at ϒ = 0 sits
+/// at or below 4.6 and stays simplicial; the ϒ = 2 systems of
+/// recursive-sum, recursive-square-sum and prodbin that cross it sit at
+/// 43–150.
+const SUPERNODAL_RATIO: usize = 40;
+
+/// Column block of the dense kernels: panels factor 4 columns at a time,
+/// and descendant supernodes at least this wide update through the dense
+/// block product (narrower ones scatter directly).
+const BLOCK: usize = 4;
+
 /// The symbolic phase of a sparse LDLᵀ factorization: fill-reducing
-/// permutation, permuted pattern with value-position links, elimination tree
-/// and per-column factor counts. Computed **once** per pattern and reused by
-/// every numeric factorization (only the matrix *values* change between LM
+/// permutation, elimination tree, per-column factor counts and the factor
+/// layout they select. Computed **once** per pattern and reused by every
+/// numeric factorization (only the matrix *values* change between LM
 /// iterations).
 #[derive(Debug, Clone)]
 pub struct SymbolicLdl {
     n: usize,
     /// `perm[new] = old`.
     perm: Vec<usize>,
+    /// Entries of `L`, unit diagonal included.
+    nnz_factor: usize,
+    layout: Layout,
+}
+
+/// How the factor is stored and computed; fixed by the pattern alone.
+#[derive(Debug, Clone)]
+enum Layout {
+    Simplicial(Simplicial),
+    Supernodal(Supernodal),
+}
+
+/// One sparse column per pivot, filled by the up-looking kernel.
+#[derive(Debug, Clone)]
+struct Simplicial {
     /// Permuted upper triangle in column-major order: column `k` holds the
     /// rows `i < k` (new indices, unsorted) and, in parallel, the position
     /// of the corresponding entry in the caller's values buffer.
@@ -464,95 +497,98 @@ pub struct SymbolicLdl {
     l_col_ptr: Vec<usize>,
 }
 
-/// Preallocated numeric buffers of a sparse LDLᵀ: the factor itself plus the
-/// working arrays of the up-looking factorization and the solves. One of
-/// these per concurrent solver; the shared [`SymbolicLdl`] stays immutable.
+/// Runs of consecutive columns that share one row structure (fundamental
+/// supernodes), each stored as a dense column-major panel and filled by
+/// the left-looking block kernel.
+#[derive(Debug, Clone)]
+struct Supernodal {
+    /// First column of each supernode, then `n`.
+    start: Vec<usize>,
+    /// Sorted rows of supernode `s` in `rows[row_ptr[s]..row_ptr[s + 1]]`:
+    /// its own columns first, then the rows below them. They index the
+    /// panel's rows.
+    row_ptr: Vec<usize>,
+    rows: Vec<usize>,
+    /// Offset of each supernode's panel in the numeric panel buffer, then
+    /// the buffer's length.
+    panel_ptr: Vec<usize>,
+    /// Panel index and values position of each off-diagonal entry of the
+    /// permuted `A`, in parallel.
+    a_panel: Vec<usize>,
+    a_val_pos: Vec<usize>,
+    /// Panel index and values position of each permuted column's diagonal
+    /// entry.
+    diag_panel: Vec<usize>,
+    a_diag_pos: Vec<usize>,
+    /// Updates into supernode `s`, by ascending source, in
+    /// `updates[update_ptr[s]..update_ptr[s + 1]]`.
+    update_ptr: Vec<usize>,
+    updates: Vec<Update>,
+    /// Entries of the largest [`BLOCK`]-column slice of a dense update: the
+    /// update buffer's length.
+    max_update: usize,
+}
+
+/// One descendant supernode's contribution to a later supernode.
+#[derive(Debug, Clone, Copy)]
+struct Update {
+    /// The descendant supernode.
+    source: usize,
+    /// Position in the source's rows of its first row inside the target's
+    /// columns; every row from here on receives the update.
+    first: usize,
+    /// How many of the source's rows fall inside the target's columns.
+    count: usize,
+}
+
+/// Preallocated numeric buffers of a sparse LDLᵀ: the factor itself plus
+/// the working arrays of the factorization and the solves, for the layout
+/// the symbolic analysis chose. One of these per concurrent solver; the
+/// shared [`SymbolicLdl`] stays immutable.
 #[derive(Debug, Clone)]
 pub struct LdlNumeric {
+    /// The pivots `D`.
+    d: Vec<f64>,
+    /// Permuted right-hand side of the solves.
+    work: Vec<f64>,
+    factor: Factor,
+}
+
+#[derive(Debug, Clone)]
+enum Factor {
+    Simplicial(SimplicialFactor),
+    Supernodal(SupernodalFactor),
+}
+
+#[derive(Debug, Clone)]
+struct SimplicialFactor {
     l_row: Vec<usize>,
     l_values: Vec<f64>,
-    d: Vec<f64>,
     y: Vec<f64>,
     pattern: Vec<usize>,
     flag: Vec<usize>,
     next_slot: Vec<usize>,
-    work: Vec<f64>,
 }
 
-impl LdlNumeric {
-    /// The pivots `D` of the last successful factorization (test oracle for
-    /// the bitwise serial/parallel equivalence).
-    pub fn pivots(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// The strictly-lower factor values of the last successful factorization
-    /// (test oracle for the bitwise serial/parallel equivalence).
-    pub fn factor_values(&self) -> &[f64] {
-        &self.l_values
-    }
-}
-
-/// Raw views into an [`LdlNumeric`]'s buffers, shared across the subtree
-/// workers of [`SymbolicLdl::factor_parallel`]. Columns of disjoint
-/// elimination-tree subtrees touch disjoint indices of every one of these
-/// arrays, which is what makes the aliasing sound.
-struct ColumnBuffers {
-    y: *mut f64,
-    flag: *mut usize,
-    next_slot: *mut usize,
-    d: *mut f64,
-    l_row: *mut usize,
-    l_values: *mut f64,
-}
-
-// SAFETY: the pointers are only dereferenced under the subtree-disjointness
-// protocol documented on `factor_column`. This is the workspace's one
-// audited unsafe island: the deny(unsafe_code) default stays in force
-// everywhere else.
-#[allow(unsafe_code)]
-unsafe impl Sync for ColumnBuffers {}
-
-impl ColumnBuffers {
-    fn from_numeric(num: &mut LdlNumeric) -> Self {
-        ColumnBuffers {
-            y: num.y.as_mut_ptr(),
-            flag: num.flag.as_mut_ptr(),
-            next_slot: num.next_slot.as_mut_ptr(),
-            d: num.d.as_mut_ptr(),
-            l_row: num.l_row.as_mut_ptr(),
-            l_values: num.l_values.as_mut_ptr(),
-        }
-    }
-}
-
-/// The column partition [`SymbolicLdl::subtree_schedule`] hands to the
-/// parallel factorization: independent subtrees (safe to factor
-/// concurrently) plus the serial top-of-tree columns.
 #[derive(Debug, Clone)]
-pub struct SubtreeSchedule {
-    subtrees: Vec<Vec<usize>>,
-    top: Vec<usize>,
-}
-
-impl SubtreeSchedule {
-    /// The independent subtrees, each listing its columns in ascending
-    /// order.
-    pub fn subtrees(&self) -> &[Vec<usize>] {
-        &self.subtrees
-    }
-
-    /// The serial top-of-tree columns, ascending.
-    pub fn top(&self) -> &[usize] {
-        &self.top
-    }
+struct SupernodalFactor {
+    panels: Vec<f64>,
+    /// Dense `m × BLOCK` slice of one wide descendant update.
+    update: Vec<f64>,
+    /// Row → panel row of the supernode being factored.
+    local: Vec<usize>,
 }
 
 impl SymbolicLdl {
     /// Analyzes a symmetric pattern given as its **lower triangle in CSR**
     /// (row `j` holds the sorted columns `i ≤ j`, diagonal present in every
     /// row): computes the minimum-degree permutation, the permuted pattern
-    /// and the elimination tree with its column counts.
+    /// and the elimination tree with its column counts, and picks the
+    /// factor layout.
+    ///
+    /// Factors whose multiply-adds `Σ c(c+1)/2` over the columns'
+    /// off-diagonal counts `c` reach 40 per entry of `L` go supernodal; the
+    /// rest keep the simplicial up-looking kernel.
     ///
     /// # Panics
     ///
@@ -627,15 +663,26 @@ impl SymbolicLdl {
         for k in 0..n {
             l_col_ptr[k + 1] = l_col_ptr[k] + counts[k];
         }
-        SymbolicLdl {
-            n,
-            perm,
+        let nnz_factor = l_col_ptr[n] + n;
+        let simplicial = Simplicial {
             a_col_ptr,
             a_row,
             a_val_pos,
             a_diag_pos,
             parent,
             l_col_ptr,
+        };
+        let multiply_adds: usize = counts.iter().map(|&c| c * (c + 1) / 2).sum();
+        let layout = if n > 0 && multiply_adds >= SUPERNODAL_RATIO * nnz_factor {
+            Layout::Supernodal(Supernodal::new(simplicial, &counts))
+        } else {
+            Layout::Simplicial(simplicial)
+        };
+        SymbolicLdl {
+            n,
+            perm,
+            nnz_factor,
+            layout,
         }
     }
 
@@ -647,7 +694,16 @@ impl SymbolicLdl {
     /// Entries of the factor `L` including the (unit) diagonal — the
     /// `nnz(L)` statistic.
     pub fn nnz_factor(&self) -> usize {
-        self.l_col_ptr[self.n] + self.n
+        self.nnz_factor
+    }
+
+    /// The number of supernodes of the supernodal layout; `0` when the
+    /// factor is simplicial.
+    pub fn supernodes(&self) -> usize {
+        match &self.layout {
+            Layout::Simplicial(_) => 0,
+            Layout::Supernodal(s) => s.start.len() - 1,
+        }
     }
 
     /// The fill-reducing permutation (`perm[new] = old`).
@@ -655,280 +711,542 @@ impl SymbolicLdl {
         &self.perm
     }
 
-    /// Allocates the numeric buffers matching this symbolic analysis.
+    /// Allocates the numeric buffers of this analysis's layout.
     pub fn numeric(&self) -> LdlNumeric {
-        let nnz = self.l_col_ptr[self.n];
+        let n = self.n;
+        let factor = match &self.layout {
+            Layout::Simplicial(s) => {
+                let nnz = s.l_col_ptr[n];
+                Factor::Simplicial(SimplicialFactor {
+                    l_row: vec![0; nnz],
+                    l_values: vec![0.0; nnz],
+                    y: vec![0.0; n],
+                    pattern: vec![0; n],
+                    flag: vec![NONE; n],
+                    next_slot: vec![0; n],
+                })
+            }
+            Layout::Supernodal(s) => Factor::Supernodal(SupernodalFactor {
+                panels: vec![0.0; s.panel_ptr[s.panel_ptr.len() - 1]],
+                update: vec![0.0; s.max_update],
+                local: vec![0; n],
+            }),
+        };
         LdlNumeric {
-            l_row: vec![0; nnz],
-            l_values: vec![0.0; nnz],
-            d: vec![0.0; self.n],
-            y: vec![0.0; self.n],
-            pattern: vec![0; self.n],
-            flag: vec![NONE; self.n],
-            next_slot: vec![0; self.n],
-            work: vec![0.0; self.n],
+            d: vec![0.0; n],
+            work: vec![0.0; n],
+            factor,
         }
     }
 
-    /// Numeric up-looking LDLᵀ of `A + diag(diag_add)`, where `values` is
-    /// the buffer the lower-triangle pattern of [`SymbolicLdl::analyze`]
-    /// indexes into (e.g. a [`JtjPattern`] accumulation) and `diag_add` is
-    /// the per-variable damping. Returns `false` when a pivot is not
-    /// strictly positive (the matrix is not numerically positive definite at
-    /// this damping) — the factor is then unusable and the caller should
+    /// Numeric LDLᵀ of `A + diag(diag_add)`, where `values` is the buffer
+    /// the lower-triangle pattern of [`SymbolicLdl::analyze`] indexes into
+    /// (e.g. a [`JtjPattern`] accumulation) and `diag_add` is the
+    /// per-variable damping. Returns `false` when a pivot is not strictly
+    /// positive and finite (the matrix is not numerically positive definite
+    /// at this damping) — the factor is then unusable and the caller should
     /// increase the damping.
-    #[allow(unsafe_code)]
+    ///
+    /// The operation order depends on the pattern alone, so the factor's
+    /// bits do not depend on the caller's thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num` was allocated by another analysis's layout.
     pub fn factor(&self, values: &[f64], diag_add: &[f64], num: &mut LdlNumeric) -> bool {
-        let n = self.n;
-        num.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
-        let buffers = ColumnBuffers::from_numeric(num);
-        let pattern = num.pattern.as_mut_ptr();
-        for k in 0..n {
-            // SAFETY: exclusive `&mut num` — no other access is live.
-            if !unsafe { self.factor_column(k, values, diag_add, &buffers, pattern) } {
-                return false;
+        match (&self.layout, &mut num.factor) {
+            (Layout::Simplicial(s), Factor::Simplicial(f)) => {
+                s.factor(&self.perm, values, diag_add, &mut num.d, f)
             }
-        }
-        true
-    }
-
-    /// One column of the up-looking factorization, operating through raw
-    /// pointers so independent elimination-tree subtrees can run on worker
-    /// threads over the *same* numeric buffers.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that no concurrent `factor_column` call
-    /// touches an overlapping index set. Column `k` reads and writes only
-    /// `y`/`flag`/`next_slot`/`d` at `k` and its elimination-tree
-    /// descendants, and the `l_row`/`l_values` spans of those descendant
-    /// columns — so columns in **disjoint subtrees** never alias (the basis
-    /// of [`factor_parallel`](Self::factor_parallel)). `pattern` is a
-    /// caller-private stack of length ≥ `n`.
-    #[allow(unsafe_code)]
-    unsafe fn factor_column(
-        &self,
-        k: usize,
-        values: &[f64],
-        diag_add: &[f64],
-        buf: &ColumnBuffers,
-        pattern: *mut usize,
-    ) -> bool {
-        let n = self.n;
-        // Pattern of row k of L: nodes reachable from the column's
-        // entries through the elimination tree, in topological order.
-        let mut top = n;
-        *buf.flag.add(k) = k;
-        *buf.y.add(k) = 0.0;
-        for p in self.a_col_ptr[k]..self.a_col_ptr[k + 1] {
-            let i = self.a_row[p];
-            *buf.y.add(i) += values[self.a_val_pos[p]];
-            let mut len = 0;
-            let mut j = i;
-            while *buf.flag.add(j) != k {
-                *pattern.add(len) = j;
-                len += 1;
-                *buf.flag.add(j) = k;
-                j = self.parent[j];
+            (Layout::Supernodal(s), Factor::Supernodal(f)) => {
+                s.factor(&self.perm, values, diag_add, &mut num.d, f)
             }
-            while len > 0 {
-                len -= 1;
-                top -= 1;
-                *pattern.add(top) = *pattern.add(len);
-            }
+            _ => panic!("numeric buffers of another symbolic analysis"),
         }
-        let mut dk = values[self.a_diag_pos[k]] + diag_add[self.perm[k]];
-        for t in top..n {
-            let j = *pattern.add(t);
-            let yj = *buf.y.add(j);
-            *buf.y.add(j) = 0.0;
-            let slot = *buf.next_slot.add(j);
-            for p in self.l_col_ptr[j]..slot {
-                *buf.y.add(*buf.l_row.add(p)) -= *buf.l_values.add(p) * yj;
-            }
-            let dj = *buf.d.add(j);
-            let lkj = yj / dj;
-            dk -= lkj * yj;
-            *buf.l_row.add(slot) = k;
-            *buf.l_values.add(slot) = lkj;
-            *buf.next_slot.add(j) = slot + 1;
-        }
-        // A NaN pivot fails both comparisons, so non-finite values are
-        // rejected along with non-positive ones.
-        if dk <= 0.0 || !dk.is_finite() {
-            return false;
-        }
-        *buf.d.add(k) = dk;
-        true
-    }
-
-    /// Partitions the columns for parallel factorization: maximal
-    /// elimination-tree subtrees small enough to balance across `threads`
-    /// workers, plus the serial top-of-tree remainder.
-    ///
-    /// Columns inside a subtree stay in ascending order and the top columns
-    /// run last, also ascending — exactly the visit order of the serial
-    /// factorization, so the arithmetic (and the factor's bit pattern) is
-    /// unchanged no matter how subtrees are spread over workers.
-    pub fn subtree_schedule(&self, threads: usize) -> SubtreeSchedule {
-        let n = self.n;
-        // Subtree sizes: children precede parents (parent[k] > k), so one
-        // ascending pass suffices.
-        let mut size = vec![1usize; n];
-        for k in 0..n {
-            if self.parent[k] != NONE {
-                size[self.parent[k]] += size[k];
-            }
-        }
-        // A column is "top" when its subtree is too big to hand to one
-        // worker. Subtree size is monotone up the tree, so the top set is
-        // upward-closed and everything below it splits into independent
-        // subtrees.
-        let cutoff = (n / threads.max(1).saturating_mul(4)).max(32);
-        let is_top: Vec<bool> = size.iter().map(|&s| s > cutoff).collect();
-        // Assign each non-top column to the root of its maximal non-top
-        // subtree. Parents have larger indices, so a descending pass sees
-        // the parent's assignment first.
-        let mut root = vec![NONE; n];
-        for k in (0..n).rev() {
-            if is_top[k] {
-                continue;
-            }
-            let p = self.parent[k];
-            root[k] = if p == NONE || is_top[p] { k } else { root[p] };
-        }
-        let mut subtrees_by_root: Vec<Vec<usize>> = Vec::new();
-        let mut root_slot = vec![NONE; n];
-        let mut top = Vec::new();
-        for k in 0..n {
-            if is_top[k] {
-                top.push(k);
-            } else {
-                let r = root[k];
-                if root_slot[r] == NONE {
-                    root_slot[r] = subtrees_by_root.len();
-                    subtrees_by_root.push(Vec::new());
-                }
-                subtrees_by_root[root_slot[r]].push(k);
-            }
-        }
-        SubtreeSchedule {
-            subtrees: subtrees_by_root,
-            top,
-        }
-    }
-
-    /// Like [`factor`](Self::factor), but with the independent
-    /// elimination-tree subtrees of [`subtree_schedule`](Self::
-    /// subtree_schedule) factored on up to `threads` worker threads before
-    /// the serial top-of-tree pass. Falls back to the serial path when the
-    /// budget or the schedule offers no parallelism.
-    ///
-    /// The result — factor values, pivots, and the success verdict — is
-    /// bitwise identical to the serial factorization: every column performs
-    /// the same operations in the same order, only *which thread* runs a
-    /// subtree changes.
-    #[allow(unsafe_code)]
-    pub fn factor_parallel(
-        &self,
-        values: &[f64],
-        diag_add: &[f64],
-        num: &mut LdlNumeric,
-        threads: usize,
-    ) -> bool {
-        if threads <= 1 || self.n < 64 {
-            return self.factor(values, diag_add, num);
-        }
-        let schedule = self.subtree_schedule(threads);
-        if schedule.subtrees.len() <= 1 {
-            return self.factor(values, diag_add, num);
-        }
-        let n = self.n;
-        num.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
-        let buffers = ColumnBuffers::from_numeric(num);
-        let ok = std::sync::atomic::AtomicBool::new(true);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = threads.min(schedule.subtrees.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let buffers = &buffers;
-                let schedule = &schedule;
-                let ok = &ok;
-                let next = &next;
-                scope.spawn(move || {
-                    // Worker-private pattern stack; every other buffer is
-                    // shared but touched at subtree-disjoint indices.
-                    let mut pattern = vec![0usize; n];
-                    loop {
-                        let s = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if s >= schedule.subtrees.len()
-                            || !ok.load(std::sync::atomic::Ordering::Relaxed)
-                        {
-                            return;
-                        }
-                        for &k in &schedule.subtrees[s] {
-                            // SAFETY: columns of distinct subtrees touch
-                            // disjoint indices (see `factor_column`), and a
-                            // subtree is processed by exactly one worker.
-                            let fine = unsafe {
-                                self.factor_column(
-                                    k,
-                                    values,
-                                    diag_add,
-                                    buffers,
-                                    pattern.as_mut_ptr(),
-                                )
-                            };
-                            if !fine {
-                                ok.store(false, std::sync::atomic::Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if !ok.load(std::sync::atomic::Ordering::Relaxed) {
-            return false;
-        }
-        // Top-of-tree columns depend on multiple subtrees: serial, ascending.
-        let pattern = num.pattern.as_mut_ptr();
-        for &k in &schedule.top {
-            // SAFETY: the worker scope has joined; access is exclusive again.
-            if !unsafe { self.factor_column(k, values, diag_add, &buffers, pattern) } {
-                return false;
-            }
-        }
-        true
     }
 
     /// Solves `(A + diag) x = b` in place using the factor produced by the
     /// last successful [`factor`](Self::factor) call on `num`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num` was allocated by another analysis's layout.
     pub fn solve(&self, num: &mut LdlNumeric, b: &mut [f64]) {
-        let n = self.n;
-        for k in 0..n {
-            num.work[k] = b[self.perm[k]];
+        let work = &mut num.work;
+        for (k, &old) in self.perm.iter().enumerate() {
+            work[k] = b[old];
         }
+        let divide = |work: &mut [f64]| {
+            for (x, d) in work.iter_mut().zip(&num.d) {
+                *x /= d;
+            }
+        };
+        match (&self.layout, &num.factor) {
+            (Layout::Simplicial(s), Factor::Simplicial(f)) => {
+                s.forward(f, work);
+                divide(work);
+                s.backward(f, work);
+            }
+            (Layout::Supernodal(s), Factor::Supernodal(f)) => {
+                s.forward(f, work);
+                divide(work);
+                s.backward(f, work);
+            }
+            _ => panic!("numeric buffers of another symbolic analysis"),
+        }
+        for (k, &old) in self.perm.iter().enumerate() {
+            b[old] = work[k];
+        }
+    }
+}
+
+impl Simplicial {
+    /// Up-looking LDLᵀ, one row of `L` per pivot.
+    fn factor(
+        &self,
+        perm: &[usize],
+        values: &[f64],
+        diag_add: &[f64],
+        d: &mut [f64],
+        f: &mut SimplicialFactor,
+    ) -> bool {
+        let n = d.len();
+        f.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
         for k in 0..n {
-            let xk = num.work[k];
+            // Pattern of row k of L: nodes reachable from the column's
+            // entries through the elimination tree, in topological order.
+            let mut top = n;
+            f.flag[k] = k;
+            f.y[k] = 0.0;
+            for p in self.a_col_ptr[k]..self.a_col_ptr[k + 1] {
+                let i = self.a_row[p];
+                f.y[i] += values[self.a_val_pos[p]];
+                let mut len = 0;
+                let mut j = i;
+                while f.flag[j] != k {
+                    f.pattern[len] = j;
+                    len += 1;
+                    f.flag[j] = k;
+                    j = self.parent[j];
+                }
+                while len > 0 {
+                    len -= 1;
+                    top -= 1;
+                    f.pattern[top] = f.pattern[len];
+                }
+            }
+            let mut dk = values[self.a_diag_pos[k]] + diag_add[perm[k]];
+            for t in top..n {
+                let j = f.pattern[t];
+                let yj = f.y[j];
+                f.y[j] = 0.0;
+                let slot = f.next_slot[j];
+                for p in self.l_col_ptr[j]..slot {
+                    f.y[f.l_row[p]] -= f.l_values[p] * yj;
+                }
+                let lkj = yj / d[j];
+                dk -= lkj * yj;
+                f.l_row[slot] = k;
+                f.l_values[slot] = lkj;
+                f.next_slot[j] = slot + 1;
+            }
+            // A NaN pivot fails both comparisons, so non-finite values are
+            // rejected along with non-positive ones.
+            if dk <= 0.0 || !dk.is_finite() {
+                return false;
+            }
+            d[k] = dk;
+        }
+        true
+    }
+
+    /// `work ← L⁻¹ work`.
+    fn forward(&self, f: &SimplicialFactor, work: &mut [f64]) {
+        for k in 0..work.len() {
+            let xk = work[k];
             if xk != 0.0 {
                 for p in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                    num.work[num.l_row[p]] -= num.l_values[p] * xk;
+                    work[f.l_row[p]] -= f.l_values[p] * xk;
                 }
             }
         }
-        for k in 0..n {
-            num.work[k] /= num.d[k];
-        }
-        for k in (0..n).rev() {
-            let mut xk = num.work[k];
+    }
+
+    /// `work ← L⁻ᵀ work`.
+    fn backward(&self, f: &SimplicialFactor, work: &mut [f64]) {
+        for k in (0..work.len()).rev() {
+            let mut xk = work[k];
             for p in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                xk -= num.l_values[p] * num.work[num.l_row[p]];
+                xk -= f.l_values[p] * work[f.l_row[p]];
             }
-            num.work[k] = xk;
+            work[k] = xk;
         }
+    }
+}
+
+impl Supernodal {
+    /// Builds the supernodal layout from the permuted pattern and
+    /// elimination tree of `a` and the factor's column counts.
+    fn new(a: Simplicial, counts: &[usize]) -> Self {
+        let Simplicial {
+            a_col_ptr,
+            a_row,
+            a_val_pos,
+            a_diag_pos,
+            parent,
+            ..
+        } = a;
+        let n = counts.len();
+        // Fundamental chains: column j joins j - 1's supernode when it is
+        // j - 1's parent and has exactly one off-diagonal entry fewer, so
+        // both share every row below j.
+        let mut start = vec![0];
+        for j in 1..n {
+            if parent[j - 1] != j || counts[j - 1] != counts[j] + 1 {
+                start.push(j);
+            }
+        }
+        start.push(n);
+        let supernodes = start.len() - 1;
+        let mut of_column = vec![0usize; n];
+        let mut row_ptr = vec![0usize; supernodes + 1];
+        let mut panel_ptr = vec![0usize; supernodes + 1];
+        for s in 0..supernodes {
+            let (first, end) = (start[s], start[s + 1]);
+            of_column[first..end].fill(s);
+            let height = 1 + counts[first];
+            row_ptr[s + 1] = row_ptr[s] + height;
+            panel_ptr[s + 1] = panel_ptr[s] + height * (end - first);
+        }
+
+        // A supernode's rows are its first column's: the column itself,
+        // then the rows of L reaching it. Row k of L is the elimination-tree
+        // reach of A's column k, so visiting k in ascending order appends
+        // every row in sorted position.
+        let mut rows = vec![0usize; row_ptr[supernodes]];
+        let mut cursor = row_ptr[..supernodes].to_vec();
+        for s in 0..supernodes {
+            rows[cursor[s]] = start[s];
+            cursor[s] += 1;
+        }
+        let mut flag = vec![NONE; n];
         for k in 0..n {
-            b[self.perm[k]] = num.work[k];
+            flag[k] = k;
+            for p in a_col_ptr[k]..a_col_ptr[k + 1] {
+                let mut j = a_row[p];
+                while flag[j] != k {
+                    let s = of_column[j];
+                    if start[s] == j {
+                        rows[cursor[s]] = k;
+                        cursor[s] += 1;
+                    }
+                    flag[j] = k;
+                    j = parent[j];
+                }
+            }
+        }
+
+        // Where each entry of A lands: L(row, column) sits in the panel of
+        // the column's supernode.
+        let panel_index = |row: usize, column: usize| -> usize {
+            let s = of_column[column];
+            let span = &rows[row_ptr[s]..row_ptr[s + 1]];
+            let local = span.binary_search(&row).expect("row in the supernode");
+            panel_ptr[s] + (column - start[s]) * span.len() + local
+        };
+        let diag_panel: Vec<usize> = (0..n).map(|k| panel_index(k, k)).collect();
+        // The row indices are not needed past this point: overwrite them.
+        let mut a_panel = a_row;
+        for k in 0..n {
+            for p in a_col_ptr[k]..a_col_ptr[k + 1] {
+                a_panel[p] = panel_index(k, a_panel[p]);
+            }
+        }
+
+        // Each supernode's rows below its own columns split into runs by
+        // the supernode owning them; each run is one update. A stable sort
+        // by target keeps the sources ascending.
+        let mut targeted: Vec<(usize, Update)> = Vec::new();
+        let mut max_update = 0;
+        for s in 0..supernodes {
+            let span = &rows[row_ptr[s]..row_ptr[s + 1]];
+            let width = start[s + 1] - start[s];
+            let mut first = width;
+            while first < span.len() {
+                let target = of_column[span[first]];
+                let count = span[first..]
+                    .iter()
+                    .take_while(|&&r| r < start[target + 1])
+                    .count();
+                if width >= BLOCK {
+                    max_update = max_update.max((span.len() - first) * count.min(BLOCK));
+                }
+                targeted.push((
+                    target,
+                    Update {
+                        source: s,
+                        first,
+                        count,
+                    },
+                ));
+                first += count;
+            }
+        }
+        targeted.sort_by_key(|&(target, _)| target);
+        let mut update_ptr = vec![0usize; supernodes + 1];
+        for &(target, _) in &targeted {
+            update_ptr[target + 1] += 1;
+        }
+        for s in 0..supernodes {
+            update_ptr[s + 1] += update_ptr[s];
+        }
+        let updates = targeted.into_iter().map(|(_, u)| u).collect();
+        Supernodal {
+            start,
+            row_ptr,
+            rows,
+            panel_ptr,
+            a_panel,
+            a_val_pos,
+            diag_panel,
+            a_diag_pos,
+            update_ptr,
+            updates,
+            max_update,
+        }
+    }
+
+    /// Left-looking supernodal LDLᵀ: each supernode assembles its columns
+    /// of `A`, applies every descendant's update in ascending order, then
+    /// factors its panel densely.
+    fn factor(
+        &self,
+        perm: &[usize],
+        values: &[f64],
+        diag_add: &[f64],
+        d: &mut [f64],
+        f: &mut SupernodalFactor,
+    ) -> bool {
+        f.panels.fill(0.0);
+        for (&at, &pos) in self.a_panel.iter().zip(&self.a_val_pos) {
+            f.panels[at] = values[pos];
+        }
+        for (k, &at) in self.diag_panel.iter().enumerate() {
+            f.panels[at] = values[self.a_diag_pos[k]] + diag_add[perm[k]];
+        }
+        for s in 0..self.start.len() - 1 {
+            let first = self.start[s];
+            let width = self.start[s + 1] - first;
+            let rows = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let height = rows.len();
+            for (i, &r) in rows.iter().enumerate() {
+                f.local[r] = i;
+            }
+            let (done, rest) = f.panels.split_at_mut(self.panel_ptr[s]);
+            let panel = &mut rest[..height * width];
+            for u in &self.updates[self.update_ptr[s]..self.update_ptr[s + 1]] {
+                let src = u.source;
+                let src_rows = &self.rows[self.row_ptr[src]..self.row_ptr[src + 1]];
+                let src_height = src_rows.len();
+                let src_panel = &done[self.panel_ptr[src] + u.first..self.panel_ptr[src + 1]];
+                let src_d = &d[self.start[src]..self.start[src + 1]];
+                let below = &src_rows[u.first..];
+                let m = below.len();
+                if src_d.len() >= BLOCK {
+                    // The dense product, BLOCK columns at a time.
+                    for b0 in (0..u.count).step_by(BLOCK) {
+                        let columns = (u.count - b0).min(BLOCK);
+                        let product = &mut f.update[..m * columns];
+                        product.fill(0.0);
+                        ldl_update(src_panel, src_height, src_d, b0, columns, m, product, m);
+                        for (b, column) in (b0..).zip(product.chunks_exact(m)) {
+                            let target = &mut panel[(below[b] - first) * height..];
+                            for a in b..m {
+                                target[f.local[below[a]]] += column[a];
+                            }
+                        }
+                    }
+                } else {
+                    for b in 0..u.count {
+                        let mut w = [0.0; BLOCK];
+                        for (k, wk) in w.iter_mut().enumerate().take(src_d.len()) {
+                            *wk = src_d[k] * src_panel[b + k * src_height];
+                        }
+                        let target = &mut panel[(below[b] - first) * height..];
+                        for a in b..m {
+                            let mut sum = 0.0;
+                            for k in 0..src_d.len() {
+                                sum += src_panel[a + k * src_height] * w[k];
+                            }
+                            target[f.local[below[a]]] -= sum;
+                        }
+                    }
+                }
+            }
+            if !dense_ldl(panel, height, &mut d[first..first + width]) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `work ← L⁻¹ work`.
+    fn forward(&self, f: &SupernodalFactor, work: &mut [f64]) {
+        for s in 0..self.start.len() - 1 {
+            let first = self.start[s];
+            let rows = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let panel = &f.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            for (j, column) in panel.chunks_exact(rows.len()).enumerate() {
+                let xj = work[first + j];
+                if xj != 0.0 {
+                    for (&r, &l) in rows[j + 1..].iter().zip(&column[j + 1..]) {
+                        work[r] -= l * xj;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `work ← L⁻ᵀ work`.
+    fn backward(&self, f: &SupernodalFactor, work: &mut [f64]) {
+        for s in (0..self.start.len() - 1).rev() {
+            let first = self.start[s];
+            let rows = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let panel = &f.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            for (j, column) in panel.chunks_exact(rows.len()).enumerate().rev() {
+                let mut xj = work[first + j];
+                for (&r, &l) in rows[j + 1..].iter().zip(&column[j + 1..]) {
+                    xj -= l * work[r];
+                }
+                work[first + j] = xj;
+            }
+        }
+    }
+}
+
+/// Dense LDLᵀ of a column-major `height × d.len()` panel whose leading
+/// rows are its own columns, pivots into `d`, in blocks of [`BLOCK`]
+/// columns: each block is factored column by column, then subtracted from
+/// the trailing columns in one block product. Returns `false` on a pivot
+/// that is not strictly positive and finite.
+fn dense_ldl(panel: &mut [f64], height: usize, d: &mut [f64]) -> bool {
+    let width = d.len();
+    for c0 in (0..width).step_by(BLOCK) {
+        let c1 = (c0 + BLOCK).min(width);
+        for j in c0..c1 {
+            let dj = panel[j * height + j];
+            if dj <= 0.0 || !dj.is_finite() {
+                return false;
+            }
+            d[j] = dj;
+            let (left, right) = panel.split_at_mut((j + 1) * height);
+            let column = &mut left[j * height..];
+            for (t, target) in (j + 1..c1).zip(right.chunks_exact_mut(height)) {
+                let ltj = column[t] / dj;
+                for i in t..height {
+                    target[i] -= column[i] * ltj;
+                }
+            }
+            for v in &mut column[j + 1..] {
+                *v /= dj;
+            }
+        }
+        let (left, right) = panel.split_at_mut(c1 * height);
+        let block = &left[c0 * height + c1..];
+        for b0 in (0..width - c1).step_by(BLOCK) {
+            let columns = (width - c1 - b0).min(BLOCK);
+            let out = &mut right[b0 * height + c1..];
+            ldl_update(
+                block,
+                height,
+                &d[c0..c1],
+                b0,
+                columns,
+                height - c1,
+                out,
+                height,
+            );
+        }
+    }
+    true
+}
+
+/// One [`BLOCK`]-column slice of the block product of the supernodal
+/// kernels: with `x` column-major (leading dimension `ldx`, one column per
+/// entry of `d`), `out[a + u·ldo] -= Σₖ x[a + k·ldx] · d[k] · x[b0 + u + k·ldx]`
+/// for `u < columns` and `b0 ≤ a < m`. The entries above the diagonal
+/// (`a < b0 + u`) are computed too; no caller reads them.
+#[allow(clippy::too_many_arguments)]
+fn ldl_update(
+    x: &[f64],
+    ldx: usize,
+    d: &[f64],
+    b0: usize,
+    columns: usize,
+    m: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    let mut k0 = 0;
+    while k0 + BLOCK <= d.len() {
+        update_block::<BLOCK>(x, ldx, d, k0, b0, columns, m, out, ldo);
+        k0 += BLOCK;
+    }
+    for k in k0..d.len() {
+        update_block::<1>(x, ldx, d, k, b0, columns, m, out, ldo);
+    }
+}
+
+/// `K` terms of [`ldl_update`] on `columns` output columns from `b0`.
+#[allow(clippy::too_many_arguments)]
+fn update_block<const K: usize>(
+    x: &[f64],
+    ldx: usize,
+    d: &[f64],
+    k0: usize,
+    b0: usize,
+    columns: usize,
+    m: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    match columns {
+        4 => update_tile::<K, 4>(x, ldx, d, k0, b0, m, out, ldo),
+        3 => update_tile::<K, 3>(x, ldx, d, k0, b0, m, out, ldo),
+        2 => update_tile::<K, 2>(x, ldx, d, k0, b0, m, out, ldo),
+        _ => update_tile::<K, 1>(x, ldx, d, k0, b0, m, out, ldo),
+    }
+}
+
+/// The register-blocked inner kernel: `K` columns of `x` against `B`
+/// output columns, each output entry loaded and stored once.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn update_tile<const K: usize, const B: usize>(
+    x: &[f64],
+    ldx: usize,
+    d: &[f64],
+    k0: usize,
+    b0: usize,
+    m: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    let xs: [&[f64]; K] = std::array::from_fn(|t| &x[(k0 + t) * ldx + b0..(k0 + t) * ldx + m]);
+    let w: [[f64; B]; K] = std::array::from_fn(|t| std::array::from_fn(|u| d[k0 + t] * xs[t][u]));
+    let mut chunks = out.chunks_mut(ldo);
+    let cs: [&mut [f64]; B] = std::array::from_fn(|_| {
+        let column = chunks.next().expect("output column in range");
+        &mut column[b0..m]
+    });
+    for a in 0..m - b0 {
+        let xa: [f64; K] = std::array::from_fn(|t| xs[t][a]);
+        for u in 0..B {
+            let mut s = cs[u][a];
+            for t in 0..K {
+                s -= xa[t] * w[t][u];
+            }
+            cs[u][a] = s;
         }
     }
 }
@@ -1036,6 +1354,7 @@ mod tests {
         }
         let (row_ptr, col_idx) = jtj.pattern();
         let symbolic = SymbolicLdl::analyze(5, row_ptr, col_idx);
+        assert_eq!(symbolic.supernodes(), 0, "a sparse factor stays simplicial");
         assert!(symbolic.nnz_factor() >= 5);
         let mut numeric = symbolic.numeric();
         let damping = vec![0.1; 5];
@@ -1078,80 +1397,91 @@ mod tests {
         assert!(symbolic.factor(&values, &[1e-3, 1e-3], &mut numeric));
     }
 
-    #[test]
-    fn the_subtree_schedule_partitions_every_column_exactly_once() {
-        // Four 25-column chains coupled only through their last columns: the
-        // elimination tree is four branches meeting below a small top — the
-        // shape subtree parallelism exploits. (A single band would give a
-        // path etree and, correctly, a single subtree.)
-        let mut patterns: Vec<Vec<usize>> = Vec::new();
-        for g in 0..4 {
-            for i in 0..24 {
-                patterns.push(vec![25 * g + i, 25 * g + i + 1]);
-            }
-        }
-        patterns.push(vec![24, 49, 74, 99]);
-        let jtj = JtjPattern::new(100, patterns);
+    /// A dense `n × n` normal-matrix pattern (one Jacobian row over every
+    /// variable) with diagonally dominant values. Its factor does
+    /// `(n - 1) / 3` multiply-adds per entry, so `n ≥ 121` goes supernodal:
+    /// one supernode, `n` columns wide.
+    fn dominant_dense(n: usize) -> (JtjPattern, Vec<f64>) {
+        let jtj = JtjPattern::new(n, vec![(0..n).collect()]);
+        let mut values = jtj.values_buffer();
         let (row_ptr, col_idx) = jtj.pattern();
-        let symbolic = SymbolicLdl::analyze(100, row_ptr, col_idx);
-        let schedule = symbolic.subtree_schedule(4);
-        let mut seen = vec![0usize; 100];
-        for subtree in schedule.subtrees() {
-            assert!(!subtree.is_empty());
-            for w in subtree.windows(2) {
-                assert!(w[0] < w[1], "subtree columns must ascend");
-            }
-            for &k in subtree {
-                seen[k] += 1;
+        for r in 0..n {
+            for p in row_ptr[r]..row_ptr[r + 1] {
+                let c = col_idx[p];
+                values[p] = if c == r {
+                    2.0
+                } else {
+                    0.01 / (1 + r + c) as f64
+                };
             }
         }
-        for w in schedule.top().windows(2) {
-            assert!(w[0] < w[1], "top columns must ascend");
-        }
-        for &k in schedule.top() {
-            seen[k] += 1;
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "every column appears exactly once: {seen:?}"
-        );
-        assert!(
-            schedule.subtrees().len() > 1,
-            "a banded etree must split into multiple subtrees"
-        );
+        (jtj, values)
+    }
+
+    fn position(jtj: &JtjPattern, r: usize, c: usize) -> usize {
+        let (row_ptr, col_idx) = jtj.pattern();
+        row_ptr[r]
+            + col_idx[row_ptr[r]..row_ptr[r + 1]]
+                .binary_search(&c)
+                .unwrap()
     }
 
     #[test]
-    fn parallel_factorization_rejects_what_the_serial_one_rejects() {
-        // 80 decoupled 2×2 indefinite blocks: the failing pivot sits inside
-        // a worker subtree, not the serial top.
-        let patterns: Vec<Vec<usize>> = (0..40).map(|i| vec![2 * i, 2 * i + 1]).collect();
-        let jtj = JtjPattern::new(80, patterns);
-        let mut values = jtj.values_buffer();
-        let mut scratch = JtjScratch::default();
-        for i in 0..40 {
-            // Outer product [1, 1]: singular, so the second pivot of each
-            // block is exactly zero without damping.
-            jtj.accumulate_row(
-                i,
-                &[(2 * i, 1.0), (2 * i + 1, 1.0)],
-                &mut values,
-                &mut scratch,
-            );
-        }
+    fn supernodal_layout_solves_against_the_dense_oracle() {
+        let n = 124;
+        let (jtj, values) = dominant_dense(n);
         let (row_ptr, col_idx) = jtj.pattern();
-        let symbolic = SymbolicLdl::analyze(80, row_ptr, col_idx);
+        let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
+        assert_eq!(symbolic.supernodes(), 1);
+        assert_eq!(symbolic.nnz_factor(), n * (n + 1) / 2);
         let mut numeric = symbolic.numeric();
-        let zero = vec![0.0; 80];
-        assert!(!symbolic.factor_parallel(&values, &zero, &mut numeric, 4));
-        // Damping restores positive definiteness — including after the
-        // failed attempt (no stale state may leak between factor calls).
-        let damp = vec![1e-3; 80];
-        assert!(symbolic.factor_parallel(&values, &damp, &mut numeric, 4));
-        let mut serial = symbolic.numeric();
-        assert!(symbolic.factor(&values, &damp, &mut serial));
-        assert_eq!(serial.pivots(), numeric.pivots());
-        assert_eq!(serial.factor_values(), numeric.factor_values());
+        let damping = vec![0.5; n];
+        assert!(symbolic.factor(&values, &damping, &mut numeric));
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut x = b.clone();
+        symbolic.solve(&mut numeric, &mut x);
+        let mut dense = jtj.to_dense(&values);
+        for i in 0..n {
+            dense.add_to(i, i, 0.5);
+        }
+        let oracle = dense
+            .solve(&Vector::from_slice(&b))
+            .expect("positive definite");
+        for i in 0..n {
+            assert!((x[i] - oracle[i]).abs() < 1e-12 * (1.0 + oracle[i].abs()));
+        }
+    }
+
+    #[test]
+    fn supernodal_factorization_rejects_a_negative_pivot() {
+        let n = 124;
+        let (jtj, mut values) = dominant_dense(n);
+        let (row_ptr, col_idx) = jtj.pattern();
+        let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
+        assert!(symbolic.supernodes() > 0);
+        // Updates only lower a pivot, so a negative diagonal entry of A
+        // yields a negative pivot wherever its column sits in the panel.
+        values[jtj.diag_positions()[70]] = -1.0;
+        let mut numeric = symbolic.numeric();
+        assert!(!symbolic.factor(&values, &vec![0.0; n], &mut numeric));
+        // Damping restores positive definiteness, with no stale state
+        // left over from the failed attempt.
+        assert!(symbolic.factor(&values, &vec![2.0; n], &mut numeric));
+    }
+
+    #[test]
+    fn supernodal_factorization_rejects_a_nan_inside_a_wide_panel() {
+        let n = 124;
+        let (jtj, mut values) = dominant_dense(n);
+        let (row_ptr, col_idx) = jtj.pattern();
+        let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
+        assert!(symbolic.supernodes() > 0);
+        let nan_at = position(&jtj, 50, 20);
+        values[nan_at] = f64::NAN;
+        let mut numeric = symbolic.numeric();
+        assert!(!symbolic.factor(&values, &vec![0.5; n], &mut numeric));
+        values[nan_at] = 0.0;
+        assert!(symbolic.factor(&values, &vec![0.5; n], &mut numeric));
     }
 
     #[test]

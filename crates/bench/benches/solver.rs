@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the Step-4 solve stage.
 //!
-//! Four groups:
+//! Five groups:
 //!
 //! * `lm_iteration` — one damped normal-equations iteration (accumulate
 //!   `JᵀJ`/`Jᵀr` from sparse rows, numeric LDLᵀ factor, triangular solves)
@@ -13,25 +13,32 @@
 //!   algorithm.
 //! * `lm_iteration_large` — the same single iteration on the *presolved*
 //!   systems of the formerly size-capped rows (euclidex1, merge-sort), at
-//!   1/2/4/8 evaluation worker threads. This is where the chunked parallel
-//!   evaluation pays off; the serial/8-thread ratio is the scaling
-//!   acceptance number (expect ≥3× on an 8-core box; on fewer cores the
-//!   curve flattens accordingly — the outputs stay byte-identical either
-//!   way).
+//!   1/2/4/8 evaluation worker threads. The worker threads scale only the
+//!   residual and `JᵀJ` evaluation; the numeric factorization and the
+//!   solves are serial, so the serial/8-thread ratio is bounded by the
+//!   evaluation's share of the iteration (the outputs stay byte-identical
+//!   at every thread count).
+//! * `ldl_factor` — the numeric LDLᵀ factorization alone, on the presolved
+//!   ϒ = 2 systems of recursive-sum, recursive-square-sum and prodbin
+//!   (fill-heavy: the supernodal layout) and the ϒ = 0 system of cohendiv
+//!   (the simplicial control).
 //! * `symbolic_setup` — the once-per-problem cost the sparse path amortizes
 //!   (pattern construction + minimum-degree ordering + symbolic LDLᵀ).
 //! * `weak_synthesis_e2e` — an end-to-end weak synthesis (Steps 1–4)
 //!   through the Engine on a small program.
 //!
 //! CI smoke-compiles everything and short-runs the sparse iteration
-//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`); the
-//! full runs — including the slow dense oracle and the large-system
-//! scaling group — are for local perf work.
+//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`) and
+//! the factorization group (`-- ldl_factor`); the full runs — including
+//! the slow dense oracle and the large-system scaling group — are for
+//! local perf work.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use polyinv_bench::probe::{dense_iteration, presolved_table_problem, table_problem, SparseProbe};
+use polyinv_bench::probe::{
+    dense_iteration, presolved_problem_at, presolved_table_problem, table_problem, SparseProbe,
+};
 
 fn lm_iteration(c: &mut Criterion) {
     let mut group = c.benchmark_group("lm_iteration");
@@ -88,6 +95,31 @@ fn lm_iteration_large(c: &mut Criterion) {
     group.finish();
 }
 
+fn ldl_factor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ldl_factor");
+    group.sample_size(10);
+    let systems = [
+        ("recursive-sum", 2),
+        ("recursive-square-sum", 2),
+        ("prodbin", 2),
+        ("cohendiv", 0),
+    ];
+    for (name, upsilon) in systems {
+        let mut probe = SparseProbe::new(presolved_problem_at(name, upsilon));
+        let x = vec![0.05; probe.problem().num_vars];
+        let system = probe.damped_normal(&x, 1e-3);
+        let layout = if probe.supernodes() > 0 {
+            "supernodal"
+        } else {
+            "simplicial"
+        };
+        group.bench_function(format!("{name}/upsilon{upsilon}/{layout}"), |b| {
+            b.iter(|| assert!(probe.factor(&system)))
+        });
+    }
+    group.finish();
+}
+
 fn symbolic_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("symbolic_setup");
     group
@@ -130,6 +162,7 @@ criterion_group!(
     benches,
     lm_iteration,
     lm_iteration_large,
+    ldl_factor,
     symbolic_setup,
     weak_synthesis_e2e
 );

@@ -43,17 +43,37 @@ pub fn table_problem(name: &str) -> Problem {
 ///
 /// Panics on unknown benchmark names.
 pub fn presolved_table_problem(name: &str) -> Problem {
+    presolved_problem_at(name, 2)
+}
+
+/// Like [`presolved_table_problem`], but on the ϒ = `upsilon` rung of the
+/// row's ladder: `0` gives the system the default plan certifies most
+/// rows on.
+///
+/// # Panics
+///
+/// Panics on unknown benchmark names.
+pub fn presolved_problem_at(name: &str, upsilon: u32) -> Problem {
     let benchmark = polyinv_benchmarks::by_name(name).unwrap();
     let program = benchmark.program().unwrap();
     let pre = Precondition::from_program(&program);
-    let generated =
-        polyinv_constraints::generate(&program, &pre, &options_for(&benchmark)).unwrap();
+    let options = options_for(&benchmark).with_upsilon(upsilon);
+    let generated = polyinv_constraints::generate(&program, &pre, &options).unwrap();
     let presolved = polyinv_constraints::presolve(
         &generated.system,
         &std::collections::HashMap::new(),
         &polyinv_constraints::PresolveOptions::default(),
     );
     polyinv::bridge::system_to_problem(&presolved.system)
+}
+
+/// The damped normal matrix of one LM iteration, captured by
+/// [`SparseProbe::damped_normal`] so the numeric factorization can be
+/// timed alone.
+#[derive(Debug, Clone)]
+pub struct DampedNormal {
+    values: Vec<f64>,
+    diag_add: Vec<f64>,
 }
 
 /// One sparse solve workspace plus its numeric factor buffer: what
@@ -109,6 +129,39 @@ impl SparseProbe {
         self.ws.symbolic().nnz_factor()
     }
 
+    /// Supernodes of the factor's supernodal layout (`0` when the
+    /// symbolic analysis chose the simplicial one).
+    pub fn supernodes(&self) -> usize {
+        self.ws.symbolic().supernodes()
+    }
+
+    /// The damped normal matrix of one LM iteration at `x`: the `JᵀJ`
+    /// values from the solver's own evaluator plus the damping `lambda`
+    /// puts on the diagonal. [`SparseProbe::factor`] factors it.
+    pub fn damped_normal(&self, x: &[f64], lambda: f64) -> DampedNormal {
+        let mut eval = LmEvaluator::new(&self.problem, &self.ws, 0.0, self.eval_threads);
+        eval.residuals_and_normal(x);
+        let values = eval.jtj_values().to_vec();
+        let diag_add = self.damping(&values, lambda);
+        DampedNormal { values, diag_add }
+    }
+
+    /// The numeric LDLᵀ factorization alone, of a captured damped normal
+    /// matrix. Returns `false` when a pivot is rejected.
+    pub fn factor(&mut self, system: &DampedNormal) -> bool {
+        self.ws
+            .symbolic()
+            .factor(&system.values, &system.diag_add, &mut self.numeric)
+    }
+
+    /// The LM damping `lambda · (1 + diag(JᵀJ))`.
+    fn damping(&self, values: &[f64], lambda: f64) -> Vec<f64> {
+        let diag = self.ws.pattern().diag_positions();
+        (0..self.problem.num_vars)
+            .map(|i| lambda * (1.0 + values[diag[i]]))
+            .collect()
+    }
+
     /// One sparse LM iteration at `x` with damping `lambda`: residual pass
     /// scattering into `JᵀJ`/`Jᵀr` (through the solver's own evaluator,
     /// chunked across `eval_threads` workers at scale), damped numeric
@@ -118,10 +171,7 @@ impl SparseProbe {
         let mut eval = LmEvaluator::new(&self.problem, &self.ws, 0.0, self.eval_threads);
         eval.residuals_and_normal(x);
         let values = eval.jtj_values();
-        let diag = self.ws.pattern().diag_positions();
-        let diag_add: Vec<f64> = (0..self.problem.num_vars)
-            .map(|i| lambda * (1.0 + values[diag[i]]))
-            .collect();
+        let diag_add = self.damping(values, lambda);
         assert!(self
             .ws
             .symbolic()
@@ -215,6 +265,20 @@ mod tests {
         );
         assert!(probe.nnz_jacobian() > 0);
         assert!(probe.nnz_factor() >= 6);
+    }
+
+    #[test]
+    fn the_layout_switch_picks_supernodal_only_for_fill_heavy_factors() {
+        // The ϒ = 2 system of a recursive row fills in densely; the ϒ = 0
+        // system a Table 2 row is certified on keeps the simplicial layout
+        // and its arithmetic.
+        let heavy = SparseProbe::new(presolved_table_problem("recursive-square-sum"));
+        assert!(
+            heavy.supernodes() > 0,
+            "recursive-square-sum stays simplicial"
+        );
+        let light = SparseProbe::new(presolved_problem_at("cohendiv", 0));
+        assert_eq!(light.supernodes(), 0, "cohendiv went supernodal");
     }
 
     #[test]

@@ -69,11 +69,12 @@ pub struct LmOptions {
     /// boundary and returns its best-so-far point. `0` disables the
     /// deadline.
     pub max_seconds: f64,
-    /// Worker threads for the *intra-iteration* parallelism (chunked
-    /// residual evaluation and subtree-parallel factorization). `0` lets the
-    /// [`ThreadBudget`](crate::ThreadBudget) arbiter decide from the row
-    /// count and the global `POLYINV_THREADS` budget; an explicit value
-    /// pins it (the criterion benches sweep 1/2/4/8 this way).
+    /// Worker threads for the *intra-iteration* parallelism: the chunked
+    /// residual and `JᵀJ` evaluation (the LDLᵀ factorization and solves
+    /// are serial). `0` lets the [`ThreadBudget`](crate::ThreadBudget)
+    /// arbiter decide from the row count and the global `POLYINV_THREADS`
+    /// budget; an explicit value pins it (the criterion benches sweep
+    /// 1/2/4/8 this way).
     ///
     /// The thread count never changes *what* is computed — chunk boundaries
     /// and merge order are functions of the row count alone — so solver
@@ -418,12 +419,9 @@ impl LmSolver {
                 }
                 stats.factorizations += 1;
                 let factor_start = Instant::now();
-                let factored = ws.symbolic.factor_parallel(
-                    &eval.jtj_values,
-                    &diag_add,
-                    &mut numeric,
-                    eval_threads,
-                );
+                let factored = ws
+                    .symbolic
+                    .factor(&eval.jtj_values, &diag_add, &mut numeric);
                 stats.factor_seconds += factor_start.elapsed().as_secs_f64();
                 if !factored {
                     lambda *= opts.lambda_up;

@@ -9,15 +9,15 @@
 
 /// Residual-row count above which a single solve is large enough that the
 /// thread budget is better spent *inside* one iteration (chunked residual
-/// evaluation, subtree-parallel factorization) than across restarts.
+/// evaluation) than across restarts.
 pub const PAR_ROW_THRESHOLD: usize = 2048;
 
 /// The machine-wide thread budget: `POLYINV_THREADS` when set to a positive
 /// integer, otherwise the runtime's available parallelism.
 ///
-/// Every parallel site in the solver (restart fan-out, chunked evaluation,
-/// subtree factorization) derives its worker count from this single knob so
-/// the layers compose instead of multiplying.
+/// Every parallel site in the solver (restart fan-out, chunked evaluation)
+/// derives its worker count from this single knob so the layers compose
+/// instead of multiplying.
 pub fn configured_threads() -> usize {
     match std::env::var("POLYINV_THREADS") {
         Ok(raw) => match raw.trim().parse::<usize>() {
