@@ -41,4 +41,4 @@ pub mod sparse;
 
 pub use linalg::{Matrix, Vector};
 pub use rational::{ParseRationalError, Rational, RationalError};
-pub use sparse::{CsrMatrix, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};
+pub use sparse::{CsrMatrix, JtjChunk, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};

@@ -387,16 +387,36 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Compare a/b with c/d by comparing a*d with c*b (b, d > 0).
-        // Use i128 widening carefully; values in this workspace stay small.
+        // Compare a/b with c/d by comparing a*d with c*b (b, d > 0); when a
+        // product overflows, fall back to the exact continued-fraction
+        // comparison.
         let lhs = self.numer.checked_mul(other.denom);
         let rhs = other.numer.checked_mul(self.denom);
         match (lhs, rhs) {
             (Some(l), Some(r)) => l.cmp(&r),
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
+            _ => cmp_fractions(self.numer, self.denom, other.numer, other.denom),
+        }
+    }
+}
+
+/// Exact comparison of `a/b` with `c/d` (`b, d > 0`) that cannot overflow:
+/// compare the integer parts, and on a tie compare the remainders `r/b` and
+/// `s/d` through their reciprocals `d/s` and `b/r` (which reverses the
+/// order). Every step only divides, and the denominators shrink like
+/// Euclid's algorithm, so it terminates in `O(log max(b, d))` rounds.
+fn cmp_fractions(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+    loop {
+        let (q, r) = (a.div_euclid(b), a.rem_euclid(b));
+        let (p, s) = (c.div_euclid(d), c.rem_euclid(d));
+        if q != p {
+            return q.cmp(&p);
+        }
+        match (r == 0, s == 0) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            // r/b vs s/d ⇔ d/s vs b/r.
+            (false, false) => (a, b, c, d) = (d, s, b, r),
         }
     }
 }
@@ -655,6 +675,29 @@ mod tests {
         assert_eq!(sum, Rational::one());
         let product: Rational = values.iter().copied().product();
         assert_eq!(product, Rational::new(1, 36));
+    }
+
+    #[test]
+    fn comparison_is_exact_when_cross_products_overflow() {
+        // (2¹⁰⁰+1)/2¹⁰⁰ and (2¹⁰⁰+2)/(2¹⁰⁰+1) differ by 2⁻¹⁰⁰/(2¹⁰⁰+1):
+        // both round to 1.0 as f64 and their cross products overflow i128.
+        let p = 1i128 << 100;
+        let lhs = Rational::new(p + 1, p);
+        let rhs = Rational::new(p + 2, p + 1);
+        assert_eq!(lhs.to_f64(), rhs.to_f64());
+        assert_eq!(lhs.cmp(&rhs), Ordering::Greater);
+        assert_eq!(rhs.cmp(&lhs), Ordering::Less);
+        assert_eq!(lhs.cmp(&lhs), Ordering::Equal);
+        let (neg_lhs, neg_rhs) = (-lhs, -rhs);
+        assert_eq!(neg_lhs.cmp(&neg_rhs), Ordering::Less);
+        // Agrees with cross-multiplication wherever that does not overflow.
+        for (a, b, c, d) in [(7, 3, 9, 4), (-7, 3, -9, 4), (5, 10, 1, 2), (-1, 3, 0, 1)] {
+            assert_eq!(
+                cmp_fractions(a, b, c, d),
+                (a * d).cmp(&(c * b)),
+                "{a}/{b} vs {c}/{d}"
+            );
+        }
     }
 
     #[test]

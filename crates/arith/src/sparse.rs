@@ -16,7 +16,9 @@
 //!   precomputes the pattern of `JᵀJ` plus, per Jacobian row, the flat list
 //!   of value positions its outer product scatters into. Accumulating `JᵀJ`
 //!   then consumes sparse rows directly — neither `J` nor `Jᵀ` is ever
-//!   materialized, densely or otherwise;
+//!   materialized, densely or otherwise. A chunked pattern also gives each
+//!   fixed row range ([`JtjChunk`]) its own numbering of the entries it
+//!   touches, so chunk-parallel accumulation needs no full-size buffers;
 //! * [`SymbolicLdl`] / [`LdlNumeric`] — a sparse LDLᵀ factorization with a
 //!   fill-reducing minimum-degree ordering. The ordering, elimination tree
 //!   and column counts are computed **once** per pattern ([`SymbolicLdl::
@@ -170,6 +172,13 @@ fn tri_index(a: usize, b: usize) -> usize {
 /// its outer product scatters into. Accumulating `JᵀJ` at a new point is
 /// then a pure scatter over a values buffer: no dense `J`, no dense `Jᵀ`,
 /// no index searches in the hot loop.
+///
+/// A pattern built by [`JtjPattern::chunked`] also splits the Jacobian rows
+/// into fixed ranges ([`JtjChunk`]s) for chunk-parallel accumulation. Each
+/// chunk numbers only the positions its own rows touch, and its rows'
+/// scatter positions index that local numbering, so a chunk's private
+/// values buffer holds [`JtjChunk::entries`] values instead of
+/// [`nnz`](Self::nnz).
 #[derive(Debug, Clone)]
 pub struct JtjPattern {
     n: usize,
@@ -178,10 +187,64 @@ pub struct JtjPattern {
     diag_pos: Vec<usize>,
     /// Per Jacobian row: the sorted variable pattern.
     row_vars: Vec<Vec<usize>>,
-    /// Per Jacobian row: positions of all `(a ≤ b)` pattern pairs in the
-    /// values buffer, triangular-indexed by local pattern indices.
+    /// Per Jacobian row: positions of all `(a ≤ b)` pattern pairs,
+    /// triangular-indexed by local pattern indices — in the values buffer
+    /// of the row's chunk when the pattern is chunked, in the full values
+    /// buffer otherwise.
     pair_pos: Vec<Vec<u32>>,
+    /// The row chunks, in row order; empty when the pattern is not chunked.
+    chunks: Vec<JtjChunk>,
     jacobian_nnz: usize,
+}
+
+/// One fixed range of Jacobian rows of a chunked [`JtjPattern`], with the
+/// positions of the full values buffer its rows touch.
+#[derive(Debug, Clone)]
+pub struct JtjChunk {
+    rows: std::ops::Range<usize>,
+    /// Sorted full-buffer positions: local position `k` of the chunk's
+    /// values buffer is full position `touched[k]`.
+    touched: Vec<u32>,
+}
+
+impl JtjChunk {
+    /// The Jacobian rows of this chunk.
+    pub fn rows(&self) -> std::ops::Range<usize> {
+        self.rows.clone()
+    }
+
+    /// The number of `JᵀJ` entries the chunk's rows touch: the length of
+    /// its values buffer.
+    pub fn entries(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// A zeroed chunk-local values buffer.
+    pub fn values_buffer(&self) -> Vec<f64> {
+        vec![0.0; self.touched.len()]
+    }
+
+    /// Adds a chunk-local accumulation into the full values buffer
+    /// (`target[touched[k]] += partial[k]`) and clears it for the next
+    /// pass.
+    ///
+    /// Merging every chunk in chunk-index order gives, bit for bit, what
+    /// merging full-size partial buffers in that order gives. Each position
+    /// still receives the partials of the chunks touching it in ascending
+    /// chunk order, and a skipped chunk would only have added `+0.0`.
+    /// Adding `+0.0` changes no bit unless the other operand is `−0.0`, and
+    /// neither side ever is: a partial starts at `+0.0` and only has
+    /// products added to it, the target starts at `+0.0` and only has
+    /// partials added to it, and in round-to-nearest a sum is `−0.0` only
+    /// when both operands are (`+0.0 + −0.0` and exact cancellations give
+    /// `+0.0`).
+    pub fn merge_into(&self, target: &mut [f64], partial: &mut [f64]) {
+        debug_assert_eq!(partial.len(), self.touched.len());
+        for (&pos, p) in self.touched.iter().zip(partial.iter_mut()) {
+            target[pos as usize] += *p;
+            *p = 0.0;
+        }
+    }
 }
 
 /// Per-call scratch for [`JtjPattern::accumulate_row`]: the row's entries
@@ -210,47 +273,65 @@ impl JtjPattern {
                 assert!(last < n, "row pattern mentions variable {last} >= {n}");
             }
         }
-        // Union of all (min, max) pairs, plus the full diagonal (damping is
-        // added to every diagonal entry, touched or not).
-        let mut pairs: Vec<(usize, usize)> = (0..n).map(|j| (j, j)).collect();
+        // The Jacobian rows mentioning each variable, with its index in
+        // their patterns.
+        let mut incidence_ptr = vec![0usize; n + 1];
         for vars in &rows {
-            for (k, &a) in vars.iter().enumerate() {
-                for &b in &vars[k..] {
-                    pairs.push((b, a)); // stored at (row = max, col = min)
+            for &v in vars {
+                incidence_ptr[v + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            incidence_ptr[v + 1] += incidence_ptr[v];
+        }
+        let mut incidence = vec![(0usize, 0usize); jacobian_nnz];
+        let mut cursor = incidence_ptr.clone();
+        for (r, vars) in rows.iter().enumerate() {
+            for (i, &v) in vars.iter().enumerate() {
+                incidence[cursor[v]] = (r, i);
+                cursor[v] += 1;
+            }
+        }
+        // Row b of the lower triangle holds b itself (damping is added to
+        // every diagonal entry, touched or not) and every a < b sharing a
+        // Jacobian row with b; a marker per variable drops repeats. Once
+        // the row is sorted, `slot` maps its columns to positions, and
+        // every Jacobian row through b records its pairs (a ≤ b).
+        let mut marker = vec![NONE; n];
+        let mut slot = vec![0usize; n];
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut col_idx = Vec::new();
+        let mut diag_pos = vec![0usize; n];
+        let mut pair_pos: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|vars| vec![0u32; vars.len() * (vars.len() + 1) / 2])
+            .collect();
+        for b in 0..n {
+            let start = col_idx.len();
+            let through_b = &incidence[incidence_ptr[b]..incidence_ptr[b + 1]];
+            marker[b] = b;
+            col_idx.push(b);
+            for &(r, ib) in through_b {
+                for &a in &rows[r][..ib] {
+                    if marker[a] != b {
+                        marker[a] = b;
+                        col_idx.push(a);
+                    }
+                }
+            }
+            col_idx[start..].sort_unstable();
+            row_ptr[b + 1] = col_idx.len();
+            for (pos, &a) in (start..).zip(&col_idx[start..]) {
+                slot[a] = pos;
+            }
+            diag_pos[b] = slot[b];
+            for &(r, ib) in through_b {
+                for (ia, &a) in rows[r][..=ib].iter().enumerate() {
+                    pair_pos[r][tri_index(ia, ib)] =
+                        u32::try_from(slot[a]).expect("pattern fits u32");
                 }
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx = Vec::with_capacity(pairs.len());
-        for &(r, c) in &pairs {
-            col_idx.push(c);
-            row_ptr[r + 1] += 1;
-        }
-        for r in 0..n {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        let find = |r: usize, c: usize| -> usize {
-            let span = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            row_ptr[r] + span.binary_search(&c).expect("pair in pattern")
-        };
-        let diag_pos: Vec<usize> = (0..n).map(|j| find(j, j)).collect();
-        let pair_pos: Vec<Vec<u32>> = rows
-            .iter()
-            .map(|vars| {
-                let p = vars.len();
-                let mut positions = vec![0u32; p * (p + 1) / 2];
-                for ib in 0..p {
-                    for ia in 0..=ib {
-                        let pos = find(vars[ib], vars[ia]);
-                        positions[tri_index(ia, ib)] =
-                            u32::try_from(pos).expect("pattern fits u32");
-                    }
-                }
-                positions
-            })
-            .collect();
         JtjPattern {
             n,
             row_ptr,
@@ -258,8 +339,59 @@ impl JtjPattern {
             diag_pos,
             row_vars: rows,
             pair_pos,
+            chunks: Vec::new(),
             jacobian_nnz,
         }
+    }
+
+    /// [`JtjPattern::new`] with the Jacobian rows split into the given
+    /// chunks for chunk-parallel accumulation: each chunk records the
+    /// sorted positions its rows touch, and its rows' scatter positions
+    /// are renumbered into that chunk-local numbering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunks do not cover the rows in order, each starting
+    /// where the previous one ends.
+    pub fn chunked(n: usize, rows: Vec<Vec<usize>>, chunks: Vec<std::ops::Range<usize>>) -> Self {
+        let mut pattern = JtjPattern::new(n, rows);
+        let mut end = 0;
+        for range in &chunks {
+            assert!(
+                range.start == end && range.start <= range.end,
+                "chunks must cover the rows in order"
+            );
+            end = range.end;
+        }
+        assert_eq!(end, pattern.row_vars.len(), "chunks must cover every row");
+        // Local index of each full position in the chunk being built;
+        // `u32::MAX` outside it.
+        let mut local = vec![u32::MAX; pattern.nnz()];
+        pattern.chunks = chunks
+            .into_iter()
+            .map(|rows| {
+                let positions = &mut pattern.pair_pos[rows.clone()];
+                let mut touched = Vec::new();
+                for &pos in positions.iter().flatten() {
+                    if local[pos as usize] == u32::MAX {
+                        local[pos as usize] = 0;
+                        touched.push(pos);
+                    }
+                }
+                touched.sort_unstable();
+                for (k, &pos) in touched.iter().enumerate() {
+                    local[pos as usize] = k as u32;
+                }
+                for pos in positions.iter_mut().flatten() {
+                    *pos = local[*pos as usize];
+                }
+                for &pos in &touched {
+                    local[pos as usize] = u32::MAX;
+                }
+                JtjChunk { rows, touched }
+            })
+            .collect();
+        pattern
     }
 
     /// The matrix dimension.
@@ -292,9 +424,17 @@ impl JtjPattern {
         vec![0.0; self.nnz()]
     }
 
+    /// The row chunks of a [`chunked`](Self::chunked) pattern, in row
+    /// order; empty otherwise.
+    pub fn chunks(&self) -> &[JtjChunk] {
+        &self.chunks
+    }
+
     /// Scatters the outer product of one Jacobian row into `values`
     /// (`values[pos(i, j)] += rowᵢ · rowⱼ`). The entries must be a subset of
-    /// the row's declared pattern, sorted by column.
+    /// the row's declared pattern, sorted by column. `values` is the full
+    /// values buffer, or — when the pattern is chunked — the values buffer
+    /// of the row's chunk.
     pub fn accumulate_row(
         &self,
         row: usize,
@@ -315,23 +455,6 @@ impl JtjPattern {
             for &(ib, vb) in &scratch.local[k..] {
                 values[positions[tri_index(ia as usize, ib as usize)] as usize] += va * vb;
             }
-        }
-    }
-
-    /// Folds one per-chunk partial accumulation into `target`
-    /// (`target[p] += partial[p]`).
-    ///
-    /// The chunk-parallel evaluator accumulates disjoint row ranges into
-    /// private buffers and merges them **in chunk-index order**: because
-    /// chunk boundaries are fixed by the row count (never by the worker
-    /// count), the floating-point sum sequence — and therefore every bit of
-    /// the result — is identical whether the chunks were filled by 1 thread
-    /// or 16.
-    pub fn merge_partial(&self, target: &mut [f64], partial: &[f64]) {
-        debug_assert_eq!(target.len(), self.nnz());
-        debug_assert_eq!(partial.len(), self.nnz());
-        for (t, p) in target.iter_mut().zip(partial) {
-            *t += p;
         }
     }
 
@@ -410,9 +533,6 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
             }
         }
         front.sort_unstable();
-        for &v in &front {
-            in_front[v] = false;
-        }
         // Absorb the pivot's elements into the new one and free their
         // storage.
         for &e in &adj_elems[pivot] {
@@ -422,14 +542,14 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
             }
         }
         let eid = elements.len();
-        elements.push(front.clone());
+        elements.push(front);
         elem_alive.push(true);
 
         // Update the front variables: drop edges now covered by the new
-        // element, attach the element, refresh approximate degrees.
-        for &v in &front {
-            let f = &front;
-            adj_vars[v].retain(|&u| !eliminated[u] && f.binary_search(&u).is_err());
+        // element (the `in_front` marks are still set), attach the element,
+        // refresh approximate degrees.
+        for &v in &elements[eid] {
+            adj_vars[v].retain(|&u| !eliminated[u] && !in_front[u]);
             adj_elems[v].retain(|&e| elem_alive[e]);
             adj_elems[v].push(eid);
             let mut d = adj_vars[v].len();
@@ -437,6 +557,9 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
                 d += elements[e].len().saturating_sub(1);
             }
             degree[v] = d;
+        }
+        for &v in &elements[eid] {
+            in_front[v] = false;
         }
         adj_vars[pivot] = Vec::new();
         adj_elems[pivot] = Vec::new();
@@ -491,10 +614,13 @@ struct Simplicial {
     /// Position of the diagonal entry of each permuted column in the
     /// caller's values buffer.
     a_diag_pos: Vec<usize>,
-    /// Elimination-tree parent (or `NONE`).
-    parent: Vec<usize>,
     /// Column pointers of the factor `L` (strictly-lower CSC).
     l_col_ptr: Vec<usize>,
+    /// The columns of row `k` of `L` in
+    /// `row_cols[row_ptr[k]..row_ptr[k + 1]]`, in the topological order of
+    /// [`ereach`] that the up-looking kernel eliminates them in.
+    row_ptr: Vec<usize>,
+    row_cols: Vec<usize>,
 }
 
 /// Runs of consecutive columns that share one row structure (fundamental
@@ -565,8 +691,6 @@ struct SimplicialFactor {
     l_row: Vec<usize>,
     l_values: Vec<f64>,
     y: Vec<f64>,
-    pattern: Vec<usize>,
-    flag: Vec<usize>,
     next_slot: Vec<usize>,
 }
 
@@ -664,19 +788,15 @@ impl SymbolicLdl {
             l_col_ptr[k + 1] = l_col_ptr[k] + counts[k];
         }
         let nnz_factor = l_col_ptr[n] + n;
-        let simplicial = Simplicial {
-            a_col_ptr,
-            a_row,
-            a_val_pos,
-            a_diag_pos,
-            parent,
-            l_col_ptr,
-        };
         let multiply_adds: usize = counts.iter().map(|&c| c * (c + 1) / 2).sum();
         let layout = if n > 0 && multiply_adds >= SUPERNODAL_RATIO * nnz_factor {
-            Layout::Supernodal(Supernodal::new(simplicial, &counts))
+            Layout::Supernodal(Supernodal::new(
+                a_col_ptr, a_row, a_val_pos, a_diag_pos, parent, &counts,
+            ))
         } else {
-            Layout::Simplicial(simplicial)
+            Layout::Simplicial(Simplicial::new(
+                a_col_ptr, a_row, a_val_pos, a_diag_pos, parent, l_col_ptr,
+            ))
         };
         SymbolicLdl {
             n,
@@ -721,8 +841,6 @@ impl SymbolicLdl {
                     l_row: vec![0; nnz],
                     l_values: vec![0.0; nnz],
                     y: vec![0.0; n],
-                    pattern: vec![0; n],
-                    flag: vec![NONE; n],
                     next_slot: vec![0; n],
                 })
             }
@@ -800,7 +918,72 @@ impl SymbolicLdl {
     }
 }
 
+/// Row `k` of `L`: the nodes reachable from the entries of column `k` of
+/// the permuted upper triangle through the elimination tree, in
+/// topological order — each entry's path up to the first node already
+/// reached, the later entries' paths first. Writes the row into
+/// `stack[top..]` and returns `top`; `flag` must not hold `k` on entry, and
+/// `stack` has length `n`.
+fn ereach(
+    k: usize,
+    a_col_ptr: &[usize],
+    a_row: &[usize],
+    parent: &[usize],
+    flag: &mut [usize],
+    stack: &mut [usize],
+) -> usize {
+    let mut top = stack.len();
+    flag[k] = k;
+    for &i in &a_row[a_col_ptr[k]..a_col_ptr[k + 1]] {
+        let mut len = 0;
+        let mut j = i;
+        while flag[j] != k {
+            stack[len] = j;
+            len += 1;
+            flag[j] = k;
+            j = parent[j];
+        }
+        while len > 0 {
+            len -= 1;
+            top -= 1;
+            stack[top] = stack[len];
+        }
+    }
+    top
+}
+
 impl Simplicial {
+    /// The simplicial layout of the permuted pattern: records every row of
+    /// `L` once, so the numeric phase never walks the elimination tree.
+    fn new(
+        a_col_ptr: Vec<usize>,
+        a_row: Vec<usize>,
+        a_val_pos: Vec<usize>,
+        a_diag_pos: Vec<usize>,
+        parent: Vec<usize>,
+        l_col_ptr: Vec<usize>,
+    ) -> Self {
+        let n = a_diag_pos.len();
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut row_cols = Vec::with_capacity(l_col_ptr[n]);
+        let mut flag = vec![NONE; n];
+        let mut stack = vec![0usize; n];
+        for k in 0..n {
+            let top = ereach(k, &a_col_ptr, &a_row, &parent, &mut flag, &mut stack);
+            row_cols.extend_from_slice(&stack[top..]);
+            row_ptr[k + 1] = row_cols.len();
+        }
+        Simplicial {
+            a_col_ptr,
+            a_row,
+            a_val_pos,
+            a_diag_pos,
+            l_col_ptr,
+            row_ptr,
+            row_cols,
+        }
+    }
+
     /// Up-looking LDLᵀ, one row of `L` per pivot.
     fn factor(
         &self,
@@ -813,31 +996,12 @@ impl Simplicial {
         let n = d.len();
         f.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
         for k in 0..n {
-            // Pattern of row k of L: nodes reachable from the column's
-            // entries through the elimination tree, in topological order.
-            let mut top = n;
-            f.flag[k] = k;
             f.y[k] = 0.0;
             for p in self.a_col_ptr[k]..self.a_col_ptr[k + 1] {
-                let i = self.a_row[p];
-                f.y[i] += values[self.a_val_pos[p]];
-                let mut len = 0;
-                let mut j = i;
-                while f.flag[j] != k {
-                    f.pattern[len] = j;
-                    len += 1;
-                    f.flag[j] = k;
-                    j = self.parent[j];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    f.pattern[top] = f.pattern[len];
-                }
+                f.y[self.a_row[p]] += values[self.a_val_pos[p]];
             }
             let mut dk = values[self.a_diag_pos[k]] + diag_add[perm[k]];
-            for t in top..n {
-                let j = f.pattern[t];
+            for &j in &self.row_cols[self.row_ptr[k]..self.row_ptr[k + 1]] {
                 let yj = f.y[j];
                 f.y[j] = 0.0;
                 let slot = f.next_slot[j];
@@ -885,17 +1049,16 @@ impl Simplicial {
 }
 
 impl Supernodal {
-    /// Builds the supernodal layout from the permuted pattern and
-    /// elimination tree of `a` and the factor's column counts.
-    fn new(a: Simplicial, counts: &[usize]) -> Self {
-        let Simplicial {
-            a_col_ptr,
-            a_row,
-            a_val_pos,
-            a_diag_pos,
-            parent,
-            ..
-        } = a;
+    /// Builds the supernodal layout from the permuted pattern, its
+    /// elimination tree and the factor's column counts.
+    fn new(
+        a_col_ptr: Vec<usize>,
+        a_row: Vec<usize>,
+        a_val_pos: Vec<usize>,
+        a_diag_pos: Vec<usize>,
+        parent: Vec<usize>,
+        counts: &[usize],
+    ) -> Self {
         let n = counts.len();
         // Fundamental chains: column j joins j - 1's supernode when it is
         // j - 1's parent and has exactly one off-diagonal entry fewer, so
@@ -930,18 +1093,14 @@ impl Supernodal {
             cursor[s] += 1;
         }
         let mut flag = vec![NONE; n];
+        let mut stack = vec![0usize; n];
         for k in 0..n {
-            flag[k] = k;
-            for p in a_col_ptr[k]..a_col_ptr[k + 1] {
-                let mut j = a_row[p];
-                while flag[j] != k {
-                    let s = of_column[j];
-                    if start[s] == j {
-                        rows[cursor[s]] = k;
-                        cursor[s] += 1;
-                    }
-                    flag[j] = k;
-                    j = parent[j];
+            let top = ereach(k, &a_col_ptr, &a_row, &parent, &mut flag, &mut stack);
+            for &j in &stack[top..] {
+                let s = of_column[j];
+                if start[s] == j {
+                    rows[cursor[s]] = k;
+                    cursor[s] += 1;
                 }
             }
         }
@@ -1255,6 +1414,201 @@ fn update_tile<const K: usize, const B: usize>(
 mod tests {
     use super::*;
     use crate::linalg::Vector;
+    use proptest::prelude::*;
+
+    /// The previous `JtjPattern::new`: every pair of every row in one list,
+    /// sorted and deduplicated, positions found by binary search. Kept as
+    /// the oracle of the per-row marker construction. Returns the row
+    /// pointers, column indices, diagonal and pair positions.
+    #[allow(clippy::type_complexity)]
+    fn legacy_pattern(
+        n: usize,
+        rows: &[Vec<usize>],
+    ) -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<Vec<u32>>) {
+        let mut pairs: Vec<(usize, usize)> = (0..n).map(|j| (j, j)).collect();
+        for vars in rows {
+            for (k, &a) in vars.iter().enumerate() {
+                for &b in &vars[k..] {
+                    pairs.push((b, a));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut col_idx = Vec::with_capacity(pairs.len());
+        for &(r, c) in &pairs {
+            col_idx.push(c);
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..n {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let find = |r: usize, c: usize| -> usize {
+            let span = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            row_ptr[r] + span.binary_search(&c).expect("pair in pattern")
+        };
+        let diag_pos: Vec<usize> = (0..n).map(|j| find(j, j)).collect();
+        let pair_pos: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|vars| {
+                let p = vars.len();
+                let mut positions = vec![0u32; p * (p + 1) / 2];
+                for ib in 0..p {
+                    for ia in 0..=ib {
+                        positions[tri_index(ia, ib)] = find(vars[ib], vars[ia]) as u32;
+                    }
+                }
+                positions
+            })
+            .collect();
+        (row_ptr, col_idx, diag_pos, pair_pos)
+    }
+
+    /// The previous `minimum_degree`, which cleared the front marks before
+    /// the update loop and binary-searched the sorted front instead. Kept
+    /// as the oracle of the current one.
+    fn legacy_minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
+        let mut adj_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for r in 0..n {
+            for p in row_ptr[r]..row_ptr[r + 1] {
+                let c = col_idx[p];
+                if c != r {
+                    adj_vars[r].push(c);
+                    adj_vars[c].push(r);
+                }
+            }
+        }
+        for list in &mut adj_vars {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut adj_elems: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut elements: Vec<Vec<usize>> = Vec::new();
+        let mut elem_alive: Vec<bool> = Vec::new();
+        let mut degree: Vec<usize> = adj_vars.iter().map(Vec::len).collect();
+        let mut eliminated = vec![false; n];
+        let mut perm = Vec::with_capacity(n);
+        let mut in_front = vec![false; n];
+        for _ in 0..n {
+            let mut pivot = NONE;
+            for v in 0..n {
+                if !eliminated[v] && (pivot == NONE || degree[v] < degree[pivot]) {
+                    pivot = v;
+                }
+            }
+            eliminated[pivot] = true;
+            perm.push(pivot);
+            let mut front: Vec<usize> = Vec::new();
+            for &v in &adj_vars[pivot] {
+                if !eliminated[v] && !in_front[v] {
+                    in_front[v] = true;
+                    front.push(v);
+                }
+            }
+            for &e in &adj_elems[pivot] {
+                if elem_alive[e] {
+                    for &v in &elements[e] {
+                        if !eliminated[v] && !in_front[v] {
+                            in_front[v] = true;
+                            front.push(v);
+                        }
+                    }
+                }
+            }
+            front.sort_unstable();
+            for &v in &front {
+                in_front[v] = false;
+            }
+            for &e in &adj_elems[pivot] {
+                if elem_alive[e] {
+                    elem_alive[e] = false;
+                    elements[e] = Vec::new();
+                }
+            }
+            let eid = elements.len();
+            elements.push(front.clone());
+            elem_alive.push(true);
+            for &v in &front {
+                let f = &front;
+                adj_vars[v].retain(|&u| !eliminated[u] && f.binary_search(&u).is_err());
+                adj_elems[v].retain(|&e| elem_alive[e]);
+                adj_elems[v].push(eid);
+                let mut d = adj_vars[v].len();
+                for &e in &adj_elems[v] {
+                    d += elements[e].len().saturating_sub(1);
+                }
+                degree[v] = d;
+            }
+            adj_vars[pivot] = Vec::new();
+            adj_elems[pivot] = Vec::new();
+        }
+        perm
+    }
+
+    /// Folds raw proptest material into strictly sorted row patterns over
+    /// `n` variables.
+    fn fold_patterns(n: usize, raw: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
+        raw.into_iter()
+            .map(|row| {
+                let mut vars: Vec<usize> = row.into_iter().map(|v| v % n).collect();
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn pattern_and_ordering_match_the_legacy_constructions(
+            n in 1usize..48,
+            raw in prop::collection::vec(prop::collection::vec(0usize..64, 0..8), 0..40),
+        ) {
+            let rows = fold_patterns(n, raw);
+            let pattern = JtjPattern::new(n, rows.clone());
+            let (row_ptr, col_idx, diag_pos, pair_pos) = legacy_pattern(n, &rows);
+            prop_assert_eq!(&pattern.row_ptr, &row_ptr);
+            prop_assert_eq!(&pattern.col_idx, &col_idx);
+            prop_assert_eq!(&pattern.diag_pos, &diag_pos);
+            prop_assert_eq!(&pattern.pair_pos, &pair_pos);
+            prop_assert_eq!(
+                minimum_degree(n, &row_ptr, &col_idx),
+                legacy_minimum_degree(n, &row_ptr, &col_idx)
+            );
+        }
+
+        #[test]
+        fn chunked_patterns_renumber_each_chunk_onto_the_entries_it_touches(
+            n in 1usize..48,
+            raw in prop::collection::vec(prop::collection::vec(0usize..64, 0..8), 1..40),
+            chunks in 1usize..6,
+        ) {
+            let rows = fold_patterns(n, raw);
+            let size = rows.len().div_ceil(chunks);
+            let ranges: Vec<std::ops::Range<usize>> = (0..chunks)
+                .map(|c| (c * size).min(rows.len())..((c + 1) * size).min(rows.len()))
+                .collect();
+            let full = JtjPattern::new(n, rows.clone());
+            let chunked = JtjPattern::chunked(n, rows, ranges.clone());
+            prop_assert_eq!(chunked.pattern(), full.pattern());
+            for (chunk, range) in chunked.chunks().iter().zip(&ranges) {
+                prop_assert_eq!(chunk.rows(), range.clone());
+                // Exactly the positions the chunk's rows scatter into,
+                // sorted, and every local position maps back to its own.
+                let mut touched: Vec<u32> =
+                    full.pair_pos[range.clone()].iter().flatten().copied().collect();
+                touched.sort_unstable();
+                touched.dedup();
+                prop_assert_eq!(&chunk.touched, &touched);
+                for r in range.clone() {
+                    for (&local, &global) in chunked.pair_pos[r].iter().zip(&full.pair_pos[r]) {
+                        prop_assert_eq!(chunk.touched[local as usize], global);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn csr_from_triplets_merges_duplicates_and_multiplies() {

@@ -3,7 +3,7 @@
 //! LDLᵀ factor-solve must agree with the corresponding dense
 //! [`Matrix`](polyinv_arith::Matrix) computations on random sparse systems.
 
-use polyinv_arith::sparse::{CsrMatrix, JtjPattern, JtjScratch, SymbolicLdl};
+use polyinv_arith::sparse::{CsrMatrix, JtjChunk, JtjPattern, JtjScratch, SymbolicLdl};
 use polyinv_arith::{Matrix, Vector};
 use proptest::prelude::*;
 
@@ -187,38 +187,57 @@ proptest! {
         chunks in 1usize..5,
     ) {
         let system = build_system(rows, cols, raw);
-        let pattern = JtjPattern::new(system.cols, patterns_of(&system));
-        let mut scratch = JtjScratch::default();
         // Fixed chunk boundaries over the row range (never a function of the
         // worker count).
         let chunk_size = system.rows.div_ceil(chunks);
         let ranges: Vec<std::ops::Range<usize>> = (0..chunks)
             .map(|c| (c * chunk_size).min(system.rows)..((c + 1) * chunk_size).min(system.rows))
             .collect();
-        let fill = |range: &std::ops::Range<usize>| {
-            let mut partial = pattern.values_buffer();
+        let pattern = JtjPattern::new(system.cols, patterns_of(&system));
+        let chunked = JtjPattern::chunked(system.cols, patterns_of(&system), ranges.clone());
+        let mut scratch = JtjScratch::default();
+        let fill = |chunk: &JtjChunk| {
+            let mut partial = chunk.values_buffer();
             let mut scratch = JtjScratch::default();
-            for r in range.clone() {
-                pattern.accumulate_row(r, &system.entries[r], &mut partial, &mut scratch);
+            for r in chunk.rows() {
+                chunked.accumulate_row(r, &system.entries[r], &mut partial, &mut scratch);
             }
             partial
         };
         // "Thread schedule A": fill chunks first-to-last; "schedule B":
         // last-to-first. The merge itself always runs in chunk-index order.
-        let partials_fwd: Vec<Vec<f64>> = ranges.iter().map(&fill).collect();
-        let mut partials_rev: Vec<Vec<f64>> = ranges.iter().rev().map(&fill).collect();
+        let mut partials_fwd: Vec<Vec<f64>> = chunked.chunks().iter().map(&fill).collect();
+        let mut partials_rev: Vec<Vec<f64>> = chunked.chunks().iter().rev().map(&fill).collect();
         partials_rev.reverse();
         let mut merged_fwd = pattern.values_buffer();
         let mut merged_rev = pattern.values_buffer();
-        for c in 0..chunks {
-            pattern.merge_partial(&mut merged_fwd, &partials_fwd[c]);
-            pattern.merge_partial(&mut merged_rev, &partials_rev[c]);
+        for (c, chunk) in chunked.chunks().iter().enumerate() {
+            chunk.merge_into(&mut merged_fwd, &mut partials_fwd[c]);
+            chunk.merge_into(&mut merged_rev, &mut partials_rev[c]);
+            // The merge leaves the chunk's buffer cleared for the next pass.
+            prop_assert!(partials_fwd[c].iter().all(|v| v.to_bits() == 0));
         }
         // Bitwise invariance across fill orders: the worker count never
         // shows in the output.
         prop_assert_eq!(
             merged_fwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             merged_rev.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        // Bitwise equal to merging full-size partial buffers in chunk
+        // order.
+        let mut oracle = pattern.values_buffer();
+        for range in &ranges {
+            let mut partial = pattern.values_buffer();
+            for r in range.clone() {
+                pattern.accumulate_row(r, &system.entries[r], &mut partial, &mut scratch);
+            }
+            for (t, p) in oracle.iter_mut().zip(&partial) {
+                *t += p;
+            }
+        }
+        prop_assert_eq!(
+            merged_fwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         // And the merged accumulation is still the normal matrix.
         let mut serial = pattern.values_buffer();

@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the Step-4 solve stage.
 //!
-//! Five groups:
+//! Six groups:
 //!
 //! * `lm_iteration` — one damped normal-equations iteration (accumulate
 //!   `JᵀJ`/`Jᵀr` from sparse rows, numeric LDLᵀ factor, triangular solves)
@@ -18,6 +18,10 @@
 //!   solves are serial, so the serial/8-thread ratio is bounded by the
 //!   evaluation's share of the iteration (the outputs stay byte-identical
 //!   at every thread count).
+//! * `normal_accumulate` — the residual pass scattering `JᵀJ`/`Jᵀr` alone
+//!   (`residuals_and_normal`), on the presolved ϒ = 2 systems of prodbin
+//!   and recursive-square-sum at 1 and 2 evaluation workers: the chunked
+//!   path, with its per-chunk buffers and the merge.
 //! * `ldl_factor` — the numeric LDLᵀ factorization alone, on the presolved
 //!   ϒ = 2 systems of recursive-sum, recursive-square-sum and prodbin
 //!   (fill-heavy: the supernodal layout) and the ϒ = 0 system of cohendiv
@@ -28,8 +32,9 @@
 //!   through the Engine on a small program.
 //!
 //! CI smoke-compiles everything and short-runs the sparse iteration
-//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`) and
-//! the factorization group (`-- ldl_factor`); the full runs — including
+//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`), the
+//! accumulation group (`-- normal_accumulate`) and the factorization group
+//! (`-- ldl_factor`); the full runs — including
 //! the slow dense oracle and the large-system scaling group — are for
 //! local perf work.
 
@@ -89,6 +94,34 @@ fn lm_iteration_large(c: &mut Criterion) {
             }
             group.bench_function(format!("{name}/threads{threads}"), |b| {
                 b.iter(|| probe.iteration(&x, 1e-3))
+            });
+        }
+    }
+    group.finish();
+}
+
+fn normal_accumulate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("normal_accumulate");
+    group.sample_size(10);
+    for name in ["prodbin", "recursive-square-sum"] {
+        let problem = presolved_table_problem(name);
+        let x = vec![0.05; problem.num_vars];
+        let mut reference: Option<Vec<u64>> = None;
+        for threads in [1usize, 2] {
+            let probe = SparseProbe::with_threads(problem.clone(), threads);
+            let mut eval = probe.evaluator();
+            eval.residuals_and_normal(&x);
+            // The accumulation must not depend on the worker count.
+            let bits: Vec<u64> = eval.jtj_values().iter().map(|v| v.to_bits()).collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(expected) => assert!(
+                    *expected == bits,
+                    "{name}: JᵀJ diverged at {threads} threads"
+                ),
+            }
+            group.bench_function(format!("{name}/threads{threads}"), |b| {
+                b.iter(|| eval.residuals_and_normal(&x))
             });
         }
     }
@@ -162,6 +195,7 @@ criterion_group!(
     benches,
     lm_iteration,
     lm_iteration_large,
+    normal_accumulate,
     ldl_factor,
     symbolic_setup,
     weak_synthesis_e2e

@@ -135,11 +135,23 @@ impl SparseProbe {
         self.ws.symbolic().supernodes()
     }
 
+    /// Values held by the chunked evaluation's per-chunk `JᵀJ` buffers,
+    /// summed over the chunks (`0` below the chunked row threshold).
+    pub fn chunk_entries(&self) -> usize {
+        self.ws.pattern().chunks().iter().map(|c| c.entries()).sum()
+    }
+
+    /// The solver's own residual/`JᵀJ` evaluator on this problem, with the
+    /// probe's evaluation worker count.
+    pub fn evaluator(&self) -> LmEvaluator<'_> {
+        LmEvaluator::new(&self.problem, &self.ws, 0.0, self.eval_threads)
+    }
+
     /// The damped normal matrix of one LM iteration at `x`: the `JᵀJ`
     /// values from the solver's own evaluator plus the damping `lambda`
     /// puts on the diagonal. [`SparseProbe::factor`] factors it.
     pub fn damped_normal(&self, x: &[f64], lambda: f64) -> DampedNormal {
-        let mut eval = LmEvaluator::new(&self.problem, &self.ws, 0.0, self.eval_threads);
+        let mut eval = self.evaluator();
         eval.residuals_and_normal(x);
         let values = eval.jtj_values().to_vec();
         let diag_add = self.damping(&values, lambda);
@@ -279,6 +291,20 @@ mod tests {
         );
         let light = SparseProbe::new(presolved_problem_at("cohendiv", 0));
         assert_eq!(light.supernodes(), 0, "cohendiv went supernodal");
+    }
+
+    #[test]
+    fn chunk_buffers_hold_little_more_than_the_normal_matrix() {
+        // Each chunk stores only the JᵀJ entries its rows touch: on the
+        // presolved ϒ = 2 prodbin system, 16 full-size buffers would hold
+        // 16 × nnz(JᵀJ).
+        let probe = SparseProbe::new(presolved_table_problem("prodbin"));
+        let (entries, nnz) = (probe.chunk_entries(), probe.nnz_jtj());
+        assert!(entries > 0, "prodbin is not evaluated in chunks");
+        assert!(
+            10 * entries <= 11 * nnz,
+            "chunk buffers hold {entries} values for nnz(JᵀJ) = {nnz}"
+        );
     }
 
     #[test]

@@ -296,18 +296,20 @@ fn exact_recheck_with(
     let mut worst_violation = Rational::zero();
     let mut worst_constraint = String::new();
     let mut overflowed = false;
-    let mut consider = |violation: Option<Rational>, description: String| match violation {
+    // The description is formatted only when a row becomes the new worst,
+    // not once per constraint.
+    let mut consider = |violation: Option<Rational>, kind: &str, index: usize| match violation {
         None => overflowed = true,
         Some(violation) => {
             if violation > worst_violation {
                 worst_violation = violation;
-                worst_constraint = description;
+                worst_constraint = format!("{kind} #{index}");
             }
         }
     };
     for (index, eq) in system.equalities.iter().enumerate() {
         let violation = eval_checked(eq, &values).map(|v| v.abs());
-        consider(violation, format!("equality #{index}"));
+        consider(violation, "equality", index);
     }
     for (index, ineq) in system.inequalities.iter().enumerate() {
         let violation = eval_checked(ineq, &values).map(|v| {
@@ -317,7 +319,7 @@ fn exact_recheck_with(
                 Rational::zero()
             }
         });
-        consider(violation, format!("inequality #{index}"));
+        consider(violation, "inequality", index);
     }
     ExactReport {
         constraints: system.size(),

@@ -131,19 +131,18 @@ pub struct LmWorkspace {
 }
 
 impl LmWorkspace {
-    /// Runs the symbolic analysis for `problem`: `JᵀJ` pattern, ordering,
-    /// elimination tree.
+    /// Runs the symbolic analysis for `problem`: `JᵀJ` pattern (chunked
+    /// when the evaluation will be), ordering, elimination tree.
     pub fn build(problem: &Problem, objective_weight: f64) -> Self {
         let structure = problem.structure();
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
-        let mut rows: Vec<Vec<usize>> =
-            Vec::with_capacity(structure.equality_vars.len() + structure.inequality_vars.len() + 1);
-        rows.extend(structure.equality_vars.iter().cloned());
-        rows.extend(structure.inequality_vars.iter().cloned());
-        if objective_row {
-            rows.push(structure.objective_vars.clone());
-        }
-        let pattern = JtjPattern::new(problem.num_vars, rows);
+        let rows = row_patterns(&structure, objective_row);
+        let pattern = if rows.len() >= CHUNKED_ROW_THRESHOLD {
+            let chunks = chunk_ranges(rows.len());
+            JtjPattern::chunked(problem.num_vars, rows, chunks)
+        } else {
+            JtjPattern::new(problem.num_vars, rows)
+        };
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(problem.num_vars, row_ptr, col_idx);
         LmWorkspace {
@@ -187,6 +186,22 @@ impl LmWorkspace {
             ..SolverStats::default()
         }
     }
+}
+
+/// The variable patterns of the Jacobian rows: equalities, then
+/// inequalities, then the soft objective row when it is present.
+fn row_patterns(
+    structure: &crate::problem::ProblemStructure,
+    objective_row: bool,
+) -> Vec<Vec<usize>> {
+    let mut rows: Vec<Vec<usize>> =
+        Vec::with_capacity(structure.equality_vars.len() + structure.inequality_vars.len() + 1);
+    rows.extend(structure.equality_vars.iter().cloned());
+    rows.extend(structure.inequality_vars.iter().cloned());
+    if objective_row {
+        rows.push(structure.objective_vars.clone());
+    }
+    rows
 }
 
 /// The projected Levenberg–Marquardt solver.
@@ -536,8 +551,19 @@ const CHUNKED_ROW_THRESHOLD: usize = crate::par::PAR_ROW_THRESHOLD;
 /// counts.
 const EVAL_CHUNKS: usize = 16;
 
+/// The [`EVAL_CHUNKS`] fixed row ranges of a chunked evaluation over `rows`
+/// residual rows (trailing ranges may be empty).
+fn chunk_ranges(rows: usize) -> Vec<std::ops::Range<usize>> {
+    let size = rows.div_ceil(EVAL_CHUNKS);
+    (0..EVAL_CHUNKS)
+        .map(|c| (c * size).min(rows)..((c + 1) * size).min(rows))
+        .collect()
+}
+
 /// One chunk's private accumulation: merged into the shared buffers in
-/// chunk-index order after every pass (and cleared by the merge).
+/// chunk-index order after every pass (and cleared by the merge). `jtj`
+/// holds only the entries the chunk's rows touch, in the chunk-local
+/// numbering of its [`JtjChunk`](polyinv_arith::JtjChunk).
 struct ChunkBuf {
     jtj: Vec<f64>,
     jtr: Vec<f64>,
@@ -549,11 +575,14 @@ struct ChunkBuf {
 /// scatters sparse gradient rows directly into the `JᵀJ` values and `Jᵀr`.
 ///
 /// Systems with at least [`CHUNKED_ROW_THRESHOLD`] residual rows are
-/// evaluated in [`EVAL_CHUNKS`] fixed row ranges that worker threads pick up
-/// dynamically; each chunk accumulates into a private buffer and the buffers
-/// are merged in chunk-index order, so the result does not depend on the
-/// worker count (including 1). Smaller systems keep the original serial
-/// pass untouched.
+/// evaluated in the [`EVAL_CHUNKS`] fixed row ranges of the workspace's
+/// chunked pattern, which worker threads pick up dynamically. Each chunk
+/// accumulates into a private buffer sized to the `JᵀJ` entries its rows
+/// touch (about 7% of the pattern on the chunked ϒ = 2 Table 2 systems), and the
+/// buffers are merged in chunk-index order, so the result does not depend
+/// on the worker count (including 1) and equals, bit for bit, a merge of
+/// full-size buffers (see [`JtjChunk::merge_into`](polyinv_arith::JtjChunk::merge_into)).
+/// Smaller systems keep the original serial pass untouched.
 pub struct Evaluator<'a> {
     problem: &'a Problem,
     ws: &'a LmWorkspace,
@@ -562,11 +591,10 @@ pub struct Evaluator<'a> {
     rows: usize,
     /// Worker threads for the chunked pass (1 = fill chunks sequentially).
     eval_threads: usize,
-    /// Fixed chunk boundaries; empty = serial mode.
-    chunk_ranges: Vec<std::ops::Range<usize>>,
-    /// Per-chunk private accumulation buffers. The mutexes are uncontended
-    /// (each chunk is claimed by exactly one worker per pass); they exist to
-    /// hand distinct `Vec` elements to distinct threads safely.
+    /// Per-chunk private accumulation buffers, one per chunk of
+    /// `ws.pattern`; empty = serial mode. The mutexes are uncontended (each
+    /// chunk is claimed by exactly one worker per pass); they exist to hand
+    /// distinct `Vec` elements to distinct threads safely.
     chunk_bufs: Vec<std::sync::Mutex<ChunkBuf>>,
     /// Accumulated lower-triangle `JᵀJ` values (layout: `ws.pattern`).
     jtj_values: Vec<f64>,
@@ -591,20 +619,13 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         let rows =
             problem.equalities.len() + problem.inequalities.len() + usize::from(ws.objective_row);
-        let chunked = rows >= CHUNKED_ROW_THRESHOLD;
-        let chunk_ranges: Vec<std::ops::Range<usize>> = if chunked {
-            let size = rows.div_ceil(EVAL_CHUNKS);
-            (0..EVAL_CHUNKS)
-                .map(|c| (c * size).min(rows)..((c + 1) * size).min(rows))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let chunk_bufs = chunk_ranges
+        let chunk_bufs = ws
+            .pattern
+            .chunks()
             .iter()
-            .map(|_| {
+            .map(|chunk| {
                 std::sync::Mutex::new(ChunkBuf {
-                    jtj: ws.pattern.values_buffer(),
+                    jtj: chunk.values_buffer(),
                     jtr: vec![0.0; problem.num_vars],
                     cost: 0.0,
                     violation: 0.0,
@@ -617,7 +638,6 @@ impl<'a> Evaluator<'a> {
             objective_weight,
             rows,
             eval_threads: eval_threads.max(1),
-            chunk_ranges,
             chunk_bufs,
             jtj_values: ws.pattern.values_buffer(),
             jtr: vec![0.0; problem.num_vars],
@@ -647,11 +667,13 @@ impl<'a> Evaluator<'a> {
         // The workspace fetched the structure once per solve; re-borrowing
         // through an Arc clone keeps `self` free for the scatter calls.
         let structure = std::sync::Arc::clone(&self.ws.structure);
-        if self.chunk_ranges.is_empty() {
+        let pattern = &self.ws.pattern;
+        let chunks = pattern.chunks();
+        if chunks.is_empty() {
             return accumulate_rows(
                 self.problem,
                 &structure,
-                self.ws,
+                pattern,
                 self.objective_weight,
                 0..self.rows,
                 x,
@@ -662,19 +684,19 @@ impl<'a> Evaluator<'a> {
                 &mut self.scratch,
             );
         }
-        let workers = self.eval_threads.min(self.chunk_ranges.len());
+        let workers = self.eval_threads.min(chunks.len());
         if workers <= 1 {
             // One worker: fill each chunk in order with the evaluator's own
             // scratch. Same buffers, same merge — bitwise identical to the
             // multi-worker path.
-            for (range, slot) in self.chunk_ranges.iter().zip(&mut self.chunk_bufs) {
+            for (chunk, slot) in chunks.iter().zip(&mut self.chunk_bufs) {
                 let buf = slot.get_mut().expect("chunk mutex poisoned");
                 let (cost, violation) = accumulate_rows(
                     self.problem,
                     &structure,
-                    self.ws,
+                    pattern,
                     self.objective_weight,
-                    range.clone(),
+                    chunk.rows(),
                     x,
                     &mut buf.jtj,
                     &mut buf.jtr,
@@ -688,9 +710,7 @@ impl<'a> Evaluator<'a> {
         } else {
             let next = std::sync::atomic::AtomicUsize::new(0);
             let problem = self.problem;
-            let ws = self.ws;
             let objective_weight = self.objective_weight;
-            let chunk_ranges = &self.chunk_ranges;
             let chunk_bufs = &self.chunk_bufs;
             let structure = &structure;
             std::thread::scope(|scope| {
@@ -701,7 +721,7 @@ impl<'a> Evaluator<'a> {
                         let mut scratch = JtjScratch::default();
                         loop {
                             let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if c >= chunk_ranges.len() {
+                            if c >= chunks.len() {
                                 return;
                             }
                             let mut buf = chunk_bufs[c].lock().expect("chunk mutex poisoned");
@@ -709,9 +729,9 @@ impl<'a> Evaluator<'a> {
                             let (cost, violation) = accumulate_rows(
                                 problem,
                                 structure,
-                                ws,
+                                pattern,
                                 objective_weight,
-                                chunk_ranges[c].clone(),
+                                chunks[c].rows(),
                                 x,
                                 &mut buf.jtj,
                                 &mut buf.jtr,
@@ -728,15 +748,13 @@ impl<'a> Evaluator<'a> {
         }
         // Deterministic reduction: merge in chunk-index order, clearing each
         // partial for the next pass (cheaper than a separate zeroing sweep,
-        // and the cleared buffer is what the next iteration expects).
+        // and the cleared buffer is what the next iteration expects). Each
+        // chunk adds only the entries its rows touch.
         let mut cost = 0.0;
         let mut violation = 0.0f64;
-        for slot in &mut self.chunk_bufs {
+        for (chunk, slot) in chunks.iter().zip(&mut self.chunk_bufs) {
             let buf = slot.get_mut().expect("chunk mutex poisoned");
-            for (t, p) in self.jtj_values.iter_mut().zip(buf.jtj.iter_mut()) {
-                *t += *p;
-                *p = 0.0;
-            }
+            chunk.merge_into(&mut self.jtj_values, &mut buf.jtj);
             for (t, p) in self.jtr.iter_mut().zip(buf.jtr.iter_mut()) {
                 *t += *p;
                 *p = 0.0;
@@ -752,7 +770,8 @@ impl<'a> Evaluator<'a> {
     /// Used to score step candidates, where the former implementation
     /// computed and discarded full Jacobian rows.
     pub fn residuals_only(&self, x: &[f64]) -> (f64, f64) {
-        if self.chunk_ranges.is_empty() {
+        let chunks = self.ws.pattern.chunks();
+        if chunks.is_empty() {
             return residual_rows(
                 self.problem,
                 self.ws,
@@ -761,30 +780,30 @@ impl<'a> Evaluator<'a> {
                 x,
             );
         }
-        let workers = self.eval_threads.min(self.chunk_ranges.len());
+        let workers = self.eval_threads.min(chunks.len());
         let per_chunk: Vec<(f64, f64)> = if workers <= 1 {
-            self.chunk_ranges
+            chunks
                 .iter()
-                .map(|range| {
+                .map(|chunk| {
                     residual_rows(
                         self.problem,
                         self.ws,
                         self.objective_weight,
-                        range.clone(),
+                        chunk.rows(),
                         x,
                     )
                 })
                 .collect()
         } else {
             crate::par::parallel_indexed_until_bounded(
-                self.chunk_ranges.len(),
+                chunks.len(),
                 workers,
                 |c| {
                     residual_rows(
                         self.problem,
                         self.ws,
                         self.objective_weight,
-                        self.chunk_ranges[c].clone(),
+                        chunks[c].rows(),
                         x,
                     )
                 },
@@ -832,12 +851,13 @@ fn gradient_entries(
 ///
 /// Both the serial pass (one range covering every row) and each chunk of the
 /// parallel pass run exactly this code, so the two modes differ only in how
-/// partial sums are grouped.
+/// partial sums are grouped. `jtj` is the values buffer the rows' scatter
+/// positions in `pattern` index: the full one, or their chunk's.
 #[allow(clippy::too_many_arguments)]
 fn accumulate_rows(
     problem: &Problem,
     structure: &crate::problem::ProblemStructure,
-    ws: &LmWorkspace,
+    pattern: &JtjPattern,
     objective_weight: f64,
     range: std::ops::Range<usize>,
     x: &[f64],
@@ -859,7 +879,7 @@ fn accumulate_rows(
             cost += r * r;
             violation = violation.max(r.abs());
             gradient_entries(eq, vars, x, 1.0, grad, entries);
-            ws.pattern.accumulate_row(row, entries, jtj, scratch);
+            pattern.accumulate_row(row, entries, jtj, scratch);
             for &(i, g) in entries.iter() {
                 jtr[i] += g * r;
             }
@@ -872,7 +892,7 @@ fn accumulate_rows(
                 cost += r * r;
                 violation = violation.max(r);
                 gradient_entries(ineq, &structure.inequality_vars[k], x, -1.0, grad, entries);
-                ws.pattern.accumulate_row(row, entries, jtj, scratch);
+                pattern.accumulate_row(row, entries, jtj, scratch);
                 for &(i, g) in entries.iter() {
                     jtr[i] += g * r;
                 }
@@ -894,7 +914,7 @@ fn accumulate_rows(
                     grad,
                     entries,
                 );
-                ws.pattern.accumulate_row(row, entries, jtj, scratch);
+                pattern.accumulate_row(row, entries, jtj, scratch);
                 for &(i, g) in entries.iter() {
                     jtr[i] += g * r;
                 }
@@ -1285,6 +1305,106 @@ mod tests {
         assert_eq!(serial.stats.threads, 1);
     }
 
+    /// A random system past the chunked threshold with every kind of
+    /// residual row: `equalities` sparse quadratic equalities,
+    /// `inequalities` linear lower bounds (about half of them active at
+    /// points drawn from `[-1, 1]`), and a soft objective.
+    fn mixed_problem(equalities: usize, inequalities: usize, n: usize, seed: u64) -> Problem {
+        let mut problem = big_random_problem(equalities, n, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..inequalities {
+            let a = rng.random_range(0..n as u64) as usize;
+            problem.inequalities.push(QuadraticForm {
+                constant: rng.random_range(-0.5..0.5),
+                linear: vec![(a, rng.random_range(-2.0..2.0))],
+                quadratic: Vec::new(),
+            });
+        }
+        problem.objective = Some(QuadraticForm {
+            constant: 0.25,
+            linear: vec![(0, 1.0), (n - 1, -0.5)],
+            quadratic: vec![(0, n / 2, 0.75)],
+        });
+        problem
+    }
+
+    /// The full-buffer merge the chunk-local one replaces:
+    /// `target[p] += partial[p]` over every position.
+    fn merge_partial(target: &mut [f64], partial: &[f64]) {
+        for (t, p) in target.iter_mut().zip(partial) {
+            *t += p;
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// The chunk-local buffers give, at every worker count, exactly the
+        /// bits of the former scheme: each chunk accumulated into a
+        /// full-size `JᵀJ` buffer, the buffers merged in chunk order.
+        #[test]
+        fn chunk_local_normal_matches_the_full_buffer_chunk_merge(
+            seed in 0u32..1_000_000,
+            equalities in 1800usize..2400,
+            inequalities in 250usize..400,
+            n in 24usize..96,
+        ) {
+            let seed = u64::from(seed);
+            let problem = mixed_problem(equalities, inequalities, n, seed);
+            let weight = 0.05;
+            let ws = LmWorkspace::build(&problem, weight);
+            proptest::prop_assert_eq!(ws.pattern.chunks().len(), EVAL_CHUNKS);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+
+            let full = JtjPattern::new(n, row_patterns(&ws.structure, ws.objective_row));
+            let mut jtj = full.values_buffer();
+            let mut jtr = vec![0.0; n];
+            let (mut cost, mut violation) = (0.0, 0.0f64);
+            let mut grad = vec![0.0; n];
+            let mut entries = Vec::new();
+            let mut scratch = JtjScratch::default();
+            for chunk in ws.pattern.chunks() {
+                let mut partial = full.values_buffer();
+                let mut partial_jtr = vec![0.0; n];
+                let (chunk_cost, chunk_violation) = accumulate_rows(
+                    &problem,
+                    &ws.structure,
+                    &full,
+                    weight,
+                    chunk.rows(),
+                    &x,
+                    &mut partial,
+                    &mut partial_jtr,
+                    &mut grad,
+                    &mut entries,
+                    &mut scratch,
+                );
+                merge_partial(&mut jtj, &partial);
+                merge_partial(&mut jtr, &partial_jtr);
+                cost += chunk_cost;
+                violation = violation.max(chunk_violation);
+            }
+
+            for threads in [1, 2, 8] {
+                let mut eval = Evaluator::new(&problem, &ws, weight, threads);
+                // The second pass runs on the buffers the first one's merge
+                // cleared.
+                for _ in 0..2 {
+                    let (eval_cost, eval_violation) = eval.residuals_and_normal(&x);
+                    proptest::prop_assert_eq!(bits(eval.jtj_values()), bits(&jtj));
+                    proptest::prop_assert_eq!(bits(eval.jtr()), bits(&jtr));
+                    proptest::prop_assert_eq!(eval_cost.to_bits(), cost.to_bits());
+                    proptest::prop_assert_eq!(eval_violation.to_bits(), violation.to_bits());
+                }
+            }
+        }
+    }
+
     /// Below the threshold the evaluator must keep the original fully-serial
     /// accumulation — byte-for-byte — so that every existing golden stays
     /// valid. The chunked path groups partial sums differently and would
@@ -1294,7 +1414,7 @@ mod tests {
         let problem = big_random_problem(64, 12, 11);
         let ws = LmWorkspace::build(&problem, 0.0);
         let mut eval = Evaluator::new(&problem, &ws, 0.0, 8);
-        assert!(eval.chunk_ranges.is_empty(), "64 rows must stay serial");
+        assert!(eval.chunk_bufs.is_empty(), "64 rows must stay serial");
         let x: Vec<f64> = (0..12).map(|i| 0.1 * i as f64 - 0.5).collect();
         let (cost, violation) = eval.residuals_and_normal(&x);
         let (cost2, violation2) = eval.residuals_only(&x);
