@@ -398,14 +398,29 @@ fn rational_to_json(value: &Rational) -> Json {
     ])
 }
 
-fn rational_from_json(json: &Json) -> Result<Rational, ApiError> {
-    let part = |field: &str| -> Result<i128, ApiError> {
-        json.get(field)
+fn rational_from_json(json: &Json, field: &str) -> Result<Rational, ApiError> {
+    let part = |name: &str| -> Result<i128, ApiError> {
+        json.get(name)
             .and_then(Json::as_str)
             .and_then(|s| s.parse::<i128>().ok())
-            .ok_or_else(|| invalid(field))
+            .ok_or_else(|| invalid(name))
     };
-    Ok(Rational::new(part("numer")?, part("denom")?))
+    Rational::checked_new(part("numer")?, part("denom")?).map_err(|_| ApiError::InvalidRequest {
+        message: format!("field `{field}` has a zero denominator"),
+    })
+}
+
+/// A rational field that must be strictly positive: `epsilon_lower` (the
+/// witness has to be ε > 0) and `bounded_reals` (a bound c ≤ 0 makes the
+/// pre-condition unsatisfiable).
+fn positive_rational_field(json: &Json, field: &str) -> Result<Rational, ApiError> {
+    let value = rational_from_json(json, field)?;
+    if !value.is_positive() {
+        return Err(ApiError::InvalidRequest {
+            message: format!("field `{field}` is {value}, but it must be positive"),
+        });
+    }
+    Ok(value)
 }
 
 /// Serializes [`SynthesisOptions`] (shared by requests and reports).
@@ -453,12 +468,12 @@ pub(crate) fn options_from_json(json: &Json) -> Result<SynthesisOptions, ApiErro
     }
     if let Some(bound) = json.get("bounded_reals") {
         if !bound.is_null() {
-            options.bounded_reals = Some(rational_from_json(bound)?);
+            options.bounded_reals = Some(positive_rational_field(bound, "bounded_reals")?);
         }
     }
     if let Some(epsilon) = json.get("epsilon_lower") {
         if !epsilon.is_null() {
-            options.epsilon_lower = rational_from_json(epsilon)?;
+            options.epsilon_lower = positive_rational_field(epsilon, "epsilon_lower")?;
         }
     }
     if let Some(force) = json.get("force_recursive") {
@@ -573,6 +588,33 @@ mod tests {
                 other => panic!("{field} accepted: {other:?}"),
             }
             assert!(request(field, u64::from(u32::MAX)).is_ok());
+        }
+    }
+
+    #[test]
+    fn non_positive_or_zero_denominator_rationals_are_rejected() {
+        let request = |field: &str, numer: &str, denom: &str| {
+            SynthesisRequest::from_json_str(&format!(
+                r#"{{"mode":"weak","source":"f(x) {{ return x }}","options":{{"{field}":{{"numer":"{numer}","denom":"{denom}"}}}}}}"#
+            ))
+        };
+        let rejected = |field: &str, numer: &str, denom: &str, reason: &str| match request(
+            field, numer, denom,
+        ) {
+            Err(ApiError::InvalidRequest { message }) => {
+                assert!(message.contains(field), "{message}");
+                assert!(message.contains(reason), "{message}");
+            }
+            other => panic!("{field} = {numer}/{denom} accepted: {other:?}"),
+        };
+        for field in ["epsilon_lower", "bounded_reals"] {
+            // A zero denominator used to panic in `Rational::new`.
+            rejected(field, "1", "0", "zero denominator");
+            rejected(field, "0", "1", "must be positive");
+            rejected(field, "-1", "1", "must be positive");
+            rejected(field, "1", "-3", "must be positive");
+            assert!(request(field, "1", "100").is_ok());
+            assert!(request(field, "-1", "-100").is_ok());
         }
     }
 

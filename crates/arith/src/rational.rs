@@ -215,11 +215,6 @@ impl Rational {
         self.numer < 0
     }
 
-    /// Returns `true` if the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.denom == 1
-    }
-
     /// The absolute value.
     pub fn abs(&self) -> Self {
         Rational {

@@ -35,8 +35,9 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
     let (degree, size) = (options.degree, options.size);
     let templates = || {
         let mut registry = UnknownRegistry::new();
-        let set = TemplateSet::build(&program, &mut registry, degree, size, recursive);
-        (set, registry)
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, degree, size, recursive, &mut table);
+        (set, registry, table)
     };
     let pairs = |templates: &TemplateSet, table: &mut MonomialTable| {
         generate_pairs(
@@ -52,7 +53,10 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
     group.bench_function("templates", |b| b.iter(|| templates().1.len()));
     group.bench_function("pairs", |b| {
         b.iter_batched(
-            || (templates().0, MonomialTable::new()),
+            || {
+                let (templates, _, table) = templates();
+                (templates, table)
+            },
             |(templates, mut table)| pairs(&templates, &mut table).len(),
             BatchSize::SmallInput,
         )
@@ -60,8 +64,7 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
     group.bench_function("reduction", |b| {
         b.iter_batched(
             || {
-                let (templates, registry) = templates();
-                let mut table = MonomialTable::new();
+                let (templates, registry, mut table) = templates();
                 let pairs = pairs(&templates, &mut table);
                 (templates, registry, pairs, table)
             },

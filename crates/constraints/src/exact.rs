@@ -213,7 +213,8 @@ pub fn instantiate_exact(
     let mut invariant = InvariantMap::new();
     for function in program.functions() {
         for &label in function.labels() {
-            for poly in generated.templates.invariant(label).instantiate(lookup) {
+            let template = generated.templates.invariant(label);
+            for poly in template.instantiate(&generated.mono_table, lookup) {
                 if !poly.is_zero() {
                     invariant.add(label, poly);
                 }
@@ -222,7 +223,7 @@ pub fn instantiate_exact(
     }
     let mut postconditions = Postcondition::new();
     for (name, template) in &generated.templates.postconditions {
-        for poly in template.instantiate(lookup) {
+        for poly in template.instantiate(&generated.mono_table, lookup) {
             if !poly.is_zero() {
                 postconditions.add(name, poly);
             }

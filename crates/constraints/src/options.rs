@@ -136,9 +136,9 @@ pub struct GeneratedSystem {
     /// The pre-condition actually used (including the bounded-reals
     /// augmentation if requested).
     pub precondition: Precondition,
-    /// The monomial arena the pairs' interned polynomials live in: one table
-    /// serves the whole run, and the pairs' `MonoId`s are meaningful only
-    /// relative to it.
+    /// The monomial arena the templates' and pairs' interned polynomials
+    /// live in: one table serves the whole run, and their `MonoId`s are
+    /// meaningful only relative to it.
     pub mono_table: MonomialTable,
 }
 
@@ -170,8 +170,8 @@ pub fn prepare(
 
 /// Runs Step 3 on already-built templates and pairs, assembling the final
 /// [`GeneratedSystem`]. Shared by [`generate`] and the staged pipeline's
-/// reduction stage. Takes ownership of the monomial table the pairs were
-/// generated into; it travels with the system.
+/// reduction stage. Takes ownership of the monomial table the templates and
+/// pairs were built into; it travels with the system.
 pub fn reduce_pairs(
     templates: TemplateSet,
     registry: UnknownRegistry,
@@ -218,14 +218,15 @@ pub fn generate(
     let (pre, recursive) = prepare(program, precondition, options);
     let cfg = Cfg::build(program);
     let mut registry = UnknownRegistry::new();
+    let mut mono_table = MonomialTable::new();
     let templates = TemplateSet::build(
         program,
         &mut registry,
         options.degree,
         options.size,
         recursive,
+        &mut mono_table,
     );
-    let mut mono_table = MonomialTable::new();
     let pairs = generate_pairs(
         program,
         &cfg,

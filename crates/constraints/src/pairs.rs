@@ -8,10 +8,10 @@
 //! Step 2.a) and one per return transition (post-condition consecution,
 //! Step 2.b).
 //!
-//! Pair polynomials are stored in the interned representation
-//! ([`IntTemplate`] over [`MonoId`](polyinv_poly::MonoId)s of the run's
-//! [`MonomialTable`]): substitutions, products and accumulations all happen
-//! on dense ids, and the label templates and pre-condition atoms are
+//! Pair polynomials are [`IntTemplate`]s over
+//! [`MonoId`](polyinv_poly::MonoId)s of the run's [`MonomialTable`], the
+//! table the Step 1 templates were built into: substitutions, products and
+//! accumulations all happen on dense ids, and the pre-condition atoms are
 //! interned once per label instead of cloned per transition.
 
 use std::collections::{HashMap, HashSet};
@@ -114,20 +114,9 @@ pub fn generate_pairs(
         options,
         next_fresh_var: program.var_table().len(),
         pairs: Vec::new(),
-        invariants: HashMap::new(),
         pre_cache: HashMap::new(),
         table,
     };
-    // Intern every label template once; every transition into or out of the
-    // label reuses the interned conjuncts.
-    for (&label, template) in &templates.invariants {
-        let conjuncts: Vec<IntTemplate> = template
-            .conjuncts
-            .iter()
-            .map(|c| IntTemplate::from_template(c, generator.table))
-            .collect();
-        generator.invariants.insert(label, conjuncts);
-    }
     // Initiation pairs (for fmain in the non-recursive case; for every
     // function in the recursive case — a non-recursive program has a single
     // function, so generating them for all functions is uniform).
@@ -148,8 +137,6 @@ struct PairGenerator<'a> {
     options: PairOptions,
     next_fresh_var: usize,
     pairs: Vec<ConstraintPair>,
-    /// Interned invariant conjuncts per label.
-    invariants: HashMap<Label, Vec<IntTemplate>>,
     /// Interned (relaxed) pre-condition atoms per label.
     pre_cache: HashMap<Label, Vec<IntTemplate>>,
     table: &'a mut MonomialTable,
@@ -208,10 +195,14 @@ impl PairGenerator<'_> {
             .collect()
     }
 
-    /// The interned invariant template conjuncts at a label (cloned; the
-    /// conjunct lists are short and cloning unties them from `self`).
+    /// The invariant template conjuncts at a label (cloned; the conjunct
+    /// lists are short and cloning unties them from `self`).
     fn invariant_conjuncts(&self, label: Label) -> Vec<IntTemplate> {
-        self.invariants.get(&label).cloned().unwrap_or_default()
+        self.templates
+            .invariants
+            .get(&label)
+            .map(|template| template.conjuncts.clone())
+            .unwrap_or_default()
     }
 
     fn initiation(&mut self, entry: Label) {
@@ -313,15 +304,11 @@ impl PairGenerator<'_> {
         if self.options.recursive {
             let function = self.program.label_function(from);
             if to == function.exit_label() {
-                if let Some(post) = self.templates.postcondition(function.name()) {
-                    let goals: Vec<IntTemplate> = post
-                        .conjuncts
-                        .iter()
-                        .map(|c| IntTemplate::from_template(c, self.table))
-                        .collect();
+                let templates = self.templates;
+                if let Some(post) = templates.postcondition(function.name()) {
                     let name = function.name().to_string();
-                    for goal in goals {
-                        let goal = substitute(&goal, &subst, self.table);
+                    for goal in &post.conjuncts {
+                        let goal = substitute(goal, &subst, self.table);
                         self.push_pair(
                             context.clone(),
                             goal,
@@ -368,17 +355,13 @@ impl PairGenerator<'_> {
                     label: from,
                     callee: callee.to_string(),
                 })?;
-        let post = self.templates.postcondition(callee).ok_or_else(|| {
+        let templates = self.templates;
+        let post = templates.postcondition(callee).ok_or_else(|| {
             ConstraintError::MissingPostcondition {
                 label: from,
                 callee: callee.to_string(),
             }
         })?;
-        let post_conjuncts: Vec<IntTemplate> = post
-            .conjuncts
-            .iter()
-            .map(|c| IntTemplate::from_template(c, self.table))
-            .collect();
 
         // v₀* models the value of `dest` after the call.
         let fresh = self.fresh_var();
@@ -422,7 +405,8 @@ impl PairGenerator<'_> {
         for (pos, &shadow) in shadows.iter().enumerate() {
             post_subst.push((shadow, IntPoly::variable(args[pos], self.table)));
         }
-        let post_templates: Vec<IntTemplate> = post_conjuncts
+        let post_templates: Vec<IntTemplate> = post
+            .conjuncts
             .iter()
             .map(|c| substitute(c, &post_subst, self.table))
             .collect();
@@ -481,8 +465,8 @@ mod tests {
         let cfg = Cfg::build(&program);
         let pre = Precondition::from_program(&program);
         let mut registry = UnknownRegistry::new();
-        let templates = TemplateSet::build(&program, &mut registry, 2, 1, recursive);
         let mut table = MonomialTable::new();
+        let templates = TemplateSet::build(&program, &mut registry, 2, 1, recursive, &mut table);
         let pairs = generate_pairs(
             &program,
             &cfg,

@@ -72,10 +72,9 @@ mod tests {
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
         let mut system = QuadraticSystem::new(registry);
         // u - 2 = 0 and u >= 0.
-        system.equalities.push(
-            LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one()))
-                + QuadExpr::constant(Rational::from_int(-2)),
-        );
+        let mut shifted = LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one()));
+        shifted.add_constant(Rational::from_int(-2));
+        system.equalities.push(shifted);
         system
             .inequalities
             .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));

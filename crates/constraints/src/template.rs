@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
+use polyinv_arith::Rational;
 use polyinv_lang::{Label, Program};
-use polyinv_poly::{LinExpr, Monomial, Polynomial, TemplatePoly, UnknownId, VarId};
+use polyinv_poly::{IntTemplate, LinExpr, MonoId, MonomialTable, Polynomial, UnknownId, VarId};
 
 use crate::unknowns::{UnknownKind, UnknownRegistry};
 
@@ -13,36 +14,36 @@ use crate::unknowns::{UnknownKind, UnknownRegistry};
 #[derive(Debug, Clone)]
 pub struct LabelTemplate {
     /// The conjuncts `φ_{ℓ,1} … φ_{ℓ,n}`; each template polynomial is
-    /// required to be `> 0`.
-    pub conjuncts: Vec<TemplatePoly>,
+    /// required to be `> 0`. Interned in the run's [`MonomialTable`].
+    pub conjuncts: Vec<IntTemplate>,
     /// The monomial basis the template ranges over (shared by all
     /// conjuncts), in the same order as the `monomial` index of the
-    /// corresponding s-variables.
-    pub basis: Vec<Monomial>,
+    /// corresponding s-variables (graded-lexicographic).
+    pub basis: Vec<MonoId>,
 }
 
 impl LabelTemplate {
-    /// The s-variable holding the coefficient of `basis[monomial]` in
-    /// conjunct `conjunct`, if it exists.
-    pub fn coefficient_unknown(&self, conjunct: usize, monomial: &Monomial) -> Option<UnknownId> {
-        let coeff = self.conjuncts.get(conjunct)?.coefficient(monomial);
-        let terms = coeff.terms();
-        if terms.len() == 1 && coeff.constant_part().is_zero() {
-            Some(terms[0].0)
-        } else {
-            None
+    /// The s-variable holding the coefficient of `monomial` in conjunct
+    /// `conjunct`, if it exists.
+    pub fn coefficient_unknown(&self, conjunct: usize, monomial: MonoId) -> Option<UnknownId> {
+        let terms = self.conjuncts.get(conjunct)?.terms();
+        let pos = terms.binary_search_by_key(&monomial, |&(m, _)| m).ok()?;
+        let coeff = &terms[pos].1;
+        match coeff.terms() {
+            &[(unknown, _)] if coeff.constant_part().is_zero() => Some(unknown),
+            _ => None,
         }
     }
 
     /// Instantiates every conjunct with a concrete assignment of the
     /// unknowns.
-    pub fn instantiate<F>(&self, mut assignment: F) -> Vec<Polynomial>
+    pub fn instantiate<F>(&self, table: &MonomialTable, mut assignment: F) -> Vec<Polynomial>
     where
-        F: FnMut(UnknownId) -> polyinv_arith::Rational,
+        F: FnMut(UnknownId) -> Rational,
     {
         self.conjuncts
             .iter()
-            .map(|c| c.instantiate(&mut assignment))
+            .map(|c| c.instantiate(table, &mut assignment))
             .collect()
     }
 }
@@ -59,7 +60,8 @@ pub struct TemplateSet {
 
 impl TemplateSet {
     /// Builds the invariant templates of Step 1 (and, when `recursive` is
-    /// set, the post-condition templates of Step 1.a).
+    /// set, the post-condition templates of Step 1.a) into the run's
+    /// monomial table.
     ///
     /// * `degree` — the maximum degree `d` of the invariant polynomials;
     /// * `size` — the number `n` of conjuncts per label;
@@ -70,10 +72,11 @@ impl TemplateSet {
         degree: u32,
         size: usize,
         recursive: bool,
+        table: &mut MonomialTable,
     ) -> TemplateSet {
         let mut set = TemplateSet::default();
         for function in program.functions() {
-            let basis = Monomial::all_up_to_degree(function.vars(), degree);
+            let basis = table.basis_up_to_degree(function.vars(), degree);
             for &label in function.labels() {
                 let template = build_label_template(&basis, size, |conjunct, monomial| {
                     registry.fresh(UnknownKind::Template {
@@ -89,7 +92,7 @@ impl TemplateSet {
                 let mut post_vars: Vec<VarId> = vec![function.ret_var()];
                 post_vars.extend_from_slice(function.shadow_params());
                 post_vars.sort();
-                let post_basis = Monomial::all_up_to_degree(&post_vars, degree);
+                let post_basis = table.basis_up_to_degree(&post_vars, degree);
                 let name = function.name().to_string();
                 let template = build_label_template(&post_basis, size, |conjunct, monomial| {
                     registry.fresh(UnknownKind::PostTemplate {
@@ -120,33 +123,17 @@ impl TemplateSet {
     pub fn postcondition(&self, function: &str) -> Option<&LabelTemplate> {
         self.postconditions.get(function)
     }
-
-    /// The total number of s-variables in the template set.
-    pub fn num_unknowns(&self) -> usize {
-        let per_label: usize = self
-            .invariants
-            .values()
-            .map(|t| t.conjuncts.len() * t.basis.len())
-            .sum();
-        let per_post: usize = self
-            .postconditions
-            .values()
-            .map(|t| t.conjuncts.len() * t.basis.len())
-            .sum();
-        per_label + per_post
-    }
 }
 
-fn build_label_template<F>(basis: &[Monomial], size: usize, mut fresh: F) -> LabelTemplate
+fn build_label_template<F>(basis: &[MonoId], size: usize, mut fresh: F) -> LabelTemplate
 where
     F: FnMut(usize, usize) -> UnknownId,
 {
     let mut conjuncts = Vec::with_capacity(size);
     for conjunct in 0..size {
-        let mut poly = TemplatePoly::zero();
-        for (index, monomial) in basis.iter().enumerate() {
-            let unknown = fresh(conjunct, index);
-            poly.add_term(LinExpr::unknown(unknown), monomial.clone());
+        let mut poly = IntTemplate::zero();
+        for (index, &monomial) in basis.iter().enumerate() {
+            poly.add_term(monomial, LinExpr::unknown(fresh(conjunct, index)));
         }
         conjuncts.push(poly);
     }
@@ -159,9 +146,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyinv_arith::Rational;
     use polyinv_lang::parse_program;
     use polyinv_lang::program::{RECURSIVE_EXAMPLE_SOURCE, RUNNING_EXAMPLE_SOURCE};
+    use polyinv_poly::Monomial;
 
     #[test]
     fn running_example_template_counts_match_example_6() {
@@ -169,7 +156,8 @@ mod tests {
         // V^sum = {n, n̄, i, s, ret} has 21 monomials at each of the 9 labels.
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
         let mut registry = UnknownRegistry::new();
-        let set = TemplateSet::build(&program, &mut registry, 2, 1, false);
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, 2, 1, false, &mut table);
         assert_eq!(set.invariants.len(), 9);
         for template in set.invariants.values() {
             assert_eq!(template.conjuncts.len(), 1);
@@ -177,7 +165,6 @@ mod tests {
             assert_eq!(template.conjuncts[0].num_terms(), 21);
         }
         assert_eq!(registry.len(), 9 * 21);
-        assert_eq!(set.num_unknowns(), 9 * 21);
         assert!(set.postconditions.is_empty());
     }
 
@@ -187,7 +174,8 @@ mod tests {
         // monomials.
         let program = parse_program(RECURSIVE_EXAMPLE_SOURCE).unwrap();
         let mut registry = UnknownRegistry::new();
-        let set = TemplateSet::build(&program, &mut registry, 2, 1, true);
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, 2, 1, true, &mut table);
         let post = set.postcondition("rsum").expect("post-condition template");
         assert_eq!(post.basis.len(), 6);
         assert_eq!(post.conjuncts.len(), 1);
@@ -197,7 +185,8 @@ mod tests {
     fn template_size_controls_number_of_conjuncts() {
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
         let mut registry = UnknownRegistry::new();
-        let set = TemplateSet::build(&program, &mut registry, 1, 3, false);
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, 1, 3, false, &mut table);
         for template in set.invariants.values() {
             assert_eq!(template.conjuncts.len(), 3);
             // Degree 1 over 5 variables: 6 monomials.
@@ -209,15 +198,16 @@ mod tests {
     fn coefficient_unknown_lookup_and_instantiation() {
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
         let mut registry = UnknownRegistry::new();
-        let set = TemplateSet::build(&program, &mut registry, 1, 1, false);
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, 1, 1, false, &mut table);
         let entry = program.main().entry_label();
         let template = set.invariant(entry);
         let constant_unknown = template
-            .coefficient_unknown(0, &Monomial::one())
+            .coefficient_unknown(0, MonoId::ONE)
             .expect("constant coefficient exists");
         // Instantiating with 1 for that unknown and 0 elsewhere gives the
         // constant polynomial 1.
-        let polys = template.instantiate(|u| {
+        let polys = template.instantiate(&table, |u| {
             if u == constant_unknown {
                 Rational::one()
             } else {
@@ -226,5 +216,39 @@ mod tests {
         });
         assert_eq!(polys.len(), 1);
         assert_eq!(polys[0], Polynomial::constant(Rational::one()));
+    }
+
+    #[test]
+    fn unknown_numbering_follows_labels_conjuncts_and_the_grlex_basis() {
+        // The s-unknowns are numbered label by label (program order), then
+        // conjunct by conjunct, then along the graded-lexicographic basis
+        // `Monomial::all_up_to_degree`; warm starts, reports and goldens
+        // depend on this numbering.
+        let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
+        let mut registry = UnknownRegistry::new();
+        let mut table = MonomialTable::new();
+        let set = TemplateSet::build(&program, &mut registry, 2, 2, false, &mut table);
+        let function = program.main();
+        let reference = Monomial::all_up_to_degree(function.vars(), 2);
+        let mut expected = Vec::new();
+        for &label in function.labels() {
+            let template = set.invariant(label);
+            let basis: Vec<&Monomial> = template.basis.iter().map(|&m| table.monomial(m)).collect();
+            assert_eq!(basis, reference.iter().collect::<Vec<_>>());
+            for conjunct in 0..2 {
+                for (monomial, &id) in template.basis.iter().enumerate() {
+                    let unknown = template.coefficient_unknown(conjunct, id).unwrap();
+                    assert_eq!(unknown.index(), expected.len());
+                    expected.push(UnknownKind::Template {
+                        label,
+                        conjunct,
+                        monomial,
+                    });
+                }
+            }
+        }
+        let kinds: Vec<UnknownKind> = registry.iter().map(|(_, kind)| kind.clone()).collect();
+        assert_eq!(kinds.len(), 9 * 2 * 21);
+        assert_eq!(kinds, expected);
     }
 }

@@ -16,7 +16,7 @@ use polyinv_constraints::{
     prepare, ConstraintError, QuadraticSystem, SynthesisOptions, UnknownRegistry,
 };
 use polyinv_lang::{Cfg, InvariantMap, Postcondition, Precondition, Program};
-use polyinv_poly::{MonomialTable, TemplatePoly};
+use polyinv_poly::{IntTemplate, MonomialTable};
 use polyinv_qcqp::par::parallel_indexed;
 use polyinv_qcqp::{LmOptions, LmSolver, SolveStatus};
 
@@ -69,19 +69,20 @@ impl CheckReport {
 }
 
 /// Builds a constant (unknown-free) template set from a concrete invariant
-/// map and post-condition.
+/// map and post-condition, interned into `table`.
 fn concrete_templates(
     program: &Program,
     invariant: &InvariantMap,
     post: &Postcondition,
+    table: &mut MonomialTable,
 ) -> TemplateSet {
     let mut set = TemplateSet::default();
     for function in program.functions() {
         for &label in function.labels() {
-            let conjuncts: Vec<TemplatePoly> = invariant
+            let conjuncts: Vec<IntTemplate> = invariant
                 .get(label)
                 .iter()
-                .map(|atom| TemplatePoly::from_polynomial(&atom.poly))
+                .map(|atom| IntTemplate::from_polynomial(&atom.poly, table))
                 .collect();
             set.invariants.insert(
                 label,
@@ -91,10 +92,10 @@ fn concrete_templates(
                 },
             );
         }
-        let post_conjuncts: Vec<TemplatePoly> = post
+        let post_conjuncts: Vec<IntTemplate> = post
             .get(function.name())
             .iter()
-            .map(|atom| TemplatePoly::from_polynomial(&atom.poly))
+            .map(|atom| IntTemplate::from_polynomial(&atom.poly, table))
             .collect();
         set.postconditions.insert(
             function.name().to_string(),
@@ -139,8 +140,8 @@ pub fn check_inductive(
         .with_force_recursive(options.force_recursive || post.iter().next().is_some());
     let (pre, recursive) = prepare(program, pre, &options);
     let cfg = Cfg::build(program);
-    let templates = concrete_templates(program, invariant, post);
     let mut mono_table = MonomialTable::new();
+    let templates = concrete_templates(program, invariant, post, &mut mono_table);
     let pairs = generate_pairs(
         program,
         &cfg,

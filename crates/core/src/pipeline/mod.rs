@@ -71,6 +71,7 @@ impl Pipeline {
             ctx.options.degree,
             ctx.options.size,
             ctx.recursive,
+            &mut ctx.mono_table,
         );
         ctx.note(format!(
             "templates: {} label template(s), {} post-condition template(s), {} unknown(s)",

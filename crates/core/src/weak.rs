@@ -52,6 +52,7 @@ pub fn fix_targets(
 ) -> HashMap<UnknownId, Rational> {
     let mut fixed = HashMap::new();
     let mut used_conjuncts: HashMap<Label, usize> = HashMap::new();
+    let table = &generated.mono_table;
     for target in targets {
         let template = generated.templates.invariant(target.label);
         let conjunct = *used_conjuncts.entry(target.label).or_insert(0);
@@ -61,20 +62,28 @@ pub fn fix_targets(
             "more targets at {} than template conjuncts",
             target.label
         );
-        for monomial in &template.basis {
+        for &monomial in &template.basis {
             let unknown = template
                 .coefficient_unknown(conjunct, monomial)
                 .expect("template coefficients are single unknowns");
-            fixed.insert(unknown, target.poly.coefficient(monomial));
+            fixed.insert(unknown, target.poly.coefficient(table.monomial(monomial)));
         }
         // Every monomial of the target must be representable.
         for (monomial, _) in target.poly.iter() {
             assert!(
-                template.basis.contains(monomial),
+                template
+                    .basis
+                    .iter()
+                    .any(|&m| table.monomial(m) == monomial),
                 "target at {} uses monomial {} outside the degree-{} template",
                 target.label,
                 monomial,
-                template.basis.iter().map(|m| m.degree()).max().unwrap_or(0)
+                template
+                    .basis
+                    .iter()
+                    .map(|&m| table.degree(m))
+                    .max()
+                    .unwrap_or(0)
             );
         }
     }
@@ -115,7 +124,9 @@ mod tests {
         assert_eq!(fixed.len(), 21);
         // The pinned values reproduce the target polynomial.
         let template = generated.templates.invariant(exit);
-        let instantiated = template.instantiate(|u| fixed.get(&u).copied().unwrap_or_default());
+        let instantiated = template.instantiate(&generated.mono_table, |u| {
+            fixed.get(&u).copied().unwrap_or_default()
+        });
         assert_eq!(instantiated[0], poly);
     }
 

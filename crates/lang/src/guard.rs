@@ -68,19 +68,6 @@ impl Atom {
         })
     }
 
-    /// Evaluates the atom at an `f64` valuation with a small tolerance.
-    pub fn eval_f64<F>(&self, valuation: F, tolerance: f64) -> bool
-    where
-        F: FnMut(VarId) -> f64,
-    {
-        let value = self.poly.eval_f64(valuation);
-        if self.strict {
-            value > -tolerance
-        } else {
-            value >= -tolerance
-        }
-    }
-
     /// Relaxes a strict atom to its non-strict counterpart (identity for
     /// non-strict atoms). Used when placing guard atoms into the `gᵢ ≥ 0`
     /// side of a constraint pair.

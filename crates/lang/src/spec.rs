@@ -215,17 +215,6 @@ impl InvariantMap {
         self.get(label).iter().all(|atom| atom.eval(&mut valuation))
     }
 
-    /// Evaluates the invariant at a label under an `f64` valuation with the
-    /// given tolerance.
-    pub fn holds_at_f64<F>(&self, label: Label, mut valuation: F, tolerance: f64) -> bool
-    where
-        F: FnMut(VarId) -> f64,
-    {
-        self.get(label)
-            .iter()
-            .all(|atom| atom.eval_f64(&mut valuation, tolerance))
-    }
-
     /// Renders the invariant map with the program's variable names, in
     /// label order.
     pub fn render(&self, program: &Program) -> String {

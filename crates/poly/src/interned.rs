@@ -1,51 +1,32 @@
-//! Interned sparse polynomial representations.
+//! Interned sparse polynomials: the representation constraint generation
+//! runs on.
 //!
-//! These are the hot-path counterparts of [`Polynomial`], [`TemplatePoly`]
-//! and [`QuadraticPoly`]: term lists keyed by [`MonoId`] instead of owned
-//! [`Monomial`](crate::Monomial) keys, sorted by raw id. All products go
-//! through the memoizing [`MonomialTable`], all accumulation is in place
-//! (binary-search insert + coefficient merge) — no `BTreeMap` rebuilds, no
-//! monomial clones, no whole-coefficient clones per insertion.
+//! [`IntPoly`] is the interned counterpart of [`Polynomial`] (concrete
+//! program expressions), [`IntTemplate`] is the one template representation
+//! (Step 1 templates and the Step 2 pair polynomials, with [`LinExpr`]
+//! coefficients), and [`QuadAccumulator`] collects template products with
+//! [`QuadExpr`] coefficients (Step 3). Term lists are keyed by [`MonoId`]
+//! instead of owned [`Monomial`](crate::Monomial) keys and sorted by raw id.
+//! All products go through the memoizing [`MonomialTable`], all
+//! accumulation is in place (binary-search insert + coefficient merge) — no
+//! `BTreeMap` rebuilds, no monomial clones, no whole-coefficient clones per
+//! insertion. [`Polynomial`] stays the reference algebra: the property tests
+//! compare every interned operation against it.
 //!
 //! Raw-id order is *not* the graded-lexicographic term order of the public
-//! API; conversions back to the `Monomial`-keyed types restore the canonical
-//! order, so display strings and downstream consumers are unaffected.
+//! API; conversions back to [`Polynomial`] restore the canonical order, so
+//! display strings and downstream consumers are unaffected.
 
 use polyinv_arith::Rational;
 
 use crate::monomial::VarId;
 use crate::polynomial::Polynomial;
-use crate::symbolic::{LinExpr, QuadExpr, QuadraticPoly, TemplatePoly};
+use crate::symbolic::{LinExpr, QuadExpr, UnknownId};
 use crate::table::{FxHashMap, MonoId, MonomialTable};
 
-/// Merges into the sorted term list at `id`: `hit` updates an existing
-/// coefficient in place, `miss` produces the fresh one, and entries that
-/// end up zero are dropped. Every sorted-`Vec` representation in this
-/// module funnels through here so the merge semantics cannot diverge.
-fn merge_slot<C, Z, H, M>(terms: &mut Vec<(MonoId, C)>, id: MonoId, is_zero: Z, hit: H, miss: M)
-where
-    Z: Fn(&C) -> bool,
-    H: FnOnce(&mut C),
-    M: FnOnce() -> C,
-{
-    match terms.binary_search_by_key(&id, |&(m, _)| m) {
-        Ok(pos) => {
-            hit(&mut terms[pos].1);
-            if is_zero(&terms[pos].1) {
-                terms.remove(pos);
-            }
-        }
-        Err(pos) => {
-            let value = miss();
-            if !is_zero(&value) {
-                terms.insert(pos, (id, value));
-            }
-        }
-    }
-}
-
-/// Merges an owned `coefficient` into the term list at `id` (the owned-move
-/// sibling of [`merge_slot`]; the value moves into exactly one branch).
+/// Merges an owned `coefficient` into the sorted term list at `id`, dropping
+/// entries that end up zero. Both term-list types in this module funnel
+/// through here so the merge semantics cannot diverge.
 fn merge_term<C, Z, M>(terms: &mut Vec<(MonoId, C)>, id: MonoId, coefficient: C, is_zero: Z, add: M)
 where
     Z: Fn(&C) -> bool,
@@ -182,7 +163,9 @@ where
 }
 
 /// A template polynomial with interned monomials: coefficients are affine
-/// [`LinExpr`]s over the unknowns, keys are [`MonoId`]s.
+/// [`LinExpr`]s over the unknowns, keys are [`MonoId`]s. The one template
+/// representation: Step 1 templates, Step 2 pair polynomials and the
+/// Putinar multipliers of Step 3.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IntTemplate {
     terms: Vec<(MonoId, LinExpr)>,
@@ -204,35 +187,35 @@ impl IntTemplate {
         IntTemplate { terms }
     }
 
-    /// Lifts a concrete interned polynomial (constant coefficients).
-    pub fn from_int_poly(poly: &IntPoly) -> Self {
-        IntTemplate {
-            terms: poly
-                .terms()
-                .iter()
-                .map(|&(m, c)| (m, LinExpr::constant(c)))
-                .collect(),
-        }
-    }
-
-    /// Interns a [`TemplatePoly`].
-    pub fn from_template(template: &TemplatePoly, table: &mut MonomialTable) -> Self {
-        let mut terms: Vec<(MonoId, LinExpr)> = template
-            .iter()
-            .map(|(m, c)| (table.intern(m.clone()), c.clone()))
-            .collect();
-        terms.sort_by_key(|&(m, _)| m);
-        IntTemplate { terms }
-    }
-
-    /// Converts back to the `Monomial`-keyed representation (canonical
-    /// graded-lexicographic order).
-    pub fn to_template(&self, table: &MonomialTable) -> TemplatePoly {
-        let mut result = TemplatePoly::zero();
-        for &(m, ref coeff) in &self.terms {
-            result.add_term(coeff.clone(), table.monomial(m).clone());
-        }
-        result
+    /// Instantiates the template by assigning rational values to the
+    /// unknowns, giving a concrete polynomial in canonical term order.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use polyinv_arith::Rational;
+    /// use polyinv_poly::{IntTemplate, LinExpr, MonoId, MonomialTable, UnknownId, VarId};
+    ///
+    /// let mut table = MonomialTable::new();
+    /// let x = table.var(VarId::new(0));
+    /// let s = UnknownId::new(0);
+    /// // template: s * x + 1
+    /// let mut t = IntTemplate::zero();
+    /// t.add_term(x, LinExpr::unknown(s));
+    /// t.add_term(MonoId::ONE, LinExpr::constant(Rational::one()));
+    /// let instantiated = t.instantiate(&table, |_| Rational::from_int(5));
+    /// assert_eq!(instantiated.eval(|_| Rational::from_int(2)), Rational::from_int(11));
+    /// ```
+    pub fn instantiate<F>(&self, table: &MonomialTable, mut assignment: F) -> Polynomial
+    where
+        F: FnMut(UnknownId) -> Rational,
+    {
+        Polynomial::from_terms(self.terms.iter().map(|&(m, ref coeff)| {
+            (
+                coeff.eval_rational(&mut assignment),
+                table.monomial(m).clone(),
+            )
+        }))
     }
 
     /// `true` when the template has no terms.
@@ -285,13 +268,15 @@ impl IntTemplate {
         if factor.is_zero() || coefficient.is_zero() {
             return;
         }
-        merge_slot(
-            &mut self.terms,
-            id,
-            LinExpr::is_zero,
-            |entry| entry.add_scaled(coefficient, factor),
-            || coefficient.scale(factor),
-        );
+        match self.terms.binary_search_by_key(&id, |&(m, _)| m) {
+            Ok(pos) => {
+                self.terms[pos].1.add_scaled(coefficient, factor);
+                if self.terms[pos].1.is_zero() {
+                    self.terms.remove(pos);
+                }
+            }
+            Err(pos) => self.terms.insert(pos, (id, coefficient.scale(factor))),
+        }
     }
 
     /// Substitutes program variables by interned polynomials (identity where
@@ -309,119 +294,14 @@ impl IntTemplate {
         }
         result
     }
-
-    /// Multiplies two templates, producing quadratic coefficients — the
-    /// `hᵢ·gᵢ` products of the Putinar identity.
-    pub fn mul_template(&self, other: &IntTemplate, table: &mut MonomialTable) -> IntQuad {
-        let mut result = IntQuad::zero();
-        for &(ma, ref ca) in &self.terms {
-            for &(mb, ref cb) in &other.terms {
-                result.add_term(table.mul(ma, mb), ca.mul(cb));
-            }
-        }
-        result
-    }
-
-    /// Converts the template into an [`IntQuad`] with affine coefficients.
-    pub fn to_quadratic(&self) -> IntQuad {
-        IntQuad {
-            terms: self
-                .terms
-                .iter()
-                .map(|&(m, ref c)| (m, c.clone().into()))
-                .collect(),
-        }
-    }
 }
 
-/// A polynomial with interned monomials whose coefficients are quadratic
-/// expressions over the unknowns — the accumulation type of Step 3.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IntQuad {
-    terms: Vec<(MonoId, QuadExpr)>,
-}
-
-impl IntQuad {
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        IntQuad::default()
-    }
-
-    /// `true` when there are no terms.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The number of terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// The `(monomial, coefficient)` terms in raw-id order.
-    pub fn terms(&self) -> &[(MonoId, QuadExpr)] {
-        &self.terms
-    }
-
-    /// Consumes the polynomial, returning its terms.
-    pub fn into_terms(self) -> Vec<(MonoId, QuadExpr)> {
-        self.terms
-    }
-
-    /// Adds `coefficient · monomial` in place.
-    pub fn add_term(&mut self, id: MonoId, coefficient: QuadExpr) {
-        merge_term(
-            &mut self.terms,
-            id,
-            coefficient,
-            QuadExpr::is_zero,
-            |entry, c| entry.add_expr(&c),
-        );
-    }
-
-    /// Adds `factor · coefficient · monomial` in place, without
-    /// materializing the scaled coefficient when the term already exists.
-    pub fn add_scaled_term(&mut self, id: MonoId, coefficient: &QuadExpr, factor: Rational) {
-        if factor.is_zero() || coefficient.is_zero() {
-            return;
-        }
-        merge_slot(
-            &mut self.terms,
-            id,
-            QuadExpr::is_zero,
-            |entry| entry.add_scaled(coefficient, factor),
-            || coefficient.scale(factor),
-        );
-    }
-
-    /// Adds another polynomial in place.
-    pub fn add_assign(&mut self, other: IntQuad) {
-        for (id, coeff) in other.terms {
-            self.add_term(id, coeff);
-        }
-    }
-
-    /// Subtracts another polynomial in place.
-    pub fn sub_assign(&mut self, other: &IntQuad) {
-        for &(id, ref coeff) in &other.terms {
-            self.add_scaled_term(id, coeff, Rational::from_int(-1));
-        }
-    }
-
-    /// Converts back to the `Monomial`-keyed representation.
-    pub fn to_quadratic_poly(&self, table: &MonomialTable) -> QuadraticPoly {
-        let mut result = QuadraticPoly::zero();
-        for &(m, ref coeff) in &self.terms {
-            result.add_term(coeff.clone(), table.monomial(m).clone());
-        }
-        result
-    }
-}
-
-/// A hash-indexed accumulator for [`IntQuad`]-shaped sums.
+/// A hash-indexed accumulator for polynomials with quadratic coefficients
+/// (sums of template products).
 ///
-/// [`IntQuad`] keeps its terms sorted, which costs an `O(n)` shift per fresh
-/// monomial; the accumulator instead appends and finds slots through an
-/// `FxHashMap`, making every merge amortized `O(1)`. The Putinar translation
+/// A sorted term list would cost an `O(n)` shift per fresh monomial; the
+/// accumulator instead appends and finds slots through an `FxHashMap`,
+/// making every merge amortized `O(1)`. The Putinar translation
 /// accumulates each pair's entire right-hand side through one of these and
 /// only sorts once at the end (into the canonical graded-lexicographic
 /// emission order).
@@ -522,7 +402,6 @@ impl QuadAccumulator {
 mod tests {
     use super::*;
     use crate::monomial::Monomial;
-    use crate::symbolic::UnknownId;
 
     fn v(i: usize) -> VarId {
         VarId::new(i)
@@ -555,67 +434,64 @@ mod tests {
         );
     }
 
+    /// `s0·x0² + s1·x1` interned into `table`.
+    fn sample_template(table: &mut MonomialTable) -> IntTemplate {
+        let mut template = IntTemplate::zero();
+        template.add_term(
+            table.intern(Monomial::from_powers(&[(v(0), 2)])),
+            LinExpr::unknown(UnknownId::new(0)),
+        );
+        template.add_term(table.var(v(1)), LinExpr::unknown(UnknownId::new(1)));
+        template
+    }
+
+    fn assignment(u: UnknownId) -> Rational {
+        int(u.index() as i64 + 2)
+    }
+
     #[test]
     fn template_substitution_matches_reference() {
         let mut table = MonomialTable::new();
-        let mut template = TemplatePoly::zero();
-        template.add_term(
-            LinExpr::unknown(UnknownId::new(0)),
-            Monomial::from_powers(&[(v(0), 2)]),
-        );
-        template.add_term(
-            LinExpr::unknown(UnknownId::new(1)),
-            Monomial::variable(v(1)),
-        );
+        let template = sample_template(&mut table);
         let replacement = Polynomial::variable(v(1)) + Polynomial::constant(int(1));
-        let expected = template.substitute(|var| {
-            if var == v(0) {
-                Some(replacement.clone())
-            } else {
-                None
-            }
-        });
+        let expected = template
+            .instantiate(&table, assignment)
+            .substitute(|var| (var == v(0)).then(|| replacement.clone()));
 
-        let it = IntTemplate::from_template(&template, &mut table);
         let ir = IntPoly::from_polynomial(&replacement, &mut table);
-        let substituted =
-            it.substitute(|var| if var == v(0) { Some(&ir) } else { None }, &mut table);
-        assert_eq!(substituted.to_template(&table), expected);
+        let substituted = template.substitute(|var| (var == v(0)).then_some(&ir), &mut table);
+        assert_eq!(substituted.instantiate(&table, assignment), expected);
     }
 
     #[test]
     fn template_product_matches_reference() {
         let mut table = MonomialTable::new();
-        let mut a = TemplatePoly::zero();
-        a.add_term(LinExpr::unknown(UnknownId::new(0)), Monomial::one());
-        a.add_term(
-            LinExpr::unknown(UnknownId::new(1)),
-            Monomial::variable(v(0)),
-        );
-        let mut b = TemplatePoly::zero();
-        b.add_term(LinExpr::unknown(UnknownId::new(2)), Monomial::one());
-        b.add_term(
-            LinExpr::unknown(UnknownId::new(3)),
-            Monomial::variable(v(0)),
-        );
-        let expected = a.mul_template(&b);
+        let a = sample_template(&mut table);
+        let mut b = IntTemplate::zero();
+        b.add_term(MonoId::ONE, LinExpr::unknown(UnknownId::new(2)));
+        b.add_term(table.var(v(0)), LinExpr::unknown(UnknownId::new(3)));
+        let expected = &a.instantiate(&table, assignment) * &b.instantiate(&table, assignment);
 
-        let ia = IntTemplate::from_template(&a, &mut table);
-        let ib = IntTemplate::from_template(&b, &mut table);
-        let product = ia.mul_template(&ib, &mut table);
-        assert_eq!(product.to_quadratic_poly(&table), expected);
+        let mut acc = QuadAccumulator::new();
+        acc.add_mul_template(&a, &b, &mut table);
+        let product = Polynomial::from_terms(
+            acc.into_terms()
+                .into_iter()
+                .map(|(m, coeff)| (coeff.eval_rational(assignment), table.monomial(m).clone())),
+        );
+        assert_eq!(product, expected);
     }
 
     #[test]
     fn quad_accumulation_cancels_in_place() {
         let mut table = MonomialTable::new();
         let x = table.var(v(0));
-        let mut acc = IntQuad::zero();
+        let mut acc = QuadAccumulator::new();
         let mut coeff = QuadExpr::zero();
         coeff.add_linear(UnknownId::new(0), int(3));
-        acc.add_term(x, coeff.clone());
+        acc.add_term(x, &coeff);
         acc.add_scaled_term(x, &coeff, int(-1));
-        assert!(acc.is_zero());
+        assert!(acc.into_terms().is_empty());
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //!   monomial-basis enumeration.
 //! * [`LinExpr`] and [`QuadExpr`] — affine and quadratic expressions over
 //!   *unknowns* (the template coefficients called s-, t-, l- and ε-variables
-//!   in the paper). A polynomial whose coefficients are [`LinExpr`]s is a
-//!   *template polynomial*; multiplying two template polynomials (as done in
-//!   the Putinar identity `g = ε + h₀ + Σ hᵢ·gᵢ`) produces a polynomial with
-//!   [`QuadExpr`] coefficients, whose coefficient-matching yields exactly the
-//!   quadratic constraints the paper hands to a QCLP solver.
+//!   in the paper).
 //! * [`MonomialTable`] and the interned representations ([`IntPoly`],
-//!   [`IntTemplate`], [`IntQuad`]) — the hash-consed hot-path core used by
-//!   constraint generation: monomials become dense [`MonoId`]s, products are
-//!   memoized, and accumulation merges coefficients in place instead of
-//!   rebuilding `BTreeMap`s.
+//!   [`IntTemplate`], [`interned::QuadAccumulator`]) — the hash-consed core
+//!   used by constraint generation: monomials become dense [`MonoId`]s,
+//!   products are memoized, and accumulation merges coefficients in place.
+//!   [`IntTemplate`] is the one template representation: a polynomial whose
+//!   coefficients are [`LinExpr`]s. Multiplying two templates (as done in
+//!   the Putinar identity `g = ε + h₀ + Σ hᵢ·gᵢ`) accumulates [`QuadExpr`]
+//!   coefficients, whose coefficient-matching yields exactly the quadratic
+//!   constraints the paper hands to a QCLP solver.
 //!
 //! # Example
 //!
@@ -43,8 +43,8 @@ pub mod polynomial;
 pub mod symbolic;
 pub mod table;
 
-pub use interned::{IntPoly, IntQuad, IntTemplate};
+pub use interned::{IntPoly, IntTemplate};
 pub use monomial::{Monomial, VarId};
-pub use polynomial::{Polynomial, RationalPoly};
-pub use symbolic::{LinExpr, QuadExpr, QuadraticPoly, TemplatePoly, UnknownId};
+pub use polynomial::Polynomial;
+pub use symbolic::{LinExpr, QuadExpr, UnknownId};
 pub use table::{MonoId, MonomialTable};

@@ -164,18 +164,6 @@ impl Monomial {
         Some(result)
     }
 
-    /// Evaluates the monomial at an `f64` valuation.
-    pub fn eval_f64<F>(&self, mut valuation: F) -> f64
-    where
-        F: FnMut(VarId) -> f64,
-    {
-        let mut result = 1.0;
-        for &(var, exp) in &self.powers {
-            result *= valuation(var).powi(exp as i32);
-        }
-        result
-    }
-
     /// Renders the monomial using a variable-name resolver.
     pub fn display_with<F>(&self, mut name: F) -> String
     where
@@ -304,8 +292,6 @@ mod tests {
             }
         });
         assert_eq!(value, Rational::from_int(-18));
-        let fvalue = m.eval_f64(|var| if var == v(0) { 3.0 } else { -2.0 });
-        assert!((fvalue + 18.0).abs() < 1e-12);
     }
 
     #[test]

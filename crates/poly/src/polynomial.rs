@@ -30,10 +30,6 @@ pub struct Polynomial {
     terms: BTreeMap<Monomial, Rational>,
 }
 
-/// Alias emphasising the coefficient domain in signatures that also mention
-/// template polynomials.
-pub type RationalPoly = Polynomial;
-
 impl Polynomial {
     /// The zero polynomial.
     pub fn zero() -> Self {
@@ -204,18 +200,6 @@ impl Polynomial {
             total = total.checked_add(&term).ok()?;
         }
         Some(total)
-    }
-
-    /// Evaluates the polynomial at an `f64` valuation.
-    pub fn eval_f64<F>(&self, mut valuation: F) -> f64
-    where
-        F: FnMut(VarId) -> f64,
-    {
-        let mut total = 0.0;
-        for (monomial, coeff) in &self.terms {
-            total += coeff.to_f64() * monomial.eval_f64(&mut valuation);
-        }
-        total
     }
 
     /// Substitutes each variable by the polynomial returned by `mapping`

@@ -1,24 +1,21 @@
-//! Affine and quadratic expressions over *unknowns*, and template
-//! polynomials.
+//! Affine and quadratic expressions over *unknowns*: the coefficients of
+//! template polynomials.
 //!
 //! The paper's algorithms introduce several families of unknown real
 //! variables: the template coefficients `s_{ℓ,i,j}` (Step 1), the multiplier
 //! coefficients `t_{i,j}` and the positivity witnesses `ε` (Step 3), and the
 //! Cholesky entries `l_{i,j}` of the sum-of-squares encoding (Section 3.1).
 //! During constraint generation we manipulate polynomials *in the program
-//! variables* whose coefficients are affine ([`LinExpr`]) or quadratic
-//! ([`QuadExpr`]) expressions *in those unknowns*. Matching coefficients of
-//! the Putinar identity `g = ε + h₀ + Σ hᵢ·gᵢ` then directly yields the
-//! quadratic constraints over the unknowns that form the QCLP.
+//! variables* ([`IntTemplate`](crate::IntTemplate)) whose coefficients are
+//! affine ([`LinExpr`]) expressions *in those unknowns*; products of two
+//! templates have quadratic ([`QuadExpr`]) coefficients. Matching
+//! coefficients of the Putinar identity `g = ε + h₀ + Σ hᵢ·gᵢ` then directly
+//! yields the quadratic constraints over the unknowns that form the QCLP.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
 use polyinv_arith::Rational;
-
-use crate::monomial::{Monomial, VarId};
-use crate::polynomial::Polynomial;
 
 /// An opaque identifier for an unknown (template coefficient, multiplier
 /// coefficient, Cholesky entry or positivity witness).
@@ -102,11 +99,6 @@ impl LinExpr {
     /// The linear terms `(unknown, coefficient)`, sorted by unknown.
     pub fn terms(&self) -> &[(UnknownId, Rational)] {
         &self.terms
-    }
-
-    /// Iterates over the unknowns referenced by the expression.
-    pub fn unknowns(&self) -> impl Iterator<Item = UnknownId> + '_ {
-        self.terms.iter().map(|&(u, _)| u)
     }
 
     fn add_term(&mut self, id: UnknownId, coeff: Rational) {
@@ -233,13 +225,6 @@ impl Add for LinExpr {
     }
 }
 
-impl Add for &LinExpr {
-    type Output = LinExpr;
-    fn add(self, rhs: &LinExpr) -> LinExpr {
-        self.clone() + rhs.clone()
-    }
-}
-
 impl Sub for LinExpr {
     type Output = LinExpr;
     fn sub(self, rhs: LinExpr) -> LinExpr {
@@ -286,11 +271,6 @@ impl QuadExpr {
     /// Returns `true` if the expression is identically zero.
     pub fn is_zero(&self) -> bool {
         self.constant.is_zero() && self.linear.is_empty() && self.quadratic.is_empty()
-    }
-
-    /// Returns `true` if the expression has no quadratic terms.
-    pub fn is_affine(&self) -> bool {
-        self.quadratic.is_empty()
     }
 
     /// The constant part.
@@ -494,359 +474,13 @@ impl fmt::Display for QuadExpr {
     }
 }
 
-impl From<LinExpr> for QuadExpr {
-    fn from(lin: LinExpr) -> Self {
-        let mut q = QuadExpr::constant(lin.constant);
-        for (u, c) in lin.terms {
-            q.add_linear(u, c);
-        }
-        q
-    }
-}
-
-impl Add for QuadExpr {
-    type Output = QuadExpr;
-    fn add(mut self, rhs: QuadExpr) -> QuadExpr {
-        self.constant += rhs.constant;
-        for (u, c) in rhs.linear {
-            self.add_linear(u, c);
-        }
-        for ((a, b), c) in rhs.quadratic {
-            self.add_quadratic(a, b, c);
-        }
-        self
-    }
-}
-
-impl Sub for QuadExpr {
-    type Output = QuadExpr;
-    fn sub(self, rhs: QuadExpr) -> QuadExpr {
-        self + rhs.scale(Rational::from_int(-1))
-    }
-}
-
-impl Neg for QuadExpr {
-    type Output = QuadExpr;
-    fn neg(self) -> QuadExpr {
-        self.scale(Rational::from_int(-1))
-    }
-}
-
-/// A polynomial in the program variables whose coefficients are affine
-/// expressions over unknowns — the *templates* of Step 1.
-///
-/// # Example
-///
-/// ```
-/// use polyinv_poly::{LinExpr, Monomial, TemplatePoly, UnknownId, VarId};
-/// use polyinv_arith::Rational;
-///
-/// let x = VarId::new(0);
-/// let s = UnknownId::new(0);
-/// // template: s * x + 1
-/// let mut t = TemplatePoly::zero();
-/// t.add_term(LinExpr::unknown(s), Monomial::variable(x));
-/// t.add_term(LinExpr::constant(Rational::one()), Monomial::one());
-/// let instantiated = t.instantiate(|_| Rational::from_int(5));
-/// assert_eq!(instantiated.eval(|_| Rational::from_int(2)), Rational::from_int(11));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TemplatePoly {
-    terms: BTreeMap<Monomial, LinExpr>,
-}
-
-impl TemplatePoly {
-    /// The zero template polynomial.
-    pub fn zero() -> Self {
-        TemplatePoly {
-            terms: BTreeMap::new(),
-        }
-    }
-
-    /// Lifts a concrete polynomial to a template polynomial with constant
-    /// coefficients.
-    pub fn from_polynomial(poly: &Polynomial) -> Self {
-        let mut result = TemplatePoly::zero();
-        for (monomial, coeff) in poly.iter() {
-            result.add_term(LinExpr::constant(*coeff), monomial.clone());
-        }
-        result
-    }
-
-    /// Returns `true` if the template has no terms.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The total degree in the program variables.
-    pub fn degree(&self) -> u32 {
-        self.terms.keys().map(Monomial::degree).max().unwrap_or(0)
-    }
-
-    /// The number of terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// The coefficient of a monomial (zero if absent).
-    pub fn coefficient(&self, monomial: &Monomial) -> LinExpr {
-        self.terms.get(monomial).cloned().unwrap_or_default()
-    }
-
-    /// Iterates over the `(monomial, coefficient)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Monomial, &LinExpr)> {
-        self.terms.iter()
-    }
-
-    /// The program variables occurring in the template.
-    pub fn variables(&self) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = self
-            .terms
-            .keys()
-            .flat_map(|m| m.variables().collect::<Vec<_>>())
-            .collect();
-        vars.sort();
-        vars.dedup();
-        vars
-    }
-
-    /// The unknowns occurring in the coefficients.
-    pub fn unknowns(&self) -> Vec<UnknownId> {
-        let mut ids: Vec<UnknownId> = self
-            .terms
-            .values()
-            .flat_map(|c| c.unknowns().collect::<Vec<_>>())
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
-    /// Adds `coefficient · monomial` to the template.
-    pub fn add_term(&mut self, coefficient: LinExpr, monomial: Monomial) {
-        if coefficient.is_zero() {
-            return;
-        }
-        let entry = self.terms.entry(monomial.clone()).or_default();
-        let sum = entry.clone() + coefficient;
-        if sum.is_zero() {
-            self.terms.remove(&monomial);
-        } else {
-            *entry = sum;
-        }
-    }
-
-    /// Adds another template polynomial.
-    pub fn add(&self, other: &TemplatePoly) -> TemplatePoly {
-        let mut result = self.clone();
-        for (monomial, coeff) in &other.terms {
-            result.add_term(coeff.clone(), monomial.clone());
-        }
-        result
-    }
-
-    /// Subtracts another template polynomial.
-    pub fn sub(&self, other: &TemplatePoly) -> TemplatePoly {
-        let mut result = self.clone();
-        for (monomial, coeff) in &other.terms {
-            result.add_term(-coeff.clone(), monomial.clone());
-        }
-        result
-    }
-
-    /// Multiplies the template by a concrete polynomial in the program
-    /// variables.
-    pub fn mul_polynomial(&self, poly: &Polynomial) -> TemplatePoly {
-        let mut result = TemplatePoly::zero();
-        for (ma, ca) in &self.terms {
-            for (mb, cb) in poly.iter() {
-                result.add_term(ca.scale(*cb), ma.mul(mb));
-            }
-        }
-        result
-    }
-
-    /// Multiplies two template polynomials, producing a polynomial with
-    /// quadratic coefficients. This is the operation `hᵢ · gᵢ` of the
-    /// Putinar identity.
-    pub fn mul_template(&self, other: &TemplatePoly) -> QuadraticPoly {
-        let mut result = QuadraticPoly::zero();
-        for (ma, ca) in &self.terms {
-            for (mb, cb) in &other.terms {
-                result.add_term(ca.mul(cb), ma.mul(mb));
-            }
-        }
-        result
-    }
-
-    /// Substitutes program variables by concrete polynomials (identity where
-    /// `None`), keeping the symbolic coefficients. Implements `η(ℓ′) ∘ α`.
-    pub fn substitute<F>(&self, mut mapping: F) -> TemplatePoly
-    where
-        F: FnMut(VarId) -> Option<Polynomial>,
-    {
-        let mut result = TemplatePoly::zero();
-        for (monomial, coeff) in &self.terms {
-            // Expand the monomial under the substitution into a concrete
-            // polynomial, then scale by the symbolic coefficient.
-            let mut expansion = Polynomial::one();
-            for (var, exp) in monomial.iter() {
-                let replacement = mapping(var).unwrap_or_else(|| Polynomial::variable(var));
-                expansion = &expansion * &replacement.pow(exp);
-            }
-            for (mono, scalar) in expansion.iter() {
-                result.add_term(coeff.scale(*scalar), mono.clone());
-            }
-        }
-        result
-    }
-
-    /// Instantiates the template by assigning rational values to unknowns.
-    pub fn instantiate<F>(&self, mut assignment: F) -> Polynomial
-    where
-        F: FnMut(UnknownId) -> Rational,
-    {
-        let mut result = Polynomial::zero();
-        for (monomial, coeff) in &self.terms {
-            result.add_term(coeff.eval_rational(&mut assignment), monomial.clone());
-        }
-        result
-    }
-
-    /// Converts the template into a [`QuadraticPoly`] with affine
-    /// coefficients (used for coefficient matching against products).
-    pub fn to_quadratic(&self) -> QuadraticPoly {
-        let mut result = QuadraticPoly::zero();
-        for (monomial, coeff) in &self.terms {
-            result.add_term(coeff.clone().into(), monomial.clone());
-        }
-        result
-    }
-
-    /// Renders the template with variable and unknown name resolvers.
-    pub fn display_with<FV, FU>(&self, mut var_name: FV, mut unknown_name: FU) -> String
-    where
-        FV: FnMut(VarId) -> String,
-        FU: FnMut(UnknownId) -> String,
-    {
-        if self.terms.is_empty() {
-            return "0".to_string();
-        }
-        let mut parts = Vec::new();
-        for (monomial, coeff) in &self.terms {
-            let coeff_text = coeff.display_with(&mut unknown_name);
-            if monomial.is_one() {
-                parts.push(format!("({coeff_text})"));
-            } else {
-                parts.push(format!(
-                    "({coeff_text})*{}",
-                    monomial.display_with(&mut var_name)
-                ));
-            }
-        }
-        parts.join(" + ")
-    }
-}
-
-impl fmt::Display for TemplatePoly {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}",
-            self.display_with(|v| v.to_string(), |u| u.to_string())
-        )
-    }
-}
-
-/// A polynomial in the program variables whose coefficients are quadratic
-/// expressions over unknowns — the result of multiplying two templates.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QuadraticPoly {
-    terms: BTreeMap<Monomial, QuadExpr>,
-}
-
-impl QuadraticPoly {
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        QuadraticPoly {
-            terms: BTreeMap::new(),
-        }
-    }
-
-    /// Returns `true` if there are no terms.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The number of terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// The coefficient of a monomial (zero if absent).
-    pub fn coefficient(&self, monomial: &Monomial) -> QuadExpr {
-        self.terms.get(monomial).cloned().unwrap_or_default()
-    }
-
-    /// Iterates over the `(monomial, coefficient)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Monomial, &QuadExpr)> {
-        self.terms.iter()
-    }
-
-    /// The monomials with a non-zero coefficient.
-    pub fn monomials(&self) -> impl Iterator<Item = &Monomial> {
-        self.terms.keys()
-    }
-
-    /// Adds `coefficient · monomial`.
-    pub fn add_term(&mut self, coefficient: QuadExpr, monomial: Monomial) {
-        if coefficient.is_zero() {
-            return;
-        }
-        let entry = self.terms.entry(monomial.clone()).or_default();
-        let sum = entry.clone() + coefficient;
-        if sum.is_zero() {
-            self.terms.remove(&monomial);
-        } else {
-            *entry = sum;
-        }
-    }
-
-    /// Adds another quadratic polynomial.
-    pub fn add(&self, other: &QuadraticPoly) -> QuadraticPoly {
-        let mut result = self.clone();
-        for (monomial, coeff) in &other.terms {
-            result.add_term(coeff.clone(), monomial.clone());
-        }
-        result
-    }
-
-    /// Subtracts another quadratic polynomial.
-    pub fn sub(&self, other: &QuadraticPoly) -> QuadraticPoly {
-        let mut result = self.clone();
-        for (monomial, coeff) in &other.terms {
-            result.add_term(-coeff.clone(), monomial.clone());
-        }
-        result
-    }
-
-    /// Evaluates all coefficients under an `f64` assignment, producing the
-    /// map `monomial ↦ value` (used by tests to check the Putinar identity
-    /// numerically).
-    pub fn eval_coefficients<F>(&self, mut assignment: F) -> BTreeMap<Monomial, f64>
-    where
-        F: FnMut(UnknownId) -> f64,
-    {
-        self.terms
-            .iter()
-            .map(|(m, c)| (m.clone(), c.eval(&mut assignment)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interned::{IntPoly, IntTemplate, QuadAccumulator};
+    use crate::monomial::{Monomial, VarId};
+    use crate::polynomial::Polynomial;
+    use crate::table::{MonoId, MonomialTable};
 
     fn u(i: usize) -> UnknownId {
         UnknownId::new(i)
@@ -902,69 +536,93 @@ mod tests {
     }
 
     #[test]
+    fn quadratic_poly_subtraction_cancels() {
+        let mut q =
+            LinExpr::unknown(u(0)).mul(&(LinExpr::unknown(u(1)) + LinExpr::constant(int(2))));
+        let copy = q.clone();
+        q.sub_expr(&copy);
+        assert!(q.is_zero());
+    }
+
+    #[test]
+    fn display_is_informative() {
+        let name = |x: UnknownId| {
+            if x == u(0) {
+                "s".to_string()
+            } else {
+                "t".to_string()
+            }
+        };
+        let a = LinExpr::unknown(u(0)).scale(int(2)) + LinExpr::constant(int(3));
+        assert_eq!(a.display_with(name), "3 + 2*s");
+        let q = a.mul(&LinExpr::unknown(u(1)));
+        assert_eq!(q.display_with(name), "3*t + 2*s*t");
+        assert_eq!(
+            LinExpr::unknown(u(0))
+                .mul(&LinExpr::unknown(u(0)))
+                .display_with(name),
+            "s^2"
+        );
+    }
+
+    #[test]
     fn template_substitution_expands_monomials() {
         // template: s * x^2; substitute x := y + 1.
-        let mut template = TemplatePoly::zero();
-        template.add_term(LinExpr::unknown(u(0)), Monomial::from_powers(&[(v(0), 2)]));
-        let substituted = template.substitute(|var| {
-            if var == v(0) {
-                Some(Polynomial::variable(v(1)) + Polynomial::constant(int(1)))
-            } else {
-                None
-            }
-        });
+        let mut table = MonomialTable::new();
+        let mut template = IntTemplate::zero();
+        template.add_term(
+            table.intern(Monomial::from_powers(&[(v(0), 2)])),
+            LinExpr::unknown(u(0)),
+        );
+        let replacement = IntPoly::from_polynomial(
+            &(Polynomial::variable(v(1)) + Polynomial::constant(int(1))),
+            &mut table,
+        );
+        let substituted =
+            template.substitute(|var| (var == v(0)).then_some(&replacement), &mut table);
         // Result: s*y^2 + 2s*y + s.
         assert_eq!(substituted.num_terms(), 3);
-        let coeff_y = substituted.coefficient(&Monomial::variable(v(1)));
+        let y = table.var(v(1));
+        let (_, coeff_y) = substituted.terms().iter().find(|(m, _)| *m == y).unwrap();
         assert_eq!(coeff_y.terms(), &[(u(0), int(2))]);
     }
 
     #[test]
     fn template_product_matches_numeric_evaluation() {
-        // h = t0 + t1*x, g = s0 + s1*x. Their product's coefficients must be
-        // consistent with numeric evaluation for arbitrary assignments.
-        let mut h = TemplatePoly::zero();
-        h.add_term(LinExpr::unknown(u(0)), Monomial::one());
-        h.add_term(LinExpr::unknown(u(1)), Monomial::variable(v(0)));
-        let mut g = TemplatePoly::zero();
-        g.add_term(LinExpr::unknown(u(2)), Monomial::one());
-        g.add_term(LinExpr::unknown(u(3)), Monomial::variable(v(0)));
-        let product = h.mul_template(&g);
-        let assignment = |x: UnknownId| (x.index() + 1) as f64;
-        let coeffs = product.eval_coefficients(assignment);
-        // Instantiate h and g numerically and multiply as plain polynomials.
-        let hn = h.instantiate(|x| int((x.index() + 1) as i64));
-        let gn = g.instantiate(|x| int((x.index() + 1) as i64));
-        let direct = &hn * &gn;
-        for (monomial, value) in coeffs {
-            assert!((direct.coefficient(&monomial).to_f64() - value).abs() < 1e-9);
+        // h = t0 + t1*x, g = s0 + s1*x. The accumulated product's quadratic
+        // coefficients must agree with the numeric product of the
+        // instantiated polynomials for arbitrary assignments.
+        let mut table = MonomialTable::new();
+        let x = table.var(v(0));
+        let linear = |c0: usize, c1: usize| {
+            let mut template = IntTemplate::zero();
+            template.add_term(MonoId::ONE, LinExpr::unknown(u(c0)));
+            template.add_term(x, LinExpr::unknown(u(c1)));
+            template
+        };
+        let (h, g) = (linear(0, 1), linear(2, 3));
+        let mut product = QuadAccumulator::new();
+        product.add_mul_template(&h, &g, &mut table);
+        let exact = |x: UnknownId| int(x.index() as i64 + 1);
+        let direct = &h.instantiate(&table, exact) * &g.instantiate(&table, exact);
+        let terms = product.into_terms();
+        assert_eq!(terms.len(), 3);
+        for (monomial, coeff) in terms {
+            let value = coeff.eval(|x| (x.index() + 1) as f64);
+            let expected = direct.coefficient(table.monomial(monomial)).to_f64();
+            assert!((expected - value).abs() < 1e-9);
         }
     }
 
     #[test]
     fn instantiation_produces_concrete_polynomial() {
-        let mut template = TemplatePoly::zero();
-        template.add_term(LinExpr::unknown(u(0)), Monomial::variable(v(0)));
-        template.add_term(LinExpr::constant(int(1)), Monomial::one());
-        let poly = template.instantiate(|_| int(7));
+        let mut table = MonomialTable::new();
+        let x = table.var(v(0));
+        let mut template = IntTemplate::zero();
+        template.add_term(x, LinExpr::unknown(u(0)));
+        template.add_term(MonoId::ONE, LinExpr::constant(int(1)));
+        let poly = template.instantiate(&table, |_| int(7));
         assert_eq!(poly.coefficient(&Monomial::variable(v(0))), int(7));
         assert_eq!(poly.coefficient(&Monomial::one()), int(1));
-    }
-
-    #[test]
-    fn quadratic_poly_subtraction_cancels() {
-        let mut template = TemplatePoly::zero();
-        template.add_term(LinExpr::unknown(u(0)), Monomial::variable(v(0)));
-        let q = template.to_quadratic();
-        let diff = q.sub(&q);
-        assert!(diff.is_zero());
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let mut template = TemplatePoly::zero();
-        template.add_term(LinExpr::unknown(u(0)), Monomial::variable(v(0)));
-        let text = template.display_with(|_| "n".to_string(), |_| "s".to_string());
-        assert_eq!(text, "(s)*n");
     }
 }

@@ -1,11 +1,11 @@
-//! Property-based tests for polynomial and template algebra, including the
-//! agreement of the interned (`MonomialTable`-backed) representation with
-//! the reference `BTreeMap`-keyed arithmetic.
+//! Property-based tests for polynomial and template algebra: the interned
+//! (`MonomialTable`-backed) representation that constraint generation runs
+//! on is checked against the reference `Polynomial` arithmetic.
 
 use polyinv_arith::Rational;
+use polyinv_poly::interned::QuadAccumulator;
 use polyinv_poly::{
-    IntPoly, IntTemplate, LinExpr, Monomial, MonomialTable, Polynomial, TemplatePoly, UnknownId,
-    VarId,
+    IntPoly, IntTemplate, LinExpr, Monomial, MonomialTable, Polynomial, UnknownId, VarId,
 };
 use proptest::prelude::*;
 
@@ -118,42 +118,47 @@ proptest! {
     }
 }
 
-fn arb_template() -> impl Strategy<Value = TemplatePoly> {
-    prop::collection::vec((0usize..4, prop::collection::vec(0u32..3, NUM_VARS)), 1..5).prop_map(
-        |terms| {
-            let mut template = TemplatePoly::zero();
-            for (unknown, exps) in terms {
-                let powers: Vec<(VarId, u32)> = exps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &e)| (VarId::new(i), e))
-                    .collect();
-                template.add_term(
-                    LinExpr::unknown(UnknownId::new(unknown)),
-                    Monomial::from_powers(&powers),
-                );
-            }
-            template
-        },
-    )
+/// A random template `Σ s_k·m_k`: unknowns `0..4`, monomials of degree
+/// at most 2 per variable. Interned with [`template`].
+fn arb_template() -> impl Strategy<Value = Vec<(usize, Vec<u32>)>> {
+    prop::collection::vec((0usize..4, prop::collection::vec(0u32..3, NUM_VARS)), 1..5)
+}
+
+fn template(terms: &[(usize, Vec<u32>)], table: &mut MonomialTable) -> IntTemplate {
+    let mut template = IntTemplate::zero();
+    for (unknown, exps) in terms {
+        let powers: Vec<(VarId, u32)> = exps
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| (VarId::new(i), e))
+            .collect();
+        template.add_term(
+            table.intern(Monomial::from_powers(&powers)),
+            LinExpr::unknown(UnknownId::new(*unknown)),
+        );
+    }
+    template
 }
 
 proptest! {
     #[test]
     fn template_product_agrees_with_instantiated_product(
         a in arb_template(), b in arb_template(),
-        assignment in prop::collection::vec(-3i64..4, 4),
-        val in arb_valuation()
+        assignment in prop::collection::vec(-3i64..4, 4)
     ) {
+        // The `hᵢ·gᵢ` products of the Putinar translation.
         let assign = |u: UnknownId| Rational::from_int(assignment[u.index()]);
-        let symbolic = a.mul_template(&b);
-        let concrete = &a.instantiate(assign) * &b.instantiate(assign);
-        // Evaluate both at `val`; coefficient-wise equality implies this.
-        let mut symbolic_value = Rational::zero();
-        for (monomial, coeff) in symbolic.iter() {
-            symbolic_value += coeff.eval_rational(assign) * monomial.eval(|v| val[v.index()]);
-        }
-        prop_assert_eq!(symbolic_value, concrete.eval(|v| val[v.index()]));
+        let mut table = MonomialTable::new();
+        let (a, b) = (template(&a, &mut table), template(&b, &mut table));
+        let mut acc = QuadAccumulator::new();
+        acc.add_mul_template(&a, &b, &mut table);
+        let product = Polynomial::from_terms(
+            acc.into_terms()
+                .into_iter()
+                .map(|(m, coeff)| (coeff.eval_rational(assign), table.monomial(m).clone())),
+        );
+        let concrete = &a.instantiate(&table, assign) * &b.instantiate(&table, assign);
+        prop_assert_eq!(product, concrete);
     }
 
     #[test]
@@ -162,18 +167,21 @@ proptest! {
         assignment in prop::collection::vec(-3i64..4, 4)
     ) {
         let assign = |u: UnknownId| Rational::from_int(assignment[u.index()]);
+        let mut table = MonomialTable::new();
+        let a = template(&a, &mut table);
+        let iq = IntPoly::from_polynomial(&q, &mut table);
         let substituted_then_instantiated = a
-            .substitute(|v| if v.index() == 0 { Some(q.clone()) } else { None })
-            .instantiate(assign);
+            .substitute(|v| if v.index() == 0 { Some(&iq) } else { None }, &mut table)
+            .instantiate(&table, assign);
         let instantiated_then_substituted = a
-            .instantiate(assign)
+            .instantiate(&table, assign)
             .substitute(|v| if v.index() == 0 { Some(q.clone()) } else { None });
         prop_assert_eq!(substituted_then_instantiated, instantiated_then_substituted);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Interned representation vs the reference BTreeMap arithmetic.
+// Interned representation vs the reference `Polynomial` arithmetic.
 //
 // The hot path of constraint generation runs on `MonomialTable`-interned
 // term lists; these properties pin the ring laws (addition, multiplication,
@@ -226,28 +234,14 @@ proptest! {
     #[test]
     fn interned_substitution_matches_reference(p in arb_poly(), q in arb_poly()) {
         let mut table = MonomialTable::new();
-        let template = TemplatePoly::from_polynomial(&p);
-        let expected = template.substitute(
-            |v| if v.index() == 0 { Some(q.clone()) } else { None },
-        );
         let it = IntTemplate::from_polynomial(&p, &mut table);
         let iq = IntPoly::from_polynomial(&q, &mut table);
         let substituted = it.substitute(
             |v| if v.index() == 0 { Some(&iq) } else { None },
             &mut table,
         );
-        prop_assert_eq!(substituted.to_template(&table), expected);
-    }
-
-    #[test]
-    fn interned_template_product_matches_reference(
-        a in arb_template(), b in arb_template()
-    ) {
-        let mut table = MonomialTable::new();
-        let ia = IntTemplate::from_template(&a, &mut table);
-        let ib = IntTemplate::from_template(&b, &mut table);
-        let product = ia.mul_template(&ib, &mut table);
-        prop_assert_eq!(product.to_quadratic_poly(&table), a.mul_template(&b));
+        let expected = p.substitute(|v| if v.index() == 0 { Some(q.clone()) } else { None });
+        prop_assert_eq!(substituted.instantiate(&table, |_| Rational::zero()), expected);
     }
 
     #[test]

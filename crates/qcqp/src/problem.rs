@@ -77,19 +77,6 @@ impl QuadraticForm {
         vars.dedup();
         vars
     }
-
-    /// The largest variable index mentioned (plus one), i.e. the minimum
-    /// dimension of a compatible assignment vector.
-    pub fn min_dimension(&self) -> usize {
-        let lin = self.linear.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
-        let quad = self
-            .quadratic
-            .iter()
-            .map(|&(_, j, _)| j + 1)
-            .max()
-            .unwrap_or(0);
-        lin.max(quad)
-    }
 }
 
 /// Precomputed per-constraint sparsity metadata of a [`Problem`]: the
@@ -272,7 +259,6 @@ mod tests {
         form.add_gradient(&x, &mut grad, 1.0);
         // df/dx = 2 + 3y = -1, df/dy = 3x + 2y = 4.
         assert_eq!(grad, vec![-1.0, 4.0]);
-        assert_eq!(form.min_dimension(), 2);
         assert!(!form.is_affine());
     }
 
