@@ -19,9 +19,7 @@ use polyinv_qcqp::par::parallel_indexed;
 
 use crate::cache::{source_hash, BucketedLru};
 use crate::error::ApiError;
-use crate::report::{
-    OrchestratorRecord, PresolveRecord, ReportStatus, SolverRecord, SynthesisReport,
-};
+use crate::report::{ReportStatus, SynthesisReport};
 use crate::request::{Mode, SynthesisRequest};
 
 /// Default capacity of the parse cache (distinct programs).
@@ -314,9 +312,9 @@ pub fn weak_report(
     report.num_unknowns = outcome.num_unknowns;
     report.violation = outcome.violation;
     report.timings = timings_to_seconds(&outcome.timings);
-    report.solver = Some(SolverRecord::from(&outcome.solver));
-    report.presolve = outcome.presolve.as_ref().map(PresolveRecord::from);
-    report.orchestrator = Some(OrchestratorRecord::from(&outcome.stats));
+    report.solver = Some(outcome.solver.clone());
+    report.presolve = outcome.presolve.clone();
+    report.orchestrator = Some(outcome.stats.clone());
     report.diagnostics.extend(escalation);
     if outcome.certified {
         report.invariants = render_lines(&outcome.invariant.render(program));
@@ -818,6 +816,46 @@ mod tests {
             elapsed < budget + 2.0,
             "strong request took {elapsed:.2} s against a {budget} s budget: {:?}",
             report.diagnostics
+        );
+    }
+
+    #[test]
+    fn a_huge_strong_attempt_count_stops_at_the_solve_budget() {
+        // Nothing may be sized by the attempt count, which would abort the
+        // process on allocation: the first attempt skipped for the deadline
+        // ends the enumeration.
+        let source = r#"
+            inc(x) {
+                @pre(x >= 0);
+                while x <= 10 do
+                    x := x + 1
+                od;
+                return x
+            }
+        "#;
+        let budget = 1.0;
+        let request = SynthesisRequest::strong(source)
+            .with_degree(1)
+            .with_attempts(1_000_000_000_000)
+            .with_solve_budget(budget);
+        let started = Instant::now();
+        let report = Engine::new().run(&request).unwrap();
+        let elapsed = started.elapsed().as_secs_f64();
+        assert!(
+            elapsed < budget + 2.0,
+            "strong request took {elapsed:.2} s against a {budget} s budget"
+        );
+        assert!(
+            matches!(
+                report.status,
+                ReportStatus::Synthesized | ReportStatus::Failed
+            ),
+            "{:?}",
+            report.status
+        );
+        assert_eq!(
+            SynthesisReport::from_json_str(&report.to_json_string()).unwrap(),
+            report
         );
     }
 }

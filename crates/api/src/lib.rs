@@ -12,7 +12,13 @@
 //!   parallel with deterministic request-ordered output
 //!   ([`Engine::run_batch`]);
 //! * [`SynthesisReport`] — status, pretty-printed invariants, per-stage
-//!   timings, `|S|`/unknown counts and diagnostics;
+//!   timings, `|S|`/unknown counts and diagnostics, plus the solve's
+//!   statistics as the solver crates' own types
+//!   ([`SolverStats`](polyinv_qcqp::SolverStats),
+//!   [`PresolveStats`](polyinv_constraints::PresolveStats),
+//!   [`OrchestratorStats`](polyinv::OrchestratorStats)), serialized by
+//!   [`report`] ([`presolve_to_json`] and [`orchestrator_to_json`] are
+//!   public for the benchmark snapshot);
 //! * [`ApiError`] — the one exhaustive error enum of the surface, with
 //!   source spans where the front-end provides them;
 //! * [`json`] — a hand-rolled JSON writer/reader (the workspace builds
@@ -53,8 +59,8 @@ pub use engine::Engine;
 pub use error::ApiError;
 pub use json::{Json, JsonError};
 pub use report::{
-    AttemptRecord, ExactRecord, OrchestratorRecord, PresolveRecord, ReportStatus, SolverRecord,
-    SynthesisReport, ValidationRecord,
+    orchestrator_to_json, presolve_to_json, ExactRecord, ReportStatus, SynthesisReport,
+    ValidationRecord,
 };
 pub use request::{AssertionSpec, Mode, SynthesisRequest};
 

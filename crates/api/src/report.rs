@@ -1,6 +1,15 @@
 //! The serializable response side of the API.
+//!
+//! A report's `solver`, `presolve` and `orchestrator` blocks are the
+//! algorithm crates' own statistics types ([`SolverStats`],
+//! [`PresolveStats`], [`OrchestratorStats`]); their JSON forms are the free
+//! functions at the end of this module.
 
 use std::fmt;
+
+use polyinv::{OrchestratorStats, SolveAttempt};
+use polyinv_constraints::PresolveStats;
+use polyinv_qcqp::SolverStats;
 
 use crate::error::ApiError;
 use crate::json::Json;
@@ -65,374 +74,6 @@ impl std::str::FromStr for ReportStatus {
 impl fmt::Display for ReportStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// The serializable solver statistics of a solve-stage run: how the Step-4
-/// system was solved (iterations, restarts, final residual) and what the
-/// sparse substrate looked like (nnz of the Jacobian and of the LDLᵀ
-/// factor, factor/solve wall-clock split). Attached to reports whose mode
-/// ran the solver; generation-only reports leave it `None`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverRecord {
-    /// Total inner iterations across restarts.
-    pub iterations: usize,
-    /// Restarts actually run.
-    pub restarts: usize,
-    /// Sum-of-squares residual at the returned point.
-    pub final_residual: f64,
-    /// Stored entries of the sparse Jacobian pattern.
-    pub nnz_jacobian: usize,
-    /// Entries of the LDLᵀ factor (unit diagonal included).
-    pub nnz_factor: usize,
-    /// Numeric factorizations performed.
-    pub factorizations: usize,
-    /// Wall-clock seconds spent factorizing.
-    pub factor_seconds: f64,
-    /// Wall-clock seconds spent in triangular solves.
-    pub solve_seconds: f64,
-    /// Wall-clock seconds spent evaluating residuals and accumulating the
-    /// normal equations (the chunk-parallel part of an iteration).
-    pub eval_seconds: f64,
-    /// Worker threads of the iteration core (1 = fully serial; reflects the
-    /// `POLYINV_THREADS` budget the row actually ran with).
-    pub threads: usize,
-}
-
-impl From<&polyinv_qcqp::SolverStats> for SolverRecord {
-    /// The one mapping from the solver-side statistics to the serializable
-    /// record (`nnz_jtj` is deliberately not serialized — it is derivable
-    /// from the pattern and of no trajectory interest).
-    fn from(stats: &polyinv_qcqp::SolverStats) -> Self {
-        SolverRecord {
-            iterations: stats.iterations,
-            restarts: stats.restarts,
-            final_residual: stats.final_residual,
-            nnz_jacobian: stats.nnz_jacobian,
-            nnz_factor: stats.nnz_factor,
-            factorizations: stats.factorizations,
-            factor_seconds: stats.factor_seconds,
-            solve_seconds: stats.solve_seconds,
-            eval_seconds: stats.eval_seconds,
-            threads: stats.threads,
-        }
-    }
-}
-
-impl SolverRecord {
-    /// Serializes the record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("iterations", Json::Number(self.iterations as f64)),
-            ("restarts", Json::Number(self.restarts as f64)),
-            ("final_residual", Json::Number(self.final_residual)),
-            ("nnz_jacobian", Json::Number(self.nnz_jacobian as f64)),
-            ("nnz_factor", Json::Number(self.nnz_factor as f64)),
-            ("factorizations", Json::Number(self.factorizations as f64)),
-            ("factor_seconds", Json::Number(self.factor_seconds)),
-            ("solve_seconds", Json::Number(self.solve_seconds)),
-            ("eval_seconds", Json::Number(self.eval_seconds)),
-            ("threads", Json::Number(self.threads as f64)),
-        ])
-    }
-
-    /// Reads a record back from its JSON object form.
-    pub fn from_json(json: &Json) -> Result<Self, ApiError> {
-        let number = |name: &str| -> Result<f64, ApiError> {
-            json.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ApiError::InvalidRequest {
-                    message: format!("solver field `{name}` must be a number"),
-                })
-        };
-        Ok(SolverRecord {
-            iterations: number("iterations")? as usize,
-            restarts: number("restarts")? as usize,
-            final_residual: number("final_residual")?,
-            nnz_jacobian: number("nnz_jacobian")? as usize,
-            nnz_factor: number("nnz_factor")? as usize,
-            factorizations: number("factorizations")? as usize,
-            factor_seconds: number("factor_seconds")?,
-            solve_seconds: number("solve_seconds")?,
-            // Absent in pre-parallelism snapshots: default rather than fail.
-            eval_seconds: json
-                .get("eval_seconds")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            threads: json.get("threads").and_then(Json::as_usize).unwrap_or(1),
-        })
-    }
-}
-
-/// The serializable statistics of the affine presolve that shrank the
-/// Step-3 system before the solve: sizes before/after, fixpoint rounds and
-/// the per-rule elimination counts. Attached to reports whose mode ran the
-/// solver with presolve enabled; `--no-presolve` runs and generation-only
-/// reports leave it `None`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PresolveRecord {
-    /// `|S|` of the generated system.
-    pub size_before: usize,
-    /// `|S|` after the presolve fixpoint.
-    pub size_after: usize,
-    /// Unknowns of the generated system.
-    pub unknowns_before: usize,
-    /// Unknowns the solver actually sees.
-    pub unknowns_after: usize,
-    /// Fixpoint rounds run.
-    pub rounds: usize,
-    /// Unknowns eliminated because the caller pinned them.
-    pub pinned: usize,
-    /// Unknowns fixed to constants by singleton rows.
-    pub fixed: usize,
-    /// Unknowns eliminated by two-term affine rows.
-    pub affine: usize,
-    /// Unknowns eliminated by general (quadratic-RHS) definitions.
-    pub solved: usize,
-    /// Unknowns freed as exclusive difference-of-squares pairs.
-    pub freed: usize,
-    /// Surviving unknowns sign-rectified by dropped one-sided bounds.
-    pub rectified: usize,
-    /// Trivially-satisfied rows dropped.
-    pub dropped: usize,
-    /// Duplicate rows merged (up to scaling).
-    pub duplicates: usize,
-    /// Wall-clock seconds spent in the fixpoint.
-    pub seconds: f64,
-}
-
-impl From<&polyinv_constraints::PresolveStats> for PresolveRecord {
-    fn from(stats: &polyinv_constraints::PresolveStats) -> Self {
-        PresolveRecord {
-            size_before: stats.size_before,
-            size_after: stats.size_after,
-            unknowns_before: stats.unknowns_before,
-            unknowns_after: stats.unknowns_after,
-            rounds: stats.rounds,
-            pinned: stats.pinned,
-            fixed: stats.fixed,
-            affine: stats.affine,
-            solved: stats.solved,
-            freed: stats.freed,
-            rectified: stats.rectified,
-            dropped: stats.dropped,
-            duplicates: stats.duplicates,
-            seconds: stats.seconds,
-        }
-    }
-}
-
-impl PresolveRecord {
-    /// Fraction of `|S|` removed by the presolve (0 when the input was
-    /// empty).
-    pub fn size_reduction(&self) -> f64 {
-        if self.size_before == 0 {
-            0.0
-        } else {
-            1.0 - self.size_after as f64 / self.size_before as f64
-        }
-    }
-
-    /// Serializes the record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("size_before", Json::Number(self.size_before as f64)),
-            ("size_after", Json::Number(self.size_after as f64)),
-            ("unknowns_before", Json::Number(self.unknowns_before as f64)),
-            ("unknowns_after", Json::Number(self.unknowns_after as f64)),
-            ("rounds", Json::Number(self.rounds as f64)),
-            ("pinned", Json::Number(self.pinned as f64)),
-            ("fixed", Json::Number(self.fixed as f64)),
-            ("affine", Json::Number(self.affine as f64)),
-            ("solved", Json::Number(self.solved as f64)),
-            ("freed", Json::Number(self.freed as f64)),
-            ("rectified", Json::Number(self.rectified as f64)),
-            ("dropped", Json::Number(self.dropped as f64)),
-            ("duplicates", Json::Number(self.duplicates as f64)),
-            ("seconds", Json::Number(self.seconds)),
-        ])
-    }
-
-    /// Reads a record back from its JSON object form.
-    pub fn from_json(json: &Json) -> Result<Self, ApiError> {
-        let number = |name: &str| -> Result<f64, ApiError> {
-            json.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ApiError::InvalidRequest {
-                    message: format!("presolve field `{name}` must be a number"),
-                })
-        };
-        Ok(PresolveRecord {
-            size_before: number("size_before")? as usize,
-            size_after: number("size_after")? as usize,
-            unknowns_before: number("unknowns_before")? as usize,
-            unknowns_after: number("unknowns_after")? as usize,
-            rounds: number("rounds")? as usize,
-            pinned: number("pinned")? as usize,
-            fixed: number("fixed")? as usize,
-            affine: number("affine")? as usize,
-            solved: number("solved")? as usize,
-            freed: number("freed")? as usize,
-            rectified: number("rectified")? as usize,
-            dropped: number("dropped")? as usize,
-            duplicates: number("duplicates")? as usize,
-            seconds: number("seconds")?,
-        })
-    }
-}
-
-/// One attempt in the orchestrator's history: a portfolio lane, a polish
-/// pass or a certificate check on some ϒ rung.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttemptRecord {
-    /// The ϒ value of the rung the attempt ran on.
-    pub upsilon: u32,
-    /// `"lm"`, `"penalty"`, `"polish"` or `"certificate"`.
-    pub backend: String,
-    /// Whether the attempt met its acceptance bar (solver tolerance for
-    /// lanes and polish, exact-rational tolerance for certificates).
-    pub feasible: bool,
-    /// The attempt's worst violation (exact, as f64, for certificates).
-    pub violation: f64,
-    /// Wall-clock seconds the attempt took.
-    pub seconds: f64,
-}
-
-/// The serializable summary of an orchestrated solve: how many attempts
-/// ran, which ϒ rung was accepted, which portfolio lane produced the
-/// candidate and whether it carries a passing exact-rational certificate.
-/// Attached to reports whose solve went through the orchestrator; the
-/// per-row `orchestrator` block of the benchmark snapshot is this record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrchestratorRecord {
-    /// Total attempts recorded (lanes + polish passes + certificate checks
-    /// over all rungs).
-    pub attempts: usize,
-    /// Number of ϒ-ladder rungs tried.
-    pub rungs_tried: usize,
-    /// The ϒ value of the accepted (or last) rung.
-    pub rung_reached: u32,
-    /// The lane that produced the returned candidate.
-    pub winning_backend: String,
-    /// Whether the candidate passed the exact-rational certificate.
-    pub certified: bool,
-    /// The exact worst violation of the certificate check (f64 view).
-    pub certificate_violation: f64,
-    /// The attempt history, in execution order.
-    pub history: Vec<AttemptRecord>,
-}
-
-impl From<&polyinv::OrchestratorStats> for OrchestratorRecord {
-    fn from(stats: &polyinv::OrchestratorStats) -> Self {
-        OrchestratorRecord {
-            attempts: stats.attempts,
-            rungs_tried: stats.rungs_tried,
-            rung_reached: stats.rung_reached,
-            winning_backend: stats.winning_backend.clone(),
-            certified: stats.certified,
-            certificate_violation: stats.certificate_violation,
-            history: stats
-                .history
-                .iter()
-                .map(|attempt| AttemptRecord {
-                    upsilon: attempt.upsilon,
-                    backend: attempt.backend.clone(),
-                    feasible: attempt.feasible,
-                    violation: attempt.violation,
-                    seconds: attempt.seconds,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl OrchestratorRecord {
-    /// Serializes the record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("attempts", Json::Number(self.attempts as f64)),
-            ("rungs_tried", Json::Number(self.rungs_tried as f64)),
-            ("rung_reached", Json::Number(self.rung_reached as f64)),
-            (
-                "winning_backend",
-                Json::string(self.winning_backend.clone()),
-            ),
-            ("certified", Json::Bool(self.certified)),
-            (
-                "certificate_violation",
-                Json::Number(self.certificate_violation),
-            ),
-            (
-                "history",
-                Json::Array(
-                    self.history
-                        .iter()
-                        .map(|attempt| {
-                            Json::object(vec![
-                                ("upsilon", Json::Number(attempt.upsilon as f64)),
-                                ("backend", Json::string(attempt.backend.clone())),
-                                ("feasible", Json::Bool(attempt.feasible)),
-                                ("violation", Json::Number(attempt.violation)),
-                                ("seconds", Json::Number(attempt.seconds)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Reads a record back from its JSON object form.
-    pub fn from_json(json: &Json) -> Result<Self, ApiError> {
-        let number = |name: &str| -> Result<f64, ApiError> {
-            json.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ApiError::InvalidRequest {
-                    message: format!("orchestrator field `{name}` must be a number"),
-                })
-        };
-        let history = match json.get("history") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(items) => items
-                .as_array()
-                .ok_or_else(|| ApiError::InvalidRequest {
-                    message: "orchestrator field `history` must be an array".to_string(),
-                })?
-                .iter()
-                .map(|item| {
-                    Ok(AttemptRecord {
-                        upsilon: item.get("upsilon").and_then(Json::as_usize).unwrap_or(0) as u32,
-                        backend: item
-                            .get("backend")
-                            .and_then(Json::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        feasible: item
-                            .get("feasible")
-                            .and_then(Json::as_bool)
-                            .unwrap_or(false),
-                        violation: item.get("violation").and_then(Json::as_f64).unwrap_or(0.0),
-                        seconds: item.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                    })
-                })
-                .collect::<Result<Vec<_>, ApiError>>()?,
-        };
-        Ok(OrchestratorRecord {
-            attempts: number("attempts")? as usize,
-            rungs_tried: number("rungs_tried")? as usize,
-            rung_reached: number("rung_reached")? as u32,
-            winning_backend: json
-                .get("winning_backend")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            certified: json
-                .get("certified")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            certificate_violation: number("certificate_violation")?,
-            history,
-        })
     }
 }
 
@@ -594,16 +235,16 @@ pub struct SynthesisReport {
     /// Solver statistics, when the request's mode ran the Step-4 solver
     /// (weak synthesis). Generation-only, strong and check runs leave it
     /// `None`.
-    pub solver: Option<SolverRecord>,
+    pub solver: Option<SolverStats>,
     /// Affine presolve statistics, when the request's mode ran the solver
     /// with presolve enabled. `--no-presolve` runs and generation-only,
     /// strong and check runs leave it `None`.
-    pub presolve: Option<PresolveRecord>,
+    pub presolve: Option<PresolveStats>,
     /// Orchestration summary, when the request's solve went through the
     /// adaptive orchestrator (weak synthesis): attempts, rung reached,
     /// winning back-end and certificate status. Generation-only, strong
     /// and check runs leave it `None`.
-    pub orchestrator: Option<OrchestratorRecord>,
+    pub orchestrator: Option<OrchestratorStats>,
 }
 
 impl SynthesisReport {
@@ -663,7 +304,7 @@ impl SynthesisReport {
 
     /// The report with its timings zeroed: the canonical form compared by
     /// the batch-determinism guarantee (wall-clock is the one field two
-    /// identical runs legitimately disagree on). The solver record's
+    /// identical runs legitimately disagree on). The solver block's
     /// wall-clock split is zeroed too; its counters and sparsity fields are
     /// deterministic and stay.
     pub fn canonical(mut self) -> SynthesisReport {
@@ -725,31 +366,23 @@ impl SynthesisReport {
             ),
             (
                 "validate",
-                match &self.validate {
-                    None => Json::Null,
-                    Some(record) => record.to_json(),
-                },
+                self.validate
+                    .as_ref()
+                    .map_or(Json::Null, ValidationRecord::to_json),
             ),
             (
                 "solver",
-                match &self.solver {
-                    None => Json::Null,
-                    Some(record) => record.to_json(),
-                },
+                self.solver.as_ref().map_or(Json::Null, solver_to_json),
             ),
             (
                 "presolve",
-                match &self.presolve {
-                    None => Json::Null,
-                    Some(record) => record.to_json(),
-                },
+                self.presolve.as_ref().map_or(Json::Null, presolve_to_json),
             ),
             (
                 "orchestrator",
-                match &self.orchestrator {
-                    None => Json::Null,
-                    Some(record) => record.to_json(),
-                },
+                self.orchestrator
+                    .as_ref()
+                    .map_or(Json::Null, orchestrator_to_json),
             ),
         ])
     }
@@ -822,22 +455,10 @@ impl SynthesisReport {
             postconditions: strings("postconditions")?,
             timings,
             diagnostics: strings("diagnostics")?,
-            validate: match json.get("validate") {
-                None | Some(Json::Null) => None,
-                Some(record) => Some(ValidationRecord::from_json(record)?),
-            },
-            solver: match json.get("solver") {
-                None | Some(Json::Null) => None,
-                Some(record) => Some(SolverRecord::from_json(record)?),
-            },
-            presolve: match json.get("presolve") {
-                None | Some(Json::Null) => None,
-                Some(record) => Some(PresolveRecord::from_json(record)?),
-            },
-            orchestrator: match json.get("orchestrator") {
-                None | Some(Json::Null) => None,
-                Some(record) => Some(OrchestratorRecord::from_json(record)?),
-            },
+            validate: optional_block(json, "validate", ValidationRecord::from_json)?,
+            solver: optional_block(json, "solver", solver_from_json)?,
+            presolve: optional_block(json, "presolve", presolve_from_json)?,
+            orchestrator: optional_block(json, "orchestrator", orchestrator_from_json)?,
         })
     }
 
@@ -845,6 +466,183 @@ impl SynthesisReport {
     pub fn from_json_str(text: &str) -> Result<Self, ApiError> {
         SynthesisReport::from_json(&Json::parse(text)?)
     }
+}
+
+/// Reads the optional block `name` of a report; absent and `null` blocks
+/// read as `None` (older snapshots lack the newer blocks).
+fn optional_block<T>(
+    json: &Json,
+    name: &str,
+    read: impl Fn(&Json) -> Result<T, ApiError>,
+) -> Result<Option<T>, ApiError> {
+    match json.get(name) {
+        None | Some(Json::Null) => Ok(None),
+        Some(block) => read(block).map(Some),
+    }
+}
+
+/// The required number field `name` of a report's `block` object.
+fn block_number(json: &Json, block: &str, name: &str) -> Result<f64, ApiError> {
+    json.get(name)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| ApiError::InvalidRequest {
+            message: format!("{block} field `{name}` must be a number"),
+        })
+}
+
+/// Serializes [`SolverStats`] as the report's `solver` block.
+fn solver_to_json(stats: &SolverStats) -> Json {
+    Json::object(vec![
+        ("iterations", Json::Number(stats.iterations as f64)),
+        ("restarts", Json::Number(stats.restarts as f64)),
+        ("final_residual", Json::Number(stats.final_residual)),
+        ("nnz_jacobian", Json::Number(stats.nnz_jacobian as f64)),
+        ("nnz_factor", Json::Number(stats.nnz_factor as f64)),
+        ("factorizations", Json::Number(stats.factorizations as f64)),
+        ("factor_seconds", Json::Number(stats.factor_seconds)),
+        ("solve_seconds", Json::Number(stats.solve_seconds)),
+        ("eval_seconds", Json::Number(stats.eval_seconds)),
+        ("threads", Json::Number(stats.threads as f64)),
+    ])
+}
+
+/// Reads a `solver` block back into [`SolverStats`].
+fn solver_from_json(json: &Json) -> Result<SolverStats, ApiError> {
+    let number = |name: &str| block_number(json, "solver", name);
+    Ok(SolverStats {
+        iterations: number("iterations")? as usize,
+        restarts: number("restarts")? as usize,
+        final_residual: number("final_residual")?,
+        nnz_jacobian: number("nnz_jacobian")? as usize,
+        nnz_factor: number("nnz_factor")? as usize,
+        factorizations: number("factorizations")? as usize,
+        factor_seconds: number("factor_seconds")?,
+        solve_seconds: number("solve_seconds")?,
+        // Absent in pre-parallelism snapshots: default rather than fail.
+        eval_seconds: json
+            .get("eval_seconds")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0),
+        threads: json.get("threads").and_then(Json::as_usize).unwrap_or(1),
+    })
+}
+
+/// Serializes [`PresolveStats`] as the report's `presolve` block (also the
+/// per-row `presolve` block of the benchmark snapshot).
+pub fn presolve_to_json(stats: &PresolveStats) -> Json {
+    Json::object(vec![
+        ("size_before", Json::Number(stats.size_before as f64)),
+        ("size_after", Json::Number(stats.size_after as f64)),
+        (
+            "unknowns_before",
+            Json::Number(stats.unknowns_before as f64),
+        ),
+        ("unknowns_after", Json::Number(stats.unknowns_after as f64)),
+        ("rounds", Json::Number(stats.rounds as f64)),
+        ("pinned", Json::Number(stats.pinned as f64)),
+        ("fixed", Json::Number(stats.fixed as f64)),
+        ("affine", Json::Number(stats.affine as f64)),
+        ("solved", Json::Number(stats.solved as f64)),
+        ("freed", Json::Number(stats.freed as f64)),
+        ("rectified", Json::Number(stats.rectified as f64)),
+        ("dropped", Json::Number(stats.dropped as f64)),
+        ("duplicates", Json::Number(stats.duplicates as f64)),
+        ("seconds", Json::Number(stats.seconds)),
+    ])
+}
+
+/// Reads a `presolve` block back into [`PresolveStats`].
+fn presolve_from_json(json: &Json) -> Result<PresolveStats, ApiError> {
+    let count = |name: &str| block_number(json, "presolve", name).map(|n| n as usize);
+    Ok(PresolveStats {
+        size_before: count("size_before")?,
+        size_after: count("size_after")?,
+        unknowns_before: count("unknowns_before")?,
+        unknowns_after: count("unknowns_after")?,
+        rounds: count("rounds")?,
+        pinned: count("pinned")?,
+        fixed: count("fixed")?,
+        affine: count("affine")?,
+        solved: count("solved")?,
+        freed: count("freed")?,
+        rectified: count("rectified")?,
+        dropped: count("dropped")?,
+        duplicates: count("duplicates")?,
+        seconds: block_number(json, "presolve", "seconds")?,
+    })
+}
+
+/// Serializes [`OrchestratorStats`] as the report's `orchestrator` block
+/// (also the per-row `orchestrator` block of the benchmark snapshot).
+pub fn orchestrator_to_json(stats: &OrchestratorStats) -> Json {
+    let history = stats
+        .history
+        .iter()
+        .map(|attempt| {
+            Json::object(vec![
+                ("upsilon", Json::Number(attempt.upsilon as f64)),
+                ("backend", Json::string(attempt.backend.clone())),
+                ("feasible", Json::Bool(attempt.feasible)),
+                ("violation", Json::Number(attempt.violation)),
+                ("seconds", Json::Number(attempt.seconds)),
+            ])
+        })
+        .collect();
+    Json::object(vec![
+        ("attempts", Json::Number(stats.attempts as f64)),
+        ("rungs_tried", Json::Number(stats.rungs_tried as f64)),
+        ("rung_reached", Json::Number(stats.rung_reached as f64)),
+        (
+            "winning_backend",
+            Json::string(stats.winning_backend.clone()),
+        ),
+        ("certified", Json::Bool(stats.certified)),
+        (
+            "certificate_violation",
+            Json::Number(stats.certificate_violation),
+        ),
+        ("history", Json::Array(history)),
+    ])
+}
+
+/// Reads an `orchestrator` block back into [`OrchestratorStats`]; missing
+/// attempt fields read as zero, empty or `false`.
+fn orchestrator_from_json(json: &Json) -> Result<OrchestratorStats, ApiError> {
+    let number = |name: &str| block_number(json, "orchestrator", name);
+    let text = |item: &Json, name: &str| {
+        item.get(name)
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
+    let flag = |item: &Json, name: &str| item.get(name).and_then(Json::as_bool).unwrap_or(false);
+    let float = |item: &Json, name: &str| item.get(name).and_then(Json::as_f64).unwrap_or(0.0);
+    let history = match json.get("history") {
+        None | Some(Json::Null) => Vec::new(),
+        Some(items) => items
+            .as_array()
+            .ok_or_else(|| ApiError::InvalidRequest {
+                message: "orchestrator field `history` must be an array".to_string(),
+            })?
+            .iter()
+            .map(|item| SolveAttempt {
+                upsilon: item.get("upsilon").and_then(Json::as_usize).unwrap_or(0) as u32,
+                backend: text(item, "backend"),
+                feasible: flag(item, "feasible"),
+                violation: float(item, "violation"),
+                seconds: float(item, "seconds"),
+            })
+            .collect(),
+    };
+    Ok(OrchestratorStats {
+        attempts: number("attempts")? as usize,
+        rungs_tried: number("rungs_tried")? as usize,
+        rung_reached: number("rung_reached")? as u32,
+        winning_backend: text(json, "winning_backend"),
+        certified: flag(json, "certified"),
+        certificate_violation: number("certificate_violation")?,
+        history,
+    })
 }
 
 #[cfg(test)]
@@ -873,8 +671,8 @@ mod tests {
         }
     }
 
-    fn sample_solver() -> SolverRecord {
-        SolverRecord {
+    fn sample_solver() -> SolverStats {
+        SolverStats {
             iterations: 96,
             restarts: 2,
             final_residual: 3.4e-15,
@@ -961,8 +759,8 @@ mod tests {
         );
     }
 
-    fn sample_presolve() -> PresolveRecord {
-        PresolveRecord {
+    fn sample_presolve() -> PresolveStats {
+        PresolveStats {
             size_before: 860,
             size_after: 512,
             unknowns_before: 750,
@@ -1005,8 +803,8 @@ mod tests {
         );
     }
 
-    fn sample_orchestrator() -> OrchestratorRecord {
-        OrchestratorRecord {
+    fn sample_orchestrator() -> OrchestratorStats {
+        OrchestratorStats {
             attempts: 4,
             rungs_tried: 2,
             rung_reached: 2,
@@ -1014,14 +812,14 @@ mod tests {
             certified: true,
             certificate_violation: 5.1e-4,
             history: vec![
-                AttemptRecord {
+                SolveAttempt {
                     upsilon: 0,
                     backend: "lm".to_string(),
                     feasible: false,
                     violation: 3.4e-3,
                     seconds: 0.12,
                 },
-                AttemptRecord {
+                SolveAttempt {
                     upsilon: 2,
                     backend: "certificate".to_string(),
                     feasible: true,

@@ -56,14 +56,14 @@ fn arb_report() -> impl Strategy<Value = SynthesisReport> {
                 let orchestrator = if pairs_certified % 3 == 0 {
                     None
                 } else {
-                    Some(polyinv_api::OrchestratorRecord {
+                    Some(polyinv::OrchestratorStats {
                         attempts: pairs_total,
                         rungs_tried: pairs_certified.max(1),
                         rung_reached: (pairs_certified % 5) as u32,
                         winning_backend: backend.clone(),
                         certified: pairs_certified % 2 == 0,
                         certificate_violation: violation.abs() * 1e-7,
-                        history: vec![polyinv_api::AttemptRecord {
+                        history: vec![polyinv::SolveAttempt {
                             upsilon: (pairs_total % 3) as u32,
                             backend: backend.clone(),
                             feasible: pairs_total % 2 == 0,
@@ -106,7 +106,7 @@ fn arb_report() -> impl Strategy<Value = SynthesisReport> {
                     solver: if pairs_certified % 2 == 0 {
                         None
                     } else {
-                        Some(polyinv_api::SolverRecord {
+                        Some(polyinv_qcqp::SolverStats {
                             iterations: pairs_total,
                             restarts: pairs_certified,
                             final_residual: violation * violation,
@@ -123,7 +123,7 @@ fn arb_report() -> impl Strategy<Value = SynthesisReport> {
                     presolve: if pairs_total % 2 == 0 {
                         None
                     } else {
-                        Some(polyinv_api::PresolveRecord {
+                        Some(polyinv_constraints::PresolveStats {
                             size_before: system_size,
                             size_after: system_size / 2,
                             unknowns_before: num_unknowns,

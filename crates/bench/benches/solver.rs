@@ -177,7 +177,7 @@ fn weak_synthesis_e2e(c: &mut Criterion) {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../programs/inc.poly"),
     )
     .expect("inc.poly exists");
-    let engine = polyinv_bench::engine_for_tables();
+    let engine = polyinv_api::Engine::new();
     let request = SynthesisRequest::weak(source)
         .with_degree(1)
         .with_target("x + 1 > 0");

@@ -34,10 +34,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use polyinv::prelude::*;
-use polyinv_api::ApiError;
+use polyinv_api::{ApiError, Engine};
 use polyinv_bench::{
-    baseline_status, engine_for_tables, format_table, format_validation, options_for, run_row_full,
-    solve_policy_with_budget, write_bench_json, RowResult, DEFAULT_SOLVE_BUDGET_SECONDS,
+    baseline_status, format_table, format_validation, options_for, run_row_full, write_bench_json,
+    RowResult, DEFAULT_SOLVE_BUDGET_SECONDS,
 };
 use polyinv_farkas::FarkasBaseline;
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
@@ -148,17 +148,12 @@ fn is_experiment(arg: &str) -> bool {
 }
 
 fn table2(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
-    let engine = engine_for_tables();
+    let engine = Engine::new();
     let rows: Vec<_> = polyinv_benchmarks::table2()
         .iter()
         .map(|b| {
             // Every row is attempted under the per-row wall-clock budget.
-            run_row_full(
-                &engine,
-                b,
-                solve_policy_with_budget(solve, budget),
-                validate,
-            )
+            run_row_full(&engine, b, solve.then_some(budget), validate)
         })
         .collect();
     println!(
@@ -175,17 +170,10 @@ fn table2(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
 }
 
 fn table3(solve: bool, validate: bool, budget: f64) -> Vec<RowResult> {
-    let engine = engine_for_tables();
+    let engine = Engine::new();
     let rows: Vec<_> = polyinv_benchmarks::table3()
         .iter()
-        .map(|b| {
-            run_row_full(
-                &engine,
-                b,
-                solve_policy_with_budget(solve, budget),
-                validate,
-            )
-        })
+        .map(|b| run_row_full(&engine, b, solve.then_some(budget), validate))
         .collect();
     println!(
         "{}",

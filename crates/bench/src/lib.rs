@@ -2,7 +2,7 @@
 //!
 //! The `reproduce` binary prints the rows of Tables 2 and 3 (and the
 //! ablations); the Criterion benches in `benches/` measure the individual
-//! pipeline stages. Both are thin wrappers around [`run_row`], which itself
+//! pipeline stages. Both are thin wrappers around [`run_row_full`], which
 //! sits on the stable [`Engine`] API of `polyinv-api`: each table row is two
 //! [`SynthesisRequest`]s (a generation-only run for `|S|` and the per-stage
 //! breakdown, plus — with `--solve` — a weak-synthesis run for the solve
@@ -14,13 +14,15 @@ pub mod probe;
 use std::time::Duration;
 
 use polyinv::pipeline::stage_names;
+use polyinv::OrchestratorStats;
 use polyinv_api::{
-    ApiError, Engine, Json, OrchestratorRecord, PresolveRecord, ReportStatus, SolverRecord,
-    SynthesisRequest, ValidationRecord,
+    orchestrator_to_json, presolve_to_json, ApiError, Engine, Json, ReportStatus, SynthesisRequest,
+    ValidationRecord,
 };
 use polyinv_benchmarks::Benchmark;
-use polyinv_constraints::SynthesisOptions;
+use polyinv_constraints::{PresolveStats, SynthesisOptions};
 use polyinv_lang::{InvariantMap, Postcondition, Precondition};
+use polyinv_qcqp::SolverStats;
 use polyinv_validate::{falsify_traces, TraceCheckConfig, ValidationConfig};
 
 /// The measurements taken for one benchmark row.
@@ -52,7 +54,7 @@ pub struct RowResult {
     pub solve: Option<SolveRow>,
     /// Affine presolve statistics of the solve attempt's accepted rung
     /// (`None` for generation-only rows or when presolve was disabled).
-    pub presolve: Option<PresolveRecord>,
+    pub presolve: Option<PresolveStats>,
     /// Soundness validation of the row (`reproduce --validate`).
     pub validate: Option<RowValidation>,
 }
@@ -156,40 +158,11 @@ impl SolveStatus {
     }
 }
 
-/// What to do about Step 4 for one row.
-#[derive(Debug, Clone)]
-pub enum SolvePolicy {
-    /// Generation-only run: the row carries no solve block (`solve: null`).
-    None,
-    /// Run the weak-synthesis solve through the orchestrator under a
-    /// wall-clock budget (`0.0` = unbudgeted: run the full ladder).
-    Attempt {
-        /// Per-row solve budget in seconds. The first ladder rung always
-        /// runs, so even a tight budget yields a real verdict.
-        budget_seconds: f64,
-    },
-}
-
 /// Default per-row wall-clock solve budget of `reproduce --solve`, in
 /// seconds: every row is attempted, and rows the budget cannot certify come
 /// back as `failed` with real solver statistics. Override per run with
 /// `--solve-cap SECONDS`.
 pub const DEFAULT_SOLVE_BUDGET_SECONDS: f64 = 120.0;
-
-/// The solve policy `reproduce` applies to every row: attempt it under the
-/// default wall-clock budget ([`DEFAULT_SOLVE_BUDGET_SECONDS`]).
-pub fn solve_policy_for(solve: bool) -> SolvePolicy {
-    solve_policy_with_budget(solve, DEFAULT_SOLVE_BUDGET_SECONDS)
-}
-
-/// [`solve_policy_for`] with an explicit wall-clock budget.
-pub fn solve_policy_with_budget(solve: bool, budget_seconds: f64) -> SolvePolicy {
-    if solve {
-        SolvePolicy::Attempt { budget_seconds }
-    } else {
-        SolvePolicy::None
-    }
-}
 
 /// The solve part of a row.
 #[derive(Debug, Clone)]
@@ -207,11 +180,11 @@ pub struct SolveRow {
     pub reason: Option<String>,
     /// Solver statistics of the attempt (iterations/restarts, nnz(J),
     /// nnz(L), factor/solve split), when the report carried them.
-    pub stats: Option<SolverRecord>,
+    pub stats: Option<SolverStats>,
     /// Orchestrator ladder statistics of the attempt: rungs tried, the
     /// winning back-end, the certificate outcome and the full attempt
     /// history.
-    pub orchestrator: Option<OrchestratorRecord>,
+    pub orchestrator: Option<OrchestratorStats>,
 }
 
 impl SolveRow {
@@ -224,13 +197,6 @@ impl SolveRow {
 /// The reduction options matching a benchmark's paper configuration.
 pub fn options_for(benchmark: &Benchmark) -> SynthesisOptions {
     SynthesisOptions::with_degree_and_size(benchmark.paper.d, benchmark.paper.n).with_upsilon(2)
-}
-
-/// An Engine configured like the paper's evaluation runs (shared across
-/// rows so that programs parse once). Solve attempts run the default
-/// orchestrator portfolio — the LM and penalty lanes race on every ϒ rung.
-pub fn engine_for_tables() -> Engine {
-    Engine::new()
 }
 
 /// The generation-only request of a row.
@@ -266,30 +232,23 @@ pub fn validation_for_tables() -> ValidationConfig {
     }
 }
 
-/// Runs Steps 1–3 (and optionally Step 4) for one benchmark row on a shared
-/// Engine.
+/// Runs Steps 1–3 for one benchmark row on a shared Engine (share it so
+/// that programs parse once), plus Step 4 when `solve_budget` is given: the
+/// weak-synthesis solve through the orchestrator under that wall-clock
+/// budget in seconds (`0.0` = unbudgeted: run the full ladder; the first
+/// rung always runs, so even a tight budget yields a real verdict). With
+/// `validate`, the paper's target assertion is checked against ≥ 1000
+/// seeded traces, and the synthesized invariant of a solve goes through
+/// trace falsification plus the exact-rational inductiveness re-check.
 ///
 /// # Panics
 ///
 /// Panics if the embedded benchmark program fails to parse (guarded by the
 /// benchmark crate's tests).
-pub fn run_row_on(engine: &Engine, benchmark: &Benchmark, solve: bool) -> RowResult {
-    let policy = solve_policy_for(solve);
-    run_row_full(engine, benchmark, policy, false)
-}
-
-/// Like [`run_row_on`], optionally validating the row: the paper's target
-/// assertion is checked against ≥ 1000 seeded traces, and — when a solve is
-/// attempted — the synthesized invariant goes through trace falsification
-/// plus the exact-rational inductiveness re-check.
-///
-/// # Panics
-///
-/// Panics if the embedded benchmark program fails to parse.
 pub fn run_row_full(
     engine: &Engine,
     benchmark: &Benchmark,
-    solve: SolvePolicy,
+    solve_budget: Option<f64>,
     validate: bool,
 ) -> RowResult {
     let program = engine
@@ -343,9 +302,9 @@ pub fn run_row_full(
     let mut unknowns = generated.num_unknowns;
 
     let mut presolve = None;
-    let solve_row = match solve {
-        SolvePolicy::None => None,
-        SolvePolicy::Attempt { budget_seconds } => {
+    let solve_row = match solve_budget {
+        None => None,
+        Some(budget_seconds) => {
             // The weak request runs the full orchestrator ladder with its own
             // per-rung systems: the ϒ-ladder deliberately attempts the much
             // smaller ϒ = 0 reduction before the full one above, so the
@@ -447,12 +406,6 @@ pub fn format_validation(title: &str, rows: &[RowResult]) -> String {
     out
 }
 
-/// Like [`run_row_on`], with a throwaway Engine (the benches and tests use
-/// this; the `reproduce` binary shares one Engine across all rows).
-pub fn run_row(benchmark: &Benchmark, solve: bool) -> RowResult {
-    run_row_on(&engine_for_tables(), benchmark, solve)
-}
-
 /// Converts a baseline outcome into the short status cell printed by the
 /// comparison table ([`ApiError`] is the unified error story end-to-end).
 pub fn baseline_status(outcome: Result<usize, ApiError>) -> String {
@@ -497,7 +450,10 @@ pub fn rows_to_json(tables: &[(&str, &[RowResult])]) -> Json {
                     ),
                     ("timings", timings),
                     ("solve", solve_row_json(row.solve.as_ref())),
-                    ("presolve", presolve_row_json(row.presolve.as_ref())),
+                    (
+                        "presolve",
+                        row.presolve.as_ref().map_or(Json::Null, presolve_to_json),
+                    ),
                 ])
             })
         })
@@ -553,22 +509,12 @@ fn solve_row_json(solve: Option<&SolveRow>) -> Json {
     }
     fields.push((
         "orchestrator",
-        match &solve.orchestrator {
-            Some(record) => record.to_json(),
-            None => Json::Null,
-        },
+        solve
+            .orchestrator
+            .as_ref()
+            .map_or(Json::Null, orchestrator_to_json),
     ));
     Json::object(fields)
-}
-
-/// The `presolve` block of one snapshot row (`null` for generation-only
-/// rows or when presolve was disabled). Reuses the API record's JSON shape
-/// so the snapshot and report blocks stay byte-compatible.
-fn presolve_row_json(presolve: Option<&PresolveRecord>) -> Json {
-    match presolve {
-        Some(record) => record.to_json(),
-        None => Json::Null,
-    }
 }
 
 /// Writes the benchmark snapshot to `path` (pretty-printed, trailing
@@ -702,7 +648,7 @@ mod tests {
     #[test]
     fn run_row_reports_generation_metrics_for_a_small_benchmark() {
         let benchmark = polyinv_benchmarks::by_name("recursive-sum").unwrap();
-        let row = run_row(&benchmark, false);
+        let row = run_row_full(&Engine::new(), &benchmark, None, false);
         assert_eq!(row.paper_size, 1700);
         assert!(row.our_size > 100);
         assert!(row.solve.is_none());
@@ -726,7 +672,7 @@ mod tests {
     #[test]
     fn bench_snapshot_json_covers_rows_with_stage_timings() {
         let benchmark = polyinv_benchmarks::by_name("recursive-sum").unwrap();
-        let row = run_row(&benchmark, false);
+        let row = run_row_full(&Engine::new(), &benchmark, None, false);
         let json = rows_to_json(&[("table3", std::slice::from_ref(&row))]);
         assert_eq!(
             json.get("schema").unwrap().as_str(),
@@ -778,7 +724,7 @@ mod tests {
                 backend: "lm".to_string(),
                 reason: None,
                 orchestrator: None,
-                stats: Some(SolverRecord {
+                stats: Some(SolverStats {
                     iterations: 40,
                     restarts: 2,
                     final_residual: 1e-17,
@@ -791,7 +737,7 @@ mod tests {
                     threads: 4,
                 }),
             }),
-            presolve: Some(PresolveRecord {
+            presolve: Some(PresolveStats {
                 size_before: 12,
                 size_after: 7,
                 unknowns_before: 9,
@@ -840,27 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_policies_attempt_every_row_under_a_wall_clock_budget() {
-        // There is no size cap: every `--solve` row is attempted under the
-        // default wall-clock budget, or under an explicit one.
-        fn attempt_budget(policy: SolvePolicy) -> Option<f64> {
-            match policy {
-                SolvePolicy::Attempt { budget_seconds } => Some(budget_seconds),
-                SolvePolicy::None => None,
-            }
-        }
-        assert_eq!(
-            attempt_budget(solve_policy_for(true)),
-            Some(DEFAULT_SOLVE_BUDGET_SECONDS)
-        );
-        assert!(matches!(solve_policy_for(false), SolvePolicy::None));
-        assert_eq!(
-            attempt_budget(solve_policy_with_budget(true, 30.0)),
-            Some(30.0)
-        );
-    }
-
-    #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "slow without optimizations; run with `cargo test --release`"
@@ -871,16 +796,8 @@ mod tests {
         // (post-ladder, pre-presolve) system — the one the orchestrator's
         // accepted rung generated — not the generation-only paper-config
         // run.
-        let engine = engine_for_tables();
         let benchmark = polyinv_benchmarks::by_name("pw2").unwrap();
-        let row = run_row_full(
-            &engine,
-            &benchmark,
-            SolvePolicy::Attempt {
-                budget_seconds: 0.0,
-            },
-            false,
-        );
+        let row = run_row_full(&Engine::new(), &benchmark, Some(0.0), false);
         let solve = row.solve.as_ref().expect("the solve was attempted");
         let orchestrator = solve
             .orchestrator
@@ -906,10 +823,10 @@ mod tests {
 
     #[test]
     fn a_shared_engine_parses_each_benchmark_once() {
-        let engine = engine_for_tables();
+        let engine = Engine::new();
         let benchmark = polyinv_benchmarks::by_name("recursive-sum").unwrap();
-        let _ = run_row_on(&engine, &benchmark, false);
-        let _ = run_row_on(&engine, &benchmark, false);
+        let _ = run_row_full(&engine, &benchmark, None, false);
+        let _ = run_row_full(&engine, &benchmark, None, false);
         assert_eq!(engine.cached_programs(), 1);
     }
 }

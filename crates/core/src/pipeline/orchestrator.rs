@@ -43,7 +43,7 @@ use polyinv_constraints::{
 };
 use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::UnknownId;
-use polyinv_qcqp::par::parallel_indexed;
+use polyinv_qcqp::par::parallel_indexed_until;
 use polyinv_qcqp::{
     AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QuadraticForm, SolveOutcome,
     SolveStatus, SolverStats,
@@ -844,7 +844,7 @@ impl Orchestrator {
             .collect();
         let num_vars = rung.problem.num_vars;
         let seed = LmOptions::default().seed;
-        let outcomes = parallel_indexed(attempts.max(1), |attempt| {
+        let attempt_once = |attempt: usize| {
             let mut max_seconds = 0.0;
             if let Some(deadline) = deadline {
                 let left = seconds_left(deadline);
@@ -883,7 +883,10 @@ impl Orchestrator {
             let start = Instant::now();
             let outcome = solver.solve(&problem, Some(&warm));
             Some((outcome, start.elapsed().as_secs_f64()))
-        });
+        };
+        // The first attempt skipped for the deadline ends scheduling: every
+        // later one would be skipped too.
+        let outcomes = parallel_indexed_until(attempts.max(1), attempt_once, Option::is_none);
 
         let distance = |a: &[f64], b: &[f64]| {
             template_ids

@@ -37,18 +37,10 @@ pub struct LmOptions {
     /// Feasibility tolerance declaring success (maximum constraint
     /// violation).
     pub tolerance: f64,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Factor by which λ grows after a rejected step.
-    pub lambda_up: f64,
-    /// Factor by which λ shrinks after an accepted step.
-    pub lambda_down: f64,
     /// Number of random restarts.
     pub restarts: usize,
     /// Random seed.
     pub seed: u64,
-    /// Scale of the random initialization.
-    pub init_scale: f64,
     /// Weight given to the objective (if any) relative to the constraint
     /// residuals; the objective is treated as a soft residual
     /// `objective_weight · objective(x)` so that among near-feasible points
@@ -87,12 +79,8 @@ impl Default for LmOptions {
         LmOptions {
             max_iterations: 250,
             tolerance: 1e-7,
-            initial_lambda: 1e-3,
-            lambda_up: 7.0,
-            lambda_down: 0.35,
             restarts: 3,
             seed: 0x1a2b3c,
-            init_scale: 0.3,
             objective_weight: 0.0,
             parallel_restarts: true,
             stall_iterations: 40,
@@ -101,6 +89,15 @@ impl Default for LmOptions {
         }
     }
 }
+
+/// Initial damping factor λ.
+const INITIAL_LAMBDA: f64 = 1e-3;
+/// Factor by which λ grows after a rejected step.
+const LAMBDA_UP: f64 = 7.0;
+/// Factor by which λ shrinks after an accepted step.
+const LAMBDA_DOWN: f64 = 0.35;
+/// Half-width of the box `[-s, s]` that random restarts start from.
+const INIT_SCALE: f64 = 0.3;
 
 /// Relative violation decrease below which an iteration counts as stalled:
 /// the kind of 1e-6-per-iteration trickle that burned minutes on a single
@@ -181,7 +178,6 @@ impl LmWorkspace {
     fn stats_skeleton(&self) -> SolverStats {
         SolverStats {
             nnz_jacobian: self.pattern.jacobian_nnz(),
-            nnz_jtj: self.pattern.nnz(),
             nnz_factor: self.symbolic.nnz_factor(),
             ..SolverStats::default()
         }
@@ -319,7 +315,7 @@ impl LmSolver {
         let mut x: Vec<f64> = match (restart, warm_start) {
             (0, Some(start)) if start.len() == problem.num_vars => start.to_vec(),
             _ => (0..problem.num_vars)
-                .map(|_| rng.random_range(-self.options.init_scale..self.options.init_scale))
+                .map(|_| rng.random_range(-INIT_SCALE..INIT_SCALE))
                 .collect(),
         };
         problem.clamp(&mut x);
@@ -368,7 +364,7 @@ impl LmSolver {
     ) -> SolveOutcome {
         let opts = &self.options;
         let n = problem.num_vars;
-        let mut lambda = opts.initial_lambda;
+        let mut lambda = INITIAL_LAMBDA;
         let mut stats = SolverStats {
             restarts: 1,
             ..SolverStats::default()
@@ -439,7 +435,7 @@ impl LmSolver {
                     .factor(&eval.jtj_values, &diag_add, &mut numeric);
                 stats.factor_seconds += factor_start.elapsed().as_secs_f64();
                 if !factored {
-                    lambda *= opts.lambda_up;
+                    lambda *= LAMBDA_UP;
                     continue;
                 }
                 step.copy_from_slice(&eval.jtr);
@@ -464,11 +460,11 @@ impl LmSolver {
                 if candidate_cost.is_finite() && candidate_cost < cost {
                     std::mem::swap(x, &mut candidate);
                     current_violation = full_violation(problem, x, candidate_constraint_violation);
-                    lambda = (lambda * opts.lambda_down).max(1e-12);
+                    lambda = (lambda * LAMBDA_DOWN).max(1e-12);
                     accepted = true;
                     break;
                 }
-                lambda *= opts.lambda_up;
+                lambda *= LAMBDA_UP;
             }
             let violation = finite_or_inf(current_violation);
             let objective = finite_or_inf(objective_at(x));

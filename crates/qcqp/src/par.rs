@@ -130,40 +130,34 @@ where
     S: Fn(&R) -> bool,
 {
     let workers = workers.max(1);
-    if count <= 1 || workers == 1 {
-        let mut results = Vec::with_capacity(count);
-        for index in 0..count {
-            let result = f(index);
-            let done = stop(&result);
-            results.push(result);
-            if done {
-                break;
-            }
-        }
-        return results;
-    }
-    std::thread::scope(|scope| {
-        let mut results: Vec<R> = Vec::with_capacity(count);
-        let indices: Vec<usize> = (0..count).collect();
-        for chunk in indices.chunks(workers) {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|&index| {
-                    scope.spawn({
+    // One wave at a time: nothing is sized by `count`, so a huge count that
+    // `stop` cuts short costs only the waves that actually ran.
+    let mut results = Vec::new();
+    let mut next = 0;
+    while next < count {
+        let wave = (count - next).min(workers);
+        let joined = results.len();
+        if wave == 1 {
+            results.push(f(next));
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (next..next + wave)
+                    .map(|index| {
                         let f = &f;
-                        move || f(index)
+                        scope.spawn(move || f(index))
                     })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().expect("worker thread panicked"));
-            }
-            if results.iter().any(&stop) {
-                break;
-            }
+                    .collect();
+                for handle in handles {
+                    results.push(handle.join().expect("worker thread panicked"));
+                }
+            });
         }
-        results
-    })
+        next += wave;
+        if results[joined..].iter().any(&stop) {
+            break;
+        }
+    }
+    results
 }
 
 #[cfg(test)]
@@ -198,6 +192,15 @@ mod tests {
     fn zero_and_one_item_shortcuts_work() {
         assert_eq!(parallel_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_indexed(1, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn a_huge_count_stopped_early_allocates_only_its_waves() {
+        // Sizing anything by `count` would abort on allocation here.
+        let results = parallel_indexed_until_bounded(usize::MAX, 4, |i| i, |&i| i == 1);
+        assert_eq!(results, vec![0, 1, 2, 3]);
+        let serial = parallel_indexed_until_bounded(usize::MAX, 1, |i| i, |&i| i == 2);
+        assert_eq!(serial, vec![0, 1, 2]);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Every [`SolveOutcome`](crate::SolveOutcome) carries a [`SolverStats`]
 //! describing *how* the point was found: iteration and restart counts, the
-//! final least-squares residual, the sparsity of the Jacobian / normal
-//! matrix / factor, and the wall-clock split between numeric factorization
-//! and triangular solves. The synthesis pipeline threads these through to
-//! `SynthesisReport`s and the benchmark snapshots, so the solve-stage cost
-//! is visible (and regressable) per benchmark row.
+//! final least-squares residual, the sparsity of the Jacobian and of the
+//! factor, and the wall-clock split between numeric factorization and
+//! triangular solves. `SynthesisReport`s carry this type as their `solver`
+//! block, field for field, and the benchmark snapshots copy it into each
+//! row, so the solve-stage cost is visible (and regressable) per row.
 
 /// Statistics of one solver run (aggregated over its restarts).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -20,8 +20,6 @@ pub struct SolverStats {
     /// Stored entries of the (sparse) Jacobian pattern — 0 for solvers that
     /// never form one.
     pub nnz_jacobian: usize,
-    /// Stored entries of the normal matrix `JᵀJ` (lower triangle).
-    pub nnz_jtj: usize,
     /// Entries of the LDLᵀ factor `L` (unit diagonal included).
     pub nnz_factor: usize,
     /// Number of numeric factorizations performed.

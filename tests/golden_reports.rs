@@ -113,3 +113,40 @@ fn golden_snapshots_parse_as_reports() {
     }
     assert!(count >= 29, "expected ≥ 29 golden snapshots, found {count}");
 }
+
+#[test]
+fn solve_blocks_are_byte_stable() {
+    // The generation-only goldens carry `null` solver, presolve and
+    // orchestrator blocks; this one pins their JSON on a real weak solve —
+    // the request of the CLI's `synth programs/inc.poly --target "x + 1 > 0"
+    // --degree 1 --canonical`, whose output it equals byte for byte.
+    let source =
+        std::fs::read_to_string(workspace_path("programs/inc.poly")).expect("readable program");
+    let request = SynthesisRequest::weak(source)
+        .with_id("programs/inc.poly")
+        .with_target("x + 1 > 0")
+        .with_degree(1);
+    let report = Engine::new()
+        .run(&request)
+        .expect("weak synthesis runs")
+        .canonical();
+    let mut actual = report.to_json().pretty();
+    actual.push('\n');
+    let golden_path = workspace_path("tests/golden/solve/inc.json");
+    if std::env::var("POLYINV_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(golden_path.parent().unwrap()).expect("create golden dir");
+        std::fs::write(&golden_path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); regenerate with POLYINV_REGEN_GOLDEN=1",
+            golden_path.display()
+        )
+    });
+    assert!(
+        actual == expected,
+        "solve blocks changed:\n{actual}\nif intentional, regenerate with \
+         POLYINV_REGEN_GOLDEN=1 cargo test -p polyinv-bench --test golden_reports"
+    );
+}
