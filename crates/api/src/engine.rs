@@ -1,6 +1,6 @@
 //! The Engine: one front door for every synthesis workload.
 //!
-//! An [`Engine`] owns a parsed-program cache keyed by source hash,
+//! An [`Engine`] owns a parsed-program cache keyed by program source,
 //! consumes [`SynthesisRequest`]s and produces [`SynthesisReport`]s. It is
 //! `Sync`, so one Engine instance can serve many threads;
 //! [`Engine::run_batch`] fans a slice of requests out over scoped worker
@@ -17,7 +17,7 @@ use polyinv_lang::{InvariantMap, Label, Postcondition, Precondition, Program};
 use polyinv_poly::Polynomial;
 use polyinv_qcqp::par::parallel_indexed;
 
-use crate::cache::{source_hash, BucketedLru};
+use crate::cache::Lru;
 use crate::error::ApiError;
 use crate::report::{ReportStatus, SynthesisReport};
 use crate::request::{Mode, SynthesisRequest};
@@ -28,11 +28,10 @@ const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// Multi-start attempts of a strong request that names no attempt count.
 const DEFAULT_STRONG_ATTEMPTS: usize = 8;
 
-/// Parsed programs keyed by FNV-1a hash of their source (the full source
-/// rules out hash collisions), capacity-capped with least-recently-used
-/// eviction so a long-running service does not accumulate every source it
-/// ever saw.
-type ProgramCache = BucketedLru<u64, Arc<Program>>;
+/// Parsed programs keyed by their source, capacity-capped with
+/// least-recently-used eviction so a long-running service does not
+/// accumulate every source it ever saw.
+type ProgramCache = Lru<Arc<Program>>;
 
 /// The stable front door: parses (and caches) programs, dispatches the four
 /// modes, and serializes everything that comes back.
@@ -82,25 +81,24 @@ impl Engine {
         "lm"
     }
 
-    /// Parses a program, consulting the source-hash cache first.
+    /// Parses a program, consulting the parse cache first.
     ///
     /// # Errors
     ///
     /// Returns [`ApiError::Parse`] (with the front-end's source span) when
     /// the source does not lex, parse or resolve.
     pub fn parse_program(&self, source: &str) -> Result<Arc<Program>, ApiError> {
-        let key = source_hash(source);
-        if let Some(program) = self.cache.lock().expect("cache lock").get(key, source) {
+        if let Some(program) = self.cache.lock().expect("cache lock").get(source) {
             return Ok(program);
         }
         let program = Arc::new(polyinv_lang::parse_program(source)?);
         let mut cache = self.cache.lock().expect("cache lock");
         // Re-check under the lock: a concurrent batch worker may have parsed
         // the same source while this thread was parsing (check-then-act).
-        if let Some(cached) = cache.get(key, source) {
+        if let Some(cached) = cache.get(source) {
             return Ok(cached);
         }
-        cache.insert(key, source, &program);
+        cache.insert(source, Arc::clone(&program));
         Ok(program)
     }
 
@@ -113,11 +111,13 @@ impl Engine {
     ///
     /// Request-level problems (unparseable source, unknown back-end, bad
     /// assertion, out-of-range label) come back as `Err`; a solver that runs
-    /// but does not converge is a *report* with
-    /// [`ReportStatus::Failed`] — use [`SynthesisReport::into_result`] to
-    /// turn negative outcomes into [`ApiError`]s when failing hard is
-    /// wanted (the CLI does this for its exit codes).
+    /// but does not converge or certify is a *report* with
+    /// [`ReportStatus::Failed`] or [`ReportStatus::NotCertified`]. Weak
+    /// requests are served by [`Engine::run_weak`].
     pub fn run(&self, request: &SynthesisRequest) -> Result<SynthesisReport, ApiError> {
+        if request.mode == Mode::Weak {
+            return Ok(self.run_weak(request)?.2);
+        }
         let program = self.parse_program(&request.source)?;
         if let Some(name) = &request.backend {
             // Strong enumeration runs fixed LM attempts and certificate
@@ -137,10 +137,48 @@ impl Engine {
         let pre = Precondition::from_program(&program);
         match request.mode {
             Mode::GenerateOnly => self.run_generate(request, &program, &pre),
-            Mode::Weak => self.run_weak(request, &program, &pre),
             Mode::Strong => self.run_strong(request, &program, &pre),
             Mode::Check => self.run_check(request, &program, &pre),
+            Mode::Weak => unreachable!("weak requests are served by run_weak"),
         }
+    }
+
+    /// Serves a weak-mode request: parses (through the cache), checks the
+    /// back-end, resolves the targets, escalates the template degree to fit
+    /// them and runs the solve orchestrator. Returns the parsed program and
+    /// the orchestrated outcome along with the report built from them, so a
+    /// caller can attack the outcome's invariant (the validation subsystem
+    /// does) without solving again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ApiError::InvalidRequest`] for any other mode, and the
+    /// request-level errors of [`Engine::run`].
+    pub fn run_weak(
+        &self,
+        request: &SynthesisRequest,
+    ) -> Result<(Arc<Program>, OrchestratorOutcome, SynthesisReport), ApiError> {
+        if request.mode != Mode::Weak {
+            return Err(ApiError::InvalidRequest {
+                message: "run_weak serves weak-mode requests only".to_string(),
+            });
+        }
+        let program = self.parse_program(&request.source)?;
+        if let Some(name) = &request.backend {
+            check_backend(name)?;
+        }
+        let pre = Precondition::from_program(&program);
+        let targets = resolve_weak_targets(&program, request)?;
+        let (options, escalation) = escalate_degree(&request.options, &targets);
+        // The orchestrator builds its own portfolio; a request-level back-end
+        // choice narrows the portfolio to that lane.
+        let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
+        if let Some(name) = &request.backend {
+            plan = plan.with_backend_preference(name);
+        }
+        let outcome = polyinv::Orchestrator::new(plan).solve(&program, &pre, &targets)?;
+        let report = weak_report(request, &program, &outcome, escalation);
+        Ok((program, outcome, report))
     }
 
     /// Serves a slice of requests in parallel on scoped worker threads.
@@ -177,24 +215,6 @@ impl Engine {
         report.timings = timings_to_seconds(ctx.timings());
         report.diagnostics = ctx.diagnostics().to_vec();
         Ok(report)
-    }
-
-    fn run_weak(
-        &self,
-        request: &SynthesisRequest,
-        program: &Program,
-        pre: &Precondition,
-    ) -> Result<SynthesisReport, ApiError> {
-        let targets = resolve_weak_targets(program, request)?;
-        let (options, escalation) = escalate_degree(&request.options, &targets);
-        // The orchestrator builds its own portfolio; a request-level back-end
-        // choice narrows the portfolio to that lane.
-        let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
-        if let Some(name) = &request.backend {
-            plan = plan.with_backend_preference(name);
-        }
-        let outcome = polyinv::Orchestrator::new(plan).solve(program, pre, &targets)?;
-        Ok(weak_report(request, program, &outcome, escalation))
     }
 
     fn run_strong(
@@ -293,9 +313,7 @@ impl Engine {
 /// `synthesized` exactly when the outcome is certified, the accepted (or
 /// last) rung's metrics and solver, presolve and orchestrator blocks, the
 /// degree-escalation note when there is one, and a verdict diagnostic.
-/// Shared between [`Engine`] weak runs and external drivers (the
-/// validation subsystem adds its own diagnostics and record on top).
-pub fn weak_report(
+fn weak_report(
     request: &SynthesisRequest,
     program: &Program,
     outcome: &OrchestratorOutcome,
@@ -338,14 +356,8 @@ pub fn weak_report(
 }
 
 /// Rejects a request-level back-end name the solve plan does not act on
-/// ([`SolvePlan::knows_backend`]). Shared between [`Engine`] runs and
-/// external drivers (the validation subsystem), so both entry points accept
-/// exactly the same names.
-///
-/// # Errors
-///
-/// Returns [`ApiError::UnknownBackend`] for any other name.
-pub fn check_backend(name: &str) -> Result<(), ApiError> {
+/// ([`SolvePlan::knows_backend`]) with [`ApiError::UnknownBackend`].
+fn check_backend(name: &str) -> Result<(), ApiError> {
     if SolvePlan::knows_backend(name) {
         Ok(())
     } else {
@@ -360,9 +372,8 @@ pub fn check_backend(name: &str) -> Result<(), ApiError> {
 /// function, and no label may receive more targets than the template has
 /// conjuncts. Targets whose degree exceeds the requested template degree
 /// are *not* rejected here — [`escalate_degree`] raises the degree to fit
-/// them. Shared between [`Engine`] weak runs and external drivers (the
-/// validation subsystem), so both entry points accept exactly the same
-/// requests.
+/// them. Public so that harnesses can size a weak request's targets and
+/// options exactly as [`Engine::run_weak`] does without solving it.
 ///
 /// # Errors
 ///
@@ -407,8 +418,8 @@ pub fn resolve_weak_targets(
 /// fall outside the template basis), so rather than reject the request the
 /// degree is escalated to the highest target degree and the run carries a
 /// diagnostic saying so. Returns the options to run with and the diagnostic
-/// (`None` when the requested degree already fits). Shared between
-/// [`Engine`] weak runs and external drivers (the validation subsystem).
+/// (`None` when the requested degree already fits). Public for the same
+/// harnesses as [`resolve_weak_targets`].
 pub fn escalate_degree(
     options: &polyinv_constraints::SynthesisOptions,
     targets: &[TargetAssertion],
@@ -429,13 +440,9 @@ pub fn escalate_degree(
 }
 
 /// Resolves an assertion label index against the main function (`None`
-/// means the exit label). Shared with external drivers (the validation
-/// subsystem) so that label indices mean the same thing everywhere.
-///
-/// # Errors
-///
-/// Returns [`ApiError::UnknownLabel`] when the index is out of range.
-pub fn resolve_label(program: &Program, index: Option<usize>) -> Result<Label, ApiError> {
+/// means the exit label), with [`ApiError::UnknownLabel`] when the index is
+/// out of range.
+fn resolve_label(program: &Program, index: Option<usize>) -> Result<Label, ApiError> {
     let labels = program.main().labels();
     match index {
         None => Ok(program.main().exit_label()),
@@ -448,14 +455,8 @@ pub fn resolve_label(program: &Program, index: Option<usize>) -> Result<Label, A
 }
 
 /// Parses one assertion in the scope of the main function, mapping the
-/// front-end error to [`ApiError::Assertion`]. Shared with external
-/// drivers (the validation subsystem).
-///
-/// # Errors
-///
-/// Returns [`ApiError::Assertion`] with the front-end's span when the text
-/// does not parse in the main function's scope.
-pub fn parse_assertion(program: &Program, text: &str) -> Result<Polynomial, ApiError> {
+/// front-end error (with its span) to [`ApiError::Assertion`].
+fn parse_assertion(program: &Program, text: &str) -> Result<Polynomial, ApiError> {
     polyinv_lang::parse_assertion(program, program.main().name(), text)
         .map(|(poly, _)| poly)
         .map_err(|error| ApiError::Assertion {
@@ -503,32 +504,6 @@ mod tests {
     fn engine_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
-    }
-
-    #[test]
-    fn colliding_source_hashes_never_alias_programs() {
-        // Regression test for the parse-cache collision hazard: force two
-        // different sources into the same hash bucket and assert each source
-        // only ever hits its own entry. (Real FNV-1a collisions between two
-        // well-formed programs are astronomically unlikely to construct, so
-        // the collision is synthesized at the cache layer, which only ever
-        // sees opaque keys.)
-        let mut cache = ProgramCache::new(8);
-        let source_a = "f(x) { return x + 1 }";
-        let source_b = "f(x) { return x + 2 }";
-        let program_a = Arc::new(polyinv_lang::parse_program(source_a).unwrap());
-        let program_b = Arc::new(polyinv_lang::parse_program(source_b).unwrap());
-        let key = 0xdead_beef_u64;
-        cache.insert(key, source_a, &program_a);
-        cache.insert(key, source_b, &program_b);
-        // A bare-hash lookup would return whichever entry came first; the
-        // source-verified lookup must return exactly the matching program.
-        let hit_a = cache.get(key, source_a).expect("source a cached");
-        let hit_b = cache.get(key, source_b).expect("source b cached");
-        assert!(Arc::ptr_eq(&hit_a, &program_a));
-        assert!(Arc::ptr_eq(&hit_b, &program_b));
-        // An unseen source under the colliding key is a miss, not a hit.
-        assert!(cache.get(key, "f(x) { return x + 3 }").is_none());
     }
 
     #[test]
@@ -616,6 +591,16 @@ mod tests {
     }
 
     #[test]
+    fn run_weak_rejects_other_modes() {
+        let engine = Engine::new();
+        let request = SynthesisRequest::check("f(x) { return x }").with_target("x + 1 > 0");
+        assert!(matches!(
+            engine.run_weak(&request),
+            Err(ApiError::InvalidRequest { .. })
+        ));
+    }
+
+    #[test]
     fn over_degree_targets_escalate_the_template_degree() {
         // A cubic target against the default degree-2 template used to come
         // back as `error:invalid-request`; request validation now raises the
@@ -648,7 +633,6 @@ mod tests {
         assert_eq!(report.status, ReportStatus::Certified);
         assert_eq!(report.pairs_certified, report.pairs_total);
         assert!(report.pairs_total > 0);
-        assert!(report.into_result().is_ok());
     }
 
     #[test]
@@ -659,10 +643,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.status, ReportStatus::NotCertified);
         assert!(report.pairs_certified < report.pairs_total);
-        assert!(matches!(
-            report.into_result(),
-            Err(ApiError::Uncertified { .. })
-        ));
     }
 
     /// `y := x * x` under `x ≥ 0`: `y + 1 > 0` at l1 needs `x²` from a

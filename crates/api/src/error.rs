@@ -2,8 +2,9 @@
 //!
 //! Every failure mode of the Engine — front-end parse errors (with source
 //! spans), unresolvable requests, unknown back-ends, baseline
-//! inapplicability, solver non-convergence and JSON/IO problems — is a
-//! variant of [`ApiError`]. Callers below the API keep their precise error
+//! inapplicability and JSON/IO problems — is a variant of [`ApiError`]. A
+//! solve that runs but does not converge or certify is not an error: it is a
+//! report status. Callers below the API keep their precise error
 //! types (`polyinv_lang::Error`, `polyinv_farkas::Inapplicability`); the
 //! conversions here are the single place where they meet.
 
@@ -72,21 +73,6 @@ pub enum ApiError {
         /// The reason reported by the rejecting component.
         reason: String,
     },
-    /// The solver ran but did not reach feasibility; the attempt's best
-    /// violation and back-end identify the failure.
-    Unsolved {
-        /// Worst constraint violation of the returned point.
-        violation: f64,
-        /// The back-end that made the attempt.
-        backend: String,
-    },
-    /// The certificate checker could not certify every constraint pair.
-    Uncertified {
-        /// Number of pairs without a certificate.
-        failed: usize,
-        /// Total number of constraint pairs.
-        total: usize,
-    },
     /// A JSON document (batch file, serialized request/report) was invalid.
     Json {
         /// What is wrong.
@@ -149,14 +135,6 @@ impl fmt::Display for ApiError {
                 )
             }
             ApiError::Inapplicable { reason } => write!(f, "not applicable: {reason}"),
-            ApiError::Unsolved { violation, backend } => write!(
-                f,
-                "solver `{backend}` did not reach feasibility (violation {violation:.3e})"
-            ),
-            ApiError::Uncertified { failed, total } => write!(
-                f,
-                "{failed} of {total} constraint pairs could not be certified"
-            ),
             ApiError::Json { message, offset } => {
                 write!(f, "invalid JSON at byte {offset}: {message}")
             }
@@ -225,8 +203,6 @@ impl ApiError {
             ApiError::InvalidRequest { .. } => "invalid-request",
             ApiError::RecursionRequired { .. } => "recursion-required",
             ApiError::Inapplicable { .. } => "inapplicable",
-            ApiError::Unsolved { .. } => "unsolved",
-            ApiError::Uncertified { .. } => "uncertified",
             ApiError::Json { .. } => "json",
             ApiError::Io { .. } => "io",
         }
@@ -247,14 +223,6 @@ impl ApiError {
             ApiError::UnknownLabel { index, available } => {
                 fields.push(("index".to_string(), Json::Number(*index as f64)));
                 fields.push(("available".to_string(), Json::Number(*available as f64)));
-            }
-            ApiError::Unsolved { violation, backend } => {
-                fields.push(("violation".to_string(), Json::Number(*violation)));
-                fields.push(("backend".to_string(), Json::string(backend.clone())));
-            }
-            ApiError::Uncertified { failed, total } => {
-                fields.push(("failed".to_string(), Json::Number(*failed as f64)));
-                fields.push(("total".to_string(), Json::Number(*total as f64)));
             }
             ApiError::RecursionRequired {
                 callee,
@@ -352,12 +320,13 @@ mod tests {
 
     #[test]
     fn json_form_carries_structured_fields() {
-        let error = ApiError::Unsolved {
-            violation: 1.5e-3,
-            backend: "lm".to_string(),
+        let error = ApiError::UnknownLabel {
+            index: 9,
+            available: 4,
         };
         let json = error.to_json();
-        assert_eq!(json.get("error").unwrap().as_str(), Some("unsolved"));
-        assert_eq!(json.get("violation").unwrap().as_f64(), Some(1.5e-3));
+        assert_eq!(json.get("error").unwrap().as_str(), Some("unknown-label"));
+        assert_eq!(json.get("index").unwrap().as_usize(), Some(9));
+        assert_eq!(json.get("available").unwrap().as_usize(), Some(4));
     }
 }

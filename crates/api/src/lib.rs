@@ -7,10 +7,12 @@
 //! * [`SynthesisRequest`] — program source + [`Mode`] (weak / strong / check
 //!   / generate-only) + [`SynthesisOptions`](polyinv_constraints::SynthesisOptions)
 //!   + assertions as text;
-//! * [`Engine`] — owns the solver back-end, caches parsed programs keyed by
-//!   source hash, and serves requests one at a time ([`Engine::run`]) or in
-//!   parallel with deterministic request-ordered output
-//!   ([`Engine::run_batch`]);
+//! * [`Engine`] — caches parsed programs keyed by their source and serves
+//!   requests one at a time ([`Engine::run`]) or in parallel with
+//!   deterministic request-ordered output ([`Engine::run_batch`]); weak
+//!   requests go through [`Engine::run_weak`], which also hands back the
+//!   parsed program and the orchestrated outcome so the validation
+//!   subsystem attacks what the report was built from;
 //! * [`SynthesisReport`] — status, pretty-printed invariants, per-stage
 //!   timings, `|S|`/unknown counts and diagnostics, plus the solve's
 //!   statistics as the solver crates' own types
@@ -20,7 +22,8 @@
 //!   [`report`] ([`presolve_to_json`] and [`orchestrator_to_json`] are
 //!   public for the benchmark snapshot);
 //! * [`ApiError`] — the one exhaustive error enum of the surface, with
-//!   source spans where the front-end provides them;
+//!   source spans where the front-end provides them; a solve that does not
+//!   converge or certify is a report status, not an error;
 //! * [`json`] — a hand-rolled JSON writer/reader (the workspace builds
 //!   offline), through which requests and reports round-trip byte-for-byte.
 //!

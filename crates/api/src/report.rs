@@ -285,23 +285,6 @@ impl SynthesisReport {
         self.timings.iter().map(|(_, secs)| secs).sum()
     }
 
-    /// Converts a negative outcome into the matching [`ApiError`]
-    /// ([`ApiError::Unsolved`] for failed synthesis, [`ApiError::Uncertified`]
-    /// for failed checks), passing successful reports through.
-    pub fn into_result(self) -> Result<SynthesisReport, ApiError> {
-        match self.status {
-            ReportStatus::Failed => Err(ApiError::Unsolved {
-                violation: self.violation,
-                backend: self.backend,
-            }),
-            ReportStatus::NotCertified => Err(ApiError::Uncertified {
-                failed: self.pairs_total.saturating_sub(self.pairs_certified),
-                total: self.pairs_total,
-            }),
-            _ => Ok(self),
-        }
-    }
-
     /// The report with its timings zeroed: the canonical form compared by
     /// the batch-determinism guarantee (wall-clock is the one field two
     /// identical runs legitimately disagree on). The solver block's
@@ -854,17 +837,6 @@ mod tests {
                 .orchestrator,
             None
         );
-    }
-
-    #[test]
-    fn into_result_maps_failures_to_api_errors() {
-        let mut failed = sample();
-        failed.status = ReportStatus::Failed;
-        assert!(matches!(
-            failed.into_result(),
-            Err(ApiError::Unsolved { .. })
-        ));
-        assert!(sample().into_result().is_ok());
     }
 
     #[test]

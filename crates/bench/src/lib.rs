@@ -314,7 +314,7 @@ pub fn run_row_full(
             // on top of the orchestrator's certificate.
             let request = solve_request(benchmark).with_solve_budget(budget_seconds);
             let outcome = if validate {
-                polyinv_validate::run_validated(&request, &config)
+                polyinv_validate::run_validated(engine, &request, &config)
             } else {
                 engine.run(&request)
             };

@@ -20,6 +20,7 @@
 //! * `3` — invalid input (unparseable program or assertion, unknown
 //!   back-end or label, bad batch file).
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use polyinv_api::{
@@ -126,7 +127,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "batch" => cmd_batch(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "--help" | "-h" | "help" => {
-            print!("{USAGE}");
+            print_stdout(USAGE.trim_end())?;
             Ok(ExitCode::SUCCESS)
         }
         other => Err(usage(format!("unknown subcommand `{other}`"))),
@@ -286,9 +287,9 @@ fn cmd_parse(args: &[String]) -> Result<ExitCode, CliError> {
             ("functions", Json::Array(functions)),
             ("recursive", Json::Bool(!program.is_simple())),
         ]);
-        println!("{}", doc.pretty());
+        print_stdout(&doc.pretty())?;
     } else {
-        println!(
+        let mut out = vec![format!(
             "parsed `{path}`: {} function(s), {}",
             program.functions().len(),
             if program.is_simple() {
@@ -296,15 +297,16 @@ fn cmd_parse(args: &[String]) -> Result<ExitCode, CliError> {
             } else {
                 "recursive"
             }
-        );
+        )];
         for function in program.functions() {
-            println!(
+            out.push(format!(
                 "  {}: {} labels, |V| = {}",
                 function.name(),
                 function.labels().len(),
                 function.vars().len()
-            );
+            ));
         }
+        print_stdout(&out.join("\n"))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -326,7 +328,7 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, CliError> {
     let request = build_request(&parsed, mode, source).with_id(path);
     let engine = Engine::new();
     let report = engine.run(&request)?;
-    emit_report(&report, parsed.json, parsed.canonical);
+    emit_report(&report, parsed.json, parsed.canonical)?;
     Ok(exit_for(&report))
 }
 
@@ -340,7 +342,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
     let request = build_request(&parsed, Mode::Check, source).with_id(path);
     let engine = Engine::new();
     let report = engine.run(&request)?;
-    emit_report(&report, parsed.json, parsed.canonical);
+    emit_report(&report, parsed.json, parsed.canonical)?;
     Ok(exit_for(&report))
 }
 
@@ -365,8 +367,8 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
     let source = read_file(&path)?;
     let request = build_request(&parsed, Mode::Weak, source).with_id(path);
     let config = validation_config(&parsed);
-    let report = polyinv_validate::run_validated(&request, &config)?;
-    emit_report(&report, parsed.json, parsed.canonical);
+    let report = polyinv_validate::run_validated(&Engine::new(), &request, &config)?;
+    emit_report(&report, parsed.json, parsed.canonical)?;
     let validated = report
         .validate
         .as_ref()
@@ -427,9 +429,9 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
     }
 
     if parsed.json {
-        println!("{}", summary.to_json().pretty());
+        print_stdout(&summary.to_json().pretty())?;
     } else {
-        println!(
+        let mut out = vec![format!(
             "fuzz: {} case(s) from seed {} — {} sound, {} unsolved, {} violation(s), {} round-trip, {} generation",
             summary.cases.len(),
             config.seed,
@@ -438,16 +440,17 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
             summary.count("violation"),
             summary.count("round-trip-mismatch"),
             summary.count("generation-error"),
-        );
+        )];
         for case in summary.failures() {
-            println!(
+            out.push(format!(
                 "FAILURE case {} (seed {}): {}",
                 case.index,
                 case.seed,
                 case.status.label()
-            );
-            println!("{}", case.source);
+            ));
+            out.push(case.source.clone());
         }
+        print_stdout(&out.join("\n"))?;
     }
     Ok(if summary.passed() {
         ExitCode::SUCCESS
@@ -492,8 +495,9 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
                 }
             })
             .collect();
-        println!("{}", Json::Array(entries).pretty());
+        print_stdout(&Json::Array(entries).pretty())?;
     } else {
+        let mut out = Vec::new();
         let (mut presolved, mut rows_before, mut rows_after) = (0usize, 0usize, 0usize);
         for (request, outcome) in requests.iter().zip(&outcomes) {
             match outcome {
@@ -504,24 +508,30 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
                         rows_before += record.size_before;
                         rows_after += record.size_after;
                     }
-                    println!(
+                    out.push(format!(
                         "{:<20} {:<13} {}",
                         display_id(&request.id),
                         report.status,
                         summary_line(report)
-                    );
+                    ));
                 }
                 Err(error) => {
                     all_ok = false;
-                    println!("{:<20} error         {error}", display_id(&request.id));
+                    out.push(format!(
+                        "{:<20} error         {error}",
+                        display_id(&request.id)
+                    ));
                 }
             }
         }
         if presolved > 0 && rows_before > 0 {
-            println!(
+            out.push(format!(
                 "presolve: {presolved} request(s), |S| {rows_before} -> {rows_after} ({:.1}% dropped)",
                 100.0 * (rows_before - rows_after) as f64 / rows_before as f64
-            );
+            ));
+        }
+        if !out.is_empty() {
+            print_stdout(&out.join("\n"))?;
         }
     }
     Ok(if all_ok {
@@ -619,44 +629,56 @@ fn exit_for(report: &SynthesisReport) -> ExitCode {
     }
 }
 
-fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) {
+/// Writes `text` and a newline to stdout. A reader that has gone away
+/// (`polyinv … | head`) is not an error: the output is dropped and the
+/// command exits with its own code. Any other write error surfaces.
+fn print_stdout(text: &str) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        Err(error) if error.kind() != ErrorKind::BrokenPipe => Err(CliError::Api(ApiError::Io {
+            path: "<stdout>".to_string(),
+            message: error.to_string(),
+        })),
+        _ => Ok(()),
+    }
+}
+
+fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) -> Result<(), CliError> {
     if canonical {
         // The canonical form zeroes every timing and normalizes the worker
         // count, so two runs of the same request print byte-identical JSON
         // regardless of machine speed or POLYINV_THREADS.
-        println!("{}", report.clone().canonical().to_json().pretty());
-        return;
+        return print_stdout(&report.clone().canonical().to_json().pretty());
     }
     if json {
-        println!("{}", report.to_json().pretty());
-        return;
+        return print_stdout(&report.to_json().pretty());
     }
-    println!("status: {}", report.status);
+    let mut out = vec![format!("status: {}", report.status)];
     if !report.backend.is_empty() {
-        println!("backend: {}", report.backend);
+        out.push(format!("backend: {}", report.backend));
     }
-    println!(
+    out.push(format!(
         "system: |S| = {}, unknowns = {}",
         report.system_size, report.num_unknowns
-    );
+    ));
     if let Some(presolve) = &report.presolve {
-        println!(
+        out.push(format!(
             "presolve: |S| {} -> {}, unknowns {} -> {}, {} round(s)",
             presolve.size_before,
             presolve.size_after,
             presolve.unknowns_before,
             presolve.unknowns_after,
             presolve.rounds
-        );
+        ));
     }
     if report.mode == Mode::Check {
-        println!(
+        out.push(format!(
             "certified: {}/{} constraint pairs",
             report.pairs_certified, report.pairs_total
-        );
+        ));
     }
     if report.status == ReportStatus::Failed {
-        println!("violation: {:.3e}", report.violation);
+        out.push(format!("violation: {:.3e}", report.violation));
     }
     if !report.timings.is_empty() {
         let rendered: Vec<String> = report
@@ -664,10 +686,10 @@ fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) {
             .iter()
             .map(|(stage, secs)| format!("{stage} {secs:.3}s"))
             .collect();
-        println!("timings: {}", rendered.join(", "));
+        out.push(format!("timings: {}", rendered.join(", ")));
     }
     if let Some(solver) = &report.solver {
-        println!(
+        out.push(format!(
             "solver: {} iteration(s) over {} restart(s), nnz(J) = {}, nnz(L) = {}, \
              factor {:.3}s, solve {:.3}s",
             solver.iterations,
@@ -676,10 +698,10 @@ fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) {
             solver.nnz_factor,
             solver.factor_seconds,
             solver.solve_seconds,
-        );
+        ));
     }
     if let Some(orchestrator) = &report.orchestrator {
-        println!(
+        out.push(format!(
             "orchestrator: {} attempt(s) over {} rung(s), reached ϒ = {}, won by `{}`, \
              certificate {} ({:.3e})",
             orchestrator.attempts,
@@ -692,10 +714,10 @@ fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) {
                 "failed"
             },
             orchestrator.certificate_violation,
-        );
+        ));
     }
     if let Some(record) = &report.validate {
-        println!(
+        out.push(format!(
             "validation: {} — {} trace(s), {} state(s), {} violation(s){}",
             if record.passed { "passed" } else { "FAILED" },
             record.trace_runs,
@@ -709,21 +731,22 @@ fn emit_report(report: &SynthesisReport, json: bool, canonical: bool) {
                 ),
                 None => String::new(),
             }
-        );
+        ));
     }
     if !report.invariants.is_empty() {
-        println!("invariants:");
+        out.push("invariants:".to_string());
         for line in &report.invariants {
-            println!("  {line}");
+            out.push(format!("  {line}"));
         }
     }
     if !report.postconditions.is_empty() {
-        println!("postconditions:");
+        out.push("postconditions:".to_string());
         for line in &report.postconditions {
-            println!("  {line}");
+            out.push(format!("  {line}"));
         }
     }
     for line in &report.diagnostics {
-        println!("note: {line}");
+        out.push(format!("note: {line}"));
     }
+    print_stdout(&out.join("\n"))
 }

@@ -2,7 +2,7 @@
 //! `std::process::Command`, on the program sources under `programs/`.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use polyinv_api::Json;
 
@@ -53,6 +53,31 @@ fn synth_generate_only_emits_a_machine_readable_report() {
     let timings = doc.get("timings").unwrap().as_object().unwrap();
     let stages: Vec<&str> = timings.iter().map(|(stage, _)| stage.as_str()).collect();
     assert_eq!(stages, vec!["templates", "pairs", "reduction"]);
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    // `polyinv … | head` closes the pipe before the report is written: the
+    // command keeps its own exit code instead of panicking on the write.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_polyinv"))
+        .args([
+            "synth",
+            &program("inc.poly"),
+            "--target",
+            "x + 1 > 0",
+            "--degree",
+            "1",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the polyinv binary runs");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("the polyinv binary exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]

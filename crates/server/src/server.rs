@@ -571,7 +571,6 @@ fn http_status(error: &ApiError) -> u16 {
         | ApiError::UnknownLabel { .. }
         | ApiError::RecursionRequired { .. }
         | ApiError::Inapplicable { .. } => 422,
-        ApiError::Unsolved { .. } | ApiError::Uncertified { .. } => 200,
         ApiError::Io { .. } => 500,
     }
 }

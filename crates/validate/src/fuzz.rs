@@ -15,13 +15,13 @@
 //! summary carries everything needed to reproduce a failing case: the seed,
 //! the source and the minimized counterexample.
 
-use polyinv::SolvePlan;
+use polyinv::{Orchestrator, SolvePlan};
 use polyinv_constraints::SynthesisOptions;
 use polyinv_lang::{parse_program, Precondition};
 use polyinv_qcqp::LmOptions;
 
 use crate::generate::{generate_program, GenConfig};
-use crate::{synthesize_and_validate, ValidationConfig, ValidationReport};
+use crate::{falsify_traces, ValidationConfig, ValidationReport};
 
 /// Configuration of a fuzz campaign.
 #[derive(Debug, Clone)]
@@ -204,19 +204,28 @@ fn check_case(source: &str, config: &FuzzConfig) -> CaseStatus {
     plan.lm = config.solver.clone();
     plan.penalty = None;
     plan.polish_rounds = 0;
-    let (outcome, validation) =
-        match synthesize_and_validate(&program, &pre, &[], &plan, &config.validation) {
-            Ok(result) => result,
-            Err(error) => return CaseStatus::GenerationError(error.to_string()),
-        };
+    let outcome = match Orchestrator::new(plan).solve(&program, &pre, &[]) {
+        Ok(outcome) => outcome,
+        Err(error) => return CaseStatus::GenerationError(error.to_string()),
+    };
     if !outcome.feasible {
         return CaseStatus::Unsolved {
             violation: outcome.violation,
         };
     }
 
-    // 3. The claim was validated inside synthesize_and_validate.
-    let validation = validation.expect("feasible outcomes validate");
+    // 3. Attack the claim: trace falsification of the outcome's invariant
+    // and post-conditions, next to the orchestrator's exact certificate.
+    let validation = ValidationReport {
+        trace: falsify_traces(
+            &program,
+            &pre,
+            &outcome.invariant,
+            &outcome.postconditions,
+            &config.validation.trace,
+        ),
+        exact: outcome.exact,
+    };
     if validation.sound() {
         CaseStatus::Sound {
             trace_runs: validation.trace.valid_runs,

@@ -15,7 +15,10 @@
 //!   counterexamples);
 //! * [`fuzz`] — the driver combining both with the orchestrator's exact
 //!   certificate: generate, synthesize, validate, and report any soundness
-//!   violation with its counterexample.
+//!   violation with its counterexample;
+//! * [`driver`] — [`run_validated`]: a weak request served by
+//!   `Engine::run_weak`, its outcome attacked by trace falsification, the
+//!   report carrying the `validate` record.
 //!
 //! [`Interpreter`]: polyinv_lang::interp::Interpreter
 
@@ -25,10 +28,7 @@ pub mod fuzz;
 pub mod generate;
 pub mod trace;
 
-use polyinv::{Orchestrator, OrchestratorOutcome, SolvePlan, TargetAssertion};
 use polyinv_api::report::{ExactRecord, ValidationRecord};
-use polyinv_constraints::ConstraintError;
-use polyinv_lang::{Precondition, Program};
 
 pub use driver::run_validated;
 pub use fuzz::{run_fuzz, CaseStatus, FuzzCase, FuzzConfig, FuzzSummary};
@@ -156,52 +156,12 @@ impl ValidationReport {
     }
 }
 
-/// Weak synthesis with validation: runs the solve orchestrator (ϒ ladder,
-/// portfolio race, polish, snap-and-certify) and — when a candidate is
-/// float-feasible or certified — trace-falsifies the outcome's invariant
-/// and post-conditions as they are. The exact re-check of the validation
-/// report *is* the orchestrator's certificate, and the outcome's invariant
-/// is instantiated at the point it checked, so trace falsification, the
-/// certificate and the report attack one rational point. Returns the
-/// orchestrated outcome and, when it was float-feasible or certified, its
-/// validation report.
-///
-/// # Errors
-///
-/// Returns a [`ConstraintError`] when the generation stages reject the
-/// program.
-///
-/// # Panics
-///
-/// Panics if a target mentions a monomial outside the template basis at its
-/// label (same contract as [`polyinv::fix_targets`]).
-pub fn synthesize_and_validate(
-    program: &Program,
-    pre: &Precondition,
-    targets: &[TargetAssertion],
-    plan: &SolvePlan,
-    config: &ValidationConfig,
-) -> Result<(OrchestratorOutcome, Option<ValidationReport>), ConstraintError> {
-    let outcome = Orchestrator::new(plan.clone()).solve(program, pre, targets)?;
-    let validation = (outcome.feasible || outcome.certified).then(|| ValidationReport {
-        trace: falsify_traces(
-            program,
-            pre,
-            &outcome.invariant,
-            &outcome.postconditions,
-            &config.trace,
-        ),
-        exact: outcome.exact.clone(),
-    });
-    Ok((outcome, validation))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polyinv_constraints::exact::exact_recheck_ladder;
-    use polyinv_constraints::{QuadraticSystem, SynthesisOptions, UnknownRegistry};
-    use polyinv_lang::{parse_assertion, parse_program, InvariantMap, Postcondition};
+    use polyinv_constraints::{QuadraticSystem, UnknownRegistry};
+    use polyinv_lang::{parse_assertion, parse_program, InvariantMap, Postcondition, Precondition};
     use std::collections::HashMap;
 
     const INC: &str = r#"
@@ -244,41 +204,5 @@ mod tests {
         assert!(!record.passed);
         assert!(record.trace_violations > 0);
         assert!(record.exact.expect("the certificate is recorded").passed);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow without optimizations; run with `cargo test --release`"
-    )]
-    fn synthesized_invariants_validate_end_to_end() {
-        let program = parse_program(INC).unwrap();
-        let pre = Precondition::from_program(&program);
-        let (target, _) = parse_assertion(&program, "inc", "x + 1 > 0").unwrap();
-        let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(2);
-        let plan = SolvePlan::new(options);
-        let (outcome, validation) = synthesize_and_validate(
-            &program,
-            &pre,
-            &[TargetAssertion::new(program.main().exit_label(), target)],
-            &plan,
-            &ValidationConfig::default(),
-        )
-        .unwrap();
-        assert!(outcome.feasible, "violation {}", outcome.violation);
-        assert!(outcome.certified, "exact {:?}", outcome.stats);
-        let validation = validation.expect("feasible runs validate");
-        assert!(
-            validation.sound(),
-            "trace: {:?}, exact: {:?}",
-            validation.trace.violations,
-            validation.exact
-        );
-        assert_eq!(validation.trace.valid_runs, 1000);
-        let record = validation.to_record();
-        assert!(record.passed);
-        let exact = record.exact.expect("pipeline runs re-check exactly");
-        assert!(exact.passed);
-        assert!(exact.constraints > 0);
     }
 }

@@ -147,9 +147,12 @@ fn synthesized_reports_carry_a_passing_exact_certificate() {
     if let Some(target) = benchmark.target {
         request = request.with_target(target);
     }
-    let report =
-        polyinv_validate::run_validated(&request, &polyinv_validate::ValidationConfig::default())
-            .unwrap();
+    let report = polyinv_validate::run_validated(
+        &polyinv_api::Engine::new(),
+        &request,
+        &polyinv_validate::ValidationConfig::default(),
+    )
+    .unwrap();
     assert_eq!(
         report.status,
         polyinv_api::ReportStatus::Synthesized,

@@ -7,7 +7,9 @@
 //! corresponds to a Table 2/3 row, and default options otherwise, with
 //! timings zeroed through `SynthesisReport::canonical()` — so the bytes pin
 //! `|S|`, unknown counts, stage structure, diagnostics and the JSON writer
-//! itself across refactors.
+//! itself across refactors. Two solved reports sit next to them: the weak
+//! solve of `programs/inc.poly` (`solve/inc.json`) and the validated report
+//! of `programs/freire1.poly` (`validate/freire1.json`).
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -114,6 +116,27 @@ fn golden_snapshots_parse_as_reports() {
     assert!(count >= 29, "expected ≥ 29 golden snapshots, found {count}");
 }
 
+/// Compares a solved report's canonical JSON with the golden file at
+/// `relative` (or rewrites it under `POLYINV_REGEN_GOLDEN=1`).
+fn assert_matches_golden(relative: &str, report: polyinv_api::SynthesisReport) {
+    let mut actual = report.canonical().to_json().pretty();
+    actual.push('\n');
+    let golden_path = workspace_path(relative);
+    if std::env::var("POLYINV_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(golden_path.parent().unwrap()).expect("create golden dir");
+        std::fs::write(&golden_path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!("missing golden snapshot {relative} ({e}); regenerate with POLYINV_REGEN_GOLDEN=1")
+    });
+    assert!(
+        actual == expected,
+        "{relative} changed:\n{actual}\nif intentional, regenerate with \
+         POLYINV_REGEN_GOLDEN=1 cargo test -p polyinv-bench --test golden_reports"
+    );
+}
+
 #[test]
 fn solve_blocks_are_byte_stable() {
     // The generation-only goldens carry `null` solver, presolve and
@@ -126,27 +149,22 @@ fn solve_blocks_are_byte_stable() {
         .with_id("programs/inc.poly")
         .with_target("x + 1 > 0")
         .with_degree(1);
-    let report = Engine::new()
-        .run(&request)
-        .expect("weak synthesis runs")
-        .canonical();
-    let mut actual = report.to_json().pretty();
-    actual.push('\n');
-    let golden_path = workspace_path("tests/golden/solve/inc.json");
-    if std::env::var("POLYINV_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_path.parent().unwrap()).expect("create golden dir");
-        std::fs::write(&golden_path, &actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); regenerate with POLYINV_REGEN_GOLDEN=1",
-            golden_path.display()
-        )
-    });
-    assert!(
-        actual == expected,
-        "solve blocks changed:\n{actual}\nif intentional, regenerate with \
-         POLYINV_REGEN_GOLDEN=1 cargo test -p polyinv-bench --test golden_reports"
-    );
+    let report = Engine::new().run(&request).expect("weak synthesis runs");
+    assert_matches_golden("tests/golden/solve/inc.json", report);
+}
+
+#[test]
+fn validated_reports_are_byte_stable() {
+    // The canonical `polyinv validate programs/freire1.poly --target
+    // "a_in + 2 - ret > 0"` report: the weak solve's blocks plus the
+    // `validate` record of its trace falsification and certificate.
+    let source =
+        std::fs::read_to_string(workspace_path("programs/freire1.poly")).expect("readable program");
+    let request = SynthesisRequest::weak(source)
+        .with_id("programs/freire1.poly")
+        .with_target("a_in + 2 - ret > 0");
+    let config = polyinv_validate::ValidationConfig::default();
+    let report = polyinv_validate::run_validated(&Engine::new(), &request, &config)
+        .expect("validated synthesis runs");
+    assert_matches_golden("tests/golden/validate/freire1.json", report);
 }
