@@ -330,9 +330,9 @@ fn weak_report(
     report.num_unknowns = outcome.num_unknowns;
     report.violation = outcome.violation;
     report.timings = timings_to_seconds(&outcome.timings);
-    report.solver = Some(outcome.solver.clone());
-    report.presolve = outcome.presolve.clone();
-    report.orchestrator = Some(outcome.stats.clone());
+    report.solver = Some((*outcome.solver).clone());
+    report.presolve = outcome.presolve.as_deref().cloned();
+    report.orchestrator = Some((*outcome.stats).clone());
     report.diagnostics.extend(escalation);
     if outcome.certified {
         report.invariants = render_lines(&outcome.invariant.render(program));
@@ -587,6 +587,32 @@ mod tests {
         assert!(matches!(
             engine.run(&request),
             Err(ApiError::UnknownLabel { index: 99, .. })
+        ));
+    }
+
+    #[test]
+    fn a_multiplier_that_overflows_generation_is_an_invalid_request() {
+        // The degree-2 template's x² coefficient becomes 10⁴⁴ under
+        // x := x·10²², beyond i128.
+        let source = "big(x) { @pre(x >= 0); x := x * 10000000000000000000000; return x }";
+        let request = SynthesisRequest::weak(source).with_target("x + 1 > 0");
+        match Engine::new().run(&request) {
+            Err(ApiError::InvalidRequest { message }) => {
+                assert!(message.contains("overflow"), "{message}")
+            }
+            other => panic!("expected an invalid request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bounded_reals_bound_that_overflows_is_an_invalid_request() {
+        // The compactness witness c²·|V| is 10⁴⁶·|V| for c = 10²³.
+        let options = polyinv_constraints::SynthesisOptions::default()
+            .with_bounded_reals(polyinv_arith::Rational::new(10i128.pow(23), 1));
+        let request = SynthesisRequest::generate_only(RUNNING_EXAMPLE_SOURCE).with_options(options);
+        assert!(matches!(
+            Engine::new().run(&request),
+            Err(ApiError::InvalidRequest { .. })
         ));
     }
 

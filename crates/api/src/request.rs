@@ -1,6 +1,6 @@
 //! The serializable request side of the API.
 
-use polyinv_arith::Rational;
+use polyinv_arith::{Rational, RationalError};
 use polyinv_constraints::SynthesisOptions;
 
 use crate::error::ApiError;
@@ -405,8 +405,13 @@ fn rational_from_json(json: &Json, field: &str) -> Result<Rational, ApiError> {
             .and_then(|s| s.parse::<i128>().ok())
             .ok_or_else(|| invalid(name))
     };
-    Rational::checked_new(part("numer")?, part("denom")?).map_err(|_| ApiError::InvalidRequest {
-        message: format!("field `{field}` has a zero denominator"),
+    Rational::checked_new(part("numer")?, part("denom")?).map_err(|error| {
+        ApiError::InvalidRequest {
+            message: match error {
+                RationalError::DivisionByZero => format!("field `{field}` has a zero denominator"),
+                RationalError::Overflow => format!("field `{field}` is out of the i128 range"),
+            },
+        }
     })
 }
 
@@ -610,6 +615,7 @@ mod tests {
         for field in ["epsilon_lower", "bounded_reals"] {
             // A zero denominator used to panic in `Rational::new`.
             rejected(field, "1", "0", "zero denominator");
+            rejected(field, &i128::MIN.to_string(), "-1", "out of the i128 range");
             rejected(field, "0", "1", "must be positive");
             rejected(field, "-1", "1", "must be positive");
             rejected(field, "1", "-3", "must be positive");

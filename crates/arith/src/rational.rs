@@ -1,16 +1,43 @@
 //! Normalized `i128`-backed rational numbers.
 //!
 //! All symbolic computation in the workspace (polynomial coefficients,
-//! guards, pre/post-conditions, constraint generation) uses [`Rational`] so
-//! that the reduction of Steps 1–3 of the paper is exact; only the numeric
-//! QCQP back-end works in `f64`.
+//! guards, pre/post-conditions, constraint generation, the exact
+//! certificate and trace falsification) uses [`Rational`] so that the
+//! reduction of Steps 1–3 of the paper is exact; only the numeric QCQP
+//! back-end works in `f64`.
 //!
-//! The representation is always normalized: the denominator is strictly
-//! positive and `gcd(|numer|, denom) == 1`. Arithmetic panics on overflow of
-//! the 128-bit intermediate values, which never happens for the benchmark
-//! programs shipped in this repository (their constants are tiny); the
-//! checked entry points [`Rational::checked_add`] and friends are available
-//! for callers that prefer graceful failure.
+//! # Invariants
+//!
+//! Every value is normalized: the denominator is strictly positive,
+//! `gcd(|numer|, denom) == 1`, and neither part is `i128::MIN`. The last
+//! rule keeps negation and [`Rational::abs`] total: a checked operation
+//! whose exact result would hold `i128::MIN` returns
+//! [`RationalError::Overflow`] instead.
+//!
+//! # Errors and panics
+//!
+//! The `checked_*` operations and [`Rational::checked_pow`] never panic:
+//! they return [`RationalError::DivisionByZero`] for a zero divisor and
+//! [`RationalError::Overflow`] when an intermediate product or sum leaves
+//! the `i128` range. The operator impls (`+`, `-`, `*`, `/` and their
+//! assigning forms, [`Sum`](std::iter::Sum), [`Product`](std::iter::Product)),
+//! [`Rational::new`], [`Rational::recip`] and [`Rational::pow`] are the
+//! same operations with the error turned into a panic; code that handles
+//! input of unbounded magnitude uses the checked forms. Negation,
+//! [`Rational::abs`], comparison and [`Rational::floor`] never fail.
+//!
+//! # Fast paths
+//!
+//! The hot operations avoid 128-bit division, which compiles to a software
+//! routine: the gcd is Stein's binary algorithm on `u128` magnitudes that
+//! drops to `u64` once both operands fit, exact divisions by a power of
+//! two shift, and integer operands skip the gcd altogether. A product of
+//! normalized operands is already in lowest terms after cross-reduction,
+//! and a sum needs only `gcd(t, g)` with `g = gcd(b, d)` (Knuth, TAOCP
+//! vol. 2 §4.5.1). Each fast path returns exactly the `Result` of the
+//! textbook Euclid-based algorithm — the same normalized value and
+//! `Overflow` in the same cases — which the unit tests keep as a
+//! reference oracle.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -60,8 +87,8 @@ impl fmt::Display for ParseRationalError {
 
 impl std::error::Error for ParseRationalError {}
 
-/// An exact rational number `numer / denom` with `denom > 0` and
-/// `gcd(|numer|, denom) == 1`.
+/// An exact rational number `numer / denom` with `denom > 0`,
+/// `gcd(|numer|, denom) == 1` and `numer != i128::MIN`.
 ///
 /// # Example
 ///
@@ -79,14 +106,62 @@ pub struct Rational {
     denom: i128,
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// The largest magnitude a [`Rational`] part may have (`i128::MIN` is
+/// excluded, so this bounds both signs).
+const MAX_MAGNITUDE: u128 = i128::MAX as u128;
+
+/// `gcd(a, b)` by Stein's binary algorithm: shifts and subtractions only,
+/// switching to 64-bit words once both operands fit.
+fn gcd(a: u128, b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b >> b.trailing_zeros());
+    // Integer and dyadic denominators end here.
+    if a == 1 || b == 1 {
+        return 1 << shift;
+    }
+    // Both odd from here on; each round halves the larger one at least.
+    while a != b {
+        if (a | b) >> 64 == 0 {
+            return u128::from(odd_gcd_u64(a as u64, b as u64)) << shift;
+        }
+        if a > b {
+            a -= b;
+            a >>= a.trailing_zeros();
+        } else {
+            b -= a;
+            b >>= b.trailing_zeros();
+        }
+    }
+    a << shift
+}
+
+/// The binary gcd of two odd 64-bit words.
+fn odd_gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while a != b {
+        if a > b {
+            a -= b;
+            a >>= a.trailing_zeros();
+        } else {
+            b -= a;
+            b >>= b.trailing_zeros();
+        }
     }
     a
+}
+
+/// `a / b` for a divisor `b` of `a`: a shift when `b` is a power of two
+/// (`b == 1` included), a 64-bit division when both fit.
+fn div_exact(a: u128, b: u128) -> u128 {
+    if b.is_power_of_two() {
+        a >> b.trailing_zeros()
+    } else if (a | b) >> 64 == 0 {
+        u128::from(a as u64 / b as u64)
+    } else {
+        a / b
+    }
 }
 
 impl Rational {
@@ -104,26 +179,42 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `denom == 0`.
+    /// Panics if `denom == 0` or if a normalized part would be `i128::MIN`.
     pub fn new(numer: i128, denom: i128) -> Self {
-        Self::checked_new(numer, denom).expect("denominator must be non-zero")
+        Self::checked_new(numer, denom)
+            .unwrap_or_else(|error| panic!("invalid rational {numer}/{denom}: {error}"))
     }
 
     /// Creates a new rational, returning an error instead of panicking on a
-    /// zero denominator.
+    /// zero denominator or on a normalized part equal to `i128::MIN`.
     pub fn checked_new(numer: i128, denom: i128) -> Result<Self, RationalError> {
         if denom == 0 {
             return Err(RationalError::DivisionByZero);
         }
-        let sign = if denom < 0 { -1 } else { 1 };
-        let g = gcd(numer, denom);
-        if g == 0 {
-            return Ok(Rational { numer: 0, denom: 1 });
+        let (n, d) = (numer.unsigned_abs(), denom.unsigned_abs());
+        let g = gcd(n, d);
+        Self::from_magnitudes((numer < 0) != (denom < 0), div_exact(n, g), div_exact(d, g))
+    }
+
+    /// The rational `±n/d` from coprime magnitudes (`d > 0`), or `Overflow`
+    /// when a part does not fit the invariant's range.
+    fn from_magnitudes(negative: bool, n: u128, d: u128) -> Result<Self, RationalError> {
+        if n > MAX_MAGNITUDE || d > MAX_MAGNITUDE {
+            return Err(RationalError::Overflow);
         }
+        let numer = if negative { -(n as i128) } else { n as i128 };
         Ok(Rational {
-            numer: sign * numer / g,
-            denom: sign * denom / g,
+            numer,
+            denom: d as i128,
         })
+    }
+
+    /// An integer-valued rational, or `Overflow` for `i128::MIN`.
+    fn integer(numer: Option<i128>) -> Result<Self, RationalError> {
+        match numer {
+            Some(numer) if numer != i128::MIN => Ok(Rational { numer, denom: 1 }),
+            _ => Err(RationalError::Overflow),
+        }
     }
 
     /// Creates a rational from an integer.
@@ -234,7 +325,14 @@ impl Rational {
 
     /// The multiplicative inverse, or an error if the value is zero.
     pub fn checked_recip(&self) -> Result<Self, RationalError> {
-        Self::checked_new(self.denom, self.numer)
+        if self.numer == 0 {
+            return Err(RationalError::DivisionByZero);
+        }
+        // Swapping coprime parts keeps them coprime.
+        Ok(Rational {
+            numer: self.denom * self.numer.signum(),
+            denom: self.numer.abs(),
+        })
     }
 
     /// Converts to an `f64` approximation.
@@ -243,10 +341,21 @@ impl Rational {
     }
 
     /// Checked addition.
+    ///
+    /// With `g = gcd(b, d)`, `a/b + c/d = t / (b·(d/g))` for
+    /// `t = a·(d/g) + c·(b/g)`, and `gcd(t, b·(d/g)) = gcd(t, g)`: the
+    /// result needs that one small gcd, and none when `g == 1`. `Overflow`
+    /// is reported exactly when one of the checked products `a·(d/g)`,
+    /// `c·(b/g)`, `b·(d/g)` or the sum `t` leaves `i128`, or the result
+    /// would hold `i128::MIN`.
     pub fn checked_add(&self, other: &Self) -> Result<Self, RationalError> {
-        let g = gcd(self.denom, other.denom);
-        let lhs_scale = other.denom / g;
-        let rhs_scale = self.denom / g;
+        if self.denom == 1 && other.denom == 1 {
+            return Self::integer(self.numer.checked_add(other.numer));
+        }
+        let (b, d) = (self.denom as u128, other.denom as u128);
+        let g = gcd(b, d);
+        let lhs_scale = div_exact(d, g) as i128;
+        let rhs_scale = div_exact(b, g) as i128;
         let numer = self
             .numer
             .checked_mul(lhs_scale)
@@ -260,8 +369,10 @@ impl Rational {
         let denom = self
             .denom
             .checked_mul(lhs_scale)
-            .ok_or(RationalError::Overflow)?;
-        Self::checked_new(numer, denom)
+            .ok_or(RationalError::Overflow)? as u128;
+        let t = numer.unsigned_abs();
+        let h = gcd(t, g);
+        Self::from_magnitudes(numer < 0, div_exact(t, h), div_exact(denom, h))
     }
 
     /// Checked subtraction.
@@ -270,17 +381,28 @@ impl Rational {
     }
 
     /// Checked multiplication.
+    ///
+    /// Cross-reducing `a/b · c/d` by `gcd(a, d)` and `gcd(c, b)` leaves
+    /// coprime parts, so the product is already normalized: no third gcd.
     pub fn checked_mul(&self, other: &Self) -> Result<Self, RationalError> {
-        // Cross-reduce first to keep intermediates small.
-        let g1 = gcd(self.numer, other.denom);
-        let g2 = gcd(other.numer, self.denom);
-        let n1 = self.numer / g1;
-        let d2 = other.denom / g1;
-        let n2 = other.numer / g2;
-        let d1 = self.denom / g2;
-        let numer = n1.checked_mul(n2).ok_or(RationalError::Overflow)?;
-        let denom = d1.checked_mul(d2).ok_or(RationalError::Overflow)?;
-        Self::checked_new(numer, denom)
+        if self.numer == 0 || other.numer == 0 {
+            return Ok(Rational::zero());
+        }
+        if self.denom == 1 && other.denom == 1 {
+            return Self::integer(self.numer.checked_mul(other.numer));
+        }
+        let (a, b) = (self.numer.unsigned_abs(), self.denom as u128);
+        let (c, d) = (other.numer.unsigned_abs(), other.denom as u128);
+        let g1 = gcd(a, d);
+        let g2 = gcd(c, b);
+        let numer = div_exact(a, g1).checked_mul(div_exact(c, g2));
+        let denom = div_exact(b, g2).checked_mul(div_exact(d, g1));
+        match (numer, denom) {
+            (Some(n), Some(d)) => {
+                Self::from_magnitudes((self.numer < 0) != (other.numer < 0), n, d)
+            }
+            _ => Err(RationalError::Overflow),
+        }
     }
 
     /// Checked division.
@@ -292,18 +414,12 @@ impl Rational {
     }
 
     /// Raises the rational to a non-negative integer power.
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow; [`Rational::checked_pow`] is the fallible form.
     pub fn pow(&self, exp: u32) -> Self {
-        let mut result = Rational::one();
-        let mut base = *self;
-        let mut e = exp;
-        while e > 0 {
-            if e & 1 == 1 {
-                result *= base;
-            }
-            base = base * base;
-            e >>= 1;
-        }
-        result
+        self.checked_pow(exp).expect("rational arithmetic overflow")
     }
 
     /// Raises the rational to a non-negative integer power, returning an
@@ -327,11 +443,7 @@ impl Rational {
 
     /// The floor of the rational as an integer.
     pub fn floor(&self) -> i128 {
-        if self.numer >= 0 {
-            self.numer / self.denom
-        } else {
-            -((-self.numer + self.denom - 1) / self.denom)
-        }
+        self.numer.div_euclid(self.denom)
     }
 
     /// The minimum of two rationals.
@@ -382,6 +494,9 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.denom == other.denom {
+            return self.numer.cmp(&other.numer);
+        }
         // Compare a/b with c/d by comparing a*d with c*b (b, d > 0); when a
         // product overflows, fall back to the exact continued-fraction
         // comparison.
@@ -463,9 +578,11 @@ impl FromStr for Rational {
             let scale = 10i128
                 .checked_pow(frac_part.len() as u32)
                 .ok_or_else(|| ParseRationalError::new(s))?;
-            let frac_rat = Rational::new(frac, scale);
-            let int_rat = Rational::new(int.abs(), 1);
-            let magnitude = int_rat + frac_rat;
+            let magnitude = Rational::checked_new(frac, scale)
+                .and_then(|frac| {
+                    Rational::checked_new(int.unsigned_abs() as i128, 1)?.checked_add(&frac)
+                })
+                .map_err(|_| ParseRationalError::new(s))?;
             return Ok(if negative || int < 0 {
                 -magnitude
             } else {
@@ -473,7 +590,7 @@ impl FromStr for Rational {
             });
         }
         let numer: i128 = s.parse().map_err(|_| ParseRationalError::new(s))?;
-        Ok(Rational::new(numer, 1))
+        Rational::checked_new(numer, 1).map_err(|_| ParseRationalError::new(s))
     }
 }
 
@@ -699,5 +816,295 @@ mod tests {
     fn checked_overflow_is_detected() {
         let huge = Rational::new(i128::MAX / 2, 1);
         assert_eq!(huge.checked_mul(&huge), Err(RationalError::Overflow));
+    }
+
+    #[test]
+    fn a_product_equal_to_i128_min_overflows() {
+        let half_min = Rational::new(i128::MIN / 2, 1);
+        assert_eq!(
+            half_min.checked_mul(&Rational::from_int(2)),
+            Err(RationalError::Overflow)
+        );
+        let half = Rational::new(i128::MIN / 2, 3);
+        assert_eq!(
+            half.checked_mul(&Rational::from_int(6)),
+            Err(RationalError::Overflow)
+        );
+    }
+
+    #[test]
+    fn a_difference_equal_to_i128_min_overflows() {
+        let most_negative = Rational::new(i128::MIN + 1, 1);
+        assert_eq!(
+            Rational::zero().checked_sub(&Rational::new(i128::MAX, 1)),
+            Ok(most_negative)
+        );
+        assert_eq!(
+            most_negative.checked_sub(&Rational::one()),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(
+            most_negative.checked_add(&Rational::from_int(-1)),
+            Err(RationalError::Overflow)
+        );
+    }
+
+    #[test]
+    fn negation_and_abs_of_the_most_negative_value_do_not_wrap() {
+        let most_negative = Rational::new(i128::MIN + 1, 1);
+        assert_eq!(-most_negative, Rational::new(i128::MAX, 1));
+        assert_eq!(most_negative.abs(), Rational::new(i128::MAX, 1));
+        assert!((-most_negative).is_positive());
+    }
+
+    #[test]
+    fn construction_from_i128_min_overflows_unless_it_reduces() {
+        assert_eq!(
+            Rational::checked_new(i128::MIN, -1),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(
+            Rational::checked_new(i128::MIN, 1),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(
+            Rational::checked_new(1, i128::MIN),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(
+            Rational::checked_new(i128::MIN, -2),
+            Ok(Rational::new(1 << 126, 1))
+        );
+        assert_eq!(
+            Rational::checked_new(-2, i128::MIN),
+            Ok(Rational::new(1, 1 << 126))
+        );
+        let text = i128::MIN.to_string();
+        assert!(text.parse::<Rational>().is_err());
+        assert!(format!("{text}.5").parse::<Rational>().is_err());
+    }
+
+    #[test]
+    fn floor_near_the_range_ends() {
+        assert_eq!(Rational::new(i128::MIN + 1, 2).floor(), i128::MIN / 2);
+        assert_eq!(Rational::new(i128::MAX, 2).floor(), i128::MAX / 2);
+    }
+
+    /// The textbook algorithms the fast paths must agree with: Euclid's gcd
+    /// by remainders, normalization by two divisions, the sum over the
+    /// cross-scaled common denominator and the cross-reduced product
+    /// re-normalized by a third gcd. Normalization enforces the type's
+    /// invariant the same way: a part equal to `i128::MIN` is `Overflow`.
+    mod reference {
+        use super::*;
+
+        pub fn gcd(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
+
+        pub fn new(numer: i128, denom: i128) -> Result<Rational, RationalError> {
+            if denom == 0 {
+                return Err(RationalError::DivisionByZero);
+            }
+            let g = gcd(numer.unsigned_abs(), denom.unsigned_abs());
+            let n = numer.unsigned_abs() / g;
+            let d = denom.unsigned_abs() / g;
+            if n > i128::MAX as u128 || d > i128::MAX as u128 {
+                return Err(RationalError::Overflow);
+            }
+            let sign = if (numer < 0) != (denom < 0) { -1 } else { 1 };
+            Ok(Rational {
+                numer: sign * n as i128,
+                denom: d as i128,
+            })
+        }
+
+        pub fn add(x: &Rational, y: &Rational) -> Result<Rational, RationalError> {
+            let g = gcd(x.denom as u128, y.denom as u128) as i128;
+            let lhs_scale = y.denom / g;
+            let rhs_scale = x.denom / g;
+            let numer = x
+                .numer
+                .checked_mul(lhs_scale)
+                .and_then(|a| {
+                    y.numer
+                        .checked_mul(rhs_scale)
+                        .and_then(|b| a.checked_add(b))
+                })
+                .ok_or(RationalError::Overflow)?;
+            let denom = x
+                .denom
+                .checked_mul(lhs_scale)
+                .ok_or(RationalError::Overflow)?;
+            new(numer, denom)
+        }
+
+        pub fn sub(x: &Rational, y: &Rational) -> Result<Rational, RationalError> {
+            add(
+                x,
+                &Rational {
+                    numer: -y.numer,
+                    denom: y.denom,
+                },
+            )
+        }
+
+        pub fn mul(x: &Rational, y: &Rational) -> Result<Rational, RationalError> {
+            let g1 = gcd(x.numer.unsigned_abs(), y.denom as u128) as i128;
+            let g2 = gcd(y.numer.unsigned_abs(), x.denom as u128) as i128;
+            let numer = (x.numer / g1)
+                .checked_mul(y.numer / g2)
+                .ok_or(RationalError::Overflow)?;
+            let denom = (x.denom / g2)
+                .checked_mul(y.denom / g1)
+                .ok_or(RationalError::Overflow)?;
+            new(numer, denom)
+        }
+
+        pub fn recip(x: &Rational) -> Result<Rational, RationalError> {
+            new(x.denom, x.numer)
+        }
+
+        pub fn div(x: &Rational, y: &Rational) -> Result<Rational, RationalError> {
+            if y.numer == 0 {
+                return Err(RationalError::DivisionByZero);
+            }
+            mul(x, &recip(y)?)
+        }
+
+        pub fn pow(x: &Rational, exp: u32) -> Result<Rational, RationalError> {
+            let (mut result, mut base, mut e) = (Rational::one(), *x, exp);
+            while e > 0 {
+                if e & 1 == 1 {
+                    result = mul(&result, &base)?;
+                }
+                e >>= 1;
+                if e > 0 {
+                    base = mul(&base, &base)?;
+                }
+            }
+            Ok(result)
+        }
+
+        pub fn cmp(x: &Rational, y: &Rational) -> Ordering {
+            match (x.numer.checked_mul(y.denom), y.numer.checked_mul(x.denom)) {
+                (Some(l), Some(r)) => l.cmp(&r),
+                _ => cmp_fractions(x.numer, x.denom, y.numer, y.denom),
+            }
+        }
+    }
+
+    /// A raw `i128` drawn from one of the magnitude classes the oracle test
+    /// covers, from two 64-bit draws.
+    fn raw_i128(kind: u32, x: i64, y: i64) -> i128 {
+        let (x, y) = (i128::from(x), i128::from(y));
+        match kind {
+            // Small integers.
+            0 => x % 1000,
+            // 64-bit integers.
+            1 => x,
+            // Products of 64-bit integers: general 128-bit values.
+            2 => x * (y >> 1),
+            // Powers of two, with sign.
+            3 => x.signum() * (1i128 << y.rem_euclid(127)),
+            // Near i128::MAX.
+            4 => i128::MAX - y.rem_euclid(1000),
+            // One step from i128::MIN, and i128::MIN itself.
+            _ => i128::MIN + y.rem_euclid(3),
+        }
+    }
+
+    /// A normalized operand: integers, dyadics `k/2^e` with `e ≤ 62`, small
+    /// general rationals, magnitudes near `i128::MAX` and values one step
+    /// from `i128::MIN`.
+    fn operand() -> impl Strategy<Value = Rational> {
+        ((0u32..7, 0u32..6), (i64::MIN..i64::MAX, i64::MIN..i64::MAX)).prop_map(
+            |((kind, class), (x, y))| {
+                let value = match kind {
+                    0 => Rational::checked_new(raw_i128(class, x, y), 1),
+                    1 => Rational::checked_new(i128::from(x), 1 << y.rem_euclid(63)),
+                    2 => {
+                        Rational::checked_new(i128::from(x % 200), 1 + i128::from(y).rem_euclid(40))
+                    }
+                    3 => Rational::checked_new(
+                        raw_i128(class, x, y),
+                        1 + i128::from(x).rem_euclid(12),
+                    ),
+                    4 => Rational::checked_new(
+                        1 + i128::from(x).rem_euclid(12),
+                        raw_i128(class, y, x),
+                    ),
+                    5 => Rational::checked_new(
+                        raw_i128(class, x, y),
+                        raw_i128((class + 2) % 6, y, x),
+                    ),
+                    _ => Rational::checked_new(
+                        i128::MIN + 1 + i128::from(x).rem_euclid(4),
+                        1 + i128::from(y).rem_euclid(5),
+                    ),
+                };
+                value.unwrap_or_else(|_| Rational::from_int(x))
+            },
+        )
+    }
+
+    fn assert_normalized(value: &Rational) {
+        assert!(value.denom > 0, "{value:?}");
+        assert_ne!(value.numer, i128::MIN, "{value:?}");
+        assert_eq!(
+            reference::gcd(value.numer.unsigned_abs(), value.denom as u128),
+            1,
+            "{value:?}"
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn construction_matches_the_reference(
+            kinds in (0u32..6, 0u32..6),
+            x in (i64::MIN..i64::MAX, i64::MIN..i64::MAX),
+            y in (i64::MIN..i64::MAX, i64::MIN..i64::MAX),
+        ) {
+            let numer = raw_i128(kinds.0, x.0, x.1);
+            let denom = if kinds.1 == 0 && x.0 % 7 == 0 { 0 } else { raw_i128(kinds.1, y.0, y.1) };
+            let fast = Rational::checked_new(numer, denom);
+            prop_assert_eq!(fast, reference::new(numer, denom), "{}/{}", numer, denom);
+            if let Ok(value) = fast {
+                assert_normalized(&value);
+            }
+        }
+
+        #[test]
+        fn binary_operations_match_the_reference(a in operand(), b in operand()) {
+            assert_normalized(&a);
+            assert_normalized(&b);
+            prop_assert_eq!(a.checked_add(&b), reference::add(&a, &b), "{} + {}", a, b);
+            prop_assert_eq!(a.checked_sub(&b), reference::sub(&a, &b), "{} - {}", a, b);
+            prop_assert_eq!(a.checked_mul(&b), reference::mul(&a, &b), "{} * {}", a, b);
+            prop_assert_eq!(a.checked_div(&b), reference::div(&a, &b), "{} / {}", a, b);
+            prop_assert_eq!(a.cmp(&b), reference::cmp(&a, &b), "{} vs {}", a, b);
+            for result in [a.checked_add(&b), a.checked_sub(&b), a.checked_mul(&b), a.checked_div(&b)]
+                .into_iter()
+                .flatten()
+            {
+                assert_normalized(&result);
+            }
+        }
+
+        #[test]
+        fn unary_operations_match_the_reference(a in operand(), exp in 0u32..5) {
+            prop_assert_eq!(a.checked_recip(), reference::recip(&a), "1 / {}", a);
+            prop_assert_eq!(a.checked_pow(exp), reference::pow(&a, exp), "{} ^ {}", a, exp);
+            assert_normalized(&-a);
+            assert_normalized(&a.abs());
+            prop_assert_eq!(-(-a), a);
+        }
     }
 }

@@ -29,7 +29,7 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
     let pre = Precondition::from_program(&program);
     let options = SynthesisOptions::default();
     // The bounded-reals-augmented pre-condition Steps 2 and 3 see.
-    let (augmented, recursive) = prepare(&program, &pre, &options);
+    let (augmented, recursive) = prepare(&program, &pre, &options).unwrap();
     let cfg = Cfg::build(&program);
     // Step 1, Step 2 and their inputs; per-iteration setup stays untimed.
     let (degree, size) = (options.degree, options.size);

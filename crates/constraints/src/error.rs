@@ -42,6 +42,13 @@ pub enum ConstraintError {
         /// The callee missing a post-condition template.
         callee: String,
     },
+    /// Exact rational arithmetic left the `i128` range while building the
+    /// constraints: the program's or the request's constants are too large
+    /// for the exact reduction.
+    ArithmeticOverflow {
+        /// What was being generated, e.g. `the transition l1 -> l2`.
+        context: String,
+    },
 }
 
 impl fmt::Display for ConstraintError {
@@ -73,6 +80,11 @@ impl fmt::Display for ConstraintError {
                 "call to `{callee}` at {label} has no post-condition template; \
                  the template set was not built for recursive synthesis"
             ),
+            ConstraintError::ArithmeticOverflow { context } => write!(
+                f,
+                "exact arithmetic overflowed i128 while generating {context}; \
+                 the constants are too large for the exact reduction"
+            ),
         }
     }
 }
@@ -88,12 +100,13 @@ impl ConstraintError {
         }
     }
 
-    /// The label the error is anchored at.
-    pub fn label(&self) -> Label {
+    /// The label the error is anchored at, when any.
+    pub fn label(&self) -> Option<Label> {
         match self {
             ConstraintError::CallsRequireRecursiveMode { label, .. }
             | ConstraintError::UnknownCallee { label, .. }
-            | ConstraintError::MissingPostcondition { label, .. } => *label,
+            | ConstraintError::MissingPostcondition { label, .. } => Some(*label),
+            ConstraintError::ArithmeticOverflow { .. } => None,
         }
     }
 }

@@ -155,17 +155,25 @@ impl GeneratedSystem {
 ///
 /// Both [`generate`] and the staged pipeline of the `polyinv` crate start
 /// from this, so the two entry points cannot diverge.
+///
+/// # Errors
+///
+/// [`ConstraintError::ArithmeticOverflow`] when the bounded-reals witness
+/// `c²·|V^f|` leaves the `i128` range.
 pub fn prepare(
     program: &Program,
     precondition: &Precondition,
     options: &SynthesisOptions,
-) -> (Precondition, bool) {
+) -> Result<(Precondition, bool), ConstraintError> {
     let mut pre = precondition.clone();
     if let Some(bound) = options.bounded_reals {
-        pre.add_bounded_reals(program, bound);
+        pre.add_bounded_reals(program, bound)
+            .map_err(|_| ConstraintError::ArithmeticOverflow {
+                context: format!("the bounded-reals assertions for c = {bound}"),
+            })?;
     }
     let recursive = options.force_recursive || !program.is_simple();
-    (pre, recursive)
+    Ok((pre, recursive))
 }
 
 /// Runs Step 3 on already-built templates and pairs, assembling the final
@@ -207,15 +215,16 @@ pub fn reduce_pairs(
 /// # Errors
 ///
 /// Returns a [`ConstraintError`] when pair generation rejects the program
-/// (function calls with recursive treatment disabled). The default options
-/// enable recursive treatment automatically for programs with calls, so the
-/// error is only reachable through inconsistent manual configuration.
+/// (function calls with recursive treatment disabled; the default options
+/// enable recursive treatment automatically for programs with calls), or
+/// when the program's or the options' constants overflow the exact
+/// arithmetic.
 pub fn generate(
     program: &Program,
     precondition: &Precondition,
     options: &SynthesisOptions,
 ) -> Result<GeneratedSystem, ConstraintError> {
-    let (pre, recursive) = prepare(program, precondition, options);
+    let (pre, recursive) = prepare(program, precondition, options)?;
     let cfg = Cfg::build(program);
     let mut registry = UnknownRegistry::new();
     let mut mono_table = MonomialTable::new();

@@ -16,6 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use polyinv_arith::RationalError;
 use polyinv_lang::cfg::{Cfg, Transition, TransitionKind};
 use polyinv_lang::guard::Atom;
 use polyinv_lang::{Label, Precondition, Program};
@@ -187,7 +188,7 @@ impl PairGenerator<'_> {
         &mut self,
         label: Label,
         subst: &[(VarId, IntPoly)],
-    ) -> Vec<IntTemplate> {
+    ) -> Result<Vec<IntTemplate>, RationalError> {
         let atoms = self.pre_templates(label);
         atoms
             .iter()
@@ -220,9 +221,13 @@ impl PairGenerator<'_> {
     fn transition(&mut self, transition: &Transition) -> Result<(), ConstraintError> {
         let from = transition.from;
         let to = transition.to;
+        let overflow = |_| ConstraintError::ArithmeticOverflow {
+            context: format!("the transition {from} -> {to}"),
+        };
         match &transition.kind {
             TransitionKind::Update(updates) => {
-                self.update_transition(from, to, updates);
+                self.update_transition(from, to, updates)
+                    .map_err(overflow)?;
             }
             TransitionKind::Guard(formula) => {
                 // The guard is rewritten in DNF; each disjunct contributes a
@@ -251,9 +256,12 @@ impl PairGenerator<'_> {
                 let subst = vec![(*var, IntPoly::variable(fresh, self.table))];
                 let mut context = self.pre_templates(from);
                 context.extend(self.invariant_conjuncts(from));
-                context.extend(self.pre_templates_substituted(to, &subst));
+                context.extend(
+                    self.pre_templates_substituted(to, &subst)
+                        .map_err(overflow)?,
+                );
                 for goal in self.invariant_conjuncts(to) {
-                    let goal = substitute(&goal, &subst, self.table);
+                    let goal = substitute(&goal, &subst, self.table).map_err(overflow)?;
                     self.push_pair(
                         context.clone(),
                         goal,
@@ -281,17 +289,17 @@ impl PairGenerator<'_> {
         from: Label,
         to: Label,
         updates: &[(VarId, polyinv_poly::Polynomial)],
-    ) {
+    ) -> Result<(), RationalError> {
         let subst: Vec<(VarId, IntPoly)> = updates
             .iter()
             .map(|(var, poly)| (*var, IntPoly::from_polynomial(poly, self.table)))
             .collect();
         let mut context = self.pre_templates(from);
         context.extend(self.invariant_conjuncts(from));
-        context.extend(self.pre_templates_substituted(to, &subst));
+        context.extend(self.pre_templates_substituted(to, &subst)?);
         // Ordinary consecution into the invariant template of the target.
         for goal in self.invariant_conjuncts(to) {
-            let goal = substitute(&goal, &subst, self.table);
+            let goal = substitute(&goal, &subst, self.table)?;
             self.push_pair(
                 context.clone(),
                 goal,
@@ -308,7 +316,7 @@ impl PairGenerator<'_> {
                 if let Some(post) = templates.postcondition(function.name()) {
                     let name = function.name().to_string();
                     for goal in &post.conjuncts {
-                        let goal = substitute(goal, &subst, self.table);
+                        let goal = substitute(goal, &subst, self.table)?;
                         self.push_pair(
                             context.clone(),
                             goal,
@@ -319,6 +327,7 @@ impl PairGenerator<'_> {
                 }
             }
         }
+        Ok(())
     }
 
     fn guard_transition(&mut self, from: Label, to: Label, disjunct: &[Atom], index: usize) {
@@ -363,6 +372,9 @@ impl PairGenerator<'_> {
             }
         })?;
 
+        let overflow = |_| ConstraintError::ArithmeticOverflow {
+            context: format!("the call to `{callee}` at {from}"),
+        };
         // v₀* models the value of `dest` after the call.
         let fresh = self.fresh_var();
 
@@ -394,7 +406,7 @@ impl PairGenerator<'_> {
                 .iter()
                 .all(|v| subst_domain.contains(v));
             if in_domain {
-                entry_pre.push(substitute(&poly, &entry_subst, self.table));
+                entry_pre.push(substitute(&poly, &entry_subst, self.table).map_err(overflow)?);
             }
         }
 
@@ -409,7 +421,8 @@ impl PairGenerator<'_> {
             .conjuncts
             .iter()
             .map(|c| substitute(c, &post_subst, self.table))
-            .collect();
+            .collect::<Result<_, _>>()
+            .map_err(overflow)?;
 
         // Substitution replacing the destination variable by v₀* in the
         // target label's pre-condition and invariant template.
@@ -419,10 +432,13 @@ impl PairGenerator<'_> {
         context.extend(self.invariant_conjuncts(from));
         context.extend(entry_pre);
         context.extend(post_templates);
-        context.extend(self.pre_templates_substituted(to, &dest_subst));
+        context.extend(
+            self.pre_templates_substituted(to, &dest_subst)
+                .map_err(overflow)?,
+        );
 
         for goal in self.invariant_conjuncts(to) {
-            let goal = substitute(&goal, &dest_subst, self.table);
+            let goal = substitute(&goal, &dest_subst, self.table).map_err(overflow)?;
             self.push_pair(
                 context.clone(),
                 goal,
@@ -439,7 +455,7 @@ fn substitute(
     template: &IntTemplate,
     subst: &[(VarId, IntPoly)],
     table: &mut MonomialTable,
-) -> IntTemplate {
+) -> Result<IntTemplate, RationalError> {
     template.substitute(
         |v| subst.iter().find(|(var, _)| *var == v).map(|(_, p)| p),
         table,

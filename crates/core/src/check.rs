@@ -125,8 +125,9 @@ fn concrete_templates(
 ///
 /// # Errors
 ///
-/// Returns a [`ConstraintError`] when pair generation rejects the program
-/// (unreachable through this entry point for resolver-accepted programs:
+/// Returns a [`ConstraintError`] when the program's or the options'
+/// constants overflow the exact arithmetic of generation (pair generation
+/// rejects no resolver-accepted program through this entry point:
 /// recursive treatment is enabled automatically whenever calls are present).
 pub fn check_inductive(
     program: &Program,
@@ -138,7 +139,7 @@ pub fn check_inductive(
     let options = options
         .clone()
         .with_force_recursive(options.force_recursive || post.iter().next().is_some());
-    let (pre, recursive) = prepare(program, pre, &options);
+    let (pre, recursive) = prepare(program, pre, &options)?;
     let cfg = Cfg::build(program);
     let mut mono_table = MonomialTable::new();
     let templates = concrete_templates(program, invariant, post, &mut mono_table);

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use polyinv_constraints::SynthesisOptions;
+use polyinv_constraints::{ConstraintError, SynthesisOptions};
 use polyinv_lang::{Cfg, Precondition, Program};
 use polyinv_poly::MonomialTable;
 
@@ -113,14 +113,23 @@ pub struct SynthesisContext<'p> {
     pub mono_table: MonomialTable,
     timings: StageTimings,
     diagnostics: Vec<String>,
+    /// Why [`polyinv_constraints::prepare`] rejected the run, reported by
+    /// `Pipeline::generate`.
+    pub(crate) prepare_error: Option<ConstraintError>,
 }
 
 impl<'p> SynthesisContext<'p> {
     /// Builds the context for one pipeline run: augments the pre-condition
     /// and decides recursive treatment (via [`polyinv_constraints::prepare`],
-    /// shared with the single-call `generate`), then builds the CFG.
+    /// shared with the single-call `generate`), then builds the CFG. A
+    /// rejected augmentation keeps the caller's pre-condition and fails
+    /// every `Pipeline::generate` on this context.
     pub fn new(program: &'p Program, pre: &Precondition, options: SynthesisOptions) -> Self {
-        let (precondition, recursive) = polyinv_constraints::prepare(program, pre, &options);
+        let (precondition, recursive, prepare_error) =
+            match polyinv_constraints::prepare(program, pre, &options) {
+                Ok((precondition, recursive)) => (precondition, recursive, None),
+                Err(error) => (pre.clone(), false, Some(error)),
+            };
         let cfg = Cfg::build(program);
         SynthesisContext {
             program,
@@ -131,6 +140,7 @@ impl<'p> SynthesisContext<'p> {
             mono_table: MonomialTable::new(),
             timings: StageTimings::new(),
             diagnostics: Vec::new(),
+            prepare_error,
         }
     }
 

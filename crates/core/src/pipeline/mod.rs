@@ -56,11 +56,16 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns a [`ConstraintError`] when pair generation rejects the
-    /// program (function calls with recursive treatment disabled).
+    /// program (function calls with recursive treatment disabled), or when
+    /// the program's or the options' constants overflow the exact
+    /// arithmetic.
     pub fn generate(
         &self,
         ctx: &mut SynthesisContext<'_>,
     ) -> Result<GeneratedSystem, ConstraintError> {
+        if let Some(error) = &ctx.prepare_error {
+            return Err(error.clone());
+        }
         // Step 1: one template per label (and, for recursive programs, one
         // post-condition template per function).
         let start = Instant::now();

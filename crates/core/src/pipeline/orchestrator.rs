@@ -229,6 +229,9 @@ pub struct OrchestratorStats {
 /// The result of an orchestrated solve: the best candidate over all rungs,
 /// its certificate, and everything downstream consumers (engine, validate,
 /// bench) need to report it.
+///
+/// The members of 80 bytes and more are boxed, which keeps the outcome at
+/// about 230 bytes instead of 1 KB for callers that hold one per request.
 #[derive(Debug, Clone)]
 pub struct OrchestratorOutcome {
     /// `true` when the candidate passed the exact-rational certificate —
@@ -248,7 +251,7 @@ pub struct OrchestratorOutcome {
     /// The final rung's generated system (post-ladder, pre-presolve): the
     /// single source of truth for `system_size`/`num_unknowns` and the
     /// system the certificate was checked against.
-    pub generated: GeneratedSystem,
+    pub generated: Box<GeneratedSystem>,
     /// `|S|` of `generated` (post-ladder, pre-presolve).
     pub system_size: usize,
     /// Unknowns of `generated`.
@@ -261,14 +264,14 @@ pub struct OrchestratorOutcome {
     pub backend: &'static str,
     /// Solver statistics of the winning lane on the accepted (or last)
     /// rung.
-    pub solver: SolverStats,
+    pub solver: Box<SolverStats>,
     /// Presolve statistics of the accepted (or last) rung.
-    pub presolve: Option<PresolveStats>,
+    pub presolve: Option<Box<PresolveStats>>,
     /// The exact re-check report of the returned candidate: the passing
     /// rounding, else the closest one, with the rational point it checked.
-    pub exact: ExactReport,
+    pub exact: Box<ExactReport>,
     /// The orchestration summary.
-    pub stats: OrchestratorStats,
+    pub stats: Box<OrchestratorStats>,
 }
 
 /// A member of a strong enumeration: a distinct invariant whose snapped
@@ -527,9 +530,9 @@ impl Orchestrator {
             violation: best.violation,
             timings,
             backend: best.backend,
-            solver: best.solver,
-            presolve: best.presolve,
-            stats: OrchestratorStats {
+            solver: Box::new(best.solver),
+            presolve: best.presolve.map(Box::new),
+            stats: Box::new(OrchestratorStats {
                 attempts: history.len(),
                 rungs_tried,
                 rung_reached,
@@ -537,10 +540,10 @@ impl Orchestrator {
                 certified: best.certified,
                 certificate_violation: best.exact.worst_violation.to_f64(),
                 history,
-            },
-            exact: best.exact,
+            }),
+            exact: Box::new(best.exact),
             assignment: best.assignment,
-            generated: best.generated,
+            generated: Box::new(best.generated),
         })
     }
 

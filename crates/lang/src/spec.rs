@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use polyinv_arith::Rational;
+use polyinv_arith::{Rational, RationalError};
 use polyinv_poly::{Polynomial, VarId};
 
 use crate::guard::Atom;
@@ -114,10 +114,19 @@ impl Precondition {
     ///
     /// The compactness witness is what makes Putinar's positivstellensatz
     /// (and hence the semi-completeness result, Lemma 3.7) applicable.
-    pub fn add_bounded_reals(&mut self, program: &Program, bound: Rational) {
+    ///
+    /// # Errors
+    ///
+    /// `Overflow` when `c²·|V^f|` leaves the `i128` range.
+    pub fn add_bounded_reals(
+        &mut self,
+        program: &Program,
+        bound: Rational,
+    ) -> Result<(), RationalError> {
+        let squared = bound.checked_mul(&bound)?;
         for function in program.functions() {
             let vars = function.vars().to_vec();
-            let count = Rational::from_int(vars.len() as i64);
+            let radius = squared.checked_mul(&Rational::from_int(vars.len() as i64))?;
             for &label in function.labels() {
                 for &var in &vars {
                     let v = Polynomial::variable(var);
@@ -125,13 +134,14 @@ impl Precondition {
                     self.add(label, v + Polynomial::constant(bound));
                 }
                 // c²·|V^f| − Σ v² ≥ 0.
-                let mut norm = Polynomial::constant(bound * bound * count);
+                let mut norm = Polynomial::constant(radius);
                 for &var in &vars {
                     norm = norm - Polynomial::variable(var).pow(2);
                 }
                 self.add(label, norm);
             }
         }
+        Ok(())
     }
 
     /// The total number of atoms across all labels.
@@ -288,7 +298,8 @@ mod tests {
         let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
         let mut pre = Precondition::from_program(&program);
         let before = pre.num_atoms();
-        pre.add_bounded_reals(&program, Rational::from_int(1000));
+        pre.add_bounded_reals(&program, Rational::from_int(1000))
+            .unwrap();
         let func = program.main();
         let per_label = 2 * func.vars().len() + 1;
         assert_eq!(pre.num_atoms(), before + per_label * func.labels().len());

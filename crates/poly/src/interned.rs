@@ -17,7 +17,7 @@
 //! API; conversions back to [`Polynomial`] restore the canonical order, so
 //! display strings and downstream consumers are unaffected.
 
-use polyinv_arith::Rational;
+use polyinv_arith::{Rational, RationalError};
 
 use crate::monomial::VarId;
 use crate::polynomial::Polynomial;
@@ -95,44 +95,60 @@ impl IntPoly {
         &self.terms
     }
 
-    /// Adds `coefficient · monomial` in place.
-    pub fn add_term(&mut self, id: MonoId, coefficient: Rational) {
+    /// Adds `coefficient · monomial` in place, or `Overflow` (leaving the
+    /// polynomial unchanged) when the merged coefficient leaves `i128`.
+    pub fn add_term(&mut self, id: MonoId, coefficient: Rational) -> Result<(), RationalError> {
+        let mut result = Ok(());
         merge_term(
             &mut self.terms,
             id,
             coefficient,
             Rational::is_zero,
-            |entry, c| *entry += c,
+            |entry, c| match entry.checked_add(&c) {
+                Ok(sum) => *entry = sum,
+                Err(error) => result = Err(error),
+            },
         );
-    }
-
-    /// The product of two interned polynomials.
-    pub fn mul(&self, other: &IntPoly, table: &mut MonomialTable) -> IntPoly {
-        let mut result = IntPoly::zero();
-        for &(ma, ca) in &self.terms {
-            for &(mb, cb) in &other.terms {
-                result.add_term(table.mul(ma, mb), ca * cb);
-            }
-        }
         result
     }
 
-    /// The polynomial raised to a non-negative power.
-    pub fn pow(&self, exponent: u32, table: &mut MonomialTable) -> IntPoly {
+    /// The product of two interned polynomials, or `Overflow` when a
+    /// coefficient leaves `i128`.
+    pub fn mul(
+        &self,
+        other: &IntPoly,
+        table: &mut MonomialTable,
+    ) -> Result<IntPoly, RationalError> {
+        let mut result = IntPoly::zero();
+        for &(ma, ca) in &self.terms {
+            for &(mb, cb) in &other.terms {
+                result.add_term(table.mul(ma, mb), ca.checked_mul(&cb)?)?;
+            }
+        }
+        Ok(result)
+    }
+
+    /// The polynomial raised to a non-negative power, or `Overflow` when a
+    /// coefficient leaves `i128`.
+    pub fn pow(&self, exponent: u32, table: &mut MonomialTable) -> Result<IntPoly, RationalError> {
         let mut result = IntPoly {
             terms: vec![(MonoId::ONE, Rational::one())],
         };
         for _ in 0..exponent {
-            result = result.mul(self, table);
+            result = result.mul(self, table)?;
         }
-        result
+        Ok(result)
     }
 }
 
 /// Expands one interned monomial under a substitution `v ↦ pᵥ` into a
 /// concrete interned polynomial. Variables for which `subst` returns `None`
-/// are left untouched.
-pub fn substitute_monomial<'a, F>(id: MonoId, mut subst: F, table: &mut MonomialTable) -> IntPoly
+/// are left untouched. `Overflow` when a coefficient leaves `i128`.
+pub fn substitute_monomial<'a, F>(
+    id: MonoId,
+    mut subst: F,
+    table: &mut MonomialTable,
+) -> Result<IntPoly, RationalError>
 where
     F: FnMut(VarId) -> Option<&'a IntPoly>,
 {
@@ -143,8 +159,8 @@ where
     for (var, exp) in powers {
         match subst(var) {
             Some(replacement) => {
-                let factor = replacement.pow(exp, table);
-                result = result.mul(&factor, table);
+                let factor = replacement.pow(exp, table)?;
+                result = result.mul(&factor, table)?;
             }
             None => {
                 let var_id = table.var(var);
@@ -155,11 +171,11 @@ where
                 let mono = IntPoly {
                     terms: vec![(factor, Rational::one())],
                 };
-                result = result.mul(&mono, table);
+                result = result.mul(&mono, table)?;
             }
         }
     }
-    result
+    Ok(result)
 }
 
 /// A template polynomial with interned monomials: coefficients are affine
@@ -263,36 +279,50 @@ impl IntTemplate {
         );
     }
 
-    /// Adds `factor · coefficient · monomial` in place.
-    pub fn add_scaled_term(&mut self, id: MonoId, coefficient: &LinExpr, factor: Rational) {
+    /// Adds `factor · coefficient · monomial` in place, or `Overflow` when a
+    /// coefficient leaves `i128` (the template is then unspecified).
+    pub fn add_scaled_term(
+        &mut self,
+        id: MonoId,
+        coefficient: &LinExpr,
+        factor: Rational,
+    ) -> Result<(), RationalError> {
         if factor.is_zero() || coefficient.is_zero() {
-            return;
+            return Ok(());
         }
         match self.terms.binary_search_by_key(&id, |&(m, _)| m) {
             Ok(pos) => {
-                self.terms[pos].1.add_scaled(coefficient, factor);
+                self.terms[pos].1.add_scaled(coefficient, factor)?;
                 if self.terms[pos].1.is_zero() {
                     self.terms.remove(pos);
                 }
             }
-            Err(pos) => self.terms.insert(pos, (id, coefficient.scale(factor))),
+            Err(pos) => self
+                .terms
+                .insert(pos, (id, coefficient.checked_scale(factor)?)),
         }
+        Ok(())
     }
 
     /// Substitutes program variables by interned polynomials (identity where
     /// `None`), keeping the symbolic coefficients — `η(ℓ′) ∘ α` of Step 2.
-    pub fn substitute<'a, F>(&self, mut subst: F, table: &mut MonomialTable) -> IntTemplate
+    /// `Overflow` when a coefficient leaves `i128`.
+    pub fn substitute<'a, F>(
+        &self,
+        mut subst: F,
+        table: &mut MonomialTable,
+    ) -> Result<IntTemplate, RationalError>
     where
         F: FnMut(VarId) -> Option<&'a IntPoly>,
     {
         let mut result = IntTemplate::zero();
         for &(monomial, ref coeff) in &self.terms {
-            let expansion = substitute_monomial(monomial, &mut subst, table);
+            let expansion = substitute_monomial(monomial, &mut subst, table)?;
             for &(mono, scalar) in expansion.terms() {
-                result.add_scaled_term(mono, coeff, scalar);
+                result.add_scaled_term(mono, coeff, scalar)?;
             }
         }
-        result
+        Ok(result)
     }
 }
 
@@ -418,7 +448,7 @@ mod tests {
         let ip = IntPoly::from_polynomial(&p, &mut table);
         let iq = IntPoly::from_polynomial(&q, &mut table);
         assert_eq!(ip.to_polynomial(&table), p);
-        let product = ip.mul(&iq, &mut table);
+        let product = ip.mul(&iq, &mut table).unwrap();
         assert_eq!(product.to_polynomial(&table), &p * &q);
     }
 
@@ -427,9 +457,12 @@ mod tests {
         let mut table = MonomialTable::new();
         let p = Polynomial::variable(v(0)) + Polynomial::constant(int(1));
         let ip = IntPoly::from_polynomial(&p, &mut table);
-        assert_eq!(ip.pow(3, &mut table).to_polynomial(&table), p.pow(3));
         assert_eq!(
-            ip.pow(0, &mut table).to_polynomial(&table),
+            ip.pow(3, &mut table).unwrap().to_polynomial(&table),
+            p.pow(3)
+        );
+        assert_eq!(
+            ip.pow(0, &mut table).unwrap().to_polynomial(&table),
             Polynomial::one()
         );
     }
@@ -459,8 +492,26 @@ mod tests {
             .substitute(|var| (var == v(0)).then(|| replacement.clone()));
 
         let ir = IntPoly::from_polynomial(&replacement, &mut table);
-        let substituted = template.substitute(|var| (var == v(0)).then_some(&ir), &mut table);
+        let substituted = template
+            .substitute(|var| (var == v(0)).then_some(&ir), &mut table)
+            .unwrap();
         assert_eq!(substituted.instantiate(&table, assignment), expected);
+    }
+
+    #[test]
+    fn substitution_overflow_is_an_error() {
+        let mut table = MonomialTable::new();
+        let template = sample_template(&mut table);
+        // x0 ↦ 10²² · x0: the x0² coefficient 10⁴⁴ leaves i128.
+        let big = Rational::new(10i128.pow(22), 1);
+        let mut scaled = IntPoly::zero();
+        scaled.add_term(table.var(v(0)), big).unwrap();
+        assert_eq!(
+            template.substitute(|var| (var == v(0)).then_some(&scaled), &mut table),
+            Err(RationalError::Overflow)
+        );
+        assert!(scaled.pow(1, &mut table).is_ok());
+        assert_eq!(scaled.pow(2, &mut table), Err(RationalError::Overflow));
     }
 
     #[test]

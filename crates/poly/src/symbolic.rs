@@ -15,7 +15,9 @@
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
-use polyinv_arith::Rational;
+use polyinv_arith::{Rational, RationalError};
+
+const OVERFLOW: &str = "rational arithmetic overflow";
 
 /// An opaque identifier for an unknown (template coefficient, multiplier
 /// coefficient, Cholesky entry or positivity witness).
@@ -101,19 +103,20 @@ impl LinExpr {
         &self.terms
     }
 
-    fn add_term(&mut self, id: UnknownId, coeff: Rational) {
+    fn add_term(&mut self, id: UnknownId, coeff: Rational) -> Result<(), RationalError> {
         if coeff.is_zero() {
-            return;
+            return Ok(());
         }
         match self.terms.binary_search_by_key(&id, |&(u, _)| u) {
             Ok(pos) => {
-                self.terms[pos].1 += coeff;
+                self.terms[pos].1 = self.terms[pos].1.checked_add(&coeff)?;
                 if self.terms[pos].1.is_zero() {
                     self.terms.remove(pos);
                 }
             }
             Err(pos) => self.terms.insert(pos, (id, coeff)),
         }
+        Ok(())
     }
 
     /// Adds another expression in place (no allocation when the unknown
@@ -121,30 +124,48 @@ impl LinExpr {
     pub fn add_expr(&mut self, other: &LinExpr) {
         self.constant += other.constant;
         for &(u, c) in &other.terms {
-            self.add_term(u, c);
+            self.add_term(u, c).expect(OVERFLOW);
         }
     }
 
-    /// Adds `factor · other` in place.
-    pub fn add_scaled(&mut self, other: &LinExpr, factor: Rational) {
+    /// Adds `factor · other` in place, or `Overflow` when a coefficient
+    /// leaves `i128` (the expression is then unspecified).
+    pub fn add_scaled(&mut self, other: &LinExpr, factor: Rational) -> Result<(), RationalError> {
         if factor.is_zero() {
-            return;
+            return Ok(());
         }
-        self.constant += other.constant * factor;
+        self.constant = self
+            .constant
+            .checked_add(&other.constant.checked_mul(&factor)?)?;
         for &(u, c) in &other.terms {
-            self.add_term(u, c * factor);
+            self.add_term(u, c.checked_mul(&factor)?)?;
         }
+        Ok(())
     }
 
     /// Multiplies the expression by a rational constant.
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow; [`LinExpr::checked_scale`] is the fallible form.
     pub fn scale(&self, factor: Rational) -> LinExpr {
+        self.checked_scale(factor).expect(OVERFLOW)
+    }
+
+    /// Multiplies the expression by a rational constant, or `Overflow` when
+    /// a coefficient leaves `i128`.
+    pub fn checked_scale(&self, factor: Rational) -> Result<LinExpr, RationalError> {
         if factor.is_zero() {
-            return LinExpr::zero();
+            return Ok(LinExpr::zero());
         }
-        LinExpr {
-            constant: self.constant * factor,
-            terms: self.terms.iter().map(|&(u, c)| (u, c * factor)).collect(),
-        }
+        Ok(LinExpr {
+            constant: self.constant.checked_mul(&factor)?,
+            terms: self
+                .terms
+                .iter()
+                .map(|&(u, c)| Ok((u, c.checked_mul(&factor)?)))
+                .collect::<Result<_, RationalError>>()?,
+        })
     }
 
     /// Multiplies two affine expressions, producing a quadratic expression.
@@ -219,7 +240,7 @@ impl Add for LinExpr {
     fn add(mut self, rhs: LinExpr) -> LinExpr {
         self.constant += rhs.constant;
         for (u, c) in rhs.terms {
-            self.add_term(u, c);
+            self.add_term(u, c).expect(OVERFLOW);
         }
         self
     }
@@ -578,8 +599,9 @@ mod tests {
             &(Polynomial::variable(v(1)) + Polynomial::constant(int(1))),
             &mut table,
         );
-        let substituted =
-            template.substitute(|var| (var == v(0)).then_some(&replacement), &mut table);
+        let substituted = template
+            .substitute(|var| (var == v(0)).then_some(&replacement), &mut table)
+            .unwrap();
         // Result: s*y^2 + 2s*y + s.
         assert_eq!(substituted.num_terms(), 3);
         let y = table.var(v(1));

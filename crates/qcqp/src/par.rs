@@ -47,8 +47,9 @@ fn available_threads() -> usize {
 pub struct ThreadBudget {
     /// Concurrent restarts (1 = sequential restarts).
     pub restart_threads: usize,
-    /// Worker threads per iteration for residual evaluation and numeric
-    /// factorization (1 = serial iteration core).
+    /// Worker threads per iteration for the residual and `JᵀJ` evaluation
+    /// (1 = serial evaluation). The numeric factorization and the
+    /// triangular solves are serial at any budget.
     pub eval_threads: usize,
 }
 

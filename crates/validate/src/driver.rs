@@ -47,7 +47,7 @@ pub fn run_validated(
             &outcome.postconditions,
             &config.trace,
         ),
-        exact: outcome.exact,
+        exact: *outcome.exact,
     };
     for violation in &validation.trace.violations {
         report.diagnostics.push(format!(

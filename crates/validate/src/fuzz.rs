@@ -224,7 +224,7 @@ fn check_case(source: &str, config: &FuzzConfig) -> CaseStatus {
             &outcome.postconditions,
             &config.validation.trace,
         ),
-        exact: outcome.exact,
+        exact: *outcome.exact,
     };
     if validation.sound() {
         CaseStatus::Sound {
