@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the Step-4 solve stage.
 //!
-//! Six groups:
+//! Seven groups:
 //!
 //! * `lm_iteration` — one damped normal-equations iteration (accumulate
 //!   `JᵀJ`/`Jᵀr` from sparse rows, numeric LDLᵀ factor, triangular solves)
@@ -26,6 +26,10 @@
 //!   ϒ = 2 systems of recursive-sum, recursive-square-sum and prodbin
 //!   (fill-heavy: the supernodal layout) and the ϒ = 0 system of cohendiv
 //!   (the simplicial control).
+//! * `penalty_lane` — the penalty lane alone: `AlmSolver` with the default
+//!   plan's lane options on the presolved ϒ = 0 system of cohendiv, from
+//!   the cold warm start `0.05` a first rung uses. Its restarts run on the
+//!   thread budget's restart workers.
 //! * `symbolic_setup` — the once-per-problem cost the sparse path amortizes
 //!   (pattern construction + minimum-degree ordering + symbolic LDLᵀ).
 //! * `weak_synthesis_e2e` — an end-to-end weak synthesis (Steps 1–4)
@@ -33,8 +37,9 @@
 //!
 //! CI smoke-compiles everything and short-runs the sparse iteration
 //! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`), the
-//! accumulation group (`-- normal_accumulate`) and the factorization group
-//! (`-- ldl_factor`); the full runs — including
+//! accumulation group (`-- normal_accumulate`), the factorization group
+//! (`-- ldl_factor`) and the penalty lane (`-- penalty_lane`); the full
+//! runs — including
 //! the slow dense oracle and the large-system scaling group — are for
 //! local perf work.
 
@@ -153,6 +158,21 @@ fn ldl_factor(c: &mut Criterion) {
     group.finish();
 }
 
+fn penalty_lane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("penalty_lane");
+    group.sample_size(10);
+    let problem = presolved_problem_at("cohendiv", 0);
+    let options = polyinv::SolvePlan::new(polyinv_constraints::SynthesisOptions::default())
+        .penalty
+        .expect("the default plan races a penalty lane");
+    let solver = polyinv_qcqp::AlmSolver::new(options);
+    let warm = vec![0.05; problem.num_vars];
+    group.bench_function("cohendiv/upsilon0", |b| {
+        b.iter(|| solver.solve(&problem, Some(&warm)).violation)
+    });
+    group.finish();
+}
+
 fn symbolic_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("symbolic_setup");
     group
@@ -197,6 +217,7 @@ criterion_group!(
     lm_iteration_large,
     normal_accumulate,
     ldl_factor,
+    penalty_lane,
     symbolic_setup,
     weak_synthesis_e2e
 );

@@ -45,15 +45,24 @@ impl QuadraticSystem {
     /// the maximum of `|equality|` and `max(0, -inequality)` over all
     /// constraints. The sum-of-squares conditions are part of these rows:
     /// the Cholesky encoding writes each multiplier as `yᵀ·L·Lᵀ·y`, PSD by
-    /// construction, so nothing outside the rows remains to check.
+    /// construction, so nothing outside the rows remains to check. A NaN
+    /// row value counts as +∞: `f64::max` would drop it and pass the row.
     pub fn max_violation(&self, assignment: &[f64]) -> f64 {
         let lookup = |u: UnknownId| assignment.get(u.index()).copied().unwrap_or(0.0);
         let mut worst: f64 = 0.0;
         for eq in &self.equalities {
-            worst = worst.max(eq.eval(lookup).abs());
+            let value = eq.eval(lookup);
+            if value.is_nan() {
+                return f64::INFINITY;
+            }
+            worst = worst.max(value.abs());
         }
         for ineq in &self.inequalities {
-            worst = worst.max((-ineq.eval(lookup)).max(0.0));
+            let value = ineq.eval(lookup);
+            if value.is_nan() {
+                return f64::INFINITY;
+            }
+            worst = worst.max((-value).max(0.0));
         }
         worst
     }
@@ -83,5 +92,19 @@ mod tests {
         assert!((system.max_violation(&[3.0]) - 1.0).abs() < 1e-12);
         assert!((system.max_violation(&[-1.0]) - 3.0).abs() < 1e-12);
         assert_eq!(system.size(), 2);
+        // A NaN unknown makes both rows NaN; neither may pass as satisfied.
+        assert_eq!(system.max_violation(&[f64::NAN]), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_nan_inequality_alone_is_a_violation() {
+        let mut registry = UnknownRegistry::new();
+        let u = registry.fresh(UnknownKind::Witness { pair: 0 });
+        let mut system = QuadraticSystem::new(registry);
+        system
+            .inequalities
+            .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
+        assert_eq!(system.max_violation(&[1.0]), 0.0);
+        assert_eq!(system.max_violation(&[f64::NAN]), f64::INFINITY);
     }
 }

@@ -31,6 +31,7 @@
 //! the representative set.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use polyinv_arith::Rational;
@@ -341,6 +342,20 @@ impl Rung {
         let violation = self.generated.system.max_violation(&assignment);
         (assignment, violation)
     }
+
+    /// A portfolio lane's outcome, reassembled and scored on the original
+    /// system; `seconds` is the lane's solve time.
+    fn lane(&self, backend: &'static str, outcome: SolveOutcome, seconds: f64) -> LaneResult {
+        let (assignment, violation) = self.reassemble(&outcome.assignment);
+        LaneResult {
+            backend,
+            assignment,
+            violation,
+            feasible: outcome.status == SolveStatus::Feasible,
+            stats: outcome.stats,
+            seconds,
+        }
+    }
 }
 
 /// One portfolio lane's raw result on a rung.
@@ -350,6 +365,14 @@ struct LaneResult {
     violation: f64,
     feasible: bool,
     stats: SolverStats,
+    seconds: f64,
+}
+
+/// A polished point with its violation and the polish's wall-clock.
+struct Polished {
+    assignment: Vec<f64>,
+    violation: f64,
+    seconds: f64,
 }
 
 /// The per-rung candidate after portfolio + polish + certificate.
@@ -394,11 +417,14 @@ const WORKSPACE_CACHE_LIMIT: usize = 8;
 impl SolveCache {
     /// Solves with a cached symbolic workspace when one matches the
     /// problem's structure; builds (and caches) the workspace otherwise.
+    /// The solve ends early once `stop()` holds
+    /// ([`LmSolver::solve_with_workspace_until`]).
     fn solve_lm(
         &mut self,
         solver: &LmSolver,
         problem: &Problem,
         warm_start: Option<&[f64]>,
+        stop: &(dyn Fn() -> bool + Sync),
     ) -> SolveOutcome {
         let weight = solver.options().objective_weight;
         if let Some(pos) = self
@@ -409,12 +435,12 @@ impl SolveCache {
             // Move the hit to the back: the eviction below drops the least
             // recently used structure.
             let ws = self.workspaces.remove(pos);
-            let outcome = solver.solve_with_workspace(problem, &ws, warm_start);
+            let outcome = solver.solve_with_workspace_until(problem, &ws, warm_start, stop);
             self.workspaces.push(ws);
             return outcome;
         }
         let ws = LmWorkspace::build(problem, weight);
-        let outcome = solver.solve_with_workspace(problem, &ws, warm_start);
+        let outcome = solver.solve_with_workspace_until(problem, &ws, warm_start, stop);
         if self.workspaces.len() >= WORKSPACE_CACHE_LIMIT {
             self.workspaces.remove(0);
         }
@@ -717,68 +743,75 @@ impl Orchestrator {
         // space by provenance ([`SolveCache::warm_vector`]).
         let problem = &rung.problem;
         let warm = cache.warm_vector(&rung.generated.system.registry, &rung.mapping);
-        // Each lane comes back as `(backend, outcome, seconds)`.
-        let (lm_lane, penalty_lane) = std::thread::scope(|scope| {
+        // The penalty lane's (feasible, violation), set as soon as it is
+        // scored.
+        let penalty_score = OnceLock::new();
+        let (lm_lane, penalty_lane, early_polish) = std::thread::scope(|scope| {
             let penalty_handle = penalty_solver.as_ref().map(|solver| {
-                let warm = &warm;
+                let (rung, warm, penalty_score) = (&rung, &warm, &penalty_score);
                 scope.spawn(move || {
                     let start = Instant::now();
                     let outcome = solver.solve(problem, Some(warm));
-                    ("penalty", outcome, start.elapsed().as_secs_f64())
+                    let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
+                    penalty_score.get_or_init(|| (lane.feasible, lane.violation));
+                    lane
                 })
             });
             let start = Instant::now();
-            let outcome = cache.solve_lm(&lm_solver, problem, Some(&warm));
-            let lm_lane = ("lm", outcome, start.elapsed().as_secs_f64());
+            let outcome = cache.solve_lm(&lm_solver, problem, Some(&warm), &|| false);
+            let lm_lane = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
+            // While the penalty lane still runs, polish the LM point here
+            // instead of idling in `join`. Polish is deterministic, so this
+            // is the result polishing after the race would give; it is
+            // kept only if the LM lane wins, and abandoned (its running LM
+            // sub-solve stops at the next iteration) once the penalty lane
+            // has finished ahead of it.
+            let lm_lost = || {
+                penalty_score
+                    .get()
+                    .is_some_and(|&(feasible, violation)| outranks(feasible, violation, &lm_lane))
+            };
+            let early_polish = penalty_handle
+                .as_ref()
+                .is_some_and(|handle| !handle.is_finished())
+                .then(|| self.polish(&rung, &lm_lane, deadline, &lm_lost, cache))
+                .flatten();
             let penalty_lane =
                 penalty_handle.map(|handle| handle.join().expect("penalty lane panicked"));
-            (lm_lane, penalty_lane)
+            (lm_lane, penalty_lane, early_polish)
         });
 
-        let mut lanes = Vec::new();
-        for (backend, outcome, seconds) in [Some(lm_lane), penalty_lane].into_iter().flatten() {
-            let (assignment, violation) = rung.reassemble(&outcome.assignment);
-            let feasible = outcome.status == SolveStatus::Feasible;
+        let mut lanes = vec![lm_lane];
+        lanes.extend(penalty_lane);
+        for lane in &lanes {
             history.push(SolveAttempt {
                 upsilon,
-                backend: backend.to_string(),
-                feasible,
-                violation,
-                seconds,
-            });
-            lanes.push(LaneResult {
-                backend,
-                assignment,
-                violation,
-                feasible,
-                stats: outcome.stats,
+                backend: lane.backend.to_string(),
+                feasible: lane.feasible,
+                violation: lane.violation,
+                seconds: lane.seconds,
             });
         }
         let winner = pick_winner(lanes);
 
         // Block-coordinate polish of the winner on the original system.
-        let mut assignment = winner.assignment;
-        let mut violation = winner.violation;
-        if self.plan.polish_rounds > 0 && violation > self.plan.lm.tolerance {
-            let polish_start = Instant::now();
-            let polished = self.polish(
-                &rung.generated,
-                &rung.fixed,
-                assignment,
-                violation,
-                deadline,
-                cache,
-            );
-            assignment = polished.0;
-            violation = polished.1;
-            history.push(SolveAttempt {
-                upsilon,
-                backend: "polish".to_string(),
-                feasible: violation <= self.plan.lm.tolerance,
-                violation,
-                seconds: polish_start.elapsed().as_secs_f64(),
-            });
-        }
+        let polished = match early_polish {
+            Some(polished) if winner.backend == "lm" => Some(polished),
+            _ => self.polish(&rung, &winner, deadline, &|| false, cache),
+        };
+        let (assignment, violation) = match polished {
+            Some(polished) => {
+                history.push(SolveAttempt {
+                    upsilon,
+                    backend: "polish".to_string(),
+                    feasible: polished.violation <= self.plan.lm.tolerance,
+                    violation: polished.violation,
+                    seconds: polished.seconds,
+                });
+                (polished.assignment, polished.violation)
+            }
+            None => (winner.assignment, winner.violation),
+        };
         timings.record(stage_names::SOLVE, solve_start.elapsed());
 
         // Snap and certify: the target pins enter exactly, the rest walks
@@ -943,25 +976,34 @@ impl Orchestrator {
         members
     }
 
-    /// Block-coordinate polish: alternately frees the SOS side (multiplier,
-    /// Cholesky and witness unknowns) and the template side, then runs
-    /// a final pass over the *linear* tail (multiplier + witness unknowns
-    /// with both the template and Cholesky blocks pinned — a least-squares
-    /// problem whose optimum is the best residual compatible with the
-    /// snapped coefficients). Keeps the best point seen, and stops early
-    /// once the whole-solve `deadline` has passed.
+    /// Block-coordinate polish of a lane's point: alternately frees the SOS
+    /// side (multiplier, Cholesky and witness unknowns) and the template
+    /// side, then runs a final pass over the *linear* tail (multiplier +
+    /// witness unknowns with both the template and Cholesky blocks pinned —
+    /// a least-squares problem whose optimum is the best residual
+    /// compatible with the snapped coefficients). Keeps the best point
+    /// seen, and stops early once the whole-solve `deadline` has passed.
+    ///
+    /// `None` when polish does not run (no rounds, or the point already
+    /// meets the LM tolerance), or when `abandon()` turns true: the caller
+    /// no longer wants the result, so the running LM sub-solve stops at its
+    /// next iteration and no further pass starts.
     fn polish(
         &self,
-        generated: &GeneratedSystem,
-        fixed: &HashMap<UnknownId, Rational>,
-        start: Vec<f64>,
-        start_violation: f64,
+        rung: &Rung,
+        lane: &LaneResult,
         deadline: Option<Instant>,
+        abandon: &(dyn Fn() -> bool + Sync),
         cache: &mut SolveCache,
-    ) -> (Vec<f64>, f64) {
-        let registry = &generated.system.registry;
+    ) -> Option<Polished> {
+        if self.plan.polish_rounds == 0 || lane.violation <= self.plan.lm.tolerance {
+            return None;
+        }
+        let start = Instant::now();
+        let system = &rung.generated.system;
         let block = |wanted: fn(&UnknownKind) -> bool| -> Vec<UnknownId> {
-            registry
+            system
+                .registry
                 .iter()
                 .filter(|(_, kind)| wanted(kind))
                 .map(|(id, _)| id)
@@ -980,9 +1022,9 @@ impl Orchestrator {
             .copied()
             .collect();
 
-        let mut best = start;
-        let mut best_violation = start_violation;
-        for round in 0..self.plan.polish_rounds {
+        let mut best = lane.assignment.clone();
+        let mut best_violation = lane.violation;
+        'rounds: for round in 0..self.plan.polish_rounds {
             // Pass 1 pins the template block and frees {t, l, ε}. Pass 2
             // pins the Cholesky block and frees {s, t, ε} (the remaining
             // system is bilinear in s·t, LM's sweet spot). The final round
@@ -995,10 +1037,13 @@ impl Orchestrator {
                 last.then_some(&both_blocks),
             ];
             for pinned in passes.into_iter().flatten() {
-                let Some((candidate, candidate_violation)) =
-                    self.polish_pass(&generated.system, fixed, &best, pinned, deadline, cache)
-                else {
-                    return (best, best_violation);
+                let pass =
+                    self.polish_pass(system, &rung.fixed, &best, pinned, deadline, abandon, cache);
+                if abandon() {
+                    return None;
+                }
+                let Some((candidate, candidate_violation)) = pass else {
+                    break 'rounds;
                 };
                 if candidate_violation < best_violation {
                     best = candidate;
@@ -1009,15 +1054,21 @@ impl Orchestrator {
                 break;
             }
         }
-        (best, best_violation)
+        Some(Polished {
+            assignment: best,
+            violation: best_violation,
+            seconds: start.elapsed().as_secs_f64(),
+        })
     }
 
     /// One polish sub-solve: pin `block` at the certificate's dyadic
     /// roundings of the current values (so the polish optimizes the residual
     /// at essentially the certified point), solve the rest warm-started from the current point,
     /// and score the merged assignment on the full system. The sub-solve's
-    /// wall-clock cap is clamped to the time left before `deadline`;
-    /// returns `None` without solving once the deadline has passed.
+    /// wall-clock cap is clamped to the time left before `deadline`, and it
+    /// ends early once `abandon()` holds; returns `None` without solving
+    /// once the deadline has passed.
+    #[allow(clippy::too_many_arguments)]
     fn polish_pass(
         &self,
         system: &QuadraticSystem,
@@ -1025,6 +1076,7 @@ impl Orchestrator {
         current: &[f64],
         block: &[UnknownId],
         deadline: Option<Instant>,
+        abandon: &(dyn Fn() -> bool + Sync),
         cache: &mut SolveCache,
     ) -> Option<(Vec<f64>, f64)> {
         let mut options = self.plan.polish_lm.clone();
@@ -1044,7 +1096,7 @@ impl Orchestrator {
         // The polish alternation re-solves the same three structures round
         // after round; the cache skips the repeated symbolic analysis.
         let solver = LmSolver::new(options);
-        let outcome = cache.solve_lm(&solver, &problem, Some(&warm));
+        let outcome = cache.solve_lm(&solver, &problem, Some(&warm), abandon);
         let mut assignment = current.to_vec();
         for (id, value) in &pins {
             assignment[id.index()] = value.to_f64();
@@ -1080,22 +1132,26 @@ fn clamp_budget(lane_cap: f64, remaining: f64) -> f64 {
 /// infeasible one; among equals the smaller violation wins; on exact ties
 /// the earlier lane (LM first) wins. Non-finite violations compare as +∞.
 fn pick_winner(lanes: Vec<LaneResult>) -> LaneResult {
-    let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
     let mut best: Option<LaneResult> = None;
     for lane in lanes {
         let better = match &best {
             None => true,
-            Some(current) => {
-                (lane.feasible && !current.feasible)
-                    || (lane.feasible == current.feasible
-                        && finite_or_inf(lane.violation) < finite_or_inf(current.violation))
-            }
+            Some(current) => outranks(lane.feasible, lane.violation, current),
         };
         if better {
             best = Some(lane);
         }
     }
     best.expect("the portfolio always has at least the LM lane")
+}
+
+/// Whether a lane scored (`feasible`, `violation`) displaces `current` in
+/// [`pick_winner`].
+fn outranks(feasible: bool, violation: f64, current: &LaneResult) -> bool {
+    let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
+    (feasible && !current.feasible)
+        || (feasible == current.feasible
+            && finite_or_inf(violation) < finite_or_inf(current.violation))
 }
 
 #[cfg(test)]
@@ -1107,6 +1163,7 @@ mod tests {
         LaneResult {
             backend,
             assignment: vec![0.0],
+            seconds: 0.0,
             violation,
             feasible,
             stats: SolverStats::default(),

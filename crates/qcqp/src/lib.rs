@@ -14,7 +14,8 @@
 //!   polish sub-solver and the certificate checker's pair solver.
 //! * [`AlmSolver`] (`"penalty"`) — an augmented-Lagrangian method with an
 //!   Adam-style first-order inner loop for general (non-convex) quadratic
-//!   systems; the orchestrator's second portfolio lane.
+//!   systems, whose restarts also run in parallel; the orchestrator's
+//!   second portfolio lane.
 
 pub mod lm;
 pub mod par;

@@ -25,7 +25,7 @@ use polyinv_arith::sparse::{JtjPattern, JtjScratch, SymbolicLdl};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::penalty::{SolveOutcome, SolveStatus};
+use crate::penalty::{finite_or_inf, SolveOutcome, SolveStatus};
 use crate::problem::{Problem, QuadraticForm};
 use crate::stats::SolverStats;
 
@@ -245,6 +245,21 @@ impl LmSolver {
         workspace: &LmWorkspace,
         warm_start: Option<&[f64]>,
     ) -> SolveOutcome {
+        self.solve_with_workspace_until(problem, workspace, warm_start, &|| false)
+    }
+
+    /// Like [`solve_with_workspace`](Self::solve_with_workspace), but every
+    /// restart also stops at its next iteration boundary once `stop()`
+    /// holds, returning its best point so far: for a caller that may stop
+    /// needing the result mid-solve. While `stop()` stays false the outcome
+    /// is the same as without it.
+    pub fn solve_with_workspace_until(
+        &self,
+        problem: &Problem,
+        workspace: &LmWorkspace,
+        warm_start: Option<&[f64]>,
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> SolveOutcome {
         debug_assert!(
             workspace.matches(problem, self.options.objective_weight),
             "workspace reused across structurally different problems"
@@ -272,18 +287,14 @@ impl LmSolver {
         // the restart count. `restart_workers == 1` degrades to the classic
         // sequential first-feasible-wins loop.
         let started = Instant::now();
+        let max_seconds = self.options.max_seconds;
+        let halt =
+            || stop() || (max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds);
         let outcomes = crate::par::parallel_indexed_until_bounded(
             restarts,
             restart_workers,
             |restart| {
-                self.run_restart(
-                    problem,
-                    workspace,
-                    warm_start,
-                    restart,
-                    started,
-                    eval_threads,
-                )
+                self.run_restart(problem, workspace, warm_start, restart, &halt, eval_threads)
             },
             |outcome| outcome.status == SolveStatus::Feasible,
         );
@@ -301,14 +312,15 @@ impl LmSolver {
 
     /// Runs one independent restart: restart 0 consumes the warm start, all
     /// others draw a fresh random initialization from their own generator.
-    #[allow(clippy::too_many_arguments)]
+    /// The restart ends at the first iteration boundary where `halt()`
+    /// holds (deadline or caller stop).
     fn run_restart(
         &self,
         problem: &Problem,
         workspace: &LmWorkspace,
         warm_start: Option<&[f64]>,
         restart: usize,
-        started: Instant,
+        halt: &(dyn Fn() -> bool + Sync),
         eval_threads: usize,
     ) -> SolveOutcome {
         let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
@@ -319,7 +331,7 @@ impl LmSolver {
                 .collect(),
         };
         problem.clamp(&mut x);
-        self.solve_from(problem, workspace, &mut x, started, eval_threads)
+        self.solve_from(problem, workspace, &mut x, halt, eval_threads)
     }
 
     /// Deterministic selection: the first feasible outcome in restart order,
@@ -327,7 +339,6 @@ impl LmSolver {
     /// non-finite violation (NaN from an overflowing residual) compares as
     /// worst, so it can never displace a finite candidate.
     fn pick_best(outcomes: Vec<SolveOutcome>) -> SolveOutcome {
-        let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
         let mut best: Option<SolveOutcome> = None;
         for outcome in outcomes {
             let better = match &best {
@@ -359,7 +370,7 @@ impl LmSolver {
         problem: &Problem,
         ws: &LmWorkspace,
         x: &mut Vec<f64>,
-        started: Instant,
+        halt: &(dyn Fn() -> bool + Sync),
         eval_threads: usize,
     ) -> SolveOutcome {
         let opts = &self.options;
@@ -378,11 +389,6 @@ impl LmSolver {
                 .unwrap_or(0.0)
         };
         let minimizing = problem.objective.is_some() && opts.objective_weight > 0.0;
-        // A NaN objective or violation (e.g. an objective evaluating to NaN
-        // at the start point) must not poison best-candidate selection:
-        // every `<` comparison against NaN is false, which would freeze
-        // `best_x` at the initial point forever. Treat non-finite as +inf.
-        let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
 
         // Per-restart numeric buffers; the symbolic side lives in `ws`.
         let mut eval = Evaluator::new(problem, ws, opts.objective_weight, eval_threads);
@@ -402,7 +408,7 @@ impl LmSolver {
 
         let mut stalled = 0usize;
         for _ in 0..opts.max_iterations {
-            if opts.max_seconds > 0.0 && started.elapsed().as_secs_f64() >= opts.max_seconds {
+            if halt() {
                 break;
             }
             stats.iterations += 1;
@@ -526,13 +532,30 @@ impl LmSolver {
 
 /// The worst violation over the constraints and the box bounds, given the
 /// worst equality/inequality violation already measured by a residual pass.
-/// Matches [`Problem::max_violation`] without re-evaluating every form.
+/// Matches [`Problem::max_violation`] without re-evaluating every form,
+/// NaN counting as +∞ there too.
 fn full_violation(problem: &Problem, x: &[f64], constraint_violation: f64) -> f64 {
+    if constraint_violation.is_nan() {
+        return f64::INFINITY;
+    }
     let mut worst = constraint_violation.max(0.0);
     for (i, &(lo, hi)) in problem.bounds.iter().enumerate() {
+        if x[i].is_nan() {
+            return f64::INFINITY;
+        }
         worst = worst.max(lo - x[i]).max(x[i] - hi);
     }
     worst
+}
+
+/// Folds one row's violation into the running worst. A NaN row counts as
+/// +∞: `f64::max` would drop it and let the point pass as feasible.
+fn worse_violation(worst: f64, violation: f64) -> f64 {
+    if violation.is_nan() {
+        f64::INFINITY
+    } else {
+        worst.max(violation)
+    }
 }
 
 /// Residual-row count at which the evaluator switches from the plain serial
@@ -873,7 +896,7 @@ fn accumulate_rows(
             let vars = &structure.equality_vars[row];
             let r = eq.eval(x);
             cost += r * r;
-            violation = violation.max(r.abs());
+            violation = worse_violation(violation, r.abs());
             gradient_entries(eq, vars, x, 1.0, grad, entries);
             pattern.accumulate_row(row, entries, jtj, scratch);
             for &(i, g) in entries.iter() {
@@ -892,6 +915,8 @@ fn accumulate_rows(
                 for &(i, g) in entries.iter() {
                     jtr[i] += g * r;
                 }
+            } else if value.is_nan() {
+                violation = f64::INFINITY;
             }
         } else {
             let objective = problem.objective.as_ref().expect("objective row");
@@ -937,12 +962,14 @@ fn residual_rows(
         if row < num_eq {
             let r = problem.equalities[row].eval(x);
             cost += r * r;
-            violation = violation.max(r.abs());
+            violation = worse_violation(violation, r.abs());
         } else if row < num_eq + num_ineq {
             let value = problem.inequalities[row - num_eq].eval(x);
             if value < 0.0 {
                 cost += value * value;
                 violation = violation.max(-value);
+            } else if value.is_nan() {
+                violation = f64::INFINITY;
             }
         } else {
             debug_assert!(ws.objective_row);
@@ -1399,6 +1426,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_caller_stop_ends_every_restart_at_an_iteration_boundary() {
+        // x² = 4 from x = 1: a stop that holds from the start leaves the
+        // warm start untouched; one that never holds changes nothing.
+        let mut problem = Problem::new(1);
+        problem.equalities.push(QuadraticForm {
+            constant: -4.0,
+            linear: Vec::new(),
+            quadratic: vec![(0, 0, 1.0)],
+        });
+        let solver = LmSolver::new(LmOptions::default());
+        let ws = LmWorkspace::build(&problem, 0.0);
+        let stopped = solver.solve_with_workspace_until(&problem, &ws, Some(&[1.0]), &|| true);
+        assert_eq!(stopped.iterations, 0);
+        assert_eq!(stopped.assignment, vec![1.0]);
+        assert_ne!(stopped.status, SolveStatus::Feasible);
+        let free = solver.solve_with_workspace_until(&problem, &ws, Some(&[1.0]), &|| false);
+        let plain = solver.solve_with_workspace(&problem, &ws, Some(&[1.0]));
+        assert_eq!(free.status, SolveStatus::Feasible);
+        assert_eq!(free.assignment[0].to_bits(), plain.assignment[0].to_bits());
+        assert_eq!(free.iterations, plain.iterations);
+    }
+
+    #[test]
+    fn nan_residuals_count_as_infinite_violations() {
+        // `x = 0` and `y ≥ 0`: a NaN in either row must not vanish in the
+        // `f64::max` fold of the residual passes or of `full_violation`.
+        let mut problem = Problem::new(2);
+        problem.equalities.push(QuadraticForm::variable(0));
+        problem.inequalities.push(QuadraticForm::variable(1));
+        let ws = LmWorkspace::build(&problem, 0.0);
+        let mut eval = Evaluator::new(&problem, &ws, 0.0, 1);
+        for x in [[f64::NAN, 1.0], [0.0, f64::NAN]] {
+            assert_eq!(eval.residuals_only(&x).1, f64::INFINITY);
+            assert_eq!(eval.residuals_and_normal(&x).1, f64::INFINITY);
+            assert_eq!(full_violation(&problem, &x, 0.0), f64::INFINITY);
+        }
+        assert_eq!(
+            full_violation(&problem, &[0.0, 1.0], f64::NAN),
+            f64::INFINITY
+        );
+        assert_eq!(eval.residuals_only(&[0.0, 1.0]).1, 0.0);
+        assert_eq!(full_violation(&problem, &[0.0, 1.0], 0.0), 0.0);
+        // A NaN warm start is therefore never returned as feasible.
+        let outcome = LmSolver::new(LmOptions {
+            restarts: 1,
+            ..LmOptions::default()
+        })
+        .solve(&problem, Some(&[f64::NAN, 1.0]));
+        assert_ne!(outcome.status, SolveStatus::Feasible);
     }
 
     /// Below the threshold the evaluator must keep the original fully-serial

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::par::{parallel_indexed_until_bounded, ThreadBudget};
 use crate::problem::Problem;
 use crate::stats::SolverStats;
 
@@ -84,6 +85,17 @@ pub struct SolveOutcome {
     pub stats: SolverStats,
 }
 
+/// A score for best-candidate comparisons: non-finite values (NaN from an
+/// overflowing residual or objective) compare as +∞, since every `<`
+/// against NaN is false and would freeze the first candidate forever.
+pub(crate) fn finite_or_inf(value: f64) -> f64 {
+    if value.is_finite() {
+        value
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// The augmented-Lagrangian solver.
 #[derive(Debug, Clone, Default)]
 pub struct AlmSolver {
@@ -98,51 +110,90 @@ impl AlmSolver {
 
     /// Solves the problem starting from random initial points (plus an
     /// optional warm start) and returns the best outcome.
+    ///
+    /// The restarts are independent (restart `k` seeds its own generator
+    /// with `seed + k`; restart 0 takes the warm start) and run on the
+    /// [`ThreadBudget`]'s restart workers, as [`LmSolver`](crate::LmSolver)'s
+    /// do. The best restart is then chosen by the sequential loop in restart
+    /// order, so the outcome is the same at any worker count.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
-        let mut best: Option<SolveOutcome> = None;
-        let mut stats = SolverStats::default();
+        let rows = problem.equalities.len() + problem.inequalities.len();
+        let workers = ThreadBudget::for_rows(rows).restart_threads;
+        self.solve_on(problem, warm_start, workers)
+    }
+
+    /// [`solve`](Self::solve) on at most `workers` concurrent restarts.
+    fn solve_on(
+        &self,
+        problem: &Problem,
+        warm_start: Option<&[f64]>,
+        workers: usize,
+    ) -> SolveOutcome {
         let restarts = self.options.restarts.max(1);
         let started = std::time::Instant::now();
         let deadline = (self.options.max_seconds > 0.0).then_some(self.options.max_seconds);
-        for restart in 0..restarts {
-            if restart > 0
-                && deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget)
-            {
-                break;
-            }
-            let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
-            let mut x = match (restart, warm_start) {
-                (0, Some(start)) if start.len() == problem.num_vars => start.to_vec(),
-                _ => (0..problem.num_vars)
-                    .map(|_| rng.random_range(-self.options.init_scale..self.options.init_scale))
-                    .collect(),
-            };
-            let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
-            let outcome = self.solve_from(problem, &mut x, &mut rng, remaining);
+        let feasibility_only = problem.objective.is_none();
+        // A restart after the deadline does not start (`None`); restart 0
+        // always runs.
+        let outcomes = parallel_indexed_until_bounded(
+            restarts,
+            workers,
+            |restart| {
+                if restart > 0
+                    && deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget)
+                {
+                    return None;
+                }
+                let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
+                let mut x = match (restart, warm_start) {
+                    (0, Some(start)) if start.len() == problem.num_vars => start.to_vec(),
+                    _ => (0..problem.num_vars)
+                        .map(|_| {
+                            rng.random_range(-self.options.init_scale..self.options.init_scale)
+                        })
+                        .collect(),
+                };
+                let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
+                Some(self.solve_from(problem, &mut x, &mut rng, remaining))
+            },
+            |outcome| match outcome {
+                None => true,
+                Some(outcome) => feasibility_only && outcome.status == SolveStatus::Feasible,
+            },
+        );
+        // The sequential loop over the restarts that ran: it ends at the
+        // first skipped restart and, for a pure feasibility problem, at the
+        // first feasible one, so later restarts that ran in the same wave
+        // are neither chosen nor counted.
+        let mut best: Option<SolveOutcome> = None;
+        let mut stats = SolverStats::default();
+        for outcome in outcomes.into_iter().map_while(|outcome| outcome) {
             stats.absorb_restart(&outcome.stats);
             let better = match &best {
                 None => true,
                 Some(current) => {
-                    outcome.violation < current.violation
+                    finite_or_inf(outcome.violation) < finite_or_inf(current.violation)
                         || (outcome.status == SolveStatus::Feasible
                             && current.status == SolveStatus::Feasible
-                            && outcome.objective < current.objective)
+                            && finite_or_inf(outcome.objective) < finite_or_inf(current.objective))
                 }
             };
             if better {
                 best = Some(outcome);
             }
-            if let Some(current) = &best {
-                if current.status == SolveStatus::Feasible && problem.objective.is_none() {
-                    // Pure feasibility problem: stop at the first success.
-                    break;
-                }
+            if feasibility_only
+                && best
+                    .as_ref()
+                    .is_some_and(|current| current.status == SolveStatus::Feasible)
+            {
+                break;
             }
         }
-        let mut best = best.expect("at least one restart runs");
+        let mut best = best.expect("restart 0 always runs");
         stats.final_residual = best.stats.final_residual;
-        // The ALM loop is sequential with serial evaluation throughout.
-        stats.threads = 1;
+        // Evaluation is serial inside each restart; the restarts share
+        // the workers.
+        stats.threads = workers.clamp(1, restarts);
         best.stats = stats;
         best
     }
@@ -185,8 +236,8 @@ impl AlmSolver {
                 .unwrap_or(0.0)
         };
         let mut best_x = x.to_vec();
-        let mut best_violation = problem.max_violation(x);
-        let mut best_objective = objective_at(x);
+        let mut best_violation = finite_or_inf(problem.max_violation(x));
+        let mut best_objective = finite_or_inf(objective_at(x));
 
         for outer in 0..opts.outer_iterations {
             if max_seconds.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget) {
@@ -238,8 +289,8 @@ impl AlmSolver {
             }
             rho *= opts.penalty_growth;
 
-            let violation = problem.max_violation(x);
-            let objective = objective_at(x);
+            let violation = finite_or_inf(problem.max_violation(x));
+            let objective = finite_or_inf(objective_at(x));
             // Among feasible points prefer the better objective; otherwise
             // prefer the smaller violation.
             let better = if violation <= opts.tolerance && best_violation <= opts.tolerance {
@@ -387,6 +438,65 @@ mod tests {
         .solve(&problem, Some(&[10.0]));
         assert_eq!(outcome.status, SolveStatus::Feasible);
         assert!((outcome.assignment[0] - 3.0).abs() < 0.05);
+    }
+
+    /// Everything of an outcome but the worker count, as comparable bits.
+    fn outcome_bits(outcome: &SolveOutcome) -> (Vec<u64>, u64, u64, usize, SolverStats) {
+        let stats = SolverStats {
+            threads: 0,
+            ..outcome.stats.clone()
+        };
+        (
+            outcome.assignment.iter().map(|v| v.to_bits()).collect(),
+            outcome.violation.to_bits(),
+            outcome.objective.to_bits(),
+            outcome.iterations,
+            stats,
+        )
+    }
+
+    #[test]
+    fn parallel_restarts_match_the_sequential_loop() {
+        // Contradictory (x = 0 and x = 1): no restart is feasible, so both
+        // run and count.
+        let mut contradictory = Problem::new(1);
+        contradictory.equalities.push(QuadraticForm::variable(0));
+        contradictory.equalities.push(QuadraticForm {
+            constant: -1.0,
+            linear: vec![(0, 1.0)],
+            quadratic: Vec::new(),
+        });
+        // x + y = 2: restart 0 is feasible, so the sequential loop stops
+        // there and restart 1, though it ran beside it, is not counted.
+        let mut easy = Problem::new(2);
+        easy.equalities.push(QuadraticForm {
+            constant: -2.0,
+            linear: vec![(0, 1.0), (1, 1.0)],
+            quadratic: Vec::new(),
+        });
+        let solver = AlmSolver::new(options_fast());
+        for (problem, restarts_counted) in [(&contradictory, 2), (&easy, 1)] {
+            let serial = solver.solve_on(problem, None, 1);
+            let parallel = solver.solve_on(problem, None, 2);
+            assert_eq!(serial.status, parallel.status);
+            assert_eq!(outcome_bits(&serial), outcome_bits(&parallel));
+            assert_eq!(serial.stats.restarts, restarts_counted);
+            assert_eq!(serial.stats.threads, 1);
+            assert_eq!(parallel.stats.threads, 2);
+        }
+    }
+
+    #[test]
+    fn a_nan_restart_never_passes_as_feasible() {
+        // A NaN warm start keeps restart 0 at NaN. `max_violation` used to
+        // score it 0 — feasible — and stop there; now it scores +∞ and
+        // restart 1 wins with a real solution of x = 0.
+        let mut problem = Problem::new(1);
+        problem.equalities.push(QuadraticForm::variable(0));
+        let outcome = AlmSolver::new(options_fast()).solve(&problem, Some(&[f64::NAN]));
+        assert_eq!(outcome.status, SolveStatus::Feasible);
+        assert!(outcome.assignment[0].abs() < 1e-3);
+        assert_eq!(outcome.stats.restarts, 2);
     }
 
     #[test]

@@ -213,16 +213,28 @@ impl Problem {
     }
 
     /// The worst constraint violation at `x` (equalities, inequalities and
-    /// box bounds).
+    /// box bounds). A NaN constraint value or coordinate counts as +∞:
+    /// `f64::max` would drop it and let the point pass as feasible.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst: f64 = 0.0;
         for eq in &self.equalities {
-            worst = worst.max(eq.eval(x).abs());
+            let value = eq.eval(x);
+            if value.is_nan() {
+                return f64::INFINITY;
+            }
+            worst = worst.max(value.abs());
         }
         for ineq in &self.inequalities {
-            worst = worst.max((-ineq.eval(x)).max(0.0));
+            let value = ineq.eval(x);
+            if value.is_nan() {
+                return f64::INFINITY;
+            }
+            worst = worst.max((-value).max(0.0));
         }
         for (i, &(lo, hi)) in self.bounds.iter().enumerate() {
+            if x[i].is_nan() {
+                return f64::INFINITY;
+            }
             worst = worst.max(lo - x[i]).max(x[i] - hi);
         }
         worst
@@ -328,5 +340,27 @@ mod tests {
         let mut x = vec![5.0, -7.0];
         problem.clamp(&mut x);
         assert_eq!(x, vec![5.0, -2.0]);
+    }
+
+    #[test]
+    fn a_nan_residual_is_never_feasible() {
+        // `x = 0` at x = NaN: `f64::max` used to drop the NaN residual and
+        // report violation 0.
+        let mut problem = Problem::new(1);
+        problem.equalities.push(QuadraticForm::variable(0));
+        assert_eq!(problem.max_violation(&[f64::NAN]), f64::INFINITY);
+        assert!(!problem.is_feasible(&[f64::NAN], 1e-7));
+        // A NaN inequality value and a NaN coordinate under box bounds
+        // alone count as +∞ too.
+        let mut problem = Problem::new(2);
+        problem.inequalities.push(QuadraticForm {
+            constant: 0.0,
+            linear: vec![(0, f64::INFINITY)],
+            quadratic: Vec::new(),
+        });
+        assert_eq!(problem.max_violation(&[0.0, 1.0]), f64::INFINITY);
+        let problem = Problem::new(1);
+        assert_eq!(problem.max_violation(&[f64::NAN]), f64::INFINITY);
+        assert_eq!(problem.max_violation(&[0.5]), 0.0);
     }
 }

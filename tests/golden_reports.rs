@@ -7,9 +7,10 @@
 //! corresponds to a Table 2/3 row, and default options otherwise, with
 //! timings zeroed through `SynthesisReport::canonical()` — so the bytes pin
 //! `|S|`, unknown counts, stage structure, diagnostics and the JSON writer
-//! itself across refactors. Two solved reports sit next to them: the weak
-//! solve of `programs/inc.poly` (`solve/inc.json`) and the validated report
-//! of `programs/freire1.poly` (`validate/freire1.json`).
+//! itself across refactors. Three solved reports sit next to them: the weak
+//! solve of `programs/inc.poly` (`solve/inc.json`), the penalty-preferred
+//! weak solve of `programs/freire1.poly` (`solve/freire1_penalty.json`) and
+//! the validated report of `programs/freire1.poly` (`validate/freire1.json`).
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -151,6 +152,22 @@ fn solve_blocks_are_byte_stable() {
         .with_degree(1);
     let report = Engine::new().run(&request).expect("weak synthesis runs");
     assert_matches_golden("tests/golden/solve/inc.json", report);
+}
+
+#[test]
+fn penalty_preferred_solves_are_byte_stable() {
+    // The canonical `polyinv synth programs/freire1.poly --target
+    // "a_in + 2 - ret > 0" --backend penalty`: the penalty lane wins both
+    // rungs, so the LM point polished while the lane still runs is dropped
+    // and the penalty point is polished after the race.
+    let source =
+        std::fs::read_to_string(workspace_path("programs/freire1.poly")).expect("readable program");
+    let request = SynthesisRequest::weak(source)
+        .with_id("programs/freire1.poly")
+        .with_target("a_in + 2 - ret > 0")
+        .with_backend("penalty");
+    let report = Engine::new().run(&request).expect("weak synthesis runs");
+    assert_matches_golden("tests/golden/solve/freire1_penalty.json", report);
 }
 
 #[test]
