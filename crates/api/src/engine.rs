@@ -170,8 +170,8 @@ impl Engine {
         let pre = Precondition::from_program(&program);
         let targets = resolve_weak_targets(&program, request)?;
         let (options, escalation) = escalate_degree(&request.options, &targets);
-        // The orchestrator builds its own portfolio; a request-level back-end
-        // choice narrows the portfolio to that lane.
+        // The orchestrator builds its own lanes; a request-level back-end
+        // choice narrows them to that lane.
         let mut plan = SolvePlan::new(options).with_solve_budget(request.solve_budget_seconds);
         if let Some(name) = &request.backend {
             plan = plan.with_backend_preference(name);
@@ -727,7 +727,7 @@ mod tests {
         .with_target("x + 1 > 0");
         let report = engine.run(&request).unwrap();
         assert_eq!(report.status, ReportStatus::Synthesized);
-        // Either portfolio lane may win the race; both are legitimate.
+        // Either lane may produce the candidate; both are legitimate.
         assert!(matches!(report.backend.as_str(), "lm" | "penalty"));
         assert!(!report.invariants.is_empty());
         assert!(report.stage_seconds(stage_names::SOLVE) > 0.0);

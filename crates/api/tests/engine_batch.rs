@@ -159,7 +159,7 @@ fn sparse_weak_solves_produce_byte_identical_canonical_reports() {
     let solver = first.solver.as_ref().expect("weak runs report stats");
     assert!(solver.iterations > 0);
     // Sparse-factorization counters only exist on the LM lane; the penalty
-    // lane can legitimately win the portfolio race with dense statistics.
+    // fallback lane can legitimately win with dense statistics.
     if first.backend == "lm" {
         assert!(solver.nnz_jacobian > 0);
         assert!(solver.nnz_factor > 0);

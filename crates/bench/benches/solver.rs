@@ -164,7 +164,7 @@ fn penalty_lane(c: &mut Criterion) {
     let problem = presolved_problem_at("cohendiv", 0);
     let options = polyinv::SolvePlan::new(polyinv_constraints::SynthesisOptions::default())
         .penalty
-        .expect("the default plan races a penalty lane");
+        .expect("the default plan has a penalty lane");
     let solver = polyinv_qcqp::AlmSolver::new(options);
     let warm = vec![0.05; problem.num_vars];
     group.bench_function("cohendiv/upsilon0", |b| {

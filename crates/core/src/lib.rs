@@ -18,8 +18,9 @@
 //! * [`Orchestrator`] — Step 4, the one path from a generated system to a
 //!   solution. It climbs a ϒ ladder of rungs, each presolved; weak
 //!   synthesis ([`Orchestrator::solve`], `WeakInvSynth`/`RecWeakInvSynth`,
-//!   targets pinned by [`fix_targets`]) races the LM and penalty lanes,
-//!   polishes and certifies in exact rationals, and strong synthesis
+//!   targets pinned by [`fix_targets`]) runs the LM lane, polishes and
+//!   certifies in exact rationals, falls back to the penalty lane when
+//!   that certificate fails, and strong synthesis
 //!   ([`Orchestrator::enumerate`], `StrongInvSynth`/`RecStrongInvSynth`)
 //!   runs diversified multi-start LM attempts and keeps the distinct
 //!   certified points;

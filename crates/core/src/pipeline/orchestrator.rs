@@ -1,12 +1,13 @@
 //! The adaptive solve orchestrator (DESIGN.md §12).
 //!
 //! One request, a ladder of attempts. Each rung of the ϒ ladder generates
-//! its quadratic system, races the LM and penalty back-ends as a portfolio
-//! under per-attempt wall-clock and iteration budgets, refines the winning
-//! candidate with a block-coordinate polish that exploits the bilinear
-//! structure of the Putinar translation, and finally snaps the coefficients
-//! (`k/64` for template unknowns, dyadic for the rest) and re-checks the
-//! system in exact [`Rational`](polyinv_arith::Rational) arithmetic. A rung
+//! its quadratic system, solves it with the LM back-end under wall-clock and
+//! iteration budgets, refines the candidate with a block-coordinate polish
+//! that exploits the bilinear structure of the Putinar translation, and
+//! finally snaps the coefficients (`k/64` for template unknowns, dyadic for
+//! the rest) and re-checks the system in exact
+//! [`Rational`](polyinv_arith::Rational) arithmetic. Only when that re-check
+//! fails does the penalty back-end run, as a fallback lane. A rung
 //! is accepted — and the ladder stops — only when that exact re-check
 //! passes; otherwise the orchestrator escalates to the next rung and, when
 //! the ladder is exhausted, returns the best uncertified attempt with its
@@ -27,11 +28,10 @@
 //! Strong synthesis climbs the same rungs ([`Orchestrator::enumerate`]):
 //! rung preparation, the ladder and the deadline are shared, and only
 //! Step 4 differs — diversified multi-start LM attempts instead of the
-//! portfolio, with every distinct feasible point certified before it joins
+//! two lanes, with every distinct feasible point certified before it joins
 //! the representative set.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use polyinv_arith::Rational;
@@ -68,7 +68,7 @@ const ENUMERATION_RESTARTS: usize = 1;
 const ENUMERATION_OBJECTIVE_WEIGHT: f64 = 0.02;
 
 /// The budgets and acceptance policy of an orchestrated solve: how hard
-/// each rung may try, which back-ends race, and what the certificate must
+/// each rung may try, which back-ends run, and what the certificate must
 /// establish.
 #[derive(Debug, Clone)]
 pub struct SolvePlan {
@@ -77,14 +77,16 @@ pub struct SolvePlan {
     /// (PR 6) happens before the plan is built, so `options.degree` already
     /// fits the targets.
     pub options: SynthesisOptions,
-    /// The LM lane of the portfolio: iteration/restart/wall-clock budget of
-    /// one rung attempt.
+    /// The LM lane: iteration/restart/wall-clock budget of one rung
+    /// attempt. `max_iterations == 0` with a penalty lane means no LM lane:
+    /// the penalty lane runs alone.
     pub lm: LmOptions,
-    /// The penalty (augmented-Lagrangian) lane; `None` disables the second
-    /// lane and the rung runs LM alone.
+    /// The penalty (augmented-Lagrangian) lane, run on a rung only when the
+    /// LM lane's certificate fails; `None` disables it and the rung runs LM
+    /// alone.
     pub penalty: Option<AlmOptions>,
-    /// Number of block-coordinate polish rounds applied to the portfolio
-    /// winner (each round: free the SOS block, then the template block).
+    /// Number of block-coordinate polish rounds applied to a lane's point
+    /// (each round: free the SOS block, then the template block).
     pub polish_rounds: usize,
     /// LM budget of one polish sub-solve.
     pub polish_lm: LmOptions,
@@ -102,8 +104,9 @@ pub struct SolvePlan {
 
 impl SolvePlan {
     /// The default plan for the given (degree-escalated) options: a
-    /// budgeted LM lane racing a short penalty lane, three polish rounds
-    /// and the acceptance certificate tolerance.
+    /// budgeted LM lane, a short penalty lane that runs only when the LM
+    /// lane's polished point fails its certificate, three polish rounds and
+    /// the acceptance certificate tolerance.
     ///
     /// The certificate tolerance is `1/100` — exactly the `epsilon_lower`
     /// strictness margin of the Putinar translation. Every strict
@@ -155,18 +158,17 @@ impl SolvePlan {
         matches!(name, "lm" | "penalty" | "alm")
     }
 
-    /// Restricts the portfolio to the named back-end (`"lm"` keeps only the
-    /// LM lane; `"penalty"`/`"alm"` runs the penalty lane alone with the LM
-    /// lane reduced to a polish role). Unknown names leave the plan as-is.
+    /// Restricts the plan to the named back-end: `"lm"` drops the penalty
+    /// fallback, so every rung runs the LM lane alone; `"penalty"`/`"alm"`
+    /// runs the penalty lane alone (`lm.max_iterations` becomes 0, which
+    /// means no LM lane), and LM only polishes its point. Unknown names
+    /// leave the plan as-is.
     pub fn with_backend_preference(mut self, name: &str) -> Self {
         match name {
             "lm" => self.penalty = None,
             "penalty" | "alm" => {
                 self.penalty.get_or_insert_with(default_penalty_lane);
-                // The LM lane is demoted to a token budget so the penalty
-                // lane's candidate wins unless LM stumbles on feasibility.
-                self.lm.max_iterations = 1;
-                self.lm.restarts = 1;
+                self.lm.max_iterations = 0;
             }
             _ => {}
         }
@@ -174,8 +176,7 @@ impl SolvePlan {
     }
 }
 
-/// The penalty lane of the default portfolio: two restarts under a 20 s
-/// cap.
+/// The penalty lane of the default plan: two restarts under a 20 s cap.
 fn default_penalty_lane() -> AlmOptions {
     AlmOptions {
         restarts: 2,
@@ -184,8 +185,8 @@ fn default_penalty_lane() -> AlmOptions {
     }
 }
 
-/// One attempt in the orchestrator's history: a portfolio lane, a polish
-/// pass or a certificate check on some rung.
+/// One attempt in the orchestrator's history: a lane, a polish pass or a
+/// certificate check on some rung.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveAttempt {
     /// The ϒ value of the rung the attempt ran on.
@@ -207,8 +208,8 @@ pub struct SolveAttempt {
 /// benchmark snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OrchestratorStats {
-    /// Total attempts recorded (portfolio lanes + polish passes +
-    /// certificate checks over all rungs).
+    /// Total attempts recorded (lanes + polish passes + certificate checks
+    /// over all rungs).
     pub attempts: usize,
     /// Number of ladder rungs tried.
     pub rungs_tried: usize,
@@ -309,6 +310,8 @@ pub struct Enumeration {
 /// A rung's system ready for Step 4: generated at the rung's ϒ, targets
 /// pinned, presolved and built into the solver-space problem.
 struct Rung {
+    /// The rung's ϒ.
+    upsilon: u32,
     /// The rung's generated system (pre-presolve).
     generated: GeneratedSystem,
     /// The target pins.
@@ -343,8 +346,19 @@ impl Rung {
         (assignment, violation)
     }
 
-    /// A portfolio lane's outcome, reassembled and scored on the original
-    /// system; `seconds` is the lane's solve time.
+    /// A history entry for an attempt on this rung.
+    fn attempt(&self, backend: &str, feasible: bool, violation: f64, seconds: f64) -> SolveAttempt {
+        SolveAttempt {
+            upsilon: self.upsilon,
+            backend: backend.to_string(),
+            feasible,
+            violation,
+            seconds,
+        }
+    }
+
+    /// A lane's outcome, reassembled and scored on the original system;
+    /// `seconds` is the lane's solve time.
     fn lane(&self, backend: &'static str, outcome: SolveOutcome, seconds: f64) -> LaneResult {
         let (assignment, violation) = self.reassemble(&outcome.assignment);
         LaneResult {
@@ -358,7 +372,7 @@ impl Rung {
     }
 }
 
-/// One portfolio lane's raw result on a rung.
+/// One lane's raw result on a rung.
 struct LaneResult {
     backend: &'static str,
     assignment: Vec<f64>,
@@ -368,14 +382,14 @@ struct LaneResult {
     seconds: f64,
 }
 
-/// A polished point with its violation and the polish's wall-clock.
-struct Polished {
+/// A lane's point after polish, with its certificate.
+struct Settled {
     assignment: Vec<f64>,
     violation: f64,
-    seconds: f64,
+    exact: ExactReport,
 }
 
-/// The per-rung candidate after portfolio + polish + certificate.
+/// The per-rung candidate after lanes + polish + certificate.
 struct RungResult {
     assignment: Vec<f64>,
     violation: f64,
@@ -417,33 +431,29 @@ const WORKSPACE_CACHE_LIMIT: usize = 8;
 impl SolveCache {
     /// Solves with a cached symbolic workspace when one matches the
     /// problem's structure; builds (and caches) the workspace otherwise.
-    /// The solve ends early once `stop()` holds
-    /// ([`LmSolver::solve_with_workspace_until`]).
     fn solve_lm(
         &mut self,
         solver: &LmSolver,
         problem: &Problem,
         warm_start: Option<&[f64]>,
-        stop: &(dyn Fn() -> bool + Sync),
     ) -> SolveOutcome {
         let weight = solver.options().objective_weight;
-        if let Some(pos) = self
+        let ws = match self
             .workspaces
             .iter()
             .position(|ws| ws.matches(problem, weight))
         {
-            // Move the hit to the back: the eviction below drops the least
-            // recently used structure.
-            let ws = self.workspaces.remove(pos);
-            let outcome = solver.solve_with_workspace_until(problem, &ws, warm_start, stop);
-            self.workspaces.push(ws);
-            return outcome;
-        }
-        let ws = LmWorkspace::build(problem, weight);
-        let outcome = solver.solve_with_workspace_until(problem, &ws, warm_start, stop);
-        if self.workspaces.len() >= WORKSPACE_CACHE_LIMIT {
-            self.workspaces.remove(0);
-        }
+            Some(pos) => self.workspaces.remove(pos),
+            None => {
+                if self.workspaces.len() >= WORKSPACE_CACHE_LIMIT {
+                    self.workspaces.remove(0);
+                }
+                LmWorkspace::build(problem, weight)
+            }
+        };
+        let outcome = solver.solve_with_workspace(problem, &ws, warm_start);
+        // The workspace goes to the back: eviction drops the least recently
+        // used structure.
         self.workspaces.push(ws);
         outcome
     }
@@ -518,14 +528,7 @@ impl Orchestrator {
         let mut best: Option<RungResult> = None;
         let (rungs_tried, rung_reached) = self.climb(|upsilon, deadline| {
             let rung = self.prepare_rung(program, pre, targets, upsilon, &mut timings)?;
-            let rung = self.solve_rung(
-                rung,
-                upsilon,
-                deadline,
-                &mut cache,
-                &mut timings,
-                &mut history,
-            );
+            let rung = self.solve_rung(rung, deadline, &mut cache, &mut timings, &mut history);
             let accept = rung.certified;
             let better = match &best {
                 None => true,
@@ -600,8 +603,7 @@ impl Orchestrator {
         let (rungs_tried, rung_reached) = self.climb(|upsilon, deadline| {
             let rung = self.prepare_rung(program, pre, &[], upsilon, &mut timings)?;
             let solve_start = Instant::now();
-            let members =
-                self.enumerate_rung(program, &rung, upsilon, attempts, deadline, &mut history);
+            let members = self.enumerate_rung(program, &rung, attempts, deadline, &mut history);
             timings.record(stage_names::SOLVE, solve_start.elapsed());
             let found = !members.is_empty();
             last = Some((rung.generated, members));
@@ -700,6 +702,7 @@ impl Orchestrator {
         let (problem, mapping) = system_to_problem_with_fixed(system, &pins);
         timings.record(stage_names::SOLVE, build_start.elapsed());
         Ok(Rung {
+            upsilon,
             generated,
             fixed,
             presolved,
@@ -709,115 +712,114 @@ impl Orchestrator {
         })
     }
 
-    /// Step 4 of a weak rung: race the portfolio, polish the winner, snap
-    /// and certify.
+    /// Step 4 of a weak rung: the LM lane, polished and certified, then
+    /// the penalty lane as a fallback when that certificate fails.
+    ///
+    /// When both lanes ran, [`pick_winner`] chooses between their raw
+    /// points: an LM winner keeps its settled candidate, and a penalty
+    /// winner is polished and certified in turn. On a budget-bound rung
+    /// both lanes run before any polish, as in a race of the two. A plan whose
+    /// `lm.max_iterations` is 0 and that has a penalty lane runs that lane
+    /// alone (the `"penalty"` back-end preference).
     fn solve_rung(
         &self,
         rung: Rung,
-        upsilon: u32,
         deadline: Option<Instant>,
         cache: &mut SolveCache,
         timings: &mut StageTimings,
         history: &mut Vec<SolveAttempt>,
     ) -> RungResult {
-        // Portfolio race: both lanes run to completion under their own
-        // budgets; the winner is picked deterministically afterwards, so
-        // the outcome does not depend on which lane finishes first. Under a
-        // whole-solve budget each lane's wall-clock cap is clamped to the
-        // time remaining, but never below one best-effort second.
-        let solve_start = Instant::now();
-        let mut lm_options = self.plan.lm.clone();
-        let mut penalty_options = self.plan.penalty.clone();
-        if let Some(deadline) = deadline {
-            let remaining = seconds_left(deadline).unwrap_or(0.0).max(1.0);
-            lm_options.max_seconds = clamp_budget(lm_options.max_seconds, remaining);
-            if let Some(alm) = penalty_options.as_mut() {
-                alm.max_seconds = clamp_budget(alm.max_seconds, remaining);
-            }
-        }
-        let lm_solver = LmSolver::new(lm_options);
-        let penalty_solver = penalty_options.map(AlmSolver::new);
-
-        // Both lanes share the rung's problem and one warm start: the
-        // previous rung's best point, carried across the re-indexed unknown
-        // space by provenance ([`SolveCache::warm_vector`]).
-        let problem = &rung.problem;
+        // Both lanes start from the previous rung's best point, carried
+        // across the re-indexed unknown space by provenance
+        // ([`SolveCache::warm_vector`]).
         let warm = cache.warm_vector(&rung.generated.system.registry, &rung.mapping);
-        // The penalty lane's (feasible, violation), set as soon as it is
-        // scored.
-        let penalty_score = OnceLock::new();
-        let (lm_lane, penalty_lane, early_polish) = std::thread::scope(|scope| {
-            let penalty_handle = penalty_solver.as_ref().map(|solver| {
-                let (rung, warm, penalty_score) = (&rung, &warm, &penalty_score);
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let outcome = solver.solve(problem, Some(warm));
-                    let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
-                    penalty_score.get_or_init(|| (lane.feasible, lane.violation));
-                    lane
-                })
-            });
+        let mut lanes = Vec::new();
+        let mut lm_settled = None;
+        if self.plan.lm.max_iterations > 0 || self.plan.penalty.is_none() {
+            let mut options = self.plan.lm.clone();
+            options.max_seconds = lane_cap(options.max_seconds, deadline, true)
+                .expect("a rung's first lane always runs");
+            let cap = options.max_seconds;
             let start = Instant::now();
-            let outcome = cache.solve_lm(&lm_solver, problem, Some(&warm), &|| false);
-            let lm_lane = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
-            // While the penalty lane still runs, polish the LM point here
-            // instead of idling in `join`. Polish is deterministic, so this
-            // is the result polishing after the race would give; it is
-            // kept only if the LM lane wins, and abandoned (its running LM
-            // sub-solve stops at the next iteration) once the penalty lane
-            // has finished ahead of it.
-            let lm_lost = || {
-                penalty_score
-                    .get()
-                    .is_some_and(|&(feasible, violation)| outranks(feasible, violation, &lm_lane))
-            };
-            let early_polish = penalty_handle
-                .as_ref()
-                .is_some_and(|handle| !handle.is_finished())
-                .then(|| self.polish(&rung, &lm_lane, deadline, &lm_lost, cache))
-                .flatten();
-            let penalty_lane =
-                penalty_handle.map(|handle| handle.join().expect("penalty lane panicked"));
-            (lm_lane, penalty_lane, early_polish)
-        });
-
-        let mut lanes = vec![lm_lane];
-        lanes.extend(penalty_lane);
-        for lane in &lanes {
-            history.push(SolveAttempt {
-                upsilon,
-                backend: lane.backend.to_string(),
-                feasible: lane.feasible,
-                violation: lane.violation,
-                seconds: lane.seconds,
+            let outcome = cache.solve_lm(&LmSolver::new(options), &rung.problem, Some(&warm));
+            let lane = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
+            timings.record(stage_names::SOLVE, start.elapsed());
+            history.push(rung.attempt("lm", lane.feasible, lane.violation, lane.seconds));
+            // An LM lane that ran out its wall-clock cap marks a budget-bound
+            // rung: the fallback runs before any polish, so the time left
+            // goes to polishing the lane `pick_winner` chooses.
+            if cap == 0.0 || lane.seconds < cap {
+                lm_settled = Some(self.settle(&rung, &lane, deadline, cache, timings, history));
+            }
+            lanes.push(lane);
+        }
+        // The fallback's cap is clamped to the time left when it starts, not
+        // when the rung started; it does not start once the deadline has
+        // passed, unless it is the rung's only lane.
+        let lm_certified = lm_settled.as_ref().is_some_and(|lm| lm.exact.passed());
+        let fallback = self
+            .plan
+            .penalty
+            .as_ref()
+            .filter(|_| !lm_certified)
+            .and_then(|alm| {
+                let max_seconds = lane_cap(alm.max_seconds, deadline, lanes.is_empty())?;
+                Some(AlmSolver::new(AlmOptions {
+                    max_seconds,
+                    ..alm.clone()
+                }))
             });
+        if let Some(solver) = fallback {
+            let start = Instant::now();
+            let outcome = solver.solve(&rung.problem, Some(&warm));
+            let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
+            timings.record(stage_names::SOLVE, start.elapsed());
+            history.push(rung.attempt("penalty", lane.feasible, lane.violation, lane.seconds));
+            lanes.push(lane);
         }
         let winner = pick_winner(lanes);
-
-        // Block-coordinate polish of the winner on the original system.
-        let polished = match early_polish {
-            Some(polished) if winner.backend == "lm" => Some(polished),
-            _ => self.polish(&rung, &winner, deadline, &|| false, cache),
+        let settled = match lm_settled {
+            Some(settled) if winner.backend == "lm" => settled,
+            _ => self.settle(&rung, &winner, deadline, cache, timings, history),
         };
-        let (assignment, violation) = match polished {
-            Some(polished) => {
-                history.push(SolveAttempt {
-                    upsilon,
-                    backend: "polish".to_string(),
-                    feasible: polished.violation <= self.plan.lm.tolerance,
-                    violation: polished.violation,
-                    seconds: polished.seconds,
-                });
-                (polished.assignment, polished.violation)
-            }
-            None => (winner.assignment, winner.violation),
-        };
-        timings.record(stage_names::SOLVE, solve_start.elapsed());
 
-        // Snap and certify: the target pins enter exactly, the rest walks
-        // the coarse-to-fine snap ladder (`k/64` → `k/256` → pure dyadic at
-        // 2^24 and 2^32), evaluating every constraint in rational
-        // arithmetic, and the first rounding whose certificate passes wins.
+        // The rung's candidate becomes the next rung's warm start, carried
+        // by unknown provenance across the re-indexed registry.
+        cache.record_rung(&rung.generated.system.registry, &settled.assignment);
+
+        let feasible = settled.violation <= self.plan.lm.tolerance || winner.feasible;
+        RungResult {
+            certified: settled.exact.passed(),
+            assignment: settled.assignment,
+            violation: settled.violation,
+            feasible,
+            backend: winner.backend,
+            solver: winner.stats,
+            presolve: rung.presolved.map(|result| result.stats),
+            exact: settled.exact,
+            generated: rung.generated,
+        }
+    }
+
+    /// Polishes a lane's point on the original system and certifies the
+    /// result, recording both attempts; the polish counts as solve time.
+    ///
+    /// The certificate snaps the point and re-checks every constraint in
+    /// rational arithmetic: the target pins enter exactly, the rest walks
+    /// the coarse-to-fine snap ladder (`k/64` → `k/256` → pure dyadic at
+    /// 2^24 and 2^32), and the first rounding whose certificate passes wins.
+    fn settle(
+        &self,
+        rung: &Rung,
+        lane: &LaneResult,
+        deadline: Option<Instant>,
+        cache: &mut SolveCache,
+        timings: &mut StageTimings,
+        history: &mut Vec<SolveAttempt>,
+    ) -> Settled {
+        let polish_start = Instant::now();
+        let (assignment, violation) = self.polish(rung, lane, deadline, cache, history);
+        timings.record(stage_names::SOLVE, polish_start.elapsed());
         let cert_start = Instant::now();
         let exact = exact_recheck_ladder(
             &rung.generated.system,
@@ -825,30 +827,16 @@ impl Orchestrator {
             &rung.fixed,
             &self.plan.certificate,
         );
-        let certified = exact.passed();
-        history.push(SolveAttempt {
-            upsilon,
-            backend: "certificate".to_string(),
-            feasible: certified,
-            violation: exact.worst_violation.to_f64(),
-            seconds: cert_start.elapsed().as_secs_f64(),
-        });
-
-        // The rung's polished point becomes the next rung's warm start,
-        // carried by unknown provenance across the re-indexed registry.
-        cache.record_rung(&rung.generated.system.registry, &assignment);
-
-        let feasible = violation <= self.plan.lm.tolerance || winner.feasible;
-        RungResult {
+        history.push(rung.attempt(
+            "certificate",
+            exact.passed(),
+            exact.worst_violation.to_f64(),
+            cert_start.elapsed().as_secs_f64(),
+        ));
+        Settled {
             assignment,
             violation,
-            feasible,
-            certified,
-            backend: winner.backend,
-            solver: winner.stats,
-            presolve: rung.presolved.map(|result| result.stats),
             exact,
-            generated: rung.generated,
         }
     }
 
@@ -865,7 +853,6 @@ impl Orchestrator {
         &self,
         program: &Program,
         rung: &Rung,
-        upsilon: u32,
         attempts: usize,
         deadline: Option<Instant>,
         history: &mut Vec<SolveAttempt>,
@@ -881,14 +868,7 @@ impl Orchestrator {
         let num_vars = rung.problem.num_vars;
         let seed = LmOptions::default().seed;
         let attempt_once = |attempt: usize| {
-            let mut max_seconds = 0.0;
-            if let Some(deadline) = deadline {
-                let left = seconds_left(deadline);
-                if left.is_none() && attempt > 0 {
-                    return None;
-                }
-                max_seconds = left.unwrap_or(0.0).max(1.0);
-            }
+            let max_seconds = lane_cap(0.0, deadline, attempt == 0)?;
             let warm: Vec<f64> = if attempt == 0 {
                 vec![0.05; num_vars]
             } else {
@@ -935,13 +915,7 @@ impl Orchestrator {
         for (outcome, seconds) in outcomes.into_iter().flatten() {
             let (assignment, violation) = rung.reassemble(&outcome.assignment);
             let feasible = outcome.status == SolveStatus::Feasible;
-            history.push(SolveAttempt {
-                upsilon,
-                backend: "lm".to_string(),
-                feasible,
-                violation,
-                seconds,
-            });
+            history.push(rung.attempt("lm", feasible, violation, seconds));
             let known = members
                 .iter()
                 .any(|member| distance(&member.assignment, &assignment) <= DISTINCTNESS_THRESHOLD);
@@ -955,13 +929,12 @@ impl Orchestrator {
                 &HashMap::new(),
                 &self.plan.certificate,
             );
-            history.push(SolveAttempt {
-                upsilon,
-                backend: "certificate".to_string(),
-                feasible: exact.passed(),
-                violation: exact.worst_violation.to_f64(),
-                seconds: cert_start.elapsed().as_secs_f64(),
-            });
+            history.push(rung.attempt(
+                "certificate",
+                exact.passed(),
+                exact.worst_violation.to_f64(),
+                cert_start.elapsed().as_secs_f64(),
+            ));
             if exact.passed() {
                 let (invariant, postconditions) =
                     instantiate_exact(program, &rung.generated, &exact.values);
@@ -984,20 +957,19 @@ impl Orchestrator {
     /// compatible with the snapped coefficients). Keeps the best point
     /// seen, and stops early once the whole-solve `deadline` has passed.
     ///
-    /// `None` when polish does not run (no rounds, or the point already
-    /// meets the LM tolerance), or when `abandon()` turns true: the caller
-    /// no longer wants the result, so the running LM sub-solve stops at its
-    /// next iteration and no further pass starts.
+    /// Records a `"polish"` attempt when it runs; with no rounds, or when
+    /// the point already meets the LM tolerance, it returns the lane's
+    /// point as it is.
     fn polish(
         &self,
         rung: &Rung,
         lane: &LaneResult,
         deadline: Option<Instant>,
-        abandon: &(dyn Fn() -> bool + Sync),
         cache: &mut SolveCache,
-    ) -> Option<Polished> {
+        history: &mut Vec<SolveAttempt>,
+    ) -> (Vec<f64>, f64) {
         if self.plan.polish_rounds == 0 || lane.violation <= self.plan.lm.tolerance {
-            return None;
+            return (lane.assignment.clone(), lane.violation);
         }
         let start = Instant::now();
         let system = &rung.generated.system;
@@ -1037,11 +1009,7 @@ impl Orchestrator {
                 last.then_some(&both_blocks),
             ];
             for pinned in passes.into_iter().flatten() {
-                let pass =
-                    self.polish_pass(system, &rung.fixed, &best, pinned, deadline, abandon, cache);
-                if abandon() {
-                    return None;
-                }
+                let pass = self.polish_pass(system, &rung.fixed, &best, pinned, deadline, cache);
                 let Some((candidate, candidate_violation)) = pass else {
                     break 'rounds;
                 };
@@ -1054,21 +1022,21 @@ impl Orchestrator {
                 break;
             }
         }
-        Some(Polished {
-            assignment: best,
-            violation: best_violation,
-            seconds: start.elapsed().as_secs_f64(),
-        })
+        history.push(rung.attempt(
+            "polish",
+            best_violation <= self.plan.lm.tolerance,
+            best_violation,
+            start.elapsed().as_secs_f64(),
+        ));
+        (best, best_violation)
     }
 
     /// One polish sub-solve: pin `block` at the certificate's dyadic
     /// roundings of the current values (so the polish optimizes the residual
     /// at essentially the certified point), solve the rest warm-started from the current point,
     /// and score the merged assignment on the full system. The sub-solve's
-    /// wall-clock cap is clamped to the time left before `deadline`, and it
-    /// ends early once `abandon()` holds; returns `None` without solving
-    /// once the deadline has passed.
-    #[allow(clippy::too_many_arguments)]
+    /// wall-clock cap is clamped to the time left before `deadline`;
+    /// returns `None` without solving once the deadline has passed.
     fn polish_pass(
         &self,
         system: &QuadraticSystem,
@@ -1076,7 +1044,6 @@ impl Orchestrator {
         current: &[f64],
         block: &[UnknownId],
         deadline: Option<Instant>,
-        abandon: &(dyn Fn() -> bool + Sync),
         cache: &mut SolveCache,
     ) -> Option<(Vec<f64>, f64)> {
         let mut options = self.plan.polish_lm.clone();
@@ -1096,7 +1063,7 @@ impl Orchestrator {
         // The polish alternation re-solves the same three structures round
         // after round; the cache skips the repeated symbolic analysis.
         let solver = LmSolver::new(options);
-        let outcome = cache.solve_lm(&solver, &problem, Some(&warm), abandon);
+        let outcome = cache.solve_lm(&solver, &problem, Some(&warm));
         let mut assignment = current.to_vec();
         for (id, value) in &pins {
             assignment[id.index()] = value.to_f64();
@@ -1117,6 +1084,21 @@ fn seconds_left(deadline: Instant) -> Option<f64> {
     (left > 0.0).then_some(left)
 }
 
+/// The wall-clock cap of a lane or strong attempt that starts now under a
+/// whole-solve `deadline`: its own `cap` clamped to the time left, but at
+/// least one best-effort second. `None` once the deadline has passed,
+/// except for a rung's `first` lane or attempt, which always runs.
+fn lane_cap(cap: f64, deadline: Option<Instant>, first: bool) -> Option<f64> {
+    let Some(deadline) = deadline else {
+        return Some(cap);
+    };
+    let left = seconds_left(deadline);
+    if left.is_none() && !first {
+        return None;
+    }
+    Some(clamp_budget(cap, left.unwrap_or(0.0).max(1.0)))
+}
+
 /// Clamps a per-lane wall-clock cap to the whole-solve time remaining
 /// (`0` means "uncapped" on the lane side, so the remaining time becomes
 /// the cap).
@@ -1128,30 +1110,27 @@ fn clamp_budget(lane_cap: f64, remaining: f64) -> f64 {
     }
 }
 
-/// Deterministic portfolio tie-breaking: a feasible lane beats an
-/// infeasible one; among equals the smaller violation wins; on exact ties
-/// the earlier lane (LM first) wins. Non-finite violations compare as +∞.
+/// Deterministic choice between the lanes that ran on a rung: a feasible
+/// lane beats an infeasible one; among equals the smaller violation wins;
+/// on exact ties the earlier lane (LM first) wins. Non-finite violations
+/// compare as +∞.
 fn pick_winner(lanes: Vec<LaneResult>) -> LaneResult {
+    let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
     let mut best: Option<LaneResult> = None;
     for lane in lanes {
         let better = match &best {
             None => true,
-            Some(current) => outranks(lane.feasible, lane.violation, current),
+            Some(current) => {
+                (lane.feasible && !current.feasible)
+                    || (lane.feasible == current.feasible
+                        && finite_or_inf(lane.violation) < finite_or_inf(current.violation))
+            }
         };
         if better {
             best = Some(lane);
         }
     }
-    best.expect("the portfolio always has at least the LM lane")
-}
-
-/// Whether a lane scored (`feasible`, `violation`) displaces `current` in
-/// [`pick_winner`].
-fn outranks(feasible: bool, violation: f64, current: &LaneResult) -> bool {
-    let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
-    (feasible && !current.feasible)
-        || (feasible == current.feasible
-            && finite_or_inf(violation) < finite_or_inf(current.violation))
+    best.expect("a rung always runs at least one lane")
 }
 
 #[cfg(test)]
@@ -1195,7 +1174,7 @@ mod tests {
         assert!(plan.penalty.is_none());
         let plan = SolvePlan::new(SynthesisOptions::default()).with_backend_preference("penalty");
         assert!(plan.penalty.is_some());
-        assert_eq!(plan.lm.max_iterations, 1);
+        assert_eq!(plan.lm.max_iterations, 0, "no LM lane");
     }
 
     #[test]
@@ -1207,46 +1186,87 @@ mod tests {
         assert!(!SolvePlan::knows_backend("loqo"));
     }
 
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow without optimizations; run with `cargo test --release`"
-    )]
-    fn a_certifiable_program_stops_at_the_first_rung() {
-        let program = parse_program(
-            r#"
-            inc(x) {
-                @pre(x >= 0);
-                while x <= 10 do
-                    x := x + 1
-                od;
-                return x
-            }
-            "#,
-        )
-        .unwrap();
+    /// `inc` (x counts up to 11 from x ≥ 0) solved on the ϒ ladder up to
+    /// `upsilon`, under the default plan as `tune` changes it.
+    fn solve_inc(
+        target: &str,
+        upsilon: u32,
+        tune: impl FnOnce(&mut SolvePlan),
+    ) -> (Program, OrchestratorOutcome) {
+        let program =
+            parse_program("inc(x) { @pre(x >= 0); while x <= 10 do x := x + 1 od; return x }")
+                .unwrap();
         let pre = Precondition::from_program(&program);
         let exit = program.main().exit_label();
-        let (target, _) = polyinv_lang::parse_assertion(&program, "inc", "x + 1 > 0").unwrap();
-        let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(2);
-        let orchestrator = Orchestrator::new(SolvePlan::new(options));
-        let outcome = orchestrator
+        let (target, _) = polyinv_lang::parse_assertion(&program, "inc", target).unwrap();
+        let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(upsilon);
+        let mut plan = SolvePlan::new(options);
+        tune(&mut plan);
+        let outcome = Orchestrator::new(plan)
             .solve(&program, &pre, &[TargetAssertion::new(exit, target)])
             .unwrap();
+        (program, outcome)
+    }
+
+    fn backends(outcome: &OrchestratorOutcome) -> Vec<&str> {
+        let history = &outcome.stats.history;
+        history.iter().map(|a| a.backend.as_str()).collect()
+    }
+
+    #[test]
+    fn a_certifiable_program_stops_at_the_first_rung() {
+        let (program, outcome) = solve_inc("x + 1 > 0", 2, |_| {});
         assert!(outcome.certified, "violation {}", outcome.violation);
         assert!(outcome.feasible);
         assert_eq!(outcome.stats.rung_reached, 0, "ϒ = 0 suffices here");
         assert_eq!(outcome.stats.rungs_tried, 1);
         assert!(outcome.stats.certified);
-        assert!(!outcome.invariant.get(exit).is_empty());
+        assert!(!outcome
+            .invariant
+            .get(program.main().exit_label())
+            .is_empty());
         assert!(outcome.exact.passed());
-        // Every attempt in the history belongs to the single rung tried.
+        // Every attempt in the history belongs to the single rung tried,
+        // and the certified LM point never starts the penalty lane.
         assert!(outcome.stats.history.iter().all(|a| a.upsilon == 0));
-        assert!(outcome
-            .stats
-            .history
-            .iter()
-            .any(|a| a.backend == "certificate" && a.feasible));
+        assert_eq!(outcome.backend, "lm");
+        assert!(!backends(&outcome).contains(&"penalty"));
+    }
+
+    #[test]
+    fn a_failed_lm_certificate_starts_the_penalty_lane_and_pick_winner_decides() {
+        // x never exceeds 11, so no point certifies x - 1000 > 0. One LM
+        // iteration loses to the penalty lane, which is then certified in
+        // turn; a full LM lane beats a penalty lane of one Adam step, and
+        // keeps its own certificate. An LM lane out of time marks the rung
+        // budget-bound: the penalty lane runs before any certificate.
+        let check = |tune: &dyn Fn(&mut SolvePlan), winner: &str, history: &[&'static str]| {
+            let (_, outcome) = solve_inc("x - 1000 > 0", 0, |plan| {
+                plan.polish_rounds = 0;
+                tune(plan);
+            });
+            assert!(!outcome.certified);
+            assert_eq!(backends(&outcome), history);
+            let attempts = &outcome.stats.history;
+            let raw = |k: usize| lane(history[k], attempts[k].feasible, attempts[k].violation);
+            let penalty = history.iter().position(|b| *b == "penalty").unwrap();
+            assert_eq!(pick_winner(vec![raw(0), raw(penalty)]).backend, winner);
+            assert_eq!(outcome.backend, winner);
+            let certificate = attempts.iter().rfind(|a| a.backend == "certificate");
+            assert_eq!(
+                outcome.stats.certificate_violation,
+                certificate.unwrap().violation
+            );
+        };
+        let both_ran = ["lm", "certificate", "penalty", "certificate"];
+        check(&|plan| plan.lm.max_iterations = 1, "penalty", &both_ran);
+        let one_adam_step = |plan: &mut SolvePlan| {
+            let alm = plan.penalty.as_mut().unwrap();
+            (alm.outer_iterations, alm.inner_iterations) = (1, 1);
+        };
+        check(&one_adam_step, "lm", &both_ran[..3]);
+        let budget_bound = ["lm", "penalty", "certificate"];
+        check(&|plan| plan.lm.max_seconds = 1e-9, "penalty", &budget_bound);
     }
 
     #[test]
@@ -1322,33 +1342,14 @@ mod tests {
     )]
     fn an_unprovable_target_escalates_through_every_rung() {
         // x never exceeds 11, so x - 1000 > 0 at the exit is unprovable:
-        // no rung can certify and the ladder must be exhausted.
-        let program = parse_program(
-            r#"
-            inc(x) {
-                @pre(x >= 0);
-                while x <= 10 do
-                    x := x + 1
-                od;
-                return x
-            }
-            "#,
-        )
-        .unwrap();
-        let pre = Precondition::from_program(&program);
-        let exit = program.main().exit_label();
-        let (target, _) = polyinv_lang::parse_assertion(&program, "inc", "x - 1000 > 0").unwrap();
-        let options = SynthesisOptions::with_degree_and_size(1, 1).with_upsilon(2);
-        let mut plan = SolvePlan::new(options);
-        // Keep the escalation test fast: tiny budgets, no polish.
-        plan.lm.max_iterations = 40;
-        plan.lm.restarts = 1;
-        plan.penalty = None;
-        plan.polish_rounds = 0;
-        let orchestrator = Orchestrator::new(plan);
-        let outcome = orchestrator
-            .solve(&program, &pre, &[TargetAssertion::new(exit, target)])
-            .unwrap();
+        // no rung can certify and the ladder must be exhausted. Tiny
+        // budgets and no polish keep the test fast.
+        let (_, outcome) = solve_inc("x - 1000 > 0", 2, |plan| {
+            plan.lm.max_iterations = 40;
+            plan.lm.restarts = 1;
+            plan.penalty = None;
+            plan.polish_rounds = 0;
+        });
         assert!(!outcome.certified);
         assert_eq!(outcome.stats.rungs_tried, 2, "ladder [0, 2] is exhausted");
         assert_eq!(outcome.stats.rung_reached, 2);
@@ -1391,5 +1392,47 @@ mod tests {
             outcome.stats.history
         );
         assert!(outcome.stats.history.iter().any(|a| a.backend == "polish"));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn the_fallback_lane_is_capped_at_the_time_left_when_it_starts() {
+        // The LM point's polish (stall detection off, passes of up to
+        // 1.2 s) spends part of a 2 s budget and its certificate fails; the
+        // penalty lane would then run for its own 20 s. It must stop at the
+        // time left when it starts (or after the one best-effort second),
+        // not at the time left when the rung started.
+        let budget = 2.0;
+        let started = Instant::now();
+        let (_, outcome) = solve_inc("x - 1000 > 0", 0, |plan| {
+            plan.solve_budget_seconds = budget;
+            plan.polish_rounds = 1;
+            plan.polish_lm.stall_iterations = 0;
+            plan.polish_lm.max_iterations = 1_000_000_000;
+            plan.polish_lm.max_seconds = 1.2;
+            let alm = plan.penalty.as_mut().unwrap();
+            alm.outer_iterations = 1_000_000_000;
+            alm.max_seconds = 20.0;
+        });
+        let elapsed = started.elapsed().as_secs_f64();
+        let history = &outcome.stats.history;
+        assert_eq!(
+            backends(&outcome)[..4],
+            ["lm", "polish", "certificate", "penalty"],
+            "{history:?}"
+        );
+        let left = budget - history[..3].iter().map(|a| a.seconds).sum::<f64>();
+        assert!(
+            history[3].seconds < left.max(1.0) + 0.25,
+            "the penalty lane ran {:.2} s with {left:.2} s left: {history:?}",
+            history[3].seconds
+        );
+        assert!(
+            elapsed < budget + 1.0,
+            "solve took {elapsed:.2} s against a {budget} s budget: {history:?}"
+        );
     }
 }

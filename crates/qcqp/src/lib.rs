@@ -15,7 +15,7 @@
 //! * [`AlmSolver`] (`"penalty"`) — an augmented-Lagrangian method with an
 //!   Adam-style first-order inner loop for general (non-convex) quadratic
 //!   systems, whose restarts also run in parallel; the orchestrator's
-//!   second portfolio lane.
+//!   fallback lane when the LM lane's point fails its certificate.
 
 pub mod lm;
 pub mod par;

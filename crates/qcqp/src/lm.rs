@@ -245,21 +245,6 @@ impl LmSolver {
         workspace: &LmWorkspace,
         warm_start: Option<&[f64]>,
     ) -> SolveOutcome {
-        self.solve_with_workspace_until(problem, workspace, warm_start, &|| false)
-    }
-
-    /// Like [`solve_with_workspace`](Self::solve_with_workspace), but every
-    /// restart also stops at its next iteration boundary once `stop()`
-    /// holds, returning its best point so far: for a caller that may stop
-    /// needing the result mid-solve. While `stop()` stays false the outcome
-    /// is the same as without it.
-    pub fn solve_with_workspace_until(
-        &self,
-        problem: &Problem,
-        workspace: &LmWorkspace,
-        warm_start: Option<&[f64]>,
-        stop: &(dyn Fn() -> bool + Sync),
-    ) -> SolveOutcome {
         debug_assert!(
             workspace.matches(problem, self.options.objective_weight),
             "workspace reused across structurally different problems"
@@ -288,8 +273,7 @@ impl LmSolver {
         // sequential first-feasible-wins loop.
         let started = Instant::now();
         let max_seconds = self.options.max_seconds;
-        let halt =
-            || stop() || (max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds);
+        let halt = || max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds;
         let outcomes = crate::par::parallel_indexed_until_bounded(
             restarts,
             restart_workers,
@@ -298,9 +282,17 @@ impl LmSolver {
             },
             |outcome| outcome.status == SolveStatus::Feasible,
         );
-        // Aggregate the work done across restarts onto the winning outcome.
+        // Aggregate onto the winning outcome the work of the restarts the
+        // sequential loop would have run: up to the first feasible one.
+        // Later restarts of its wave ran only because a wave is as wide as
+        // the worker count, so counting them would make the totals depend
+        // on `POLYINV_THREADS`.
+        let counted = outcomes
+            .iter()
+            .position(|outcome| outcome.status == SolveStatus::Feasible)
+            .map_or(outcomes.len(), |first| first + 1);
         let mut stats = workspace.stats_skeleton();
-        for outcome in &outcomes {
+        for outcome in &outcomes[..counted] {
             stats.absorb_restart(&outcome.stats);
         }
         stats.threads = eval_threads.max(restart_workers.min(restarts)).max(1);
@@ -313,7 +305,7 @@ impl LmSolver {
     /// Runs one independent restart: restart 0 consumes the warm start, all
     /// others draw a fresh random initialization from their own generator.
     /// The restart ends at the first iteration boundary where `halt()`
-    /// holds (deadline or caller stop).
+    /// holds (the solve's deadline).
     fn run_restart(
         &self,
         problem: &Problem,
@@ -1092,6 +1084,18 @@ mod tests {
         assert_eq!(outcome.status, SolveStatus::Feasible);
         assert!((outcome.assignment[0] - 2.0).abs() < 1e-6);
         assert_eq!(outcome.stats.restarts, 1);
+        // Restart 0 is feasible, so three restarts count it alone, serial
+        // or not: a wave of parallel restarts may run more.
+        for parallel_restarts in [false, true] {
+            let options = LmOptions {
+                restarts: 3,
+                parallel_restarts,
+                ..LmOptions::default()
+            };
+            let stats = LmSolver::new(options).solve(&problem, None).stats;
+            assert_eq!(stats.restarts, 1);
+            assert_eq!(stats.iterations, outcome.stats.iterations);
+        }
     }
 
     #[test]
@@ -1426,29 +1430,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_caller_stop_ends_every_restart_at_an_iteration_boundary() {
-        // x² = 4 from x = 1: a stop that holds from the start leaves the
-        // warm start untouched; one that never holds changes nothing.
-        let mut problem = Problem::new(1);
-        problem.equalities.push(QuadraticForm {
-            constant: -4.0,
-            linear: Vec::new(),
-            quadratic: vec![(0, 0, 1.0)],
-        });
-        let solver = LmSolver::new(LmOptions::default());
-        let ws = LmWorkspace::build(&problem, 0.0);
-        let stopped = solver.solve_with_workspace_until(&problem, &ws, Some(&[1.0]), &|| true);
-        assert_eq!(stopped.iterations, 0);
-        assert_eq!(stopped.assignment, vec![1.0]);
-        assert_ne!(stopped.status, SolveStatus::Feasible);
-        let free = solver.solve_with_workspace_until(&problem, &ws, Some(&[1.0]), &|| false);
-        let plain = solver.solve_with_workspace(&problem, &ws, Some(&[1.0]));
-        assert_eq!(free.status, SolveStatus::Feasible);
-        assert_eq!(free.assignment[0].to_bits(), plain.assignment[0].to_bits());
-        assert_eq!(free.iterations, plain.iterations);
     }
 
     #[test]

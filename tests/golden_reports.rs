@@ -157,9 +157,8 @@ fn solve_blocks_are_byte_stable() {
 #[test]
 fn penalty_preferred_solves_are_byte_stable() {
     // The canonical `polyinv synth programs/freire1.poly --target
-    // "a_in + 2 - ret > 0" --backend penalty`: the penalty lane wins both
-    // rungs, so the LM point polished while the lane still runs is dropped
-    // and the penalty point is polished after the race.
+    // "a_in + 2 - ret > 0" --backend penalty`: the penalty lane runs alone
+    // on both rungs, and LM only polishes its point.
     let source =
         std::fs::read_to_string(workspace_path("programs/freire1.poly")).expect("readable program");
     let request = SynthesisRequest::weak(source)
