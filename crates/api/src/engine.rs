@@ -578,11 +578,18 @@ mod tests {
     #[test]
     fn unknown_backends_and_labels_are_rejected() {
         let engine = Engine::new();
-        let request = SynthesisRequest::generate_only("f(x) { return x }").with_backend("loqo");
-        assert!(matches!(
-            engine.run(&request),
-            Err(ApiError::UnknownBackend { .. })
-        ));
+        // The penalty lane is LM's fallback, not a back-end to pick.
+        for name in ["loqo", "penalty", "alm"] {
+            for request in [
+                SynthesisRequest::generate_only("f(x) { return x }"),
+                SynthesisRequest::weak("f(x) { return x }").with_target("x + 1 > 0"),
+            ] {
+                assert!(matches!(
+                    engine.run(&request.with_backend(name)),
+                    Err(ApiError::UnknownBackend { .. })
+                ));
+            }
+        }
         let request = SynthesisRequest::weak("f(x) { return x }").with_target_at(99, "x + 1 > 0");
         assert!(matches!(
             engine.run(&request),

@@ -112,10 +112,7 @@ impl fmt::Display for ApiError {
                 write!(f, ": {message}")
             }
             ApiError::UnknownBackend { name } => {
-                write!(
-                    f,
-                    "unknown solver back-end `{name}` (expected `lm` or `penalty`)"
-                )
+                write!(f, "unknown solver back-end `{name}` (expected `lm`)")
             }
             ApiError::UnknownLabel { index, available } => write!(
                 f,

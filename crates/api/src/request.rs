@@ -163,8 +163,8 @@ pub struct SynthesisRequest {
     /// Target assertions ([`Mode::Weak`]) or candidate invariant atoms
     /// ([`Mode::Check`]).
     pub assertions: Vec<AssertionSpec>,
-    /// Solver back-end by stable name (`"lm"`, `"penalty"`); `None` uses the
-    /// Engine's default.
+    /// Solver back-end by stable name: `"lm"` drops the penalty fallback,
+    /// and no other name is accepted; `None` uses the Engine's default.
     pub backend: Option<String>,
     /// Number of multi-start attempts for [`Mode::Strong`]; `None` uses the
     /// enumeration default (8).

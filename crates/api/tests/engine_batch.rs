@@ -182,6 +182,9 @@ fn batch_requests_can_pick_their_own_backend() {
     let requests = vec![
         SynthesisRequest::generate_only(TICK).with_id("default"),
         SynthesisRequest::generate_only(TICK)
+            .with_id("lm")
+            .with_backend("lm"),
+        SynthesisRequest::generate_only(TICK)
             .with_id("penalty")
             .with_backend("penalty"),
         SynthesisRequest::generate_only(TICK)
@@ -191,10 +194,13 @@ fn batch_requests_can_pick_their_own_backend() {
     let outcomes = engine.run_batch(&requests);
     assert!(outcomes[0].is_ok());
     assert!(outcomes[1].is_ok());
-    assert!(matches!(
-        outcomes[2],
-        Err(ApiError::UnknownBackend { ref name }) if name == "loqo"
-    ));
+    // The penalty lane runs only as LM's fallback: its name is unknown.
+    for (outcome, expected) in outcomes[2..].iter().zip(["penalty", "loqo"]) {
+        assert!(matches!(
+            outcome,
+            Err(ApiError::UnknownBackend { name }) if name == expected
+        ));
+    }
     assert_eq!(engine.backend_name(), "lm");
 }
 

@@ -11,12 +11,12 @@
 //!   (products, transposes and Gaussian-elimination solves): the dense LM
 //!   probe of `polyinv-bench` and the oracle the sparse routines are
 //!   property-tested against.
-//! * [`sparse`] — the sparse substrate of the Step-4 solve path:
-//!   [`CsrMatrix`], the symbolic normal matrix [`JtjPattern`] (JᵀJ
-//!   accumulated directly from sparse Jacobian rows) and the sparse LDLᵀ
-//!   factorization [`SymbolicLdl`] with a fill-reducing minimum-degree
-//!   ordering whose symbolic analysis is computed once and reused across
-//!   solver iterations.
+//! * [`sparse`] — the sparse substrate of the Step-4 solve path: the
+//!   symbolic normal matrix [`JtjPattern`] (JᵀJ accumulated directly from
+//!   sparse Jacobian rows) and the sparse LDLᵀ factorization
+//!   [`SymbolicLdl`] with a fill-reducing minimum-degree ordering whose
+//!   symbolic analysis is computed once and reused across solver
+//!   iterations.
 //!
 //! # Example
 //!
@@ -41,4 +41,4 @@ pub mod sparse;
 
 pub use linalg::{Matrix, Vector};
 pub use rational::{ParseRationalError, Rational, RationalError};
-pub use sparse::{CsrMatrix, JtjChunk, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};
+pub use sparse::{JtjChunk, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};

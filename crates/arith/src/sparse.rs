@@ -4,13 +4,9 @@
 //! extremely sparse: on the Table 2/3 rows each residual touches only a
 //! handful of the thousands of unknowns, so the Jacobian of the
 //! least-squares reformulation is >99% zeros and its normal matrix `JᵀJ`
-//! inherits that sparsity. This module provides the sparse substrate: the
-//! Levenberg–Marquardt back-end runs on [`JtjPattern`] + [`SymbolicLdl`],
-//! and [`CsrMatrix`] is the general-purpose building block for sparse
-//! consumers that want an explicit matrix (it is not on the LM hot path):
+//! inherits that sparsity. This module provides the sparse substrate the
+//! Levenberg–Marquardt back-end runs on:
 //!
-//! * [`CsrMatrix`] — a compressed-sparse-row matrix built from (sorted)
-//!   triplets, with allocation-free mat-vec;
 //! * [`JtjPattern`] — the *symbolic* normal matrix: given the fixed sparsity
 //!   pattern of the Jacobian rows (which the `Problem` determines once), it
 //!   precomputes the pattern of `JᵀJ` plus, per Jacobian row, the flat list
@@ -39,120 +35,6 @@ use crate::linalg::Matrix;
 
 /// Sentinel for "no parent" in the elimination tree.
 const NONE: usize = usize::MAX;
-
-/// A compressed-sparse-row matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrMatrix {
-    /// Builds a CSR matrix from triplets `(row, col, value)`. Triplets may
-    /// arrive in any order; duplicates are summed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a triplet lies outside the `rows × cols` shape.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: impl IntoIterator<Item = (usize, usize, f64)>,
-    ) -> Self {
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.into_iter().collect();
-        for &(r, c, _) in &sorted {
-            assert!(r < rows && c < cols, "triplet ({r}, {c}) outside shape");
-        }
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        let mut previous = None;
-        for (r, c, v) in sorted {
-            if previous == Some((r, c)) {
-                // Same (row, col) as the previous triplet: merge.
-                *values.last_mut().unwrap() += v;
-            } else {
-                col_idx.push(c);
-                values.push(v);
-                previous = Some((r, c));
-            }
-            row_ptr[r + 1] = col_idx.len();
-        }
-        // Rows without entries inherit the running offset.
-        for r in 1..=rows {
-            if row_ptr[r] < row_ptr[r - 1] {
-                row_ptr[r] = row_ptr[r - 1];
-            }
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// The number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The column indices and values of one row.
-    pub fn row(&self, row: usize) -> (&[usize], &[f64]) {
-        let span = self.row_ptr[row]..self.row_ptr[row + 1];
-        (&self.col_idx[span.clone()], &self.values[span])
-    }
-
-    /// Matrix–vector product into a fresh vector.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut out);
-        out
-    }
-
-    /// Matrix–vector product into a caller-supplied buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` have the wrong dimension.
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in sparse mat-vec");
-        assert_eq!(out.len(), self.rows, "output dimension mismatch");
-        for r in 0..self.rows {
-            let mut acc = 0.0;
-            for p in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[p] * x[self.col_idx[p]];
-            }
-            out[r] = acc;
-        }
-    }
-
-    /// Densifies the matrix (test oracle).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for p in self.row_ptr[r]..self.row_ptr[r + 1] {
-                m.add_to(r, self.col_idx[p], self.values[p]);
-            }
-        }
-        m
-    }
-}
 
 /// Flat index of the unordered pair `(a, b)` with `a ≤ b` in a triangular
 /// enumeration.
@@ -1608,22 +1490,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn csr_from_triplets_merges_duplicates_and_multiplies() {
-        let m = CsrMatrix::from_triplets(
-            3,
-            4,
-            vec![(2, 1, 1.0), (0, 0, 2.0), (0, 0, 0.5), (1, 3, -1.0)],
-        );
-        assert_eq!(m.nnz(), 3);
-        assert_eq!(m.row(0), (&[0usize][..], &[2.5][..]));
-        let y = m.mul_vec(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(y, vec![2.5, -4.0, 2.0]);
-        let dense = m.to_dense();
-        assert_eq!(dense.get(0, 0), 2.5);
-        assert_eq!(dense.get(1, 3), -1.0);
     }
 
     #[test]

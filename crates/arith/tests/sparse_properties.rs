@@ -1,9 +1,9 @@
 //! Property tests pinning the sparse substrate against the dense oracle:
-//! CSR mat-vec, JᵀJ accumulation from sparse rows, and the minimum-degree
-//! LDLᵀ factor-solve must agree with the corresponding dense
+//! JᵀJ accumulation from sparse rows and the minimum-degree LDLᵀ
+//! factor-solve must agree with the corresponding dense
 //! [`Matrix`](polyinv_arith::Matrix) computations on random sparse systems.
 
-use polyinv_arith::sparse::{CsrMatrix, JtjChunk, JtjPattern, JtjScratch, SymbolicLdl};
+use polyinv_arith::sparse::{JtjChunk, JtjPattern, JtjScratch, SymbolicLdl};
 use polyinv_arith::{Matrix, Vector};
 use proptest::prelude::*;
 
@@ -71,30 +71,6 @@ fn patterns_of(system: &SparseSystem) -> Vec<Vec<usize>> {
 }
 
 proptest! {
-    #[test]
-    fn csr_mat_vec_matches_dense(
-        rows in 1usize..8,
-        cols in 1usize..8,
-        raw in raw_entries(),
-        x in proptest::collection::vec(-3.0f64..3.0, 8),
-    ) {
-        let system = build_system(rows, cols, raw);
-        let triplets: Vec<(usize, usize, f64)> = system
-            .entries
-            .iter()
-            .enumerate()
-            .flat_map(|(r, row)| row.iter().map(move |&(c, v)| (r, c, v)))
-            .collect();
-        let csr = CsrMatrix::from_triplets(system.rows, system.cols, triplets);
-        let dense = dense_of(&system);
-        let x = &x[..system.cols];
-        let sparse_result = csr.mul_vec(x);
-        let dense_result = dense.mul_vec(&Vector::from_slice(x));
-        for r in 0..system.rows {
-            prop_assert!((sparse_result[r] - dense_result[r]).abs() < 1e-9);
-        }
-    }
-
     #[test]
     fn jtj_accumulation_matches_dense_normal_matrix(
         rows in 1usize..8,

@@ -95,9 +95,10 @@ impl SparseProbe {
         SparseProbe::with_threads(problem, 1)
     }
 
-    /// [`SparseProbe::new`] with an explicit evaluation worker count
-    /// (`LmOptions::eval_threads`); chunked parallel evaluation engages at
-    /// the same row threshold as the shipping solver.
+    /// [`SparseProbe::new`] with an explicit evaluation worker count (the
+    /// solver takes its own from [`ThreadBudget`](polyinv_qcqp::ThreadBudget));
+    /// chunked parallel evaluation engages at the same row threshold as the
+    /// shipping solver.
     pub fn with_threads(problem: Problem, eval_threads: usize) -> Self {
         let ws = LmWorkspace::build(&problem, 0.0);
         let numeric = ws.symbolic().numeric();

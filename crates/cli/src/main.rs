@@ -51,7 +51,7 @@ REDUCTION OPTIONS (check reads only --upsilon):
     --degree <n>              Template degree d          (default 2)
     --size <n>                Conjuncts per label n      (default 1)
     --upsilon <n>             Multiplier degree bound ϒ  (default 2)
-    --backend <name>          lm | penalty | alm         (default: lm, penalty as fallback)
+    --backend lm              Run LM alone, without the penalty fallback lane
     --no-presolve             Skip the affine presolve pass before Step 4
     --strong                  Enumerate a representative set instead (synth)
     --attempts <n>            Multi-start attempts for --strong

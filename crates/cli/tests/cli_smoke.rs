@@ -104,6 +104,21 @@ fn unknown_flags_exit_2_with_usage() {
 }
 
 #[test]
+fn penalty_backend_names_exit_3() {
+    // The penalty lane only runs as LM's fallback: a request cannot pick it.
+    for name in ["penalty", "alm"] {
+        let inc = program("inc.poly");
+        let output = polyinv(&["synth", &inc, "--target", "x + 1 > 0", "--backend", name]);
+        assert_eq!(output.status.code(), Some(3), "--backend {name}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            stderr.contains("unknown solver back-end"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn check_certifies_the_trivial_invariant() {
     let output = polyinv(&[
         "check",

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use crate::{GeneratedSystem, QuadraticSystem, UnknownKind};
 use polyinv_arith::Rational;
 use polyinv_lang::{InvariantMap, Postcondition, Program};
-use polyinv_poly::{QuadExpr, UnknownId};
+use polyinv_poly::UnknownId;
 
 /// Denominator exponent of the certificate's default dyadic rounding
 /// (`2^24`); polish pins use the same grid.
@@ -232,23 +232,6 @@ pub fn instantiate_exact(
     (invariant, postconditions)
 }
 
-/// Evaluates a quadratic expression with checked rational arithmetic.
-/// `None` means overflow.
-fn eval_checked(expr: &QuadExpr, values: &[Rational]) -> Option<Rational> {
-    let value_of = |index: usize| values.get(index).copied().unwrap_or_default();
-    let mut acc = expr.constant_part();
-    for &(u, c) in expr.linear_terms() {
-        let term = c.checked_mul(&value_of(u.index())).ok()?;
-        acc = acc.checked_add(&term).ok()?;
-    }
-    for &((a, b), c) in expr.quadratic_terms() {
-        let product = value_of(a.index()).checked_mul(&value_of(b.index())).ok()?;
-        let term = c.checked_mul(&product).ok()?;
-        acc = acc.checked_add(&term).ok()?;
-    }
-    Some(acc)
-}
-
 /// Re-checks a solved system exactly, down the coarse-to-fine snap ladder:
 /// the first rounding whose assignment passes wins (its report, with the
 /// checked point in [`ExactReport::values`], is returned). Unknowns in
@@ -308,12 +291,13 @@ fn exact_recheck_with(
             }
         }
     };
+    let value_of = |u: UnknownId| values.get(u.index()).copied().unwrap_or_default();
     for (index, eq) in system.equalities.iter().enumerate() {
-        let violation = eval_checked(eq, &values).map(|v| v.abs());
+        let violation = eq.checked_eval_rational(value_of).map(|v| v.abs());
         consider(violation, "equality", index);
     }
     for (index, ineq) in system.inequalities.iter().enumerate() {
-        let violation = eval_checked(ineq, &values).map(|v| {
+        let violation = ineq.checked_eval_rational(value_of).map(|v| {
             if v.is_negative() {
                 -v
             } else {

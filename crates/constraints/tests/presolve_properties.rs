@@ -118,7 +118,10 @@ fn build(plan: &SystemPlan) -> (QuadraticSystem, Vec<Rational>, HashMap<UnknownI
         .iter()
         .map(|&(numer, denom)| Rational::new(i128::from(numer), i128::from(denom)))
         .collect();
-    let at_witness = |expr: &QuadExpr| expr.eval_rational(|u: UnknownId| witness[u.index()]);
+    let at_witness = |expr: &QuadExpr| {
+        expr.checked_eval_rational(|u: UnknownId| witness[u.index()])
+            .expect("witness rows stay within i128")
+    };
 
     let mut system = QuadraticSystem::new(registry);
     for row in &plan.rows {
@@ -172,14 +175,14 @@ fn build(plan: &SystemPlan) -> (QuadraticSystem, Vec<Rational>, HashMap<UnknownI
 fn check_exactly(label: &str, system: &QuadraticSystem, values: &[Rational]) {
     let lookup = |u: UnknownId| values[u.index()];
     for (index, row) in system.equalities.iter().enumerate() {
-        let value = row.eval_rational(lookup);
+        let value = row.checked_eval_rational(lookup).expect("no overflow");
         assert!(
             value.is_zero(),
             "{label}: equality {index} evaluates to {value}"
         );
     }
     for (index, row) in system.inequalities.iter().enumerate() {
-        let value = row.eval_rational(lookup);
+        let value = row.checked_eval_rational(lookup).expect("no overflow");
         assert!(
             !value.is_negative(),
             "{label}: inequality {index} evaluates to {value}"

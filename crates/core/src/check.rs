@@ -22,8 +22,9 @@ use polyinv_qcqp::{LmOptions, LmSolver, SolveStatus};
 
 use crate::bridge::system_to_problem;
 
-/// LM iterations per certificate attempt. Tolerance (`1e-7`) and restarts
-/// (3) are the [`LmOptions`] defaults.
+/// LM iterations per certificate attempt. The tolerance is LM's fixed
+/// [`LM_TOLERANCE`](polyinv_qcqp::LM_TOLERANCE) (`1e-7`), and the restarts
+/// (3) are the [`LmOptions`] default.
 const CERTIFICATE_ITERATIONS: usize = 300;
 
 /// The result of attempting to certify one constraint pair.

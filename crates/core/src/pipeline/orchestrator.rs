@@ -47,7 +47,7 @@ use polyinv_poly::UnknownId;
 use polyinv_qcqp::par::parallel_indexed_until;
 use polyinv_qcqp::{
     AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QuadraticForm, SolveOutcome,
-    SolveStatus, SolverStats,
+    SolveStatus, SolverStats, LM_TOLERANCE,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -78,8 +78,7 @@ pub struct SolvePlan {
     /// fits the targets.
     pub options: SynthesisOptions,
     /// The LM lane: iteration/restart/wall-clock budget of one rung
-    /// attempt. `max_iterations == 0` with a penalty lane means no LM lane:
-    /// the penalty lane runs alone.
+    /// attempt. Every rung runs it first.
     pub lm: LmOptions,
     /// The penalty (augmented-Lagrangian) lane, run on a rung only when the
     /// LM lane's certificate fails; `None` disables it and the rung runs LM
@@ -104,9 +103,10 @@ pub struct SolvePlan {
 
 impl SolvePlan {
     /// The default plan for the given (degree-escalated) options: a
-    /// budgeted LM lane, a short penalty lane that runs only when the LM
-    /// lane's polished point fails its certificate, three polish rounds and
-    /// the acceptance certificate tolerance.
+    /// budgeted LM lane that every rung runs first, a short penalty lane
+    /// that runs only as its fallback, when the LM lane's polished point
+    /// fails its certificate, three polish rounds and the acceptance
+    /// certificate tolerance.
     ///
     /// The certificate tolerance is `1/100` — exactly the `epsilon_lower`
     /// strictness margin of the Putinar translation. Every strict
@@ -121,7 +121,6 @@ impl SolvePlan {
             lm: LmOptions {
                 max_iterations: 400,
                 restarts: 3,
-                tolerance: 1e-7,
                 max_seconds: 60.0,
                 ..LmOptions::default()
             },
@@ -130,7 +129,6 @@ impl SolvePlan {
             polish_lm: LmOptions {
                 max_iterations: 150,
                 restarts: 1,
-                parallel_restarts: false,
                 max_seconds: 20.0,
                 ..LmOptions::default()
             },
@@ -152,25 +150,18 @@ impl SolvePlan {
     }
 
     /// Whether `name` is a back-end [`SolvePlan::with_backend_preference`]
-    /// acts on (`"lm"`, `"penalty"` or `"alm"`). Request front doors reject
-    /// every other name.
+    /// acts on: only `"lm"`. Request front doors reject every other name;
+    /// the penalty lane is a fallback, not a back-end a request picks.
     pub fn knows_backend(name: &str) -> bool {
-        matches!(name, "lm" | "penalty" | "alm")
+        name == "lm"
     }
 
     /// Restricts the plan to the named back-end: `"lm"` drops the penalty
-    /// fallback, so every rung runs the LM lane alone; `"penalty"`/`"alm"`
-    /// runs the penalty lane alone (`lm.max_iterations` becomes 0, which
-    /// means no LM lane), and LM only polishes its point. Unknown names
-    /// leave the plan as-is.
+    /// fallback, so every rung runs the LM lane alone. Other names leave the
+    /// plan as it is.
     pub fn with_backend_preference(mut self, name: &str) -> Self {
-        match name {
-            "lm" => self.penalty = None,
-            "penalty" | "alm" => {
-                self.penalty.get_or_insert_with(default_penalty_lane);
-                self.lm.max_iterations = 0;
-            }
-            _ => {}
+        if name == "lm" {
+            self.penalty = None;
         }
         self
     }
@@ -408,8 +399,9 @@ struct RungResult {
 /// Two kinds of reuse live here. The symbolic side of an LM solve (`JᵀJ`
 /// pattern, fill-reducing ordering, symbolic LDLᵀ) depends only on the
 /// problem's sparsity structure, so polish rounds — which pin the same
-/// blocks round after round — and repeated rungs with unchanged sparsity
-/// skip the analysis entirely. And the previous rung's best point is kept
+/// blocks round after round — skip the analysis after the first round
+/// (rungs differ in their unknowns, so nothing matches across them). And
+/// the previous rung's best point is kept
 /// keyed by [`UnknownKind`] (provenance, not index), so when the next rung
 /// re-registers its unknowns in a different order the surviving coordinates
 /// still warm-start at their old values instead of the cold `0.05`.
@@ -424,8 +416,7 @@ struct SolveCache {
 }
 
 /// At most this many symbolic workspaces are kept alive (the polish
-/// alternation uses three structures per rung; a few rungs' worth covers
-/// every repeat customer).
+/// alternation re-solves three structures per rung).
 const WORKSPACE_CACHE_LIMIT: usize = 8;
 
 impl SolveCache {
@@ -715,12 +706,10 @@ impl Orchestrator {
     /// Step 4 of a weak rung: the LM lane, polished and certified, then
     /// the penalty lane as a fallback when that certificate fails.
     ///
-    /// When both lanes ran, [`pick_winner`] chooses between their raw
+    /// When the fallback ran, [`pick_winner`] chooses between the two raw
     /// points: an LM winner keeps its settled candidate, and a penalty
     /// winner is polished and certified in turn. On a budget-bound rung
-    /// both lanes run before any polish, as in a race of the two. A plan whose
-    /// `lm.max_iterations` is 0 and that has a penalty lane runs that lane
-    /// alone (the `"penalty"` back-end preference).
+    /// both lanes run before any polish, as in a race of the two.
     fn solve_rung(
         &self,
         rung: Rung,
@@ -733,29 +722,23 @@ impl Orchestrator {
         // across the re-indexed unknown space by provenance
         // ([`SolveCache::warm_vector`]).
         let warm = cache.warm_vector(&rung.generated.system.registry, &rung.mapping);
-        let mut lanes = Vec::new();
-        let mut lm_settled = None;
-        if self.plan.lm.max_iterations > 0 || self.plan.penalty.is_none() {
-            let mut options = self.plan.lm.clone();
-            options.max_seconds = lane_cap(options.max_seconds, deadline, true)
-                .expect("a rung's first lane always runs");
-            let cap = options.max_seconds;
-            let start = Instant::now();
-            let outcome = cache.solve_lm(&LmSolver::new(options), &rung.problem, Some(&warm));
-            let lane = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
-            timings.record(stage_names::SOLVE, start.elapsed());
-            history.push(rung.attempt("lm", lane.feasible, lane.violation, lane.seconds));
-            // An LM lane that ran out its wall-clock cap marks a budget-bound
-            // rung: the fallback runs before any polish, so the time left
-            // goes to polishing the lane `pick_winner` chooses.
-            if cap == 0.0 || lane.seconds < cap {
-                lm_settled = Some(self.settle(&rung, &lane, deadline, cache, timings, history));
-            }
-            lanes.push(lane);
-        }
+        let mut options = self.plan.lm.clone();
+        options.max_seconds =
+            lane_cap(options.max_seconds, deadline, true).expect("a rung's LM lane always runs");
+        let cap = options.max_seconds;
+        let start = Instant::now();
+        let outcome = cache.solve_lm(&LmSolver::new(options), &rung.problem, Some(&warm));
+        let lm = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
+        timings.record(stage_names::SOLVE, start.elapsed());
+        history.push(rung.attempt("lm", lm.feasible, lm.violation, lm.seconds));
+        // An LM lane that ran out its wall-clock cap marks a budget-bound
+        // rung: the fallback runs before any polish, so the time left goes
+        // to polishing the lane `pick_winner` chooses.
+        let lm_settled = (cap == 0.0 || lm.seconds < cap)
+            .then(|| self.settle(&rung, &lm, deadline, cache, timings, history));
         // The fallback's cap is clamped to the time left when it starts, not
         // when the rung started; it does not start once the deadline has
-        // passed, unless it is the rung's only lane.
+        // passed.
         let lm_certified = lm_settled.as_ref().is_some_and(|lm| lm.exact.passed());
         let fallback = self
             .plan
@@ -763,21 +746,19 @@ impl Orchestrator {
             .as_ref()
             .filter(|_| !lm_certified)
             .and_then(|alm| {
-                let max_seconds = lane_cap(alm.max_seconds, deadline, lanes.is_empty())?;
-                Some(AlmSolver::new(AlmOptions {
+                let max_seconds = lane_cap(alm.max_seconds, deadline, false)?;
+                let solver = AlmSolver::new(AlmOptions {
                     max_seconds,
                     ..alm.clone()
-                }))
+                });
+                let start = Instant::now();
+                let outcome = solver.solve(&rung.problem, Some(&warm));
+                let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
+                timings.record(stage_names::SOLVE, start.elapsed());
+                history.push(rung.attempt("penalty", lane.feasible, lane.violation, lane.seconds));
+                Some(lane)
             });
-        if let Some(solver) = fallback {
-            let start = Instant::now();
-            let outcome = solver.solve(&rung.problem, Some(&warm));
-            let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
-            timings.record(stage_names::SOLVE, start.elapsed());
-            history.push(rung.attempt("penalty", lane.feasible, lane.violation, lane.seconds));
-            lanes.push(lane);
-        }
-        let winner = pick_winner(lanes);
+        let winner = pick_winner(lm, fallback);
         let settled = match lm_settled {
             Some(settled) if winner.backend == "lm" => settled,
             _ => self.settle(&rung, &winner, deadline, cache, timings, history),
@@ -787,7 +768,7 @@ impl Orchestrator {
         // by unknown provenance across the re-indexed registry.
         cache.record_rung(&rung.generated.system.registry, &settled.assignment);
 
-        let feasible = settled.violation <= self.plan.lm.tolerance || winner.feasible;
+        let feasible = settled.violation <= LM_TOLERANCE || winner.feasible;
         RungResult {
             certified: settled.exact.passed(),
             assignment: settled.assignment,
@@ -891,8 +872,6 @@ impl Orchestrator {
                 restarts: ENUMERATION_RESTARTS,
                 objective_weight: ENUMERATION_OBJECTIVE_WEIGHT,
                 seed: seed.wrapping_add(attempt as u64 * 7919),
-                // The attempt loop is already the parallel level.
-                parallel_restarts: false,
                 max_seconds,
                 ..LmOptions::default()
             });
@@ -968,7 +947,7 @@ impl Orchestrator {
         cache: &mut SolveCache,
         history: &mut Vec<SolveAttempt>,
     ) -> (Vec<f64>, f64) {
-        if self.plan.polish_rounds == 0 || lane.violation <= self.plan.lm.tolerance {
+        if self.plan.polish_rounds == 0 || lane.violation <= LM_TOLERANCE {
             return (lane.assignment.clone(), lane.violation);
         }
         let start = Instant::now();
@@ -1018,13 +997,13 @@ impl Orchestrator {
                     best_violation = candidate_violation;
                 }
             }
-            if best_violation <= self.plan.lm.tolerance {
+            if best_violation <= LM_TOLERANCE {
                 break;
             }
         }
         history.push(rung.attempt(
             "polish",
-            best_violation <= self.plan.lm.tolerance,
+            best_violation <= LM_TOLERANCE,
             best_violation,
             start.elapsed().as_secs_f64(),
         ));
@@ -1110,27 +1089,22 @@ fn clamp_budget(lane_cap: f64, remaining: f64) -> f64 {
     }
 }
 
-/// Deterministic choice between the lanes that ran on a rung: a feasible
-/// lane beats an infeasible one; among equals the smaller violation wins;
-/// on exact ties the earlier lane (LM first) wins. Non-finite violations
-/// compare as +∞.
-fn pick_winner(lanes: Vec<LaneResult>) -> LaneResult {
+/// Deterministic choice between the LM lane and the fallback lane, when
+/// it ran: a feasible lane beats an infeasible one; among equals the
+/// smaller violation wins; on exact ties the LM lane wins. Non-finite
+/// violations compare as +∞.
+fn pick_winner(lm: LaneResult, fallback: Option<LaneResult>) -> LaneResult {
     let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
-    let mut best: Option<LaneResult> = None;
-    for lane in lanes {
-        let better = match &best {
-            None => true,
-            Some(current) => {
-                (lane.feasible && !current.feasible)
-                    || (lane.feasible == current.feasible
-                        && finite_or_inf(lane.violation) < finite_or_inf(current.violation))
-            }
-        };
-        if better {
-            best = Some(lane);
+    match fallback {
+        Some(fallback)
+            if (fallback.feasible && !lm.feasible)
+                || (fallback.feasible == lm.feasible
+                    && finite_or_inf(fallback.violation) < finite_or_inf(lm.violation)) =>
+        {
+            fallback
         }
+        _ => lm,
     }
-    best.expect("a rung always runs at least one lane")
 }
 
 #[cfg(test)]
@@ -1151,39 +1125,43 @@ mod tests {
 
     #[test]
     fn portfolio_tie_breaking_is_deterministic() {
-        // A feasible lane beats a lower-violation infeasible one.
-        let winner = pick_winner(vec![lane("lm", false, 1e-9), lane("penalty", true, 1e-8)]);
-        assert_eq!(winner.backend, "penalty");
-        // Among infeasible lanes the smaller violation wins.
-        let winner = pick_winner(vec![lane("lm", false, 0.5), lane("penalty", false, 0.2)]);
-        assert_eq!(winner.backend, "penalty");
-        // On an exact tie the earlier (LM) lane wins.
-        let winner = pick_winner(vec![lane("lm", false, 0.3), lane("penalty", false, 0.3)]);
-        assert_eq!(winner.backend, "lm");
-        // NaN violations never displace a finite candidate.
-        let winner = pick_winner(vec![
-            lane("lm", false, f64::NAN),
-            lane("penalty", false, 9.0),
-        ]);
-        assert_eq!(winner.backend, "penalty");
+        // A feasible lane beats a lower-violation infeasible one; among
+        // infeasible lanes the smaller violation wins; on an exact tie the
+        // LM lane wins; NaN violations never displace a finite candidate.
+        for (lm, fallback, winner) in [
+            ((false, 1e-9), (true, 1e-8), "penalty"),
+            ((false, 0.5), (false, 0.2), "penalty"),
+            ((false, 0.3), (false, 0.3), "lm"),
+            ((false, f64::NAN), (false, 9.0), "penalty"),
+        ] {
+            let lm = lane("lm", lm.0, lm.1);
+            let fallback = lane("penalty", fallback.0, fallback.1);
+            assert_eq!(pick_winner(lm, Some(fallback)).backend, winner);
+        }
+        // Without a fallback the LM lane wins, however it did.
+        assert_eq!(pick_winner(lane("lm", false, f64::NAN), None).backend, "lm");
     }
 
     #[test]
     fn backend_preference_shapes_the_portfolio() {
         let plan = SolvePlan::new(SynthesisOptions::default()).with_backend_preference("lm");
         assert!(plan.penalty.is_none());
-        let plan = SolvePlan::new(SynthesisOptions::default()).with_backend_preference("penalty");
-        assert!(plan.penalty.is_some());
-        assert_eq!(plan.lm.max_iterations, 0, "no LM lane");
+        // The retired names are unknown: they leave the default plan alone.
+        for name in ["penalty", "alm"] {
+            let plan = SolvePlan::new(SynthesisOptions::default()).with_backend_preference(name);
+            assert!(plan.penalty.is_some());
+            assert_eq!(plan.lm.max_iterations, 400);
+        }
     }
 
     #[test]
     fn unknown_backend_names_are_rejected() {
-        // Front doors reject every name the preference does not act on.
-        assert!(["lm", "penalty", "alm"]
-            .into_iter()
-            .all(SolvePlan::knows_backend));
-        assert!(!SolvePlan::knows_backend("loqo"));
+        // Front doors reject every name the preference does not act on,
+        // the retired penalty-lane names included.
+        assert!(SolvePlan::knows_backend("lm"));
+        for name in ["penalty", "alm", "loqo"] {
+            assert!(!SolvePlan::knows_backend(name), "{name}");
+        }
     }
 
     /// `inc` (x counts up to 11 from x ≥ 0) solved on the ϒ ladder up to
@@ -1250,7 +1228,7 @@ mod tests {
             let attempts = &outcome.stats.history;
             let raw = |k: usize| lane(history[k], attempts[k].feasible, attempts[k].violation);
             let penalty = history.iter().position(|b| *b == "penalty").unwrap();
-            assert_eq!(pick_winner(vec![raw(0), raw(penalty)]).backend, winner);
+            assert_eq!(pick_winner(raw(0), Some(raw(penalty))).backend, winner);
             assert_eq!(outcome.backend, winner);
             let certificate = attempts.iter().rfind(|a| a.backend == "certificate");
             assert_eq!(

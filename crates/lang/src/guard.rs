@@ -41,19 +41,6 @@ impl Atom {
         }
     }
 
-    /// Evaluates the atom at a rational valuation.
-    pub fn eval<F>(&self, valuation: F) -> bool
-    where
-        F: FnMut(VarId) -> Rational,
-    {
-        let value = self.poly.eval(valuation);
-        if self.strict {
-            value.is_positive()
-        } else {
-            !value.is_negative()
-        }
-    }
-
     /// Evaluates the atom at a rational valuation, returning `None` on
     /// `i128` rational overflow (overflow-safe interpretation).
     pub fn checked_eval<F>(&self, valuation: F) -> Option<bool>
@@ -166,19 +153,6 @@ impl BoolFormula {
         }
     }
 
-    /// Evaluates the formula at a rational valuation.
-    pub fn eval<F>(&self, valuation: &mut F) -> bool
-    where
-        F: FnMut(VarId) -> Rational,
-    {
-        match self {
-            BoolFormula::Atom(atom) => atom.eval(&mut *valuation),
-            BoolFormula::And(parts) => parts.iter().all(|p| p.eval(valuation)),
-            BoolFormula::Or(parts) => parts.iter().any(|p| p.eval(valuation)),
-            BoolFormula::Not(inner) => !inner.eval(valuation),
-        }
-    }
-
     /// Evaluates the formula at a rational valuation, returning `None` on
     /// `i128` rational overflow in any atom that had to be evaluated.
     pub fn checked_eval<F>(&self, valuation: &mut F) -> Option<bool>
@@ -287,8 +261,8 @@ mod tests {
     #[test]
     fn atom_evaluation_respects_strictness() {
         let zero = |_: VarId| Rational::zero();
-        assert!(atom_x_ge_0().eval(zero));
-        assert!(!atom_y_gt_0().eval(zero));
+        assert_eq!(atom_x_ge_0().checked_eval(zero), Some(true));
+        assert_eq!(atom_y_gt_0().checked_eval(zero), Some(false));
     }
 
     #[test]
@@ -329,17 +303,10 @@ mod tests {
                         Rational::from_int(yv)
                     }
                 };
-                let direct = formula.eval(&mut valuation);
+                let direct = formula.checked_eval(&mut valuation).unwrap();
                 let via_dnf = dnf.iter().any(|conj| {
-                    conj.iter().all(|atom| {
-                        atom.eval(|v: VarId| {
-                            if v == x() {
-                                Rational::from_int(xv)
-                            } else {
-                                Rational::from_int(yv)
-                            }
-                        })
-                    })
+                    conj.iter()
+                        .all(|atom| atom.checked_eval(&mut valuation).unwrap())
                 });
                 assert_eq!(direct, via_dnf, "mismatch at ({xv},{yv})");
             }
@@ -357,8 +324,11 @@ mod tests {
     #[test]
     fn top_and_bottom() {
         let mut valuation = |_: VarId| Rational::zero();
-        assert!(BoolFormula::top().eval(&mut valuation));
-        assert!(!BoolFormula::bottom().eval(&mut valuation));
+        assert_eq!(BoolFormula::top().checked_eval(&mut valuation), Some(true));
+        assert_eq!(
+            BoolFormula::bottom().checked_eval(&mut valuation),
+            Some(false)
+        );
         assert_eq!(BoolFormula::top().to_dnf(), vec![Vec::<Atom>::new()]);
         assert!(BoolFormula::bottom().to_dnf().is_empty());
     }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use polyinv_arith::{Rational, RationalError};
-use polyinv_poly::{Polynomial, VarId};
+use polyinv_poly::Polynomial;
 
 use crate::guard::Atom;
 use crate::program::{Label, Program, StmtKind, VarKind};
@@ -217,14 +217,6 @@ impl InvariantMap {
         self.atoms.iter()
     }
 
-    /// Evaluates the invariant at a label under a valuation.
-    pub fn holds_at<F>(&self, label: Label, mut valuation: F) -> bool
-    where
-        F: FnMut(VarId) -> Rational,
-    {
-        self.get(label).iter().all(|atom| atom.eval(&mut valuation))
-    }
-
     /// Renders the invariant map with the program's variable names, in
     /// label order.
     pub fn render(&self, program: &Program) -> String {
@@ -316,10 +308,14 @@ mod tests {
             func.entry_label(),
             Polynomial::variable(n) + Polynomial::constant(Rational::one()),
         );
-        assert!(inv.holds_at(func.entry_label(), |_| Rational::zero()));
-        assert!(!inv.holds_at(func.entry_label(), |_| Rational::from_int(-5)));
-        // Labels with no atoms hold trivially.
-        assert!(inv.holds_at(func.exit_label(), |_| Rational::from_int(-5)));
+        let atoms = inv.get(func.entry_label());
+        assert_eq!(atoms.len(), 1);
+        assert_eq!(atoms[0].checked_eval(|_| Rational::zero()), Some(true));
+        assert_eq!(
+            atoms[0].checked_eval(|_| Rational::from_int(-5)),
+            Some(false)
+        );
+        assert!(inv.get(func.exit_label()).is_empty());
         let text = inv.render(&program);
         assert!(text.contains("1 + n > 0"));
     }

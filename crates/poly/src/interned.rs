@@ -220,7 +220,8 @@ impl IntTemplate {
     /// t.add_term(x, LinExpr::unknown(s));
     /// t.add_term(MonoId::ONE, LinExpr::constant(Rational::one()));
     /// let instantiated = t.instantiate(&table, |_| Rational::from_int(5));
-    /// assert_eq!(instantiated.eval(|_| Rational::from_int(2)), Rational::from_int(11));
+    /// let at_two = instantiated.checked_eval(|_| Rational::from_int(2));
+    /// assert_eq!(at_two, Some(Rational::from_int(11)));
     /// ```
     pub fn instantiate<F>(&self, table: &MonomialTable, mut assignment: F) -> Polynomial
     where
@@ -525,11 +526,10 @@ mod tests {
 
         let mut acc = QuadAccumulator::new();
         acc.add_mul_template(&a, &b, &mut table);
-        let product = Polynomial::from_terms(
-            acc.into_terms()
-                .into_iter()
-                .map(|(m, coeff)| (coeff.eval_rational(assignment), table.monomial(m).clone())),
-        );
+        let product = Polynomial::from_terms(acc.into_terms().into_iter().map(|(m, coeff)| {
+            let value = coeff.checked_eval_rational(assignment).unwrap();
+            (value, table.monomial(m).clone())
+        }));
         assert_eq!(product, expected);
     }
 

@@ -138,18 +138,6 @@ impl Monomial {
         Monomial { powers: result }
     }
 
-    /// Evaluates the monomial at a valuation given by a lookup closure.
-    pub fn eval<F>(&self, mut valuation: F) -> Rational
-    where
-        F: FnMut(VarId) -> Rational,
-    {
-        let mut result = Rational::one();
-        for &(var, exp) in &self.powers {
-            result *= valuation(var).pow(exp);
-        }
-        result
-    }
-
     /// Evaluates the monomial at a valuation, returning `None` on `i128`
     /// rational overflow (the interpreter's overflow-safe path).
     pub fn checked_eval<F>(&self, mut valuation: F) -> Option<Rational>
@@ -284,14 +272,14 @@ mod tests {
     #[test]
     fn evaluation() {
         let m = Monomial::from_powers(&[(v(0), 2), (v(1), 1)]);
-        let value = m.eval(|var| {
+        let value = m.checked_eval(|var| {
             if var == v(0) {
                 Rational::from_int(3)
             } else {
                 Rational::from_int(-2)
             }
         });
-        assert_eq!(value, Rational::from_int(-18));
+        assert_eq!(value, Some(Rational::from_int(-18)));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::monomial::{Monomial, VarId};
 /// let x = VarId::new(0);
 /// // p(x) = x^2 - 1
 /// let p = Polynomial::variable(x).pow(2) - Polynomial::constant(Rational::one());
-/// assert_eq!(p.eval(|_| Rational::from_int(3)), Rational::from_int(8));
+/// let at_three = p.checked_eval(|_| Rational::from_int(3));
+/// assert_eq!(at_three, Some(Rational::from_int(8)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Polynomial {
@@ -170,18 +171,6 @@ impl Polynomial {
             result = &result * self;
         }
         result
-    }
-
-    /// Evaluates the polynomial at a rational valuation.
-    pub fn eval<F>(&self, mut valuation: F) -> Rational
-    where
-        F: FnMut(VarId) -> Rational,
-    {
-        let mut total = Rational::zero();
-        for (monomial, coeff) in &self.terms {
-            total += *coeff * monomial.eval(&mut valuation);
-        }
-        total
     }
 
     /// Evaluates the polynomial at a rational valuation, returning `None`
@@ -418,8 +407,8 @@ mod tests {
     #[test]
     fn evaluation_matches_expansion() {
         let p = (Polynomial::variable(x()) - Polynomial::variable(y())).pow(2);
-        let value = p.eval(|v| if v == x() { int(5) } else { int(2) });
-        assert_eq!(value, int(9));
+        let value = p.checked_eval(|v| if v == x() { int(5) } else { int(2) });
+        assert_eq!(value, Some(int(9)));
     }
 
     #[test]

@@ -438,19 +438,25 @@ impl QuadExpr {
         total
     }
 
-    /// Evaluates the expression under an exact rational assignment.
-    pub fn eval_rational<F>(&self, mut assignment: F) -> Rational
+    /// Evaluates the expression under an exact rational assignment with
+    /// checked arithmetic, returning `None` on `i128` rational overflow. The
+    /// terms are summed in order: the constant, the linear terms, then the
+    /// quadratic terms, each as `c·(a·b)`.
+    pub fn checked_eval_rational<F>(&self, mut assignment: F) -> Option<Rational>
     where
         F: FnMut(UnknownId) -> Rational,
     {
         let mut total = self.constant;
         for &(u, c) in &self.linear {
-            total += c * assignment(u);
+            let term = c.checked_mul(&assignment(u)).ok()?;
+            total = total.checked_add(&term).ok()?;
         }
         for &((a, b), c) in &self.quadratic {
-            total += c * assignment(a) * assignment(b);
+            let product = assignment(a).checked_mul(&assignment(b)).ok()?;
+            let term = c.checked_mul(&product).ok()?;
+            total = total.checked_add(&term).ok()?;
         }
-        total
+        Some(total)
     }
 
     /// Renders the expression with an unknown-name resolver.

@@ -34,7 +34,8 @@ fn arb_valuation() -> impl Strategy<Value = Vec<Rational>> {
 }
 
 fn eval(poly: &Polynomial, valuation: &[Rational]) -> Rational {
-    poly.eval(|v| valuation[v.index()])
+    poly.checked_eval(|v| valuation[v.index()])
+        .expect("small values do not overflow")
 }
 
 proptest! {
@@ -152,11 +153,10 @@ proptest! {
         let (a, b) = (template(&a, &mut table), template(&b, &mut table));
         let mut acc = QuadAccumulator::new();
         acc.add_mul_template(&a, &b, &mut table);
-        let product = Polynomial::from_terms(
-            acc.into_terms()
-                .into_iter()
-                .map(|(m, coeff)| (coeff.eval_rational(assign), table.monomial(m).clone())),
-        );
+        let product = Polynomial::from_terms(acc.into_terms().into_iter().map(|(m, coeff)| {
+            let value = coeff.checked_eval_rational(assign).unwrap();
+            (value, table.monomial(m).clone())
+        }));
         let concrete = &a.instantiate(&table, assign) * &b.instantiate(&table, assign);
         prop_assert_eq!(product, concrete);
     }

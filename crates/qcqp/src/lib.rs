@@ -23,7 +23,7 @@ pub mod penalty;
 pub mod problem;
 pub mod stats;
 
-pub use lm::{Evaluator as LmEvaluator, LmOptions, LmSolver, LmWorkspace};
+pub use lm::{Evaluator as LmEvaluator, LmOptions, LmSolver, LmWorkspace, LM_TOLERANCE};
 pub use par::{configured_threads, ThreadBudget, PAR_ROW_THRESHOLD};
 pub use penalty::{AlmOptions, AlmSolver, SolveOutcome, SolveStatus};
 pub use problem::{Problem, ProblemStructure, QuadraticForm};

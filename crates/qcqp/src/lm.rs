@@ -29,14 +29,15 @@ use crate::penalty::{finite_or_inf, SolveOutcome, SolveStatus};
 use crate::problem::{Problem, QuadraticForm};
 use crate::stats::SolverStats;
 
+/// Feasibility tolerance declaring an LM solve successful: the maximum
+/// constraint violation of a feasible point.
+pub const LM_TOLERANCE: f64 = 1e-7;
+
 /// Configuration of the Levenberg–Marquardt solver.
 #[derive(Debug, Clone)]
 pub struct LmOptions {
     /// Maximum number of LM iterations per restart.
     pub max_iterations: usize,
-    /// Feasibility tolerance declaring success (maximum constraint
-    /// violation).
-    pub tolerance: f64,
     /// Number of random restarts.
     pub restarts: usize,
     /// Random seed.
@@ -54,38 +55,26 @@ pub struct LmOptions {
     /// Number of consecutive iterations without a meaningful improvement of
     /// the best violation (relative decrease below 0.1%) after which a
     /// restart bails out with its best-so-far point. `0` disables stall
-    /// detection.
+    /// detection. Only the default is used in production, but the deadline
+    /// tests switch detection off to build solves that run to their cap.
     pub stall_iterations: usize,
     /// Wall-clock budget in seconds for the whole solve, shared across all
     /// restarts; any restart past the deadline stops at the next iteration
     /// boundary and returns its best-so-far point. `0` disables the
     /// deadline.
     pub max_seconds: f64,
-    /// Worker threads for the *intra-iteration* parallelism: the chunked
-    /// residual and `JᵀJ` evaluation (the LDLᵀ factorization and solves
-    /// are serial). `0` lets the [`ThreadBudget`](crate::ThreadBudget)
-    /// arbiter decide from the row count and the global `POLYINV_THREADS`
-    /// budget; an explicit value pins it (the criterion benches sweep
-    /// 1/2/4/8 this way).
-    ///
-    /// The thread count never changes *what* is computed — chunk boundaries
-    /// and merge order are functions of the row count alone — so solver
-    /// outputs are byte-identical across values of this knob.
-    pub eval_threads: usize,
 }
 
 impl Default for LmOptions {
     fn default() -> Self {
         LmOptions {
             max_iterations: 250,
-            tolerance: 1e-7,
             restarts: 3,
             seed: 0x1a2b3c,
             objective_weight: 0.0,
             parallel_restarts: true,
             stall_iterations: 40,
             max_seconds: 0.0,
-            eval_threads: 0,
         }
     }
 }
@@ -111,10 +100,10 @@ const STALL_RELATIVE_IMPROVEMENT: f64 = 1e-3;
 /// only values do.
 ///
 /// [`LmSolver::solve`] builds one per call; callers that solve a sequence
-/// of structurally identical problems (the orchestrator's polish rounds,
-/// repeated rungs with unchanged sparsity) build it once with
-/// [`LmWorkspace::build`], check [`matches`](LmWorkspace::matches), and pass
-/// it to [`LmSolver::solve_with_workspace`] to skip the symbolic analysis.
+/// of structurally identical problems (the orchestrator's polish rounds)
+/// build it once with [`LmWorkspace::build`], check
+/// [`matches`](LmWorkspace::matches), and pass it to
+/// [`LmSolver::solve_with_workspace`] to skip the symbolic analysis.
 #[derive(Debug)]
 pub struct LmWorkspace {
     /// The problem's sparsity metadata, fetched once per solve.
@@ -249,18 +238,28 @@ impl LmSolver {
             workspace.matches(problem, self.options.objective_weight),
             "workspace reused across structurally different problems"
         );
-        let restarts = self.options.restarts.max(1);
         // The thread-budget arbiter: restart-level and intra-iteration
         // parallelism multiply, so the global budget goes to exactly one
         // axis — inside the iteration for big systems, across restarts for
-        // small ones. An explicit `eval_threads` wins over the arbiter.
+        // small ones.
         let rows = problem.equalities.len() + problem.inequalities.len();
         let budget = crate::par::ThreadBudget::for_rows(rows);
-        let eval_threads = if self.options.eval_threads > 0 {
-            self.options.eval_threads
-        } else {
-            budget.eval_threads
-        };
+        self.solve_on(problem, workspace, warm_start, budget)
+    }
+
+    /// [`solve_with_workspace`](Self::solve_with_workspace) under the given
+    /// thread budget. The evaluation worker count never changes *what* is
+    /// computed — chunk boundaries and merge order are functions of the row
+    /// count alone — so outputs are byte-identical at any budget.
+    fn solve_on(
+        &self,
+        problem: &Problem,
+        workspace: &LmWorkspace,
+        warm_start: Option<&[f64]>,
+        budget: crate::par::ThreadBudget,
+    ) -> SolveOutcome {
+        let restarts = self.options.restarts.max(1);
+        let eval_threads = budget.eval_threads;
         let restart_workers = if self.options.parallel_restarts {
             budget.restart_threads
         } else {
@@ -410,7 +409,7 @@ impl LmSolver {
             let (cost, constraint_violation) = eval.residuals_and_normal(x);
             stats.eval_seconds += eval_start.elapsed().as_secs_f64();
             let mut current_violation = full_violation(problem, x, constraint_violation);
-            if !minimizing && current_violation <= opts.tolerance {
+            if !minimizing && current_violation <= LM_TOLERANCE {
                 best_x = x.clone();
                 best_violation = current_violation;
                 break;
@@ -466,7 +465,7 @@ impl LmSolver {
             }
             let violation = finite_or_inf(current_violation);
             let objective = finite_or_inf(objective_at(x));
-            let better = if violation <= opts.tolerance && best_violation <= opts.tolerance {
+            let better = if violation <= LM_TOLERANCE && best_violation <= LM_TOLERANCE {
                 objective < best_objective
             } else {
                 violation < best_violation
@@ -479,8 +478,8 @@ impl LmSolver {
             // budget.
             let progressed = violation < best_violation * (1.0 - STALL_RELATIVE_IMPROVEMENT)
                 || (minimizing
-                    && violation <= opts.tolerance
-                    && best_violation <= opts.tolerance
+                    && violation <= LM_TOLERANCE
+                    && best_violation <= LM_TOLERANCE
                     && objective < best_objective);
             if better {
                 best_violation = violation;
@@ -511,7 +510,7 @@ impl LmSolver {
             assignment: best_x,
             violation,
             objective,
-            status: if violation <= opts.tolerance {
+            status: if violation <= LM_TOLERANCE {
                 SolveStatus::Feasible
             } else {
                 SolveStatus::Infeasible
@@ -1295,15 +1294,18 @@ mod tests {
     #[test]
     fn chunked_solves_are_byte_identical_across_eval_thread_counts() {
         let problem = big_random_problem(2100, 40, 7);
+        let solver = LmSolver::new(LmOptions {
+            max_iterations: 6,
+            restarts: 1,
+            ..LmOptions::default()
+        });
+        let workspace = LmWorkspace::build(&problem, 0.0);
         let solve = |eval_threads: usize| {
-            let solver = LmSolver::new(LmOptions {
-                max_iterations: 6,
-                restarts: 1,
-                parallel_restarts: false,
+            let budget = crate::par::ThreadBudget {
+                restart_threads: 1,
                 eval_threads,
-                ..LmOptions::default()
-            });
-            solver.solve(&problem, None)
+            };
+            solver.solve_on(&problem, &workspace, None, budget)
         };
         let serial = solve(1);
         for threads in [4, 8] {

@@ -14,27 +14,31 @@ use crate::par::{parallel_indexed_until_bounded, ThreadBudget};
 use crate::problem::Problem;
 use crate::stats::SolverStats;
 
+/// Initial penalty coefficient ρ.
+const INITIAL_PENALTY: f64 = 10.0;
+/// Multiplicative growth of ρ after every outer iteration.
+const PENALTY_GROWTH: f64 = 1.6;
+/// Adam learning rate.
+const LEARNING_RATE: f64 = 0.05;
+/// Feasibility tolerance declaring success.
+const TOLERANCE: f64 = 1e-6;
+/// Random seed: restart `k` uses `SEED + k`.
+const SEED: u64 = 0x5eed;
+/// Half-width of the box `[-s, s]` that random restarts start from.
+const INIT_SCALE: f64 = 0.1;
+
 /// Configuration of the augmented-Lagrangian solver.
 #[derive(Debug, Clone)]
 pub struct AlmOptions {
-    /// Number of outer (multiplier-update) iterations.
+    /// Number of outer (multiplier-update) iterations. Only the default is
+    /// used in production, but the fallback and deadline tests shrink or
+    /// stretch the lane with it.
     pub outer_iterations: usize,
-    /// Number of Adam steps per outer iteration.
+    /// Number of Adam steps per outer iteration (kept settable for the same
+    /// tests as `outer_iterations`).
     pub inner_iterations: usize,
-    /// Initial penalty coefficient ρ.
-    pub initial_penalty: f64,
-    /// Multiplicative growth of ρ after every outer iteration.
-    pub penalty_growth: f64,
-    /// Adam learning rate.
-    pub learning_rate: f64,
-    /// Feasibility tolerance declaring success.
-    pub tolerance: f64,
     /// Number of random restarts (the best run is returned).
     pub restarts: usize,
-    /// Random seed (restart `k` uses `seed + k`).
-    pub seed: u64,
-    /// Standard deviation of the random initialization noise.
-    pub init_scale: f64,
     /// Wall-clock budget in seconds over all restarts; once exceeded, the
     /// current restart stops at the next outer-iteration boundary and no
     /// further restarts launch. `0` disables the deadline.
@@ -46,13 +50,7 @@ impl Default for AlmOptions {
         AlmOptions {
             outer_iterations: 25,
             inner_iterations: 400,
-            initial_penalty: 10.0,
-            penalty_growth: 1.6,
-            learning_rate: 0.05,
-            tolerance: 1e-6,
             restarts: 3,
-            seed: 0x5eed,
-            init_scale: 0.1,
             max_seconds: 0.0,
         }
     }
@@ -144,13 +142,11 @@ impl AlmSolver {
                 {
                     return None;
                 }
-                let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
+                let mut rng = StdRng::seed_from_u64(SEED.wrapping_add(restart as u64));
                 let mut x = match (restart, warm_start) {
                     (0, Some(start)) if start.len() == problem.num_vars => start.to_vec(),
                     _ => (0..problem.num_vars)
-                        .map(|_| {
-                            rng.random_range(-self.options.init_scale..self.options.init_scale)
-                        })
+                        .map(|_| rng.random_range(-INIT_SCALE..INIT_SCALE))
                         .collect(),
                 };
                 let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
@@ -208,7 +204,7 @@ impl AlmSolver {
         let n = problem.num_vars;
         let opts = &self.options;
         let started = std::time::Instant::now();
-        let mut rho = opts.initial_penalty;
+        let mut rho = INITIAL_PENALTY;
         // Multiplier estimates.
         let mut lambda_eq = vec![0.0; problem.equalities.len()];
         let mut lambda_ineq = vec![0.0; problem.inequalities.len()];
@@ -275,7 +271,7 @@ impl AlmSolver {
                     v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
                     let m_hat = m[i] / (1.0 - beta1.powf(t));
                     let v_hat = v[i] / (1.0 - beta2.powf(t));
-                    x[i] -= opts.learning_rate * m_hat / (v_hat.sqrt() + eps);
+                    x[i] -= LEARNING_RATE * m_hat / (v_hat.sqrt() + eps);
                 }
                 problem.clamp(x);
             }
@@ -287,13 +283,13 @@ impl AlmSolver {
             for (ineq, lambda) in problem.inequalities.iter().zip(lambda_ineq.iter_mut()) {
                 *lambda = (*lambda - rho * ineq.eval(x)).clamp(0.0, 1e6);
             }
-            rho *= opts.penalty_growth;
+            rho *= PENALTY_GROWTH;
 
             let violation = finite_or_inf(problem.max_violation(x));
             let objective = finite_or_inf(objective_at(x));
             // Among feasible points prefer the better objective; otherwise
             // prefer the smaller violation.
-            let better = if violation <= opts.tolerance && best_violation <= opts.tolerance {
+            let better = if violation <= TOLERANCE && best_violation <= TOLERANCE {
                 objective < best_objective
             } else {
                 violation < best_violation
@@ -303,11 +299,11 @@ impl AlmSolver {
                 best_objective = objective;
                 best_x = x.to_vec();
             }
-            if violation <= opts.tolerance && problem.objective.is_none() {
+            if violation <= TOLERANCE && problem.objective.is_none() {
                 break;
             }
             // Mild perturbation if progress stalls in later outer rounds.
-            if outer > 0 && outer % 8 == 0 && violation > 1e3 * opts.tolerance {
+            if outer > 0 && outer % 8 == 0 && violation > 1e3 * TOLERANCE {
                 for value in x.iter_mut() {
                     *value += rng.random_range(-0.01..0.01);
                 }
@@ -333,7 +329,7 @@ impl AlmSolver {
             assignment: best_x,
             violation,
             objective: best_objective,
-            status: if violation <= opts.tolerance {
+            status: if violation <= TOLERANCE {
                 SolveStatus::Feasible
             } else {
                 SolveStatus::Infeasible

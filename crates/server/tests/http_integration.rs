@@ -146,6 +146,19 @@ fn malformed_json_is_a_structured_400() {
     assert_eq!(response.status, 422, "{}", response.body);
     let error = Json::parse(&response.body).expect("error JSON");
     assert_eq!(error.get("error").and_then(Json::as_str), Some("parse"));
+
+    // The penalty lane is LM's fallback, not a back-end a request picks.
+    for name in ["penalty", "alm"] {
+        let body = SynthesisRequest::generate_only(TICK)
+            .with_backend(name)
+            .to_json()
+            .to_string();
+        let response = server.request("POST", "/v1/synth", Some(&body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        let error = Json::parse(&response.body).expect("error JSON");
+        let kind = error.get("error").and_then(Json::as_str);
+        assert_eq!(kind, Some("unknown-backend"));
+    }
     server.stop();
 }
 

@@ -8,9 +8,10 @@
 //! timings zeroed through `SynthesisReport::canonical()` — so the bytes pin
 //! `|S|`, unknown counts, stage structure, diagnostics and the JSON writer
 //! itself across refactors. Three solved reports sit next to them: the weak
-//! solve of `programs/inc.poly` (`solve/inc.json`), the penalty-preferred
-//! weak solve of `programs/freire1.poly` (`solve/freire1_penalty.json`) and
-//! the validated report of `programs/freire1.poly` (`validate/freire1.json`).
+//! solve of `programs/inc.poly` (`solve/inc.json`), a weak solve of it with
+//! an unprovable target, on which the penalty fallback runs
+//! (`solve/inc_fallback.json`), and the validated report of
+//! `programs/freire1.poly` (`validate/freire1.json`).
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -155,18 +156,20 @@ fn solve_blocks_are_byte_stable() {
 }
 
 #[test]
-fn penalty_preferred_solves_are_byte_stable() {
-    // The canonical `polyinv synth programs/freire1.poly --target
-    // "a_in + 2 - ret > 0" --backend penalty`: the penalty lane runs alone
-    // on both rungs, and LM only polishes its point.
+fn fallback_solves_are_byte_stable() {
+    // The canonical `polyinv synth programs/inc.poly --target "x - 1000 > 0"
+    // --degree 1 --upsilon 0`: no point certifies the target, so the LM
+    // lane's polished point fails its certificate, the penalty fallback
+    // runs, wins `pick_winner` and is polished and certified in turn.
     let source =
-        std::fs::read_to_string(workspace_path("programs/freire1.poly")).expect("readable program");
+        std::fs::read_to_string(workspace_path("programs/inc.poly")).expect("readable program");
     let request = SynthesisRequest::weak(source)
-        .with_id("programs/freire1.poly")
-        .with_target("a_in + 2 - ret > 0")
-        .with_backend("penalty");
+        .with_id("programs/inc.poly")
+        .with_target("x - 1000 > 0")
+        .with_degree(1)
+        .with_upsilon(0);
     let report = Engine::new().run(&request).expect("weak synthesis runs");
-    assert_matches_golden("tests/golden/solve/freire1_penalty.json", report);
+    assert_matches_golden("tests/golden/solve/inc_fallback.json", report);
 }
 
 #[test]
