@@ -46,8 +46,8 @@ use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::UnknownId;
 use polyinv_qcqp::par::parallel_indexed_until;
 use polyinv_qcqp::{
-    AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QuadraticForm, SolveOutcome,
-    SolveStatus, SolverStats, LM_TOLERANCE,
+    outranks, AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QuadraticForm,
+    SolveOutcome, SolveStatus, SolverStats, LM_TOLERANCE,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -393,92 +393,6 @@ struct RungResult {
     generated: GeneratedSystem,
 }
 
-/// State reused across the rungs, lanes and polish rounds of **one**
-/// orchestrated solve.
-///
-/// Two kinds of reuse live here. The symbolic side of an LM solve (`JᵀJ`
-/// pattern, fill-reducing ordering, symbolic LDLᵀ) depends only on the
-/// problem's sparsity structure, so polish rounds — which pin the same
-/// blocks round after round — skip the analysis after the first round
-/// (rungs differ in their unknowns, so nothing matches across them). And
-/// the previous rung's best point is kept
-/// keyed by [`UnknownKind`] (provenance, not index), so when the next rung
-/// re-registers its unknowns in a different order the surviving coordinates
-/// still warm-start at their old values instead of the cold `0.05`.
-#[derive(Default)]
-struct SolveCache {
-    /// Symbolic LM workspaces, most recently used last. Checked via
-    /// [`LmWorkspace::matches`]; bounded so a long ladder cannot hoard
-    /// memory.
-    workspaces: Vec<LmWorkspace>,
-    /// The previous rung's best assignment, keyed by unknown provenance.
-    warm: HashMap<UnknownKind, f64>,
-}
-
-/// At most this many symbolic workspaces are kept alive (the polish
-/// alternation re-solves three structures per rung).
-const WORKSPACE_CACHE_LIMIT: usize = 8;
-
-impl SolveCache {
-    /// Solves with a cached symbolic workspace when one matches the
-    /// problem's structure; builds (and caches) the workspace otherwise.
-    fn solve_lm(
-        &mut self,
-        solver: &LmSolver,
-        problem: &Problem,
-        warm_start: Option<&[f64]>,
-    ) -> SolveOutcome {
-        let weight = solver.options().objective_weight;
-        let ws = match self
-            .workspaces
-            .iter()
-            .position(|ws| ws.matches(problem, weight))
-        {
-            Some(pos) => self.workspaces.remove(pos),
-            None => {
-                if self.workspaces.len() >= WORKSPACE_CACHE_LIMIT {
-                    self.workspaces.remove(0);
-                }
-                LmWorkspace::build(problem, weight)
-            }
-        };
-        let outcome = solver.solve_with_workspace(problem, &ws, warm_start);
-        // The workspace goes to the back: eviction drops the least recently
-        // used structure.
-        self.workspaces.push(ws);
-        outcome
-    }
-
-    /// The warm-start vector for a solver-space `mapping`: coordinates whose
-    /// provenance appeared in the previous rung resume at their old values,
-    /// new unknowns start at the cold default `0.05`.
-    fn warm_vector(
-        &self,
-        registry: &polyinv_constraints::UnknownRegistry,
-        mapping: &[UnknownId],
-    ) -> Vec<f64> {
-        mapping
-            .iter()
-            .map(|&id| {
-                self.warm
-                    .get(registry.kind(id))
-                    .copied()
-                    .filter(|v| v.is_finite())
-                    .unwrap_or(0.05)
-            })
-            .collect()
-    }
-
-    /// Records a rung's best full-space assignment as the next rung's warm
-    /// start.
-    fn record_rung(&mut self, registry: &polyinv_constraints::UnknownRegistry, assignment: &[f64]) {
-        self.warm = registry
-            .iter()
-            .map(|(id, kind)| (kind.clone(), assignment[id.index()]))
-            .collect();
-    }
-}
-
 /// The adaptive solve orchestrator.
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
@@ -515,11 +429,13 @@ impl Orchestrator {
     ) -> Result<OrchestratorOutcome, ConstraintError> {
         let mut timings = StageTimings::new();
         let mut history: Vec<SolveAttempt> = Vec::new();
-        let mut cache = SolveCache::default();
+        // The only state that crosses rungs: the previous rung's settled
+        // assignment, keyed by unknown provenance (see `solve_rung`).
+        let mut warm = HashMap::new();
         let mut best: Option<RungResult> = None;
         let (rungs_tried, rung_reached) = self.climb(|upsilon, deadline| {
             let rung = self.prepare_rung(program, pre, targets, upsilon, &mut timings)?;
-            let rung = self.solve_rung(rung, deadline, &mut cache, &mut timings, &mut history);
+            let rung = self.solve_rung(rung, deadline, &mut warm, &mut timings, &mut history);
             let accept = rung.certified;
             let better = match &best {
                 None => true,
@@ -710,24 +626,37 @@ impl Orchestrator {
     /// points: an LM winner keeps its settled candidate, and a penalty
     /// winner is polished and certified in turn. On a budget-bound rung
     /// both lanes run before any polish, as in a race of the two.
+    ///
+    /// The polish passes of the rung's one or two settlements share a list
+    /// of symbolic LM workspaces, dropped when the rung ends; only the
+    /// settled point crosses to the next rung, as `warm`.
     fn solve_rung(
         &self,
         rung: Rung,
         deadline: Option<Instant>,
-        cache: &mut SolveCache,
+        warm: &mut HashMap<UnknownKind, f64>,
         timings: &mut StageTimings,
         history: &mut Vec<SolveAttempt>,
     ) -> RungResult {
-        // Both lanes start from the previous rung's best point, carried
-        // across the re-indexed unknown space by provenance
-        // ([`SolveCache::warm_vector`]).
-        let warm = cache.warm_vector(&rung.generated.system.registry, &rung.mapping);
+        // Both lanes start from the previous rung's settled point, carried
+        // across the re-indexed unknown space by provenance ([`UnknownKind`],
+        // not index); unknowns new to this rung start at the cold `0.05`.
+        let registry = &rung.generated.system.registry;
+        let warm_start: Vec<f64> = rung
+            .mapping
+            .iter()
+            .map(|&id| {
+                let value = warm.get(registry.kind(id)).copied();
+                value.filter(|v| v.is_finite()).unwrap_or(0.05)
+            })
+            .collect();
+        let mut workspaces: Vec<LmWorkspace> = Vec::new();
         let mut options = self.plan.lm.clone();
         options.max_seconds =
             lane_cap(options.max_seconds, deadline, true).expect("a rung's LM lane always runs");
         let cap = options.max_seconds;
         let start = Instant::now();
-        let outcome = cache.solve_lm(&LmSolver::new(options), &rung.problem, Some(&warm));
+        let outcome = LmSolver::new(options).solve(&rung.problem, Some(&warm_start));
         let lm = rung.lane("lm", outcome, start.elapsed().as_secs_f64());
         timings.record(stage_names::SOLVE, start.elapsed());
         history.push(rung.attempt("lm", lm.feasible, lm.violation, lm.seconds));
@@ -735,7 +664,7 @@ impl Orchestrator {
         // rung: the fallback runs before any polish, so the time left goes
         // to polishing the lane `pick_winner` chooses.
         let lm_settled = (cap == 0.0 || lm.seconds < cap)
-            .then(|| self.settle(&rung, &lm, deadline, cache, timings, history));
+            .then(|| self.settle(&rung, &lm, deadline, &mut workspaces, timings, history));
         // The fallback's cap is clamped to the time left when it starts, not
         // when the rung started; it does not start once the deadline has
         // passed.
@@ -752,7 +681,7 @@ impl Orchestrator {
                     ..alm.clone()
                 });
                 let start = Instant::now();
-                let outcome = solver.solve(&rung.problem, Some(&warm));
+                let outcome = solver.solve(&rung.problem, Some(&warm_start));
                 let lane = rung.lane("penalty", outcome, start.elapsed().as_secs_f64());
                 timings.record(stage_names::SOLVE, start.elapsed());
                 history.push(rung.attempt("penalty", lane.feasible, lane.violation, lane.seconds));
@@ -761,12 +690,15 @@ impl Orchestrator {
         let winner = pick_winner(lm, fallback);
         let settled = match lm_settled {
             Some(settled) if winner.backend == "lm" => settled,
-            _ => self.settle(&rung, &winner, deadline, cache, timings, history),
+            _ => self.settle(&rung, &winner, deadline, &mut workspaces, timings, history),
         };
 
         // The rung's candidate becomes the next rung's warm start, carried
         // by unknown provenance across the re-indexed registry.
-        cache.record_rung(&rung.generated.system.registry, &settled.assignment);
+        *warm = registry
+            .iter()
+            .map(|(id, kind)| (kind.clone(), settled.assignment[id.index()]))
+            .collect();
 
         let feasible = settled.violation <= LM_TOLERANCE || winner.feasible;
         RungResult {
@@ -794,12 +726,12 @@ impl Orchestrator {
         rung: &Rung,
         lane: &LaneResult,
         deadline: Option<Instant>,
-        cache: &mut SolveCache,
+        workspaces: &mut Vec<LmWorkspace>,
         timings: &mut StageTimings,
         history: &mut Vec<SolveAttempt>,
     ) -> Settled {
         let polish_start = Instant::now();
-        let (assignment, violation) = self.polish(rung, lane, deadline, cache, history);
+        let (assignment, violation) = self.polish(rung, lane, deadline, workspaces, history);
         timings.record(stage_names::SOLVE, polish_start.elapsed());
         let cert_start = Instant::now();
         let exact = exact_recheck_ladder(
@@ -944,7 +876,7 @@ impl Orchestrator {
         rung: &Rung,
         lane: &LaneResult,
         deadline: Option<Instant>,
-        cache: &mut SolveCache,
+        workspaces: &mut Vec<LmWorkspace>,
         history: &mut Vec<SolveAttempt>,
     ) -> (Vec<f64>, f64) {
         if self.plan.polish_rounds == 0 || lane.violation <= LM_TOLERANCE {
@@ -988,7 +920,8 @@ impl Orchestrator {
                 last.then_some(&both_blocks),
             ];
             for pinned in passes.into_iter().flatten() {
-                let pass = self.polish_pass(system, &rung.fixed, &best, pinned, deadline, cache);
+                let pass =
+                    self.polish_pass(system, &rung.fixed, &best, pinned, deadline, workspaces);
                 let Some((candidate, candidate_violation)) = pass else {
                     break 'rounds;
                 };
@@ -1016,6 +949,11 @@ impl Orchestrator {
     /// and score the merged assignment on the full system. The sub-solve's
     /// wall-clock cap is clamped to the time left before `deadline`;
     /// returns `None` without solving once the deadline has passed.
+    ///
+    /// The sub-solve reuses the rung's symbolic workspace for the pinned
+    /// problem's structure from `workspaces`, building and adding it on a
+    /// miss: the polish alternation re-solves the same three structures
+    /// round after round.
     fn polish_pass(
         &self,
         system: &QuadraticSystem,
@@ -1023,7 +961,7 @@ impl Orchestrator {
         current: &[f64],
         block: &[UnknownId],
         deadline: Option<Instant>,
-        cache: &mut SolveCache,
+        workspaces: &mut Vec<LmWorkspace>,
     ) -> Option<(Vec<f64>, f64)> {
         let mut options = self.plan.polish_lm.clone();
         if let Some(deadline) = deadline {
@@ -1039,10 +977,19 @@ impl Orchestrator {
             return Some((current.to_vec(), system.max_violation(current)));
         }
         let warm: Vec<f64> = mapping.iter().map(|id| current[id.index()]).collect();
-        // The polish alternation re-solves the same three structures round
-        // after round; the cache skips the repeated symbolic analysis.
-        let solver = LmSolver::new(options);
-        let outcome = cache.solve_lm(&solver, &problem, Some(&warm));
+        let weight = options.objective_weight;
+        let slot = match workspaces
+            .iter()
+            .position(|ws| ws.matches(&problem, weight))
+        {
+            Some(slot) => slot,
+            None => {
+                workspaces.push(LmWorkspace::build(&problem, weight));
+                workspaces.len() - 1
+            }
+        };
+        let outcome =
+            LmSolver::new(options).solve_with_workspace(&problem, &workspaces[slot], Some(&warm));
         let mut assignment = current.to_vec();
         for (id, value) in &pins {
             assignment[id.index()] = value.to_f64();
@@ -1090,16 +1037,17 @@ fn clamp_budget(lane_cap: f64, remaining: f64) -> f64 {
 }
 
 /// Deterministic choice between the LM lane and the fallback lane, when
-/// it ran: a feasible lane beats an infeasible one; among equals the
-/// smaller violation wins; on exact ties the LM lane wins. Non-finite
-/// violations compare as +∞.
+/// it ran, by the solvers' own ranking rule ([`outranks`]): a feasible lane
+/// beats an infeasible one; among equals the smaller violation wins; on
+/// exact ties the LM lane, the earlier one, wins. Non-finite violations
+/// compare as +∞.
 fn pick_winner(lm: LaneResult, fallback: Option<LaneResult>) -> LaneResult {
-    let finite_or_inf = |v: f64| if v.is_finite() { v } else { f64::INFINITY };
     match fallback {
         Some(fallback)
-            if (fallback.feasible && !lm.feasible)
-                || (fallback.feasible == lm.feasible
-                    && finite_or_inf(fallback.violation) < finite_or_inf(lm.violation)) =>
+            if outranks(
+                (fallback.feasible, fallback.violation),
+                (lm.feasible, lm.violation),
+            ) =>
         {
             fallback
         }

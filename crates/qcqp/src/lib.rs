@@ -14,8 +14,16 @@
 //!   polish sub-solver and the certificate checker's pair solver.
 //! * [`AlmSolver`] (`"penalty"`) — an augmented-Lagrangian method with an
 //!   Adam-style first-order inner loop for general (non-convex) quadratic
-//!   systems, whose restarts also run in parallel; the orchestrator's
-//!   fallback lane when the LM lane's point fails its certificate.
+//!   feasibility systems, whose restarts also run in parallel; the
+//!   orchestrator's fallback lane when the LM lane's point fails its
+//!   certificate. It has no objective.
+//!
+//! Both pick their winner by one ranking rule ([`outranks`], in
+//! [`stats`]): a feasible point beats an infeasible one, then the smaller
+//! violation wins, and on a tie the earlier restart stays. Neither keeps
+//! state between calls: a [`Problem`] carries no cached analysis, and an
+//! [`LmWorkspace`] lives as long as its caller keeps it (the orchestrator
+//! keeps its polish workspaces for one rung).
 
 pub mod lm;
 pub mod par;
@@ -25,6 +33,6 @@ pub mod stats;
 
 pub use lm::{Evaluator as LmEvaluator, LmOptions, LmSolver, LmWorkspace, LM_TOLERANCE};
 pub use par::{configured_threads, ThreadBudget, PAR_ROW_THRESHOLD};
-pub use penalty::{AlmOptions, AlmSolver, SolveOutcome, SolveStatus};
+pub use penalty::{AlmOptions, AlmSolver};
 pub use problem::{Problem, ProblemStructure, QuadraticForm};
-pub use stats::SolverStats;
+pub use stats::{outranks, SolveOutcome, SolveStatus, SolverStats};

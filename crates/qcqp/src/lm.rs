@@ -25,9 +25,8 @@ use polyinv_arith::sparse::{JtjPattern, JtjScratch, SymbolicLdl};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::penalty::{finite_or_inf, SolveOutcome, SolveStatus};
-use crate::problem::{Problem, QuadraticForm};
-use crate::stats::SolverStats;
+use crate::problem::{Problem, ProblemStructure, QuadraticForm};
+use crate::stats::{finite_or_inf, replay_restarts, SolveOutcome, SolveStatus, SolverStats};
 
 /// Feasibility tolerance declaring an LM solve successful: the maximum
 /// constraint violation of a feasible point.
@@ -100,14 +99,14 @@ const STALL_RELATIVE_IMPROVEMENT: f64 = 1e-3;
 /// only values do.
 ///
 /// [`LmSolver::solve`] builds one per call; callers that solve a sequence
-/// of structurally identical problems (the orchestrator's polish rounds)
-/// build it once with [`LmWorkspace::build`], check
+/// of structurally identical problems (the orchestrator's polish rounds
+/// within one rung) build it once with [`LmWorkspace::build`], check
 /// [`matches`](LmWorkspace::matches), and pass it to
 /// [`LmSolver::solve_with_workspace`] to skip the symbolic analysis.
 #[derive(Debug)]
 pub struct LmWorkspace {
-    /// The problem's sparsity metadata, fetched once per solve.
-    structure: std::sync::Arc<crate::problem::ProblemStructure>,
+    /// The problem's sparsity metadata, analyzed once by [`Self::build`].
+    structure: ProblemStructure,
     /// Symbolic `JᵀJ`: pattern plus per-row scatter positions.
     pattern: JtjPattern,
     /// Symbolic LDLᵀ of the (damped) normal matrix.
@@ -120,7 +119,7 @@ impl LmWorkspace {
     /// Runs the symbolic analysis for `problem`: `JᵀJ` pattern (chunked
     /// when the evaluation will be), ordering, elimination tree.
     pub fn build(problem: &Problem, objective_weight: f64) -> Self {
-        let structure = problem.structure();
+        let structure = ProblemStructure::analyze(problem);
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
         let rows = row_patterns(&structure, objective_row);
         let pattern = if rows.len() >= CHUNKED_ROW_THRESHOLD {
@@ -141,16 +140,26 @@ impl LmWorkspace {
 
     /// Whether this workspace was built for a problem with exactly the same
     /// sparsity structure (and objective-row decision) as `problem` — the
-    /// reuse precondition of [`LmSolver::solve_with_workspace`].
+    /// reuse precondition of [`LmSolver::solve_with_workspace`]. Compares
+    /// the row patterns with the problem's forms row by row and returns at
+    /// the first mismatch, so a miss costs no full analysis.
     pub fn matches(&self, problem: &Problem, objective_weight: f64) -> bool {
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
-        if self.objective_row != objective_row || self.pattern.dimension() != problem.num_vars {
-            return false;
-        }
-        let structure = problem.structure();
-        self.structure.equality_vars == structure.equality_vars
-            && self.structure.inequality_vars == structure.inequality_vars
-            && (!objective_row || self.structure.objective_vars == structure.objective_vars)
+        let same_rows = |patterns: &[Vec<usize>], forms: &[QuadraticForm]| {
+            patterns.len() == forms.len()
+                && patterns
+                    .iter()
+                    .zip(forms)
+                    .all(|(pattern, form)| *pattern == form.touched_vars())
+        };
+        self.objective_row == objective_row
+            && self.pattern.dimension() == problem.num_vars
+            && same_rows(&self.structure.equality_vars, &problem.equalities)
+            && same_rows(&self.structure.inequality_vars, &problem.inequalities)
+            && (!objective_row
+                || problem.objective.as_ref().is_some_and(|objective| {
+                    self.structure.objective_vars == objective.touched_vars()
+                }))
     }
 
     /// The symbolic `JᵀJ` pattern.
@@ -175,10 +184,7 @@ impl LmWorkspace {
 
 /// The variable patterns of the Jacobian rows: equalities, then
 /// inequalities, then the soft objective row when it is present.
-fn row_patterns(
-    structure: &crate::problem::ProblemStructure,
-    objective_row: bool,
-) -> Vec<Vec<usize>> {
+fn row_patterns(structure: &ProblemStructure, objective_row: bool) -> Vec<Vec<usize>> {
     let mut rows: Vec<Vec<usize>> =
         Vec::with_capacity(structure.equality_vars.len() + structure.inequality_vars.len() + 1);
     rows.extend(structure.equality_vars.iter().cloned());
@@ -201,23 +207,15 @@ impl LmSolver {
         LmSolver { options }
     }
 
-    /// The solver's options (callers managing their own
-    /// [`LmWorkspace`] cache need the objective weight to check
-    /// [`LmWorkspace::matches`]).
-    pub fn options(&self) -> &LmOptions {
-        &self.options
-    }
-
     /// Solves the problem, optionally starting from a warm-start point.
     ///
     /// The multi-start restarts are independent (restart `k` seeds its own
     /// generator with `seed + k`) and run **in parallel** on worker threads;
-    /// the selection among their outcomes is deterministic — the
-    /// lowest-index feasible restart wins, otherwise the restart with the
-    /// smallest violation — so the result is identical to the sequential
-    /// first-feasible-wins policy. The sparse workspace (pattern, ordering,
-    /// symbolic factorization) is computed once here and shared by all
-    /// restarts.
+    /// the winner is chosen by replaying them in restart order under the
+    /// ranking rule of [`crate::stats`], so the result is identical to the
+    /// sequential first-feasible-wins policy. The sparse workspace (pattern,
+    /// ordering, symbolic factorization) is computed once here and shared by
+    /// all restarts.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
         let workspace = LmWorkspace::build(problem, self.options.objective_weight);
         self.solve_with_workspace(problem, &workspace, warm_start)
@@ -281,24 +279,11 @@ impl LmSolver {
             },
             |outcome| outcome.status == SolveStatus::Feasible,
         );
-        // Aggregate onto the winning outcome the work of the restarts the
-        // sequential loop would have run: up to the first feasible one.
-        // Later restarts of its wave ran only because a wave is as wide as
-        // the worker count, so counting them would make the totals depend
-        // on `POLYINV_THREADS`.
-        let counted = outcomes
-            .iter()
-            .position(|outcome| outcome.status == SolveStatus::Feasible)
-            .map_or(outcomes.len(), |first| first + 1);
-        let mut stats = workspace.stats_skeleton();
-        for outcome in &outcomes[..counted] {
-            stats.absorb_restart(&outcome.stats);
-        }
-        stats.threads = eval_threads.max(restart_workers.min(restarts)).max(1);
-        let mut best = Self::pick_best(outcomes);
-        stats.final_residual = best.stats.final_residual;
-        best.stats = stats;
-        best
+        let stats = SolverStats {
+            threads: eval_threads.max(restart_workers.min(restarts)).max(1),
+            ..workspace.stats_skeleton()
+        };
+        replay_restarts(outcomes, stats)
     }
 
     /// Runs one independent restart: restart 0 consumes the warm start, all
@@ -323,37 +308,6 @@ impl LmSolver {
         };
         problem.clamp(&mut x);
         self.solve_from(problem, workspace, &mut x, halt, eval_threads)
-    }
-
-    /// Deterministic selection: the first feasible outcome in restart order,
-    /// otherwise the first outcome attaining the minimum violation. A
-    /// non-finite violation (NaN from an overflowing residual) compares as
-    /// worst, so it can never displace a finite candidate.
-    fn pick_best(outcomes: Vec<SolveOutcome>) -> SolveOutcome {
-        let mut best: Option<SolveOutcome> = None;
-        for outcome in outcomes {
-            let better = match &best {
-                None => true,
-                Some(current) => {
-                    (outcome.status == SolveStatus::Feasible
-                        && current.status != SolveStatus::Feasible)
-                        || (outcome.status == current.status
-                            && finite_or_inf(outcome.violation) < finite_or_inf(current.violation))
-                }
-            };
-            if better {
-                best = Some(outcome);
-            }
-            if best
-                .as_ref()
-                .is_some_and(|o| o.status == SolveStatus::Feasible)
-            {
-                break;
-            }
-        }
-        // `solve` clamps `restarts` to at least one, so `outcomes` is never
-        // empty here.
-        best.expect("at least one restart runs")
     }
 
     fn solve_from(
@@ -501,21 +455,14 @@ impl LmSolver {
 
         stats.final_residual = eval.residuals_only(&best_x).0;
         let violation = best_violation;
-        let objective = problem
-            .objective
-            .as_ref()
-            .map(|o| o.eval(&best_x))
-            .unwrap_or(0.0);
         SolveOutcome {
             assignment: best_x,
             violation,
-            objective,
             status: if violation <= LM_TOLERANCE {
                 SolveStatus::Feasible
             } else {
                 SolveStatus::Infeasible
             },
-            iterations: stats.iterations,
             stats,
         }
     }
@@ -674,15 +621,16 @@ impl<'a> Evaluator<'a> {
     pub fn residuals_and_normal(&mut self, x: &[f64]) -> (f64, f64) {
         self.jtj_values.fill(0.0);
         self.jtr.fill(0.0);
-        // The workspace fetched the structure once per solve; re-borrowing
-        // through an Arc clone keeps `self` free for the scatter calls.
-        let structure = std::sync::Arc::clone(&self.ws.structure);
-        let pattern = &self.ws.pattern;
+        // Borrowed through the workspace reference, not `self`, which stays
+        // free for the scatter calls.
+        let ws = self.ws;
+        let structure = &ws.structure;
+        let pattern = &ws.pattern;
         let chunks = pattern.chunks();
         if chunks.is_empty() {
             return accumulate_rows(
                 self.problem,
-                &structure,
+                structure,
                 pattern,
                 self.objective_weight,
                 0..self.rows,
@@ -703,7 +651,7 @@ impl<'a> Evaluator<'a> {
                 let buf = slot.get_mut().expect("chunk mutex poisoned");
                 let (cost, violation) = accumulate_rows(
                     self.problem,
-                    &structure,
+                    structure,
                     pattern,
                     self.objective_weight,
                     chunk.rows(),
@@ -722,7 +670,6 @@ impl<'a> Evaluator<'a> {
             let problem = self.problem;
             let objective_weight = self.objective_weight;
             let chunk_bufs = &self.chunk_bufs;
-            let structure = &structure;
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
@@ -866,7 +813,7 @@ fn gradient_entries(
 #[allow(clippy::too_many_arguments)]
 fn accumulate_rows(
     problem: &Problem,
-    structure: &crate::problem::ProblemStructure,
+    structure: &ProblemStructure,
     pattern: &JtjPattern,
     objective_weight: f64,
     range: std::ops::Range<usize>,
@@ -998,7 +945,7 @@ mod tests {
         assert_eq!(outcome.status, SolveStatus::Feasible);
         assert!((outcome.assignment[0] - 3.0).abs() < 1e-4);
         assert!((outcome.assignment[1] - 2.0).abs() < 1e-4);
-        assert!(outcome.iterations < 100);
+        assert!(outcome.stats.iterations < 100);
         // The solver reports the sparse shapes it worked with.
         assert_eq!(outcome.stats.nnz_jacobian, 5);
         assert!(outcome.stats.nnz_factor >= 2);
@@ -1289,6 +1236,46 @@ mod tests {
             });
         }
         problem
+    }
+
+    #[test]
+    fn a_reused_workspace_cannot_change_the_result() {
+        // The orchestrator's polish passes reuse a workspace for every
+        // problem it matches; that is sound only if the workspace depends
+        // on the row patterns alone. B has A's patterns, not its
+        // coefficients.
+        let mut a = big_random_problem(64, 12, 3);
+        a.inequalities.push(QuadraticForm::variable(4));
+        let mut b = a.clone();
+        for (k, form) in b
+            .equalities
+            .iter_mut()
+            .chain(&mut b.inequalities)
+            .enumerate()
+        {
+            form.constant += 0.25;
+            form.linear.iter_mut().for_each(|term| term.1 *= -1.5);
+            form.quadratic
+                .iter_mut()
+                .for_each(|term| term.2 *= 0.5 + k as f64 / 64.0);
+        }
+        let workspace = LmWorkspace::build(&a, 0.0);
+        assert!(workspace.matches(&b, 0.0));
+        let solver = LmSolver::default();
+        let reused = solver.solve_with_workspace(&b, &workspace, Some(&[0.05; 12]));
+        let fresh = solver.solve(&b, Some(&[0.05; 12]));
+        assert_eq!(bits(&reused.assignment), bits(&fresh.assignment));
+        assert_eq!(reused.violation.to_bits(), fresh.violation.to_bits());
+        let untimed = |stats: SolverStats| SolverStats {
+            factor_seconds: 0.0,
+            solve_seconds: 0.0,
+            eval_seconds: 0.0,
+            ..stats
+        };
+        assert_eq!(untimed(reused.stats), untimed(fresh.stats));
+        // A row touching another variable is a different structure.
+        b.equalities[5].linear.push((11, 1.0));
+        assert!(!workspace.matches(&b, 0.0));
     }
 
     #[test]

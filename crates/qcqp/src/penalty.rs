@@ -1,7 +1,10 @@
-//! An augmented-Lagrangian solver with an Adam first-order inner loop.
+//! An augmented-Lagrangian feasibility solver with an Adam first-order
+//! inner loop.
 //!
 //! This is the general-purpose back-end for the non-convex quadratic systems
-//! produced by the Cholesky encoding (the paper's QCLP form). It makes no
+//! produced by the Cholesky encoding (the paper's QCLP form). Like the
+//! paper's Step 4 it looks for a feasible point only: it has no objective,
+//! and it ranks its restarts by the rule of [`crate::stats`]. It makes no
 //! global-optimality claim — neither does any practical QCLP solver,
 //! including the one used by the paper — but any feasible point it returns
 //! satisfies the generated system and therefore yields a sound inductive
@@ -11,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::par::{parallel_indexed_until_bounded, ThreadBudget};
-use crate::problem::Problem;
-use crate::stats::SolverStats;
+use crate::problem::{Problem, ProblemStructure};
+use crate::stats::{finite_or_inf, replay_restarts, SolveOutcome, SolveStatus, SolverStats};
 
 /// Initial penalty coefficient ρ.
 const INITIAL_PENALTY: f64 = 10.0;
@@ -56,45 +59,8 @@ impl Default for AlmOptions {
     }
 }
 
-/// Whether a solve attempt reached feasibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveStatus {
-    /// The returned point satisfies every constraint within the tolerance.
-    Feasible,
-    /// The solver stopped with the best point found, which still violates
-    /// some constraint by more than the tolerance.
-    Infeasible,
-}
-
-/// The result of a solve attempt.
-#[derive(Debug, Clone)]
-pub struct SolveOutcome {
-    /// The best assignment found.
-    pub assignment: Vec<f64>,
-    /// The worst constraint violation at that assignment.
-    pub violation: f64,
-    /// The objective value at that assignment (0 if no objective).
-    pub objective: f64,
-    /// Feasibility status.
-    pub status: SolveStatus,
-    /// Inner iterations of the winning restart.
-    pub iterations: usize,
-    /// Execution statistics aggregated over all restarts.
-    pub stats: SolverStats,
-}
-
-/// A score for best-candidate comparisons: non-finite values (NaN from an
-/// overflowing residual or objective) compare as +∞, since every `<`
-/// against NaN is false and would freeze the first candidate forever.
-pub(crate) fn finite_or_inf(value: f64) -> f64 {
-    if value.is_finite() {
-        value
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// The augmented-Lagrangian solver.
+/// The augmented-Lagrangian solver. It solves feasibility problems only:
+/// it ignores `problem.objective`, which every rung problem leaves `None`.
 #[derive(Debug, Clone, Default)]
 pub struct AlmSolver {
     options: AlmOptions,
@@ -106,14 +72,15 @@ impl AlmSolver {
         AlmSolver { options }
     }
 
-    /// Solves the problem starting from random initial points (plus an
+    /// Searches for a feasible point from random initial points (plus an
     /// optional warm start) and returns the best outcome.
     ///
     /// The restarts are independent (restart `k` seeds its own generator
     /// with `seed + k`; restart 0 takes the warm start) and run on the
     /// [`ThreadBudget`]'s restart workers, as [`LmSolver`](crate::LmSolver)'s
-    /// do. The best restart is then chosen by the sequential loop in restart
-    /// order, so the outcome is the same at any worker count.
+    /// do. The winner is then chosen by replaying the restarts in order
+    /// under the ranking rule of [`crate::stats`], so the outcome is the same
+    /// at any worker count.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
         let rows = problem.equalities.len() + problem.inequalities.len();
         let workers = ThreadBudget::for_rows(rows).restart_threads;
@@ -127,10 +94,14 @@ impl AlmSolver {
         warm_start: Option<&[f64]>,
         workers: usize,
     ) -> SolveOutcome {
+        debug_assert!(
+            problem.objective.is_none(),
+            "the penalty solver solves feasibility problems only"
+        );
         let restarts = self.options.restarts.max(1);
         let started = std::time::Instant::now();
         let deadline = (self.options.max_seconds > 0.0).then_some(self.options.max_seconds);
-        let feasibility_only = problem.objective.is_none();
+        let structure = ProblemStructure::analyze(problem);
         // A restart after the deadline does not start (`None`); restart 0
         // always runs.
         let outcomes = parallel_indexed_until_bounded(
@@ -150,53 +121,26 @@ impl AlmSolver {
                         .collect(),
                 };
                 let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
-                Some(self.solve_from(problem, &mut x, &mut rng, remaining))
+                Some(self.solve_from(problem, &structure, &mut x, &mut rng, remaining))
             },
             |outcome| match outcome {
                 None => true,
-                Some(outcome) => feasibility_only && outcome.status == SolveStatus::Feasible,
+                Some(outcome) => outcome.status == SolveStatus::Feasible,
             },
         );
-        // The sequential loop over the restarts that ran: it ends at the
-        // first skipped restart and, for a pure feasibility problem, at the
-        // first feasible one, so later restarts that ran in the same wave
-        // are neither chosen nor counted.
-        let mut best: Option<SolveOutcome> = None;
-        let mut stats = SolverStats::default();
-        for outcome in outcomes.into_iter().map_while(|outcome| outcome) {
-            stats.absorb_restart(&outcome.stats);
-            let better = match &best {
-                None => true,
-                Some(current) => {
-                    finite_or_inf(outcome.violation) < finite_or_inf(current.violation)
-                        || (outcome.status == SolveStatus::Feasible
-                            && current.status == SolveStatus::Feasible
-                            && finite_or_inf(outcome.objective) < finite_or_inf(current.objective))
-                }
-            };
-            if better {
-                best = Some(outcome);
-            }
-            if feasibility_only
-                && best
-                    .as_ref()
-                    .is_some_and(|current| current.status == SolveStatus::Feasible)
-            {
-                break;
-            }
-        }
-        let mut best = best.expect("restart 0 always runs");
-        stats.final_residual = best.stats.final_residual;
-        // Evaluation is serial inside each restart; the restarts share
-        // the workers.
-        stats.threads = workers.clamp(1, restarts);
-        best.stats = stats;
-        best
+        // The replay ends at the first skipped restart. Evaluation is serial
+        // inside each restart; the restarts share the workers.
+        let stats = SolverStats {
+            threads: workers.clamp(1, restarts),
+            ..SolverStats::default()
+        };
+        replay_restarts(outcomes.into_iter().map_while(|outcome| outcome), stats)
     }
 
     fn solve_from(
         &self,
         problem: &Problem,
+        structure: &ProblemStructure,
         x: &mut [f64],
         rng: &mut StdRng,
         max_seconds: Option<f64>,
@@ -215,25 +159,16 @@ impl AlmSolver {
         let beta2 = 0.999;
         let eps = 1e-8;
         let mut total_iterations = 0usize;
-        // Variables no constraint or objective mentions never receive a
-        // gradient, so their Adam state stays zero and their value never
-        // moves: the update loop can skip them outright. The gradient
-        // buffer is likewise allocated once and re-zeroed per step instead
-        // of reallocated `outer × inner` times.
-        let structure = problem.structure();
+        // Variables no constraint mentions never receive a gradient, so
+        // their Adam state stays zero and their value never moves: the
+        // update loop can skip them outright. The gradient buffer is
+        // likewise allocated once and re-zeroed per step instead of
+        // reallocated `outer × inner` times.
         let active = &structure.active_vars;
         let mut grad = vec![0.0; n];
 
-        let objective_at = |point: &[f64]| {
-            problem
-                .objective
-                .as_ref()
-                .map(|o| o.eval(point))
-                .unwrap_or(0.0)
-        };
         let mut best_x = x.to_vec();
         let mut best_violation = finite_or_inf(problem.max_violation(x));
-        let mut best_objective = finite_or_inf(objective_at(x));
 
         for outer in 0..opts.outer_iterations {
             if max_seconds.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget) {
@@ -245,10 +180,6 @@ impl AlmSolver {
                 step_count += 1.0;
                 for &i in active {
                     grad[i] = 0.0;
-                }
-                // Objective gradient.
-                if let Some(objective) = &problem.objective {
-                    objective.add_gradient(x, &mut grad, 1.0);
                 }
                 // Equalities: λ·c(x) + ρ/2·c(x)² → gradient (λ + ρ·c)·∇c.
                 for (eq, &lambda) in problem.equalities.iter().zip(&lambda_eq) {
@@ -286,20 +217,13 @@ impl AlmSolver {
             rho *= PENALTY_GROWTH;
 
             let violation = finite_or_inf(problem.max_violation(x));
-            let objective = finite_or_inf(objective_at(x));
-            // Among feasible points prefer the better objective; otherwise
-            // prefer the smaller violation.
-            let better = if violation <= TOLERANCE && best_violation <= TOLERANCE {
-                objective < best_objective
-            } else {
-                violation < best_violation
-            };
-            if better {
+            // A feasible best point is never replaced; otherwise the
+            // smaller violation wins.
+            if best_violation > TOLERANCE && violation < best_violation {
                 best_violation = violation;
-                best_objective = objective;
                 best_x = x.to_vec();
             }
-            if violation <= TOLERANCE && problem.objective.is_none() {
+            if violation <= TOLERANCE {
                 break;
             }
             // Mild perturbation if progress stalls in later outer rounds.
@@ -328,13 +252,11 @@ impl AlmSolver {
         SolveOutcome {
             assignment: best_x,
             violation,
-            objective: best_objective,
             status: if violation <= TOLERANCE {
                 SolveStatus::Feasible
             } else {
                 SolveStatus::Infeasible
             },
-            iterations: total_iterations,
             stats: SolverStats {
                 iterations: total_iterations,
                 restarts: 1,
@@ -415,29 +337,8 @@ mod tests {
         assert!(outcome.assignment[0] < 0.0);
     }
 
-    #[test]
-    fn minimizes_the_objective_subject_to_constraints() {
-        // min x subject to x ≥ 3.
-        let mut problem = Problem::new(1);
-        problem.inequalities.push(QuadraticForm {
-            constant: -3.0,
-            linear: vec![(0, 1.0)],
-            quadratic: Vec::new(),
-        });
-        problem.objective = Some(QuadraticForm::variable(0));
-        let outcome = AlmSolver::new(AlmOptions {
-            outer_iterations: 60,
-            inner_iterations: 400,
-            restarts: 1,
-            ..AlmOptions::default()
-        })
-        .solve(&problem, Some(&[10.0]));
-        assert_eq!(outcome.status, SolveStatus::Feasible);
-        assert!((outcome.assignment[0] - 3.0).abs() < 0.05);
-    }
-
     /// Everything of an outcome but the worker count, as comparable bits.
-    fn outcome_bits(outcome: &SolveOutcome) -> (Vec<u64>, u64, u64, usize, SolverStats) {
+    fn outcome_bits(outcome: &SolveOutcome) -> (Vec<u64>, u64, SolverStats) {
         let stats = SolverStats {
             threads: 0,
             ..outcome.stats.clone()
@@ -445,8 +346,6 @@ mod tests {
         (
             outcome.assignment.iter().map(|v| v.to_bits()).collect(),
             outcome.violation.to_bits(),
-            outcome.objective.to_bits(),
-            outcome.iterations,
             stats,
         )
     }

@@ -1,7 +1,5 @@
 //! Problem representation for quadratically-constrained programs.
 
-use std::sync::{Arc, OnceLock};
-
 /// A sparse quadratic form `c + Σ aᵢ·xᵢ + Σ bᵢⱼ·xᵢ·xⱼ`.
 #[derive(Debug, Clone, Default)]
 pub struct QuadraticForm {
@@ -30,11 +28,6 @@ impl QuadraticForm {
             linear: vec![(index, 1.0)],
             quadratic: Vec::new(),
         }
-    }
-
-    /// Returns `true` if the form has no quadratic terms.
-    pub fn is_affine(&self) -> bool {
-        self.quadratic.is_empty()
     }
 
     /// Evaluates the form at `x`.
@@ -79,12 +72,12 @@ impl QuadraticForm {
     }
 }
 
-/// Precomputed per-constraint sparsity metadata of a [`Problem`]: the
-/// touched-variable set of every constraint (and the objective), the total
-/// Jacobian nnz and the union of active variables. Both solver back-ends
-/// consume this instead of rediscovering structure every iteration; the
-/// sparse LM back-end derives its `JᵀJ` pattern and symbolic factorization
-/// from it.
+/// Per-constraint sparsity metadata of a [`Problem`]: the touched-variable
+/// set of every constraint (and the objective) and the union of active
+/// variables. Both solver back-ends analyze a problem once per solve and
+/// share the result with their restarts instead of rediscovering structure
+/// every iteration; the sparse LM back-end derives its `JᵀJ` pattern and
+/// symbolic factorization from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProblemStructure {
     /// Sorted touched-variable set of each equality constraint.
@@ -96,17 +89,11 @@ pub struct ProblemStructure {
     /// Sorted union of every variable any constraint or the objective
     /// mentions. Variables outside this set never receive a gradient.
     pub active_vars: Vec<usize>,
-    /// Total entries across the equality and inequality Jacobian rows.
-    pub jacobian_nnz: usize,
-    /// Whether the problem had an objective when analyzed. Part of the
-    /// staleness fingerprint: a *constant* objective also has an empty
-    /// `objective_vars`, so emptiness alone cannot distinguish "objective
-    /// touching nothing" from "no objective".
-    pub has_objective: bool,
 }
 
 impl ProblemStructure {
-    fn analyze(problem: &Problem) -> Self {
+    /// Analyzes `problem`'s sparsity.
+    pub fn analyze(problem: &Problem) -> Self {
         let equality_vars: Vec<Vec<usize>> = problem
             .equalities
             .iter()
@@ -122,11 +109,6 @@ impl ProblemStructure {
             .as_ref()
             .map(QuadraticForm::touched_vars)
             .unwrap_or_default();
-        let jacobian_nnz = equality_vars
-            .iter()
-            .chain(&inequality_vars)
-            .map(Vec::len)
-            .sum();
         let mut active_vars: Vec<usize> = equality_vars
             .iter()
             .chain(&inequality_vars)
@@ -141,17 +123,7 @@ impl ProblemStructure {
             inequality_vars,
             objective_vars,
             active_vars,
-            jacobian_nnz,
-            has_objective: problem.objective.is_some(),
         }
-    }
-
-    /// `true` if this analysis still matches the problem's constraint
-    /// counts (the cheap staleness fingerprint used by the cache).
-    fn matches(&self, problem: &Problem) -> bool {
-        self.equality_vars.len() == problem.equalities.len()
-            && self.inequality_vars.len() == problem.inequalities.len()
-            && self.has_objective == problem.objective.is_some()
     }
 }
 
@@ -166,11 +138,11 @@ pub struct Problem {
     /// Inequality constraints `form ≥ 0`.
     pub inequalities: Vec<QuadraticForm>,
     /// The objective to *minimize* (`None` for pure feasibility problems).
+    /// Only [`LmSolver`](crate::LmSolver) reads it, as a soft residual;
+    /// [`AlmSolver`](crate::AlmSolver) solves feasibility problems only.
     pub objective: Option<QuadraticForm>,
     /// Per-variable box bounds (defaults to `(-BOUND, BOUND)`).
     pub bounds: Vec<(f64, f64)>,
-    /// Lazily-computed sparsity metadata (see [`Problem::structure`]).
-    structure: OnceLock<Arc<ProblemStructure>>,
 }
 
 /// Default symmetric box bound applied to every variable; it keeps the
@@ -186,24 +158,6 @@ impl Problem {
             inequalities: Vec::new(),
             objective: None,
             bounds: vec![(-DEFAULT_BOUND, DEFAULT_BOUND); num_vars],
-            structure: OnceLock::new(),
-        }
-    }
-
-    /// The per-constraint sparsity metadata of this problem, computed once
-    /// and cached. The fingerprint is the constraint *counts*: if the
-    /// problem gains or loses constraints after the first call a fresh
-    /// (uncached) analysis is returned, but mutating a constraint in place
-    /// is not detected — build the problem fully before solving it, as the
-    /// bridge does.
-    pub fn structure(&self) -> Arc<ProblemStructure> {
-        let cached = self
-            .structure
-            .get_or_init(|| Arc::new(ProblemStructure::analyze(self)));
-        if cached.matches(self) {
-            Arc::clone(cached)
-        } else {
-            Arc::new(ProblemStructure::analyze(self))
         }
     }
 
@@ -271,7 +225,6 @@ mod tests {
         form.add_gradient(&x, &mut grad, 1.0);
         // df/dx = 2 + 3y = -1, df/dy = 3x + 2y = 4.
         assert_eq!(grad, vec![-1.0, 4.0]);
-        assert!(!form.is_affine());
     }
 
     #[test]
@@ -284,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn structure_reports_per_constraint_sparsity_and_is_cached() {
+    fn structure_reports_per_constraint_sparsity() {
         let mut problem = Problem::new(5);
         problem.equalities.push(QuadraticForm {
             constant: 1.0,
@@ -293,34 +246,17 @@ mod tests {
         });
         problem.inequalities.push(QuadraticForm::variable(1));
         problem.objective = Some(QuadraticForm::variable(4));
-        let structure = problem.structure();
+        let structure = ProblemStructure::analyze(&problem);
         assert_eq!(structure.equality_vars, vec![vec![0, 3]]);
         assert_eq!(structure.inequality_vars, vec![vec![1]]);
         assert_eq!(structure.objective_vars, vec![4]);
         assert_eq!(structure.active_vars, vec![0, 1, 3, 4]);
-        assert_eq!(structure.jacobian_nnz, 3);
-        // Cached: the same Arc comes back.
-        assert!(Arc::ptr_eq(&structure, &problem.structure()));
-        // Adding a constraint invalidates the fingerprint: a fresh analysis
-        // is returned instead of the stale cache.
+        // The analysis is of the problem as it stands: a constraint added
+        // later shows in the next one.
         problem.inequalities.push(QuadraticForm::variable(2));
-        let refreshed = problem.structure();
+        let refreshed = ProblemStructure::analyze(&problem);
         assert_eq!(refreshed.inequality_vars.len(), 2);
         assert_eq!(refreshed.active_vars, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn constant_objectives_do_not_defeat_the_structure_cache() {
-        // A constant objective touches no variables; the fingerprint must
-        // still recognize the cached analysis as fresh (an empty
-        // `objective_vars` is not the same as "no objective").
-        let mut problem = Problem::new(2);
-        problem.equalities.push(QuadraticForm::variable(0));
-        problem.objective = Some(QuadraticForm::constant(1.5));
-        let first = problem.structure();
-        assert!(first.has_objective);
-        assert!(first.objective_vars.is_empty());
-        assert!(Arc::ptr_eq(&first, &problem.structure()));
     }
 
     #[test]
