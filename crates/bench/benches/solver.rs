@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the Step-4 solve stage.
 //!
-//! Seven groups:
+//! Eight groups:
 //!
 //! * `lm_iteration` — one damped normal-equations iteration (accumulate
 //!   `JᵀJ`/`Jᵀr` from sparse rows, numeric LDLᵀ factor, triangular solves)
@@ -26,6 +26,12 @@
 //!   ϒ = 2 systems of recursive-sum, recursive-square-sum and prodbin
 //!   (fill-heavy: the supernodal layout) and the ϒ = 0 system of cohendiv
 //!   (the simplicial control).
+//! * `lm_restarts` — the LM lane alone: `LmSolver` with the default plan's
+//!   lane options (3 restarts, 400 iterations) on the presolved ϒ = 0
+//!   system of euclidex2, from the cold warm start `0.05`, with its
+//!   restarts on the work queue's restart workers and one after the other.
+//!   No restart reaches feasibility there, so all three run: the gap is
+//!   what the queue gains over running them in turn.
 //! * `penalty_lane` — the penalty lane alone: `AlmSolver` with the default
 //!   plan's lane options on the presolved ϒ = 0 system of cohendiv, from
 //!   the cold warm start `0.05` a first rung uses. Its restarts run on the
@@ -38,10 +44,9 @@
 //! CI smoke-compiles everything and short-runs the sparse iteration
 //! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`), the
 //! accumulation group (`-- normal_accumulate`), the factorization group
-//! (`-- ldl_factor`) and the penalty lane (`-- penalty_lane`); the full
-//! runs — including
-//! the slow dense oracle and the large-system scaling group — are for
-//! local perf work.
+//! (`-- ldl_factor`), the LM restarts (`-- lm_restarts`) and the penalty
+//! lane (`-- penalty_lane`); the full runs — including the slow dense
+//! oracle and the large-system scaling group — are for local perf work.
 
 use std::time::Duration;
 
@@ -158,6 +163,24 @@ fn ldl_factor(c: &mut Criterion) {
     group.finish();
 }
 
+fn lm_restarts(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lm_restarts");
+    group.sample_size(10);
+    let problem = presolved_problem_at("euclidex2", 0);
+    let lane = polyinv::SolvePlan::new(polyinv_constraints::SynthesisOptions::default()).lm;
+    let warm = vec![0.05; problem.num_vars];
+    for (label, parallel_restarts) in [("queued", true), ("sequential", false)] {
+        let solver = polyinv_qcqp::LmSolver::new(polyinv_qcqp::LmOptions {
+            parallel_restarts,
+            ..lane.clone()
+        });
+        group.bench_function(format!("euclidex2/upsilon0/{label}"), |b| {
+            b.iter(|| solver.solve(&problem, Some(&warm)).violation)
+        });
+    }
+    group.finish();
+}
+
 fn penalty_lane(c: &mut Criterion) {
     let mut group = c.benchmark_group("penalty_lane");
     group.sample_size(10);
@@ -217,6 +240,7 @@ criterion_group!(
     lm_iteration_large,
     normal_accumulate,
     ldl_factor,
+    lm_restarts,
     penalty_lane,
     symbolic_setup,
     weak_synthesis_e2e

@@ -46,10 +46,11 @@ pub struct LmOptions {
     /// `objective_weight · objective(x)` so that among near-feasible points
     /// lower objectives are preferred.
     pub objective_weight: f64,
-    /// Whether the restarts may fan out over worker threads. Callers that
-    /// already run *inside* a parallel region (the certificate checker's
-    /// per-pair fan-out, strong synthesis' per-attempt fan-out) set this to
-    /// `false` to avoid oversubscribing the CPU with nested waves.
+    /// Whether the restarts may run on the work queue's worker threads.
+    /// Callers that already run *inside* a parallel region (the certificate
+    /// checker's per-pair fan-out, strong synthesis' per-attempt fan-out)
+    /// set this to `false` to avoid oversubscribing the CPU with a queue
+    /// inside a queue.
     pub parallel_restarts: bool,
     /// Number of consecutive iterations without a meaningful improvement of
     /// the best violation (relative decrease below 0.1%) after which a
@@ -210,10 +211,12 @@ impl LmSolver {
     /// Solves the problem, optionally starting from a warm-start point.
     ///
     /// The multi-start restarts are independent (restart `k` seeds its own
-    /// generator with `seed + k`) and run **in parallel** on worker threads;
-    /// the winner is chosen by replaying them in restart order under the
-    /// ranking rule of [`crate::stats`], so the result is identical to the
-    /// sequential first-feasible-wins policy. The sparse workspace (pattern,
+    /// generator with `seed + k`) and run **in parallel** on the work queue
+    /// of [`crate::par`]; a restart started beside an earlier feasible one
+    /// stops at its next iteration boundary. The winner is chosen by
+    /// replaying the restarts in restart order under the ranking rule of
+    /// [`crate::stats`], so the result is identical to the sequential
+    /// first-feasible-wins policy. The sparse workspace (pattern,
     /// ordering, symbolic factorization) is computed once here and shared by
     /// all restarts.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
@@ -266,15 +269,20 @@ impl LmSolver {
         // The wall-clock budget covers the whole solve: every restart —
         // parallel or sequential — checks its deadline against this one
         // start instant, so serial fallback cannot multiply the budget by
-        // the restart count. `restart_workers == 1` degrades to the classic
-        // sequential first-feasible-wins loop.
+        // the restart count. A restart also stops once an earlier one is
+        // feasible: the queue's token says its outcome can no longer be
+        // chosen. `restart_workers == 1` degrades to the classic sequential
+        // first-feasible-wins loop.
         let started = Instant::now();
         let max_seconds = self.options.max_seconds;
-        let halt = || max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds;
         let outcomes = crate::par::parallel_indexed_until_bounded(
             restarts,
             restart_workers,
-            |restart| {
+            |restart, cancel| {
+                let halt = || {
+                    cancel.is_set()
+                        || (max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds)
+                };
                 self.run_restart(problem, workspace, warm_start, restart, &halt, eval_threads)
             },
             |outcome| outcome.status == SolveStatus::Feasible,
@@ -289,7 +297,7 @@ impl LmSolver {
     /// Runs one independent restart: restart 0 consumes the warm start, all
     /// others draw a fresh random initialization from their own generator.
     /// The restart ends at the first iteration boundary where `halt()`
-    /// holds (the solve's deadline).
+    /// holds (the solve's deadline, or the queue's cancellation token).
     fn run_restart(
         &self,
         problem: &Problem,
@@ -517,15 +525,37 @@ fn chunk_ranges(rows: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
+/// The scatter scratch of one accumulation pass over a row range.
+struct RowScratch {
+    /// Dense gradient scatter buffer (only touched entries are written and
+    /// cleared).
+    grad: Vec<f64>,
+    /// The current row's sparse gradient entries.
+    entries: Vec<(usize, f64)>,
+    jtj: JtjScratch,
+}
+
+impl RowScratch {
+    fn new(num_vars: usize) -> Self {
+        RowScratch {
+            grad: vec![0.0; num_vars],
+            entries: Vec::new(),
+            jtj: JtjScratch::default(),
+        }
+    }
+}
+
 /// One chunk's private accumulation: merged into the shared buffers in
 /// chunk-index order after every pass (and cleared by the merge). `jtj`
 /// holds only the entries the chunk's rows touch, in the chunk-local
-/// numbering of its [`JtjChunk`](polyinv_arith::JtjChunk).
+/// numbering of its [`JtjChunk`](polyinv_arith::JtjChunk). The chunk owns
+/// its scratch, so whichever worker takes it allocates nothing.
 struct ChunkBuf {
     jtj: Vec<f64>,
     jtr: Vec<f64>,
     cost: f64,
     violation: f64,
+    scratch: RowScratch,
 }
 
 /// Per-restart residual/Jacobian evaluator: owns the numeric buffers and
@@ -533,7 +563,8 @@ struct ChunkBuf {
 ///
 /// Systems with at least [`CHUNKED_ROW_THRESHOLD`] residual rows are
 /// evaluated in the [`EVAL_CHUNKS`] fixed row ranges of the workspace's
-/// chunked pattern, which worker threads pick up dynamically. Each chunk
+/// chunked pattern, which the work queue of [`crate::par`] hands to its
+/// workers (the calling thread among them). Each chunk
 /// accumulates into a private buffer sized to the `JᵀJ` entries its rows
 /// touch (about 7% of the pattern on the chunked ϒ = 2 Table 2 systems), and the
 /// buffers are merged in chunk-index order, so the result does not depend
@@ -546,7 +577,8 @@ pub struct Evaluator<'a> {
     objective_weight: f64,
     /// Number of Jacobian rows (equalities + inequalities + soft objective).
     rows: usize,
-    /// Worker threads for the chunked pass (1 = fill chunks sequentially).
+    /// Workers of the chunked pass's queue (1 = fill chunks sequentially
+    /// on the calling thread).
     eval_threads: usize,
     /// Per-chunk private accumulation buffers, one per chunk of
     /// `ws.pattern`; empty = serial mode. The mutexes are uncontended (each
@@ -557,12 +589,8 @@ pub struct Evaluator<'a> {
     jtj_values: Vec<f64>,
     /// Accumulated `Jᵀr`.
     jtr: Vec<f64>,
-    /// Dense gradient scatter buffer (only touched entries are written and
-    /// cleared).
-    grad: Vec<f64>,
-    /// The current row's sparse gradient entries.
-    entries: Vec<(usize, f64)>,
-    scratch: JtjScratch,
+    /// The serial pass's scratch (unused in chunked mode).
+    scratch: RowScratch,
 }
 
 impl<'a> Evaluator<'a> {
@@ -586,6 +614,7 @@ impl<'a> Evaluator<'a> {
                     jtr: vec![0.0; problem.num_vars],
                     cost: 0.0,
                     violation: 0.0,
+                    scratch: RowScratch::new(problem.num_vars),
                 })
             })
             .collect();
@@ -598,9 +627,7 @@ impl<'a> Evaluator<'a> {
             chunk_bufs,
             jtj_values: ws.pattern.values_buffer(),
             jtr: vec![0.0; problem.num_vars],
-            grad: vec![0.0; problem.num_vars],
-            entries: Vec::new(),
-            scratch: JtjScratch::default(),
+            scratch: RowScratch::new(problem.num_vars),
         }
     }
 
@@ -637,72 +664,31 @@ impl<'a> Evaluator<'a> {
                 x,
                 &mut self.jtj_values,
                 &mut self.jtr,
-                &mut self.grad,
-                &mut self.entries,
                 &mut self.scratch,
             );
         }
-        let workers = self.eval_threads.min(chunks.len());
-        if workers <= 1 {
-            // One worker: fill each chunk in order with the evaluator's own
-            // scratch. Same buffers, same merge — bitwise identical to the
-            // multi-worker path.
-            for (chunk, slot) in chunks.iter().zip(&mut self.chunk_bufs) {
-                let buf = slot.get_mut().expect("chunk mutex poisoned");
-                let (cost, violation) = accumulate_rows(
-                    self.problem,
+        let (problem, objective_weight) = (self.problem, self.objective_weight);
+        let chunk_bufs = &self.chunk_bufs;
+        crate::par::parallel_indexed_until_bounded(
+            chunks.len(),
+            self.eval_threads,
+            |c, _| {
+                let mut buf = chunk_bufs[c].lock().expect("chunk mutex poisoned");
+                let buf = &mut *buf;
+                (buf.cost, buf.violation) = accumulate_rows(
+                    problem,
                     structure,
                     pattern,
-                    self.objective_weight,
-                    chunk.rows(),
+                    objective_weight,
+                    chunks[c].rows(),
                     x,
                     &mut buf.jtj,
                     &mut buf.jtr,
-                    &mut self.grad,
-                    &mut self.entries,
-                    &mut self.scratch,
+                    &mut buf.scratch,
                 );
-                buf.cost = cost;
-                buf.violation = violation;
-            }
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let problem = self.problem;
-            let objective_weight = self.objective_weight;
-            let chunk_bufs = &self.chunk_bufs;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut grad = vec![0.0; problem.num_vars];
-                        let mut entries = Vec::new();
-                        let mut scratch = JtjScratch::default();
-                        loop {
-                            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if c >= chunks.len() {
-                                return;
-                            }
-                            let mut buf = chunk_bufs[c].lock().expect("chunk mutex poisoned");
-                            let buf = &mut *buf;
-                            let (cost, violation) = accumulate_rows(
-                                problem,
-                                structure,
-                                pattern,
-                                objective_weight,
-                                chunks[c].rows(),
-                                x,
-                                &mut buf.jtj,
-                                &mut buf.jtr,
-                                &mut grad,
-                                &mut entries,
-                                &mut scratch,
-                            );
-                            buf.cost = cost;
-                            buf.violation = violation;
-                        }
-                    });
-                }
-            });
-        }
+            },
+            |_| false,
+        );
         // Deterministic reduction: merge in chunk-index order, clearing each
         // partial for the next pass (cheaper than a separate zeroing sweep,
         // and the cleared buffer is what the next iteration expects). Each
@@ -737,36 +723,20 @@ impl<'a> Evaluator<'a> {
                 x,
             );
         }
-        let workers = self.eval_threads.min(chunks.len());
-        let per_chunk: Vec<(f64, f64)> = if workers <= 1 {
-            chunks
-                .iter()
-                .map(|chunk| {
-                    residual_rows(
-                        self.problem,
-                        self.ws,
-                        self.objective_weight,
-                        chunk.rows(),
-                        x,
-                    )
-                })
-                .collect()
-        } else {
-            crate::par::parallel_indexed_until_bounded(
-                chunks.len(),
-                workers,
-                |c| {
-                    residual_rows(
-                        self.problem,
-                        self.ws,
-                        self.objective_weight,
-                        chunks[c].rows(),
-                        x,
-                    )
-                },
-                |_| false,
-            )
-        };
+        let per_chunk = crate::par::parallel_indexed_until_bounded(
+            chunks.len(),
+            self.eval_threads,
+            |c, _| {
+                residual_rows(
+                    self.problem,
+                    self.ws,
+                    self.objective_weight,
+                    chunks[c].rows(),
+                    x,
+                )
+            },
+            |_| false,
+        );
         // Fold in chunk-index order: same sum sequence for any worker count.
         let mut cost = 0.0;
         let mut violation = 0.0f64;
@@ -820,10 +790,13 @@ fn accumulate_rows(
     x: &[f64],
     jtj: &mut [f64],
     jtr: &mut [f64],
-    grad: &mut [f64],
-    entries: &mut Vec<(usize, f64)>,
-    scratch: &mut JtjScratch,
+    scratch: &mut RowScratch,
 ) -> (f64, f64) {
+    let RowScratch {
+        grad,
+        entries,
+        jtj: jtj_scratch,
+    } = scratch;
     let num_eq = problem.equalities.len();
     let num_ineq = problem.inequalities.len();
     let mut cost = 0.0;
@@ -836,7 +809,7 @@ fn accumulate_rows(
             cost += r * r;
             violation = worse_violation(violation, r.abs());
             gradient_entries(eq, vars, x, 1.0, grad, entries);
-            pattern.accumulate_row(row, entries, jtj, scratch);
+            pattern.accumulate_row(row, entries, jtj, jtj_scratch);
             for &(i, g) in entries.iter() {
                 jtr[i] += g * r;
             }
@@ -849,7 +822,7 @@ fn accumulate_rows(
                 cost += r * r;
                 violation = violation.max(r);
                 gradient_entries(ineq, &structure.inequality_vars[k], x, -1.0, grad, entries);
-                pattern.accumulate_row(row, entries, jtj, scratch);
+                pattern.accumulate_row(row, entries, jtj, jtj_scratch);
                 for &(i, g) in entries.iter() {
                     jtr[i] += g * r;
                 }
@@ -873,7 +846,7 @@ fn accumulate_rows(
                     grad,
                     entries,
                 );
-                pattern.accumulate_row(row, entries, jtj, scratch);
+                pattern.accumulate_row(row, entries, jtj, jtj_scratch);
                 for &(i, g) in entries.iter() {
                     jtr[i] += g * r;
                 }
@@ -1031,7 +1004,8 @@ mod tests {
         assert!((outcome.assignment[0] - 2.0).abs() < 1e-6);
         assert_eq!(outcome.stats.restarts, 1);
         // Restart 0 is feasible, so three restarts count it alone, serial
-        // or not: a wave of parallel restarts may run more.
+        // or not: restarts the queue started beside it are cut from the
+        // replay.
         for parallel_restarts in [false, true] {
             let options = LmOptions {
                 restarts: 3,
@@ -1041,6 +1015,46 @@ mod tests {
             let stats = LmSolver::new(options).solve(&problem, None).stats;
             assert_eq!(stats.restarts, 1);
             assert_eq!(stats.iterations, outcome.stats.iterations);
+        }
+    }
+
+    #[test]
+    fn the_restart_queue_matches_the_sequential_loop_at_any_worker_count() {
+        // x² = 4 from the warm start 0: the gradient vanishes there, so
+        // restart 0 cannot move and ends infeasible; restart 1 starts at a
+        // random point and reaches ±2. Restarts 2 and 3 run only beside
+        // restart 1 and must neither win nor count.
+        let mut problem = Problem::new(1);
+        problem.equalities.push(QuadraticForm {
+            constant: -4.0,
+            linear: Vec::new(),
+            quadratic: vec![(0, 0, 1.0)],
+        });
+        let solver = LmSolver::new(LmOptions {
+            restarts: 4,
+            ..LmOptions::default()
+        });
+        let workspace = LmWorkspace::build(&problem, 0.0);
+        let solve = |restart_threads: usize| {
+            let budget = crate::par::ThreadBudget {
+                restart_threads,
+                eval_threads: 1,
+            };
+            let outcome = solver.solve_on(&problem, &workspace, Some(&[0.0]), budget);
+            let stats = SolverStats {
+                factor_seconds: 0.0,
+                solve_seconds: 0.0,
+                eval_seconds: 0.0,
+                threads: 0,
+                ..outcome.stats.clone()
+            };
+            (outcome.status, bits(&outcome.assignment), stats)
+        };
+        let serial = solve(1);
+        assert_eq!(serial.0, SolveStatus::Feasible);
+        assert_eq!(serial.2.restarts, 2);
+        for restart_threads in [2, 8] {
+            assert_eq!(solve(restart_threads), serial, "{restart_threads} workers");
         }
     }
 
@@ -1381,9 +1395,7 @@ mod tests {
             let mut jtj = full.values_buffer();
             let mut jtr = vec![0.0; n];
             let (mut cost, mut violation) = (0.0, 0.0f64);
-            let mut grad = vec![0.0; n];
-            let mut entries = Vec::new();
-            let mut scratch = JtjScratch::default();
+            let mut scratch = RowScratch::new(n);
             for chunk in ws.pattern.chunks() {
                 let mut partial = full.values_buffer();
                 let mut partial_jtr = vec![0.0; n];
@@ -1396,8 +1408,6 @@ mod tests {
                     &x,
                     &mut partial,
                     &mut partial_jtr,
-                    &mut grad,
-                    &mut entries,
                     &mut scratch,
                 );
                 merge_partial(&mut jtj, &partial);

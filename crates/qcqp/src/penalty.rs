@@ -42,8 +42,8 @@ pub struct AlmOptions {
     pub inner_iterations: usize,
     /// Number of random restarts (the best run is returned).
     pub restarts: usize,
-    /// Wall-clock budget in seconds over all restarts; once exceeded, the
-    /// current restart stops at the next outer-iteration boundary and no
+    /// Wall-clock budget in seconds over all restarts; once exceeded, every
+    /// running restart stops at its next outer-iteration boundary and no
     /// further restarts launch. `0` disables the deadline.
     pub max_seconds: f64,
 }
@@ -76,11 +76,13 @@ impl AlmSolver {
     /// optional warm start) and returns the best outcome.
     ///
     /// The restarts are independent (restart `k` seeds its own generator
-    /// with `seed + k`; restart 0 takes the warm start) and run on the
-    /// [`ThreadBudget`]'s restart workers, as [`LmSolver`](crate::LmSolver)'s
-    /// do. The winner is then chosen by replaying the restarts in order
-    /// under the ranking rule of [`crate::stats`], so the outcome is the same
-    /// at any worker count.
+    /// with `seed + k`; restart 0 takes the warm start) and run on the work
+    /// queue of [`crate::par`] with the [`ThreadBudget`]'s restart workers,
+    /// as [`LmSolver`](crate::LmSolver)'s do; a restart started beside an
+    /// earlier feasible one stops at its next outer-iteration boundary. The
+    /// winner is then chosen by replaying the restarts in order under the
+    /// ranking rule of [`crate::stats`], so the outcome is the same at any
+    /// worker count.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
         let rows = problem.equalities.len() + problem.inequalities.len();
         let workers = ThreadBudget::for_rows(rows).restart_threads;
@@ -102,15 +104,16 @@ impl AlmSolver {
         let started = std::time::Instant::now();
         let deadline = (self.options.max_seconds > 0.0).then_some(self.options.max_seconds);
         let structure = ProblemStructure::analyze(problem);
+        let past_deadline =
+            || deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget);
         // A restart after the deadline does not start (`None`); restart 0
-        // always runs.
+        // always runs. A running restart stops at the deadline, and once an
+        // earlier restart is feasible (the queue's token).
         let outcomes = parallel_indexed_until_bounded(
             restarts,
             workers,
-            |restart| {
-                if restart > 0
-                    && deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget)
-                {
+            |restart, cancel| {
+                if restart > 0 && past_deadline() {
                     return None;
                 }
                 let mut rng = StdRng::seed_from_u64(SEED.wrapping_add(restart as u64));
@@ -120,8 +123,8 @@ impl AlmSolver {
                         .map(|_| rng.random_range(-INIT_SCALE..INIT_SCALE))
                         .collect(),
                 };
-                let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
-                Some(self.solve_from(problem, &structure, &mut x, &mut rng, remaining))
+                let halt = || cancel.is_set() || past_deadline();
+                Some(self.solve_from(problem, &structure, &mut x, &mut rng, &halt))
             },
             |outcome| match outcome {
                 None => true,
@@ -143,11 +146,10 @@ impl AlmSolver {
         structure: &ProblemStructure,
         x: &mut [f64],
         rng: &mut StdRng,
-        max_seconds: Option<f64>,
+        halt: &dyn Fn() -> bool,
     ) -> SolveOutcome {
         let n = problem.num_vars;
         let opts = &self.options;
-        let started = std::time::Instant::now();
         let mut rho = INITIAL_PENALTY;
         // Multiplier estimates.
         let mut lambda_eq = vec![0.0; problem.equalities.len()];
@@ -171,7 +173,7 @@ impl AlmSolver {
         let mut best_violation = finite_or_inf(problem.max_violation(x));
 
         for outer in 0..opts.outer_iterations {
-            if max_seconds.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget) {
+            if halt() {
                 break;
             }
             let mut step_count = 0.0f64;
@@ -378,6 +380,36 @@ mod tests {
             assert_eq!(serial.stats.restarts, restarts_counted);
             assert_eq!(serial.stats.threads, 1);
             assert_eq!(parallel.stats.threads, 2);
+        }
+    }
+
+    #[test]
+    fn the_restart_queue_matches_the_sequential_loop_at_any_worker_count() {
+        // A NaN warm start keeps restart 0 infeasible; restart 1 solves
+        // x + y = 2. Restarts 2 and 3 run only beside restart 1 and must
+        // neither win nor count.
+        let mut problem = Problem::new(2);
+        problem.equalities.push(QuadraticForm {
+            constant: -2.0,
+            linear: vec![(0, 1.0), (1, 1.0)],
+            quadratic: Vec::new(),
+        });
+        let solver = AlmSolver::new(AlmOptions {
+            restarts: 4,
+            ..options_fast()
+        });
+        let warm = [f64::NAN, f64::NAN];
+        let serial = solver.solve_on(&problem, Some(&warm), 1);
+        assert_eq!(serial.status, SolveStatus::Feasible);
+        assert_eq!(serial.stats.restarts, 2);
+        for workers in [2, 8] {
+            let queued = solver.solve_on(&problem, Some(&warm), workers);
+            assert_eq!(queued.status, serial.status);
+            assert_eq!(
+                outcome_bits(&queued),
+                outcome_bits(&serial),
+                "{workers} workers"
+            );
         }
     }
 

@@ -72,9 +72,10 @@ pub fn outranks(candidate: (bool, f64), incumbent: (bool, f64)) -> bool {
 /// Replays restart outcomes in restart order, as the sequential
 /// first-feasible-wins loop would: keeps the candidate [`outranks`] ranks
 /// best, adds the counters of every restart it visits to `stats`, and stops
-/// at the first feasible one. Restarts after it ran only because a wave of
-/// parallel restarts is as wide as the worker count, so neither choosing
-/// nor counting them keeps the result independent of `POLYINV_THREADS`.
+/// at the first feasible one. The work queue of [`crate::par`] already cuts
+/// the restarts that ran beside or after it (their tokens stop them early);
+/// a replay that neither chooses nor counts past it keeps the result
+/// independent of `POLYINV_THREADS` for any list it is given.
 ///
 /// The winner carries `stats`, with its own final residual.
 ///
