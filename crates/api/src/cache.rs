@@ -189,6 +189,35 @@ mod tests {
     }
 
     #[test]
+    fn an_lru_stays_at_its_capacity_and_keeps_recent_keys() {
+        let mut lru = Lru::new(8);
+        // Many distinct keys: the map must stay at its cap, not leak.
+        for i in 0..100 {
+            lru.insert(&format!("key {i}"), i);
+            assert!(lru.len() <= 8, "the map grew past its cap");
+        }
+        assert_eq!(lru.len(), 8);
+        // Recently inserted keys survive; the eldest were evicted.
+        assert_eq!(lru.get("key 99"), Some(99));
+        assert_eq!(lru.get("key 92"), Some(92));
+        assert_eq!(lru.get("key 91"), None);
+    }
+
+    #[test]
+    fn an_lru_evicts_the_least_recently_touched_key() {
+        let mut lru = Lru::new(2);
+        lru.insert("first", 1);
+        lru.insert("second", 2);
+        // Touch the first key again, then insert a third: the second (least
+        // recently used) must be the one evicted.
+        assert_eq!(lru.get("first"), Some(1));
+        assert_eq!(lru.insert("third", 3), 1);
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get("first"), Some(1), "the touched key was evicted");
+        assert_eq!(lru.get("second"), None);
+    }
+
+    #[test]
     fn id_does_not_enter_the_fingerprint() {
         let a = SynthesisRequest::generate_only("f(x) { return x }").with_id("a");
         let b = SynthesisRequest::generate_only("f(x) { return x }").with_id("b");

@@ -22,8 +22,8 @@ use crate::error::ApiError;
 use crate::report::{ReportStatus, SynthesisReport};
 use crate::request::{Mode, SynthesisRequest};
 
-/// Default capacity of the parse cache (distinct programs).
-const DEFAULT_CACHE_CAPACITY: usize = 64;
+/// Capacity of the parse cache (distinct programs).
+const PARSE_CACHE_CAPACITY: usize = 64;
 
 /// Multi-start attempts of a strong request that names no attempt count.
 const DEFAULT_STRONG_ATTEMPTS: usize = 8;
@@ -64,15 +64,8 @@ impl Engine {
     /// An Engine with an empty parse cache.
     pub fn new() -> Self {
         Engine {
-            cache: Mutex::new(ProgramCache::new(DEFAULT_CACHE_CAPACITY)),
+            cache: Mutex::new(ProgramCache::new(PARSE_CACHE_CAPACITY)),
         }
-    }
-
-    /// Caps the parse cache at `capacity` distinct programs (LRU eviction;
-    /// the default is 64). A capacity of zero is treated as one.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Mutex::new(ProgramCache::new(capacity));
-        self
     }
 
     /// The stable name of the lane a request without a back-end preference
@@ -529,37 +522,6 @@ mod tests {
         assert_eq!(engine.cached_programs(), 1);
         engine.parse_program("f(x) { return x }").unwrap();
         assert_eq!(engine.cached_programs(), 2);
-    }
-
-    #[test]
-    fn parse_cache_is_capped_with_lru_eviction() {
-        let engine = Engine::new().with_cache_capacity(8);
-        // Many distinct sources: the cache must stay at its cap, not leak.
-        for i in 0..100 {
-            let source = format!("f(x) {{ return x + {i} }}");
-            engine.parse_program(&source).unwrap();
-            assert!(engine.cached_programs() <= 8, "cache grew past its cap");
-        }
-        assert_eq!(engine.cached_programs(), 8);
-        // Recently used entries survive; the eldest were evicted.
-        let recent = "f(x) { return x + 99 }";
-        let a = engine.parse_program(recent).unwrap();
-        let b = engine.parse_program(recent).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "recent entry should still be cached");
-    }
-
-    #[test]
-    fn lru_eviction_keeps_the_most_recently_touched_program() {
-        let engine = Engine::new().with_cache_capacity(2);
-        let first = engine.parse_program("f(x) { return x + 1 }").unwrap();
-        engine.parse_program("f(x) { return x + 2 }").unwrap();
-        // Touch the first program again, then insert a third: the second
-        // (least recently used) must be the one evicted.
-        engine.parse_program("f(x) { return x + 1 }").unwrap();
-        engine.parse_program("f(x) { return x + 3 }").unwrap();
-        assert_eq!(engine.cached_programs(), 2);
-        let again = engine.parse_program("f(x) { return x + 1 }").unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "touched entry was evicted");
     }
 
     #[test]

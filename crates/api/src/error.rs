@@ -1,12 +1,12 @@
 //! The one exhaustive error type of the API surface.
 //!
 //! Every failure mode of the Engine — front-end parse errors (with source
-//! spans), unresolvable requests, unknown back-ends, baseline
-//! inapplicability and JSON/IO problems — is a variant of [`ApiError`]. A
-//! solve that runs but does not converge or certify is not an error: it is a
-//! report status. Callers below the API keep their precise error
-//! types (`polyinv_lang::Error`, `polyinv_farkas::Inapplicability`); the
-//! conversions here are the single place where they meet.
+//! spans), unresolvable requests, unknown back-ends and JSON/IO problems —
+//! is a variant of [`ApiError`]. A solve that runs but does not converge or
+//! certify is not an error: it is a report status. Callers below the API
+//! keep their precise error types (`polyinv_lang::Error`,
+//! `polyinv_constraints::ConstraintError`); the conversions here are the
+//! single place where they meet.
 
 use std::fmt;
 
@@ -67,12 +67,6 @@ pub enum ApiError {
         /// 1-based source line of the call statement, when known.
         line: Option<usize>,
     },
-    /// A baseline or algorithm rejected the program as out of scope (e.g.
-    /// the Farkas baseline on a non-linear program).
-    Inapplicable {
-        /// The reason reported by the rejecting component.
-        reason: String,
-    },
     /// A JSON document (batch file, serialized request/report) was invalid.
     Json {
         /// What is wrong.
@@ -131,7 +125,6 @@ impl fmt::Display for ApiError {
                     " requires recursive synthesis; the run was configured without it"
                 )
             }
-            ApiError::Inapplicable { reason } => write!(f, "not applicable: {reason}"),
             ApiError::Json { message, offset } => {
                 write!(f, "invalid JSON at byte {offset}: {message}")
             }
@@ -171,14 +164,6 @@ impl From<polyinv_constraints::ConstraintError> for ApiError {
     }
 }
 
-impl From<polyinv_farkas::Inapplicability> for ApiError {
-    fn from(reason: polyinv_farkas::Inapplicability) -> Self {
-        ApiError::Inapplicable {
-            reason: reason.to_string(),
-        }
-    }
-}
-
 impl From<JsonError> for ApiError {
     fn from(error: JsonError) -> Self {
         ApiError::Json {
@@ -199,7 +184,6 @@ impl ApiError {
             ApiError::UnknownLabel { .. } => "unknown-label",
             ApiError::InvalidRequest { .. } => "invalid-request",
             ApiError::RecursionRequired { .. } => "recursion-required",
-            ApiError::Inapplicable { .. } => "inapplicable",
             ApiError::Json { .. } => "json",
             ApiError::Io { .. } => "io",
         }
@@ -305,14 +289,6 @@ mod tests {
         let json = error.to_json();
         assert_eq!(json.get("callee").unwrap().as_str(), Some("rsum"));
         assert_eq!(json.get("line").unwrap().as_usize(), Some(7));
-    }
-
-    #[test]
-    fn inapplicability_converts() {
-        let reason = polyinv_farkas::Inapplicability::Recursive;
-        let error: ApiError = reason.into();
-        assert!(matches!(error, ApiError::Inapplicable { .. }));
-        assert!(error.to_string().contains("recursive"));
     }
 
     #[test]

@@ -18,8 +18,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polyinv::weak::{fix_targets, TargetAssertion};
+use polyinv::SolvePlan;
 use polyinv_bench::{options_for, validation_for_tables};
-use polyinv_constraints::{exact_recheck_ladder, ExactCheckConfig};
+use polyinv_constraints::exact_recheck_ladder;
 use polyinv_lang::{InvariantMap, Postcondition, Precondition};
 use polyinv_validate::falsify_traces;
 
@@ -57,7 +58,9 @@ fn recheck_ladder(c: &mut Criterion) {
     let generated = polyinv_constraints::generate(&program, &pre, &options).unwrap();
     let pins = fix_targets(&generated, &targets);
     let assignment = fixed_point(generated.system.num_unknowns());
-    let config = ExactCheckConfig::default();
+    // The tolerance production certifies with, so the ladder runs the
+    // rungs a rejected point walks in a solve.
+    let config = SolvePlan::new(options.clone()).certificate;
     group.bench_function("prodbin_upsilon2", |b| {
         b.iter(|| {
             let report = exact_recheck_ladder(&generated.system, &assignment, &pins, &config);

@@ -11,11 +11,11 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use polyinv::prelude::*;
 use polyinv_api::{Engine, ReportStatus, SynthesisRequest};
+use polyinv_bench::baseline;
 use polyinv_bench::options_for;
 use polyinv_constraints::pairs::{generate_pairs, PairOptions};
 use polyinv_constraints::template::TemplateSet;
 use polyinv_constraints::{prepare, reduce_pairs, UnknownRegistry};
-use polyinv_farkas::FarkasBaseline;
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
 use polyinv_lang::Cfg;
 use polyinv_poly::MonomialTable;
@@ -161,12 +161,7 @@ fn baseline_comparison(c: &mut Criterion) {
     let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
     let pre = Precondition::from_program(&program);
     group.bench_function("farkas_linear", |b| {
-        b.iter(|| {
-            FarkasBaseline::default()
-                .generate(&program, &pre)
-                .unwrap()
-                .size()
-        })
+        b.iter(|| baseline::generate(&program, &pre).unwrap().size())
     });
     group.bench_function("putinar_quadratic", |b| {
         b.iter(|| {

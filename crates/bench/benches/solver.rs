@@ -1,5 +1,12 @@
 //! Criterion benchmarks for the Step-4 solve stage.
 //!
+//! `lm_iteration` and `symbolic_setup` take a row's generated system with
+//! every unknown free. The other solver groups take the problem the
+//! orchestrator's lanes get on one rung of the row
+//! (`probe::presolved_problem_at`, built by `Orchestrator::rung_problem`):
+//! the row's target pinned, the template degree escalated to fit it,
+//! presolve applied and every eliminated unknown pinned out.
+//!
 //! Eight groups:
 //!
 //! * `lm_iteration` — one damped normal-equations iteration (accumulate
@@ -11,31 +18,32 @@
 //!   iteration shapes come from `polyinv_bench::probe`, shared with the
 //!   `solver_comparison` example so every consumer measures the same
 //!   algorithm.
-//! * `lm_iteration_large` — the same single iteration on the *presolved*
-//!   systems of the formerly size-capped rows (euclidex1, merge-sort), at
+//! * `lm_iteration_large` — the same single iteration on the ϒ = 2 lane
+//!   problems of the formerly size-capped rows (euclidex1, merge-sort), at
 //!   1/2/4/8 evaluation worker threads. The worker threads scale only the
 //!   residual and `JᵀJ` evaluation; the numeric factorization and the
 //!   solves are serial, so the serial/8-thread ratio is bounded by the
 //!   evaluation's share of the iteration (the outputs stay byte-identical
 //!   at every thread count).
 //! * `normal_accumulate` — the residual pass scattering `JᵀJ`/`Jᵀr` alone
-//!   (`residuals_and_normal`), on the presolved ϒ = 2 systems of prodbin
-//!   and recursive-square-sum at 1 and 2 evaluation workers: the chunked
-//!   path, with its per-chunk buffers and the merge.
-//! * `ldl_factor` — the numeric LDLᵀ factorization alone, on the presolved
-//!   ϒ = 2 systems of recursive-sum, recursive-square-sum and prodbin
-//!   (fill-heavy: the supernodal layout) and the ϒ = 0 system of cohendiv
-//!   (the simplicial control).
+//!   (`residuals_and_normal`), on the ϒ = 2 lane problems of prodbin
+//!   (7077 rows) and recursive-square-sum (3849 rows) at 1 and 2
+//!   evaluation workers: the chunked path, with its per-chunk buffers and
+//!   the merge.
+//! * `ldl_factor` — the numeric LDLᵀ factorization alone, on the ϒ = 2
+//!   lane problems of recursive-sum, recursive-square-sum and prodbin
+//!   (fill-heavy: the supernodal layout) and the ϒ = 0 lane problem of
+//!   cohendiv (the simplicial control).
 //! * `lm_restarts` — the LM lane alone: `LmSolver` with the default plan's
-//!   lane options (3 restarts, 400 iterations) on the presolved ϒ = 0
-//!   system of euclidex2, from the cold warm start `0.05`, with its
-//!   restarts on the work queue's restart workers and one after the other.
-//!   No restart reaches feasibility there, so all three run: the gap is
-//!   what the queue gains over running them in turn.
+//!   lane options (3 restarts, 400 iterations) on the ϒ = 0 lane problem
+//!   of euclidex2 (1448 variables, 1503 rows), from the cold warm start
+//!   `0.05`, with its restarts on the work queue's restart workers and one
+//!   after the other. No restart reaches feasibility there, so all three
+//!   run: the gap is what the queue gains over running them in turn.
 //! * `penalty_lane` — the penalty lane alone: `AlmSolver` with the default
-//!   plan's lane options on the presolved ϒ = 0 system of cohendiv, from
-//!   the cold warm start `0.05` a first rung uses. Its restarts run on the
-//!   thread budget's restart workers.
+//!   plan's lane options on the ϒ = 0 lane problem of cohendiv (461
+//!   variables, 512 rows), from the cold warm start `0.05` a first rung
+//!   uses. Its restarts run on the thread budget's restart workers.
 //! * `symbolic_setup` — the once-per-problem cost the sparse path amortizes
 //!   (pattern construction + minimum-degree ordering + symbolic LDLᵀ).
 //! * `weak_synthesis_e2e` — an end-to-end weak synthesis (Steps 1–4)
@@ -83,7 +91,7 @@ fn lm_iteration_large(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(30));
-    // The presolved systems of two formerly size-capped rows: what Step 4
+    // The ϒ = 2 lane problems of two formerly size-capped rows: what Step 4
     // actually receives once the orchestrator's presolve has run. Checksums
     // are asserted equal across thread counts so a run that loses bitwise
     // determinism fails loudly instead of publishing misleading numbers.

@@ -34,12 +34,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use polyinv::prelude::*;
-use polyinv_api::{ApiError, Engine};
+use polyinv_api::Engine;
 use polyinv_bench::{
     baseline_status, format_table, format_validation, options_for, run_row_full, write_bench_json,
     RowResult, DEFAULT_SOLVE_BUDGET_SECONDS,
 };
-use polyinv_farkas::FarkasBaseline;
 use polyinv_lang::program::RUNNING_EXAMPLE_SOURCE;
 
 fn main() {
@@ -230,8 +229,7 @@ fn ablations() {
 
 /// The Table-1 comparison against the Colón et al. 2003 baseline: the
 /// baseline handles the linear benchmarks but rejects every benchmark that
-/// needs polynomial reasoning. Baseline inapplicability flows through the
-/// unified [`ApiError`] story of `polyinv-api`.
+/// needs polynomial reasoning, and its table cell names the reason.
 fn baseline() {
     println!("## Baseline comparison (Colón et al. 2003, Farkas' lemma)");
     println!(
@@ -241,13 +239,9 @@ fn baseline() {
     for benchmark in polyinv_benchmarks::table2() {
         let program = benchmark.program().unwrap();
         let pre = benchmark.precondition().unwrap();
-        let baseline = FarkasBaseline::default();
         let putinar = polyinv_constraints::generate(&program, &pre, &options_for(&benchmark))
             .expect("benchmark programs generate");
-        let outcome = baseline
-            .generate(&program, &pre)
-            .map(|system| system.size())
-            .map_err(ApiError::from);
+        let outcome = polyinv_bench::baseline::generate(&program, &pre).map(|system| system.size());
         println!(
             "{:<26} {:>14} {:>40}",
             benchmark.name,

@@ -9,6 +9,7 @@
 //! columns), and the per-stage wall-clock timings of the reports flow
 //! directly into the printed tables.
 
+pub mod baseline;
 pub mod probe;
 
 use std::time::Duration;
@@ -24,6 +25,8 @@ use polyinv_constraints::{PresolveStats, SynthesisOptions};
 use polyinv_lang::{InvariantMap, Postcondition, Precondition};
 use polyinv_qcqp::SolverStats;
 use polyinv_validate::{falsify_traces, TraceCheckConfig, ValidationConfig};
+
+use crate::baseline::Inapplicability;
 
 /// The measurements taken for one benchmark row.
 #[derive(Debug, Clone)]
@@ -406,12 +409,12 @@ pub fn format_validation(title: &str, rows: &[RowResult]) -> String {
     out
 }
 
-/// Converts a baseline outcome into the short status cell printed by the
-/// comparison table ([`ApiError`] is the unified error story end-to-end).
-pub fn baseline_status(outcome: Result<usize, ApiError>) -> String {
+/// Converts a baseline outcome (`|S|` of its system, or why it does not
+/// apply) into the short status cell printed by the comparison table.
+pub fn baseline_status(outcome: Result<usize, Inapplicability>) -> String {
     match outcome {
         Ok(size) => format!("applicable (|S| = {size})"),
-        Err(error) => format!("{error}"),
+        Err(reason) => format!("not applicable: {reason}"),
     }
 }
 
@@ -605,6 +608,9 @@ pub fn format_table(title: &str, rows: &[RowResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polyinv_constraints::generate;
+    use polyinv_lang::parse_program;
+    use polyinv_lang::program::{RECURSIVE_EXAMPLE_SOURCE, RUNNING_EXAMPLE_SOURCE};
 
     #[test]
     fn rewriting_a_snapshot_preserves_the_throughput_block() {
@@ -828,5 +834,79 @@ mod tests {
         let _ = run_row_full(&engine, &benchmark, None, false);
         let _ = run_row_full(&engine, &benchmark, None, false);
         assert_eq!(engine.cached_programs(), 1);
+    }
+
+    #[test]
+    fn applies_to_linear_programs_and_produces_a_bilinear_system() {
+        let program = parse_program(RUNNING_EXAMPLE_SOURCE).unwrap();
+        let pre = Precondition::from_program(&program);
+        let generated = baseline::generate(&program, &pre).unwrap();
+        // Linear templates over 5 variables: 6 coefficients per label.
+        assert_eq!(
+            generated
+                .templates
+                .invariant(program.main().entry_label())
+                .basis
+                .len(),
+            6
+        );
+        assert!(generated.size() > 0);
+        // The Farkas system is much smaller than the Putinar system of the
+        // same program at degree 2.
+        let full = generate(&program, &pre, &SynthesisOptions::default()).unwrap();
+        assert!(generated.size() < full.size());
+    }
+
+    #[test]
+    fn rejects_nonlinear_assignments() {
+        let source = r#"
+            f(x) {
+                @pre(x >= 0);
+                while x <= 10 do
+                    x := x * x + 1
+                od;
+                return x
+            }
+        "#;
+        let program = parse_program(source).unwrap();
+        assert!(matches!(
+            baseline::check_applicable(&program),
+            Err(Inapplicability::NonLinearAssignment { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_nonlinear_guards_and_recursion() {
+        let source = r#"
+            f(x) {
+                while x * x <= 100 do
+                    x := x + 1
+                od;
+                return x
+            }
+        "#;
+        let program = parse_program(source).unwrap();
+        assert!(matches!(
+            baseline::check_applicable(&program),
+            Err(Inapplicability::NonLinearGuard { .. })
+        ));
+        let recursive = parse_program(RECURSIVE_EXAMPLE_SOURCE).unwrap();
+        assert_eq!(
+            baseline::check_applicable(&recursive),
+            Err(Inapplicability::Recursive)
+        );
+    }
+
+    #[test]
+    fn inapplicability_reasons_render_for_the_comparison_table() {
+        let reason = Inapplicability::NonLinearAssignment {
+            expression: "x^2 + 1".to_string(),
+        };
+        assert!(reason.to_string().contains("non-linear assignment"));
+        assert_eq!(
+            baseline_status(Err(reason)),
+            "not applicable: non-linear assignment `x^2 + 1`"
+        );
+        assert_eq!(baseline_status(Ok(98)), "applicable (|S| = 98)");
     }
 }

@@ -12,13 +12,17 @@
 //! probe picks up solver-side changes (like the chunked parallel
 //! evaluation) for free. [`dense_iteration`] reproduces the dense
 //! pre-rewrite computation (dense `m×n` Jacobian, dense transpose and
-//! `JᵀJ`, `O(n³)` solve) as the comparison oracle.
+//! `JᵀJ`, `O(n³)` solve) as the comparison oracle. [`presolved_problem_at`]
+//! builds its problem through `Orchestrator::rung_problem`, so the benches
+//! solve the problem the orchestrator's lanes solve.
 
+use polyinv::{Orchestrator, SolvePlan};
+use polyinv_api::engine::{escalate_degree, resolve_weak_targets};
 use polyinv_arith::{LdlNumeric, Matrix, Vector};
 use polyinv_lang::Precondition;
 use polyinv_qcqp::{LmEvaluator, LmWorkspace, Problem};
 
-use crate::options_for;
+use crate::{options_for, solve_request};
 
 /// Builds the numeric Step-4 problem of a Table 2/3 row (all unknowns
 /// free).
@@ -35,9 +39,9 @@ pub fn table_problem(name: &str) -> Problem {
     polyinv::bridge::system_to_problem(&generated.system)
 }
 
-/// Like [`table_problem`], but with the affine presolve applied first —
-/// the system Step 4 actually receives in the pipeline. This is the scale
-/// the large-system bench group measures.
+/// The problem the orchestrator's lanes solve on the last (ϒ = 2) rung of
+/// a Table 2/3 row: the system Step 4 actually receives in the pipeline.
+/// This is the scale the large-system bench groups measure.
 ///
 /// # Panics
 ///
@@ -46,9 +50,11 @@ pub fn presolved_table_problem(name: &str) -> Problem {
     presolved_problem_at(name, 2)
 }
 
-/// Like [`presolved_table_problem`], but on the ϒ = `upsilon` rung of the
-/// row's ladder: `0` gives the system the default plan certifies most
-/// rows on.
+/// The problem the orchestrator's lanes solve on the ϒ = `upsilon` rung
+/// of a Table 2/3 row, built as [`Engine::run_weak`](polyinv_api::Engine::run_weak)
+/// builds it: the row's target resolved and pinned, the template degree
+/// escalated to fit it, then presolve with every eliminated unknown pinned
+/// out. `0` gives the system the default plan certifies most rows on.
 ///
 /// # Panics
 ///
@@ -57,14 +63,12 @@ pub fn presolved_problem_at(name: &str, upsilon: u32) -> Problem {
     let benchmark = polyinv_benchmarks::by_name(name).unwrap();
     let program = benchmark.program().unwrap();
     let pre = Precondition::from_program(&program);
-    let options = options_for(&benchmark).with_upsilon(upsilon);
-    let generated = polyinv_constraints::generate(&program, &pre, &options).unwrap();
-    let presolved = polyinv_constraints::presolve(
-        &generated.system,
-        &std::collections::HashMap::new(),
-        &polyinv_constraints::PresolveOptions::default(),
-    );
-    polyinv::bridge::system_to_problem(&presolved.system)
+    let request = solve_request(&benchmark);
+    let targets = resolve_weak_targets(&program, &request).unwrap();
+    let (options, _) = escalate_degree(&request.options, &targets);
+    Orchestrator::new(SolvePlan::new(options))
+        .rung_problem(&program, &pre, &targets, upsilon)
+        .unwrap()
 }
 
 /// The damped normal matrix of one LM iteration, captured by
@@ -249,6 +253,17 @@ pub fn dense_iteration(problem: &Problem, x: &[f64], lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_probe_builds_the_problem_the_lm_lane_solves() {
+        // cohendiv's ϒ = 0 rung with its target pinned and the template
+        // degree escalated to fit it, presolved: the sizes the `presolve`
+        // block of its weak report shows. Generating at the paper degree
+        // without pins would give 210 variables and 135 rows.
+        let problem = presolved_problem_at("cohendiv", 0);
+        assert_eq!(problem.num_vars, 461);
+        assert_eq!(problem.equalities.len() + problem.inequalities.len(), 512);
+    }
 
     #[test]
     fn sparse_and_dense_probes_compute_the_same_step() {

@@ -45,16 +45,6 @@ pub struct ExactCheckConfig {
     pub tolerance: Rational,
 }
 
-impl Default for ExactCheckConfig {
-    fn default() -> Self {
-        ExactCheckConfig {
-            // The LM tolerance is 1e-7 and snapping moves coefficients by up
-            // to 1e-4; 1/1000 absorbs both with margin.
-            tolerance: Rational::new(1, 1000),
-        }
-    }
-}
-
 /// One rung of the certification snap ladder: which grid the template
 /// coefficients snap to (when close enough), and the dyadic denominator for
 /// everything else.
@@ -327,6 +317,13 @@ mod tests {
         HashMap::new()
     }
 
+    /// A certificate that accepts exact violations up to `numer/denom`.
+    fn tolerance(numer: i128, denom: i128) -> ExactCheckConfig {
+        ExactCheckConfig {
+            tolerance: Rational::new(numer, denom),
+        }
+    }
+
     fn tiny_system() -> QuadraticSystem {
         let mut registry = UnknownRegistry::new();
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
@@ -345,12 +342,7 @@ mod tests {
     #[test]
     fn exact_satisfaction_passes_with_zero_violation() {
         let system = tiny_system();
-        let report = exact_recheck_ladder(
-            &system,
-            &[2.0, 0.5],
-            &no_pins(),
-            &ExactCheckConfig::default(),
-        );
+        let report = exact_recheck_ladder(&system, &[2.0, 0.5], &no_pins(), &tolerance(1, 1000));
         assert!(report.passed());
         assert_eq!(report.worst_violation, Rational::zero());
         assert_eq!(report.constraints, 2);
@@ -364,13 +356,9 @@ mod tests {
     #[test]
     fn near_satisfaction_is_measured_exactly_and_tolerated() {
         let system = tiny_system();
-        // u·v = 1 + ~2e-7: within the default tolerance, measured exactly.
-        let report = exact_recheck_ladder(
-            &system,
-            &[2.0, 0.5 + 1e-7],
-            &no_pins(),
-            &ExactCheckConfig::default(),
-        );
+        // u·v = 1 + ~2e-7: within a 1/1000 tolerance, measured exactly.
+        let report =
+            exact_recheck_ladder(&system, &[2.0, 0.5 + 1e-7], &no_pins(), &tolerance(1, 1000));
         assert!(report.passed());
         assert!(report.worst_violation > Rational::zero());
         assert!(report.worst_violation < Rational::new(1, 1_000_000));
@@ -379,24 +367,12 @@ mod tests {
     #[test]
     fn gross_violations_fail_and_name_the_constraint() {
         let system = tiny_system();
-        let report = exact_recheck_ladder(
-            &system,
-            &[-1.0, 1.0],
-            &no_pins(),
-            &ExactCheckConfig::default(),
-        );
+        let report = exact_recheck_ladder(&system, &[-1.0, 1.0], &no_pins(), &tolerance(1, 1000));
         assert!(!report.passed());
         assert_eq!(report.worst_violation, Rational::from_int(2));
         assert_eq!(report.worst_constraint, "equality #0");
         // The inequality u >= 0 is also violated, by 1.
-        let tight = exact_recheck_ladder(
-            &system,
-            &[-1.0, -1.0],
-            &no_pins(),
-            &ExactCheckConfig {
-                tolerance: Rational::zero(),
-            },
-        );
+        let tight = exact_recheck_ladder(&system, &[-1.0, -1.0], &no_pins(), &tolerance(0, 1));
         assert!(!tight.passed());
     }
 
@@ -418,7 +394,7 @@ mod tests {
         eq.add_constant(Rational::from_int(-4));
         system.equalities.push(eq);
         let candidate = [1.0 / 256.0 + 1e-5];
-        let config = ExactCheckConfig::default();
+        let config = tolerance(1, 1000);
         let coarse = exact_recheck_with(&system, &candidate, &no_pins(), &config, SNAP_LADDER[0]);
         assert!(!coarse.passed(), "the k/64 policy alone must fail here");
         let report = exact_recheck_ladder(&system, &candidate, &no_pins(), &config);
@@ -444,7 +420,7 @@ mod tests {
         eq.add_constant(Rational::from_int(-1));
         system.equalities.push(eq);
         let candidate = [1.0 / (1u64 << 28) as f64];
-        let config = ExactCheckConfig::default();
+        let config = tolerance(1, 1000);
         assert!(
             !exact_recheck_with(&system, &candidate, &no_pins(), &config, SNAP_LADDER[0]).passed()
         );
@@ -458,12 +434,7 @@ mod tests {
         // No rounding can fix a gross violation; the ladder returns the
         // rung with the smallest exact violation for diagnostics.
         let system = tiny_system();
-        let report = exact_recheck_ladder(
-            &system,
-            &[-1.0, 1.0],
-            &no_pins(),
-            &ExactCheckConfig::default(),
-        );
+        let report = exact_recheck_ladder(&system, &[-1.0, 1.0], &no_pins(), &tolerance(1, 1000));
         assert!(!report.passed());
         assert_eq!(report.worst_violation, Rational::from_int(2));
         assert!(!report.rounding.is_empty());
@@ -486,7 +457,7 @@ mod tests {
         eq.add_constant(Rational::from_int(-17));
         system.equalities.push(eq);
         let pins = HashMap::from([(t, Rational::new(17, 50))]);
-        let report = exact_recheck_ladder(&system, &[0.34], &pins, &ExactCheckConfig::default());
+        let report = exact_recheck_ladder(&system, &[0.34], &pins, &tolerance(1, 1000));
         assert_eq!(report.values[t.index()], Rational::new(17, 50));
         assert_eq!(report.worst_violation, Rational::zero());
         assert!(report.passed());

@@ -108,13 +108,15 @@ impl SolvePlan {
     /// fails its certificate, three polish rounds and the acceptance
     /// certificate tolerance.
     ///
-    /// The certificate tolerance is `1/100` — exactly the `epsilon_lower`
-    /// strictness margin of the Putinar translation. Every strict
-    /// inequality of the source program is witnessed with an ε ≥ 1/100
-    /// slack, so an exact violation below that margin still leaves each
-    /// strict obligation witnessed by a positive (if reduced) ε; this is
-    /// the loosest tolerance under which the certificate remains a sound
-    /// acceptance criterion.
+    /// The certificate tolerance is `1/100`, the same number as the
+    /// `epsilon_lower` strictness margin of the Putinar translation. A
+    /// passing certificate establishes only that every equality and
+    /// inequality of the Step-3 system holds to within `1/100` in exact
+    /// arithmetic at the snapped point. That is not a proof of
+    /// inductiveness: a residual left in a Putinar identity is not offset
+    /// by the ε margin, and a false target can pass (DESIGN.md §12). The
+    /// exact per-pair certificate and the non-strict encoding of ROADMAP
+    /// items 1–2 are what would make acceptance a proof.
     pub fn new(options: SynthesisOptions) -> Self {
         SolvePlan {
             options,
@@ -408,6 +410,26 @@ impl Orchestrator {
     /// The plan in use.
     pub fn plan(&self) -> &SolvePlan {
         &self.plan
+    }
+
+    /// The solver-space problem the lanes of [`Orchestrator::solve`] get on
+    /// the ϒ = `upsilon` rung: the generated system with the targets pinned,
+    /// presolved, with every eliminated unknown pinned out. Benches measure
+    /// Step 4 on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConstraintError`] when the generation stages reject the
+    /// program.
+    pub fn rung_problem(
+        &self,
+        program: &Program,
+        pre: &Precondition,
+        targets: &[TargetAssertion],
+        upsilon: u32,
+    ) -> Result<Problem, ConstraintError> {
+        let rung = self.prepare_rung(program, pre, targets, upsilon, &mut StageTimings::new())?;
+        Ok(rung.problem)
     }
 
     /// Runs the ladder of attempts for one weak-synthesis request.

@@ -25,7 +25,8 @@ use polyinv_arith::sparse::{JtjPattern, JtjScratch, SymbolicLdl};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::problem::{Problem, ProblemStructure, QuadraticForm};
+use crate::par::PAR_ROW_THRESHOLD;
+use crate::problem::{Problem, ProblemStructure, QuadraticForm, BOUND};
 use crate::stats::{finite_or_inf, replay_restarts, SolveOutcome, SolveStatus, SolverStats};
 
 /// Feasibility tolerance declaring an LM solve successful: the maximum
@@ -123,7 +124,7 @@ impl LmWorkspace {
         let structure = ProblemStructure::analyze(problem);
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
         let rows = row_patterns(&structure, objective_row);
-        let pattern = if rows.len() >= CHUNKED_ROW_THRESHOLD {
+        let pattern = if rows.len() >= PAR_ROW_THRESHOLD {
             let chunks = chunk_ranges(rows.len());
             JtjPattern::chunked(problem.num_vars, rows, chunks)
         } else {
@@ -476,7 +477,7 @@ impl LmSolver {
     }
 }
 
-/// The worst violation over the constraints and the box bounds, given the
+/// The worst violation over the constraints and the box bound, given the
 /// worst equality/inequality violation already measured by a residual pass.
 /// Matches [`Problem::max_violation`] without re-evaluating every form,
 /// NaN counting as +∞ there too.
@@ -485,11 +486,11 @@ fn full_violation(problem: &Problem, x: &[f64], constraint_violation: f64) -> f6
         return f64::INFINITY;
     }
     let mut worst = constraint_violation.max(0.0);
-    for (i, &(lo, hi)) in problem.bounds.iter().enumerate() {
-        if x[i].is_nan() {
+    for &value in &x[..problem.num_vars] {
+        if value.is_nan() {
             return f64::INFINITY;
         }
-        worst = worst.max(lo - x[i]).max(x[i] - hi);
+        worst = worst.max(-BOUND - value).max(value - BOUND);
     }
     worst
 }
@@ -503,12 +504,6 @@ fn worse_violation(worst: f64, violation: f64) -> f64 {
         worst.max(violation)
     }
 }
-
-/// Residual-row count at which the evaluator switches from the plain serial
-/// pass to the chunked accumulation. The switch depends **only** on the row
-/// count — never on the thread budget — so a given problem always takes the
-/// same numerical path regardless of `POLYINV_THREADS`.
-const CHUNKED_ROW_THRESHOLD: usize = crate::par::PAR_ROW_THRESHOLD;
 
 /// Fixed number of chunks in the chunked evaluation. Chunk boundaries and
 /// the merge order are functions of this constant and the row count alone,
@@ -561,7 +556,7 @@ struct ChunkBuf {
 /// Per-restart residual/Jacobian evaluator: owns the numeric buffers and
 /// scatters sparse gradient rows directly into the `JᵀJ` values and `Jᵀr`.
 ///
-/// Systems with at least [`CHUNKED_ROW_THRESHOLD`] residual rows are
+/// Systems with at least [`PAR_ROW_THRESHOLD`] residual rows are
 /// evaluated in the [`EVAL_CHUNKS`] fixed row ranges of the workspace's
 /// chunked pattern, which the work queue of [`crate::par`] hands to its
 /// workers (the calling thread among them). Each chunk
@@ -952,21 +947,6 @@ mod tests {
         assert_eq!(outcome.status, SolveStatus::Feasible);
         assert!(outcome.assignment[0].abs() < 1e-5);
         assert!((outcome.assignment[2] - 5.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn respects_variable_bounds() {
-        // x² = 4 with x ≥ 0 must pick the positive root.
-        let mut problem = Problem::new(1);
-        problem.equalities.push(QuadraticForm {
-            constant: -4.0,
-            linear: Vec::new(),
-            quadratic: vec![(0, 0, 1.0)],
-        });
-        problem.set_bound(0, 0.0, 100.0);
-        let outcome = LmSolver::default().solve(&problem, Some(&[-3.0]));
-        assert_eq!(outcome.status, SolveStatus::Feasible);
-        assert!((outcome.assignment[0] - 2.0).abs() < 1e-5);
     }
 
     #[test]

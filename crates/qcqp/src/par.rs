@@ -14,9 +14,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Residual-row count above which a single solve is large enough that the
+/// Residual-row count from which a single solve is large enough that the
 /// thread budget is better spent *inside* one iteration (chunked residual
-/// evaluation) than across restarts.
+/// evaluation) than across restarts. The LM evaluator's switch from the
+/// plain serial pass to the chunked one depends **only** on this row
+/// count — never on the thread budget — so a given problem always takes the
+/// same numerical path regardless of `POLYINV_THREADS`.
 pub const PAR_ROW_THRESHOLD: usize = 2048;
 
 /// The machine-wide thread budget: `POLYINV_THREADS` when set to a positive

@@ -128,7 +128,7 @@ impl ProblemStructure {
 }
 
 /// A quadratically-constrained program
-/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  lo ≤ x ≤ hi`.
+/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  |xₖ| ≤ BOUND`.
 #[derive(Debug, Clone)]
 pub struct Problem {
     /// The number of variables.
@@ -141,13 +141,11 @@ pub struct Problem {
     /// Only [`LmSolver`](crate::LmSolver) reads it, as a soft residual;
     /// [`AlmSolver`](crate::AlmSolver) solves feasibility problems only.
     pub objective: Option<QuadraticForm>,
-    /// Per-variable box bounds (defaults to `(-1e4, 1e4)`).
-    pub bounds: Vec<(f64, f64)>,
 }
 
-/// Default symmetric box bound applied to every variable; it keeps the
-/// first-order solver from diverging and matches the bounded-reals model.
-const DEFAULT_BOUND: f64 = 1.0e4;
+/// The symmetric box bound of every variable: it keeps the solvers from
+/// diverging and matches the bounded-reals model.
+pub(crate) const BOUND: f64 = 1.0e4;
 
 impl Problem {
     /// Creates an unconstrained problem with `num_vars` variables.
@@ -157,17 +155,11 @@ impl Problem {
             equalities: Vec::new(),
             inequalities: Vec::new(),
             objective: None,
-            bounds: vec![(-DEFAULT_BOUND, DEFAULT_BOUND); num_vars],
         }
     }
 
-    /// Sets the box bound of one variable.
-    pub fn set_bound(&mut self, var: usize, lower: f64, upper: f64) {
-        self.bounds[var] = (lower, upper);
-    }
-
     /// The worst constraint violation at `x` (equalities, inequalities and
-    /// box bounds). A NaN constraint value or coordinate counts as +∞:
+    /// the box bound). A NaN constraint value or coordinate counts as +∞:
     /// `f64::max` would drop it and let the point pass as feasible.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst: f64 = 0.0;
@@ -185,19 +177,19 @@ impl Problem {
             }
             worst = worst.max((-value).max(0.0));
         }
-        for (i, &(lo, hi)) in self.bounds.iter().enumerate() {
-            if x[i].is_nan() {
+        for &value in &x[..self.num_vars] {
+            if value.is_nan() {
                 return f64::INFINITY;
             }
-            worst = worst.max(lo - x[i]).max(x[i] - hi);
+            worst = worst.max(-BOUND - value).max(value - BOUND);
         }
         worst
     }
 
-    /// Clamps an assignment into the box bounds in place.
+    /// Clamps an assignment into the box bound in place.
     pub fn clamp(&self, x: &mut [f64]) {
-        for (value, &(lo, hi)) in x.iter_mut().zip(&self.bounds) {
-            *value = value.clamp(lo, hi);
+        for value in x.iter_mut().take(self.num_vars) {
+            *value = value.clamp(-BOUND, BOUND);
         }
     }
 }
@@ -263,14 +255,15 @@ mod tests {
             quadratic: Vec::new(),
         });
         problem.inequalities.push(QuadraticForm::variable(1));
-        problem.set_bound(1, -2.0, 2.0);
         assert!(problem.max_violation(&[1.0, 0.5]) <= 1e-9);
         assert!(problem.max_violation(&[0.0, 0.5]) > 1e-9);
         assert!(problem.max_violation(&[1.0, -0.5]) > 1e-9);
-        assert!((problem.max_violation(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        let mut x = vec![5.0, -7.0];
+        // Past the box: x₁ = BOUND + 1 satisfies x₁ ≥ 0 but violates the
+        // bound by 1.
+        assert_eq!(problem.max_violation(&[1.0, BOUND + 1.0]), 1.0);
+        let mut x = vec![5.0, -2.0 * BOUND];
         problem.clamp(&mut x);
-        assert_eq!(x, vec![5.0, -2.0]);
+        assert_eq!(x, vec![5.0, -BOUND]);
     }
 
     #[test]

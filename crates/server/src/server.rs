@@ -569,8 +569,7 @@ fn http_status(error: &ApiError) -> u16 {
         ApiError::Parse { .. }
         | ApiError::Assertion { .. }
         | ApiError::UnknownLabel { .. }
-        | ApiError::RecursionRequired { .. }
-        | ApiError::Inapplicable { .. } => 422,
+        | ApiError::RecursionRequired { .. } => 422,
         ApiError::Io { .. } => 500,
     }
 }

@@ -195,7 +195,9 @@ mod tests {
                 &QuadraticSystem::new(UnknownRegistry::new()),
                 &[],
                 &HashMap::new(),
-                &ExactCheckConfig::default(),
+                &ExactCheckConfig {
+                    tolerance: polyinv_arith::Rational::new(1, 100),
+                },
             ),
         };
         assert!(report.exact.passed());

@@ -4,9 +4,9 @@
 use polyinv::prelude::*;
 use polyinv::{fix_targets, TargetAssertion};
 use polyinv_api::engine::{escalate_degree, resolve_weak_targets};
+use polyinv_bench::baseline::{self, Inapplicability};
 use polyinv_benchmarks::{by_name, table2, table3, Benchmark, Category};
 use polyinv_constraints::{instantiate_exact, presolve, PresolveOptions, PresolvedSystem};
-use polyinv_farkas::{FarkasBaseline, Inapplicability};
 use polyinv_validate::{falsify_traces, TraceCheckConfig};
 
 #[test]
@@ -238,13 +238,13 @@ fn farkas_baseline_rejects_polynomial_benchmarks_but_handles_linear_ones() {
     let prod4br = by_name("prod4br").unwrap();
     let poly_program = prod4br.program().unwrap();
     assert!(matches!(
-        FarkasBaseline::default().check_applicable(&poly_program),
+        baseline::check_applicable(&poly_program),
         Err(Inapplicability::NonLinearAssignment { .. })
     ));
     // The linear ones are accepted and produce smaller systems than Putinar.
     let pre = Precondition::from_program(&program);
-    if FarkasBaseline::default().check_applicable(&program).is_ok() {
-        let farkas = FarkasBaseline::default().generate(&program, &pre).unwrap();
+    if baseline::check_applicable(&program).is_ok() {
+        let farkas = baseline::generate(&program, &pre).unwrap();
         let putinar =
             polyinv_constraints::generate(&program, &pre, &SynthesisOptions::default()).unwrap();
         assert!(farkas.size() < putinar.size());
