@@ -128,7 +128,7 @@ impl ProblemStructure {
 }
 
 /// A quadratically-constrained program
-/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  |xₖ| ≤ BOUND`.
+/// `min objective(x)  s.t.  eqᵢ(x) = 0,  ineqⱼ(x) ≥ 0,  |xₖ| ≤ 10⁴`.
 #[derive(Debug, Clone)]
 pub struct Problem {
     /// The number of variables.
