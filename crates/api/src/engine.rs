@@ -574,6 +574,24 @@ mod tests {
     }
 
     #[test]
+    fn a_pre_condition_that_overflows_the_putinar_identity_is_an_invalid_request() {
+        // Steps 1–2 fit i128; at ϒ = 2 the pre-condition's constant 2¹²⁶
+        // meets a doubled off-diagonal Cholesky product, 2¹²⁷, in Step 3.
+        let source = "big(x) { @pre(x <= 85070591730234615865843651857942052864); \
+                      while x <= 10 do x := x + 1 od; return x }";
+        match Engine::new().run(&SynthesisRequest::generate_only(source)) {
+            Err(ApiError::InvalidRequest { message }) => {
+                assert!(message.contains("Putinar identity of pair 0"), "{message}")
+            }
+            other => panic!("expected an invalid request, got {other:?}"),
+        }
+        // At ϒ = 0 no product is doubled, so the same program generates.
+        let options = polyinv_constraints::SynthesisOptions::default().with_upsilon(0);
+        let request = SynthesisRequest::generate_only(source).with_options(options);
+        assert!(Engine::new().run(&request).is_ok());
+    }
+
+    #[test]
     fn a_bounded_reals_bound_that_overflows_is_an_invalid_request() {
         // The compactness witness c²·|V| is 10⁴⁶·|V| for c = 10²³.
         let options = polyinv_constraints::SynthesisOptions::default()

@@ -17,6 +17,9 @@
 //!   [`SymbolicLdl`] with a fill-reducing minimum-degree ordering whose
 //!   symbolic analysis is computed once and reused across solver
 //!   iterations.
+//! * [`par`] — the scoped-thread work queue every parallel site of the
+//!   workspace runs on (results in index order, so outputs do not depend on
+//!   the thread count).
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@
 //! ```
 
 pub mod linalg;
+pub mod par;
 pub mod rational;
 pub mod sparse;
 

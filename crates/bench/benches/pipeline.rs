@@ -2,9 +2,16 @@
 //!
 //! Each group corresponds to an experiment listed in DESIGN.md §5:
 //! the three constraint-generation steps (Steps 1–3) on the running
-//! example, generation for representative Table 2 / Table 3 rows, the ϒ
-//! ablation, the Farkas baseline, certificate checking and
+//! example, the Step-3 reduction of a large system at 1 and 2 workers
+//! (`reduction_large`), generation for representative Table 2 / Table 3
+//! rows, the ϒ ablation, the Farkas baseline, certificate checking and
 //! end-to-end weak synthesis on a small program.
+//!
+//! `pipeline_stages/reduction` runs on the running example, which stays
+//! below the size from which `reduce_pairs` translates pairs in parallel;
+//! `reduction_large` (euclidex2 at ϒ = 2, |S| = 46,527) is above it. CI
+//! short-runs it with `cargo bench -p polyinv-bench --bench pipeline --
+//! reduction_large`.
 
 use std::time::Duration;
 
@@ -78,6 +85,7 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
                     augmented.clone(),
                     table,
                 )
+                .unwrap()
                 .size()
             },
             BatchSize::SmallInput,
@@ -91,6 +99,83 @@ fn pipeline_stage_breakdown(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// `reduce_pairs` on euclidex2 at ϒ = 2 (19 pairs, |S| = 46,527) at 1 and 2
+/// workers. The worker count is `POLYINV_THREADS`, set here between
+/// benchmarks: the harness runs one benchmark at a time and nothing else
+/// reads the environment meanwhile. The two systems are asserted identical
+/// before anything is timed.
+fn reduction_large(c: &mut Criterion) {
+    let benchmark = polyinv_benchmarks::by_name("euclidex2").unwrap();
+    let program = benchmark.program().unwrap();
+    let pre = benchmark.precondition().unwrap();
+    let options = options_for(&benchmark);
+    let (augmented, recursive) = prepare(&program, &pre, &options).unwrap();
+    let cfg = Cfg::build(&program);
+    let inputs = || {
+        let mut registry = UnknownRegistry::new();
+        let mut table = MonomialTable::new();
+        let templates = TemplateSet::build(
+            &program,
+            &mut registry,
+            options.degree,
+            options.size,
+            recursive,
+            &mut table,
+        );
+        let pairs = generate_pairs(
+            &program,
+            &cfg,
+            &augmented,
+            &templates,
+            PairOptions { recursive },
+            &mut table,
+        )
+        .unwrap();
+        (templates, registry, pairs, table)
+    };
+    let reduce = |(templates, registry, pairs, table)| {
+        reduce_pairs(
+            templates,
+            registry,
+            pairs,
+            &options,
+            recursive,
+            augmented.clone(),
+            table,
+        )
+        .unwrap()
+    };
+    let saved = std::env::var("POLYINV_THREADS").ok();
+    let systems: Vec<_> = [1, 2]
+        .into_iter()
+        .map(|workers| {
+            std::env::set_var("POLYINV_THREADS", workers.to_string());
+            reduce(inputs()).system
+        })
+        .collect();
+    let (serial, parallel) = (&systems[0], &systems[1]);
+    assert_eq!(serial.size(), 46_527);
+    assert_eq!(serial.equalities, parallel.equalities);
+    assert_eq!(serial.inequalities, parallel.inequalities);
+    assert!(serial.registry.iter().eq(parallel.registry.iter()));
+
+    let mut group = c.benchmark_group("reduction_large");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(8));
+    for workers in [1, 2] {
+        std::env::set_var("POLYINV_THREADS", workers.to_string());
+        group.bench_function(format!("euclidex2/upsilon2/workers{workers}"), |b| {
+            b.iter_batched(inputs, |input| reduce(input).size(), BatchSize::SmallInput)
+        });
+    }
+    group.finish();
+    match saved {
+        Some(value) => std::env::set_var("POLYINV_THREADS", value),
+        None => std::env::remove_var("POLYINV_THREADS"),
+    }
 }
 
 fn table_generation(c: &mut Criterion) {
@@ -250,6 +335,7 @@ fn weak_synthesis_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     pipeline_stage_breakdown,
+    reduction_large,
     table_generation,
     ablation_upsilon,
     baseline_comparison,

@@ -330,12 +330,14 @@ mod tests {
         let v = registry.fresh(UnknownKind::Witness { pair: 1 });
         let mut system = QuadraticSystem::new(registry);
         // u·v - 1 = 0 and u ≥ 0.
-        let mut eq = LinExpr::unknown(u).mul(&LinExpr::unknown(v));
-        eq.add_constant(Rational::from_int(-1));
+        let mut eq = LinExpr::unknown(u).mul(&LinExpr::unknown(v)).unwrap();
+        eq.add_constant(Rational::from_int(-1)).unwrap();
         system.equalities.push(eq);
-        system
-            .inequalities
-            .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
+        system.inequalities.push(
+            LinExpr::unknown(u)
+                .mul(&LinExpr::constant(Rational::one()))
+                .unwrap(),
+        );
         system
     }
 
@@ -390,8 +392,10 @@ mod tests {
             monomial: 0,
         });
         let mut system = QuadraticSystem::new(registry);
-        let mut eq = LinExpr::unknown(t).mul(&LinExpr::constant(Rational::from_int(1024)));
-        eq.add_constant(Rational::from_int(-4));
+        let mut eq = LinExpr::unknown(t)
+            .mul(&LinExpr::constant(Rational::from_int(1024)))
+            .unwrap();
+        eq.add_constant(Rational::from_int(-4)).unwrap();
         system.equalities.push(eq);
         let candidate = [1.0 / 256.0 + 1e-5];
         let config = tolerance(1, 1000);
@@ -416,8 +420,10 @@ mod tests {
         let mut registry = UnknownRegistry::new();
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
         let mut system = QuadraticSystem::new(registry);
-        let mut eq = LinExpr::unknown(u).mul(&LinExpr::constant(Rational::from_int(1i64 << 28)));
-        eq.add_constant(Rational::from_int(-1));
+        let mut eq = LinExpr::unknown(u)
+            .mul(&LinExpr::constant(Rational::from_int(1i64 << 28)))
+            .unwrap();
+        eq.add_constant(Rational::from_int(-1)).unwrap();
         system.equalities.push(eq);
         let candidate = [1.0 / (1u64 << 28) as f64];
         let config = tolerance(1, 1000);
@@ -453,8 +459,10 @@ mod tests {
             monomial: 0,
         });
         let mut system = QuadraticSystem::new(registry);
-        let mut eq = LinExpr::unknown(t).mul(&LinExpr::constant(Rational::from_int(50)));
-        eq.add_constant(Rational::from_int(-17));
+        let mut eq = LinExpr::unknown(t)
+            .mul(&LinExpr::constant(Rational::from_int(50)))
+            .unwrap();
+        eq.add_constant(Rational::from_int(-17)).unwrap();
         system.equalities.push(eq);
         let pins = HashMap::from([(t, Rational::new(17, 50))]);
         let report = exact_recheck_ladder(&system, &[0.34], &pins, &tolerance(1, 1000));

@@ -1,16 +1,38 @@
 //! Top-level assembly: from a program and pre-condition to the quadratic
 //! system (Steps 1–3 in one call).
+//!
+//! Step 3 ([`reduce_pairs`]) translates the constraint pairs independently:
+//! each pair's Putinar identity has its own ε, multipliers and Cholesky
+//! unknowns and shares only the template coefficients. Large reductions
+//! run one pair per task on the work queue of [`polyinv_arith::par`], each
+//! into a fragment whose fresh unknowns are numbered from the template
+//! registry's length; the fragments are merged in pair order, their fresh
+//! ids shifted past the earlier fragments', into exactly the system the
+//! serial loop builds. Small reductions stay on that loop.
 
+use std::sync::{Mutex, PoisonError};
+
+use polyinv_arith::par::{configured_threads, parallel_indexed_until_bounded};
 use polyinv_arith::Rational;
 use polyinv_lang::{Cfg, Precondition, Program};
-use polyinv_poly::MonomialTable;
+use polyinv_poly::{IntTemplate, MonomialTable, QuadExpr};
 
 use crate::error::ConstraintError;
 use crate::pairs::{generate_pairs, ConstraintPair, PairOptions};
 use crate::putinar::translate_pair;
 use crate::system::QuadraticSystem;
 use crate::template::TemplateSet;
-use crate::unknowns::UnknownRegistry;
+use crate::unknowns::{UnknownKind, UnknownRegistry};
+
+/// Estimated Step-3 work (see [`translation_work`]) from which
+/// [`reduce_pairs`] translates the pairs on the work queue instead of in one
+/// loop. Below it, spawning workers and copying the monomial arena cost
+/// more than they save: every ϒ = 0 reduction of the Table 2/3 rows (at
+/// most 8,216, strict-inverted-pendulum) and of the seeded fuzz programs
+/// (at most 584) stays serial, as do the ϒ = 2 rows up to mannadiv
+/// (29,025); recursive-cube-sum (34,097) is the smallest parallel one. The
+/// measured figures are in DESIGN.md §2.
+const PARALLEL_WORK: usize = 32_768;
 
 /// All knobs of the reduction.
 #[derive(Debug, Clone)]
@@ -180,6 +202,18 @@ pub fn prepare(
 /// [`GeneratedSystem`]. Shared by [`generate`] and the staged pipeline's
 /// reduction stage. Takes ownership of the monomial table the templates and
 /// pairs were built into; it travels with the system.
+///
+/// Reductions of at least `PARALLEL_WORK` estimated work translate their
+/// pairs on [`configured_threads`] workers; the system is byte-identical
+/// at any thread count. The table then holds only what the pairs and their
+/// multiplier bases interned: the product monomials stay in the workers'
+/// copies (nothing downstream reads them).
+///
+/// # Errors
+///
+/// [`ConstraintError::ArithmeticOverflow`] when a coefficient of a pair's
+/// Putinar identity leaves the `i128` range — from the first such pair in
+/// pair order, at any thread count.
 pub fn reduce_pairs(
     templates: TemplateSet,
     registry: UnknownRegistry,
@@ -188,21 +222,140 @@ pub fn reduce_pairs(
     recursive: bool,
     precondition: Precondition,
     mut mono_table: MonomialTable,
-) -> GeneratedSystem {
-    let mut system = QuadraticSystem::new(registry);
-    for (index, pair) in pairs.iter().enumerate() {
-        translate_pair(pair, index, options, &mut system, &mut mono_table);
-    }
-    system.num_pairs = pairs.len();
-
-    GeneratedSystem {
+) -> Result<GeneratedSystem, ConstraintError> {
+    let workers = if translation_work(&pairs, options, &mut mono_table) >= PARALLEL_WORK {
+        configured_threads()
+    } else {
+        1
+    };
+    let system = translate_pairs(registry, &pairs, options, &mut mono_table, workers)?;
+    Ok(GeneratedSystem {
         system,
         templates,
         pairs,
         recursive,
         precondition,
         mono_table,
+    })
+}
+
+/// Interns every pair's multiplier and Gram bases in pair order and returns
+/// the estimated translation work: per pair, the multiplier basis size
+/// times one plus the number of context terms, the coefficient products of
+/// `Σ hᵢ·gᵢ`.
+///
+/// Interning the bases up front gives them the same ids in the table and in
+/// every copy of it, so the multipliers' term order — and with it the order
+/// in which each coefficient is accumulated — is the same on both paths of
+/// [`translate_pairs`].
+fn translation_work(
+    pairs: &[ConstraintPair],
+    options: &SynthesisOptions,
+    table: &mut MonomialTable,
+) -> usize {
+    pairs
+        .iter()
+        .map(|pair| {
+            let basis = table.basis_up_to_degree(&pair.scope_vars, options.upsilon);
+            table.basis_up_to_degree(&pair.scope_vars, options.upsilon / 2);
+            let context_terms: usize = pair.context.iter().map(IntTemplate::num_terms).sum();
+            basis.len() * (1 + context_terms)
+        })
+        .sum()
+}
+
+/// One pair's translation on the parallel path: its rows, and the kinds of
+/// its fresh unknowns, whose ids start at the template registry's length.
+struct Fragment {
+    kinds: Vec<UnknownKind>,
+    equalities: Vec<QuadExpr>,
+    inequalities: Vec<QuadExpr>,
+}
+
+/// Translates `pairs` into one system over `registry`: serially for one
+/// worker, otherwise one pair per task on `workers` threads, each worker
+/// with its own copy of `table`, merged in pair order.
+fn translate_pairs(
+    registry: UnknownRegistry,
+    pairs: &[ConstraintPair],
+    options: &SynthesisOptions,
+    table: &mut MonomialTable,
+    workers: usize,
+) -> Result<QuadraticSystem, ConstraintError> {
+    let mut system = QuadraticSystem::new(registry);
+    system.num_pairs = pairs.len();
+    if workers <= 1 {
+        for (index, pair) in pairs.iter().enumerate() {
+            translate_pair(pair, index, options, &mut system, table)?;
+        }
+        return Ok(system);
     }
+
+    // The output never depends on `MonoId` values (rows are emitted in
+    // graded-lexicographic order of the monomials themselves), so a worker
+    // may translate on any copy of the arena. Copies are handed back after
+    // each pair and reused, so each worker copies it about once. The lock
+    // guards only a push or a pop, which leave the list valid at every
+    // step, so a poisoned lock is recovered rather than passed on.
+    let base = system.registry.len();
+    let spare_tables = Mutex::new(Vec::new());
+    let template_registry = &system.registry;
+    let table: &MonomialTable = table;
+    let fragments = parallel_indexed_until_bounded(
+        pairs.len(),
+        workers,
+        |index, _| {
+            let spare = spare_tables
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop();
+            let mut local = spare.unwrap_or_else(|| table.clone());
+            let mut fragment = QuadraticSystem::new(template_registry.clone());
+            let translated =
+                translate_pair(&pairs[index], index, options, &mut fragment, &mut local);
+            spare_tables
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(local);
+            translated.map(|_| Fragment {
+                kinds: fragment
+                    .registry
+                    .iter()
+                    .skip(base)
+                    .map(|(_, kind)| kind.clone())
+                    .collect(),
+                equalities: fragment.equalities,
+                inequalities: fragment.inequalities,
+            })
+        },
+        Result::is_err,
+    );
+    // The queue cuts the list after the first failing pair, so this returns
+    // the error of the first failing pair in pair order.
+    let fragments = fragments.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    system
+        .equalities
+        .reserve(fragments.iter().map(|f| f.equalities.len()).sum());
+    system
+        .inequalities
+        .reserve(fragments.iter().map(|f| f.inequalities.len()).sum());
+    for fragment in fragments {
+        let shift = system.registry.len() - base;
+        for (rows, fragment_rows) in [
+            (&mut system.equalities, fragment.equalities),
+            (&mut system.inequalities, fragment.inequalities),
+        ] {
+            rows.extend(fragment_rows.into_iter().map(|mut row| {
+                row.shift_unknowns(base, shift);
+                row
+            }));
+        }
+        for kind in fragment.kinds {
+            system.registry.fresh(kind);
+        }
+    }
+    Ok(system)
 }
 
 /// Runs Steps 1–3 of `StrongInvSynth` / `RecStrongInvSynth`.
@@ -244,9 +397,9 @@ pub fn generate(
         PairOptions { recursive },
         &mut mono_table,
     )?;
-    Ok(reduce_pairs(
+    reduce_pairs(
         templates, registry, pairs, options, recursive, pre, mono_table,
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -254,6 +407,95 @@ mod tests {
     use super::*;
     use polyinv_lang::parse_program;
     use polyinv_lang::program::{RECURSIVE_EXAMPLE_SOURCE, RUNNING_EXAMPLE_SOURCE};
+
+    /// Steps 1–2 of `source` at `options`, as [`reduce_pairs`] receives them,
+    /// with the bases interned.
+    fn template_registry_and_pairs(
+        source: &str,
+        options: &SynthesisOptions,
+    ) -> (UnknownRegistry, Vec<ConstraintPair>, MonomialTable) {
+        let program = parse_program(source).unwrap();
+        let pre = Precondition::from_program(&program);
+        let (pre, recursive) = prepare(&program, &pre, options).unwrap();
+        let mut registry = UnknownRegistry::new();
+        let mut table = MonomialTable::new();
+        let templates = TemplateSet::build(
+            &program,
+            &mut registry,
+            options.degree,
+            options.size,
+            recursive,
+            &mut table,
+        );
+        let pairs = generate_pairs(
+            &program,
+            &Cfg::build(&program),
+            &pre,
+            &templates,
+            PairOptions { recursive },
+            &mut table,
+        )
+        .unwrap();
+        translation_work(&pairs, options, &mut table);
+        (registry, pairs, table)
+    }
+
+    #[test]
+    fn parallel_translation_merges_into_the_serial_system() {
+        // Both examples have template contexts (the t-variable path) and
+        // concrete ones; the recursive one has post-condition unknowns too.
+        for source in [RUNNING_EXAMPLE_SOURCE, RECURSIVE_EXAMPLE_SOURCE] {
+            let options = SynthesisOptions::default();
+            let (registry, pairs, table) = template_registry_and_pairs(source, &options);
+            let translate = |workers| {
+                translate_pairs(
+                    registry.clone(),
+                    &pairs,
+                    &options,
+                    &mut table.clone(),
+                    workers,
+                )
+                .unwrap()
+            };
+            let serial = translate(1);
+            assert!(serial.num_unknowns() > registry.len());
+            for workers in [2, 3, 8] {
+                let parallel = translate(workers);
+                assert_eq!(parallel.equalities, serial.equalities, "{workers} workers");
+                assert_eq!(parallel.inequalities, serial.inequalities);
+                assert!(parallel.registry.iter().eq(serial.registry.iter()));
+                assert_eq!(parallel.num_pairs, pairs.len());
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_names_the_first_failing_pair_at_any_worker_count() {
+        // Pairs 1 and 3 overflow at ϒ = 2 (2·2¹²⁶ leaves i128); 0 and 2 fit.
+        let mut table = MonomialTable::new();
+        let big = Rational::new(1i128 << 126, 1);
+        let pairs: Vec<ConstraintPair> = [Rational::one(), big, Rational::one(), big]
+            .into_iter()
+            .map(|c| crate::putinar::tests::scaled_context_pair(c, &mut table))
+            .collect();
+        let options = SynthesisOptions::default();
+        translation_work(&pairs, &options, &mut table);
+        for workers in [1, 2, 8] {
+            let result = translate_pairs(
+                UnknownRegistry::new(),
+                &pairs,
+                &options,
+                &mut table.clone(),
+                workers,
+            );
+            match result {
+                Err(ConstraintError::ArithmeticOverflow { context }) => {
+                    assert_eq!(context, "the Putinar identity of pair 1 (test)")
+                }
+                other => panic!("expected an overflow error, got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn running_example_generates_a_system_of_plausible_size() {

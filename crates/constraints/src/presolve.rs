@@ -588,19 +588,21 @@ fn apply_known_products(
     }
     let mut out = QuadExpr::constant(expr.constant_part());
     for &(u, c) in expr.linear_terms() {
-        out.add_linear(u, c);
+        out.add_linear(u, c).ok()?;
     }
     let mut changed = false;
     for &((a, b), c) in expr.quadratic_terms() {
         match products.get(&(a, b)) {
-            Some(&(index, value)) if defining != Some(index) => match c.checked_mul(&value) {
-                Ok(term) => {
-                    out.add_constant(term);
-                    changed = true;
+            Some(&(index, value)) if defining != Some(index) => {
+                match c
+                    .checked_mul(&value)
+                    .and_then(|term| out.add_constant(term))
+                {
+                    Ok(()) => changed = true,
+                    Err(_) => out.add_quadratic(a, b, c).ok()?,
                 }
-                Err(_) => out.add_quadratic(a, b, c),
-            },
-            _ => out.add_quadratic(a, b, c),
+            }
+            _ => out.add_quadratic(a, b, c).ok()?,
         }
     }
     changed.then_some(out)
@@ -726,13 +728,15 @@ fn free_pair_value(
     let divisor = -coeff;
     let mut value = QuadExpr::constant(row.constant_part().checked_div(&divisor).ok()?);
     for &(u, c) in row.linear_terms() {
-        value.add_linear(u, c.checked_div(&divisor).ok()?);
+        value.add_linear(u, c.checked_div(&divisor).ok()?).ok()?;
     }
     for &((x, y), c) in row.quadratic_terms() {
         if (x, y) == (plus, plus) || (x, y) == (minus, minus) {
             continue;
         }
-        value.add_quadratic(x, y, c.checked_div(&divisor).ok()?);
+        value
+            .add_quadratic(x, y, c.checked_div(&divisor).ok()?)
+            .ok()?;
     }
     Some(value)
 }
@@ -823,10 +827,11 @@ fn solved_rhs(expr: &QuadExpr, unknown: UnknownId, coeff: Rational) -> Option<Qu
         if u == unknown {
             continue;
         }
-        rhs.add_linear(u, c.checked_div(&divisor).ok()?);
+        rhs.add_linear(u, c.checked_div(&divisor).ok()?).ok()?;
     }
     for &((a, b), c) in expr.quadratic_terms() {
-        rhs.add_quadratic(a, b, c.checked_div(&divisor).ok()?);
+        rhs.add_quadratic(a, b, c.checked_div(&divisor).ok()?)
+            .ok()?;
     }
     Some(rhs)
 }
@@ -879,26 +884,14 @@ fn substitute_expr(expr: &QuadExpr, subs: &HashMap<UnknownId, QuadExpr>) -> Opti
     let mut out = QuadExpr::constant(expr.constant_part());
     for &(u, c) in expr.linear_terms() {
         match subs.get(&u) {
-            None => out.add_linear(u, c),
-            Some(rhs) => add_scaled_checked(&mut out, rhs, c)?,
+            None => out.add_linear(u, c).ok()?,
+            Some(rhs) => out.add_scaled(rhs, c).ok()?,
         }
     }
     for &((a, b), c) in expr.quadratic_terms() {
         add_product_checked(&mut out, c, subs.get(&a), a, subs.get(&b), b)?;
     }
     Some(out)
-}
-
-/// `out += factor · rhs` with checked arithmetic.
-fn add_scaled_checked(out: &mut QuadExpr, rhs: &QuadExpr, factor: Rational) -> Option<()> {
-    out.add_constant(factor.checked_mul(&rhs.constant_part()).ok()?);
-    for &(u, c) in rhs.linear_terms() {
-        out.add_linear(u, factor.checked_mul(&c).ok()?);
-    }
-    for &((x, y), c) in rhs.quadratic_terms() {
-        out.add_quadratic(x, y, factor.checked_mul(&c).ok()?);
-    }
-    Some(())
 }
 
 /// `out += c · A · B` where each factor is either a live unknown or its
@@ -923,7 +916,7 @@ fn add_product_checked(
     };
     match (ra, rb) {
         (None, None) => {
-            out.add_quadratic(a, b, c);
+            out.add_quadratic(a, b, c).ok()?;
         }
         (Some(ra), None) | (None, Some(ra)) => {
             // The free factor contributes degree one.
@@ -931,9 +924,10 @@ fn add_product_checked(
                 return None;
             }
             let free = if rb.is_none() { b } else { a };
-            out.add_linear(free, c.checked_mul(&ra.constant_part()).ok()?);
+            out.add_linear(free, c.checked_mul(&ra.constant_part()).ok()?)
+                .ok()?;
             for &(x, k) in ra.linear_terms() {
-                out.add_quadratic(x, free, c.checked_mul(&k).ok()?);
+                out.add_quadratic(x, free, c.checked_mul(&k).ok()?).ok()?;
             }
         }
         (Some(ra), Some(rb)) => {
@@ -941,23 +935,29 @@ fn add_product_checked(
                 return None;
             }
             let (ca, cb) = (ra.constant_part(), rb.constant_part());
-            out.add_constant(c.checked_mul(&ca).ok()?.checked_mul(&cb).ok()?);
+            out.add_constant(c.checked_mul(&ca).ok()?.checked_mul(&cb).ok()?)
+                .ok()?;
             for &(x, k) in ra.linear_terms() {
-                out.add_linear(x, c.checked_mul(&k).ok()?.checked_mul(&cb).ok()?);
+                out.add_linear(x, c.checked_mul(&k).ok()?.checked_mul(&cb).ok()?)
+                    .ok()?;
             }
             for &(y, k) in rb.linear_terms() {
-                out.add_linear(y, c.checked_mul(&k).ok()?.checked_mul(&ca).ok()?);
+                out.add_linear(y, c.checked_mul(&k).ok()?.checked_mul(&ca).ok()?)
+                    .ok()?;
             }
             for &(x, kx) in ra.linear_terms() {
                 for &(y, ky) in rb.linear_terms() {
-                    out.add_quadratic(x, y, c.checked_mul(&kx).ok()?.checked_mul(&ky).ok()?);
+                    out.add_quadratic(x, y, c.checked_mul(&kx).ok()?.checked_mul(&ky).ok()?)
+                        .ok()?;
                 }
             }
             for &((x, y), k) in ra.quadratic_terms() {
-                out.add_quadratic(x, y, c.checked_mul(&k).ok()?.checked_mul(&cb).ok()?);
+                out.add_quadratic(x, y, c.checked_mul(&k).ok()?.checked_mul(&cb).ok()?)
+                    .ok()?;
             }
             for &((x, y), k) in rb.quadratic_terms() {
-                out.add_quadratic(x, y, c.checked_mul(&k).ok()?.checked_mul(&ca).ok()?);
+                out.add_quadratic(x, y, c.checked_mul(&k).ok()?.checked_mul(&ca).ok()?)
+                    .ok()?;
             }
         }
     }
@@ -1024,10 +1024,10 @@ fn normalize_row(expr: QuadExpr, equality: bool) -> QuadExpr {
 fn checked_unscale(expr: &QuadExpr, factor: Rational) -> Option<QuadExpr> {
     let mut out = QuadExpr::constant(expr.constant_part().checked_div(&factor).ok()?);
     for &(u, c) in expr.linear_terms() {
-        out.add_linear(u, c.checked_div(&factor).ok()?);
+        out.add_linear(u, c.checked_div(&factor).ok()?).ok()?;
     }
     for &((a, b), c) in expr.quadratic_terms() {
-        out.add_quadratic(a, b, c.checked_div(&factor).ok()?);
+        out.add_quadratic(a, b, c.checked_div(&factor).ok()?).ok()?;
     }
     Some(out)
 }
@@ -1040,7 +1040,7 @@ mod tests {
     fn affine(terms: &[(UnknownId, i64)], constant: i64) -> QuadExpr {
         let mut expr = QuadExpr::constant(Rational::from_int(constant));
         for &(u, c) in terms {
-            expr.add_linear(u, Rational::from_int(c));
+            expr.add_linear(u, Rational::from_int(c)).unwrap();
         }
         expr
     }
@@ -1061,7 +1061,7 @@ mod tests {
         system.equalities.push(affine(&[(x, 2)], -4));
         system.equalities.push(affine(&[(x, 1), (y, 1)], -5));
         let mut quad = affine(&[(y, 1), (z, -1)], -5);
-        quad.add_quadratic(x, z, Rational::one());
+        quad.add_quadratic(x, z, Rational::one()).unwrap();
         system.equalities.push(quad);
 
         let result = presolve(&system, &HashMap::new(), &PresolveOptions::default());
@@ -1110,7 +1110,7 @@ mod tests {
         let [s, t] = [ids[0], ids[1]];
         // s·t - 6 = 0 is quadratic until the pin s := 2 arrives.
         let mut row = QuadExpr::constant(Rational::from_int(-6));
-        row.add_quadratic(s, t, Rational::one());
+        row.add_quadratic(s, t, Rational::one()).unwrap();
         system.equalities.push(row);
 
         let pins: HashMap<UnknownId, Rational> = [(s, Rational::from_int(2))].into_iter().collect();
@@ -1130,7 +1130,7 @@ mod tests {
         // x·y - 2w + 6 = 0 defines w := (x·y + 6)/2 (w occurs nowhere
         // quadratically); 3w + x - 3 = 0 then becomes quadratic in x, y.
         let mut def = affine(&[(w, -2)], 6);
-        def.add_quadratic(x, y, Rational::one());
+        def.add_quadratic(x, y, Rational::one()).unwrap();
         system.equalities.push(def);
         system.equalities.push(affine(&[(w, 3), (x, 1)], -3));
 
@@ -1159,11 +1159,11 @@ mod tests {
         let [x, y, z] = [ids[0], ids[1], ids[2]];
         // x² + 2y² = 0 forces x = y = 0; z² - 4 = 0 stays (two roots).
         let mut squares = QuadExpr::zero();
-        squares.add_quadratic(x, x, Rational::one());
-        squares.add_quadratic(y, y, Rational::from_int(2));
+        squares.add_quadratic(x, x, Rational::one()).unwrap();
+        squares.add_quadratic(y, y, Rational::from_int(2)).unwrap();
         system.equalities.push(squares);
         let mut two_roots = QuadExpr::constant(Rational::from_int(-4));
-        two_roots.add_quadratic(z, z, Rational::one());
+        two_roots.add_quadratic(z, z, Rational::one()).unwrap();
         system.equalities.push(two_roots);
 
         let result = presolve(&system, &HashMap::new(), &PresolveOptions::default());
@@ -1201,10 +1201,10 @@ mod tests {
         let (mut system, ids) = fresh_system(2);
         let [x, y] = [ids[0], ids[1]];
         let mut quad = QuadExpr::zero();
-        quad.add_quadratic(x, x, Rational::one());
-        quad.add_quadratic(y, y, Rational::from_int(-3));
-        quad.add_linear(y, Rational::from_int(2));
-        quad.add_linear(x, Rational::from_int(5));
+        quad.add_quadratic(x, x, Rational::one()).unwrap();
+        quad.add_quadratic(y, y, Rational::from_int(-3)).unwrap();
+        quad.add_linear(y, Rational::from_int(2)).unwrap();
+        quad.add_linear(x, Rational::from_int(5)).unwrap();
         system.equalities.push(quad.clone());
         system.equalities.push(quad.scale(Rational::from_int(-3)));
         system.inequalities.push(quad.clone());
@@ -1271,9 +1271,9 @@ mod tests {
         // A row whose unknowns cannot be eliminated (both occur
         // quadratically): -2x + 4y + 8x·y + 4x² + 4y² + 6 = 0.
         let mut row = affine(&[(x, -2), (y, 4)], 6);
-        row.add_quadratic(x, y, Rational::from_int(8));
-        row.add_quadratic(x, x, Rational::from_int(4));
-        row.add_quadratic(y, y, Rational::from_int(4));
+        row.add_quadratic(x, y, Rational::from_int(8)).unwrap();
+        row.add_quadratic(x, x, Rational::from_int(4)).unwrap();
+        row.add_quadratic(y, y, Rational::from_int(4)).unwrap();
         system.equalities.push(row);
         let result = presolve(&system, &HashMap::new(), &PresolveOptions::default());
         let eq = &result.system.equalities[0];
@@ -1291,8 +1291,8 @@ mod tests {
         // 2u + 3 ≥ 0, so the bound drops and u is rectified non-negative;
         // v's bound −3v + 6 ≥ 0 rectifies it non-positive the same way.
         let mut eq = QuadExpr::constant(Rational::from_int(-4));
-        eq.add_quadratic(u, u, Rational::one());
-        eq.add_quadratic(v, v, Rational::one());
+        eq.add_quadratic(u, u, Rational::one()).unwrap();
+        eq.add_quadratic(v, v, Rational::one()).unwrap();
         system.equalities.push(eq);
         system.inequalities.push(affine(&[(u, 2)], 3));
         system.inequalities.push(affine(&[(v, -3)], 6));
@@ -1331,11 +1331,11 @@ mod tests {
         // the row drops and both unknowns leave the search space. x survives
         // because it also occurs squared in x² − 9 = 0.
         let mut pair_row = affine(&[(x, -1)], 1);
-        pair_row.add_quadratic(a, a, Rational::one());
-        pair_row.add_quadratic(b, b, -Rational::one());
+        pair_row.add_quadratic(a, a, Rational::one()).unwrap();
+        pair_row.add_quadratic(b, b, -Rational::one()).unwrap();
         system.equalities.push(pair_row);
         let mut keep_x = QuadExpr::constant(Rational::from_int(-9));
-        keep_x.add_quadratic(x, x, Rational::one());
+        keep_x.add_quadratic(x, x, Rational::one()).unwrap();
         system.equalities.push(keep_x);
 
         let result = presolve(&system, &HashMap::new(), &PresolveOptions::default());

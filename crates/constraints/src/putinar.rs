@@ -22,12 +22,23 @@
 //! the table's per-`(scope, degree)` cache, and the right-hand side of (†)
 //! accumulates into a hash-indexed [`QuadAccumulator`] whose coefficient
 //! merges are in place — no `BTreeMap` rebuilds or cloned coefficient
-//! expressions on the hot path.
+//! expressions on the hot path; each template product's terms go straight
+//! into their slot ([`QuadExpr::add_product`]). Every coefficient operation
+//! is checked, so constants that leave `i128` surface as
+//! [`ConstraintError::ArithmeticOverflow`], never as a panic.
+//!
+//! A pair reads nothing of the others: its unknowns are fresh, numbered
+//! from the registry's current length, and its rows come out in
+//! graded-lexicographic order of the monomials, whatever `MonoId`s the
+//! arena gave them. [`crate::reduce_pairs`] relies on both to translate
+//! large systems' pairs in parallel, each into a fragment on its own copy
+//! of the arena, and merge them into the system the serial loop builds.
 
-use polyinv_arith::Rational;
+use polyinv_arith::{Rational, RationalError};
 use polyinv_poly::interned::QuadAccumulator;
 use polyinv_poly::{IntTemplate, LinExpr, MonoId, MonomialTable, QuadExpr, UnknownId};
 
+use crate::error::ConstraintError;
 use crate::options::SynthesisOptions;
 use crate::pairs::ConstraintPair;
 use crate::system::QuadraticSystem;
@@ -42,14 +53,44 @@ use crate::unknowns::UnknownKind;
 /// (the paper's `ε` is strictly positive; a concrete lower bound keeps the
 /// numeric solver away from the degenerate `ε = 0` solutions). A
 /// sum-of-squares multiplier has even degree, so an odd `ϒ` rounds down.
+///
+/// The pair's fresh unknowns are numbered from `system.registry.len()` on,
+/// and the only other state it reads is the monomial arena. So a pair can
+/// be translated into a fragment of its own — a system over a copy of the
+/// template registry — and spliced in later by shifting those fresh ids;
+/// [`crate::reduce_pairs`] does that to translate pairs in parallel.
+///
+/// # Errors
+///
+/// [`ConstraintError::ArithmeticOverflow`] when a coefficient of the
+/// identity leaves the `i128` range; `system` then holds a partial
+/// translation of the pair.
 pub fn translate_pair(
     pair: &ConstraintPair,
     pair_index: usize,
     options: &SynthesisOptions,
     system: &mut QuadraticSystem,
     table: &mut MonomialTable,
-) -> usize {
+) -> Result<usize, ConstraintError> {
     let before = system.size();
+    translate(pair, pair_index, options, system, table).map_err(|_| {
+        ConstraintError::ArithmeticOverflow {
+            context: format!(
+                "the Putinar identity of pair {pair_index} ({})",
+                pair.description
+            ),
+        }
+    })?;
+    Ok(system.size() - before)
+}
+
+fn translate(
+    pair: &ConstraintPair,
+    pair_index: usize,
+    options: &SynthesisOptions,
+    system: &mut QuadraticSystem,
+    table: &mut MonomialTable,
+) -> Result<(), RationalError> {
     let upsilon = options.upsilon;
     let half_degree = upsilon / 2;
 
@@ -66,11 +107,11 @@ pub fn translate_pair(
         .registry
         .fresh(UnknownKind::Witness { pair: pair_index });
     let mut eps_term = QuadExpr::zero();
-    eps_term.add_linear(eps, Rational::one());
-    rhs.add_term(MonoId::ONE, &eps_term);
+    eps_term.add_linear(eps, Rational::one())?;
+    rhs.add_term(MonoId::ONE, &eps_term)?;
     // ε ≥ ε_lower.
     let mut eps_bound = QuadExpr::constant(-options.epsilon_lower);
-    eps_bound.add_linear(eps, Rational::one());
+    eps_bound.add_linear(eps, Rational::one())?;
     system.inequalities.push(eps_bound);
 
     // Multipliers: h₀ (multiplied by the constant 1) plus one per context
@@ -81,7 +122,7 @@ pub fn translate_pair(
         std::iter::once(&one).chain(pair.context.iter()).collect();
     for (multiplier_index, g_i) in context_polys.iter().enumerate() {
         let expansion =
-            build_cholesky_expansion(pair_index, multiplier_index, &gram_basis, system, table);
+            build_cholesky_expansion(pair_index, multiplier_index, &gram_basis, system, table)?;
         if g_i.is_concrete() {
             // `gᵢ` has no template unknowns (the constant 1, guard atoms,
             // pre-condition polynomials), so `hᵢ·gᵢ` stays quadratic even
@@ -95,7 +136,7 @@ pub fn translate_pair(
                         table.mul(mono_h, mono_g),
                         contribution,
                         coeff.constant_part(),
-                    );
+                    )?;
                 }
             }
         } else {
@@ -108,24 +149,24 @@ pub fn translate_pair(
                 &multiplier_basis,
                 &expansion,
                 system,
-            );
-            rhs.add_mul_template(&h_i, g_i, table);
+            )?;
+            rhs.add_mul_template(&h_i, g_i, table)?;
         }
     }
 
     // Coefficient matching: every monomial of lhs − rhs must vanish, where
     // the left-hand side is the goal polynomial. The accumulated rhs is
     // negated in place (it is the large side) and the goal added on top.
-    rhs.negate_then_add_template(&pair.goal);
+    rhs.negate_then_add_template(&pair.goal)?;
     let mut terms = rhs.into_terms();
     // Emit in graded-lexicographic monomial order: deterministic, and
-    // identical to the order of the previous `BTreeMap`-keyed core.
+    // independent of the arena's `MonoId` numbering (the order compares the
+    // monomials themselves), so any copy of the arena emits the same rows.
     table.sort_terms(&mut terms);
     for (_, coeff) in terms {
         system.equalities.push(coeff);
     }
-
-    system.size() - before
+    Ok(())
 }
 
 /// Allocates the Cholesky factor of one multiplier `hᵢ` — fresh l-variables
@@ -139,7 +180,7 @@ fn build_cholesky_expansion(
     gram_basis: &[MonoId],
     system: &mut QuadraticSystem,
     table: &mut MonomialTable,
-) -> QuadAccumulator {
+) -> Result<QuadAccumulator, RationalError> {
     // l-variables: lower triangle (row ≥ col) of the Cholesky factor.
     let dim = gram_basis.len();
     let mut l = vec![vec![None::<UnknownId>; dim]; dim];
@@ -155,7 +196,7 @@ fn build_cholesky_expansion(
             if row == col {
                 // Diagonal entries are non-negative.
                 let mut diag = QuadExpr::zero();
-                diag.add_linear(id, Rational::one());
+                diag.add_linear(id, Rational::one())?;
                 system.inequalities.push(diag);
             }
         }
@@ -176,11 +217,11 @@ fn build_cholesky_expansion(
                 let (Some(a), Some(b)) = (l[j][c], l[k][c]) else {
                     continue;
                 };
-                contribution.add_quadratic(a, b, factor);
+                contribution.add_quadratic(a, b, factor)?;
             }
         }
     }
-    expansion
+    Ok(expansion)
 }
 
 /// Aliases a Cholesky expansion through fresh t-variables, producing the
@@ -199,7 +240,7 @@ fn alias_through_multiplier_unknowns(
     multiplier_basis: &[MonoId],
     expansion: &QuadAccumulator,
     system: &mut QuadraticSystem,
-) -> IntTemplate {
+) -> Result<IntTemplate, RationalError> {
     let mut h = IntTemplate::zero();
     let mut t_vars: Vec<(MonoId, UnknownId)> = Vec::with_capacity(multiplier_basis.len());
     for (monomial_index, &monomial) in multiplier_basis.iter().enumerate() {
@@ -213,9 +254,9 @@ fn alias_through_multiplier_unknowns(
     }
     for &(monomial, t) in &t_vars {
         let mut eq = QuadExpr::zero();
-        eq.add_linear(t, Rational::one());
+        eq.add_linear(t, Rational::one())?;
         if let Some(contribution) = expansion.get(monomial) {
-            eq.sub_expr(contribution);
+            eq.sub_expr(contribution)?;
         }
         system.equalities.push(eq);
     }
@@ -224,15 +265,15 @@ fn alias_through_multiplier_unknowns(
             // Should not happen: the Gram basis squares stay within the
             // multiplier basis. Kept as a defensive equality.
             let mut eq = QuadExpr::zero();
-            eq.sub_expr(contribution);
+            eq.sub_expr(contribution)?;
             system.equalities.push(eq);
         }
     }
-    h
+    Ok(h)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pairs::{ConstraintPair, PairKind};
     use crate::unknowns::UnknownRegistry;
@@ -264,7 +305,7 @@ mod tests {
         let pair = simple_pair(&mut table);
         let mut system = QuadraticSystem::new(UnknownRegistry::new());
         let options = SynthesisOptions::default();
-        translate_pair(&pair, 0, &options, &mut system, &mut table);
+        translate_pair(&pair, 0, &options, &mut system, &mut table).unwrap();
         // One variable x, ϒ = 2: Gram basis {1, x} (2 monomials). Both
         // context polynomials (1 and x) are concrete, so the t-variable
         // aliases are eliminated and hᵢ's coefficients are the (L·Lᵀ)
@@ -308,7 +349,8 @@ mod tests {
             &SynthesisOptions::default(),
             &mut system,
             &mut table,
-        );
+        )
+        .unwrap();
         // Unknowns: s + ε + 3 l (h₀, eliminated) + 3 t + 3 l (h₁) = 11.
         assert_eq!(system.num_unknowns(), 11);
         // Equalities: 3 t-aliases for h₁ + matching over {1, x, x², x³} = 7.
@@ -332,7 +374,8 @@ mod tests {
             &SynthesisOptions::default(),
             &mut system,
             &mut table,
-        );
+        )
+        .unwrap();
         // Assignment: ε = 1, L₀ = identity (so h₀ = yᵀ·L₀·L₀ᵀ·y = 1 + x²
         // over y = {1, x}), L₁ = 0. Then rhs = 1 + (1 + x²) and
         // lhs = x + 1, so the difference has coefficients
@@ -364,13 +407,46 @@ mod tests {
         assert_eq!(sorted, vec![0.0, 1.0, 1.0, 1.0]);
     }
 
+    /// `{c·x ≥ 0} ⇒ x + 1 > 0` over one variable.
+    pub(crate) fn scaled_context_pair(c: Rational, table: &mut MonomialTable) -> ConstraintPair {
+        let x = VarId::new(0);
+        let mut pair = simple_pair(table);
+        pair.context = vec![IntTemplate::from_polynomial(
+            &Polynomial::variable(x).scale(c),
+            table,
+        )];
+        pair
+    }
+
+    #[test]
+    fn coefficients_past_i128_are_an_overflow_error_not_a_panic() {
+        // At ϒ = 2 the off-diagonal Cholesky products count twice: a context
+        // coefficient c puts 2c into the identity. 2·2¹²⁵ fits i128;
+        // 2·2¹²⁶ = 2¹²⁷ is one past i128::MAX. At ϒ = 0 nothing doubles.
+        let translate = |exponent: u32, upsilon: u32| {
+            let mut table = MonomialTable::new();
+            let pair = scaled_context_pair(Rational::new(1i128 << exponent, 1), &mut table);
+            let mut system = QuadraticSystem::new(UnknownRegistry::new());
+            let options = SynthesisOptions::default().with_upsilon(upsilon);
+            translate_pair(&pair, 3, &options, &mut system, &mut table)
+        };
+        assert!(translate(125, 2).is_ok());
+        assert!(translate(126, 0).is_ok());
+        match translate(126, 2) {
+            Err(ConstraintError::ArithmeticOverflow { context }) => {
+                assert_eq!(context, "the Putinar identity of pair 3 (test)")
+            }
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn upsilon_zero_still_produces_constant_multipliers() {
         let mut table = MonomialTable::new();
         let pair = simple_pair(&mut table);
         let mut system = QuadraticSystem::new(UnknownRegistry::new());
         let options = SynthesisOptions::default().with_upsilon(0);
-        let added = translate_pair(&pair, 0, &options, &mut system, &mut table);
+        let added = translate_pair(&pair, 0, &options, &mut system, &mut table).unwrap();
         assert!(added > 0);
         // Multiplier basis = {1}: each hᵢ is a single non-negative constant
         // (l², with the t-alias eliminated for the concrete contexts).

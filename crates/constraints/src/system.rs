@@ -81,12 +81,16 @@ mod tests {
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
         let mut system = QuadraticSystem::new(registry);
         // u - 2 = 0 and u >= 0.
-        let mut shifted = LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one()));
-        shifted.add_constant(Rational::from_int(-2));
+        let mut shifted = LinExpr::unknown(u)
+            .mul(&LinExpr::constant(Rational::one()))
+            .unwrap();
+        shifted.add_constant(Rational::from_int(-2)).unwrap();
         system.equalities.push(shifted);
-        system
-            .inequalities
-            .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
+        system.inequalities.push(
+            LinExpr::unknown(u)
+                .mul(&LinExpr::constant(Rational::one()))
+                .unwrap(),
+        );
         assert_eq!(system.max_violation(&[2.0]), 0.0);
         assert!((system.max_violation(&[0.0]) - 2.0).abs() < 1e-12);
         assert!((system.max_violation(&[3.0]) - 1.0).abs() < 1e-12);
@@ -101,9 +105,11 @@ mod tests {
         let mut registry = UnknownRegistry::new();
         let u = registry.fresh(UnknownKind::Witness { pair: 0 });
         let mut system = QuadraticSystem::new(registry);
-        system
-            .inequalities
-            .push(LinExpr::unknown(u).mul(&LinExpr::constant(Rational::one())));
+        system.inequalities.push(
+            LinExpr::unknown(u)
+                .mul(&LinExpr::constant(Rational::one()))
+                .unwrap(),
+        );
         assert_eq!(system.max_violation(&[1.0]), 0.0);
         assert_eq!(system.max_violation(&[f64::NAN]), f64::INFINITY);
     }

@@ -129,16 +129,17 @@ fn build(plan: &SystemPlan) -> (QuadraticSystem, Vec<Rational>, HashMap<UnknownI
             RowPlan::Equality { linear, quad } | RowPlan::Inequality { linear, quad, .. } => {
                 let mut expr = QuadExpr::zero();
                 for &(u, c) in linear {
-                    expr.add_linear(ids[u % n], Rational::from_int(c));
+                    expr.add_linear(ids[u % n], Rational::from_int(c)).unwrap();
                 }
                 for &(a, b, c) in quad {
-                    expr.add_quadratic(ids[a % n], ids[b % n], Rational::from_int(c));
+                    expr.add_quadratic(ids[a % n], ids[b % n], Rational::from_int(c))
+                        .unwrap();
                 }
-                expr.add_constant(-at_witness(&expr));
+                expr.add_constant(-at_witness(&expr)).unwrap();
                 match row {
                     RowPlan::Equality { .. } => system.equalities.push(expr),
                     RowPlan::Inequality { slack, .. } => {
-                        expr.add_constant(Rational::from_int(*slack));
+                        expr.add_constant(Rational::from_int(*slack)).unwrap();
                         system.inequalities.push(expr);
                     }
                     _ => unreachable!(),
@@ -150,16 +151,18 @@ fn build(plan: &SystemPlan) -> (QuadraticSystem, Vec<Rational>, HashMap<UnknownI
                 slack,
             } => {
                 let mut expr = QuadExpr::zero();
-                expr.add_linear(ids[unknown % n], Rational::from_int(*coeff));
+                expr.add_linear(ids[unknown % n], Rational::from_int(*coeff))
+                    .unwrap();
                 let anchor = at_witness(&expr);
-                expr.add_constant(Rational::from_int(*slack) - anchor);
+                expr.add_constant(Rational::from_int(*slack) - anchor)
+                    .unwrap();
                 system.inequalities.push(expr);
             }
             RowPlan::Square { unknown } => {
                 let mut expr = QuadExpr::zero();
                 let id = ids[unknown % n];
-                expr.add_quadratic(id, id, Rational::one());
-                expr.add_constant(-at_witness(&expr));
+                expr.add_quadratic(id, id, Rational::one()).unwrap();
+                expr.add_constant(-at_witness(&expr)).unwrap();
                 system.equalities.push(expr);
             }
         }

@@ -183,7 +183,7 @@ pub fn check_inductive(
     // equalities with simple variable bounds, which the projected
     // Levenberg–Marquardt solver handles robustly. Independence also means
     // the pairs certify in parallel.
-    let certificates = parallel_indexed(pairs.len(), |index| {
+    let certificates = parallel_indexed(pairs.len(), |index| -> Result<_, ConstraintError> {
         let pair = &pairs[index];
         let mut certified = false;
         let mut problem_size = 0;
@@ -193,7 +193,7 @@ pub fn check_inductive(
         let mut table = mono_table.clone();
         for rung in &rungs {
             let mut system = QuadraticSystem::new(UnknownRegistry::new());
-            translate_pair(pair, index, rung, &mut system, &mut table);
+            translate_pair(pair, index, rung, &mut system, &mut table)?;
             let problem = system_to_problem(&system);
             problem_size = problem_size.max(problem.equalities.len() + problem.inequalities.len());
             // A slightly positive warm start keeps the Cholesky diagonals and
@@ -204,14 +204,16 @@ pub fn check_inductive(
                 break;
             }
         }
-        PairCertificate {
+        Ok(PairCertificate {
             description: pair.description.clone(),
             kind: pair.kind,
             certified,
             problem_size,
-        }
+        })
     });
-    Ok(CheckReport { certificates })
+    Ok(CheckReport {
+        certificates: certificates.into_iter().collect::<Result<_, _>>()?,
+    })
 }
 
 #[cfg(test)]

@@ -116,7 +116,7 @@ impl Pipeline {
             ctx.recursive,
             ctx.precondition.clone(),
             mono_table,
-        );
+        )?;
         ctx.note(format!(
             "reduction: |S| = {}, {} unknown(s)",
             generated.size(),

@@ -373,50 +373,62 @@ impl QuadAccumulator {
         &mut self.terms[pos].1
     }
 
-    /// Adds `factor · coefficient · monomial`.
-    pub fn add_scaled_term(&mut self, id: MonoId, coefficient: &QuadExpr, factor: Rational) {
+    /// Adds `factor · coefficient · monomial`, or `Overflow` when a
+    /// coefficient leaves `i128` (the accumulator is then unspecified).
+    pub fn add_scaled_term(
+        &mut self,
+        id: MonoId,
+        coefficient: &QuadExpr,
+        factor: Rational,
+    ) -> Result<(), RationalError> {
         if factor.is_zero() || coefficient.is_zero() {
-            return;
+            return Ok(());
         }
-        self.slot(id).add_scaled(coefficient, factor);
+        self.slot(id).add_scaled(coefficient, factor)
     }
 
-    /// Adds `coefficient · monomial`.
-    pub fn add_term(&mut self, id: MonoId, coefficient: &QuadExpr) {
+    /// Adds `coefficient · monomial`, or `Overflow` when a coefficient
+    /// leaves `i128` (the accumulator is then unspecified).
+    pub fn add_term(&mut self, id: MonoId, coefficient: &QuadExpr) -> Result<(), RationalError> {
         if coefficient.is_zero() {
-            return;
+            return Ok(());
         }
-        self.slot(id).add_expr(coefficient);
+        self.slot(id).add_expr(coefficient)
     }
 
-    /// Accumulates the product of two templates (`hᵢ·gᵢ`).
+    /// Accumulates the product of two templates (`hᵢ·gᵢ`), each coefficient
+    /// product added in place ([`QuadExpr::add_product`]). `Overflow` when a
+    /// coefficient leaves `i128` (the accumulator is then unspecified).
     pub fn add_mul_template(
         &mut self,
         a: &IntTemplate,
         b: &IntTemplate,
         table: &mut MonomialTable,
-    ) {
+    ) -> Result<(), RationalError> {
         for &(ma, ref ca) in a.terms() {
             for &(mb, ref cb) in b.terms() {
-                let q = ca.mul(cb);
-                if !q.is_zero() {
-                    self.slot(table.mul(ma, mb)).add_expr(&q);
-                }
+                self.slot(table.mul(ma, mb)).add_product(ca, cb)?;
             }
         }
+        Ok(())
     }
 
     /// Negates every accumulated coefficient in place, then adds the
     /// template's affine coefficients — turning an accumulated right-hand
     /// side `Σ hᵢ·gᵢ + ε` into the coefficient difference `goal − rhs`
-    /// without copying the (much larger) accumulated side.
-    pub fn negate_then_add_template(&mut self, template: &IntTemplate) {
+    /// without copying the (much larger) accumulated side. `Overflow` when a
+    /// coefficient leaves `i128` (the accumulator is then unspecified).
+    pub fn negate_then_add_template(
+        &mut self,
+        template: &IntTemplate,
+    ) -> Result<(), RationalError> {
         for (_, coeff) in &mut self.terms {
             coeff.negate_in_place();
         }
         for &(m, ref lin) in template.terms() {
-            self.slot(m).add_lin(lin);
+            self.slot(m).add_lin(lin)?;
         }
+        Ok(())
     }
 
     /// Consumes the accumulator, returning the non-zero terms (unsorted —
@@ -525,7 +537,7 @@ mod tests {
         let expected = &a.instantiate(&table, assignment) * &b.instantiate(&table, assignment);
 
         let mut acc = QuadAccumulator::new();
-        acc.add_mul_template(&a, &b, &mut table);
+        acc.add_mul_template(&a, &b, &mut table).unwrap();
         let product = Polynomial::from_terms(acc.into_terms().into_iter().map(|(m, coeff)| {
             let value = coeff.checked_eval_rational(assignment).unwrap();
             (value, table.monomial(m).clone())
@@ -539,9 +551,9 @@ mod tests {
         let x = table.var(v(0));
         let mut acc = QuadAccumulator::new();
         let mut coeff = QuadExpr::zero();
-        coeff.add_linear(UnknownId::new(0), int(3));
-        acc.add_term(x, &coeff);
-        acc.add_scaled_term(x, &coeff, int(-1));
+        coeff.add_linear(UnknownId::new(0), int(3)).unwrap();
+        acc.add_term(x, &coeff).unwrap();
+        acc.add_scaled_term(x, &coeff, int(-1)).unwrap();
         assert!(acc.into_terms().is_empty());
     }
 

@@ -218,13 +218,21 @@ impl PartialOrd for Monomial {
     }
 }
 
+impl Monomial {
+    /// The tie-break of the graded order between monomials of equal degree:
+    /// the exponent vectors compared lexicographically.
+    pub(crate) fn lex_cmp(&self, other: &Self) -> Ordering {
+        self.powers.cmp(&other.powers)
+    }
+}
+
 impl Ord for Monomial {
     /// Graded lexicographic order: compare total degree first, then the
     /// exponent vectors.
     fn cmp(&self, other: &Self) -> Ordering {
         self.degree()
             .cmp(&other.degree())
-            .then_with(|| self.powers.cmp(&other.powers))
+            .then_with(|| self.lex_cmp(other))
     }
 }
 

@@ -19,6 +19,31 @@ use polyinv_arith::{Rational, RationalError};
 
 const OVERFLOW: &str = "rational arithmetic overflow";
 
+/// Adds `coeff` at `key` of a key-sorted term list with checked arithmetic,
+/// dropping an entry that cancels to zero. `Overflow` leaves the list
+/// unchanged. Every term list in this module merges through here.
+fn merge_sorted<K: Ord + Copy>(
+    terms: &mut Vec<(K, Rational)>,
+    key: K,
+    coeff: Rational,
+) -> Result<(), RationalError> {
+    if coeff.is_zero() {
+        return Ok(());
+    }
+    match terms.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(pos) => {
+            let sum = terms[pos].1.checked_add(&coeff)?;
+            if sum.is_zero() {
+                terms.remove(pos);
+            } else {
+                terms[pos].1 = sum;
+            }
+        }
+        Err(pos) => terms.insert(pos, (key, coeff)),
+    }
+    Ok(())
+}
+
 /// An opaque identifier for an unknown (template coefficient, multiplier
 /// coefficient, Cholesky entry or positivity witness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,19 +129,7 @@ impl LinExpr {
     }
 
     fn add_term(&mut self, id: UnknownId, coeff: Rational) -> Result<(), RationalError> {
-        if coeff.is_zero() {
-            return Ok(());
-        }
-        match self.terms.binary_search_by_key(&id, |&(u, _)| u) {
-            Ok(pos) => {
-                self.terms[pos].1 = self.terms[pos].1.checked_add(&coeff)?;
-                if self.terms[pos].1.is_zero() {
-                    self.terms.remove(pos);
-                }
-            }
-            Err(pos) => self.terms.insert(pos, (id, coeff)),
-        }
-        Ok(())
+        merge_sorted(&mut self.terms, id, coeff)
     }
 
     /// Adds another expression in place (no allocation when the unknown
@@ -168,21 +181,12 @@ impl LinExpr {
         })
     }
 
-    /// Multiplies two affine expressions, producing a quadratic expression.
-    pub fn mul(&self, other: &LinExpr) -> QuadExpr {
-        let mut result = QuadExpr::constant(self.constant * other.constant);
-        for &(u, c) in &other.terms {
-            result.add_linear(u, self.constant * c);
-        }
-        for &(u, c) in &self.terms {
-            result.add_linear(u, other.constant * c);
-        }
-        for &(ua, ca) in &self.terms {
-            for &(ub, cb) in &other.terms {
-                result.add_quadratic(ua, ub, ca * cb);
-            }
-        }
-        result
+    /// Multiplies two affine expressions, producing a quadratic expression,
+    /// or `Overflow` when a coefficient leaves `i128`.
+    pub fn mul(&self, other: &LinExpr) -> Result<QuadExpr, RationalError> {
+        let mut result = QuadExpr::zero();
+        result.add_product(self, other)?;
+        Ok(result)
     }
 
     /// Evaluates the expression under an `f64` assignment of the unknowns.
@@ -318,74 +322,108 @@ impl QuadExpr {
             .chain(self.quadratic.iter().flat_map(|&((a, b), _)| [a, b]))
     }
 
-    /// Adds `coeff · u` to the expression.
-    pub fn add_linear(&mut self, u: UnknownId, coeff: Rational) {
-        if coeff.is_zero() {
-            return;
-        }
-        match self.linear.binary_search_by_key(&u, |&(x, _)| x) {
-            Ok(pos) => {
-                self.linear[pos].1 += coeff;
-                if self.linear[pos].1.is_zero() {
-                    self.linear.remove(pos);
-                }
-            }
-            Err(pos) => self.linear.insert(pos, (u, coeff)),
-        }
+    /// Adds `coeff · u` to the expression, or `Overflow` (leaving the
+    /// expression unchanged) when the merged coefficient leaves `i128`.
+    pub fn add_linear(&mut self, u: UnknownId, coeff: Rational) -> Result<(), RationalError> {
+        merge_sorted(&mut self.linear, u, coeff)
     }
 
-    /// Adds `coeff · a·b` to the expression.
-    pub fn add_quadratic(&mut self, a: UnknownId, b: UnknownId, coeff: Rational) {
-        if coeff.is_zero() {
-            return;
-        }
+    /// Adds `coeff · a·b` to the expression, or `Overflow` (leaving the
+    /// expression unchanged) when the merged coefficient leaves `i128`.
+    pub fn add_quadratic(
+        &mut self,
+        a: UnknownId,
+        b: UnknownId,
+        coeff: Rational,
+    ) -> Result<(), RationalError> {
         let key = if a <= b { (a, b) } else { (b, a) };
-        match self.quadratic.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(pos) => {
-                self.quadratic[pos].1 += coeff;
-                if self.quadratic[pos].1.is_zero() {
-                    self.quadratic.remove(pos);
-                }
-            }
-            Err(pos) => self.quadratic.insert(pos, (key, coeff)),
-        }
+        merge_sorted(&mut self.quadratic, key, coeff)
     }
 
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, value: Rational) {
-        self.constant += value;
+    /// Adds a constant to the expression, or `Overflow` (leaving the
+    /// expression unchanged) when the sum leaves `i128`.
+    pub fn add_constant(&mut self, value: Rational) -> Result<(), RationalError> {
+        self.constant = self.constant.checked_add(&value)?;
+        Ok(())
     }
 
     /// Adds another expression in place. Unlike `self + other` this neither
     /// consumes nor clones the operands — the merge the hot accumulation
-    /// loops of the Putinar translation rely on.
-    pub fn add_expr(&mut self, other: &QuadExpr) {
-        self.constant += other.constant;
+    /// loops of the Putinar translation rely on. `Overflow` when a
+    /// coefficient leaves `i128` (the expression is then unspecified).
+    pub fn add_expr(&mut self, other: &QuadExpr) -> Result<(), RationalError> {
+        self.add_constant(other.constant)?;
         for &(u, c) in &other.linear {
-            self.add_linear(u, c);
+            self.add_linear(u, c)?;
         }
         for &((a, b), c) in &other.quadratic {
-            self.add_quadratic(a, b, c);
+            self.add_quadratic(a, b, c)?;
         }
+        Ok(())
     }
 
-    /// Adds `factor · other` in place.
-    pub fn add_scaled(&mut self, other: &QuadExpr, factor: Rational) {
+    /// Adds `factor · other` in place, or `Overflow` when a coefficient
+    /// leaves `i128` (the expression is then unspecified).
+    pub fn add_scaled(&mut self, other: &QuadExpr, factor: Rational) -> Result<(), RationalError> {
         if factor.is_zero() {
-            return;
+            return Ok(());
         }
-        self.constant += other.constant * factor;
+        self.add_constant(other.constant.checked_mul(&factor)?)?;
         for &(u, c) in &other.linear {
-            self.add_linear(u, c * factor);
+            self.add_linear(u, c.checked_mul(&factor)?)?;
         }
         for &((a, b), c) in &other.quadratic {
-            self.add_quadratic(a, b, c * factor);
+            self.add_quadratic(a, b, c.checked_mul(&factor)?)?;
         }
+        Ok(())
     }
 
-    /// Subtracts another expression in place.
-    pub fn sub_expr(&mut self, other: &QuadExpr) {
-        self.add_scaled(other, Rational::from_int(-1));
+    /// Subtracts another expression in place, or `Overflow` when a
+    /// coefficient leaves `i128` (the expression is then unspecified).
+    pub fn sub_expr(&mut self, other: &QuadExpr) -> Result<(), RationalError> {
+        self.add_scaled(other, Rational::from_int(-1))
+    }
+
+    /// Adds the product `a · b` of two affine expressions in place, term by
+    /// term: the fused form of `self.add_expr(&a.mul(b)?)`, with no
+    /// intermediate expression. `Overflow` when a coefficient leaves `i128`
+    /// (the expression is then unspecified).
+    pub fn add_product(&mut self, a: &LinExpr, b: &LinExpr) -> Result<(), RationalError> {
+        let (ca, cb) = (a.constant, b.constant);
+        self.add_constant(ca.checked_mul(&cb)?)?;
+        if !ca.is_zero() {
+            for &(u, c) in &b.terms {
+                self.add_linear(u, ca.checked_mul(&c)?)?;
+            }
+        }
+        if !cb.is_zero() {
+            for &(u, c) in &a.terms {
+                self.add_linear(u, cb.checked_mul(&c)?)?;
+            }
+        }
+        for &(ua, ka) in &a.terms {
+            for &(ub, kb) in &b.terms {
+                self.add_quadratic(ua, ub, ka.checked_mul(&kb)?)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds `by` to every unknown id at or above `from`. Every shifted id
+    /// stays above every unshifted one, so the id-sorted term order is kept.
+    pub fn shift_unknowns(&mut self, from: usize, by: usize) {
+        let shift = |u: &mut UnknownId| {
+            if u.0 >= from {
+                u.0 += by;
+            }
+        };
+        for (u, _) in &mut self.linear {
+            shift(u);
+        }
+        for ((a, b), _) in &mut self.quadratic {
+            shift(a);
+            shift(b);
+        }
     }
 
     /// Negates the expression in place (no allocation).
@@ -399,12 +437,14 @@ impl QuadExpr {
         }
     }
 
-    /// Adds an affine expression in place.
-    pub fn add_lin(&mut self, lin: &LinExpr) {
-        self.constant += lin.constant_part();
-        for &(u, c) in lin.terms() {
-            self.add_linear(u, c);
+    /// Adds an affine expression in place, or `Overflow` when a coefficient
+    /// leaves `i128` (the expression is then unspecified).
+    pub fn add_lin(&mut self, lin: &LinExpr) -> Result<(), RationalError> {
+        self.add_constant(lin.constant)?;
+        for &(u, c) in &lin.terms {
+            self.add_linear(u, c)?;
         }
+        Ok(())
     }
 
     /// Multiplies the expression by a rational constant.
@@ -536,7 +576,7 @@ mod tests {
         // (2u0 + 3)(u1 - 1) = 2 u0 u1 - 2 u0 + 3 u1 - 3
         let a = LinExpr::unknown(u(0)).scale(int(2)) + LinExpr::constant(int(3));
         let b = LinExpr::unknown(u(1)) - LinExpr::constant(int(1));
-        let q = a.mul(&b);
+        let q = a.mul(&b).unwrap();
         assert_eq!(q.constant_part(), int(-3));
         assert_eq!(q.linear_terms(), &[(u(0), int(-2)), (u(1), int(3))]);
         assert_eq!(q.quadratic_terms(), &[((u(0), u(1)), int(2))]);
@@ -548,7 +588,7 @@ mod tests {
     #[test]
     fn quadexpr_square_terms_merge() {
         let a = LinExpr::unknown(u(0)) + LinExpr::unknown(u(1));
-        let square = a.mul(&a);
+        let square = a.mul(&a).unwrap();
         // (u0+u1)^2 = u0^2 + 2 u0 u1 + u1^2
         assert_eq!(square.quadratic_terms().len(), 3);
         assert_eq!(
@@ -564,11 +604,91 @@ mod tests {
 
     #[test]
     fn quadratic_poly_subtraction_cancels() {
-        let mut q =
-            LinExpr::unknown(u(0)).mul(&(LinExpr::unknown(u(1)) + LinExpr::constant(int(2))));
+        let mut q = LinExpr::unknown(u(0))
+            .mul(&(LinExpr::unknown(u(1)) + LinExpr::constant(int(2))))
+            .unwrap();
         let copy = q.clone();
-        q.sub_expr(&copy);
+        q.sub_expr(&copy).unwrap();
         assert!(q.is_zero());
+    }
+
+    #[test]
+    fn fused_products_match_the_two_step_product() {
+        let a = LinExpr::unknown(u(0)).scale(int(2)) + LinExpr::constant(int(3));
+        let b = LinExpr::unknown(u(1)) + LinExpr::unknown(u(0)) - LinExpr::constant(int(1));
+        let mut fused = QuadExpr::constant(int(5));
+        fused.add_linear(u(1), int(-3)).unwrap();
+        let mut two_step = fused.clone();
+        fused.add_product(&a, &b).unwrap();
+        two_step.add_expr(&a.mul(&b).unwrap()).unwrap();
+        assert_eq!(fused, two_step);
+    }
+
+    /// `2^k` as a rational.
+    fn pow2(k: u32) -> Rational {
+        Rational::new(1i128 << k, 1)
+    }
+
+    #[test]
+    fn accumulation_overflow_is_an_error_and_leaves_the_term() {
+        // 2¹²⁶ fits in i128; 2¹²⁷ does not.
+        let big = pow2(126);
+        let mut q = QuadExpr::zero();
+        q.add_linear(u(0), big).unwrap();
+        q.add_quadratic(u(1), u(0), big).unwrap();
+        q.add_constant(big).unwrap();
+        let copy = q.clone();
+        assert_eq!(q.add_linear(u(0), big), Err(RationalError::Overflow));
+        assert_eq!(
+            q.add_quadratic(u(0), u(1), big),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(q.add_constant(big), Err(RationalError::Overflow));
+        assert_eq!(q, copy, "a failed merge leaves the expression unchanged");
+        assert_eq!(q.add_expr(&copy), Err(RationalError::Overflow));
+        assert_eq!(
+            QuadExpr::zero().add_scaled(&copy, int(2)),
+            Err(RationalError::Overflow)
+        );
+        assert_eq!(
+            QuadExpr::constant(-big).add_lin(&LinExpr::constant(-big)),
+            Err(RationalError::Overflow)
+        );
+        // Subtracting cancels exactly instead.
+        let mut cancelled = copy.clone();
+        cancelled.sub_expr(&copy).unwrap();
+        assert!(cancelled.is_zero());
+    }
+
+    #[test]
+    fn product_overflow_is_an_error() {
+        // (2⁶² u0 + 2⁶²)² has coefficients 2¹²⁴ and 2¹²⁵; (2⁶⁴ u0)² has 2¹²⁸.
+        let fits = LinExpr::unknown(u(0)).scale(pow2(62)) + LinExpr::constant(pow2(62));
+        assert!(fits.mul(&fits).is_ok());
+        let wide = LinExpr::unknown(u(0)).scale(pow2(64));
+        assert_eq!(wide.mul(&wide), Err(RationalError::Overflow));
+        // Each fused product fits; their merge does not.
+        let half = LinExpr::unknown(u(0)).scale(pow2(126));
+        let one = LinExpr::constant(int(1));
+        let mut acc = QuadExpr::zero();
+        acc.add_product(&half, &one).unwrap();
+        assert_eq!(acc.add_product(&half, &one), Err(RationalError::Overflow));
+    }
+
+    #[test]
+    fn shifting_unknowns_keeps_the_term_order() {
+        // u1 stays below the shift point; u2 and u3 move up by 10.
+        let mut q = QuadExpr::zero();
+        q.add_linear(u(1), int(1)).unwrap();
+        q.add_linear(u(3), int(2)).unwrap();
+        q.add_quadratic(u(1), u(2), int(3)).unwrap();
+        q.add_quadratic(u(2), u(3), int(4)).unwrap();
+        q.shift_unknowns(2, 10);
+        assert_eq!(q.linear_terms(), &[(u(1), int(1)), (u(13), int(2))]);
+        assert_eq!(
+            q.quadratic_terms(),
+            &[((u(1), u(12)), int(3)), ((u(12), u(13)), int(4))]
+        );
     }
 
     #[test]
@@ -582,11 +702,12 @@ mod tests {
         };
         let a = LinExpr::unknown(u(0)).scale(int(2)) + LinExpr::constant(int(3));
         assert_eq!(a.display_with(name), "3 + 2*s");
-        let q = a.mul(&LinExpr::unknown(u(1)));
+        let q = a.mul(&LinExpr::unknown(u(1))).unwrap();
         assert_eq!(q.display_with(name), "3*t + 2*s*t");
         assert_eq!(
             LinExpr::unknown(u(0))
                 .mul(&LinExpr::unknown(u(0)))
+                .unwrap()
                 .display_with(name),
             "s^2"
         );
@@ -630,7 +751,7 @@ mod tests {
         };
         let (h, g) = (linear(0, 1), linear(2, 3));
         let mut product = QuadAccumulator::new();
-        product.add_mul_template(&h, &g, &mut table);
+        product.add_mul_template(&h, &g, &mut table).unwrap();
         let exact = |x: UnknownId| int(x.index() as i64 + 1);
         let direct = &h.instantiate(&table, exact) * &g.instantiate(&table, exact);
         let terms = product.into_terms();

@@ -182,12 +182,17 @@ impl MonomialTable {
         if a == b {
             return Ordering::Equal;
         }
-        self.monos[a.index()].cmp(&self.monos[b.index()])
+        self.degrees[a.index()]
+            .cmp(&self.degrees[b.index()])
+            .then_with(|| self.monos[a.index()].lex_cmp(&self.monos[b.index()]))
     }
 
-    /// Sorts a term list into canonical graded-lexicographic order.
+    /// Sorts a term list with distinct monomials into canonical
+    /// graded-lexicographic order. Distinct monomials make the order total,
+    /// so the unstable sort (fewer moves of the possibly large terms) gives
+    /// the list a stable one would.
     pub fn sort_terms<C>(&self, terms: &mut [(MonoId, C)]) {
-        terms.sort_by(|(a, _), (b, _)| self.grlex_cmp(*a, *b));
+        terms.sort_unstable_by(|(a, _), (b, _)| self.grlex_cmp(*a, *b));
     }
 
     /// The basis `M_d` of all monomials of total degree at most `degree`

@@ -152,7 +152,7 @@ proptest! {
         let mut table = MonomialTable::new();
         let (a, b) = (template(&a, &mut table), template(&b, &mut table));
         let mut acc = QuadAccumulator::new();
-        acc.add_mul_template(&a, &b, &mut table);
+        acc.add_mul_template(&a, &b, &mut table).unwrap();
         let product = Polynomial::from_terms(acc.into_terms().into_iter().map(|(m, coeff)| {
             let value = coeff.checked_eval_rational(assign).unwrap();
             (value, table.monomial(m).clone())
