@@ -45,4 +45,4 @@ pub mod sparse;
 
 pub use linalg::{Matrix, Vector};
 pub use rational::{ParseRationalError, Rational, RationalError};
-pub use sparse::{JtjChunk, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};
+pub use sparse::{JtjChunk, JtjPattern, LdlNumeric, SymbolicLdl};

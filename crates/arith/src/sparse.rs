@@ -36,6 +36,15 @@ use crate::linalg::Matrix;
 /// Sentinel for "no parent" in the elimination tree.
 const NONE: usize = usize::MAX;
 
+/// A pattern-sized index (a column, a row, a values or panel position)
+/// as the `u32` the symbolic structures store. Overflow would take a
+/// pattern of more than 2³² entries, whose `u32` pair positions alone
+/// fill 16 GB, so it is an invariant, not an input error.
+#[inline]
+fn index32(index: usize) -> u32 {
+    u32::try_from(index).expect("sparse pattern index fits u32")
+}
+
 /// Flat index of the unordered pair `(a, b)` with `a ≤ b` in a triangular
 /// enumeration.
 #[inline]
@@ -53,7 +62,9 @@ fn tri_index(a: usize, b: usize) -> usize {
 /// consumes — plus, for every Jacobian row, the flat list of value positions
 /// its outer product scatters into. Accumulating `JᵀJ` at a new point is
 /// then a pure scatter over a values buffer: no dense `J`, no dense `Jᵀ`,
-/// no index searches in the hot loop.
+/// no index searches in the hot loop. The caller names each row entry by
+/// its index in the row's pattern, so the pattern keeps no copy of the
+/// row patterns themselves.
 ///
 /// A pattern built by [`JtjPattern::chunked`] also splits the Jacobian rows
 /// into fixed ranges ([`JtjChunk`]s) for chunk-parallel accumulation. Each
@@ -65,10 +76,8 @@ fn tri_index(a: usize, b: usize) -> usize {
 pub struct JtjPattern {
     n: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     diag_pos: Vec<usize>,
-    /// Per Jacobian row: the sorted variable pattern.
-    row_vars: Vec<Vec<usize>>,
     /// Per Jacobian row: positions of all `(a ≤ b)` pattern pairs,
     /// triangular-indexed by local pattern indices — in the values buffer
     /// of the row's chunk when the pattern is chunked, in the full values
@@ -129,24 +138,18 @@ impl JtjChunk {
     }
 }
 
-/// Per-call scratch for [`JtjPattern::accumulate_row`]: the row's entries
-/// mapped to local pattern indices.
-#[derive(Debug, Clone, Default)]
-pub struct JtjScratch {
-    local: Vec<(u32, f64)>,
-}
-
 impl JtjPattern {
     /// Analyzes the pattern: `n` variables, one sorted variable list per
-    /// Jacobian row.
+    /// Jacobian row. The row patterns are only read.
     ///
     /// # Panics
     ///
     /// Panics if a pattern mentions a variable `≥ n` or is not strictly
     /// sorted.
-    pub fn new(n: usize, rows: Vec<Vec<usize>>) -> Self {
+    pub fn new<R: AsRef<[usize]>>(n: usize, rows: &[R]) -> Self {
         let mut jacobian_nnz = 0;
-        for vars in &rows {
+        for vars in rows {
+            let vars = vars.as_ref();
             jacobian_nnz += vars.len();
             for pair in vars.windows(2) {
                 assert!(pair[0] < pair[1], "row patterns must be strictly sorted");
@@ -158,19 +161,19 @@ impl JtjPattern {
         // The Jacobian rows mentioning each variable, with its index in
         // their patterns.
         let mut incidence_ptr = vec![0usize; n + 1];
-        for vars in &rows {
-            for &v in vars {
+        for vars in rows {
+            for &v in vars.as_ref() {
                 incidence_ptr[v + 1] += 1;
             }
         }
         for v in 0..n {
             incidence_ptr[v + 1] += incidence_ptr[v];
         }
-        let mut incidence = vec![(0usize, 0usize); jacobian_nnz];
+        let mut incidence = vec![(0u32, 0u32); jacobian_nnz];
         let mut cursor = incidence_ptr.clone();
         for (r, vars) in rows.iter().enumerate() {
-            for (i, &v) in vars.iter().enumerate() {
-                incidence[cursor[v]] = (r, i);
+            for (i, &v) in vars.as_ref().iter().enumerate() {
+                incidence[cursor[v]] = (index32(r), index32(i));
                 cursor[v] += 1;
             }
         }
@@ -182,35 +185,38 @@ impl JtjPattern {
         let mut marker = vec![NONE; n];
         let mut slot = vec![0usize; n];
         let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::new();
         let mut diag_pos = vec![0usize; n];
         let mut pair_pos: Vec<Vec<u32>> = rows
             .iter()
-            .map(|vars| vec![0u32; vars.len() * (vars.len() + 1) / 2])
+            .map(|vars| {
+                let p = vars.as_ref().len();
+                vec![0u32; p * (p + 1) / 2]
+            })
             .collect();
         for b in 0..n {
             let start = col_idx.len();
             let through_b = &incidence[incidence_ptr[b]..incidence_ptr[b + 1]];
             marker[b] = b;
-            col_idx.push(b);
+            col_idx.push(index32(b));
             for &(r, ib) in through_b {
-                for &a in &rows[r][..ib] {
+                for &a in &rows[r as usize].as_ref()[..ib as usize] {
                     if marker[a] != b {
                         marker[a] = b;
-                        col_idx.push(a);
+                        col_idx.push(index32(a));
                     }
                 }
             }
             col_idx[start..].sort_unstable();
             row_ptr[b + 1] = col_idx.len();
             for (pos, &a) in (start..).zip(&col_idx[start..]) {
-                slot[a] = pos;
+                slot[a as usize] = pos;
             }
             diag_pos[b] = slot[b];
             for &(r, ib) in through_b {
-                for (ia, &a) in rows[r][..=ib].iter().enumerate() {
-                    pair_pos[r][tri_index(ia, ib)] =
-                        u32::try_from(slot[a]).expect("pattern fits u32");
+                let (r, ib) = (r as usize, ib as usize);
+                for (ia, &a) in rows[r].as_ref()[..=ib].iter().enumerate() {
+                    pair_pos[r][tri_index(ia, ib)] = index32(slot[a]);
                 }
             }
         }
@@ -219,7 +225,6 @@ impl JtjPattern {
             row_ptr,
             col_idx,
             diag_pos,
-            row_vars: rows,
             pair_pos,
             chunks: Vec::new(),
             jacobian_nnz,
@@ -235,7 +240,11 @@ impl JtjPattern {
     ///
     /// Panics if the chunks do not cover the rows in order, each starting
     /// where the previous one ends.
-    pub fn chunked(n: usize, rows: Vec<Vec<usize>>, chunks: Vec<std::ops::Range<usize>>) -> Self {
+    pub fn chunked<R: AsRef<[usize]>>(
+        n: usize,
+        rows: &[R],
+        chunks: Vec<std::ops::Range<usize>>,
+    ) -> Self {
         let mut pattern = JtjPattern::new(n, rows);
         let mut end = 0;
         for range in &chunks {
@@ -245,7 +254,7 @@ impl JtjPattern {
             );
             end = range.end;
         }
-        assert_eq!(end, pattern.row_vars.len(), "chunks must cover every row");
+        assert_eq!(end, pattern.pair_pos.len(), "chunks must cover every row");
         // Local index of each full position in the chunk being built;
         // `u32::MAX` outside it.
         let mut local = vec![u32::MAX; pattern.nnz()];
@@ -262,7 +271,7 @@ impl JtjPattern {
                 }
                 touched.sort_unstable();
                 for (k, &pos) in touched.iter().enumerate() {
-                    local[pos as usize] = k as u32;
+                    local[pos as usize] = index32(k);
                 }
                 for pos in positions.iter_mut().flatten() {
                     *pos = local[*pos as usize];
@@ -292,7 +301,7 @@ impl JtjPattern {
     }
 
     /// The lower-triangle CSR pattern (row pointers, column indices).
-    pub fn pattern(&self) -> (&[usize], &[usize]) {
+    pub fn pattern(&self) -> (&[usize], &[u32]) {
         (&self.row_ptr, &self.col_idx)
     }
 
@@ -313,28 +322,19 @@ impl JtjPattern {
     }
 
     /// Scatters the outer product of one Jacobian row into `values`
-    /// (`values[pos(i, j)] += rowᵢ · rowⱼ`). The entries must be a subset of
-    /// the row's declared pattern, sorted by column. `values` is the full
-    /// values buffer, or — when the pattern is chunked — the values buffer
-    /// of the row's chunk.
-    pub fn accumulate_row(
-        &self,
-        row: usize,
-        entries: &[(usize, f64)],
-        values: &mut [f64],
-        scratch: &mut JtjScratch,
-    ) {
-        let vars = &self.row_vars[row];
+    /// (`values[pos(i, j)] += rowᵢ · rowⱼ`). Each entry names its column by
+    /// its index in the row's declared pattern (entry `(i, v)` is the value
+    /// at column `pattern[i]`); the entries must be a subset of the pattern,
+    /// in increasing index order. `values` is the full values buffer, or —
+    /// when the pattern is chunked — the values buffer of the row's chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index lies outside the row's pattern.
+    pub fn accumulate_row(&self, row: usize, entries: &[(u32, f64)], values: &mut [f64]) {
         let positions = &self.pair_pos[row];
-        scratch.local.clear();
-        for &(col, value) in entries {
-            let local = vars
-                .binary_search(&col)
-                .expect("row entry inside the declared pattern");
-            scratch.local.push((local as u32, value));
-        }
-        for (k, &(ia, va)) in scratch.local.iter().enumerate() {
-            for &(ib, vb) in &scratch.local[k..] {
+        for (k, &(ia, va)) in entries.iter().enumerate() {
+            for &(ib, vb) in &entries[k..] {
                 values[positions[tri_index(ia as usize, ib as usize)] as usize] += va * vb;
             }
         }
@@ -345,7 +345,7 @@ impl JtjPattern {
         let mut m = Matrix::zeros(self.n, self.n);
         for r in 0..self.n {
             for p in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[p];
+                let c = self.col_idx[p] as usize;
                 m.set(r, c, values[p]);
                 m.set(c, r, values[p]);
             }
@@ -359,26 +359,38 @@ impl JtjPattern {
 /// smallest-index tie break). Any permutation is *correct* — the ordering
 /// only controls fill in the factor — so the property tests exercise the
 /// factorization under whatever this produces.
-fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
+///
+/// Variables and elements are stored as `u32`, and the adjacency lists are
+/// allocated at their exact lengths, since they are the bulk of the
+/// analysis's scratch.
+fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[u32]) -> Vec<usize> {
     // Full (symmetric) adjacency, diagonal excluded.
-    let mut adj_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut degree = vec![0usize; n];
     for r in 0..n {
-        for p in row_ptr[r]..row_ptr[r + 1] {
-            let c = col_idx[p];
-            if c != r {
-                adj_vars[r].push(c);
-                adj_vars[c].push(r);
+        for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
+            if c as usize != r {
+                degree[r] += 1;
+                degree[c as usize] += 1;
             }
         }
     }
-    for list in &mut adj_vars {
+    let mut adj_vars: Vec<Vec<u32>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+    for r in 0..n {
+        for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
+            if c as usize != r {
+                adj_vars[r].push(c);
+                adj_vars[c as usize].push(index32(r));
+            }
+        }
+    }
+    for (list, d) in adj_vars.iter_mut().zip(&mut degree) {
         list.sort_unstable();
         list.dedup();
+        *d = list.len();
     }
-    let mut adj_elems: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut elements: Vec<Vec<usize>> = Vec::new();
+    let mut adj_elems: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut elements: Vec<Vec<u32>> = Vec::new();
     let mut elem_alive: Vec<bool> = Vec::new();
-    let mut degree: Vec<usize> = adj_vars.iter().map(Vec::len).collect();
     let mut eliminated = vec![false; n];
     let mut perm = Vec::with_capacity(n);
     let mut in_front = vec![false; n];
@@ -397,19 +409,21 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
 
         // The pivot's elimination front: its live variable neighbours plus
         // the variables of its adjacent elements.
-        let mut front: Vec<usize> = Vec::new();
+        let mut front: Vec<u32> = Vec::new();
         for &v in &adj_vars[pivot] {
+            let v = v as usize;
             if !eliminated[v] && !in_front[v] {
                 in_front[v] = true;
-                front.push(v);
+                front.push(index32(v));
             }
         }
         for &e in &adj_elems[pivot] {
-            if elem_alive[e] {
-                for &v in &elements[e] {
+            if elem_alive[e as usize] {
+                for &v in &elements[e as usize] {
+                    let v = v as usize;
                     if !eliminated[v] && !in_front[v] {
                         in_front[v] = true;
-                        front.push(v);
+                        front.push(index32(v));
                     }
                 }
             }
@@ -418,6 +432,7 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
         // Absorb the pivot's elements into the new one and free their
         // storage.
         for &e in &adj_elems[pivot] {
+            let e = e as usize;
             if elem_alive[e] {
                 elem_alive[e] = false;
                 elements[e] = Vec::new();
@@ -431,17 +446,18 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
         // element (the `in_front` marks are still set), attach the element,
         // refresh approximate degrees.
         for &v in &elements[eid] {
-            adj_vars[v].retain(|&u| !eliminated[u] && !in_front[u]);
-            adj_elems[v].retain(|&e| elem_alive[e]);
-            adj_elems[v].push(eid);
+            let v = v as usize;
+            adj_vars[v].retain(|&u| !eliminated[u as usize] && !in_front[u as usize]);
+            adj_elems[v].retain(|&e| elem_alive[e as usize]);
+            adj_elems[v].push(index32(eid));
             let mut d = adj_vars[v].len();
             for &e in &adj_elems[v] {
-                d += elements[e].len().saturating_sub(1);
+                d += elements[e as usize].len().saturating_sub(1);
             }
             degree[v] = d;
         }
         for &v in &elements[eid] {
-            in_front[v] = false;
+            in_front[v as usize] = false;
         }
         adj_vars[pivot] = Vec::new();
         adj_elems[pivot] = Vec::new();
@@ -491,8 +507,8 @@ struct Simplicial {
     /// rows `i < k` (new indices, unsorted) and, in parallel, the position
     /// of the corresponding entry in the caller's values buffer.
     a_col_ptr: Vec<usize>,
-    a_row: Vec<usize>,
-    a_val_pos: Vec<usize>,
+    a_row: Vec<u32>,
+    a_val_pos: Vec<u32>,
     /// Position of the diagonal entry of each permuted column in the
     /// caller's values buffer.
     a_diag_pos: Vec<usize>,
@@ -502,7 +518,7 @@ struct Simplicial {
     /// `row_cols[row_ptr[k]..row_ptr[k + 1]]`, in the topological order of
     /// [`ereach`] that the up-looking kernel eliminates them in.
     row_ptr: Vec<usize>,
-    row_cols: Vec<usize>,
+    row_cols: Vec<u32>,
 }
 
 /// Runs of consecutive columns that share one row structure (fundamental
@@ -516,14 +532,14 @@ struct Supernodal {
     /// its own columns first, then the rows below them. They index the
     /// panel's rows.
     row_ptr: Vec<usize>,
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     /// Offset of each supernode's panel in the numeric panel buffer, then
     /// the buffer's length.
     panel_ptr: Vec<usize>,
     /// Panel index and values position of each off-diagonal entry of the
     /// permuted `A`, in parallel.
-    a_panel: Vec<usize>,
-    a_val_pos: Vec<usize>,
+    a_panel: Vec<u32>,
+    a_val_pos: Vec<u32>,
     /// Panel index and values position of each permuted column's diagonal
     /// entry.
     diag_panel: Vec<usize>,
@@ -600,7 +616,7 @@ impl SymbolicLdl {
     ///
     /// Panics if a diagonal entry is missing or the pattern is not lower
     /// triangular.
-    pub fn analyze(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Self {
+    pub fn analyze(n: usize, row_ptr: &[usize], col_idx: &[u32]) -> Self {
         let perm = minimum_degree(n, row_ptr, col_idx);
         let mut inv_perm = vec![0usize; n];
         for (new, &old) in perm.iter().enumerate() {
@@ -613,7 +629,7 @@ impl SymbolicLdl {
         let mut a_diag_pos = vec![NONE; n];
         for r in 0..n {
             for p in row_ptr[r]..row_ptr[r + 1] {
-                let c = col_idx[p];
+                let c = col_idx[p] as usize;
                 assert!(c <= r, "pattern must be lower triangular");
                 if c == r {
                     a_diag_pos[inv_perm[r]] = p;
@@ -629,19 +645,19 @@ impl SymbolicLdl {
             a_col_ptr[k + 1] += a_col_ptr[k];
         }
         let nnz_off = a_col_ptr[n];
-        let mut a_row = vec![0usize; nnz_off];
-        let mut a_val_pos = vec![0usize; nnz_off];
+        let mut a_row = vec![0u32; nnz_off];
+        let mut a_val_pos = vec![0u32; nnz_off];
         let mut cursor = a_col_ptr.clone();
         for r in 0..n {
             for p in row_ptr[r]..row_ptr[r + 1] {
-                let c = col_idx[p];
+                let c = col_idx[p] as usize;
                 if c != r {
                     let (i, k) = {
                         let (a, b) = (inv_perm[r], inv_perm[c]);
                         (a.min(b), a.max(b))
                     };
-                    a_row[cursor[k]] = i;
-                    a_val_pos[cursor[k]] = p;
+                    a_row[cursor[k]] = index32(i);
+                    a_val_pos[cursor[k]] = index32(p);
                     cursor[k] += 1;
                 }
             }
@@ -654,7 +670,7 @@ impl SymbolicLdl {
         for k in 0..n {
             flag[k] = k;
             for p in a_col_ptr[k]..a_col_ptr[k + 1] {
-                let mut j = a_row[p];
+                let mut j = a_row[p] as usize;
                 while flag[j] != k {
                     if parent[j] == NONE {
                         parent[j] = k;
@@ -809,18 +825,18 @@ impl SymbolicLdl {
 fn ereach(
     k: usize,
     a_col_ptr: &[usize],
-    a_row: &[usize],
+    a_row: &[u32],
     parent: &[usize],
     flag: &mut [usize],
-    stack: &mut [usize],
+    stack: &mut [u32],
 ) -> usize {
     let mut top = stack.len();
     flag[k] = k;
     for &i in &a_row[a_col_ptr[k]..a_col_ptr[k + 1]] {
         let mut len = 0;
-        let mut j = i;
+        let mut j = i as usize;
         while flag[j] != k {
-            stack[len] = j;
+            stack[len] = index32(j);
             len += 1;
             flag[j] = k;
             j = parent[j];
@@ -839,8 +855,8 @@ impl Simplicial {
     /// `L` once, so the numeric phase never walks the elimination tree.
     fn new(
         a_col_ptr: Vec<usize>,
-        a_row: Vec<usize>,
-        a_val_pos: Vec<usize>,
+        a_row: Vec<u32>,
+        a_val_pos: Vec<u32>,
         a_diag_pos: Vec<usize>,
         parent: Vec<usize>,
         l_col_ptr: Vec<usize>,
@@ -849,7 +865,7 @@ impl Simplicial {
         let mut row_ptr = vec![0usize; n + 1];
         let mut row_cols = Vec::with_capacity(l_col_ptr[n]);
         let mut flag = vec![NONE; n];
-        let mut stack = vec![0usize; n];
+        let mut stack = vec![0u32; n];
         for k in 0..n {
             let top = ereach(k, &a_col_ptr, &a_row, &parent, &mut flag, &mut stack);
             row_cols.extend_from_slice(&stack[top..]);
@@ -880,10 +896,11 @@ impl Simplicial {
         for k in 0..n {
             f.y[k] = 0.0;
             for p in self.a_col_ptr[k]..self.a_col_ptr[k + 1] {
-                f.y[self.a_row[p]] += values[self.a_val_pos[p]];
+                f.y[self.a_row[p] as usize] += values[self.a_val_pos[p] as usize];
             }
             let mut dk = values[self.a_diag_pos[k]] + diag_add[perm[k]];
             for &j in &self.row_cols[self.row_ptr[k]..self.row_ptr[k + 1]] {
+                let j = j as usize;
                 let yj = f.y[j];
                 f.y[j] = 0.0;
                 let slot = f.next_slot[j];
@@ -935,8 +952,8 @@ impl Supernodal {
     /// elimination tree and the factor's column counts.
     fn new(
         a_col_ptr: Vec<usize>,
-        a_row: Vec<usize>,
-        a_val_pos: Vec<usize>,
+        a_row: Vec<u32>,
+        a_val_pos: Vec<u32>,
         a_diag_pos: Vec<usize>,
         parent: Vec<usize>,
         counts: &[usize],
@@ -968,20 +985,21 @@ impl Supernodal {
         // then the rows of L reaching it. Row k of L is the elimination-tree
         // reach of A's column k, so visiting k in ascending order appends
         // every row in sorted position.
-        let mut rows = vec![0usize; row_ptr[supernodes]];
+        let mut rows = vec![0u32; row_ptr[supernodes]];
         let mut cursor = row_ptr[..supernodes].to_vec();
         for s in 0..supernodes {
-            rows[cursor[s]] = start[s];
+            rows[cursor[s]] = index32(start[s]);
             cursor[s] += 1;
         }
         let mut flag = vec![NONE; n];
-        let mut stack = vec![0usize; n];
+        let mut stack = vec![0u32; n];
         for k in 0..n {
             let top = ereach(k, &a_col_ptr, &a_row, &parent, &mut flag, &mut stack);
             for &j in &stack[top..] {
+                let j = j as usize;
                 let s = of_column[j];
                 if start[s] == j {
-                    rows[cursor[s]] = k;
+                    rows[cursor[s]] = index32(k);
                     cursor[s] += 1;
                 }
             }
@@ -989,18 +1007,20 @@ impl Supernodal {
 
         // Where each entry of A lands: L(row, column) sits in the panel of
         // the column's supernode.
-        let panel_index = |row: usize, column: usize| -> usize {
+        let panel_index = |row: usize, column: usize| -> u32 {
             let s = of_column[column];
             let span = &rows[row_ptr[s]..row_ptr[s + 1]];
-            let local = span.binary_search(&row).expect("row in the supernode");
-            panel_ptr[s] + (column - start[s]) * span.len() + local
+            let local = span
+                .binary_search(&index32(row))
+                .expect("row in the supernode");
+            index32(panel_ptr[s] + (column - start[s]) * span.len() + local)
         };
-        let diag_panel: Vec<usize> = (0..n).map(|k| panel_index(k, k)).collect();
+        let diag_panel: Vec<usize> = (0..n).map(|k| panel_index(k, k) as usize).collect();
         // The row indices are not needed past this point: overwrite them.
         let mut a_panel = a_row;
         for k in 0..n {
             for p in a_col_ptr[k]..a_col_ptr[k + 1] {
-                a_panel[p] = panel_index(k, a_panel[p]);
+                a_panel[p] = panel_index(k, a_panel[p] as usize);
             }
         }
 
@@ -1014,10 +1034,10 @@ impl Supernodal {
             let width = start[s + 1] - start[s];
             let mut first = width;
             while first < span.len() {
-                let target = of_column[span[first]];
+                let target = of_column[span[first] as usize];
                 let count = span[first..]
                     .iter()
-                    .take_while(|&&r| r < start[target + 1])
+                    .take_while(|&&r| (r as usize) < start[target + 1])
                     .count();
                 if width >= BLOCK {
                     max_update = max_update.max((span.len() - first) * count.min(BLOCK));
@@ -1070,7 +1090,7 @@ impl Supernodal {
     ) -> bool {
         f.panels.fill(0.0);
         for (&at, &pos) in self.a_panel.iter().zip(&self.a_val_pos) {
-            f.panels[at] = values[pos];
+            f.panels[at as usize] = values[pos as usize];
         }
         for (k, &at) in self.diag_panel.iter().enumerate() {
             f.panels[at] = values[self.a_diag_pos[k]] + diag_add[perm[k]];
@@ -1081,7 +1101,7 @@ impl Supernodal {
             let rows = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
             let height = rows.len();
             for (i, &r) in rows.iter().enumerate() {
-                f.local[r] = i;
+                f.local[r as usize] = i;
             }
             let (done, rest) = f.panels.split_at_mut(self.panel_ptr[s]);
             let panel = &mut rest[..height * width];
@@ -1101,9 +1121,9 @@ impl Supernodal {
                         product.fill(0.0);
                         ldl_update(src_panel, src_height, src_d, b0, columns, m, product, m);
                         for (b, column) in (b0..).zip(product.chunks_exact(m)) {
-                            let target = &mut panel[(below[b] - first) * height..];
+                            let target = &mut panel[(below[b] as usize - first) * height..];
                             for a in b..m {
-                                target[f.local[below[a]]] += column[a];
+                                target[f.local[below[a] as usize]] += column[a];
                             }
                         }
                     }
@@ -1113,13 +1133,13 @@ impl Supernodal {
                         for (k, wk) in w.iter_mut().enumerate().take(src_d.len()) {
                             *wk = src_d[k] * src_panel[b + k * src_height];
                         }
-                        let target = &mut panel[(below[b] - first) * height..];
+                        let target = &mut panel[(below[b] as usize - first) * height..];
                         for a in b..m {
                             let mut sum = 0.0;
                             for k in 0..src_d.len() {
                                 sum += src_panel[a + k * src_height] * w[k];
                             }
-                            target[f.local[below[a]]] -= sum;
+                            target[f.local[below[a] as usize]] -= sum;
                         }
                     }
                 }
@@ -1141,7 +1161,7 @@ impl Supernodal {
                 let xj = work[first + j];
                 if xj != 0.0 {
                     for (&r, &l) in rows[j + 1..].iter().zip(&column[j + 1..]) {
-                        work[r] -= l * xj;
+                        work[r as usize] -= l * xj;
                     }
                 }
             }
@@ -1157,7 +1177,7 @@ impl Supernodal {
             for (j, column) in panel.chunks_exact(rows.len()).enumerate().rev() {
                 let mut xj = work[first + j];
                 for (&r, &l) in rows[j + 1..].iter().zip(&column[j + 1..]) {
-                    xj -= l * work[r];
+                    xj -= l * work[r as usize];
                 }
                 work[first + j] = xj;
             }
@@ -1448,14 +1468,20 @@ mod tests {
             raw in prop::collection::vec(prop::collection::vec(0usize..64, 0..8), 0..40),
         ) {
             let rows = fold_patterns(n, raw);
-            let pattern = JtjPattern::new(n, rows.clone());
+            let pattern = JtjPattern::new(n, &rows);
             let (row_ptr, col_idx, diag_pos, pair_pos) = legacy_pattern(n, &rows);
+            let col_idx32: Vec<u32> = col_idx
+                .iter()
+                .map(|&c| u32::try_from(c).expect("column fits u32"))
+                .collect();
             prop_assert_eq!(&pattern.row_ptr, &row_ptr);
-            prop_assert_eq!(&pattern.col_idx, &col_idx);
+            prop_assert_eq!(&pattern.col_idx, &col_idx32);
             prop_assert_eq!(&pattern.diag_pos, &diag_pos);
             prop_assert_eq!(&pattern.pair_pos, &pair_pos);
+            // The `u32` ordering on the `u32` pattern picks the pivots the
+            // `usize` one picked on the legacy pattern.
             prop_assert_eq!(
-                minimum_degree(n, &row_ptr, &col_idx),
+                minimum_degree(n, &row_ptr, &pattern.col_idx),
                 legacy_minimum_degree(n, &row_ptr, &col_idx)
             );
         }
@@ -1471,8 +1497,8 @@ mod tests {
             let ranges: Vec<std::ops::Range<usize>> = (0..chunks)
                 .map(|c| (c * size).min(rows.len())..((c + 1) * size).min(rows.len()))
                 .collect();
-            let full = JtjPattern::new(n, rows.clone());
-            let chunked = JtjPattern::chunked(n, rows, ranges.clone());
+            let full = JtjPattern::new(n, &rows);
+            let chunked = JtjPattern::chunked(n, &rows, ranges.clone());
             prop_assert_eq!(chunked.pattern(), full.pattern());
             for (chunk, range) in chunked.chunks().iter().zip(&ranges) {
                 prop_assert_eq!(chunk.rows(), range.clone());
@@ -1492,11 +1518,23 @@ mod tests {
         }
     }
 
+    /// A row's `(column, value)` entries as the `(index in the row's
+    /// pattern, value)` entries [`JtjPattern::accumulate_row`] takes.
+    fn local_entries(vars: &[usize], entries: &[(usize, f64)]) -> Vec<(u32, f64)> {
+        entries
+            .iter()
+            .map(|&(col, value)| {
+                let local = vars.binary_search(&col).expect("entry inside the pattern");
+                (u32::try_from(local).expect("index fits u32"), value)
+            })
+            .collect()
+    }
+
     #[test]
     fn jtj_accumulation_matches_the_dense_normal_matrix() {
         // Rows of a 4-column Jacobian with fixed sparsity.
         let patterns = vec![vec![0, 2], vec![1, 2, 3], vec![0], vec![1, 3]];
-        let pattern = JtjPattern::new(4, patterns.clone());
+        let pattern = JtjPattern::new(4, &patterns);
         assert_eq!(pattern.jacobian_nnz(), 8);
         let rows: Vec<Vec<(usize, f64)>> = vec![
             vec![(0, 1.0), (2, -2.0)],
@@ -1505,9 +1543,8 @@ mod tests {
             vec![(1, 2.0)], // subset of the declared pattern
         ];
         let mut values = pattern.values_buffer();
-        let mut scratch = JtjScratch::default();
         for (k, entries) in rows.iter().enumerate() {
-            pattern.accumulate_row(k, entries, &mut values, &mut scratch);
+            pattern.accumulate_row(k, &local_entries(&patterns[k], entries), &mut values);
         }
         // Dense oracle.
         let mut j = Matrix::zeros(4, 4);
@@ -1532,7 +1569,7 @@ mod tests {
     fn minimum_degree_produces_a_permutation() {
         // Arrowhead pattern: dense first row/column.
         let patterns: Vec<Vec<usize>> = (1..6).map(|i| vec![0, i]).collect();
-        let jtj = JtjPattern::new(6, patterns);
+        let jtj = JtjPattern::new(6, &patterns);
         let (row_ptr, col_idx) = jtj.pattern();
         let perm = minimum_degree(6, row_ptr, col_idx);
         let mut sorted = perm.clone();
@@ -1558,7 +1595,7 @@ mod tests {
             vec![0, 4],
             vec![2],
         ];
-        let jtj = JtjPattern::new(5, patterns.clone());
+        let jtj = JtjPattern::new(5, &patterns);
         let rows: Vec<Vec<(usize, f64)>> = vec![
             vec![(0, 2.0), (1, -1.0)],
             vec![(1, 1.5), (2, 0.5)],
@@ -1568,9 +1605,8 @@ mod tests {
             vec![(2, 3.0)],
         ];
         let mut values = jtj.values_buffer();
-        let mut scratch = JtjScratch::default();
         for (k, entries) in rows.iter().enumerate() {
-            jtj.accumulate_row(k, entries, &mut values, &mut scratch);
+            jtj.accumulate_row(k, &local_entries(&patterns[k], entries), &mut values);
         }
         let (row_ptr, col_idx) = jtj.pattern();
         let symbolic = SymbolicLdl::analyze(5, row_ptr, col_idx);
@@ -1603,12 +1639,11 @@ mod tests {
     fn factorization_rejects_indefinite_matrices() {
         // A = [[0, 1], [1, 0]] is indefinite: with no damping the first
         // pivot is zero.
-        let jtj = JtjPattern::new(2, vec![vec![0, 1]]);
+        let jtj = JtjPattern::new(2, &[[0, 1]]);
         let mut values = jtj.values_buffer();
-        let mut scratch = JtjScratch::default();
         // Outer product [1, 1] gives [[1,1],[1,1]] (singular): pivot two is
         // exactly zero.
-        jtj.accumulate_row(0, &[(0, 1.0), (1, 1.0)], &mut values, &mut scratch);
+        jtj.accumulate_row(0, &[(0, 1.0), (1, 1.0)], &mut values);
         let (row_ptr, col_idx) = jtj.pattern();
         let symbolic = SymbolicLdl::analyze(2, row_ptr, col_idx);
         let mut numeric = symbolic.numeric();
@@ -1622,12 +1657,12 @@ mod tests {
     /// `(n - 1) / 3` multiply-adds per entry, so `n ≥ 121` goes supernodal:
     /// one supernode, `n` columns wide.
     fn dominant_dense(n: usize) -> (JtjPattern, Vec<f64>) {
-        let jtj = JtjPattern::new(n, vec![(0..n).collect()]);
+        let jtj = JtjPattern::new(n, &[(0..n).collect::<Vec<_>>()]);
         let mut values = jtj.values_buffer();
         let (row_ptr, col_idx) = jtj.pattern();
         for r in 0..n {
             for p in row_ptr[r]..row_ptr[r + 1] {
-                let c = col_idx[p];
+                let c = col_idx[p] as usize;
                 values[p] = if c == r {
                     2.0
                 } else {
@@ -1642,7 +1677,7 @@ mod tests {
         let (row_ptr, col_idx) = jtj.pattern();
         row_ptr[r]
             + col_idx[row_ptr[r]..row_ptr[r + 1]]
-                .binary_search(&c)
+                .binary_search(&u32::try_from(c).unwrap())
                 .unwrap()
     }
 
@@ -1706,15 +1741,14 @@ mod tests {
 
     #[test]
     fn repeated_factorizations_reuse_the_symbolic_analysis() {
-        let jtj = JtjPattern::new(3, vec![vec![0, 1], vec![1, 2]]);
+        let jtj = JtjPattern::new(3, &[[0, 1], [1, 2]]);
         let (row_ptr, col_idx) = jtj.pattern();
         let symbolic = SymbolicLdl::analyze(3, row_ptr, col_idx);
         let mut numeric = symbolic.numeric();
-        let mut scratch = JtjScratch::default();
         for scale in [1.0, 2.0, 0.5] {
             let mut values = jtj.values_buffer();
-            jtj.accumulate_row(0, &[(0, scale), (1, -scale)], &mut values, &mut scratch);
-            jtj.accumulate_row(1, &[(1, scale), (2, scale)], &mut values, &mut scratch);
+            jtj.accumulate_row(0, &[(0, scale), (1, -scale)], &mut values);
+            jtj.accumulate_row(1, &[(0, scale), (1, scale)], &mut values);
             assert!(symbolic.factor(&values, &[0.5, 0.5, 0.5], &mut numeric));
             let mut x = vec![1.0, 1.0, 1.0];
             symbolic.solve(&mut numeric, &mut x);

@@ -3,7 +3,7 @@
 //! factor-solve must agree with the corresponding dense
 //! [`Matrix`](polyinv_arith::Matrix) computations on random sparse systems.
 
-use polyinv_arith::sparse::{JtjChunk, JtjPattern, JtjScratch, SymbolicLdl};
+use polyinv_arith::sparse::{JtjChunk, JtjPattern, SymbolicLdl};
 use polyinv_arith::{Matrix, Vector};
 use proptest::prelude::*;
 
@@ -70,6 +70,27 @@ fn patterns_of(system: &SparseSystem) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// A row's `(column, value)` entries as the `(index in the declared
+/// pattern, value)` entries `JtjPattern::accumulate_row` takes.
+fn local_entries(pattern: &[usize], row: &[(usize, f64)]) -> Vec<(u32, f64)> {
+    row.iter()
+        .map(|&(c, v)| {
+            let local = pattern.binary_search(&c).expect("entry inside the pattern");
+            (u32::try_from(local).expect("index fits u32"), v)
+        })
+        .collect()
+}
+
+/// Accumulates every row of `system` into a fresh values buffer of
+/// `pattern`, whose declared row patterns are `patterns`.
+fn accumulate(pattern: &JtjPattern, patterns: &[Vec<usize>], system: &SparseSystem) -> Vec<f64> {
+    let mut values = pattern.values_buffer();
+    for (r, row) in system.entries.iter().enumerate() {
+        pattern.accumulate_row(r, &local_entries(&patterns[r], row), &mut values);
+    }
+    values
+}
+
 proptest! {
     #[test]
     fn jtj_accumulation_matches_dense_normal_matrix(
@@ -78,12 +99,45 @@ proptest! {
         raw in raw_entries(),
     ) {
         let system = build_system(rows, cols, raw);
-        let pattern = JtjPattern::new(system.cols, patterns_of(&system));
-        let mut values = pattern.values_buffer();
-        let mut scratch = JtjScratch::default();
-        for (r, row) in system.entries.iter().enumerate() {
-            pattern.accumulate_row(r, row, &mut values, &mut scratch);
+        let patterns = patterns_of(&system);
+        let pattern = JtjPattern::new(system.cols, &patterns);
+        let values = accumulate(&pattern, &patterns, &system);
+        let dense = dense_of(&system);
+        let jtj = &dense.transpose() * &dense;
+        let sparse_jtj = pattern.to_dense(&values);
+        for i in 0..system.cols {
+            for j in 0..system.cols {
+                prop_assert!(
+                    (sparse_jtj.get(i, j) - jtj.get(i, j)).abs() < 1e-9,
+                    "JtJ mismatch at ({}, {}): {} vs {}",
+                    i, j, sparse_jtj.get(i, j), jtj.get(i, j)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn local_index_accumulation_over_wider_patterns_matches_dense_normal_matrix(
+        rows in 1usize..8,
+        cols in 1usize..8,
+        raw in raw_entries(),
+        extra in proptest::collection::vec(proptest::collection::vec(0usize..64, 0..4), 8),
+    ) {
+        // Each row declares its entries' columns plus a few more, so an
+        // entry's index in the pattern is not its position in the row.
+        let system = build_system(rows, cols, raw);
+        let patterns: Vec<Vec<usize>> = patterns_of(&system)
+            .into_iter()
+            .zip(&extra)
+            .map(|(mut vars, more)| {
+                vars.extend(more.iter().map(|&c| c % system.cols));
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            })
+            .collect();
+        let pattern = JtjPattern::new(system.cols, &patterns);
+        let values = accumulate(&pattern, &patterns, &system);
         let dense = dense_of(&system);
         let jtj = &dense.transpose() * &dense;
         let sparse_jtj = pattern.to_dense(&values);
@@ -108,12 +162,9 @@ proptest! {
     ) {
         let system = build_system(rows, cols, raw);
         let n = system.cols;
-        let pattern = JtjPattern::new(n, patterns_of(&system));
-        let mut values = pattern.values_buffer();
-        let mut scratch = JtjScratch::default();
-        for (r, row) in system.entries.iter().enumerate() {
-            pattern.accumulate_row(r, row, &mut values, &mut scratch);
-        }
+        let patterns = patterns_of(&system);
+        let pattern = JtjPattern::new(n, &patterns);
+        let values = accumulate(&pattern, &patterns, &system);
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
         let mut numeric = symbolic.numeric();
@@ -145,7 +196,7 @@ proptest! {
     ) {
         let system = build_system(rows, cols, raw);
         let n = system.cols;
-        let pattern = JtjPattern::new(n, patterns_of(&system));
+        let pattern = JtjPattern::new(n, &patterns_of(&system));
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
         prop_assert!(symbolic.nnz_factor() >= n);
@@ -169,14 +220,19 @@ proptest! {
         let ranges: Vec<std::ops::Range<usize>> = (0..chunks)
             .map(|c| (c * chunk_size).min(system.rows)..((c + 1) * chunk_size).min(system.rows))
             .collect();
-        let pattern = JtjPattern::new(system.cols, patterns_of(&system));
-        let chunked = JtjPattern::chunked(system.cols, patterns_of(&system), ranges.clone());
-        let mut scratch = JtjScratch::default();
+        let patterns = patterns_of(&system);
+        let pattern = JtjPattern::new(system.cols, &patterns);
+        let chunked = JtjPattern::chunked(system.cols, &patterns, ranges.clone());
+        let local: Vec<Vec<(u32, f64)>> = system
+            .entries
+            .iter()
+            .zip(&patterns)
+            .map(|(row, vars)| local_entries(vars, row))
+            .collect();
         let fill = |chunk: &JtjChunk| {
             let mut partial = chunk.values_buffer();
-            let mut scratch = JtjScratch::default();
             for r in chunk.rows() {
-                chunked.accumulate_row(r, &system.entries[r], &mut partial, &mut scratch);
+                chunked.accumulate_row(r, &local[r], &mut partial);
             }
             partial
         };
@@ -205,7 +261,7 @@ proptest! {
         for range in &ranges {
             let mut partial = pattern.values_buffer();
             for r in range.clone() {
-                pattern.accumulate_row(r, &system.entries[r], &mut partial, &mut scratch);
+                pattern.accumulate_row(r, &local[r], &mut partial);
             }
             for (t, p) in oracle.iter_mut().zip(&partial) {
                 *t += p;
@@ -216,10 +272,7 @@ proptest! {
             oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         // And the merged accumulation is still the normal matrix.
-        let mut serial = pattern.values_buffer();
-        for (r, row) in system.entries.iter().enumerate() {
-            pattern.accumulate_row(r, row, &mut serial, &mut scratch);
-        }
+        let serial = accumulate(&pattern, &patterns, &system);
         for (m, s) in merged_fwd.iter().zip(&serial) {
             prop_assert!((m - s).abs() < 1e-9);
         }
@@ -240,12 +293,9 @@ proptest! {
         // switch at 40 needs n ≥ 121).
         let n = 256;
         let system = build_system(128, n, raw);
-        let pattern = JtjPattern::new(n, patterns_of(&system));
-        let mut values = pattern.values_buffer();
-        let mut scratch = JtjScratch::default();
-        for (r, row) in system.entries.iter().enumerate() {
-            pattern.accumulate_row(r, row, &mut values, &mut scratch);
-        }
+        let patterns = patterns_of(&system);
+        let pattern = JtjPattern::new(n, &patterns);
+        let values = accumulate(&pattern, &patterns, &system);
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
         prop_assert!(symbolic.supernodes() > 0);

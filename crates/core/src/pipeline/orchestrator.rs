@@ -890,6 +890,11 @@ impl Orchestrator {
     /// compatible with the snapped coefficients). Keeps the best point
     /// seen, and stops early once the whole-solve `deadline` has passed.
     ///
+    /// A round that accepts no candidate leaves the best point where it
+    /// was, so every later round would start from it and repeat its two
+    /// block passes exactly; the polish then runs the final round's
+    /// linear-tail pass alone and stops.
+    ///
     /// Records a `"polish"` attempt when it runs; with no rounds, or when
     /// the point already meets the LM tolerance, it returns the lane's
     /// point as it is.
@@ -929,18 +934,21 @@ impl Orchestrator {
 
         let mut best = lane.assignment.clone();
         let mut best_violation = lane.violation;
+        let mut stalled = false;
         'rounds: for round in 0..self.plan.polish_rounds {
             // Pass 1 pins the template block and frees {t, l, ε}. Pass 2
             // pins the Cholesky block and frees {s, t, ε} (the remaining
             // system is bilinear in s·t, LM's sweet spot). The final round
             // adds a pass pinning both: the tail {t, ε} is linear, so one LM
-            // sub-solve reaches the least-squares optimum.
-            let last = round + 1 == self.plan.polish_rounds;
+            // sub-solve reaches the least-squares optimum. After a stalled
+            // round only that tail pass is left.
+            let last = stalled || round + 1 == self.plan.polish_rounds;
             let passes = [
-                Some(&template_block),
-                Some(&sos_block),
+                (!stalled).then_some(&template_block),
+                (!stalled).then_some(&sos_block),
                 last.then_some(&both_blocks),
             ];
+            let mut moved = false;
             for pinned in passes.into_iter().flatten() {
                 let pass =
                     self.polish_pass(system, &rung.fixed, &best, pinned, deadline, workspaces);
@@ -950,11 +958,13 @@ impl Orchestrator {
                 if candidate_violation < best_violation {
                     best = candidate;
                     best_violation = candidate_violation;
+                    moved = true;
                 }
             }
-            if best_violation <= LM_TOLERANCE {
+            if best_violation <= LM_TOLERANCE || stalled {
                 break;
             }
+            stalled = !moved;
         }
         history.push(rung.attempt(
             "polish",

@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use polyinv_arith::sparse::{JtjPattern, JtjScratch, SymbolicLdl};
+use polyinv_arith::sparse::{JtjPattern, SymbolicLdl};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -119,16 +119,18 @@ pub struct LmWorkspace {
 
 impl LmWorkspace {
     /// Runs the symbolic analysis for `problem`: `JᵀJ` pattern (chunked
-    /// when the evaluation will be), ordering, elimination tree.
+    /// when the evaluation will be), ordering, elimination tree. The
+    /// pattern reads the row patterns of the problem's structure, which
+    /// the evaluator keeps; it stores no copy of them.
     pub fn build(problem: &Problem, objective_weight: f64) -> Self {
         let structure = ProblemStructure::analyze(problem);
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
         let rows = row_patterns(&structure, objective_row);
         let pattern = if rows.len() >= PAR_ROW_THRESHOLD {
             let chunks = chunk_ranges(rows.len());
-            JtjPattern::chunked(problem.num_vars, rows, chunks)
+            JtjPattern::chunked(problem.num_vars, &rows, chunks)
         } else {
-            JtjPattern::new(problem.num_vars, rows)
+            JtjPattern::new(problem.num_vars, &rows)
         };
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(problem.num_vars, row_ptr, col_idx);
@@ -184,15 +186,16 @@ impl LmWorkspace {
     }
 }
 
-/// The variable patterns of the Jacobian rows: equalities, then
-/// inequalities, then the soft objective row when it is present.
-fn row_patterns(structure: &ProblemStructure, objective_row: bool) -> Vec<Vec<usize>> {
-    let mut rows: Vec<Vec<usize>> =
+/// The variable patterns of the Jacobian rows, borrowed from `structure`:
+/// equalities, then inequalities, then the soft objective row when it is
+/// present.
+fn row_patterns(structure: &ProblemStructure, objective_row: bool) -> Vec<&[usize]> {
+    let mut rows: Vec<&[usize]> =
         Vec::with_capacity(structure.equality_vars.len() + structure.inequality_vars.len() + 1);
-    rows.extend(structure.equality_vars.iter().cloned());
-    rows.extend(structure.inequality_vars.iter().cloned());
+    rows.extend(structure.equality_vars.iter().map(Vec::as_slice));
+    rows.extend(structure.inequality_vars.iter().map(Vec::as_slice));
     if objective_row {
-        rows.push(structure.objective_vars.clone());
+        rows.push(&structure.objective_vars);
     }
     rows
 }
@@ -525,9 +528,9 @@ struct RowScratch {
     /// Dense gradient scatter buffer (only touched entries are written and
     /// cleared).
     grad: Vec<f64>,
-    /// The current row's sparse gradient entries.
-    entries: Vec<(usize, f64)>,
-    jtj: JtjScratch,
+    /// The current row's sparse gradient entries, by index in the row's
+    /// pattern.
+    entries: Vec<(u32, f64)>,
 }
 
 impl RowScratch {
@@ -535,7 +538,6 @@ impl RowScratch {
         RowScratch {
             grad: vec![0.0; num_vars],
             entries: Vec::new(),
-            jtj: JtjScratch::default(),
         }
     }
 }
@@ -744,25 +746,44 @@ impl<'a> Evaluator<'a> {
 }
 
 /// Collects the sparse gradient of `scale · form` at `x` into `entries`,
-/// using only the form's touched variables.
+/// using only the form's touched variables `vars`: entry `(i, g)` is the
+/// nonzero derivative `g` along `vars[i]`, in the order of `vars`, which is
+/// what [`JtjPattern::accumulate_row`] takes.
 fn gradient_entries(
     form: &QuadraticForm,
     vars: &[usize],
     x: &[f64],
     scale: f64,
     grad: &mut [f64],
-    entries: &mut Vec<(usize, f64)>,
+    entries: &mut Vec<(u32, f64)>,
 ) {
     for &v in vars {
         grad[v] = 0.0;
     }
     form.add_gradient(x, grad, scale);
     entries.clear();
-    for &v in vars {
+    for (i, &v) in (0u32..).zip(vars) {
         let g = grad[v];
         if g != 0.0 {
-            entries.push((v, g));
+            entries.push((i, g));
         }
+    }
+}
+
+/// Scatters one Jacobian row, its gradient `entries` over `vars` at
+/// residual `r`, into `JᵀJ` and `Jᵀr`.
+fn scatter_row(
+    pattern: &JtjPattern,
+    row: usize,
+    vars: &[usize],
+    entries: &[(u32, f64)],
+    r: f64,
+    jtj: &mut [f64],
+    jtr: &mut [f64],
+) {
+    pattern.accumulate_row(row, entries, jtj);
+    for &(i, g) in entries {
+        jtr[vars[i as usize]] += g * r;
     }
 }
 
@@ -787,11 +808,7 @@ fn accumulate_rows(
     jtr: &mut [f64],
     scratch: &mut RowScratch,
 ) -> (f64, f64) {
-    let RowScratch {
-        grad,
-        entries,
-        jtj: jtj_scratch,
-    } = scratch;
+    let RowScratch { grad, entries } = scratch;
     let num_eq = problem.equalities.len();
     let num_ineq = problem.inequalities.len();
     let mut cost = 0.0;
@@ -804,10 +821,7 @@ fn accumulate_rows(
             cost += r * r;
             violation = worse_violation(violation, r.abs());
             gradient_entries(eq, vars, x, 1.0, grad, entries);
-            pattern.accumulate_row(row, entries, jtj, jtj_scratch);
-            for &(i, g) in entries.iter() {
-                jtr[i] += g * r;
-            }
+            scatter_row(pattern, row, vars, entries, r, jtj, jtr);
         } else if row < num_eq + num_ineq {
             let k = row - num_eq;
             let ineq = &problem.inequalities[k];
@@ -816,11 +830,9 @@ fn accumulate_rows(
                 let r = -value;
                 cost += r * r;
                 violation = violation.max(r);
-                gradient_entries(ineq, &structure.inequality_vars[k], x, -1.0, grad, entries);
-                pattern.accumulate_row(row, entries, jtj, jtj_scratch);
-                for &(i, g) in entries.iter() {
-                    jtr[i] += g * r;
-                }
+                let vars = &structure.inequality_vars[k];
+                gradient_entries(ineq, vars, x, -1.0, grad, entries);
+                scatter_row(pattern, row, vars, entries, r, jtj, jtr);
             } else if value.is_nan() {
                 violation = f64::INFINITY;
             }
@@ -833,18 +845,9 @@ fn accumulate_rows(
             if value.is_finite() {
                 let r = objective_weight * value;
                 cost += r * r;
-                gradient_entries(
-                    objective,
-                    &structure.objective_vars,
-                    x,
-                    objective_weight,
-                    grad,
-                    entries,
-                );
-                pattern.accumulate_row(row, entries, jtj, jtj_scratch);
-                for &(i, g) in entries.iter() {
-                    jtr[i] += g * r;
-                }
+                let vars = &structure.objective_vars;
+                gradient_entries(objective, vars, x, objective_weight, grad, entries);
+                scatter_row(pattern, row, vars, entries, r, jtj, jtr);
             }
         }
     }
@@ -1371,7 +1374,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
 
-            let full = JtjPattern::new(n, row_patterns(&ws.structure, ws.objective_row));
+            let full = JtjPattern::new(n, &row_patterns(&ws.structure, ws.objective_row));
             let mut jtj = full.values_buffer();
             let mut jtr = vec![0.0; n];
             let (mut cost, mut violation) = (0.0, 0.0f64);

@@ -61,6 +61,9 @@ impl Fnv {
     }
 }
 
+/// How a request's `SolvePlan` is made from its degree-escalated options.
+type PlanFn = fn(SynthesisOptions) -> SolvePlan;
+
 /// The fixed-work plan of the large ϒ = 2 rows: LM lane only, fixed
 /// iteration caps, no wall-clock cap anywhere.
 fn fixed_work_plan(options: SynthesisOptions) -> SolvePlan {
@@ -108,7 +111,7 @@ fn outcome_digest(outcome: &OrchestratorOutcome) -> u64 {
 }
 
 fn digest_lines() -> String {
-    let requests: [(&str, fn(SynthesisOptions) -> SolvePlan); 3] = [
+    let requests: [(&str, PlanFn); 3] = [
         ("freire1", SolvePlan::new),
         ("petter", SolvePlan::new),
         ("recursive-sum", fixed_work_plan),
