@@ -36,10 +36,12 @@ use crate::linalg::Matrix;
 /// Sentinel for "no parent" in the elimination tree.
 const NONE: usize = usize::MAX;
 
-/// A pattern-sized index (a column, a row, a values or panel position)
-/// as the `u32` the symbolic structures store. Overflow would take a
-/// pattern of more than 2³² entries, whose `u32` pair positions alone
-/// fill 16 GB, so it is an invariant, not an input error.
+/// A pattern-sized index (a variable, a Jacobian row, a values or panel
+/// position) as the `u32` the symbolic structures store. Every such index
+/// is bounded by the length of a buffer the solver allocates, so an index
+/// past `u32::MAX` would first need a values or panel buffer of more than
+/// 2³² `f64`s (32 GiB): overflow is a broken invariant, not an input
+/// error, and panics instead of truncating.
 #[inline]
 fn index32(index: usize) -> u32 {
     u32::try_from(index).expect("sparse pattern index fits u32")
@@ -1563,6 +1565,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn pattern_indices_convert_to_u32_without_truncating() {
+        let max = u32::MAX as usize;
+        assert_eq!(index32(max), u32::MAX);
+        let past = std::panic::catch_unwind(|| index32(max + 1));
+        assert!(past.is_err(), "an index past u32::MAX must panic, not wrap");
     }
 
     #[test]

@@ -120,8 +120,8 @@ pub struct LmWorkspace {
 impl LmWorkspace {
     /// Runs the symbolic analysis for `problem`: `JᵀJ` pattern (chunked
     /// when the evaluation will be), ordering, elimination tree. The
-    /// pattern reads the row patterns of the problem's structure, which
-    /// the evaluator keeps; it stores no copy of them.
+    /// pattern only reads the row patterns of the problem's structure,
+    /// which the workspace keeps for the evaluator; it stores no copy.
     pub fn build(problem: &Problem, objective_weight: f64) -> Self {
         let structure = ProblemStructure::analyze(problem);
         let objective_row = problem.objective.is_some() && objective_weight > 0.0;
